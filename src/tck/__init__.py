@@ -18,8 +18,8 @@ from .fields import (
     character_lattice_member,
     disjoint_eigenfamily_count,
     eigencharacter,
+    exponent_vector,
     parse_polynomial,
-    prime_support,
     serialize_polynomial,
     supports_pairwise_disjoint,
 )
@@ -28,15 +28,12 @@ from .roots import (
     RootSystem,
     RootSystemType,
     build_root_system,
-    cartan_integer,
     diagram_symmetries,
     extend_symmetry_to_roots,
-    structure_constants,
 )
 from .chevalley import (
     ChevalleyAutomorphism,
     adjoint_dimension,
-    apply_automorphism,
     commutator_factors,
     commutator_relation_check,
     graph_automorphism_matrix,

@@ -28,10 +28,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from sympy import isprime
-
 from .errors import ConsistencyError, DomainError
-from .fields import Polynomial, RationalFunction, ScalingAutomorphism, apply_scaling
+from .fields import Polynomial, RationalFunction, ScalingAutomorphism, apply_scaling, is_prime
 from .linalg import (
     Matrix,
     identity_matrix,
@@ -348,10 +346,6 @@ class ChevalleyAutomorphism:
         return self.apply(x)
 
 
-def apply_automorphism(phi: ChevalleyAutomorphism, x: Matrix) -> Matrix:
-    return phi.apply(x)
-
-
 def _string_product(rs: RootSystem, base, step, count) -> Fraction:
     """(1/count!) N(step, base) N(step, step+base) ... over `count` brackets."""
     data = rs.constants
@@ -424,7 +418,7 @@ def commutator_relation_check(rs: RootSystem, alpha, beta, t, u) -> bool:
 
 def reduce_mod_p(x: Matrix, p: int) -> list[list[int]]:
     """Entrywise reduction of a rational matrix modulo a prime."""
-    if not isprime(p):
+    if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     out = []
     for i, row in enumerate(x):

@@ -111,7 +111,10 @@ def _run_root_info(args):
 
 def _run_chevalley_gen(args):
     rs = build_root_system(args.type)
-    root = tuple(int(c) for c in args.root.split(","))
+    try:
+        root = tuple(int(c) for c in args.root.split(","))
+    except ValueError as exc:
+        raise DomainError(f"--root must be comma-separated integers, got {args.root!r}") from exc
     t = _parse_rational(args.t)
     builder = {"x": x_alpha, "n": n_alpha, "h": h_alpha}[args.kind]
     matrix = builder(rs, root, t)
@@ -257,8 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
                     "generators, finite twisted classes, Reidemeister spectra, "
                     "and obstruction certificates.",
     )
-    parser.add_argument("--json", action="store_true", default=True,
-                        help="emit JSON (the default and only format)")
     parser.add_argument("--timing", action="store_true",
                         help="include wall-clock timing in the report")
     commands = parser.add_subparsers(dest="command", required=True)

@@ -3,41 +3,117 @@
 Rationals are stdlib Fraction values throughout.  Polynomials are sparse maps
 from exponent tuples to Fraction coefficients, rational functions are
 normalized quotients of those, and scaling automorphisms act by T_i -> c_i T_i
-with nonzero rational c_i.  The prime support map sends a nonzero rational to
-the set of primes dividing its reduced numerator or denominator; families of
-rationals with pairwise disjoint supports are multiplicatively independent,
-which is what the eigenvector counting bound below exploits.
+with nonzero rational c_i.  Rationals whose prime supports are pairwise
+disjoint are multiplicatively independent, which is what the eigenvector
+counting bound below exploits.  Supports are decided by gcds and by stripping
+pairwise coprime bases, never by factoring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-
-from sympy import factorint
+from math import gcd
 
 from .errors import ConsistencyError, DomainError
 
 Exponent = tuple[int, ...]
 
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3317044064679887385961981
 
-def prime_support(x) -> frozenset[int]:
-    """Primes dividing the reduced numerator or denominator of x != 0."""
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality: Miller-Rabin on the first 13 prime bases.
+
+    Exact below 3317044064679887385961981 (Sorenson and Webster, Math. Comp.
+    86, 2017); larger n raise DomainError, since a probable answer is not exact.
+    """
+    if n >= _MILLER_RABIN_BOUND:
+        raise DomainError(f"primality of {n} is only decided below {_MILLER_RABIN_BOUND}")
+    if n < 2:
+        return False
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def strip_power(n: int, b: int) -> tuple[int, int]:
+    """(e, n / b**e) with e as large as possible, for n != 0 and b > 1."""
+    e = 0
+    while n % b == 0:
+        n //= b
+        e += 1
+    return e, n
+
+
+def exponent_vector(x, base) -> list[int] | None:
+    """Exponents e with |x| = prod(b**e_b), or None when |x| is no such product.
+
+    The base must consist of pairwise coprime integers > 1; then the
+    exponents are unique and stripping each base element in turn finds them.
+    """
     x = Fraction(x)
     if x == 0:
-        raise DomainError("prime support is undefined at 0")
-    primes = set(factorint(abs(x.numerator))) | set(factorint(x.denominator))
-    return frozenset(primes)
+        raise DomainError("0 has no exponent vector")
+    num, den = abs(x.numerator), x.denominator
+    vec = []
+    for b in base:
+        if b < 2:
+            raise DomainError(f"base element {b} is not an integer > 1")
+        up, num = strip_power(num, b)
+        down, den = strip_power(den, b)
+        vec.append(up - down)
+    return vec if num == den == 1 else None
+
+
+def _coprime_base(numbers) -> list[int]:
+    """Pairwise coprime integers > 1 over which every given positive integer factors.
+
+    Gcd refinement: b and n sharing g > 1 become g, b/g and n/g, which lowers
+    the product of all base and pending numbers, so the loop ends.
+    """
+    base: list[int] = []
+    pending = [n for n in numbers if n > 1]
+    while pending:
+        n = pending.pop()
+        for i, b in enumerate(base):
+            g = gcd(b, n)
+            if g > 1:
+                del base[i]
+                pending += [m for m in (g, b // g, n // g) if m > 1]
+                break
+        else:
+            base.append(n)
+    return sorted(base)
 
 
 def supports_pairwise_disjoint(values) -> bool:
     """True when the prime supports of the given nonzero rationals are pairwise disjoint."""
-    seen: set[int] = set()
+    seen = 1
     for v in values:
-        support = prime_support(v)
-        if seen & support:
+        v = Fraction(v)
+        if v == 0:
+            raise DomainError("prime support is undefined at 0")
+        n = abs(v.numerator) * v.denominator
+        if gcd(seen, n) > 1:
             return False
-        seen |= support
+        seen *= n
     return True
 
 
@@ -486,10 +562,12 @@ def disjoint_eigenfamily_count(delta: ScalingAutomorphism, alpha, pairs) -> int:
 def character_lattice_member(lam, generators) -> bool:
     """Is lam a product of integer powers of the given nonzero rationals?
 
-    Works on prime exponent vectors: membership in the subgroup of Q* generated
-    by the generators reduces to an integer linear system, solved through the
-    Smith normal form of the exponent matrix.  Only positive generators arise
-    here (even powers), so a negative lam is never a member.
+    Works on exponent vectors over a coprime base of the generators'
+    numerators and denominators: lam is a member only if it factors over that
+    base, and then membership in the subgroup of Q* generated by the
+    generators reduces to an integer linear system, solved through the Smith
+    normal form of the exponent matrix.  Only positive generators arise here
+    (even powers), so a negative lam is never a member.
     """
     from .spectrum import smith_normal_form  # local import: spectrum depends on fields
 
@@ -503,32 +581,17 @@ def character_lattice_member(lam, generators) -> bool:
         return False
     if lam == 1:
         return True
-    primes = sorted(set().union(prime_support(lam), *(prime_support(g) for g in gens if g != 1)))
-
-    def exponent_vector(x):
-        vec = []
-        for p in primes:
-            e = 0
-            num, den = x.numerator, x.denominator
-            while num % p == 0:
-                num //= p
-                e += 1
-            while den % p == 0:
-                den //= p
-                e -= 1
-            vec.append(e)
-        return vec
-
-    target = exponent_vector(lam)
-    rows = [exponent_vector(g) for g in gens if g != 1]
-    if not rows:
+    base = _coprime_base([n for g in gens for n in (g.numerator, g.denominator)])
+    target = exponent_vector(lam, base)
+    if target is None:
         return False
+    rows = [exponent_vector(g, base) for g in gens if g != 1]
     # Pad to a square system; zero rows and columns do not change solvability
     # of x*A = v over Z.
-    size = max(len(rows), len(primes))
-    matrix = [row + [0] * (size - len(primes)) for row in rows]
+    size = max(len(rows), len(base))
+    matrix = [row + [0] * (size - len(base)) for row in rows]
     matrix += [[0] * size for _ in range(size - len(rows))]
-    target = target + [0] * (size - len(primes))
+    target = target + [0] * (size - len(base))
     decomp = smith_normal_form(matrix)
     # x*A = v is solvable over Z iff w = v*V clears the diagonal divisibility.
     w = [sum(target[i] * decomp.right[i][j] for i in range(size)) for j in range(size)]

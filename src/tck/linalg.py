@@ -20,9 +20,6 @@ def identity_matrix(n: int, one=Fraction(1)) -> Matrix:
     return [[one if i == j else zero for j in range(n)] for i in range(n)]
 
 
-def zero_matrix(n: int, m: int, zero=Fraction(0)) -> Matrix:
-    return [[zero for _ in range(m)] for _ in range(n)]
-
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     n, k, m = len(a), len(b), len(b[0])
     if len(a[0]) != k:
@@ -60,10 +57,6 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
 
 def mat_scale(a: Matrix, c) -> Matrix:
     return [[c * x for x in row] for row in a]
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
 def mat_inv(a: Matrix) -> Matrix:
@@ -129,27 +122,6 @@ def diagonal_entries(a: Matrix) -> list:
 
 def is_diagonal(a: Matrix) -> bool:
     return all(not x for i, row in enumerate(a) for j, x in enumerate(row) if i != j)
-
-
-def diagonal_matrix(entries) -> Matrix:
-    entries = list(entries)
-    zero = entries[0] - entries[0]
-    n = len(entries)
-    return [[entries[i] if i == j else zero for j in range(n)] for i in range(n)]
-
-
-def direct_sum(blocks) -> Matrix:
-    blocks = [b for b in blocks]
-    size = sum(len(b) for b in blocks)
-    zero = blocks[0][0][0] - blocks[0][0][0]
-    out = [[zero] * size for _ in range(size)]
-    offset = 0
-    for b in blocks:
-        for i, row in enumerate(b):
-            for j, x in enumerate(row):
-                out[offset + i][offset + j] = x
-        offset += len(b)
-    return out
 
 
 def int_matrix(rows) -> Matrix:

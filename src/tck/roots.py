@@ -17,6 +17,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 
 from .errors import ConsistencyError, DomainError
 
@@ -255,8 +256,16 @@ def build_root_system(type_or_text) -> RootSystem:
     return RootSystem(RootSystemType.parse(type_or_text))
 
 
-def cartan_integer(rs: RootSystem, beta, alpha) -> int:
-    return rs.cartan_integer(beta, alpha)
+def permutation_order(permutation) -> int:
+    """Order of a permutation of range(n) given by its images: the lcm of its cycle lengths."""
+    order, unseen = 1, set(range(len(permutation)))
+    while unseen:
+        j, length = unseen.pop(), 1
+        while (j := permutation[j]) in unseen:
+            unseen.remove(j)
+            length += 1
+        order = lcm(order, length)
+    return order
 
 
 @dataclass(frozen=True)
@@ -267,13 +276,7 @@ class DiagramSymmetry:
 
     @property
     def order(self) -> int:
-        n = 1
-        current = self.permutation
-        identity = tuple(range(len(self.permutation)))
-        while current != identity:
-            current = tuple(self.permutation[i] for i in current)
-            n += 1
-        return n
+        return permutation_order(self.permutation)
 
     def __call__(self, index: int) -> int:
         return self.permutation[index]
@@ -405,7 +408,3 @@ class ChevalleyBasisData:
             # (b, c) are both negative with b + c = -a.
             return self._n(b, c) * rs.squared_length(w) / rs.squared_length(a)
         return self._n(c, a) * rs.squared_length(w) / rs.squared_length(b)
-
-
-def structure_constants(rs: RootSystem) -> ChevalleyBasisData:
-    return rs.constants

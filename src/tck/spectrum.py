@@ -20,10 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from sympy import isprime
-
 from .errors import ConsistencyError, DomainError
-from .fields import prime_support
+from .fields import exponent_vector, is_prime, strip_power
 from .linalg import int_matrix, mat_det, mat_mul
 from .twisted import FiniteGroup, GroupAutomorphism, closure, reidemeister_number
 
@@ -340,11 +338,8 @@ def _prime_power_exponent(p: int, w: int) -> int | None:
     """k >= 1 with p^k = w, else None."""
     if w < p:
         return None
-    k = 0
-    while w % p == 0:
-        w //= p
-        k += 1
-    return k if w == 1 else None
+    k, rest = strip_power(w, p)
+    return k if rest == 1 else None
 
 
 @dataclass(frozen=True)
@@ -381,11 +376,7 @@ class SpectrumDescriptor:
         if self.case == "equal-units":
             return gcd(w, p) == 1
         if self.case == "opposite-units":
-            top = 0
-            shrunk = w
-            while shrunk % p == 0:
-                shrunk //= p
-                top += 1
+            top, _ = strip_power(w, p)
             for ell in range(1, top + 1):
                 rest = w // p**ell
                 if rest == 2:
@@ -405,16 +396,15 @@ class SpectrumDescriptor:
 def _unit_power(p: int, value: Fraction) -> None:
     if not value:
         raise DomainError("diagonal values must be nonzero")
-    support = prime_support(value)
-    if support - {p}:
-        raise DomainError(
-            f"{value} is not a unit once {p} is inverted (extra primes {sorted(support - {p})})"
-        )
+    if exponent_vector(value, [p]) is None:
+        cofactor = Fraction(strip_power(abs(value.numerator), p)[1],
+                            strip_power(value.denominator, p)[1])
+        raise DomainError(f"{value} is not a unit once {p} is inverted (cofactor {cofactor})")
 
 
 def metabelian_spectrum(r, s, p: int) -> SpectrumDescriptor:
     """Spectrum descriptor for diag(r, s) acting on the rank-two p-local lattice."""
-    if not isprime(p):
+    if not is_prime(p):
         raise DomainError(f"{p} is not prime")
     r = Fraction(r)
     s = Fraction(s)

@@ -45,7 +45,10 @@ class PermOps:
         self.identity = tuple(range(degree))
 
     def canonical(self, raw):
-        image = tuple(int(v) for v in raw)
+        try:
+            image = tuple(int(v) for v in raw)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"{raw!r} is not a permutation of {self.degree} points") from exc
         if sorted(image) != list(range(self.degree)):
             raise DomainError(f"{raw!r} is not a permutation of {self.degree} points")
         return image
@@ -82,7 +85,10 @@ class MatModOps:
 
     def canonical(self, raw):
         p = self.modulus
-        rows = tuple(tuple(int(v) % p for v in row) for row in raw)
+        try:
+            rows = tuple(tuple(int(v) % p for v in row) for row in raw)
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"matrix {raw!r} does not hold integer entries") from exc
         if len(rows) != self.size or any(len(r) != self.size for r in rows):
             raise DomainError(f"matrix is not {self.size}x{self.size}")
         return rows

@@ -16,17 +16,17 @@ pattern
 forces det Z = 0, and that contradiction is what the certificate records.
 """
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-
-from sympy import nextprime
 
 from .errors import ConsistencyError, DomainError
 from .fields import (
     RationalFunction,
     ScalingAutomorphism,
     character_lattice_member,
-    prime_support,
+    exponent_vector,
+    is_prime,
     supports_pairwise_disjoint,
 )
 from .linalg import (
@@ -39,7 +39,7 @@ from .linalg import (
     mat_mul,
     mat_product,
 )
-from .roots import DiagramSymmetry, RootSystem
+from .roots import DiagramSymmetry, RootSystem, permutation_order
 from .chevalley import ChevalleyAutomorphism, adjoint_dimension, h_alpha
 
 
@@ -74,7 +74,7 @@ def generate_witnesses(rs: RootSystem, count: int) -> WitnessSequence:
     for i in range(count):
         block = []
         for _ in range(rs.rank):
-            prime = int(nextprime(prime))
+            prime = next(q for q in itertools.count(prime + 1) if is_prime(q))
             block.append(prime)
         g = identity_matrix(adjoint_dimension(rs))
         for alpha, p in zip(simple, block):
@@ -83,13 +83,11 @@ def generate_witnesses(rs: RootSystem, count: int) -> WitnessSequence:
         head, tail = diag[:root_count], diag[root_count:]
         if not is_diagonal(g) or any(x != 1 for x in tail):
             raise ConsistencyError(f"witness {i} is not a torus element")
-        allowed = set(block)
         for j, a in enumerate(head):
-            support = prime_support(a)
-            if not support or not support <= allowed:
+            exponents = exponent_vector(a, block)
+            if exponents is None or not any(exponents):
                 raise ConsistencyError(
-                    f"witness {i} entry {j} has support {sorted(support)}, "
-                    f"expected a nonempty subset of {block}"
+                    f"witness {i} entry {j} = {a} is not a nontrivial product of powers of {block}"
                 )
         blocks.append(tuple(block))
         elements.append(g)
@@ -179,12 +177,7 @@ class ProductAutomorphism:
 
     @property
     def permutation_order(self) -> int:
-        identity = tuple(range(self.k))
-        order, current = 1, self.permutation
-        while current != identity:
-            current = tuple(self.permutation[i] for i in current)
-            order += 1
-        return order
+        return permutation_order(self.permutation)
 
     def apply(self, summands) -> tuple:
         x = tuple(summands)
@@ -347,7 +340,7 @@ def _certify(rs: RootSystem, products, scaling: ScalingAutomorphism, power: int,
             raise ConsistencyError(
                 f"product supports collide across witnesses at root position {n}"
             )
-        column_ok.append(all(prime_support(b) for b in family))
+        column_ok.append(all(abs(b) != 1 for b in family))
     constraints = entrywise_constraint_system(rs, products[0], products[index - 1],
                                               scaling, power, correction)
     certified, failed = [], []

@@ -1,6 +1,11 @@
 """Command line surface: JSON reports, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -59,6 +64,15 @@ def test_chevalley_gen_rational_parameter(capsys):
     assert "1/3" in flattened or "-1/3" in flattened
 
 
+def test_chevalley_gen_rejects_non_integer_root(capsys):
+    code, report = run_cli(
+        capsys,
+        ["chevalley", "gen", "--type", "A2", "--kind", "x", "--root", "1,a", "--t", "2"],
+    )
+    assert code == 1
+    assert report["payload"]["code"] == "domain-error"
+
+
 def _write_s3(tmp_path):
     group_file = tmp_path / "s3.json"
     group_file.write_text(
@@ -86,6 +100,21 @@ def test_twisted_subcommands(capsys, tmp_path):
         capsys, ["twisted", "isogredience", "--group", group_file, "--aut", aut_file]
     )
     assert report["payload"]["isogredience"] == 3
+
+
+@pytest.mark.parametrize("descriptor", [
+    {"encoding": "perm", "generators": ["ab"]},
+    {"encoding": "matmod", "modulus": 3, "generators": [[["a", 0], [0, 1]]]},
+])
+def test_twisted_rejects_non_integer_generators(capsys, tmp_path, descriptor):
+    _, aut_file = _write_s3(tmp_path)
+    group_file = tmp_path / "bad.json"
+    group_file.write_text(json.dumps(descriptor))
+    code, report = run_cli(
+        capsys, ["twisted", "classes", "--group", str(group_file), "--aut", aut_file]
+    )
+    assert code == 1
+    assert report["payload"]["code"] == "domain-error"
 
 
 def test_twisted_missing_file(capsys, tmp_path):
@@ -170,6 +199,22 @@ def test_witness_run_inconclusive(capsys):
     assert report["payload"]["certified"] == []
 
 
+def test_witness_run_never_factors_the_scale(capsys):
+    # an 81-digit semiprime with two 40-digit factors: membership is decided
+    # by gcds, so the run costs no more than with a small scale
+    semiprime = 164237133631580406985004262040589820542381302753364924441891396761952478374632453
+    start = time.perf_counter()
+    code, report = run_cli(
+        capsys,
+        ["witness", "run", "--type", "A2", "--count", "4", "--trdeg", "1",
+         "--scale", str(semiprime), "--index", "3"],
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert report["payload"]["verdict"] == "obstructed"
+    assert report["payload"]["generators"] == [str(semiprime ** 6)]
+
+
 def test_witness_scale_broadcast_mismatch(capsys):
     code, report = run_cli(
         capsys,
@@ -234,3 +279,20 @@ def test_big_integers_ride_as_strings(capsys):
     value = report["payload"]["reidemeister"]
     assert isinstance(value, str)
     assert value == str(10**19 + 2)
+
+
+def test_cli_imports_only_the_standard_library():
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import tck.cli\n"
+        "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    loaded = json.loads(result.stdout)
+    assert "tck" in loaded
+    assert [m for m in loaded if m != "tck" and m not in sys.stdlib_module_names] == []

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -15,24 +16,60 @@ from tck import (
     character_lattice_member,
     disjoint_eigenfamily_count,
     eigencharacter,
+    exponent_vector,
     parse_polynomial,
-    prime_support,
     serialize_polynomial,
     supports_pairwise_disjoint,
 )
+from tck.fields import is_prime
 
 
-def test_prime_support_values():
-    assert prime_support(12) == {2, 3}
-    assert prime_support(Fraction(4, 9)) == {2, 3}
-    assert prime_support(-1) == frozenset()
-    assert prime_support(1) == frozenset()
-    assert prime_support(Fraction(35, 11)) == {5, 7, 11}
+def test_exponent_vector_values():
+    assert exponent_vector(12, [2, 3]) == [2, 1]
+    assert exponent_vector(12, [2]) is None
+    assert exponent_vector(Fraction(4, 9), [2, 3]) == [2, -2]
+    assert exponent_vector(Fraction(4, 9), [3]) is None
+    assert exponent_vector(-1, []) == []
+    assert exponent_vector(1, [2, 3]) == [0, 0]
+    assert exponent_vector(Fraction(35, 11), [5, 7, 11]) == [1, 1, -1]
+    assert exponent_vector(Fraction(35, 11), [5, 7]) is None
+    # composite, pairwise coprime base elements
+    assert exponent_vector(Fraction(1296, 5), [4, 9, 5]) == [2, 2, -1]
+    assert exponent_vector(6, [4, 9]) is None
 
 
-def test_prime_support_rejects_zero():
+def test_exponent_vector_rejects_zero():
     with pytest.raises(DomainError):
-        prime_support(0)
+        exponent_vector(0, [2])
+    with pytest.raises(DomainError):
+        exponent_vector(3, [1])
+
+
+def _trial_division_prime(n):
+    return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+
+def test_is_prime_against_trial_division():
+    assert [n for n in range(10 ** 5) if is_prime(n)] == [
+        n for n in range(10 ** 5) if _trial_division_prime(n)
+    ]
+    assert not is_prime(-7)
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    # strong pseudoprimes to the first 4, 11 and 12 prime bases
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not is_prime(n)
+    assert is_prime(2 ** 61 - 1)
+    assert is_prime(2 ** 79 - 67)
+
+
+def test_is_prime_bound():
+    bound = 3317044064679887385961981
+    assert not is_prime(bound - 2)
+    for n in (bound, bound + 2, 2 ** 127 - 1):
+        with pytest.raises(DomainError):
+            is_prime(n)
 
 
 def test_support_disjointness():
@@ -201,6 +238,18 @@ def test_character_lattice_membership():
     assert character_lattice_member(1, [5])
     assert not character_lattice_member(-4, [4])
     assert not character_lattice_member(7, [1])
+
+
+def test_character_lattice_membership_over_composite_bases():
+    # [4, 9] and [64] are their own coprime bases; no prime is ever split off
+    for k in range(-4, 5):
+        assert character_lattice_member(Fraction(6) ** k, [4, 9]) == (k % 2 == 0)
+        assert character_lattice_member(Fraction(8) ** k, [64]) == (k % 2 == 0)
+    assert not character_lattice_member(8, [64])
+    assert character_lattice_member(3, [6, 2])
+    assert not character_lattice_member(3, [6, 4])
+    assert character_lattice_member(Fraction(3, 2), [12, 18])
+    assert not character_lattice_member(Fraction(9, 2), [12, 18])
 
 
 def test_character_lattice_member_errors():

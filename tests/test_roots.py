@@ -7,11 +7,10 @@ from tck import (
     DomainError,
     DiagramSymmetry,
     build_root_system,
-    cartan_integer,
     diagram_symmetries,
     extend_symmetry_to_roots,
-    structure_constants,
 )
+from tck.roots import permutation_order
 
 COUNTS = {
     "A1": 2,
@@ -71,7 +70,7 @@ def test_cartan_integers_are_integral():
         rs = build_root_system(name)
         for beta in rs.roots:
             for alpha in rs.roots:
-                r = cartan_integer(rs, beta, alpha)
+                r = rs.cartan_integer(beta, alpha)
                 assert isinstance(r, int)
                 if beta == alpha:
                     assert r == 2
@@ -87,7 +86,7 @@ def test_cartan_integers_are_integral():
 @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "C3"])
 def test_structure_constants(name):
     rs = build_root_system(name)
-    data = structure_constants(rs)
+    data = rs.constants
     for a in rs.roots:
         for b in rs.roots:
             if a == b or a == rs.negate(b):
@@ -120,6 +119,16 @@ def test_symmetry_group_sizes():
         assert sorted(s.order for s in symmetries) == sorted(orders)
         # the identity leads the list
         assert symmetries[0].permutation == tuple(range(rs.rank))
+
+
+def test_permutation_order_is_the_cycle_lcm():
+    for perm in ((), (0,), (1, 0, 2), (1, 0, 3, 4, 2), (1, 2, 3, 4, 0, 6, 5)):
+        order, current = 1, perm
+        while current != tuple(range(len(perm))):
+            current = tuple(perm[i] for i in current)
+            order += 1
+        assert permutation_order(perm) == order
+    assert permutation_order((1, 0, 3, 4, 2)) == 6
 
 
 def test_symmetry_must_preserve_the_diagram():

@@ -269,6 +269,10 @@ def test_metabelian_generic():
 def test_metabelian_parameter_validation():
     with pytest.raises(DomainError):
         metabelian_spectrum(2, 3, 5)  # 2 is no unit once 5 is inverted
+    with pytest.raises(DomainError, match=r"cofactor 6/7"):
+        metabelian_spectrum(Fraction(-150, 7), 1, 5)
+    with pytest.raises(DomainError, match="is only decided below"):
+        metabelian_spectrum(1, 1, 2 ** 127 - 1)
     with pytest.raises(DomainError):
         metabelian_spectrum(1, 1, 4)
     with pytest.raises(DomainError):

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -16,11 +17,11 @@ from tck import (
     character_lattice_member,
     diagram_symmetries,
     entrywise_constraint_system,
+    exponent_vector,
     generate_witnesses,
     graph_automorphism_matrix,
     obstruction_check,
     pattern_determinant,
-    prime_support,
     product_aut_power_action,
     project_product_to_first_factor,
     reduced_obstruction_check,
@@ -69,17 +70,13 @@ def test_witness_supports_disjoint_across_the_family(name):
         assert supports_pairwise_disjoint(
             [diagonal_entries(p)[n] for p in products]
         )
-    # whole-family support unions are disjoint block by block
-    unions = []
-    for g, p in zip(witnesses.elements, products):
-        support = set()
+    # blocks share no prime and every entry is a product of its own block,
+    # so whole-family supports are disjoint block by block
+    assert supports_pairwise_disjoint(prod(block) for block in witnesses.primes)
+    for block, g, p in zip(witnesses.primes, witnesses.elements, products):
         for n in range(root_count):
-            support |= prime_support(diagonal_entries(g)[n])
-            support |= prime_support(diagonal_entries(p)[n])
-        unions.append(support)
-    for i in range(len(unions)):
-        for j in range(i + 1, len(unions)):
-            assert not unions[i] & unions[j]
+            assert exponent_vector(diagonal_entries(g)[n], block) is not None
+            assert exponent_vector(diagonal_entries(p)[n], block) is not None
 
 
 def test_field_part_fixes_rational_witnesses():
