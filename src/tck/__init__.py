@@ -92,7 +92,6 @@ from .witness import (
     generate_witnesses,
     obstruction_check,
     pattern_determinant,
-    product_aut_power_action,
     project_product_to_first_factor,
     reduced_obstruction_check,
     twisted_power_product,

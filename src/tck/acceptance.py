@@ -16,7 +16,7 @@ from typing import Callable
 
 from .errors import DomainError
 from .fields import ScalingAutomorphism, exponent_vector, supports_pairwise_disjoint
-from .linalg import diagonal_entries, mat_eq, mat_inv, mat_mul
+from .linalg import diagonal_entries, is_diagonal, mat_eq, mat_inv, mat_mul, mat_product
 from .roots import build_root_system, diagram_symmetries
 from .chevalley import (
     ChevalleyAutomorphism,
@@ -282,13 +282,27 @@ def _check_witness_disjointness() -> str:
         cases.append((name, rs, symmetry))
     for name, rs, symmetry in cases:
         witnesses = generate_witnesses(rs, 6)
+        root_count = len(rs.roots)
+        simple = [tuple(int(j == t) for j in range(rs.rank)) for t in range(rs.rank)]
         # Every entry is a product of its own block's primes and the blocks
         # share no prime, so supports are disjoint across witnesses.
         assert supports_pairwise_disjoint(prod(block) for block in witnesses.primes), name
         phi = ChevalleyAutomorphism(rs, graph=symmetry)
-        for block, diag, g in zip(witnesses.primes, witnesses.diagonals, witnesses.elements):
-            product = twisted_power_product(phi, g, 6)
-            for a in (*diag, *diagonal_entries(product)[:len(rs.roots)]):
+        for block, diag in zip(witnesses.primes, witnesses.diagonals):
+            product = twisted_power_product(phi, diag, 6)
+            # Dense route: the h_alpha product is a torus matrix whose root
+            # block is the witness, and iterating phi on it gives the collapse.
+            dense = mat_product([h_alpha(rs, alpha, Fraction(p))
+                                 for alpha, p in zip(simple, block)])
+            acc = current = dense
+            for _ in range(5):
+                current = phi.apply(current)
+                acc = mat_mul(acc, current)
+            for matrix, expected in ((dense, diag), (acc, product)):
+                entries = diagonal_entries(matrix)
+                assert is_diagonal(matrix) and entries[root_count:] == [1] * rs.rank, name
+                assert tuple(entries[:root_count]) == expected, name
+            for a in (*diag, *product):
                 exponents = exponent_vector(a, block)
                 assert exponents is not None and any(exponents), (name, a)
     return "6 witnesses for A2, A3(rev), B2, D4(ord-3): entry and product supports disjoint"

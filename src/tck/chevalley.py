@@ -40,7 +40,7 @@ from .linalg import (
     mat_product,
     mat_scale,
 )
-from .roots import DiagramSymmetry, RootSystem, extend_symmetry_to_roots
+from .roots import DiagramSymmetry, RootSystem, extend_symmetry_to_roots, root_permutation
 
 
 def adjoint_dimension(rs: RootSystem) -> int:
@@ -195,10 +195,10 @@ class GraphMatrixRealization:
 
         m = len(rs.roots)
         dim = adjoint_dimension(rs)
+        self.root_images = root_permutation(rs, symmetry)
         matrix = [[Fraction(0)] * dim for _ in range(dim)]
         for i, beta in enumerate(rs.roots):
-            image = extend_symmetry_to_roots(rs, symmetry, beta)
-            matrix[rs.root_index[image]][i] = Fraction(signs[beta])
+            matrix[self.root_images[i]][i] = Fraction(signs[beta])
         for t in range(rs.rank):
             matrix[m + symmetry(t)][m + t] = Fraction(1)
         self.matrix = matrix
@@ -209,9 +209,7 @@ class GraphMatrixRealization:
         rs = self.rs
         m = len(rs.roots)
         if i < m:
-            beta = rs.roots[i]
-            image = extend_symmetry_to_roots(rs, self.symmetry, beta)
-            return rs.root_index[image], self.signs[beta]
+            return self.root_images[i], self.signs[rs.roots[i]]
         return m + self.symmetry(i - m), 1
 
     def _verify(self):

@@ -307,6 +307,12 @@ def extend_symmetry_to_roots(rs: RootSystem, symmetry: DiagramSymmetry, beta) ->
     return image_t
 
 
+def root_permutation(rs: RootSystem, symmetry: DiagramSymmetry) -> tuple[int, ...]:
+    """Entry i is the index in ``rs.roots`` of the image of ``rs.roots[i]``."""
+    return tuple(rs.root_index[extend_symmetry_to_roots(rs, symmetry, beta)]
+                 for beta in rs.roots)
+
+
 class ChevalleyBasisData:
     """Structure constants N(a, b) with [e_a, e_b] = N(a, b) e_{a+b}.
 

@@ -485,6 +485,12 @@ def group_descriptor(G: FiniteGroup) -> dict:
     return out
 
 
+def _nested_lists(value, depth: int) -> bool:
+    """Whether value is a list whose items are nested lists depth - 1 deep."""
+    return isinstance(value, list) and (
+        depth == 1 or all(_nested_lists(v, depth - 1) for v in value))
+
+
 def group_from_descriptor(descriptor: dict, cap: int | None = None) -> FiniteGroup:
     try:
         encoding = descriptor["encoding"]
@@ -492,13 +498,20 @@ def group_from_descriptor(descriptor: dict, cap: int | None = None) -> FiniteGro
     except KeyError as exc:
         raise DomainError(f"group descriptor missing key {exc}") from exc
     if encoding == "perm":
+        if not _nested_lists(generators, 2):
+            raise DomainError("perm generators must be a list of image lists")
         return closure([tuple(g) for g in generators], cap=cap)
     if encoding == "matmod":
+        if not _nested_lists(generators, 3):
+            raise DomainError("matmod generators must be a list of matrices given as row lists")
         if "modulus" not in descriptor:
             raise DomainError("matmod descriptor needs a modulus")
+        modulus = descriptor["modulus"]
+        if not isinstance(modulus, int) or isinstance(modulus, bool) or modulus < 2:
+            raise DomainError(f"matmod modulus must be an integer >= 2, got {modulus!r}")
         return closure(
             [tuple(tuple(row) for row in g) for g in generators],
-            modulus=descriptor["modulus"],
+            modulus=modulus,
             cap=cap,
         )
     raise DomainError(f"unknown encoding {encoding!r}")
@@ -507,8 +520,12 @@ def group_from_descriptor(descriptor: dict, cap: int | None = None) -> FiniteGro
 def automorphism_from_descriptor(G: FiniteGroup, descriptor: dict) -> GroupAutomorphism:
     if "images" not in descriptor:
         raise DomainError("automorphism descriptor missing 'images'")
+    matmod = G.ops.encoding == "matmod"
+    if not _nested_lists(descriptor["images"], 3 if matmod else 2):
+        raise DomainError("images must be a list of "
+                          + ("matrices given as row lists" if matmod else "image lists"))
     images = [
-        tuple(tuple(row) for row in im) if G.ops.encoding == "matmod" else tuple(im)
+        tuple(tuple(row) for row in im) if matmod else tuple(im)
         for im in descriptor["images"]
     ]
     return GroupAutomorphism.from_generator_images(G, images)

@@ -1,14 +1,18 @@
 """Diagonal witnesses and the eigencharacter obstruction certificate.
 
+A torus element is a root-position diagonal: its entries at e_beta for beta
+in ``rs.roots``, the Cartan block being 1 (h_alpha(t) e_beta =
+t^<beta, alpha^v> e_beta).  The dense generators of ``tck.chevalley`` are the
+reference route that criterion 9 and the tests compare against.
+
 The pipeline: build torus elements from consecutive primes so that distinct
 witnesses have pairwise disjoint prime supports, collapse a graph-plus-field
-automorphism against them (rational diagonals are fixed by the field part,
-so only the diagonal permutation acts), and inspect the entrywise eigenvector
+automorphism against them (the field part fixes rational entries, the graph
+part permutes root positions), and inspect the entrywise eigenvector
 constraints that any intertwining matrix between two collapsed witnesses
 would have to satisfy.  Wherever the required eigencharacter falls outside
-the multiplicative lattice spanned by the field scalars, no nonzero entry
-can exist.  Certifying this for every root-indexed column of the block
-pattern
+the multiplicative lattice spanned by the field scalars, no nonzero entry can
+exist.  Certifying this for every root-indexed column of the block pattern
 
     Z = ( Q | R )      Q of size |roots| x |roots|, T of size rank x rank
         ( S | T )
@@ -19,6 +23,7 @@ forces det Z = 0, and that contradiction is what the certificate records.
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from .errors import ConsistencyError, DomainError
 from .fields import (
@@ -29,87 +34,69 @@ from .fields import (
     is_prime,
     supports_pairwise_disjoint,
 )
-from .linalg import (
-    Matrix,
-    diagonal_entries,
-    identity_matrix,
-    is_diagonal,
-    mat_det,
-    mat_eq,
-    mat_mul,
-    mat_product,
-)
-from .roots import DiagramSymmetry, RootSystem, permutation_order
-from .chevalley import ChevalleyAutomorphism, adjoint_dimension, h_alpha
+from .linalg import mat_det
+from .roots import DiagramSymmetry, RootSystem, permutation_order, root_permutation
+from .chevalley import ChevalleyAutomorphism, adjoint_dimension
+
+Diagonal = tuple[Fraction, ...]
 
 
 @dataclass(frozen=True, eq=False)
 class WitnessSequence:
-    """Torus elements g_i built from fresh primes, one block per witness."""
+    """Torus elements g_i built from fresh primes, one block per witness,
+    each held as its root-position diagonal."""
 
     root_system: RootSystem
     primes: tuple[tuple[int, ...], ...]
-    elements: tuple[Matrix, ...]
-    diagonals: tuple[tuple[Fraction, ...], ...]
+    diagonals: tuple[Diagonal, ...]
 
     @property
     def count(self) -> int:
-        return len(self.elements)
+        return len(self.diagonals)
 
 
 def generate_witnesses(rs: RootSystem, count: int) -> WitnessSequence:
     """Witnesses g_i = h_{alpha_1}(p_{i1}) ... h_{alpha_l}(p_{il}).
 
-    Primes are consumed consecutively from 2, 3, 5, ... with rank-many per
-    witness, so diagonal supports are nonempty within each witness's block
-    and disjoint across witnesses.  No randomization: certificates built on
-    top of the sequence stay reproducible.
+    Entry beta of g_i is prod_t p_{it}^<beta, alpha_t^v>.  Primes are
+    consumed consecutively from 2, 3, 5, ... with rank-many per witness, so
+    diagonal supports are nonempty within each witness's block and disjoint
+    across witnesses.  No randomization: certificates built on top of the
+    sequence stay reproducible.
     """
     if count < 1:
         raise DomainError(f"at least one witness is required, got {count}")
-    root_count = len(rs.roots)
     simple = [tuple(1 if j == t else 0 for j in range(rs.rank)) for t in range(rs.rank)]
+    pairings = [[rs.cartan_integer(beta, alpha) for alpha in simple] for beta in rs.roots]
     prime = 1
-    blocks, elements, diagonals = [], [], []
+    blocks, diagonals = [], []
     for i in range(count):
         block = []
         for _ in range(rs.rank):
             prime = next(q for q in itertools.count(prime + 1) if is_prime(q))
             block.append(prime)
-        g = identity_matrix(adjoint_dimension(rs))
-        for alpha, p in zip(simple, block):
-            g = mat_mul(g, h_alpha(rs, alpha, Fraction(p)))
-        diag = diagonal_entries(g)
-        head, tail = diag[:root_count], diag[root_count:]
-        if not is_diagonal(g) or any(x != 1 for x in tail):
-            raise ConsistencyError(f"witness {i} is not a torus element")
-        for j, a in enumerate(head):
+        diag = []
+        for j, row in enumerate(pairings):
+            a = prod(Fraction(p) ** k for p, k in zip(block, row))
             exponents = exponent_vector(a, block)
             if exponents is None or not any(exponents):
                 raise ConsistencyError(
                     f"witness {i} entry {j} = {a} is not a nontrivial product of powers of {block}"
                 )
+            diag.append(a)
         blocks.append(tuple(block))
-        elements.append(g)
-        diagonals.append(tuple(head))
-    return WitnessSequence(rs, tuple(blocks), tuple(elements), tuple(diagonals))
+        diagonals.append(tuple(diag))
+    return WitnessSequence(rs, tuple(blocks), tuple(diagonals))
 
 
-def _rational_diagonal(matrix: Matrix, dim: int, context: str) -> list[Fraction]:
-    if len(matrix) != dim or len(matrix[0]) != dim:
-        raise DomainError(f"{context}: matrix dimension does not match the root system")
-    if not is_diagonal(matrix):
-        raise DomainError(f"{context}: matrix is not diagonal")
-    out = []
-    for i, entry in enumerate(diagonal_entries(matrix)):
-        if isinstance(entry, int):
-            entry = Fraction(entry)
-        if not isinstance(entry, Fraction):
-            raise DomainError(f"{context}: diagonal entry {i} is not rational")
-        if entry == 0:
-            raise DomainError(f"{context}: diagonal entry {i} must be invertible")
-        out.append(entry)
-    return out
+def _rational_diagonal(diagonal, length: int, context: str) -> Diagonal:
+    diagonal = tuple(Fraction(e) if isinstance(e, int) else e for e in diagonal)
+    if len(diagonal) != length:
+        raise DomainError(f"{context}: {len(diagonal)} diagonal entries for {length} roots")
+    for i, entry in enumerate(diagonal):
+        if not isinstance(entry, Fraction) or entry == 0:
+            raise DomainError(f"{context}: diagonal entry {i} is not a nonzero rational")
+    return diagonal
 
 
 def _require_graph_field(phi: ChevalleyAutomorphism, context: str):
@@ -118,25 +105,36 @@ def _require_graph_field(phi: ChevalleyAutomorphism, context: str):
                           "inner and diagonal parts are not allowed")
 
 
-def twisted_power_product(phi: ChevalleyAutomorphism, g: Matrix, m: int) -> Matrix:
-    """g phi(g) phi^2(g) ... phi^{m-1}(g) for a rational diagonal g.
+def _root_images(phi: ChevalleyAutomorphism):
+    """Root-index images under phi's graph part, None without one."""
+    return None if phi.graph is None else root_permutation(phi.rs, phi.graph)
 
-    The field part fixes rational entries, so each factor is a permuted copy
-    of the diagonal of g and the product is again diagonal; the signs of the
-    graph realization cancel in the conjugation.
+
+def _torus_action(images, g: Diagonal) -> Diagonal:
+    """phi(g) for a rational root-position diagonal g.
+
+    The field part fixes rational entries and the signs of the graph
+    realization cancel in the conjugation, so phi(g)[sigma(beta)] = g[beta].
     """
+    if images is None:
+        return g
+    out = [None] * len(g)
+    for i, j in enumerate(images):
+        out[j] = g[i]
+    return tuple(out)
+
+
+def twisted_power_product(phi: ChevalleyAutomorphism, g, m: int) -> Diagonal:
+    """g phi(g) phi^2(g) ... phi^{m-1}(g) for a rational root-position diagonal g."""
     _require_graph_field(phi, "twisted power product")
     if m < 1:
         raise DomainError(f"exponent must be at least 1, got {m}")
-    dim = adjoint_dimension(phi.rs)
-    _rational_diagonal(g, dim, "twisted power product")
-    acc = [row[:] for row in g]
-    current = g
+    g = _rational_diagonal(g, len(phi.rs.roots), "twisted power product")
+    images = _root_images(phi)
+    acc, current = g, g
     for _ in range(m - 1):
-        current = phi.apply(current)
-        acc = mat_mul(acc, current)
-    if not is_diagonal(acc):
-        raise ConsistencyError("twisted power product left the diagonal torus")
+        current = _torus_action(images, current)
+        acc = tuple(a * c for a, c in zip(acc, current))
     return acc
 
 
@@ -145,9 +143,10 @@ class ProductAutomorphism:
     factorwise by graph-plus-field automorphisms.
 
     The action is (x_1, ..., x_k) -> (phi_{s(1)}(x_{s(1)}), ..., phi_{s(k)}(x_{s(k)}))
-    with s the stored permutation (0-based images).  All factors must share
-    one root system and carry no inner or diagonal part; field parts, where
-    present, must agree on the variable count so their compositions along
+    with s the stored permutation (0-based images), on summands that are
+    rational root-position diagonals.  All factors must share one root
+    system and carry no inner or diagonal part; field parts, where present,
+    must agree on the variable count so their compositions along
     permutation cycles stay well formed.
     """
 
@@ -174,6 +173,7 @@ class ProductAutomorphism:
         self.factors = factors
         self.permutation = permutation
         self.k = k
+        self._images = tuple(_root_images(phi) for phi in factors)
 
     @property
     def permutation_order(self) -> int:
@@ -185,45 +185,14 @@ class ProductAutomorphism:
             raise DomainError(
                 f"direct sum has {len(x)} summands, the automorphism acts on {self.k}"
             )
+        x = tuple(_rational_diagonal(g, len(self.rs.roots), "product automorphism")
+                  for g in x)
         return tuple(
-            self.factors[self.permutation[i]].apply(x[self.permutation[i]])
-            for i in range(self.k)
+            _torus_action(self._images[j], x[j]) for j in self.permutation
         )
 
     def __call__(self, summands) -> tuple:
         return self.apply(summands)
-
-
-def product_aut_power_action(product_aut: ProductAutomorphism, summands, r: int) -> tuple:
-    """r-th power action, computed twice and cross-checked.
-
-    Route one iterates the defining action r times.  Route two evaluates the
-    closed form: summand i receives phi_{s(i)} phi_{s^2(i)} ... phi_{s^r(i)}
-    applied to x_{s^r(i)}, innermost factor first.
-    """
-    x = tuple(summands)
-    if len(x) != product_aut.k:
-        raise DomainError(
-            f"direct sum has {len(x)} summands, the automorphism acts on {product_aut.k}"
-        )
-    if r < 1:
-        raise DomainError(f"power must be at least 1, got {r}")
-    iterated = x
-    for _ in range(r):
-        iterated = product_aut.apply(iterated)
-    perm = product_aut.permutation
-    for i in range(product_aut.k):
-        chain = []
-        j = i
-        for _ in range(r):
-            j = perm[j]
-            chain.append(j)
-        value = x[chain[-1]]
-        for t in reversed(range(r)):
-            value = product_aut.factors[chain[t]].apply(value)
-        if not mat_eq(iterated[i], value):
-            raise ConsistencyError(f"power action routes disagree at summand {i}")
-    return iterated
 
 
 def _block_label(m: int, n: int, root_count: int) -> str:
@@ -245,7 +214,7 @@ class Constraint:
     power: int
 
 
-def entrywise_constraint_system(rs: RootSystem, first: Matrix, other: Matrix,
+def entrywise_constraint_system(rs: RootSystem, first, other,
                                 scaling: ScalingAutomorphism, power: int = 6,
                                 correction=None) -> list[Constraint]:
     """Per-entry constraints on any Z intertwining two collapsed witnesses.
@@ -253,8 +222,9 @@ def entrywise_constraint_system(rs: RootSystem, first: Matrix, other: Matrix,
     The matrix relation (power of scaling applied entrywise to Z) =
     first^{-1} Z other, read at position (m, n), says the entry is an
     eigenvector with eigencharacter d_mn * b_n where d_mn = (b'_m c_m)^{-1} c_n,
-    b' and b are the diagonals of first and other, and c is an optional
-    diagonal correction on the root positions (identity when omitted).
+    b' and b are the diagonals of first and other (given at the root
+    positions, 1 on the Cartan block), and c is an optional diagonal
+    correction on the root positions (identity when omitted).
     """
     if not isinstance(scaling, ScalingAutomorphism):
         raise DomainError("a scaling automorphism is required")
@@ -262,8 +232,9 @@ def entrywise_constraint_system(rs: RootSystem, first: Matrix, other: Matrix,
         raise DomainError(f"power must be at least 1, got {power}")
     dim = adjoint_dimension(rs)
     root_count = len(rs.roots)
-    first_diag = _rational_diagonal(first, dim, "constraint system")
-    other_diag = _rational_diagonal(other, dim, "constraint system")
+    cartan = (Fraction(1),) * rs.rank
+    first_diag = _rational_diagonal(first, root_count, "constraint system") + cartan
+    other_diag = _rational_diagonal(other, root_count, "constraint system") + cartan
     if correction is None:
         c_full = [Fraction(1)] * dim
     else:
@@ -329,8 +300,7 @@ def _certify(rs: RootSystem, products, scaling: ScalingAutomorphism, power: int,
     if index <= bound:
         return ObstructionCertificate(root_count, rs.rank, index, bound, count,
                                       generators, "inconclusive", (), ())
-    dim = adjoint_dimension(rs)
-    diagonals = [_rational_diagonal(p, dim, "obstruction check") for p in products]
+    diagonals = [_rational_diagonal(p, root_count, "obstruction check") for p in products]
     # Columns whose witness family has nonempty, pairwise disjoint supports;
     # a collision would mean the prime blocks leaked across witnesses.
     column_ok = []
@@ -341,7 +311,7 @@ def _certify(rs: RootSystem, products, scaling: ScalingAutomorphism, power: int,
                 f"product supports collide across witnesses at root position {n}"
             )
         column_ok.append(all(abs(b) != 1 for b in family))
-    constraints = entrywise_constraint_system(rs, products[0], products[index - 1],
+    constraints = entrywise_constraint_system(rs, diagonals[0], diagonals[index - 1],
                                               scaling, power, correction)
     certified, failed = [], []
     for c in constraints:
@@ -372,7 +342,7 @@ def obstruction_check(rs: RootSystem, witnesses: WitnessSequence,
         raise DomainError("witnesses were generated for a different root system")
     rs = witnesses.root_system
     phi = ChevalleyAutomorphism(rs, graph=symmetry, field=scaling)
-    products = [twisted_power_product(phi, g, 6) for g in witnesses.elements]
+    products = [twisted_power_product(phi, g, 6) for g in witnesses.diagonals]
     return _certify(rs, products, scaling, 6, correction, index_beyond_bound)
 
 
@@ -408,7 +378,7 @@ class FirstFactorReduction:
 
     root_system: RootSystem
     witnesses: WitnessSequence
-    products: tuple[Matrix, ...]
+    products: tuple[Diagonal, ...]
     scaling: ScalingAutomorphism
     power: int
     exponent: int
@@ -421,8 +391,8 @@ class FirstFactorReduction:
 
 def project_product_to_first_factor(product_aut: ProductAutomorphism,
                                     witnesses: WitnessSequence) -> FirstFactorReduction:
-    """Collapse diag(g_i, ..., g_i) under the product automorphism and keep
-    only the first summand.
+    """Collapse diag(g_i, ..., g_i) under the product automorphism, by
+    iterating its defining action, and keep only the first summand.
 
     Over 6s steps (s the permutation order) the permutation part returns to
     the identity and the graph parts cancel, leaving the sixth power of the
@@ -435,23 +405,13 @@ def project_product_to_first_factor(product_aut: ProductAutomorphism,
     perm = product_aut.permutation
     s = product_aut.permutation_order
     total = 6 * s
-    # Factor indices s(0), s^2(0), ..., visited by the first summand.
-    chain = []
-    j = 0
-    for _ in range(1, total):
-        j = perm[j]
-        chain.append(j)
     products = []
-    for g in witnesses.elements:
-        terms = [g]
-        for r in range(1, total):
-            value = g
-            for t in reversed(range(r)):
-                value = product_aut.factors[chain[t]].apply(value)
-            terms.append(value)
-        hat = mat_product(terms)
-        if not is_diagonal(hat):
-            raise ConsistencyError("projected product left the diagonal torus")
+    for g in witnesses.diagonals:
+        summands = (g,) * product_aut.k
+        hat = g
+        for _ in range(total - 1):
+            summands = product_aut.apply(summands)
+            hat = tuple(a * b for a, b in zip(hat, summands[0]))
         products.append(hat)
     theta = ScalingAutomorphism.identity(product_aut.variable_count)
     j = 0

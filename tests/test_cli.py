@@ -105,6 +105,13 @@ def test_twisted_subcommands(capsys, tmp_path):
 @pytest.mark.parametrize("descriptor", [
     {"encoding": "perm", "generators": ["ab"]},
     {"encoding": "matmod", "modulus": 3, "generators": [[["a", 0], [0, 1]]]},
+    # not nested lists, or a modulus that is not an integer >= 2
+    {"encoding": "perm", "generators": 5},
+    {"encoding": "perm", "generators": [5]},
+    {"encoding": "matmod", "modulus": 7, "generators": [[5]]},
+    {"encoding": "matmod", "modulus": "7", "generators": [[[1, 1], [0, 1]]]},
+    {"encoding": "matmod", "modulus": 7.0, "generators": [[[1, 1], [0, 1]]]},
+    {"encoding": "matmod", "modulus": True, "generators": [[[1, 1], [0, 1]]]},
 ])
 def test_twisted_rejects_non_integer_generators(capsys, tmp_path, descriptor):
     _, aut_file = _write_s3(tmp_path)
@@ -112,6 +119,18 @@ def test_twisted_rejects_non_integer_generators(capsys, tmp_path, descriptor):
     group_file.write_text(json.dumps(descriptor))
     code, report = run_cli(
         capsys, ["twisted", "classes", "--group", str(group_file), "--aut", aut_file]
+    )
+    assert code == 1
+    assert report["payload"]["code"] == "domain-error"
+
+
+@pytest.mark.parametrize("images", [5, [5, 6]])
+def test_twisted_rejects_hostile_images(capsys, tmp_path, images):
+    group_file, _ = _write_s3(tmp_path)
+    aut_file = tmp_path / "bad-aut.json"
+    aut_file.write_text(json.dumps({"images": images}))
+    code, report = run_cli(
+        capsys, ["twisted", "classes", "--group", group_file, "--aut", str(aut_file)]
     )
     assert code == 1
     assert report["payload"]["code"] == "domain-error"

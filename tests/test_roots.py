@@ -10,7 +10,7 @@ from tck import (
     diagram_symmetries,
     extend_symmetry_to_roots,
 )
-from tck.roots import permutation_order
+from tck.roots import permutation_order, root_permutation
 
 COUNTS = {
     "A1": 2,
@@ -146,6 +146,7 @@ def test_symmetry_extension_permutes_roots():
         for sigma in diagram_symmetries(rs):
             images = [extend_symmetry_to_roots(rs, sigma, beta) for beta in rs.roots]
             assert sorted(images) == sorted(rs.roots)
+            assert root_permutation(rs, sigma) == tuple(rs.root_index[b] for b in images)
             # pairings are preserved, so the extension respects the geometry
             for a in rs.roots[:6]:
                 for b in rs.roots[:6]:

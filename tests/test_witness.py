@@ -20,16 +20,16 @@ from tck import (
     exponent_vector,
     generate_witnesses,
     graph_automorphism_matrix,
+    h_alpha,
     obstruction_check,
     pattern_determinant,
-    product_aut_power_action,
     project_product_to_first_factor,
     reduced_obstruction_check,
     supports_pairwise_disjoint,
     twisted_power_product,
     x_alpha,
 )
-from tck.linalg import diagonal_entries, identity_matrix, is_diagonal, mat_eq
+from tck.linalg import diagonal_entries, is_diagonal, mat_eq, mat_mul, mat_product
 
 TYPES = ("A1", "A2", "A3", "B2", "D4", "G2")
 
@@ -41,16 +41,30 @@ def _nontrivial_symmetry(rs):
     return None
 
 
+def _dense_witness(rs, block):
+    """The witness as the dense product of h_alpha matrices."""
+    simple = [tuple(int(j == t) for j in range(rs.rank)) for t in range(rs.rank)]
+    return mat_product([h_alpha(rs, alpha, Fraction(p)) for alpha, p in zip(simple, block)])
+
+
+def _root_block(rs, matrix):
+    """Root-position diagonal of a torus matrix whose Cartan block is 1."""
+    entries = diagonal_entries(matrix)
+    assert is_diagonal(matrix) and entries[len(rs.roots):] == [1] * rs.rank
+    return tuple(entries[:len(rs.roots)])
+
+
 def test_generate_witnesses_shapes():
     rs = build_root_system("A1")
     w = generate_witnesses(rs, 1)
     assert w.count == 1
     assert w.primes == ((2,),)
-    assert diagonal_entries(w.elements[0]) == [Fraction(4), Fraction(1, 4), Fraction(1)]
+    assert w.diagonals[0] == (Fraction(4), Fraction(1, 4))
     rs2 = build_root_system("A2")
     w2 = generate_witnesses(rs2, 2)
     assert w2.primes == ((2, 3), (5, 7))
-    assert len(w2.diagonals[0]) == len(rs2.roots)
+    for block, diag in zip(w2.primes, w2.diagonals):
+        assert diag == _root_block(rs2, _dense_witness(rs2, block))
     with pytest.raises(DomainError):
         generate_witnesses(rs, 0)
 
@@ -62,21 +76,19 @@ def test_witness_supports_disjoint_across_the_family(name):
     phi = ChevalleyAutomorphism(
         rs, graph=_nontrivial_symmetry(rs), field=ScalingAutomorphism((Fraction(2),))
     )
-    products = [twisted_power_product(phi, g, 6) for g in witnesses.elements]
+    products = [twisted_power_product(phi, g, 6) for g in witnesses.diagonals]
     root_count = len(rs.roots)
     for n in range(root_count):
         # per root position, entries and collapsed entries use fresh primes
         assert supports_pairwise_disjoint([d[n] for d in witnesses.diagonals])
-        assert supports_pairwise_disjoint(
-            [diagonal_entries(p)[n] for p in products]
-        )
+        assert supports_pairwise_disjoint([p[n] for p in products])
     # blocks share no prime and every entry is a product of its own block,
     # so whole-family supports are disjoint block by block
     assert supports_pairwise_disjoint(prod(block) for block in witnesses.primes)
-    for block, g, p in zip(witnesses.primes, witnesses.elements, products):
+    for block, g, p in zip(witnesses.primes, witnesses.diagonals, products):
         for n in range(root_count):
-            assert exponent_vector(diagonal_entries(g)[n], block) is not None
-            assert exponent_vector(diagonal_entries(p)[n], block) is not None
+            assert exponent_vector(g[n], block) is not None
+            assert exponent_vector(p[n], block) is not None
 
 
 def test_field_part_fixes_rational_witnesses():
@@ -85,33 +97,38 @@ def test_field_part_fixes_rational_witnesses():
     delta = ScalingAutomorphism((Fraction(3),))
     phi = ChevalleyAutomorphism(rs, graph=sigma, field=delta)
     rho = graph_automorphism_matrix(rs, sigma)
-    g = generate_witnesses(rs, 1).elements[0]
+    witnesses = generate_witnesses(rs, 1)
+    g = _dense_witness(rs, witnesses.primes[0])
     assert mat_eq(phi.apply(g), rho.apply(g))
+    graph_only = ChevalleyAutomorphism(rs, graph=sigma)
+    diag = witnesses.diagonals[0]
+    assert twisted_power_product(phi, diag, 2) == twisted_power_product(graph_only, diag, 2)
+    assert twisted_power_product(phi, diag, 2) == _root_block(rs, mat_mul(g, rho.apply(g)))
 
 
 def test_twisted_power_product_values():
     rs = build_root_system("A1")
     w = generate_witnesses(rs, 1)
-    g = w.elements[0]
+    g = w.diagonals[0]
     phi = ChevalleyAutomorphism(rs, field=ScalingAutomorphism((Fraction(2),)))
     product = twisted_power_product(phi, g, 6)
     # trivial graph part: the collapse is a plain sixth power
-    assert diagonal_entries(product) == [Fraction(4) ** 6, Fraction(4) ** -6, Fraction(1)]
-    single = twisted_power_product(phi, g, 1)
-    assert mat_eq(single, g)
+    assert product == (Fraction(4) ** 6, Fraction(4) ** -6)
+    assert twisted_power_product(phi, g, 1) == g
     with pytest.raises(DomainError):
         twisted_power_product(phi, g, 0)
 
 
 def test_twisted_power_product_input_validation():
     rs = build_root_system("A2")
-    g = generate_witnesses(rs, 1).elements[0]
+    g = generate_witnesses(rs, 1).diagonals[0]
     inner = ChevalleyAutomorphism(rs, inner=x_alpha(rs, rs.roots[0], Fraction(1)))
     with pytest.raises(DomainError):
         twisted_power_product(inner, g, 6)
     plain = ChevalleyAutomorphism(rs, field=ScalingAutomorphism((Fraction(2),)))
-    with pytest.raises(DomainError):
-        twisted_power_product(plain, x_alpha(rs, rs.roots[0], Fraction(1)), 6)
+    for bad in (g[:-1], g + (Fraction(1),), (Fraction(0),) + g[1:]):
+        with pytest.raises(DomainError):
+            twisted_power_product(plain, bad, 6)
 
 
 def test_product_automorphism_validation():
@@ -134,39 +151,42 @@ def test_product_automorphism_validation():
     assert product.permutation_order == 2
 
 
-def test_product_power_action_routes_agree():
-    # the closed form is validated against direct iteration inside the call
-    rs = build_root_system("A2")
-    sigma = _nontrivial_symmetry(rs)
+def test_first_factor_projection_matches_dense_route():
+    # the projection against the defining action iterated on dense h_alpha
+    # products, with each factor acting through ChevalleyAutomorphism.apply
     rng = random.Random(41)
-    factories = [
-        lambda: ChevalleyAutomorphism(rs, field=ScalingAutomorphism((Fraction(2),))),
-        lambda: ChevalleyAutomorphism(
-            rs, graph=sigma, field=ScalingAutomorphism((Fraction(3),))
-        ),
-        lambda: ChevalleyAutomorphism(rs, graph=sigma),
-    ]
-    for _ in range(100):
-        k = rng.randrange(1, 4)
-        factors = [rng.choice(factories)() for _ in range(k)]
-        perm = list(range(k))
-        rng.shuffle(perm)
-        product = ProductAutomorphism(factors, tuple(perm))
-        witnesses = generate_witnesses(rs, k)
-        summands = list(witnesses.elements)
-        r = rng.randrange(1, 8)
-        out = product_aut_power_action(product, summands, r)
-        assert len(out) == k
-        for x in out:
-            assert is_diagonal(x)
+    for name in ("A2", "A3", "D4"):
+        rs = build_root_system(name)
+        symmetries = diagram_symmetries(rs)[1:]
+        witnesses = generate_witnesses(rs, 2)
+        for _ in range(3):
+            k = rng.randrange(1, 4)
+            factors = [
+                ChevalleyAutomorphism(
+                    rs, graph=rng.choice(symmetries),
+                    field=ScalingAutomorphism((Fraction(rng.choice((2, 3))),)),
+                )
+                for _ in range(k)
+            ]
+            perm = list(range(k))
+            rng.shuffle(perm)
+            product = ProductAutomorphism(factors, tuple(perm))
+            reduction = project_product_to_first_factor(product, witnesses)
+            for block, p in zip(witnesses.primes, reduction.products):
+                summands = [_dense_witness(rs, block)] * k
+                hat = summands[0]
+                for _ in range(reduction.exponent - 1):
+                    summands = [factors[j].apply(summands[j]) for j in perm]
+                    hat = mat_mul(hat, summands[0])
+                assert p == _root_block(rs, hat), (name, perm)
     with pytest.raises(DomainError):
-        product_aut_power_action(product, summands[:-1] + [summands[0][:-1]], 1)
+        product.apply(witnesses.diagonals[:1] * (k + 1))
 
 
 def test_constraint_system_blocks_and_characters():
     rs = build_root_system("A1")
     dim = 3
-    ident = identity_matrix(dim)
+    ident = (Fraction(1),) * 2
     delta = ScalingAutomorphism((Fraction(2),))
     constraints = entrywise_constraint_system(rs, ident, ident, delta)
     assert len(constraints) == dim * dim
@@ -184,11 +204,12 @@ def test_constraint_system_tracks_witness_entries():
     w = generate_witnesses(rs, 2)
     delta = ScalingAutomorphism((Fraction(2),))
     phi = ChevalleyAutomorphism(rs, field=delta)
-    first = twisted_power_product(phi, w.elements[0], 6)
-    second = twisted_power_product(phi, w.elements[1], 6)
+    first = twisted_power_product(phi, w.diagonals[0], 6)
+    second = twisted_power_product(phi, w.diagonals[1], 6)
     constraints = entrywise_constraint_system(rs, first, second, delta)
-    b1 = diagonal_entries(first)
-    b2 = diagonal_entries(second)
+    # the Cartan block of a torus element is 1
+    b1 = first + (1,)
+    b2 = second + (1,)
     for c in constraints:
         m, n = c.position
         assert c.coefficient == 1 / b1[m]
@@ -198,7 +219,7 @@ def test_constraint_system_tracks_witness_entries():
 
 def test_constraint_system_correction_validation():
     rs = build_root_system("A1")
-    ident = identity_matrix(3)
+    ident = (Fraction(1),) * 2
     delta = ScalingAutomorphism((Fraction(2),))
     with pytest.raises(DomainError):
         entrywise_constraint_system(rs, ident, ident, delta, correction=[Fraction(1)])
@@ -269,7 +290,6 @@ def test_obstruction_detects_support_collisions():
     collided = WitnessSequence(
         rs,
         (w.primes[0], w.primes[0], w.primes[2]),
-        (w.elements[0], w.elements[0], w.elements[2]),
         (w.diagonals[0], w.diagonals[0], w.diagonals[2]),
     )
     with pytest.raises(ConsistencyError):
@@ -320,8 +340,8 @@ def test_two_factor_swap_reduction():
     assert reduction.scaling.scalars == (Fraction(6),)
     assert reduction.power_scaling.scalars == (Fraction(6) ** 6,)
     # field parts fix the rational witnesses: the collapse is a 12th power
-    for g, p in zip(witnesses.elements, reduction.products):
-        assert diagonal_entries(p) == [e**12 for e in diagonal_entries(g)]
+    for g, p in zip(witnesses.diagonals, reduction.products):
+        assert p == tuple(e**12 for e in g)
     certificate = reduced_obstruction_check(reduction, 3)
     assert certificate.verdict == "obstructed"
     assert not pattern_determinant(certificate)
