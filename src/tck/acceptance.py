@@ -22,6 +22,7 @@ from .chevalley import (
     ChevalleyAutomorphism,
     commutator_relation_check,
     h_alpha,
+    n_alpha,
     reduce_mod_p,
     x_alpha,
 )
@@ -265,6 +266,9 @@ def _check_torus_diagonal_form() -> str:
                 expected += [Fraction(1)] * rs.rank
                 assert all(h[i][j] == 0 for i in range(len(h)) for j in range(len(h)) if i != j)
                 assert diag == expected, (name, alpha, t)
+                # Independent route: the dense product n_alpha(t) n_alpha(-1).
+                dense = mat_mul(n_alpha(rs, alpha, t), n_alpha(rs, alpha, Fraction(-1)))
+                assert mat_eq(h, dense), (name, alpha, t)
                 checked += 1
     a1 = build_root_system("A1")
     sample = diagonal_entries(h_alpha(a1, (1,), Fraction(2)))
@@ -290,10 +294,12 @@ def _check_witness_disjointness() -> str:
         phi = ChevalleyAutomorphism(rs, graph=symmetry)
         for block, diag in zip(witnesses.primes, witnesses.diagonals):
             product = twisted_power_product(phi, diag, 6)
-            # Dense route: the h_alpha product is a torus matrix whose root
-            # block is the witness, and iterating phi on it gives the collapse.
-            dense = mat_product([h_alpha(rs, alpha, Fraction(p))
-                                 for alpha, p in zip(simple, block)])
+            # Dense route: the product of h_alpha(p) = n_alpha(p) n_alpha(-1)
+            # is a torus matrix whose root block is the witness, and iterating
+            # phi on it gives the collapse.
+            dense = mat_product([n_alpha(rs, alpha, q)
+                                 for alpha, p in zip(simple, block)
+                                 for q in (Fraction(p), Fraction(-1))])
             acc = current = dense
             for _ in range(5):
                 current = phi.apply(current)

@@ -14,7 +14,10 @@ Generators:
     n_alpha(t)   x_alpha(t) x_{-alpha}(-1/t) x_alpha(t); monomial, realizes
                  the reflection in alpha on root spaces.
     h_alpha(t)   n_alpha(t) n_alpha(-1); diagonal with entry t^<beta, alpha^v>
-                 at e_beta and 1 on the Cartan block.
+                 at e_beta and 1 on the Cartan block.  It is computed as
+                 that diagonal; the tests and acceptance criteria 8 and 9
+                 keep the product n_alpha(t) n_alpha(-1) as the reference
+                 route.
 
 Automorphisms come in four families (inner, diagonal, field, graph) and a
 composite applies them in the fixed order inner, diagonal, field, graph.
@@ -153,12 +156,29 @@ def n_alpha(rs: RootSystem, alpha, t) -> Matrix:
     )
 
 
+@lru_cache(maxsize=None)
+def _pairings(rs: RootSystem, alpha) -> tuple:
+    """Pairs (i, k) with k = <beta_i, alpha^v> != 0 over the roots beta_i."""
+    out = []
+    for i, beta in enumerate(rs.roots):
+        k = rs.cartan_integer(beta, alpha)
+        if k:
+            out.append((i, k))
+    return tuple(out)
+
+
 def h_alpha(rs: RootSystem, alpha, t) -> Matrix:
     alpha = rs.check_root(alpha)
     t = _coerce_scalar(t)
     if not t:
         raise DomainError("h_alpha requires t != 0")
-    return mat_mul(n_alpha(rs, alpha, t), n_alpha(rs, alpha, Fraction(-1)))
+    result = identity_matrix(adjoint_dimension(rs))
+    powers = {}
+    for i, k in _pairings(rs, alpha):
+        if k not in powers:
+            powers[k] = t ** k
+        result[i][i] = powers[k]
+    return result
 
 
 class GraphMatrixRealization:

@@ -2,8 +2,8 @@
 
 Entries may be Fraction or RationalFunction values; the helpers only assume
 ring operations plus truthiness for zero tests, and division where stated.
-Multiplication skips zero entries, which matters because the unipotent
-generators used elsewhere are very sparse.
+Multiplication and inversion skip zero entries, which matters because the
+unipotent and torus generators used elsewhere are very sparse.
 """
 
 from __future__ import annotations
@@ -80,11 +80,11 @@ def mat_inv(a: Matrix) -> Matrix:
             raise DomainError("matrix is singular")
         work[col], work[pivot] = work[pivot], work[col]
         inv = one / work[col][col]
-        work[col] = [x * inv for x in work[col]]
+        work[col] = [x * inv if x else x for x in work[col]]
         for r in range(n):
             if r != col and work[r][col]:
                 factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+                work[r] = [x - factor * y if y else x for x, y in zip(work[r], work[col])]
     return [row[n:] for row in work]
 
 

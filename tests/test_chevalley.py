@@ -73,6 +73,24 @@ def test_torus_matrices_are_diagonal_characters():
         assert entries[k] == 1
 
 
+def test_torus_closed_form_matches_dense_route():
+    # h_alpha is built as its diagonal; n_alpha(t) n_alpha(-1) is the dense
+    # reference, over Q and over Q(T) with parameters a*T + b
+    T = RationalFunction.variable(1, 0)
+    field_parameters = [T * a + b for a in (1, -2, Fraction(1, 2)) for b in (0, 1, Fraction(-1, 3))]
+    cases = 0
+    for name in ("A1", "A2", "A3", "B2", "G2", "B3", "C3"):
+        rs = build_root_system(name)
+        for alpha in rs.roots:
+            for t in (Fraction(3), Fraction(-2, 5), field_parameters[cases % len(field_parameters)]):
+                h = h_alpha(rs, alpha, t)
+                dense = mat_mul(n_alpha(rs, alpha, t), n_alpha(rs, alpha, Fraction(-1)))
+                assert mat_eq(h, dense), (name, alpha, t)
+                assert h == dense, (name, alpha, t)
+            cases += 1
+    assert cases == 76
+
+
 def test_weight_conjugation():
     rs = build_root_system("B2")
     for alpha in rs.positive_roots[: rs.rank]:

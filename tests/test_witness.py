@@ -20,7 +20,7 @@ from tck import (
     exponent_vector,
     generate_witnesses,
     graph_automorphism_matrix,
-    h_alpha,
+    n_alpha,
     obstruction_check,
     pattern_determinant,
     project_product_to_first_factor,
@@ -42,9 +42,10 @@ def _nontrivial_symmetry(rs):
 
 
 def _dense_witness(rs, block):
-    """The witness as the dense product of h_alpha matrices."""
+    """The witness as the dense product of h_alpha(p) = n_alpha(p) n_alpha(-1)."""
     simple = [tuple(int(j == t) for j in range(rs.rank)) for t in range(rs.rank)]
-    return mat_product([h_alpha(rs, alpha, Fraction(p)) for alpha, p in zip(simple, block)])
+    return mat_product([n_alpha(rs, alpha, q)
+                        for alpha, p in zip(simple, block) for q in (Fraction(p), Fraction(-1))])
 
 
 def _root_block(rs, matrix):
@@ -152,8 +153,9 @@ def test_product_automorphism_validation():
 
 
 def test_first_factor_projection_matches_dense_route():
-    # the projection against the defining action iterated on dense h_alpha
-    # products, with each factor acting through ChevalleyAutomorphism.apply
+    # the projection against the defining action iterated on dense
+    # n_alpha(p) n_alpha(-1) products, with each factor acting through
+    # ChevalleyAutomorphism.apply
     rng = random.Random(41)
     for name in ("A2", "A3", "D4"):
         rs = build_root_system(name)
