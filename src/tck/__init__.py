@@ -82,13 +82,11 @@ from .spectrum import (
     zn_fullness_witness,
 )
 from .witness import (
-    Constraint,
     FirstFactorReduction,
     ObstructionCertificate,
     ProductAutomorphism,
     WitnessSequence,
     ZeroEntryWitness,
-    entrywise_constraint_system,
     generate_witnesses,
     obstruction_check,
     pattern_determinant,

@@ -192,8 +192,6 @@ class GraphMatrixRealization:
     """
 
     def __init__(self, rs: RootSystem, symmetry: DiagramSymmetry):
-        if len(symmetry.permutation) != rs.rank:
-            raise DomainError("symmetry rank does not match the root system")
         self.rs = rs
         self.symmetry = symmetry
         data = rs.constants

@@ -326,13 +326,7 @@ class RationalFunction:
             self.den = Polynomial.constant(den.nvars, 1)
             return
         nvars = num.nvars
-        shift = [
-            min(
-                min(e[i] for e in num.terms),
-                min(e[i] for e in den.terms),
-            )
-            for i in range(nvars)
-        ]
+        shift = [min(col) for col in zip(*num.terms, *den.terms)]
         if any(shift):
             def unshift(p):
                 return Polynomial(
@@ -559,47 +553,62 @@ def disjoint_eigenfamily_count(delta: ScalingAutomorphism, alpha, pairs) -> int:
     return count
 
 
-def character_lattice_member(lam, generators) -> bool:
-    """Is lam a product of integer powers of the given nonzero rationals?
+def character_lattice(generators):
+    """Membership test for the subgroup of Q* generated by the given rationals.
 
     Works on exponent vectors over a coprime base of the generators'
     numerators and denominators: lam is a member only if it factors over that
-    base, and then membership in the subgroup of Q* generated by the
-    generators reduces to an integer linear system, solved through the Smith
-    normal form of the exponent matrix.  Only positive generators arise here
-    (even powers), so a negative lam is never a member.
+    base, and then membership reduces to an integer linear system, solved
+    through the Smith normal form of the generators' exponent matrix.  Only
+    positive generators arise here (even powers), so a negative lam is never
+    a member.  The base is built on the first query past the sign and unit
+    checks, the Smith form on the first query that factors over the base;
+    every later query reuses both.
     """
-    from .spectrum import smith_normal_form  # local import: spectrum depends on fields
-
-    lam = Fraction(lam)
-    if lam == 0:
-        raise DomainError("0 is not a unit")
     gens = [Fraction(g) for g in generators]
     if any(g <= 0 for g in gens):
         raise DomainError("character lattice generators must be positive")
-    if lam < 0:
-        return False
-    if lam == 1:
-        return True
-    base = _coprime_base([n for g in gens for n in (g.numerator, g.denominator)])
-    target = exponent_vector(lam, base)
-    if target is None:
-        return False
-    rows = [exponent_vector(g, base) for g in gens if g != 1]
-    # Pad to a square system; zero rows and columns do not change solvability
-    # of x*A = v over Z.
-    size = max(len(rows), len(base))
-    matrix = [row + [0] * (size - len(base)) for row in rows]
-    matrix += [[0] * size for _ in range(size - len(rows))]
-    target = target + [0] * (size - len(base))
-    decomp = smith_normal_form(matrix)
-    # x*A = v is solvable over Z iff w = v*V clears the diagonal divisibility.
-    w = [sum(target[i] * decomp.right[i][j] for i in range(size)) for j in range(size)]
-    for j in range(size):
-        d = decomp.diagonal[j]
-        if d == 0:
-            if w[j] != 0:
-                return False
-        elif w[j] % d != 0:
+    base = divisors = None
+
+    def member(lam) -> bool:
+        nonlocal base, divisors
+        lam = Fraction(lam)
+        if lam == 0:
+            raise DomainError("0 is not a unit")
+        if lam < 0:
             return False
-    return True
+        if lam == 1:
+            return True
+        if base is None:
+            base = _coprime_base([n for g in gens for n in (g.numerator, g.denominator)])
+        target = exponent_vector(lam, base)
+        if target is None:
+            return False
+        if divisors is None:
+            from .spectrum import smith_normal_form  # spectrum depends on fields
+
+            rows = [exponent_vector(g, base) for g in gens if g != 1]
+            # Pad to a square system; zero rows and columns do not change
+            # solvability of x*A = v over Z.
+            size = max(len(rows), len(base))
+            matrix = [row + [0] * (size - len(base)) for row in rows]
+            matrix += [[0] * size for _ in range(size - len(rows))]
+            decomp = smith_normal_form(matrix)
+            # x*A = v is solvable over Z iff w = v*V has w_j = 0 where d_j = 0
+            # and d_j | w_j elsewhere.  The padded entries of v are 0, so only
+            # the base rows of V enter w, and a column with d_j = 1 always
+            # passes.
+            divisors = [(tuple(row[j] for row in decomp.right[:len(base)]), d)
+                        for j, d in enumerate(decomp.diagonal) if d != 1]
+        for column, d in divisors:
+            w = sum(t * v for t, v in zip(target, column))
+            if w % d if d else w:
+                return False
+        return True
+
+    return member
+
+
+def character_lattice_member(lam, generators) -> bool:
+    """Is lam a product of integer powers of the given positive rationals?"""
+    return character_lattice(generators)(lam)

@@ -297,6 +297,8 @@ def diagram_symmetries(rs: RootSystem) -> list[DiagramSymmetry]:
 
 def extend_symmetry_to_roots(rs: RootSystem, symmetry: DiagramSymmetry, beta) -> Root:
     """Linear extension of a diagram symmetry; maps roots to roots."""
+    if len(symmetry.permutation) != rs.rank:
+        raise DomainError("symmetry rank does not match the root system")
     beta = rs.check_root(beta)
     image = [0] * rs.rank
     for i, c in enumerate(beta):

@@ -57,7 +57,8 @@ class PermOps:
         # apply b first, then a, matching matrix composition
         return tuple(a[v] for v in b)
 
-    def inv(self, a):
+    def inv(self, a, cap=None):
+        # linear in the degree, so the closure cap never binds here
         out = [0] * self.degree
         for i, v in enumerate(a):
             out[v] = i
@@ -69,7 +70,9 @@ class MatModOps:
 
     The modulus need not be prime: inverses are found by powering until the
     identity recurs, which works for any invertible element of a finite
-    monoid and detects non-invertible input by cycle revisit.
+    monoid and detects non-invertible input by cycle revisit.  Under a
+    closure cap the powering stops after cap steps: an element of larger
+    order lies in no group the closure would accept.
     """
 
     encoding = "matmod"
@@ -101,12 +104,14 @@ class MatModOps:
             for i in range(n)
         )
 
-    def inv(self, a):
+    def inv(self, a, cap=None):
         seen = {a}
         previous, current = a, self.mul(a, a)
         while current != self.identity:
             if current in seen:
                 raise DomainError(f"matrix {a} is not invertible mod {self.modulus}")
+            if cap is not None and len(seen) >= cap:
+                raise ResourceLimitError(f"matrix {a} has order above the closure cap {cap}")
             seen.add(current)
             previous, current = current, self.mul(current, a)
         return previous
@@ -153,7 +158,7 @@ def _closure(ops, generators, cap=None) -> FiniteGroup:
     gens = []
     for g in generators:
         c = ops.canonical(g)
-        ops.inv(c)  # rejects non-invertible input before closure starts
+        ops.inv(c, cap)  # rejects non-invertible input before closure starts
         if c not in gens:
             gens.append(c)
     elements = [ops.identity]
@@ -393,7 +398,7 @@ class _QuotientOps:
     def mul(self, a, b):
         return self._leader[self._G.mul(a, b)]
 
-    def inv(self, a):
+    def inv(self, a, cap=None):
         return self._leader[self._G.inv(a)]
 
 

@@ -8,16 +8,20 @@ reference route that criterion 9 and the tests compare against.
 The pipeline: build torus elements from consecutive primes so that distinct
 witnesses have pairwise disjoint prime supports, collapse a graph-plus-field
 automorphism against them (the field part fixes rational entries, the graph
-part permutes root positions), and inspect the entrywise eigenvector
-constraints that any intertwining matrix between two collapsed witnesses
-would have to satisfy.  Wherever the required eigencharacter falls outside
-the multiplicative lattice spanned by the field scalars, no nonzero entry can
-exist.  Certifying this for every root-indexed column of the block pattern
+part permutes root positions through its root permutation), and certify the
+entries of any intertwining matrix Z between two collapsed witnesses
 
     Z = ( Q | R )      Q of size |roots| x |roots|, T of size rank x rank
         ( S | T )
 
-forces det Z = 0, and that contradiction is what the certificate records.
+in one pass over the root-indexed columns.  Entry (m, n) of Q or S is zero
+or an eigenvector of the power of the field scaling with eigencharacter
+other[n] c[n] / (first[m] c[m]) (c an optional correction, the Cartan rows
+contributing 1).  Wherever that eigencharacter falls outside the
+multiplicative lattice spanned by the field scalars, which is reduced once
+per certificate, the entry must vanish.  Certifying this for every Q and S
+entry zeroes the root-indexed columns and forces det Z = 0, and that
+contradiction is what the certificate records.
 """
 
 import itertools
@@ -29,14 +33,14 @@ from .errors import ConsistencyError, DomainError
 from .fields import (
     RationalFunction,
     ScalingAutomorphism,
-    character_lattice_member,
+    character_lattice,
     exponent_vector,
     is_prime,
     supports_pairwise_disjoint,
 )
 from .linalg import mat_det
 from .roots import DiagramSymmetry, RootSystem, permutation_order, root_permutation
-from .chevalley import ChevalleyAutomorphism, adjoint_dimension
+from .chevalley import ChevalleyAutomorphism
 
 Diagonal = tuple[Fraction, ...]
 
@@ -124,18 +128,22 @@ def _torus_action(images, g: Diagonal) -> Diagonal:
     return tuple(out)
 
 
+def _collapse(images, g: Diagonal, m: int) -> Diagonal:
+    """g phi(g) phi^2(g) ... phi^{m-1}(g), phi's graph part given by its root images."""
+    acc, current = g, g
+    for _ in range(m - 1):
+        current = _torus_action(images, current)
+        acc = tuple(a * c for a, c in zip(acc, current))
+    return acc
+
+
 def twisted_power_product(phi: ChevalleyAutomorphism, g, m: int) -> Diagonal:
     """g phi(g) phi^2(g) ... phi^{m-1}(g) for a rational root-position diagonal g."""
     _require_graph_field(phi, "twisted power product")
     if m < 1:
         raise DomainError(f"exponent must be at least 1, got {m}")
     g = _rational_diagonal(g, len(phi.rs.roots), "twisted power product")
-    images = _root_images(phi)
-    acc, current = g, g
-    for _ in range(m - 1):
-        current = _torus_action(images, current)
-        acc = tuple(a * c for a, c in zip(acc, current))
-    return acc
+    return _collapse(_root_images(phi), g, m)
 
 
 class ProductAutomorphism:
@@ -195,67 +203,6 @@ class ProductAutomorphism:
         return self.apply(summands)
 
 
-def _block_label(m: int, n: int, root_count: int) -> str:
-    if m < root_count:
-        return "Q" if n < root_count else "R"
-    return "S" if n < root_count else "T"
-
-
-@dataclass(frozen=True)
-class Constraint:
-    """Entry (m, n) must be an eigenvector of the power of the field scaling
-    with the stated eigencharacter, or zero."""
-
-    position: tuple[int, int]
-    block: str
-    coefficient: Fraction
-    witness_part: Fraction
-    eigencharacter: Fraction
-    power: int
-
-
-def entrywise_constraint_system(rs: RootSystem, first, other,
-                                scaling: ScalingAutomorphism, power: int = 6,
-                                correction=None) -> list[Constraint]:
-    """Per-entry constraints on any Z intertwining two collapsed witnesses.
-
-    The matrix relation (power of scaling applied entrywise to Z) =
-    first^{-1} Z other, read at position (m, n), says the entry is an
-    eigenvector with eigencharacter d_mn * b_n where d_mn = (b'_m c_m)^{-1} c_n,
-    b' and b are the diagonals of first and other (given at the root
-    positions, 1 on the Cartan block), and c is an optional diagonal
-    correction on the root positions (identity when omitted).
-    """
-    if not isinstance(scaling, ScalingAutomorphism):
-        raise DomainError("a scaling automorphism is required")
-    if power < 1:
-        raise DomainError(f"power must be at least 1, got {power}")
-    dim = adjoint_dimension(rs)
-    root_count = len(rs.roots)
-    cartan = (Fraction(1),) * rs.rank
-    first_diag = _rational_diagonal(first, root_count, "constraint system") + cartan
-    other_diag = _rational_diagonal(other, root_count, "constraint system") + cartan
-    if correction is None:
-        c_full = [Fraction(1)] * dim
-    else:
-        c_head = [Fraction(c) for c in correction]
-        if len(c_head) != root_count:
-            raise DomainError(
-                f"correction vector needs {root_count} entries, got {len(c_head)}"
-            )
-        if any(c == 0 for c in c_head):
-            raise DomainError("correction entries must be nonzero")
-        c_full = c_head + [Fraction(1)] * rs.rank
-    out = []
-    for m in range(dim):
-        lead = first_diag[m] * c_full[m]
-        for n in range(dim):
-            d = c_full[n] / lead
-            b = other_diag[n]
-            out.append(Constraint((m, n), _block_label(m, n, root_count), d, b, d * b, power))
-    return out
-
-
 @dataclass(frozen=True)
 class ZeroEntryWitness:
     """One certified-zero position with the data forcing it: the required
@@ -291,6 +238,15 @@ class ObstructionCertificate:
 
 def _certify(rs: RootSystem, products, scaling: ScalingAutomorphism, power: int,
              correction, index: int) -> ObstructionCertificate:
+    """Certify the Q and S entries of every root-indexed column.
+
+    Any Z intertwining the collapsed first and index-th witnesses satisfies
+    (power of scaling applied entrywise to Z) = first^{-1} Z other, read
+    entrywise as the eigencharacter in the module docstring; c is a diagonal
+    correction on the root positions (identity when omitted).
+    """
+    if not isinstance(scaling, ScalingAutomorphism):
+        raise DomainError("a scaling automorphism is required")
     count = len(products)
     if index < 1 or index > count:
         raise DomainError(f"index {index} outside the witness range 1..{count}")
@@ -311,17 +267,27 @@ def _certify(rs: RootSystem, products, scaling: ScalingAutomorphism, power: int,
                 f"product supports collide across witnesses at root position {n}"
             )
         column_ok.append(all(abs(b) != 1 for b in family))
-    constraints = entrywise_constraint_system(rs, diagonals[0], diagonals[index - 1],
-                                              scaling, power, correction)
+    if correction is None:
+        c = (Fraction(1),) * root_count
+    else:
+        c = [Fraction(x) for x in correction]
+        if len(c) != root_count:
+            raise DomainError(f"correction vector needs {root_count} entries, got {len(c)}")
+        if any(x == 0 for x in c):
+            raise DomainError("correction entries must be nonzero")
+    member = character_lattice(generators)
+    first, other = diagonals[0], diagonals[index - 1]
+    columns = [(n, ok, other[n] * c[n]) for n, ok in enumerate(column_ok)]
     certified, failed = [], []
-    for c in constraints:
-        if c.block not in ("Q", "S"):
-            continue
-        n = c.position[1]
-        if column_ok[n] and not character_lattice_member(c.eigencharacter, generators):
-            certified.append(ZeroEntryWitness(c.position, c.block, c.eigencharacter, count))
-        else:
-            failed.append(c.position)
+    for m in range(root_count + rs.rank):
+        block = "Q" if m < root_count else "S"
+        row = first[m] * c[m] if m < root_count else 1
+        for n, ok, column in columns:
+            lam = column / row
+            if ok and not member(lam):
+                certified.append(ZeroEntryWitness((m, n), block, lam, count))
+            else:
+                failed.append((m, n))
     verdict = "obstructed" if not failed else "inconclusive"
     return ObstructionCertificate(root_count, rs.rank, index, bound, count, generators,
                                   verdict, tuple(certified), tuple(failed))
@@ -336,13 +302,18 @@ def obstruction_check(rs: RootSystem, witnesses: WitnessSequence,
 
     The index must exceed the transcendence degree of the scaling field plus
     one; otherwise the verdict is "inconclusive" without analysis, since up
-    to that many witnesses can share a twisted class.
+    to that many witnesses can share a twisted class.  The field part fixes
+    the rational witnesses, so only the graph's root permutation enters the
+    collapse.
     """
     if witnesses.root_system.type != rs.type:
         raise DomainError("witnesses were generated for a different root system")
     rs = witnesses.root_system
-    phi = ChevalleyAutomorphism(rs, graph=symmetry, field=scaling)
-    products = [twisted_power_product(phi, g, 6) for g in witnesses.diagonals]
+    images = None if symmetry is None else root_permutation(rs, symmetry)
+    products = [
+        _collapse(images, _rational_diagonal(g, len(rs.roots), "twisted power product"), 6)
+        for g in witnesses.diagonals
+    ]
     return _certify(rs, products, scaling, 6, correction, index_beyond_bound)
 
 

@@ -1,5 +1,6 @@
 """Command line surface: JSON reports, exit codes, determinism."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -134,6 +135,22 @@ def test_twisted_rejects_hostile_images(capsys, tmp_path, images):
     )
     assert code == 1
     assert report["payload"]["code"] == "domain-error"
+
+
+def test_twisted_long_matrix_order_hits_the_cap(capsys, tmp_path, monkeypatch):
+    group_file = tmp_path / "fibonacci.json"
+    group_file.write_text(json.dumps(
+        {"encoding": "matmod", "modulus": 1000003, "generators": [[[0, 1], [1, 1]]]}))
+    aut_file = tmp_path / "fibonacci-id.json"
+    aut_file.write_text(json.dumps({"images": [[[0, 1], [1, 1]]]}))
+    monkeypatch.setenv("TCK_CLOSURE_CAP", "20000")
+    start = time.perf_counter()
+    code, report = run_cli(
+        capsys, ["twisted", "classes", "--group", str(group_file), "--aut", str(aut_file)]
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == 1
+    assert report["payload"]["code"] == "resource-limit"
 
 
 def test_twisted_missing_file(capsys, tmp_path):
@@ -280,6 +297,22 @@ def test_byte_identical_reports(capsys):
     main(["witness", "run", "--type", "A2", "--count", "4", "--trdeg", "1",
           "--scale", "2", "--index", "3"])
     assert capsys.readouterr().out == third
+
+
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+WITNESS_GOLDEN = {k: v for k, v in json.loads(GOLDEN.read_text()).items()
+                  if k.startswith("witness run ")}
+
+
+@pytest.mark.parametrize("key", sorted(WITNESS_GOLDEN))
+def test_witness_run_matches_recorded_output(capsys, key):
+    # perfbench/golden.json holds the sha256 and exit code of each recorded
+    # CLI document; the certificate bytes must not move
+    code = main(key.split())
+    out = capsys.readouterr().out.encode()
+    recorded = WITNESS_GOLDEN[key]
+    assert code == recorded["exit"]
+    assert hashlib.sha256(out).hexdigest() == recorded["sha256"]
 
 
 def test_usage_errors_exit_two(capsys):

@@ -21,7 +21,7 @@ from tck import (
     serialize_polynomial,
     supports_pairwise_disjoint,
 )
-from tck.fields import is_prime
+from tck.fields import character_lattice, is_prime
 
 
 def test_exponent_vector_values():
@@ -271,3 +271,8 @@ def test_lattice_membership_against_exhaustive_products():
         assert character_lattice_member(lam, gens)
     for lam in (2, 3, 7, Fraction(10, 7), Fraction(49, 20)):
         assert character_lattice_member(lam, gens) == (lam in products)
+    # one lattice answers every query with the base and Smith form it built
+    # on first need
+    member = character_lattice(gens)
+    for lam in (-4, 1, 2, Fraction(10, 7), *sorted(products), 3, 7, Fraction(49, 20)):
+        assert member(lam) == (lam in products)

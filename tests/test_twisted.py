@@ -2,6 +2,7 @@
 
 import json
 import random
+import time
 
 import pytest
 
@@ -184,6 +185,21 @@ def test_closure_cap(monkeypatch):
     monkeypatch.setenv("TCK_CLOSURE_CAP", "not a number")
     with pytest.raises(DomainError):
         s4()
+
+
+def test_matrix_inverse_is_bounded_by_the_closure_cap():
+    # [[0,1],[1,1]] has order about 2 * 10^6 mod 1000003, far above the cap:
+    # inverting it must stop at the cap, not power up to the order
+    fibonacci = [[0, 1], [1, 1]]
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="order above the closure cap 1000"):
+        closure([fibonacci], modulus=1000003, cap=1000)
+    assert time.perf_counter() - start < 2.0
+    # an element of order at most the cap still inverts
+    g = closure([fibonacci], modulus=7, cap=16)
+    assert len(g) == 16
+    with pytest.raises(DomainError):
+        closure([[[1, 1], [1, 1]]], modulus=7, cap=1000)
 
 
 def test_group_descriptor_roundtrip():

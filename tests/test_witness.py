@@ -9,6 +9,7 @@ import pytest
 from tck import (
     ChevalleyAutomorphism,
     ConsistencyError,
+    DiagramSymmetry,
     DomainError,
     ProductAutomorphism,
     ScalingAutomorphism,
@@ -16,7 +17,6 @@ from tck import (
     build_root_system,
     character_lattice_member,
     diagram_symmetries,
-    entrywise_constraint_system,
     exponent_vector,
     generate_witnesses,
     graph_automorphism_matrix,
@@ -185,50 +185,87 @@ def test_first_factor_projection_matches_dense_route():
         product.apply(witnesses.diagonals[:1] * (k + 1))
 
 
-def test_constraint_system_blocks_and_characters():
-    rs = build_root_system("A1")
-    dim = 3
-    ident = (Fraction(1),) * 2
+def _certificate_positions(certificate):
+    return [entry.position for entry in certificate.entries] + list(certificate.uncertified)
+
+
+@pytest.mark.parametrize("name, order, correction", [
+    ("A1", None, None),
+    ("A2", None, (Fraction(11), Fraction(2, 3), Fraction(-5), Fraction(1), Fraction(7), 3)),
+    ("A3", 2, None),
+    ("D4", 3, None),
+])
+def test_certificate_eigencharacters_match_the_collapsed_products(name, order, correction):
+    # every Q and S entry carries products[index-1][n] c[n] / (products[0][m] c[m]),
+    # with the products collapsed independently through ChevalleyAutomorphism
+    rs = build_root_system(name)
+    sigma = None if order is None else next(
+        s for s in diagram_symmetries(rs) if s.order == order)
     delta = ScalingAutomorphism((Fraction(2),))
-    constraints = entrywise_constraint_system(rs, ident, ident, delta)
-    assert len(constraints) == dim * dim
+    witnesses = generate_witnesses(rs, 4)
+    index = 3
+    certificate = obstruction_check(rs, witnesses, sigma, delta, index, correction=correction)
+    phi = ChevalleyAutomorphism(rs, graph=sigma, field=delta)
+    products = [twisted_power_product(phi, g, 6) for g in witnesses.diagonals]
+    root_count = len(rs.roots)
+    c = [Fraction(1)] * root_count if correction is None else [Fraction(x) for x in correction]
+    # the Cartan rows contribute 1
+    rows = [products[0][m] * c[m] for m in range(root_count)] + [Fraction(1)] * rs.rank
+    assert certificate.verdict == "obstructed"
+    assert _certificate_positions(certificate) == [
+        (m, n) for m in range(root_count + rs.rank) for n in range(root_count)]
+    for entry in certificate.entries:
+        m, n = entry.position
+        assert entry.eigencharacter == products[index - 1][n] * c[n] / rows[m]
+        assert entry.block == ("Q" if m < root_count else "S")
+        assert entry.family_size == 4
+
+
+def test_certificate_block_counts_a1():
+    rs = build_root_system("A1")
+    certificate = obstruction_check(rs, generate_witnesses(rs, 3), None,
+                                    ScalingAutomorphism((Fraction(2),)), 3)
     blocks = {}
-    for c in constraints:
-        blocks[c.block] = blocks.get(c.block, 0) + 1
-        # identity products and no correction force trivial characters
-        assert c.eigencharacter == 1
-        assert c.power == 6
-    assert blocks == {"Q": 4, "R": 2, "S": 2, "T": 1}
+    for entry in certificate.entries:
+        blocks[entry.block] = blocks.get(entry.block, 0) + 1
+    # 2 roots and rank 1: the root-indexed columns hold Q (2 x 2) and S (1 x 2)
+    assert blocks == {"Q": 4, "S": 2}
+    assert certificate.uncertified == ()
 
 
-def test_constraint_system_tracks_witness_entries():
+def test_certificate_correction_and_scaling_validation():
     rs = build_root_system("A1")
-    w = generate_witnesses(rs, 2)
+    witnesses = generate_witnesses(rs, 3)
     delta = ScalingAutomorphism((Fraction(2),))
-    phi = ChevalleyAutomorphism(rs, field=delta)
-    first = twisted_power_product(phi, w.diagonals[0], 6)
-    second = twisted_power_product(phi, w.diagonals[1], 6)
-    constraints = entrywise_constraint_system(rs, first, second, delta)
-    # the Cartan block of a torus element is 1
-    b1 = first + (1,)
-    b2 = second + (1,)
-    for c in constraints:
-        m, n = c.position
-        assert c.coefficient == 1 / b1[m]
-        assert c.witness_part == b2[n]
-        assert c.eigencharacter == c.coefficient * c.witness_part
+    with pytest.raises(DomainError, match="correction vector needs 2 entries, got 1"):
+        obstruction_check(rs, witnesses, None, delta, 3, correction=[Fraction(1)])
+    with pytest.raises(DomainError, match="correction entries must be nonzero"):
+        obstruction_check(rs, witnesses, None, delta, 3, correction=[1, 0])
+    with pytest.raises(DomainError, match="a scaling automorphism is required"):
+        obstruction_check(rs, witnesses, None, None, 3)
 
 
-def test_constraint_system_correction_validation():
-    rs = build_root_system("A1")
-    ident = (Fraction(1),) * 2
+def test_obstruction_check_builds_no_graph_realization():
+    # the certificate reads the graph's root permutation only; the cached
+    # dense realization would keep the root system alive
+    rs = build_root_system("A3")
+    sigma = _nontrivial_symmetry(rs)
+    before = graph_automorphism_matrix.cache_info().currsize
+    certificate = obstruction_check(rs, generate_witnesses(rs, 4), sigma,
+                                    ScalingAutomorphism((Fraction(2),)), 3)
+    assert certificate.verdict == "obstructed"
+    assert graph_automorphism_matrix.cache_info().currsize == before
+
+
+def test_wrong_rank_symmetry_is_a_domain_error():
+    rs = build_root_system("A3")
+    witnesses = generate_witnesses(rs, 4)
     delta = ScalingAutomorphism((Fraction(2),))
-    with pytest.raises(DomainError):
-        entrywise_constraint_system(rs, ident, ident, delta, correction=[Fraction(1)])
-    with pytest.raises(DomainError):
-        entrywise_constraint_system(rs, ident, ident, delta, correction=[1, 0])
-    with pytest.raises(DomainError):
-        entrywise_constraint_system(rs, ident, ident, None)
+    for bad in (DiagramSymmetry((1, 0)), DiagramSymmetry((3, 2, 1, 0))):
+        with pytest.raises(DomainError, match="symmetry rank does not match"):
+            obstruction_check(rs, witnesses, bad, delta, 3)
+        with pytest.raises(DomainError, match="symmetry rank does not match"):
+            ChevalleyAutomorphism(rs, graph=bad)
 
 
 def test_obstruction_certificate_a2():
