@@ -19,8 +19,6 @@ from .fields import (
     disjoint_eigenfamily_count,
     eigencharacter,
     exponent_vector,
-    parse_polynomial,
-    serialize_polynomial,
     supports_pairwise_disjoint,
 )
 from .roots import (
@@ -36,7 +34,6 @@ from .chevalley import (
     adjoint_dimension,
     commutator_factors,
     commutator_relation_check,
-    graph_automorphism_matrix,
     h_alpha,
     n_alpha,
     reduce_mod_p,

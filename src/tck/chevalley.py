@@ -10,7 +10,9 @@ len(rs.roots) + rs.rank.
 Generators:
 
     x_alpha(t)   exp(t ad e_alpha); the series terminates because ad e_alpha
-                 is nilpotent.
+                 is nilpotent.  Its terms come straight from the bracket
+                 table: column j holds (ad e_alpha)^k e_j / k! for k >= 1,
+                 each a sparse vector, until the vector vanishes.
     n_alpha(t)   x_alpha(t) x_{-alpha}(-1/t) x_alpha(t); monomial, realizes
                  the reflection in alpha on root spaces.
     h_alpha(t)   n_alpha(t) n_alpha(-1); diagonal with entry t^<beta, alpha^v>
@@ -24,12 +26,14 @@ composite applies them in the fixed order inner, diagonal, field, graph.
 A diagram symmetry is realized as conjugation by a signed permutation matrix;
 the signs are forced by the structure constants and are recorded per root,
 since the naive unsigned permutation need not respect the brackets.
+
+The per-root tables behind x_alpha and h_alpha live in ``rs.tables``, so
+they are freed with their root system; no module-level cache holds one.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import ConsistencyError, DomainError
 from .fields import Polynomial, RationalFunction, ScalingAutomorphism, apply_scaling, is_prime
@@ -39,9 +43,7 @@ from .linalg import (
     is_diagonal,
     mat_eq,
     mat_inv,
-    mat_mul,
     mat_product,
-    mat_scale,
 )
 from .roots import DiagramSymmetry, RootSystem, extend_symmetry_to_roots, root_permutation
 
@@ -92,42 +94,41 @@ def bracket_coordinates(rs: RootSystem, i: int, j: int) -> dict[int, Fraction]:
     return {}
 
 
-@lru_cache(maxsize=None)
-def ad_matrix(rs: RootSystem, alpha) -> Matrix:
-    """Matrix of ad e_alpha on the adjoint basis."""
-    alpha = rs.check_root(alpha)
-    dim = adjoint_dimension(rs)
-    out = [[Fraction(0)] * dim for _ in range(dim)]
-    i = rs.root_index[alpha]
-    for j in range(dim):
-        for k, c in bracket_coordinates(rs, i, j).items():
-            out[k][j] = c
-    return out
+def _memoised_on_root_system(build):
+    """Memoise build(rs, alpha) in ``rs.tables`` under the key (build, alpha)."""
+
+    def table(rs: RootSystem, alpha):
+        key = (build, alpha)
+        if key not in rs.tables:
+            rs.tables[key] = build(rs, alpha)
+        return rs.tables[key]
+
+    return table
 
 
-@lru_cache(maxsize=None)
-def _exp_terms(rs: RootSystem, alpha) -> tuple:
-    """Nonzero terms (ad e_alpha)^k / k! of the terminating exponential."""
-    n = ad_matrix(rs, alpha)
-    terms = []
-    power = n
-    k = 1
-    while any(x for row in power for x in row):
-        terms.append(power)
-        k += 1
-        power = mat_scale(mat_mul(power, n), Fraction(1, k))
-    return tuple(terms)
-
-
-@lru_cache(maxsize=None)
+@_memoised_on_root_system
 def _exp_entries(rs: RootSystem, alpha) -> tuple:
-    """Sparse view of the exponential terms: (i, j, c, k) adds c*t^k at (i, j)."""
+    """Terms (i, j, c, k) of exp(t ad e_alpha): c*t^k is added at (i, j).
+
+    Column j collects (ad e_alpha)^k e_j / k!, each vector the bracket image
+    of the previous one divided by k, until it vanishes.  Position (i, j)
+    gets at most one term, since weight(i) = weight(j) + k*alpha fixes k.
+    """
+    a = rs.root_index[alpha]
     out = []
-    for k, term in enumerate(_exp_terms(rs, alpha), start=1):
-        for i, row in enumerate(term):
-            for j, c in enumerate(row):
-                if c:
-                    out.append((i, j, c, k))
+    for j in range(adjoint_dimension(rs)):
+        vector = {j: Fraction(1)}
+        k = 1
+        while True:
+            image = {}
+            for s, c in vector.items():
+                for i, b in bracket_coordinates(rs, a, s).items():
+                    image[i] = image.get(i, 0) + c * b / k
+            vector = {i: c for i, c in image.items() if c}
+            if not vector:
+                break
+            out.extend((i, j, c, k) for i, c in vector.items())
+            k += 1
     return tuple(out)
 
 
@@ -156,7 +157,7 @@ def n_alpha(rs: RootSystem, alpha, t) -> Matrix:
     )
 
 
-@lru_cache(maxsize=None)
+@_memoised_on_root_system
 def _pairings(rs: RootSystem, alpha) -> tuple:
     """Pairs (i, k) with k = <beta_i, alpha^v> != 0 over the roots beta_i."""
     out = []
@@ -254,11 +255,6 @@ class GraphMatrixRealization:
         return mat_product([self.matrix, x, self.inverse])
 
 
-@lru_cache(maxsize=None)
-def graph_automorphism_matrix(rs: RootSystem, symmetry: DiagramSymmetry) -> GraphMatrixRealization:
-    return GraphMatrixRealization(rs, symmetry)
-
-
 def _validate_torus_matrix(rs: RootSystem, h: Matrix):
     dim = adjoint_dimension(rs)
     if len(h) != dim or len(h[0]) != dim:
@@ -318,7 +314,7 @@ class ChevalleyAutomorphism:
         self.diagonal = diagonal
         self.graph = graph
         self._graph_realization = (
-            graph_automorphism_matrix(rs, graph) if graph is not None else None
+            GraphMatrixRealization(rs, graph) if graph is not None else None
         )
         self.field = field
 
@@ -426,9 +422,10 @@ def commutator_relation_check(rs: RootSystem, alpha, beta, t, u) -> bool:
             x_alpha(rs, alpha, t),
         ]
     )
-    right = identity_matrix(adjoint_dimension(rs))
-    for gamma, i, j, c in factors:
-        right = mat_mul(right, x_alpha(rs, gamma, c * (-t) ** i * u**j))
+    right = mat_product(
+        [x_alpha(rs, gamma, c * (-t) ** i * u**j) for gamma, i, j, c in factors]
+        or [identity_matrix(adjoint_dimension(rs))]
+    )
     return mat_eq(left, right)
 
 

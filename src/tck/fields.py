@@ -270,27 +270,6 @@ class Polynomial:
         return " + ".join(parts)
 
 
-def serialize_polynomial(p: Polynomial) -> list[str]:
-    """Sparse term list, each term rendered as ``coef:[e1,e2,...]``."""
-    out = []
-    for exps, c in p.sorted_terms():
-        out.append(f"{c}:[{','.join(str(e) for e in exps)}]")
-    return out
-
-
-def parse_polynomial(nvars: int, terms: list[str]) -> Polynomial:
-    result = Polynomial.zero(nvars)
-    for item in terms:
-        coef_text, _, exp_text = item.partition(":")
-        exp_text = exp_text.strip()
-        if not (exp_text.startswith("[") and exp_text.endswith("]")):
-            raise DomainError(f"malformed polynomial term {item!r}")
-        body = exp_text[1:-1].strip()
-        exps = tuple(int(e) for e in body.split(",")) if body else ()
-        result = result + Polynomial.monomial(nvars, exps, Fraction(coef_text))
-    return result
-
-
 def _proportionality(p: Polynomial, q: Polynomial) -> Fraction | None:
     """Return c with p == c*q for nonzero p, q, or None."""
     if p.terms.keys() != q.terms.keys():

@@ -3,7 +3,10 @@
 Entries may be Fraction or RationalFunction values; the helpers only assume
 ring operations plus truthiness for zero tests, and division where stated.
 Multiplication and inversion skip zero entries, which matters because the
-unipotent and torus generators used elsewhere are very sparse.
+unipotent and torus generators used elsewhere are very sparse.  Those
+generators are built from sparse tables in ``chevalley`` and only become
+dense here; integer determinants do not come here either, they use the
+fraction-free ``spectrum.int_det``.
 """
 
 from __future__ import annotations
@@ -53,10 +56,6 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
     if len(a) != len(b) or len(a[0]) != len(b[0]):
         return False
     return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def mat_scale(a: Matrix, c) -> Matrix:
-    return [[c * x for x in row] for row in a]
 
 
 def mat_inv(a: Matrix) -> Matrix:
@@ -122,7 +121,3 @@ def diagonal_entries(a: Matrix) -> list:
 
 def is_diagonal(a: Matrix) -> bool:
     return all(not x for i, row in enumerate(a) for j, x in enumerate(row) if i != j)
-
-
-def int_matrix(rows) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]

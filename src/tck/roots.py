@@ -130,6 +130,7 @@ class RootSystem:
             tuple(-c for c in r) for r in self.positive_roots
         )
         self.root_index = {r: i for i, r in enumerate(self.roots)}
+        self.tables: dict = {}  # per-root tables of other layers, keyed by (table, root)
         if len(self.roots) != _expected_root_count(type_.family, type_.rank):
             raise ConsistencyError(
                 f"{type_}: closure found {len(self.roots)} roots, "

@@ -22,7 +22,7 @@ from math import gcd
 
 from .errors import ConsistencyError, DomainError
 from .fields import exponent_vector, is_prime, strip_power
-from .linalg import int_matrix, mat_det, mat_mul
+from .linalg import mat_mul
 from .twisted import FiniteGroup, GroupAutomorphism, closure, reidemeister_number
 
 
@@ -39,8 +39,24 @@ def _validate_integer_matrix(matrix) -> list[list[int]]:
 
 
 def int_det(matrix) -> int:
-    value = mat_det(int_matrix(matrix))
-    return int(value)
+    """Determinant by fraction-free Bareiss elimination: every division is exact."""
+    a = _validate_integer_matrix(matrix)
+    n = len(a)
+    sign, previous = 1, 1
+    for k in range(n - 1):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        p, row_k = a[k][k], a[k]
+        for row in a[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (p * row[j] - f * row_k[j]) // previous
+        previous = p
+    return sign * a[n - 1][n - 1]
 
 
 @dataclass(frozen=True)

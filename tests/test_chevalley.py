@@ -1,6 +1,8 @@
 """Adjoint Chevalley generators and the four-part automorphism."""
 
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -17,12 +19,12 @@ from tck import (
     commutator_relation_check,
     diagram_symmetries,
     extend_symmetry_to_roots,
-    graph_automorphism_matrix,
     h_alpha,
     n_alpha,
     reduce_mod_p,
     x_alpha,
 )
+from tck.chevalley import GraphMatrixRealization, bracket_coordinates
 from tck.linalg import diagonal_entries, identity_matrix, is_diagonal, mat_eq, mat_mul
 
 SCALARS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 5))
@@ -46,6 +48,55 @@ def test_root_group_additivity(name):
                     x_alpha(rs, alpha, t + u),
                 )
     assert mat_eq(x_alpha(rs, rs.roots[0], 0), identity_matrix(adjoint_dimension(rs)))
+
+
+def _dense_exponential(rs, alpha, t):
+    """exp(t ad e_alpha) from the dense ad matrix and its powers."""
+    dim = adjoint_dimension(rs)
+    a = rs.root_index[alpha]
+    ad = [[Fraction(0)] * dim for _ in range(dim)]
+    for j in range(dim):
+        for i, c in bracket_coordinates(rs, a, j).items():
+            ad[i][j] = c
+    result = identity_matrix(dim)
+    power, k, factorial = ad, 1, 1
+    while any(x for row in power for x in row):
+        term = t**k / factorial
+        for i in range(dim):
+            for j in range(dim):
+                if power[i][j]:
+                    result[i][j] = result[i][j] + power[i][j] * term
+        power = mat_mul(power, ad)
+        k += 1
+        factorial *= k
+    return result
+
+
+def test_sparse_exponential_matches_dense_route():
+    # x_alpha reads its terms off the bracket table column by column; the
+    # reference exponentiates the dense ad e_alpha until a power vanishes
+    T = RationalFunction.variable(1, 0)
+    field_parameters = [T * a + b for a in (1, -2, Fraction(1, 2)) for b in (0, 1, Fraction(-1, 3))]
+    for n, name in enumerate(("A1", "A2", "A3", "B2", "G2", "B3", "C3", "D4")):
+        rs = build_root_system(name)
+        for alpha in rs.roots:
+            for t in (Fraction(3, 2), field_parameters[n]):
+                dense = _dense_exponential(rs, alpha, t)
+                sparse = x_alpha(rs, alpha, t)
+                assert mat_eq(sparse, dense), (name, alpha, t)
+                assert sparse == dense, (name, alpha, t)
+
+
+def test_chevalley_layer_keeps_no_root_system_alive():
+    rs = build_root_system("A3")
+    alpha = rs.positive_roots[0]
+    x_alpha(rs, alpha, Fraction(2))
+    h_alpha(rs, alpha, Fraction(3))
+    ChevalleyAutomorphism(rs, graph=next(s for s in diagram_symmetries(rs) if s.order > 1))
+    ref = weakref.ref(rs)
+    del rs
+    gc.collect()
+    assert ref() is None
 
 
 @pytest.mark.parametrize("name", ["A2", "B2"])
@@ -170,7 +221,7 @@ def test_graph_realization_is_an_automorphism(name):
     rs = build_root_system(name)
     rng = random.Random(5)
     for sigma in diagram_symmetries(rs):
-        real = graph_automorphism_matrix(rs, sigma)
+        real = GraphMatrixRealization(rs, sigma)
         for _ in range(3):
             alpha = rng.choice(rs.roots)
             beta = rng.choice(rs.roots)
@@ -189,7 +240,7 @@ def test_graph_realization_is_an_automorphism(name):
 def test_graph_realization_order():
     rs = build_root_system("D4")
     sigma = next(s for s in diagram_symmetries(rs) if s.order == 3)
-    real = graph_automorphism_matrix(rs, sigma)
+    real = GraphMatrixRealization(rs, sigma)
     x = x_alpha(rs, rs.positive_roots[0], Fraction(1, 2))
     y = x
     for _ in range(3):
@@ -204,7 +255,7 @@ def test_automorphism_part_order():
     delta = ScalingAutomorphism((Fraction(7),))
     phi = ChevalleyAutomorphism(rs, graph=sigma, field=delta)
     g = h_alpha(rs, rs.positive_roots[0], Fraction(4))
-    expected = graph_automorphism_matrix(rs, sigma).apply(g)
+    expected = GraphMatrixRealization(rs, sigma).apply(g)
     assert mat_eq(phi.apply(g), expected)
 
 

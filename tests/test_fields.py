@@ -17,8 +17,6 @@ from tck import (
     disjoint_eigenfamily_count,
     eigencharacter,
     exponent_vector,
-    parse_polynomial,
-    serialize_polynomial,
     supports_pairwise_disjoint,
 )
 from tck.fields import character_lattice, is_prime
@@ -122,17 +120,6 @@ def test_leading_term_is_graded_lexicographic():
     assert p.leading_term() == ((2, 1), Fraction(1))
     with pytest.raises(DomainError):
         Polynomial.zero(2).leading_term()
-
-
-def test_serialize_parse_roundtrip():
-    rng = random.Random(11)
-    for _ in range(20):
-        nvars = rng.randrange(1, 4)
-        p = _random_polynomial(rng, nvars)
-        assert parse_polynomial(nvars, serialize_polynomial(p)) == p
-    assert serialize_polynomial(Polynomial.zero(3)) == []
-    with pytest.raises(DomainError):
-        parse_polynomial(1, ["3:oops"])
 
 
 def test_rational_function_normalization():

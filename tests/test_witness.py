@@ -19,7 +19,6 @@ from tck import (
     diagram_symmetries,
     exponent_vector,
     generate_witnesses,
-    graph_automorphism_matrix,
     n_alpha,
     obstruction_check,
     pattern_determinant,
@@ -29,6 +28,7 @@ from tck import (
     twisted_power_product,
     x_alpha,
 )
+from tck.chevalley import GraphMatrixRealization
 from tck.linalg import diagonal_entries, is_diagonal, mat_eq, mat_mul, mat_product
 
 TYPES = ("A1", "A2", "A3", "B2", "D4", "G2")
@@ -97,7 +97,7 @@ def test_field_part_fixes_rational_witnesses():
     sigma = _nontrivial_symmetry(rs)
     delta = ScalingAutomorphism((Fraction(3),))
     phi = ChevalleyAutomorphism(rs, graph=sigma, field=delta)
-    rho = graph_automorphism_matrix(rs, sigma)
+    rho = GraphMatrixRealization(rs, sigma)
     witnesses = generate_witnesses(rs, 1)
     g = _dense_witness(rs, witnesses.primes[0])
     assert mat_eq(phi.apply(g), rho.apply(g))
@@ -245,16 +245,26 @@ def test_certificate_correction_and_scaling_validation():
         obstruction_check(rs, witnesses, None, None, 3)
 
 
-def test_obstruction_check_builds_no_graph_realization():
-    # the certificate reads the graph's root permutation only; the cached
-    # dense realization would keep the root system alive
+def test_obstruction_check_builds_no_graph_realization(monkeypatch):
+    # the certificate reads the graph's root permutation only, never the
+    # dense signed-permutation realization
+    constructed = []
+    original = GraphMatrixRealization.__init__
+
+    def counting_init(self, *args):
+        constructed.append(args)
+        original(self, *args)
+
+    monkeypatch.setattr(GraphMatrixRealization, "__init__", counting_init)
     rs = build_root_system("A3")
     sigma = _nontrivial_symmetry(rs)
-    before = graph_automorphism_matrix.cache_info().currsize
     certificate = obstruction_check(rs, generate_witnesses(rs, 4), sigma,
                                     ScalingAutomorphism((Fraction(2),)), 3)
     assert certificate.verdict == "obstructed"
-    assert graph_automorphism_matrix.cache_info().currsize == before
+    assert constructed == []
+    # the counter sees the one construction a graph automorphism makes
+    ChevalleyAutomorphism(rs, graph=sigma)
+    assert len(constructed) == 1
 
 
 def test_wrong_rank_symmetry_is_a_domain_error():
