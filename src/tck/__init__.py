@@ -16,8 +16,6 @@ from .fields import (
     ScalingAutomorphism,
     apply_scaling,
     character_lattice_member,
-    disjoint_eigenfamily_count,
-    eigencharacter,
     exponent_vector,
     supports_pairwise_disjoint,
 )

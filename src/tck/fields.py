@@ -4,9 +4,9 @@ Rationals are stdlib Fraction values throughout.  Polynomials are sparse maps
 from exponent tuples to Fraction coefficients, rational functions are
 normalized quotients of those, and scaling automorphisms act by T_i -> c_i T_i
 with nonzero rational c_i.  Rationals whose prime supports are pairwise
-disjoint are multiplicatively independent, which is what the eigenvector
-counting bound below exploits.  Supports are decided by gcds and by stripping
-pairwise coprime bases, never by factoring.
+disjoint are multiplicatively independent, which is what keeps distinct
+witnesses apart.  Supports are decided by gcds and by stripping pairwise
+coprime bases, never by factoring.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError
 
 Exponent = tuple[int, ...]
 
@@ -270,20 +270,6 @@ class Polynomial:
         return " + ".join(parts)
 
 
-def _proportionality(p: Polynomial, q: Polynomial) -> Fraction | None:
-    """Return c with p == c*q for nonzero p, q, or None."""
-    if p.terms.keys() != q.terms.keys():
-        return None
-    ratio = None
-    for exps, c in p.terms.items():
-        r = c / q.terms[exps]
-        if ratio is None:
-            ratio = r
-        elif ratio != r:
-            return None
-    return ratio
-
-
 class RationalFunction:
     """Quotient of two polynomials over the same variables.
 
@@ -474,62 +460,6 @@ def apply_scaling(delta: ScalingAutomorphism, f: RationalFunction) -> RationalFu
     if not isinstance(f, RationalFunction):
         raise DomainError("apply_scaling expects a RationalFunction or Polynomial")
     return RationalFunction(_scale_polynomial(delta, f.num), _scale_polynomial(delta, f.den))
-
-
-def eigencharacter(delta: ScalingAutomorphism, f: RationalFunction) -> Fraction | None:
-    """The rational lambda with delta(f) = lambda*f, or None when f is no eigenvector.
-
-    Decided by cross-multiplication, so f need not be stored in lowest terms.
-    """
-    if isinstance(f, (int, Fraction)):
-        if Fraction(f) == 0:
-            raise DomainError("eigencharacter is undefined at 0")
-        return Fraction(1)
-    if f.nvars != delta.variable_count:
-        raise DomainError("rational function and scaling automorphism disagree on variable count")
-    if f.is_zero:
-        raise DomainError("eigencharacter is undefined at 0")
-    left = _scale_polynomial(delta, f.num) * f.den
-    right = f.num * _scale_polynomial(delta, f.den)
-    return _proportionality(left, right)
-
-
-def disjoint_eigenfamily_count(delta: ScalingAutomorphism, alpha, pairs) -> int:
-    """Count nonzero members of an eigenvector family with disjoint-support multipliers.
-
-    Each pair (a_i, z_i) must satisfy a_i != 1, the supports of the a_i must be
-    pairwise disjoint, and every nonzero z_i must be a delta-eigenvector with
-    eigencharacter alpha*a_i.  Multiplicative independence of the a_i then
-    caps the nonzero count at k+1, the transcendence degree of the function
-    field plus one; exceeding the cap would contradict that independence, so
-    it is reported as an internal inconsistency rather than a domain error.
-    """
-    alpha = Fraction(alpha)
-    if alpha == 0:
-        raise DomainError("common factor alpha must be nonzero")
-    k = delta.variable_count
-    multipliers = []
-    count = 0
-    for position, (a, z) in enumerate(pairs):
-        a = Fraction(a)
-        if a == 1:
-            raise DomainError(f"pair {position}: multiplier 1 is not allowed")
-        multipliers.append(a)
-        if isinstance(z, RationalFunction) and z.is_zero:
-            continue
-        if isinstance(z, (int, Fraction)) and Fraction(z) == 0:
-            continue
-        observed = eigencharacter(delta, z)
-        if observed != alpha * a:
-            raise DomainError(
-                f"pair {position}: eigencharacter {observed} does not match required {alpha * a}"
-            )
-        count += 1
-    if not supports_pairwise_disjoint(multipliers):
-        raise DomainError("multiplier supports are not pairwise disjoint")
-    if count > k + 1:
-        raise ConsistencyError(f"{count} nonzero members exceed the bound {k + 1}")
-    return count
 
 
 def character_lattice(generators):

@@ -289,13 +289,13 @@ def heisenberg_reidemeister(matrix) -> ExtendedCount:
     return ExtendedCount(abs(abelian) * abs(central))
 
 
-def heisenberg_group(m: int, cap: int | None = None) -> FiniteGroup:
+def heisenberg_group(m: int) -> FiniteGroup:
     """Upper unitriangular 3x3 matrices over Z/m, generated by the two slots."""
     if m < 2:
         raise DomainError("modulus must be at least 2")
     x = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     y = ((1, 0, 0), (0, 1, 1), (0, 0, 1))
-    group = closure([x, y], modulus=m, cap=cap)
+    group = closure([x, y], modulus=m)
     if len(group) != m**3:
         raise ConsistencyError(f"expected order {m**3}, closure found {len(group)}")
     return group

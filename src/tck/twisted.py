@@ -3,11 +3,15 @@
 Elements are canonical hashable encodings: permutations as image tuples,
 matrices over Z/m as row tuples with entries reduced into [0, m).  Groups
 are built by breadth-first closure from generators, so element order is
-discovery order and every derived quantity is deterministic.
+discovery order and every derived quantity is deterministic.  The closure
+keeps every edge x -> x g it walks, so a map given by generator images is
+defined and checked in one pass over those edges: the first edge into an
+element defines its image, every later edge checks f(x g) = f(x) f(g), and
+a bad map stops at its first failed product.
 
 The twisting action of z on y is z y phi(z)^-1.  Orbits are computed by
-union-find restricted to generator moves; that is enough because the acting
-set is a group.
+union-find restricted to generator moves y -> a y b; that is enough because
+the acting set is a group.
 """
 
 from __future__ import annotations
@@ -118,16 +122,16 @@ class MatModOps:
 
 
 class FiniteGroup:
-    """Closure of a generator list, with parent words kept for extension."""
+    """Closure of a generator list, with its Cayley graph edges kept."""
 
-    def __init__(self, ops, elements, generators, parents):
+    def __init__(self, ops, elements, generators, edges):
         self.ops = ops
         self.elements = tuple(elements)
         self.generators = tuple(generators)
         self.index = {x: i for i, x in enumerate(self.elements)}
         self.identity = ops.identity
-        # parents[i] = (parent index, generator position) or None at identity
-        self._parents = parents
+        # edges[i * len(generators) + pos] = index of elements[i] * generators[pos]
+        self.edges = edges
         self._inverses: dict = {}
 
     def __len__(self):
@@ -149,9 +153,6 @@ class FiniteGroup:
     def conjugate(self, g, x):
         return self.mul(self.mul(g, x), self.inv(g))
 
-    def commutator(self, a, b):
-        return self.mul(self.mul(a, b), self.inv(self.mul(b, a)))
-
 
 def _closure(ops, generators, cap=None) -> FiniteGroup:
     cap = closure_cap() if cap is None else cap
@@ -162,23 +163,24 @@ def _closure(ops, generators, cap=None) -> FiniteGroup:
         if c not in gens:
             gens.append(c)
     elements = [ops.identity]
-    parents = [None]
+    edges = []
     seen = {ops.identity: 0}
     head = 0
     while head < len(elements):
         x = elements[head]
-        for pos, g in enumerate(gens):
+        for g in gens:
             y = ops.mul(x, g)
-            if y not in seen:
+            j = seen.get(y)
+            if j is None:
                 if len(elements) >= cap:
                     raise ResourceLimitError(
                         f"closure exceeded cap {cap}; partial size {len(elements)}"
                     )
-                seen[y] = len(elements)
+                j = seen[y] = len(elements)
                 elements.append(y)
-                parents.append((head, pos))
+            edges.append(j)
         head += 1
-    return FiniteGroup(ops, elements, gens, parents)
+    return FiniteGroup(ops, elements, gens, edges)
 
 
 def closure(generators, modulus: int | None = None, cap: int | None = None) -> FiniteGroup:
@@ -193,8 +195,8 @@ def closure(generators, modulus: int | None = None, cap: int | None = None) -> F
     return _closure(PermOps(degree), generators, cap)
 
 
-def subgroup(G: FiniteGroup, elements: Iterable, cap: int | None = None) -> FiniteGroup:
-    sub = _closure(G.ops, elements, cap)
+def subgroup(G: FiniteGroup, elements: Iterable) -> FiniteGroup:
+    sub = _closure(G.ops, elements)
     missing = [x for x in sub.elements if x not in G.index]
     if missing:
         raise DomainError(f"element {missing[0]} lies outside the ambient group")
@@ -251,24 +253,21 @@ class GroupAutomorphism:
         for im in images:
             if im not in group.index:
                 raise DomainError(f"image {im} lies outside the group")
-        table = {group.identity: group.identity}
-        for i, x in enumerate(group.elements):
-            if i == 0:
-                continue
-            parent, pos = group._parents[i]
-            table[x] = group.mul(table[group.elements[parent]], images[pos])
-        # Multiplication-table consistency makes the tree-defined map a
-        # homomorphism; bijectivity then follows from surjectivity.
-        if len(set(table.values())) != len(group):
+        # Breadth-first discovery numbers each element at its first incoming
+        # edge, so walking the edges in order defines f(x) before any later
+        # edge reads it; passing every edge makes f a homomorphism.
+        mul = group.ops.mul
+        ngens = len(images)
+        image = [group.identity]
+        for k, j in enumerate(group.edges):
+            fy = mul(image[k // ngens], images[k % ngens])
+            if j == len(image):
+                image.append(fy)
+            elif image[j] != fy:
+                raise DomainError("generator images do not extend to a homomorphism")
+        if len(set(image)) != len(group):
             raise DomainError("generator images do not extend to a bijection")
-        for x in group.elements:
-            fx = table[x]
-            for g, fg in zip(group.generators, images):
-                if table[group.mul(x, g)] != group.mul(fx, fg):
-                    raise DomainError(
-                        "generator images do not extend to a homomorphism"
-                    )
-        return cls(group, table)
+        return cls(group, dict(zip(group.elements, image)))
 
     @classmethod
     def identity(cls, group: FiniteGroup) -> "GroupAutomorphism":
@@ -338,23 +337,29 @@ class TwistedClassPartition:
 
 
 def _orbit_blocks(G: FiniteGroup, moves) -> tuple:
+    """Orbits under the moves y -> a y b, one per (a, b) pair."""
     uf = _UnionFind(len(G))
-    for i, x in enumerate(G.elements):
-        for move in moves:
-            uf.union(i, G.index[move(x)])
+    for a, b in moves:
+        left = a != G.identity
+        for i, y in enumerate(G.elements):
+            if left:
+                y = G.mul(a, y)
+            uf.union(i, G.index[G.mul(y, b)])
     grouped: dict[int, list] = {}
     for i, x in enumerate(G.elements):
         grouped.setdefault(uf.find(i), []).append(x)
     return tuple(tuple(block) for _, block in sorted(grouped.items()))
 
 
+def _twisted_moves(G: FiniteGroup, phi: GroupAutomorphism) -> list:
+    """The twisting action of each generator z as the pair (z, phi(z)^-1)."""
+    return [(z, G.inv(phi(z))) for z in G.generators]
+
+
 def twisted_classes(G: FiniteGroup, phi: GroupAutomorphism) -> TwistedClassPartition:
     if phi.group is not G:
         raise DomainError("automorphism acts on a different group")
-    moves = [
-        (lambda z: lambda y: G.mul(G.mul(z, y), G.inv(phi(z))))(z) for z in G.generators
-    ]
-    blocks = _orbit_blocks(G, moves)
+    blocks = _orbit_blocks(G, _twisted_moves(G, phi))
     if sum(len(b) for b in blocks) != len(G):
         raise ConsistencyError("twisted classes do not partition the group")
     return TwistedClassPartition(blocks, phi)
@@ -439,10 +444,7 @@ def isogredience_count(G: FiniteGroup, phi: GroupAutomorphism) -> IsogredienceCl
     if phi.group is not G:
         raise DomainError("automorphism acts on a different group")
     Z = center(G)
-    moves = [
-        (lambda g: lambda s: G.mul(G.mul(g, s), G.inv(phi(g))))(g) for g in G.generators
-    ]
-    moves.extend((lambda c: lambda s: G.mul(s, c))(c) for c in Z.elements)
+    moves = _twisted_moves(G, phi) + [(G.identity, c) for c in Z.elements]
     direct = len(_orbit_blocks(G, moves))
     quotient, phi_bar = induced_automorphism(G, Z, phi)
     via_quotient = reidemeister_number(quotient, phi_bar)
@@ -496,7 +498,7 @@ def _nested_lists(value, depth: int) -> bool:
         depth == 1 or all(_nested_lists(v, depth - 1) for v in value))
 
 
-def group_from_descriptor(descriptor: dict, cap: int | None = None) -> FiniteGroup:
+def group_from_descriptor(descriptor: dict) -> FiniteGroup:
     try:
         encoding = descriptor["encoding"]
         generators = descriptor["generators"]
@@ -505,7 +507,7 @@ def group_from_descriptor(descriptor: dict, cap: int | None = None) -> FiniteGro
     if encoding == "perm":
         if not _nested_lists(generators, 2):
             raise DomainError("perm generators must be a list of image lists")
-        return closure([tuple(g) for g in generators], cap=cap)
+        return closure([tuple(g) for g in generators])
     if encoding == "matmod":
         if not _nested_lists(generators, 3):
             raise DomainError("matmod generators must be a list of matrices given as row lists")
@@ -514,11 +516,7 @@ def group_from_descriptor(descriptor: dict, cap: int | None = None) -> FiniteGro
         modulus = descriptor["modulus"]
         if not isinstance(modulus, int) or isinstance(modulus, bool) or modulus < 2:
             raise DomainError(f"matmod modulus must be an integer >= 2, got {modulus!r}")
-        return closure(
-            [tuple(tuple(row) for row in g) for g in generators],
-            modulus=modulus,
-            cap=cap,
-        )
+        return closure([tuple(tuple(row) for row in g) for g in generators], modulus=modulus)
     raise DomainError(f"unknown encoding {encoding!r}")
 
 

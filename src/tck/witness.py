@@ -34,7 +34,6 @@ from .fields import (
     RationalFunction,
     ScalingAutomorphism,
     character_lattice,
-    exponent_vector,
     is_prime,
     supports_pairwise_disjoint,
 )
@@ -62,11 +61,13 @@ class WitnessSequence:
 def generate_witnesses(rs: RootSystem, count: int) -> WitnessSequence:
     """Witnesses g_i = h_{alpha_1}(p_{i1}) ... h_{alpha_l}(p_{il}).
 
-    Entry beta of g_i is prod_t p_{it}^<beta, alpha_t^v>.  Primes are
-    consumed consecutively from 2, 3, 5, ... with rank-many per witness, so
-    diagonal supports are nonempty within each witness's block and disjoint
-    across witnesses.  No randomization: certificates built on top of the
-    sequence stay reproducible.
+    Entry beta of g_i is prod_t p_{it}^<beta, alpha_t^v>, so its exponent
+    vector over the block is beta's pairing row and the entry is nontrivial
+    exactly when that row is nonzero.  Primes are consumed consecutively from
+    2, 3, 5, ... with rank-many per witness, so diagonal supports are
+    nonempty within each witness's block and disjoint across witnesses.  No
+    randomization: certificates built on top of the sequence stay
+    reproducible.
     """
     if count < 1:
         raise DomainError(f"at least one witness is required, got {count}")
@@ -82,8 +83,7 @@ def generate_witnesses(rs: RootSystem, count: int) -> WitnessSequence:
         diag = []
         for j, row in enumerate(pairings):
             a = prod(Fraction(p) ** k for p, k in zip(block, row))
-            exponents = exponent_vector(a, block)
-            if exponents is None or not any(exponents):
+            if not any(row):
                 raise ConsistencyError(
                     f"witness {i} entry {j} = {a} is not a nontrivial product of powers of {block}"
                 )
@@ -321,16 +321,33 @@ def pattern_determinant(certificate: ObstructionCertificate):
     """Determinant of a generic matrix honoring the certified zero pattern.
 
     Free positions get independent variables, certified positions are zero.
-    An "obstructed" certificate zeroes every root-indexed column, so the
-    determinant collapses without any symbolic expansion; patterns with few
-    certified zeros can be expensive and are not the intended use.
+    Distinct Leibniz terms are distinct monomials and cannot cancel, so the
+    determinant is zero exactly when the free positions hold no perfect
+    matching of rows to columns (Edmonds, J. Res. NBS 71B, 1967).  An
+    augmenting-path search decides that first; an "obstructed" certificate
+    zeroes every root-indexed column and gets its zero there.  The symbolic
+    expansion runs only when a matching exists, which is expensive for
+    patterns with few certified zeros and is not the intended use.
     """
     dim = certificate.root_count + certificate.cartan_rank
     zeros = {entry.position for entry in certificate.entries}
     free = [(m, n) for m in range(dim) for n in range(dim) if (m, n) not in zeros]
-    index = {pos: t for t, pos in enumerate(free)}
     nvars = len(free)
     zero = RationalFunction.constant(nvars, 0)
+    row_of: dict[int, int] = {}
+
+    def augment(m: int, visited: set) -> bool:
+        for n in range(dim):
+            if (m, n) not in zeros and n not in visited:
+                visited.add(n)
+                if n not in row_of or augment(row_of[n], visited):
+                    row_of[n] = m
+                    return True
+        return False
+
+    if not all(augment(m, set()) for m in range(dim)):
+        return zero
+    index = {pos: t for t, pos in enumerate(free)}
     matrix = [
         [
             zero if (m, n) in zeros else RationalFunction.variable(nvars, index[(m, n)])

@@ -1,6 +1,7 @@
 """Command line surface: JSON reports, exit codes, determinism."""
 
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -299,20 +300,48 @@ def test_byte_identical_reports(capsys):
     assert capsys.readouterr().out == third
 
 
-GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
-WITNESS_GOLDEN = {k: v for k, v in json.loads(GOLDEN.read_text()).items()
-                  if k.startswith("witness run ")}
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())
 
 
-@pytest.mark.parametrize("key", sorted(WITNESS_GOLDEN))
-def test_witness_run_matches_recorded_output(capsys, key):
+def _recorded(prefix):
+    return sorted(k for k in GOLDEN if k.startswith(prefix))
+
+
+def _replay(capsys, key):
     # perfbench/golden.json holds the sha256 and exit code of each recorded
-    # CLI document; the certificate bytes must not move
+    # CLI document; the in-process bytes must match them
     code = main(key.split())
     out = capsys.readouterr().out.encode()
-    recorded = WITNESS_GOLDEN[key]
-    assert code == recorded["exit"]
-    assert hashlib.sha256(out).hexdigest() == recorded["sha256"]
+    assert code == GOLDEN[key]["exit"]
+    assert hashlib.sha256(out).hexdigest() == GOLDEN[key]["sha256"]
+
+
+@pytest.mark.parametrize("key", _recorded("witness run "))
+def test_witness_run_matches_recorded_output(capsys, key):
+    _replay(capsys, key)
+
+
+@pytest.mark.parametrize("key", _recorded("root info "))
+def test_root_info_matches_recorded_output(capsys, key):
+    _replay(capsys, key)
+
+
+@pytest.fixture(scope="module")
+def recorded_descriptors(tmp_path_factory):
+    """The descriptor files the recorded twisted documents were run on,
+    written by the benchmark's own helper."""
+    directory = tmp_path_factory.mktemp("descriptors")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.syspath_prepend(str(PERFBENCH))
+        importlib.import_module("clijobs").write_descriptors(directory)
+    return directory
+
+
+@pytest.mark.parametrize("key", _recorded("twisted "))
+def test_twisted_matches_recorded_output(capsys, monkeypatch, recorded_descriptors, key):
+    monkeypatch.chdir(recorded_descriptors)
+    _replay(capsys, key)
 
 
 def test_usage_errors_exit_two(capsys):

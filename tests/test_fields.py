@@ -1,4 +1,4 @@
-"""Exact arithmetic layer: supports, polynomials, scalings, eigencharacters."""
+"""Exact arithmetic layer: supports, polynomials, scalings, character lattices."""
 
 import random
 from fractions import Fraction
@@ -7,15 +7,12 @@ from math import isqrt
 import pytest
 
 from tck import (
-    ConsistencyError,
     DomainError,
     Polynomial,
     RationalFunction,
     ScalingAutomorphism,
     apply_scaling,
     character_lattice_member,
-    disjoint_eigenfamily_count,
-    eigencharacter,
     exponent_vector,
     supports_pairwise_disjoint,
 )
@@ -163,56 +160,7 @@ def test_apply_scaling_is_a_field_map():
         g = RationalFunction.from_polynomial(q)
         assert apply_scaling(d, f + g) == apply_scaling(d, f) + apply_scaling(d, g)
         assert apply_scaling(d, f * g) == apply_scaling(d, f) * apply_scaling(d, g)
-
-
-def test_eigencharacter_of_monomials():
-    d = ScalingAutomorphism((Fraction(2), Fraction(3)))
-    t = RationalFunction.variable(2, 0)
-    u = RationalFunction.variable(2, 1)
-    assert eigencharacter(d, t) == 2
-    assert eigencharacter(d, t * t * u) == 12
-    assert eigencharacter(d, t / u) == Fraction(2, 3)
-    assert eigencharacter(d, RationalFunction.constant(2, 5)) == 1
-    assert eigencharacter(d, Fraction(7, 2)) == 1
-    assert d.character((3, -1)) == Fraction(8, 3)
-
-
-def test_eigencharacter_detects_non_eigenvectors():
-    d = ScalingAutomorphism((Fraction(2),))
-    t = RationalFunction.variable(1, 0)
-    assert eigencharacter(d, t + 1) is None
-    # trivial scaling fixes everything
-    assert eigencharacter(ScalingAutomorphism.identity(1), t + 1) == 1
-    with pytest.raises(DomainError):
-        eigencharacter(d, t - t)
-    with pytest.raises(DomainError):
-        eigencharacter(d, 0)
-
-
-def test_disjoint_eigenfamily_count_reaches_the_bound():
-    # one variable, so the cap is 2; alpha = 3 with multipliers 1/3 and 2
-    d = ScalingAutomorphism((Fraction(6),))
-    one = RationalFunction.constant(1, 1)
-    t = RationalFunction.variable(1, 0)
-    zero = RationalFunction.constant(1, 0)
-    pairs = [(Fraction(1, 3), one), (2, t * 3), (5, zero)]
-    assert disjoint_eigenfamily_count(d, 3, pairs) == 2
-
-
-def test_disjoint_eigenfamily_count_rejects_bad_input():
-    d = ScalingAutomorphism((Fraction(6),))
-    t = RationalFunction.variable(1, 0)
-    one = RationalFunction.constant(1, 1)
-    with pytest.raises(DomainError):
-        disjoint_eigenfamily_count(d, 0, [(2, t)])
-    with pytest.raises(DomainError):
-        disjoint_eigenfamily_count(d, 3, [(1, one)])
-    with pytest.raises(DomainError):
-        # wrong eigencharacter: delta(t) = 6t but alpha*a = 4
-        disjoint_eigenfamily_count(d, 2, [(2, t)])
-    with pytest.raises(DomainError):
-        # both eigencharacters check out but the multiplier supports collide
-        disjoint_eigenfamily_count(d, 3, [(Fraction(1, 3), one), (12, t * t)])
+    assert ScalingAutomorphism((Fraction(2), Fraction(3))).character((3, -1)) == Fraction(8, 3)
 
 
 def test_character_lattice_membership():

@@ -3,6 +3,7 @@
 import json
 import random
 import time
+from itertools import product
 
 import pytest
 
@@ -43,6 +44,10 @@ def d4():
 
 def q8():
     return closure([((0, 2), (1, 0)), ((1, 1), (1, 2))], modulus=3)
+
+
+def sl2(q):
+    return closure([((1, 1), (0, 1)), ((1, 0), (1, 1))], modulus=q)
 
 
 def test_closure_sizes_and_orders():
@@ -107,6 +112,73 @@ def test_from_generator_images_validates():
     flip = GroupAutomorphism.inner(g, (0, 2, 1))
     rebuilt = GroupAutomorphism.from_generator_images(g, [flip(x) for x in g.generators])
     assert rebuilt == flip
+
+
+def _word_oracle(g, images):
+    """The map generator words define, or None unless it is onto and
+    f(xy) = f(x) f(y) holds on every pair."""
+    table = {g.identity: g.identity}
+    frontier = [g.identity]
+    while frontier:
+        following = []
+        for x in frontier:
+            for gen, im in zip(g.generators, images):
+                y = g.mul(x, gen)
+                if y not in table:
+                    table[y] = g.mul(table[x], im)
+                    following.append(y)
+        frontier = following
+    if len(set(table.values())) != len(g):
+        return None
+    if any(table[g.mul(x, y)] != g.mul(table[x], table[y])
+           for x in g.elements for y in g.elements):
+        return None
+    return table
+
+
+AUTOMORPHISM_COUNTS = {"S3": (s3, 6), "D4": (d4, 8), "Q8": (q8, 24),
+                       "SL(2,3)": (lambda: sl2(3), 24), "S4": (s4, 24)}
+
+
+@pytest.mark.parametrize("name", sorted(AUTOMORPHISM_COUNTS))
+def test_from_generator_images_matches_a_word_oracle(name):
+    build, automorphisms = AUTOMORPHISM_COUNTS[name]
+    g = build()
+    accepted = 0
+    for images in product(g.elements, repeat=len(g.generators)):
+        try:
+            table = GroupAutomorphism.from_generator_images(g, images).table
+        except DomainError:
+            table = None
+        assert table == _word_oracle(g, images), (name, images)
+        accepted += table is not None
+    assert accepted == automorphisms
+
+
+def test_rejected_candidates_stop_at_the_first_failed_product(monkeypatch):
+    g = sl2(5)
+    orders = {x: element_order(g, x) for x in g.elements}
+    candidates = [[x for x in g.elements if orders[x] == orders[gen]] for gen in g.generators]
+    products = 0
+    mul = g.ops.mul
+
+    def counting_mul(a, b):
+        nonlocal products
+        products += 1
+        return mul(a, b)
+
+    monkeypatch.setattr(g.ops, "mul", counting_mul)
+    costs = []
+    for images in product(*candidates):
+        products = 0
+        try:
+            GroupAutomorphism.from_generator_images(g, images)
+        except DomainError:
+            costs.append(products)
+    # |Aut SL(2,5)| = |PGL(2,5)| = 120 of the 24^2 order-matched pairs
+    assert len(costs) == 24 * 24 - 120
+    # defining every image alone takes |G| - 1 products
+    assert max(costs) < len(g) - 1
 
 
 def test_centers():

@@ -11,9 +11,12 @@ from tck import (
     ConsistencyError,
     DiagramSymmetry,
     DomainError,
+    ObstructionCertificate,
     ProductAutomorphism,
+    RationalFunction,
     ScalingAutomorphism,
     WitnessSequence,
+    ZeroEntryWitness,
     build_root_system,
     character_lattice_member,
     diagram_symmetries,
@@ -29,7 +32,7 @@ from tck import (
     x_alpha,
 )
 from tck.chevalley import GraphMatrixRealization
-from tck.linalg import diagonal_entries, is_diagonal, mat_eq, mat_mul, mat_product
+from tck.linalg import diagonal_entries, is_diagonal, mat_det, mat_eq, mat_mul, mat_product
 
 TYPES = ("A1", "A2", "A3", "B2", "D4", "G2")
 
@@ -323,6 +326,40 @@ def test_obstruction_with_graph_part():
     # 12 roots and rank 3: the root-indexed columns carry 15 * 12 entries
     assert len(certificate.entries) == 180
     assert not pattern_determinant(certificate)
+
+
+def _symbolic_pattern_determinant(dim, zeros):
+    """The generic matrix with the given zero positions, expanded by mat_det."""
+    free = [(m, n) for m in range(dim) for n in range(dim) if (m, n) not in zeros]
+    index = {pos: t for t, pos in enumerate(free)}
+    nvars = len(free)
+    return mat_det([
+        [RationalFunction.variable(nvars, index[(m, n)]) if (m, n) in index
+         else RationalFunction.constant(nvars, 0) for n in range(dim)]
+        for m in range(dim)
+    ])
+
+
+def test_pattern_determinant_matches_the_symbolic_route():
+    rng = random.Random(5)
+    outcomes = set()
+    for _ in range(40):
+        dim = rng.randint(3, 5)
+        # sparser 5x5 patterns take about a second each to expand
+        density = rng.choice((0.4, 0.55, 0.7))
+        zeros = sorted((m, n) for m in range(dim) for n in range(dim) if rng.random() < density)
+        certificate = ObstructionCertificate(
+            root_count=dim - 1, cartan_rank=1, index=3, bound=2, family_size=dim,
+            generators=(), verdict="inconclusive",
+            entries=tuple(ZeroEntryWitness(pos, "Q", Fraction(3), dim) for pos in zeros),
+            uncertified=())
+        got = pattern_determinant(certificate)
+        expected = _symbolic_pattern_determinant(dim, set(zeros))
+        assert type(got) is type(expected) and got.nvars == expected.nvars
+        assert got == expected
+        outcomes.add(bool(expected))
+    # both singular patterns and patterns with a perfect matching were drawn
+    assert outcomes == {False, True}
 
 
 def test_obstruction_rejects_type_mismatch():
