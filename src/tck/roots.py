@@ -1,9 +1,13 @@
 """Irreducible reduced root systems in simple-root coordinates.
 
-Roots are integer coefficient tuples over the simple roots.  The full system
-is generated from the Cartan matrix by closing the simple roots under simple
-reflections; positive roots are ordered by height and then lexicographically,
-and the negative roots mirror that order.  Structure constants for a Chevalley
+Roots are integer coefficient tuples over the simple roots.  The positive
+roots are generated from the Cartan matrix by closing the simple roots under
+simple reflections; they are ordered by height and then lexicographically,
+and the negative roots mirror that order.  The bilinear form is one symmetric
+integer matrix, (alpha_i, alpha_j) = cartan[i][j] d_j, with the half-lengths
+d_i = (alpha_i, alpha_i)/2 scaled to the least integers.  Each root's row
+(beta, alpha_j) and norm (beta, beta) are tabled once, so Cartan pairings and
+coroots are exact integer quotients.  Structure constants for a Chevalley
 basis are fixed by the extraspecial-pair convention: for each non-simple
 positive root the decomposition with the smallest first summand gets a
 positive constant, and every other constant follows from antisymmetry, the
@@ -115,14 +119,26 @@ def _cartan_matrix(family: str, rank: int) -> list[list[int]]:
     return a
 
 
+def _exact(numerator: int, denominator: int, quantity: str, *roots) -> int:
+    """numerator/denominator, which the root system's integrality makes exact."""
+    value, remainder = divmod(numerator, denominator)
+    if remainder:
+        raise ConsistencyError(f"non-integral {quantity} at {', '.join(map(str, roots))}")
+    return value
+
+
 class RootSystem:
-    """An irreducible root system with a fixed root order and bilinear form."""
+    """An irreducible root system with a fixed root order and an integer form."""
 
     def __init__(self, type_: RootSystemType):
         self.type = type_
         self.rank = type_.rank
         self.cartan = tuple(tuple(row) for row in _cartan_matrix(type_.family, type_.rank))
-        self._half_lengths = self._solve_half_lengths()
+        self.half_lengths = self._solve_half_lengths()
+        # (alpha_i, alpha_j) = cartan[i][j] d_j, a symmetric integer matrix.
+        self.form = tuple(
+            tuple(c * d for c, d in zip(row, self.half_lengths)) for row in self.cartan
+        )
         positives = self._close_under_reflections()
         positives.sort(key=lambda r: (sum(r), r))
         self.positive_roots: tuple[Root, ...] = tuple(positives)
@@ -136,10 +152,17 @@ class RootSystem:
                 f"{type_}: closure found {len(self.roots)} roots, "
                 f"expected {_expected_root_count(type_.family, type_.rank)}"
             )
+        # The norm (beta, beta) per root, shared by beta and -beta; form rows
+        # are tabled on first use as a pairing's second argument.
+        norms = [sum(b * w for b, w in zip(beta, self._form_row(beta)))
+                 for beta in self.positive_roots]
+        self.norm: dict[Root, int] = dict(zip(self.roots, norms + norms))
+        self._form_rows: dict[Root, tuple[int, ...]] = {}
 
-    def _solve_half_lengths(self) -> tuple[Fraction, ...]:
+    def _solve_half_lengths(self) -> tuple[int, ...]:
         # d_i = (alpha_i, alpha_i)/2, determined up to one global scale by
-        # requiring the bilinear form to be symmetric across each diagram edge.
+        # requiring the bilinear form to be symmetric across each diagram edge;
+        # the scale is the least one that makes every d_i an integer.
         d = [None] * self.rank
         d[0] = Fraction(1)
         queue = [0]
@@ -151,29 +174,36 @@ class RootSystem:
                     queue.append(j)
         if any(v is None for v in d):
             raise ConsistencyError("disconnected Dynkin diagram")
-        return tuple(d)
+        scale = lcm(*(v.denominator for v in d))
+        return tuple(int(v * scale) for v in d)
+
+    def _form_row(self, beta) -> tuple[int, ...]:
+        """(beta, alpha_j) for each simple root alpha_j."""
+        return tuple(sum(b * f for b, f in zip(beta, row)) for row in self.form)
 
     def _close_under_reflections(self) -> list[Root]:
+        # s_j permutes the positive roots other than alpha_j, so the positive
+        # roots are the closure of the simple roots under the reflections that
+        # keep them positive.  Only coordinate j moves under s_j, so a negative
+        # image that is not -alpha_j has mixed signs.
         simple = [tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)]
         seen = set(simple)
         queue = list(simple)
         while queue:
             beta = queue.pop()
             for j in range(self.rank):
-                pairing = sum(beta[i] * self.cartan[i][j] for i in range(self.rank))
+                pairing = sum(b * row[j] for b, row in zip(beta, self.cartan) if b)
                 image = list(beta)
                 image[j] -= pairing
+                if image[j] < 0:
+                    if any(image[:j] + image[j + 1:]):
+                        raise ConsistencyError(f"root {tuple(image)} has mixed signs")
+                    continue
                 image_t = tuple(image)
                 if image_t not in seen:
                     seen.add(image_t)
                     queue.append(image_t)
-        positives = []
-        for r in seen:
-            if all(c >= 0 for c in r):
-                positives.append(r)
-            elif not all(c <= 0 for c in r):
-                raise ConsistencyError(f"root {r} has mixed signs")
-        return positives
+        return list(seen)
 
     # -- basic queries ------------------------------------------------------
 
@@ -195,39 +225,21 @@ class RootSystem:
     def height(self, beta: Root) -> int:
         return sum(beta)
 
-    def inner(self, beta, gamma) -> Fraction:
-        total = Fraction(0)
-        for i, b in enumerate(beta):
-            if not b:
-                continue
-            for j, c in enumerate(gamma):
-                if c:
-                    total += b * c * self.cartan[i][j] * self._half_lengths[j]
-        return total
-
-    def squared_length(self, beta) -> Fraction:
-        return self.inner(beta, beta)
-
     def cartan_integer(self, beta, alpha) -> int:
         """<beta, alpha^vee> = 2(beta, alpha)/(alpha, alpha)."""
         beta = self.check_root(beta)
         alpha = self.check_root(alpha)
-        value = 2 * self.inner(beta, alpha) / self.squared_length(alpha)
-        if value.denominator != 1:
-            raise ConsistencyError(f"non-integral Cartan pairing for {beta}, {alpha}")
-        return int(value)
+        row = self._form_rows.get(alpha)
+        if row is None:
+            row = self._form_rows[alpha] = self._form_row(alpha)
+        pairing = sum(b * w for b, w in zip(beta, row))
+        return _exact(2 * pairing, self.norm[alpha], "Cartan pairing", beta, alpha)
 
     def coroot_coordinates(self, alpha) -> tuple[int, ...]:
-        """alpha^vee expanded over the simple coroots; entries are integers."""
+        """alpha^vee = 2 alpha/(alpha, alpha) over the simple coroots alpha_i/d_i."""
         alpha = self.check_root(alpha)
-        d_alpha = self.squared_length(alpha) / 2
-        coords = []
-        for i, m in enumerate(alpha):
-            value = m * self._half_lengths[i] / d_alpha
-            if value.denominator != 1:
-                raise ConsistencyError(f"non-integral coroot coordinate for {alpha}")
-            coords.append(int(value))
-        return tuple(coords)
+        return tuple(_exact(2 * m * d, self.norm[alpha], "coroot coordinate", alpha)
+                     for m, d in zip(alpha, self.half_lengths))
 
     def root_string_down(self, alpha: Root, beta: Root) -> int:
         """Largest p with beta - p*alpha still a root."""
@@ -330,14 +342,17 @@ class ChevalleyBasisData:
 
         N(a,b)/(c,c) = N(b,c)/(a,a) = N(c,a)/(b,b)       (a+b+c = 0),
 
-    and negative pairs use N(-a,-b) = -N(a,b).  All magnitudes come out as
-    p+1 for the root string length p, which the tests verify together with the
-    Jacobi identity.
+    and negative pairs use N(-a,-b) = -N(a,b).  Both identities are
+    homogeneous of degree 0 in the norms, so they run on the root system's
+    integer norms whatever its scale: each constant is one exact integer
+    quotient, and a nonzero remainder is a ConsistencyError.  A norm is only
+    read where its term is nonzero, hence at a root.  All magnitudes come out
+    as p+1 for the root string length p, which the tests verify together with
+    the Jacobi identity.
     """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        self._memo: dict[tuple[Root, Root], Fraction] = {}
         self._extraspecial: dict[Root, tuple[Root, Root]] = {}
         n_pos = len(rs.positive_roots)
         for gamma in rs.positive_roots:
@@ -348,15 +363,18 @@ class ChevalleyBasisData:
                 if beta in rs.root_index and rs.root_index[beta] < n_pos:
                     self._extraspecial[gamma] = (alpha, beta)
                     break  # positive roots are scanned in the fixed order
+        # Every pair whose sum is a root, memoised as it is reached.  Roots are
+        # walked as integers in base 4h+1 (h the largest coefficient): the
+        # encoding is additive and no sum of two roots collides with a root
+        # it is not equal to, so a sum is one integer addition and lookup.
         self.pairs: dict[tuple[Root, Root], int] = {}
-        for a in rs.roots:
-            for b in rs.roots:
-                s = rs.add(a, b)
-                if s in rs.root_index:
-                    value = self._n(a, b)
-                    if value.denominator != 1:
-                        raise ConsistencyError(f"non-integral constant at {a}, {b}")
-                    self.pairs[(a, b)] = int(value)
+        base = 4 * max(max(r) for r in rs.positive_roots) + 1
+        keyed = [(r, sum(c * base**i for i, c in enumerate(r))) for r in rs.roots]
+        root_keys = {k for _, k in keyed}
+        for a, ka in keyed:
+            for b, kb in keyed:
+                if ka + kb in root_keys:
+                    self._n(a, b)
 
     def n(self, a, b) -> int:
         """N(a, b), with 0 when a+b is not a root."""
@@ -367,22 +385,20 @@ class ChevalleyBasisData:
 
     # -- internal computation ----------------------------------------------
 
-    def _n(self, a: Root, b: Root) -> Fraction:
-        s = self.rs.add(a, b)
-        if s not in self.rs.root_index:
-            return Fraction(0)
-        key = (a, b)
-        if key in self._memo:
-            return self._memo[key]
-        # Guard against re-entry; every recursion below strictly lowers the
-        # height of the pair's sum, so a cycle would be a bug.
-        value = self._compute(a, b)
-        self._memo[key] = value
+    def _n(self, a: Root, b: Root) -> int:
+        value = self.pairs.get((a, b))
+        if value is None:
+            if self.rs.add(a, b) not in self.rs.root_index:
+                return 0
+            # Every recursion in _compute strictly lowers the height of the
+            # pair's sum, so a cycle would be a bug.
+            value = self.pairs[(a, b)] = self._compute(a, b)
         return value
 
-    def _compute(self, a: Root, b: Root) -> Fraction:
+    def _compute(self, a: Root, b: Root) -> int:
         rs = self.rs
         idx = rs.root_index
+        norm = rs.norm
         n_pos = len(rs.positive_roots)
         a_pos = idx[a] < n_pos
         b_pos = idx[b] < n_pos
@@ -392,20 +408,20 @@ class ChevalleyBasisData:
             gamma = rs.add(a, b)
             first, second = self._extraspecial[gamma]
             if (a, b) == (first, second):
-                return Fraction(rs.root_string_down(a, b) + 1)
-            # Four-term identity on (first, second, -a, -b); the ordering
-            # argument rules out opposite members, so each length below is
-            # taken at a nonzero lattice vector.
+                return rs.root_string_down(a, b) + 1
+            # Four-term identity on (first, second, -a, -b), solved for N(a, b):
+            #   N(a,b) = (gamma,gamma) (t1/l1 + t2/l2) / N(first, second)
+            # with t1 = N(second,-a)N(first,-b), l1 = (second-a, second-a) and
+            # t2 = N(-a,first)N(second,-b), l2 = (first-a, first-a).  A
+            # vanishing term keeps l = 1, since its difference need not be a root.
             na = rs.negate(a)
             nb = rs.negate(b)
-            lead = self._n(first, second)
-            term1 = self._n(second, na) * self._n(first, nb) / rs.squared_length(
-                rs.add(second, na)
-            )
-            term2 = self._n(na, first) * self._n(second, nb) / rs.squared_length(
-                rs.add(na, first)
-            )
-            return rs.squared_length(gamma) * (term1 + term2) / lead
+            t1 = self._n(second, na) * self._n(first, nb)
+            t2 = self._n(na, first) * self._n(second, nb)
+            l1 = norm[rs.add(second, na)] if t1 else 1
+            l2 = norm[rs.add(na, first)] if t2 else 1
+            return _exact(norm[gamma] * (t1 * l2 + t2 * l1),
+                          l1 * l2 * self._n(first, second), "constant", a, b)
         if not a_pos and not b_pos:
             return -self._n(rs.negate(a), rs.negate(b))
         if not a_pos:
@@ -415,5 +431,5 @@ class ChevalleyBasisData:
         c = rs.negate(w)
         if idx[w] < n_pos:
             # (b, c) are both negative with b + c = -a.
-            return self._n(b, c) * rs.squared_length(w) / rs.squared_length(a)
-        return self._n(c, a) * rs.squared_length(w) / rs.squared_length(b)
+            return _exact(self._n(b, c) * norm[w], norm[a], "constant", a, b)
+        return _exact(self._n(c, a) * norm[w], norm[b], "constant", a, b)

@@ -378,8 +378,11 @@ def inner_twist_invariance(G: FiniteGroup, phi: GroupAutomorphism, g) -> bool:
 
 
 def _coset_leaders(G: FiniteGroup, N: FiniteGroup) -> dict:
+    """Map each element to min(xN); each coset is formed once, |G| products in all."""
     leader = {}
     for x in G.elements:
+        if x in leader:
+            continue
         coset = [G.mul(x, n) for n in N.elements]
         best = min(coset)
         for y in coset:

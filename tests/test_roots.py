@@ -1,5 +1,10 @@
 """Root system data: closure, Cartan integers, structure constants, symmetries."""
 
+import hashlib
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 
 from tck import (
@@ -10,7 +15,8 @@ from tck import (
     diagram_symmetries,
     extend_symmetry_to_roots,
 )
-from tck.roots import permutation_order, root_permutation
+from tck.chevalley import adjoint_dimension, bracket_coordinates
+from tck.roots import RootSystem, permutation_order, root_permutation
 
 COUNTS = {
     "A1": 2,
@@ -83,7 +89,7 @@ def test_cartan_integers_are_integral():
                     )
 
 
-@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "C3"])
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3", "C3", "D4", "F4", "E6"])
 def test_structure_constants(name):
     rs = build_root_system(name)
     data = rs.constants
@@ -100,6 +106,132 @@ def test_structure_constants(name):
                 assert n == -data.n(rs.negate(a), rs.negate(b))
             else:
                 assert n == 0
+
+
+def _fraction_form(rs):
+    """(beta, gamma) over Fraction half-lengths d_i = (alpha_i, alpha_i)/2 with d_0 = 1."""
+    d = [None] * rs.rank
+    d[0] = Fraction(1)
+    queue = [0]
+    while queue:
+        i = queue.pop()
+        for j in range(rs.rank):
+            if j != i and rs.cartan[i][j] != 0 and d[j] is None:
+                d[j] = d[i] * rs.cartan[j][i] / rs.cartan[i][j]
+                queue.append(j)
+
+    def inner(beta, gamma):
+        total = Fraction(0)
+        for i, b in enumerate(beta):
+            if not b:
+                continue
+            for j, c in enumerate(gamma):
+                if c:
+                    total += b * c * rs.cartan[i][j] * d[j]
+        return total
+
+    return inner, d
+
+
+def _check_integer_form(rs, betas, alphas):
+    inner, d = _fraction_form(rs)
+    assert all(isinstance(x, int) for row in rs.form for x in row)
+    assert all(rs.form[i][j] == rs.form[j][i] for i in range(rs.rank) for j in range(rs.rank))
+    # the integer form is one positive multiple of the Fraction form
+    scale = rs.norm[rs.roots[0]] / inner(rs.roots[0], rs.roots[0])
+    assert scale > 0
+    for beta in betas:
+        assert rs.norm[beta] == scale * inner(beta, beta)
+    for alpha in alphas:
+        half = inner(alpha, alpha) / 2
+        assert rs.coroot_coordinates(alpha) == tuple(m * d[i] / half for i, m in enumerate(alpha))
+        for beta in betas:
+            assert rs.cartan_integer(beta, alpha) == 2 * inner(beta, alpha) / inner(alpha, alpha)
+
+
+@pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4",
+                                  "D4", "G2", "F4"])
+def test_integer_form_matches_the_fraction_form_on_all_pairs(name):
+    rs = build_root_system(name)
+    _check_integer_form(rs, rs.roots, rs.roots)
+
+
+@pytest.mark.parametrize("name", ["E6", "E7", "E8"])
+def test_integer_form_matches_the_fraction_form_on_simple_roots(name):
+    rs = build_root_system(name)
+    simple = [tuple(1 if k == i else 0 for k in range(rs.rank)) for i in range(rs.rank)]
+    _check_integer_form(rs, rs.roots, simple)
+
+
+# sha256(repr(sorted(rs.constants.pairs.items()))), first 12 hex digits, recorded
+# from the Fraction half-length computation of the constants.
+CONSTANT_HASHES = {
+    "A1": "4f53cda18c2b",
+    "A2": "4636e3e332da",
+    "A3": "184d8d4911c7",
+    "B2": "8302d4963abf",
+    "B3": "2527a053eff2",
+    "C3": "68e4540d1bf4",
+    "D4": "5d81068dd3f7",
+    "G2": "3cda9ce9f13b",
+    "F4": "dbe5ef284e31",
+    "E6": "44ea2dfd1589",
+    "E8": "037e8fb2794a",
+}
+
+
+@pytest.mark.parametrize("name,digest", sorted(CONSTANT_HASHES.items()))
+def test_structure_constants_are_pinned(name, digest):
+    pairs = sorted(build_root_system(name).constants.pairs.items())
+    assert hashlib.sha256(repr(pairs).encode()).hexdigest()[:12] == digest
+
+
+def test_constants_evaluate_the_form_once_per_root(monkeypatch):
+    calls = 0
+    form_row = RootSystem._form_row
+
+    def counting_form_row(self, beta):
+        nonlocal calls
+        calls += 1
+        return form_row(self, beta)
+
+    monkeypatch.setattr(RootSystem, "_form_row", counting_form_row)
+    rs = build_root_system("E7")
+    assert rs.constants.pairs
+    assert calls <= len(rs.roots) + rs.rank
+
+
+def _bracket(rs, i, vector):
+    out = {}
+    for k, c in vector.items():
+        for m, b in bracket_coordinates(rs, i, k).items():
+            out[m] = out.get(m, 0) + c * b
+    return out
+
+
+def _jacobi_defect(rs, x, y, z):
+    total = {}
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        for m, v in _bracket(rs, a, bracket_coordinates(rs, b, c)).items():
+            total[m] = total.get(m, 0) + v
+    return {m: v for m, v in total.items() if v}
+
+
+@pytest.mark.parametrize("name", ["G2", "B3", "C3", "D4"])
+def test_jacobi_identity_on_all_basis_triples(name):
+    rs = build_root_system(name)
+    for x, y, z in itertools.permutations(range(adjoint_dimension(rs)), 3):
+        assert not _jacobi_defect(rs, x, y, z), (x, y, z)
+
+
+@pytest.mark.parametrize("name", ["F4", "E6"])
+def test_jacobi_identity_on_seeded_triples(name):
+    rs = build_root_system(name)
+    rng = random.Random(f"jacobi-{name}")
+    dim = adjoint_dimension(rs)
+    for _ in range(3000):
+        x, y, z = (rng.randrange(dim) for _ in range(3))
+        assert not _jacobi_defect(rs, x, y, z), (x, y, z)
 
 
 def test_symmetry_group_sizes():

@@ -7,6 +7,7 @@ from itertools import product
 
 import pytest
 
+from tck import twisted
 from tck import (
     ConsistencyError,
     DomainError,
@@ -217,6 +218,38 @@ def test_induced_automorphism_rejects_bad_subgroups():
     not_normal = subgroup(g, [(0, 1, 2, 3), (1, 0, 2, 3)])
     with pytest.raises(DomainError):
         induced_automorphism(g, not_normal, GroupAutomorphism.identity(g))
+
+
+def test_coset_leaders_form_each_coset_once(monkeypatch):
+    g = sl2(5)
+    z = center(g)
+    products = 0
+    mul = g.ops.mul
+
+    def counting_mul(a, b):
+        nonlocal products
+        products += 1
+        return mul(a, b)
+
+    leaders = twisted._coset_leaders
+    spent = []
+
+    def counted_leaders(G, N):
+        before = products
+        leader = leaders(G, N)
+        spent.append(products - before)
+        return leader
+
+    monkeypatch.setattr(g.ops, "mul", counting_mul)
+    monkeypatch.setattr(twisted, "_coset_leaders", counted_leaders)
+    quotient, phi_bar = induced_automorphism(g, z, GroupAutomorphism.identity(g))
+    # |G|/|N| cosets of |N| products each, not |N| products for every element
+    assert len(spent) == 1 and spent[0] <= len(g)
+    assert len(quotient) == len(g) // len(z) == 60
+    for x in quotient.elements:
+        assert x == min(mul(x, n) for n in z.elements)
+    # PSL(2,5) = A5 has five conjugacy classes
+    assert reidemeister_number(quotient, phi_bar) == 5
 
 
 def test_isogredience_counts():
