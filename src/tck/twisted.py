@@ -7,11 +7,13 @@ discovery order and every derived quantity is deterministic.  The closure
 keeps every edge x -> x g it walks, so a map given by generator images is
 defined and checked in one pass over those edges: the first edge into an
 element defines its image, every later edge checks f(x g) = f(x) f(g), and
-a bad map stops at its first failed product.
+a bad map stops at its first failed product.  The same edges give x g for
+every generator g, so the center multiplies out only g x.
 
 The twisting action of z on y is z y phi(z)^-1.  Orbits are computed by
 union-find restricted to generator moves y -> a y b; that is enough because
-the acting set is a group.
+the acting set is a group.  The identity move y -> y merges nothing and is
+skipped.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import product as cartesian_product
+from operator import itemgetter, mul as scalar_mul
 from typing import Iterable
 
 from .errors import ConsistencyError, DomainError, ResourceLimitError
@@ -58,8 +61,11 @@ class PermOps:
         return image
 
     def mul(self, a, b):
-        # apply b first, then a, matching matrix composition
-        return tuple(a[v] for v in b)
+        # apply b first, then a, matching matrix composition; itemgetter
+        # returns a scalar for one index and fails on none
+        if self.degree < 2:
+            return tuple(a[v] for v in b)
+        return itemgetter(*b)(a)
 
     def inv(self, a, cap=None):
         # linear in the degree, so the closure cap never binds here
@@ -102,10 +108,10 @@ class MatModOps:
 
     def mul(self, a, b):
         p = self.modulus
-        n = self.size
+        columns = tuple(zip(*b))
         return tuple(
-            tuple(sum(a[i][k] * b[k][j] for k in range(n)) % p for j in range(n))
-            for i in range(n)
+            tuple(sum(map(scalar_mul, row, column)) % p for column in columns)
+            for row in a
         )
 
     def inv(self, a, cap=None):
@@ -228,10 +234,14 @@ def all_automorphisms(G: FiniteGroup) -> list["GroupAutomorphism"]:
 
 
 def center(G: FiniteGroup) -> FiniteGroup:
+    """Elements commuting with every generator; x g is read off the edges."""
+    mul, elements, edges = G.ops.mul, G.elements, G.edges
+    ngens = len(G.generators)
     central = [
         x
-        for x in G.elements
-        if all(G.mul(x, g) == G.mul(g, x) for g in G.generators)
+        for i, x in enumerate(elements)
+        if all(elements[edges[i * ngens + pos]] == mul(g, x)
+               for pos, g in enumerate(G.generators))
     ]
     return subgroup(G, central)
 
@@ -339,12 +349,14 @@ class TwistedClassPartition:
 def _orbit_blocks(G: FiniteGroup, moves) -> tuple:
     """Orbits under the moves y -> a y b, one per (a, b) pair."""
     uf = _UnionFind(len(G))
+    mul, index, union, identity = G.ops.mul, G.index, uf.union, G.identity
     for a, b in moves:
-        left = a != G.identity
-        for i, y in enumerate(G.elements):
-            if left:
-                y = G.mul(a, y)
-            uf.union(i, G.index[G.mul(y, b)])
+        if a != identity:
+            for i, y in enumerate(G.elements):
+                union(i, index[mul(mul(a, y), b)])
+        elif b != identity:
+            for i, y in enumerate(G.elements):
+                union(i, index[mul(y, b)])
     grouped: dict[int, list] = {}
     for i, x in enumerate(G.elements):
         grouped.setdefault(uf.find(i), []).append(x)
@@ -379,11 +391,12 @@ def inner_twist_invariance(G: FiniteGroup, phi: GroupAutomorphism, g) -> bool:
 
 def _coset_leaders(G: FiniteGroup, N: FiniteGroup) -> dict:
     """Map each element to min(xN); each coset is formed once, |G| products in all."""
+    mul = G.ops.mul
     leader = {}
     for x in G.elements:
         if x in leader:
             continue
-        coset = [G.mul(x, n) for n in N.elements]
+        coset = [mul(x, n) for n in N.elements]
         best = min(coset)
         for y in coset:
             leader[y] = best
@@ -394,6 +407,7 @@ class _QuotientOps:
     def __init__(self, G: FiniteGroup, leader: dict):
         self.encoding = G.ops.encoding
         self._G = G
+        self._mul = G.ops.mul
         self._leader = leader
         self.identity = leader[G.identity]
 
@@ -404,7 +418,7 @@ class _QuotientOps:
         return self._leader[x]
 
     def mul(self, a, b):
-        return self._leader[self._G.mul(a, b)]
+        return self._leader[self._mul(a, b)]
 
     def inv(self, a, cap=None):
         return self._leader[self._G.inv(a)]

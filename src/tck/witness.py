@@ -82,7 +82,8 @@ def generate_witnesses(rs: RootSystem, count: int) -> WitnessSequence:
             block.append(prime)
         diag = []
         for j, row in enumerate(pairings):
-            a = prod(Fraction(p) ** k for p, k in zip(block, row))
+            a = Fraction(prod(p ** k for p, k in zip(block, row) if k > 0),
+                         prod(p ** -k for p, k in zip(block, row) if k < 0))
             if not any(row):
                 raise ConsistencyError(
                     f"witness {i} entry {j} = {a} is not a nontrivial product of powers of {block}"

@@ -21,6 +21,7 @@ from tck import (
     element_order,
     group_descriptor,
     group_from_descriptor,
+    heisenberg_group,
     induced_automorphism,
     inner_twist_invariance,
     isogredience_count,
@@ -49,6 +50,35 @@ def q8():
 
 def sl2(q):
     return closure([((1, 1), (0, 1)), ((1, 0), (1, 1))], modulus=q)
+
+
+def s5():
+    return closure([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
+
+
+def test_perm_product_matches_composition():
+    rng = random.Random(31)
+    for degree in (0, 1, 2, 5, 8):
+        ops = twisted.PermOps(degree)
+        for _ in range(40):
+            a, b = (tuple(rng.sample(range(degree), degree)) for _ in range(2))
+            # apply b first, then a
+            assert ops.mul(a, b) == tuple(a[b[i]] for i in range(degree))
+
+
+def test_matmod_product_matches_triple_loop():
+    rng = random.Random(32)
+    for size in (1, 2, 3):
+        for modulus in (2, 4, 6, 7, 9):
+            ops = twisted.MatModOps(size, modulus)
+            for _ in range(30):
+                a, b = (tuple(tuple(rng.randrange(modulus) for _ in range(size))
+                              for _ in range(size)) for _ in range(2))
+                expected = tuple(
+                    tuple(sum(a[i][k] * b[k][j] for k in range(size)) % modulus
+                          for j in range(size))
+                    for i in range(size))
+                assert ops.mul(a, b) == expected
 
 
 def test_closure_sizes_and_orders():
@@ -189,6 +219,48 @@ def test_centers():
     assert set(center(d4()).elements) <= set(d4().elements)
 
 
+CENTER_GROUPS = {"S3": s3, "Q8": q8, "D4": d4, "SL(2,3)": lambda: sl2(3),
+                 "SL(2,5)": lambda: sl2(5), "S5": s5, "H(3)": lambda: heisenberg_group(3)}
+
+
+@pytest.mark.parametrize("name", sorted(CENTER_GROUPS))
+def test_center_matches_the_two_sided_definition(name):
+    g = CENTER_GROUPS[name]()
+    central = {x for x in g.elements if all(g.mul(x, y) == g.mul(y, x) for y in g.elements)}
+    assert set(center(g).elements) == central
+
+
+def _count_products(monkeypatch):
+    """Count every product of both encodings, however the caller reaches it."""
+    counter = [0]
+    for ops in (twisted.PermOps, twisted.MatModOps):
+        def counting_mul(self, a, b, mul=ops.mul):
+            counter[0] += 1
+            return mul(self, a, b)
+        monkeypatch.setattr(ops, "mul", counting_mul)
+    return counter
+
+
+def test_center_product_budget(monkeypatch):
+    g = sl2(5)
+    products = _count_products(monkeypatch)
+    # x g comes from the Cayley edges, so testing x costs one product per
+    # generator it is tested against, plus the closure of the two central
+    # elements
+    assert len(center(g)) == 2
+    assert 0 < products[0] <= 140
+
+
+def test_isogredience_product_budget(monkeypatch):
+    g = s5()
+    phi = GroupAutomorphism.inner(g, g.elements[7])
+    products = _count_products(monkeypatch)
+    # the central moves include (1, 1), which would cost |G| products and
+    # merge nothing; the orbit walk skips it
+    assert isogredience_count(g, phi).count == 7
+    assert 0 < products[0] <= 1700
+
+
 def test_automorphism_algebra():
     g = q8()
     autos = all_automorphisms(g)
@@ -244,7 +316,7 @@ def test_coset_leaders_form_each_coset_once(monkeypatch):
     monkeypatch.setattr(twisted, "_coset_leaders", counted_leaders)
     quotient, phi_bar = induced_automorphism(g, z, GroupAutomorphism.identity(g))
     # |G|/|N| cosets of |N| products each, not |N| products for every element
-    assert len(spent) == 1 and spent[0] <= len(g)
+    assert spent == [len(g)]
     assert len(quotient) == len(g) // len(z) == 60
     for x in quotient.elements:
         assert x == min(mul(x, n) for n in z.elements)

@@ -1,5 +1,6 @@
 """Witness families, collapsed products, and the zero-block certification."""
 
+import hashlib
 import random
 from fractions import Fraction
 from math import prod
@@ -71,6 +72,23 @@ def test_generate_witnesses_shapes():
         assert diag == _root_block(rs2, _dense_witness(rs2, block))
     with pytest.raises(DomainError):
         generate_witnesses(rs, 0)
+
+
+# sha256 prefixes of repr(diagonals) for four witnesses, recorded with every
+# entry computed as prod(Fraction(p) ** k) over its block
+DIAGONAL_DIGESTS = {
+    "A1": "9e9e0a0ab242ba65", "A2": "7d8ae30aa32ba773", "A3": "d286f4d1d311f76d",
+    "B2": "444a02b2160e6083", "B3": "713996cc7a7d5c67", "C3": "201d914e99eacf9e",
+    "G2": "d7e69cd32d8743ff", "D4": "ea87a1c9261797ce", "F4": "8a623a531f7f30b6",
+    "E6": "94b3482d71a4dec9", "E7": "fe645b385a446434", "E8": "4d8093762b4ec2bc",
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIAGONAL_DIGESTS))
+def test_witness_diagonals_are_pinned(name):
+    diagonals = generate_witnesses(build_root_system(name), 4).diagonals
+    digest = hashlib.sha256(repr(diagonals).encode()).hexdigest()[:16]
+    assert digest == DIAGONAL_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", TYPES)
