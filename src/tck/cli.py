@@ -11,6 +11,7 @@ documents.
 
 import argparse
 import json
+import sys
 import time
 from fractions import Fraction
 
@@ -44,12 +45,15 @@ def _encode_number(x):
         return _encode_number(x.value) if x.is_finite else "infinity"
     if isinstance(x, bool):
         return x
-    if isinstance(x, int):
-        return x if -_INT64_MAX <= x <= _INT64_MAX else str(x)
-    if isinstance(x, Fraction):
-        if x.denominator == 1:
-            return _encode_number(x.numerator)
-        return f"{x.numerator}/{x.denominator}"
+    if isinstance(x, Fraction) and x.denominator == 1:
+        x = x.numerator
+    if isinstance(x, int) and -_INT64_MAX <= x <= _INT64_MAX:
+        return x
+    if isinstance(x, (int, Fraction)):
+        try:
+            return str(x)
+        except ValueError as exc:  # past the int/str conversion digit limit
+            raise ResourceLimitError(f"a result has too many digits to print: {exc}") from exc
     raise ConsistencyError(f"cannot serialize {x!r}")
 
 
@@ -58,16 +62,23 @@ def _encode_matrix(matrix):
 
 
 def _parse_rational(text: str) -> Fraction:
+    # Fraction builds 10**exponent whatever its size, so a decimal form is
+    # held to the int/str digit limit before it is built
+    limit = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+    mantissa, _, exponent = text.lower().partition("e")
     try:
-        return Fraction(text)
+        digits = sum(map(str.isdigit, mantissa)) + abs(int(exponent or 0))
+        if "/" in mantissa or digits <= limit:
+            return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise DomainError(f"not a rational number: {text!r}") from exc
+    raise DomainError(f"{text!r} has more than {limit} digits")
 
 
 def _parse_matrix(text: str):
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer past the digit limit
         raise DomainError(f"matrix is not valid JSON: {exc}") from exc
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise DomainError("matrix must be a nonempty array of arrays")
@@ -88,7 +99,7 @@ def _load_json(path: str) -> dict:
             data = json.load(handle)
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed, or an integer past the digit limit
         raise DomainError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DomainError(f"{path} must hold a JSON object")

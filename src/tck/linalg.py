@@ -16,11 +16,11 @@ from fractions import Fraction
 from .errors import DomainError
 
 Matrix = list
+_ONE, _ZERO = Fraction(1), Fraction(0)
 
 
-def identity_matrix(n: int, one=Fraction(1)) -> Matrix:
-    zero = one - one
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def identity_matrix(n: int) -> Matrix:
+    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:

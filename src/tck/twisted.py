@@ -10,10 +10,10 @@ element defines its image, every later edge checks f(x g) = f(x) f(g), and
 a bad map stops at its first failed product.  The same edges give x g for
 every generator g, so the center multiplies out only g x.
 
-The twisting action of z on y is z y phi(z)^-1.  Orbits are computed by
-union-find restricted to generator moves y -> a y b; that is enough because
-the acting set is a group.  The identity move y -> y merges nothing and is
-skipped.
+The twisting action of z on y is z y phi(z)^-1.  Orbits are walked forward
+from the least unvisited element under the generator moves y -> a y b; the
+moves generate a finite group, so walking forward reaches the whole orbit.
+The identity move y -> y reaches nothing new and is skipped.
 """
 
 from __future__ import annotations
@@ -138,7 +138,6 @@ class FiniteGroup:
         self.identity = ops.identity
         # edges[i * len(generators) + pos] = index of elements[i] * generators[pos]
         self.edges = edges
-        self._inverses: dict = {}
 
     def __len__(self):
         return len(self.elements)
@@ -150,11 +149,7 @@ class FiniteGroup:
         return self.ops.mul(a, b)
 
     def inv(self, a):
-        cached = self._inverses.get(a)
-        if cached is None:
-            cached = self.ops.inv(a)
-            self._inverses[a] = cached
-        return cached
+        return self.ops.inv(a)
 
     def conjugate(self, g, x):
         return self.mul(self.mul(g, x), self.inv(g))
@@ -288,7 +283,8 @@ class GroupAutomorphism:
         g = group.ops.canonical(g)
         if g not in group.index:
             raise DomainError(f"{g} lies outside the group")
-        return cls(group, {x: group.conjugate(g, x) for x in group.elements})
+        mul, g_inv = group.ops.mul, group.ops.inv(g)
+        return cls(group, {x: mul(mul(g, x), g_inv) for x in group.elements})
 
     def __call__(self, x):
         return self.table[x]
@@ -316,26 +312,6 @@ class GroupAutomorphism:
         )
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, i: int) -> int:
-        root = i
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[i] != root:
-            self.parent[i], i = root, self.parent[i]
-        return root
-
-    def union(self, i: int, j: int):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            if rj < ri:
-                ri, rj = rj, ri
-            self.parent[rj] = ri
-
-
 @dataclass(frozen=True)
 class TwistedClassPartition:
     blocks: tuple
@@ -347,20 +323,28 @@ class TwistedClassPartition:
 
 
 def _orbit_blocks(G: FiniteGroup, moves) -> tuple:
-    """Orbits under the moves y -> a y b, one per (a, b) pair."""
-    uf = _UnionFind(len(G))
-    mul, index, union, identity = G.ops.mul, G.index, uf.union, G.identity
-    for a, b in moves:
-        if a != identity:
-            for i, y in enumerate(G.elements):
-                union(i, index[mul(mul(a, y), b)])
-        elif b != identity:
-            for i, y in enumerate(G.elements):
-                union(i, index[mul(y, b)])
-    grouped: dict[int, list] = {}
-    for i, x in enumerate(G.elements):
-        grouped.setdefault(uf.find(i), []).append(x)
-    return tuple(tuple(block) for _, block in sorted(grouped.items()))
+    """Orbits under the moves y -> a y b, one per (a, b) pair, each grown
+    forward from its least index and listed in index order."""
+    mul, index, elements, identity = G.ops.mul, G.index, G.elements, G.identity
+    # the identity move is dropped; a left factor of None costs no product
+    moves = [(None if a == identity else a, b)
+             for a, b in moves if a != identity or b != identity]
+    seen = [False] * len(elements)
+    blocks = []
+    for start in range(len(elements)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        orbit = [start]
+        for i in orbit:
+            y = elements[i]
+            for a, b in moves:
+                j = index[mul(y if a is None else mul(a, y), b)]
+                if not seen[j]:
+                    seen[j] = True
+                    orbit.append(j)
+        blocks.append(tuple(elements[i] for i in sorted(orbit)))
+    return tuple(blocks)
 
 
 def _twisted_moves(G: FiniteGroup, phi: GroupAutomorphism) -> list:
@@ -391,12 +375,13 @@ def inner_twist_invariance(G: FiniteGroup, phi: GroupAutomorphism, g) -> bool:
 
 def _coset_leaders(G: FiniteGroup, N: FiniteGroup) -> dict:
     """Map each element to min(xN); each coset is formed once, |G| products in all."""
-    mul = G.ops.mul
+    mul, elements, index = G.ops.mul, G.elements, G.index
     leader = {}
-    for x in G.elements:
+    for x in elements:
         if x in leader:
             continue
-        coset = [mul(x, n) for n in N.elements]
+        # keyed by G's own element objects, not fresh copies of them
+        coset = [elements[index[mul(x, n)]] for n in N.elements]
         best = min(coset)
         for y in coset:
             leader[y] = best
@@ -431,9 +416,11 @@ def induced_automorphism(G: FiniteGroup, N, phi: GroupAutomorphism):
     elif any(x not in G.index for x in N.elements):
         raise DomainError("subgroup lies outside the ambient group")
     n_set = set(N.elements)
+    mul = G.ops.mul
     for g in G.generators:
+        g_inv = G.inv(g)
         for n in N.elements:
-            if G.conjugate(g, n) not in n_set:
+            if mul(mul(g, n), g_inv) not in n_set:
                 raise DomainError(f"subgroup is not normal: conjugate of {n} escapes")
     if {phi(n) for n in N.elements} != n_set:
         raise DomainError("automorphism does not preserve the subgroup")

@@ -362,6 +362,40 @@ def test_big_integers_ride_as_strings(capsys):
     assert value == str(10**19 + 2)
 
 
+FIVE_THOUSAND_DIGITS = "9" * 5000
+
+
+@pytest.mark.parametrize("argv, code", [
+    # 10**4400 has more digits than Python prints by default
+    (["chevalley", "gen", "--type", "A1", "--kind", "x", "--root", "1", "--t", "1e4400"],
+     "domain-error"),
+    # building 10**100000000 alone would run for minutes
+    (["chevalley", "gen", "--type", "A1", "--kind", "x", "--root", "1", "--t", "1e100000000"],
+     "domain-error"),
+    # the generators are scale**6, far past the digit limit
+    (["witness", "run", "--type", "A2", "--count", "4", "--trdeg", "1", "--scale", "1e800",
+      "--index", "3"], "resource-limit"),
+    (["spectrum", "zn", "--matrix", f"[[{FIVE_THOUSAND_DIGITS}]]"], "domain-error"),
+], ids=["t-1e4400", "t-1e100000000", "witness-scale-1e800", "zn-5000-digits"])
+def test_numbers_past_the_digit_limit_end_in_a_typed_error(capsys, argv, code):
+    start = time.perf_counter()
+    exit_code, report = run_cli(capsys, argv)
+    assert time.perf_counter() - start < 2.0
+    assert (exit_code, report["payload"]["code"]) == (1, code)
+
+
+def test_descriptor_past_the_digit_limit_ends_in_a_typed_error(capsys, tmp_path):
+    _, aut_file = _write_s3(tmp_path)
+    group_file = tmp_path / "huge.json"
+    group_file.write_text('{"encoding": "perm", "generators": [[%s, 0, 2]]}'
+                          % FIVE_THOUSAND_DIGITS)
+    start = time.perf_counter()
+    exit_code, report = run_cli(
+        capsys, ["twisted", "classes", "--group", str(group_file), "--aut", aut_file])
+    assert time.perf_counter() - start < 2.0
+    assert (exit_code, report["payload"]["code"]) == (1, "domain-error")
+
+
 def test_cli_imports_only_the_standard_library():
     src = Path(__file__).resolve().parents[1] / "src"
     probe = (

@@ -118,6 +118,62 @@ def test_twisted_classes_are_twist_orbits():
             assert index[moved] == index[x]
 
 
+ORACLE_GROUPS = {"S3": s3, "S4": s4, "D4": d4, "Q8": q8, "SL(2,3)": lambda: sl2(3),
+                 "SL(2,5)": lambda: sl2(5), "H(3)": lambda: heisenberg_group(3)}
+
+
+def _definition_blocks(g, phi, central):
+    """Classes {z x phi(z)^-1 c : z in G, c central} straight from the
+    definition, ordered by least index and each in index order."""
+    twists = [(z, g.inv(phi(z))) for z in g.elements]
+    done, blocks = set(), []
+    for x in g.elements:
+        if x not in done:
+            block = {g.mul(g.mul(g.mul(z, x), w), c) for z, w in twists for c in central}
+            done |= block
+            blocks.append(tuple(sorted(block, key=g.index.__getitem__)))
+    return tuple(blocks)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_orbit_walk_matches_the_definition(name):
+    g = ORACLE_GROUPS[name]()
+    central = [x for x in g.elements if all(g.mul(x, y) == g.mul(y, x) for y in g.elements)]
+    noncentral = next(x for x in g.elements if x not in central)
+    phis = [GroupAutomorphism.identity(g), GroupAutomorphism.inner(g, noncentral)]
+    if name in ("S3", "D4", "Q8"):
+        phis += all_automorphisms(g)
+    for phi in phis:
+        assert twisted_classes(g, phi).blocks == _definition_blocks(g, phi, [g.identity])
+        moves = twisted._twisted_moves(g, phi) + [(g.identity, c) for c in central]
+        assert twisted._orbit_blocks(g, moves) == _definition_blocks(g, phi, central)
+
+
+def _count_inversions(monkeypatch):
+    """Count every inverse of both encodings, however the caller reaches it."""
+    counter = [0]
+    for ops in (twisted.PermOps, twisted.MatModOps):
+        def counting_inv(self, a, cap=None, inv=ops.inv):
+            counter[0] += 1
+            return inv(self, a, cap)
+        monkeypatch.setattr(ops, "inv", counting_inv)
+    return counter
+
+
+@pytest.mark.parametrize("build", [lambda: sl2(7), lambda: closure(
+    [(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)])], ids=["SL(2,7)", "S8"])
+def test_inversions_are_hoisted_out_of_the_loops(monkeypatch, build):
+    g = build()
+    inversions = _count_inversions(monkeypatch)
+    phi = GroupAutomorphism.inner(g, g.elements[7])
+    # g^-1 once for the whole table, not once per element
+    assert inversions[0] == 1
+    inversions[0] = 0
+    isogredience_count(g, phi)
+    # a handful per generator and central element, none per element
+    assert 0 < inversions[0] <= 12
+
+
 def test_inner_twists_preserve_the_count():
     rng = random.Random(23)
     g = q8()
@@ -322,6 +378,16 @@ def test_coset_leaders_form_each_coset_once(monkeypatch):
         assert x == min(mul(x, n) for n in z.elements)
     # PSL(2,5) = A5 has five conjugacy classes
     assert reidemeister_number(quotient, phi_bar) == 5
+
+
+def test_coset_leaders_are_the_groups_own_elements():
+    g, h = s4(), sl2(5)
+    v4 = subgroup(g, [(1, 0, 3, 2), (2, 3, 0, 1)])
+    for group, n in ((g, center(g)), (g, v4), (h, center(h))):
+        own = {id(x) for x in group.elements}
+        leader = twisted._coset_leaders(group, n)
+        assert len(leader) == len(group)
+        assert all(id(x) in own and id(best) in own for x, best in leader.items())
 
 
 def test_isogredience_counts():
