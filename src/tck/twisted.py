@@ -13,7 +13,10 @@ every generator g, so the center multiplies out only g x.
 The twisting action of z on y is z y phi(z)^-1.  Orbits are walked forward
 from the least unvisited element under the generator moves y -> a y b; the
 moves generate a finite group, so walking forward reaches the whole orbit.
-The identity move y -> y reaches nothing new and is skipped.
+The identity move y -> y reaches nothing new and is skipped.  S(phi) is
+checked in class space: it is the number of phi-invariant orbits of
+y -> z y z^-1 c with c central (Fel'shtyn-Hill on G/Z), so no quotient
+group is built.
 """
 
 from __future__ import annotations
@@ -229,16 +232,19 @@ def all_automorphisms(G: FiniteGroup) -> list["GroupAutomorphism"]:
 
 
 def center(G: FiniteGroup) -> FiniteGroup:
-    """Elements commuting with every generator; x g is read off the edges."""
+    """Elements commuting with every generator; x g is read off the edges.
+
+    Z is generated by a few central elements: one joins the generators only
+    if the subgroup built so far misses it, so there are at most log2 |Z|.
+    """
     mul, elements, edges = G.ops.mul, G.elements, G.edges
     ngens = len(G.generators)
-    central = [
-        x
-        for i, x in enumerate(elements)
-        if all(elements[edges[i * ngens + pos]] == mul(g, x)
-               for pos, g in enumerate(G.generators))
-    ]
-    return subgroup(G, central)
+    Z = subgroup(G, [])
+    for i, x in enumerate(elements):
+        if x not in Z.index and all(elements[edges[i * ngens + pos]] == mul(g, x)
+                                    for pos, g in enumerate(G.generators)):
+            Z = subgroup(G, Z.generators + (x,))
+    return Z
 
 
 class GroupAutomorphism:
@@ -442,19 +448,21 @@ def isogredience_count(G: FiniteGroup, phi: GroupAutomorphism) -> IsogredienceCl
     """Orbit count of the twists phi_s phi, computed two independent ways.
 
     Route one enumerates orbits of s under s -> g s phi(g)^-1 and s -> s c
-    with c central.  Route two is the Reidemeister number of the induced
-    automorphism on the central quotient.  The two counts must agree.
+    with c central.  Route two counts the orbits of y -> g y g^-1 c that phi
+    maps to themselves: these orbits are the conjugacy classes of G/Z, and
+    the Reidemeister number of the induced map is its number of invariant
+    classes (Fel'shtyn-Hill).  Since phi(Z) = Z, phi permutes the orbits,
+    so one image per orbit decides.  The two counts must agree.
     """
     if phi.group is not G:
         raise DomainError("automorphism acts on a different group")
-    Z = center(G)
-    moves = _twisted_moves(G, phi) + [(G.identity, c) for c in Z.elements]
-    direct = len(_orbit_blocks(G, moves))
-    quotient, phi_bar = induced_automorphism(G, Z, phi)
-    via_quotient = reidemeister_number(quotient, phi_bar)
-    if direct != via_quotient:
+    central = [(G.identity, c) for c in center(G).generators]
+    direct = len(_orbit_blocks(G, _twisted_moves(G, phi) + central))
+    classes = _orbit_blocks(G, [(z, G.inv(z)) for z in G.generators] + central)
+    invariant = sum(phi(b[0]) in b for b in classes)
+    if direct != invariant:
         raise ConsistencyError(
-            f"isogredience routes disagree: direct {direct}, quotient {via_quotient}"
+            f"isogredience routes disagree: direct {direct}, invariant classes {invariant}"
         )
     return IsogredienceClassCount(direct, phi)
 

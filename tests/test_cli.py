@@ -154,6 +154,22 @@ def test_twisted_long_matrix_order_hits_the_cap(capsys, tmp_path, monkeypatch):
     assert report["payload"]["code"] == "resource-limit"
 
 
+def test_twisted_isogredience_on_a_large_center_is_fast(capsys, tmp_path):
+    # a cyclic group of order 5003: every element is central
+    group_file = tmp_path / "cyclic.json"
+    group_file.write_text(json.dumps(
+        {"encoding": "matmod", "modulus": 10007, "generators": [[[2, 0], [0, 1]]]}))
+    aut_file = tmp_path / "square.json"
+    aut_file.write_text(json.dumps({"images": [[[4, 0], [0, 1]]]}))
+    start = time.perf_counter()
+    code, report = run_cli(
+        capsys, ["twisted", "isogredience", "--group", str(group_file), "--aut", str(aut_file)]
+    )
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    assert report["payload"] == {"group_order": 5003, "isogredience": 1}
+
+
 def test_twisted_missing_file(capsys, tmp_path):
     code, report = run_cli(
         capsys,

@@ -1,11 +1,13 @@
 """Finite-group twisted classes, isogredience, and descriptors."""
 
 import json
+import math
 import random
 import time
-from itertools import product
+from itertools import permutations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tck import twisted
 from tck import (
@@ -160,16 +162,23 @@ def _count_inversions(monkeypatch):
     return counter
 
 
-@pytest.mark.parametrize("build", [lambda: sl2(7), lambda: closure(
-    [(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)])], ids=["SL(2,7)", "S8"])
-def test_inversions_are_hoisted_out_of_the_loops(monkeypatch, build):
+@pytest.mark.parametrize("build, isogredience", [(lambda: sl2(7), 6), (lambda: closure(
+    [(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)]), 22)], ids=["SL(2,7)", "S8"])
+def test_inversions_are_hoisted_out_of_the_loops(monkeypatch, build, isogredience):
     g = build()
     inversions = _count_inversions(monkeypatch)
     phi = GroupAutomorphism.inner(g, g.elements[7])
     # g^-1 once for the whole table, not once per element
     assert inversions[0] == 1
     inversions[0] = 0
-    isogredience_count(g, phi)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("isogredience_count built a quotient group")
+
+    # S(phi) is checked in class space, with no quotient group
+    monkeypatch.setattr(twisted, "induced_automorphism", refuse)
+    monkeypatch.setattr(twisted, "_QuotientOps", refuse)
+    assert isogredience_count(g, phi).count == isogredience
     # a handful per generator and central element, none per element
     assert 0 < inversions[0] <= 12
 
@@ -311,10 +320,24 @@ def test_isogredience_product_budget(monkeypatch):
     g = s5()
     phi = GroupAutomorphism.inner(g, g.elements[7])
     products = _count_products(monkeypatch)
-    # the central moves include (1, 1), which would cost |G| products and
-    # merge nothing; the orbit walk skips it
+    # S5 is centerless, so Z has no generators and neither walk takes a
+    # central move; the class walk replaces the rebuilt quotient
     assert isogredience_count(g, phi).count == 7
-    assert 0 < products[0] <= 1700
+    assert 0 < products[0] <= 1200
+
+
+def test_cyclic_center_and_isogredience_are_linear_in_the_order(monkeypatch):
+    # every element is central: one generator per doubling of the subgroup
+    # built so far, not one per central element
+    g = closure([((2, 0), (0, 1))], modulus=421)
+    products = _count_products(monkeypatch)
+    z = center(g)
+    assert len(z) == len(g) == 420
+    assert len(z.generators) == 1
+    assert products[0] <= 5 * len(g)
+    products[0] = 0
+    assert isogredience_count(g, GroupAutomorphism.identity(g)).count == 1
+    assert products[0] <= 15 * len(g)
 
 
 def test_automorphism_algebra():
@@ -398,6 +421,65 @@ def test_isogredience_counts():
     g = s3()
     for phi in all_automorphisms(g):
         assert isogredience_count(g, phi).count == reidemeister_number(g, phi)
+
+
+def _isogredience_oracle(g, phi):
+    """R of the automorphism phi induces on the rebuilt quotient G/Z."""
+    return reidemeister_number(*induced_automorphism(g, center(g), phi))
+
+
+@pytest.mark.parametrize("name", sorted(AUTOMORPHISM_COUNTS))
+def test_isogredience_matches_the_quotient_on_every_automorphism(name):
+    g = AUTOMORPHISM_COUNTS[name][0]()
+    for phi in all_automorphisms(g):
+        assert isogredience_count(g, phi).count == _isogredience_oracle(g, phi)
+
+
+@pytest.mark.parametrize("build", [s5, lambda: sl2(5), lambda: sl2(7)],
+                         ids=["S5", "SL(2,5)", "SL(2,7)"])
+def test_isogredience_matches_the_quotient_on_inner_twists(build):
+    g = build()
+    for x in random.Random(11).sample(g.elements, 4) + [g.elements[7]]:
+        phi = GroupAutomorphism.inner(g, x)
+        assert isogredience_count(g, phi).count == _isogredience_oracle(g, phi)
+
+
+@st.composite
+def groups_with_twists(draw):
+    if draw(st.booleans()):
+        degree = draw(st.integers(1, 6))
+        g = closure([tuple(draw(st.permutations(range(degree)))) for _ in range(2)])
+    else:
+        m = draw(st.integers(2, 7))
+        entry = st.integers(0, m - 1)
+        matrix = st.tuples(st.tuples(entry, entry), st.tuples(entry, entry)).filter(
+            lambda a: math.gcd(a[0][0] * a[1][1] - a[0][1] * a[1][0], m) == 1)
+        g = closure([draw(matrix), draw(matrix)], modulus=m)
+    if draw(st.booleans()):
+        return g, GroupAutomorphism.inner(g, draw(st.sampled_from(g.elements)))
+    return g, GroupAutomorphism.identity(g)
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(groups_with_twists())
+def test_isogredience_matches_the_quotient_on_drawn_groups(case):
+    g, phi = case
+    assert isogredience_count(g, phi).count == _isogredience_oracle(g, phi)
+
+
+def test_isogredience_check_rejects_bijections_that_are_not_homomorphisms():
+    g = s3()
+    autos = [phi.table for phi in all_automorphisms(g)]
+    rejected = 0
+    for images in permutations(g.elements):
+        table = dict(zip(g.elements, images))
+        try:
+            isogredience_count(g, GroupAutomorphism(g, table))
+        except ConsistencyError as exc:
+            assert table not in autos
+            assert "direct" in str(exc) and "invariant classes" in str(exc)
+            rejected += 1
+    assert rejected == 456
 
 
 def test_isogredience_rejects_foreign_automorphism():
