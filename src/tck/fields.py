@@ -462,6 +462,26 @@ def apply_scaling(delta: ScalingAutomorphism, f: RationalFunction) -> RationalFu
     return RationalFunction(_scale_polynomial(delta, f.num), _scale_polynomial(delta, f.den))
 
 
+def _lattice_divisors(rows, width: int):
+    """(column of V, d) for the Smith divisors d != 1 of the generators' exponent rows.
+
+    A vector v over the ``width`` base columns lies in the integer row span
+    exactly when w = v*V has w_j = 0 where d_j = 0 and d_j | w_j elsewhere;
+    a column with d_j = 1 always passes, so it is left out.
+    """
+    from .spectrum import smith_normal_form  # spectrum depends on fields
+
+    # Pad to a square system; zero rows and columns do not change
+    # solvability of x*A = v over Z.  The padded entries of v are 0, so only
+    # the base rows of V enter w.
+    size = max(len(rows), width)
+    matrix = [row + [0] * (size - width) for row in rows]
+    matrix += [[0] * size for _ in range(size - len(rows))]
+    decomp = smith_normal_form(matrix)
+    return [(tuple(row[j] for row in decomp.right[:width]), d)
+            for j, d in enumerate(decomp.diagonal) if d != 1]
+
+
 def character_lattice(generators):
     """Membership test for the subgroup of Q* generated by the given rationals.
 
@@ -494,21 +514,8 @@ def character_lattice(generators):
         if target is None:
             return False
         if divisors is None:
-            from .spectrum import smith_normal_form  # spectrum depends on fields
-
             rows = [exponent_vector(g, base) for g in gens if g != 1]
-            # Pad to a square system; zero rows and columns do not change
-            # solvability of x*A = v over Z.
-            size = max(len(rows), len(base))
-            matrix = [row + [0] * (size - len(base)) for row in rows]
-            matrix += [[0] * size for _ in range(size - len(rows))]
-            decomp = smith_normal_form(matrix)
-            # x*A = v is solvable over Z iff w = v*V has w_j = 0 where d_j = 0
-            # and d_j | w_j elsewhere.  The padded entries of v are 0, so only
-            # the base rows of V enter w, and a column with d_j = 1 always
-            # passes.
-            divisors = [(tuple(row[j] for row in decomp.right[:len(base)]), d)
-                        for j, d in enumerate(decomp.diagonal) if d != 1]
+            divisors = _lattice_divisors(rows, len(base))
         for column, d in divisors:
             w = sum(t * v for t, v in zip(target, column))
             if w % d if d else w:
@@ -516,6 +523,41 @@ def character_lattice(generators):
         return True
 
     return member
+
+
+def character_classes(generators, values):
+    """Class key of the given nonzero rationals modulo the lattice the positive
+    generators span: key(x) == key(y) exactly when x / y is a member.
+
+    One coprime base is refined over the generators and all values together,
+    so every value factors over it and exponent vectors subtract; over the
+    generators' base alone, 2 / (1/3) lies in <6> although neither factor
+    does.  Membership is linear in the exponent vector, so the key is the
+    sign, the exponents on base elements no generator uses, and w_j mod d_j
+    (w_j where d_j = 0) for the Smith columns of the used ones with d_j != 1.
+    Keys exist only for nonzero values that factor over the base.
+    """
+    gens = [Fraction(g) for g in generators]
+    if any(g <= 0 for g in gens):
+        raise DomainError("character lattice generators must be positive")
+    base = _coprime_base({n for x in (*gens, *values) for n in (abs(x.numerator), x.denominator)})
+    rows = [exponent_vector(g, base) for g in gens if g != 1]
+    used = [j for j in range(len(base)) if any(row[j] for row in rows)]
+    unused = [j for j in range(len(base)) if j not in used]
+    divisors = _lattice_divisors([[row[j] for j in used] for row in rows], len(used)) if rows else []
+
+    def key(x) -> tuple:
+        vec = exponent_vector(x, base)
+        if vec is None:
+            raise DomainError(f"{x} does not factor over the class base")
+        target = [vec[j] for j in used]
+        residues = []
+        for column, d in divisors:
+            w = sum(t * v for t, v in zip(target, column))
+            residues.append(w % d if d else w)
+        return (x < 0, tuple(vec[j] for j in unused), tuple(residues))
+
+    return key
 
 
 def character_lattice_member(lam, generators) -> bool:

@@ -18,10 +18,12 @@ in one pass over the root-indexed columns.  Entry (m, n) of Q or S is zero
 or an eigenvector of the power of the field scaling with eigencharacter
 other[n] c[n] / (first[m] c[m]) (c an optional correction, the Cartan rows
 contributing 1).  Wherever that eigencharacter falls outside the
-multiplicative lattice spanned by the field scalars, which is reduced once
-per certificate, the entry must vanish.  Certifying this for every Q and S
-entry zeroes the root-indexed columns and forces det Z = 0, and that
-contradiction is what the certificate records.
+multiplicative lattice spanned by the field scalars, the entry must vanish.
+Its exponent vector is the column factor's minus the row factor's, so each
+row and column factor is keyed once by its class modulo the lattice, and an
+entry lies outside exactly when its row and column keys differ.  Certifying
+this for every Q and S entry zeroes the root-indexed columns and forces
+det Z = 0, and that contradiction is what the certificate records.
 """
 
 import itertools
@@ -33,7 +35,7 @@ from .errors import ConsistencyError, DomainError
 from .fields import (
     RationalFunction,
     ScalingAutomorphism,
-    character_lattice,
+    character_classes,
     is_prime,
     supports_pairwise_disjoint,
 )
@@ -116,7 +118,8 @@ def _root_images(phi: ChevalleyAutomorphism):
 
 
 def _torus_action(images, g: Diagonal) -> Diagonal:
-    """phi(g) for a rational root-position diagonal g.
+    """phi(g) for a rational root-position diagonal g, or for its numerators
+    or denominators alone.
 
     The field part fixes rational entries and the signs of the graph
     realization cancel in the conjugation, so phi(g)[sigma(beta)] = g[beta].
@@ -130,12 +133,19 @@ def _torus_action(images, g: Diagonal) -> Diagonal:
 
 
 def _collapse(images, g: Diagonal, m: int) -> Diagonal:
-    """g phi(g) phi^2(g) ... phi^{m-1}(g), phi's graph part given by its root images."""
-    acc, current = g, g
+    """g phi(g) phi^2(g) ... phi^{m-1}(g), phi's graph part given by its root images.
+
+    Numerators and denominators are multiplied as integers, and each entry
+    becomes one Fraction at the end.
+    """
+    nums = tuple(x.numerator for x in g)
+    dens = tuple(x.denominator for x in g)
+    acc_nums, acc_dens = nums, dens
     for _ in range(m - 1):
-        current = _torus_action(images, current)
-        acc = tuple(a * c for a, c in zip(acc, current))
-    return acc
+        nums, dens = _torus_action(images, nums), _torus_action(images, dens)
+        acc_nums = [a * b for a, b in zip(acc_nums, nums)]
+        acc_dens = [a * b for a, b in zip(acc_dens, dens)]
+    return tuple(map(Fraction, acc_nums, acc_dens))
 
 
 def twisted_power_product(phi: ChevalleyAutomorphism, g, m: int) -> Diagonal:
@@ -276,17 +286,22 @@ def _certify(rs: RootSystem, products, scaling: ScalingAutomorphism, power: int,
             raise DomainError(f"correction vector needs {root_count} entries, got {len(c)}")
         if any(x == 0 for x in c):
             raise DomainError("correction entries must be nonzero")
-    member = character_lattice(generators)
     first, other = diagonals[0], diagonals[index - 1]
-    columns = [(n, ok, other[n] * c[n]) for n, ok in enumerate(column_ok)]
+    rows = [first[m] * c[m] for m in range(root_count)] + [Fraction(1)] * rs.rank
+    cols = [other[n] * c[n] for n in range(root_count)]
+    # Entry (m, n) lies in the lattice exactly when row m and column n share
+    # a class key.
+    key = character_classes(generators, rows + cols)
+    columns = [(n, ok, x.numerator, x.denominator, key(x))
+               for n, (ok, x) in enumerate(zip(column_ok, cols))]
     certified, failed = [], []
-    for m in range(root_count + rs.rank):
+    for m, row in enumerate(rows):
         block = "Q" if m < root_count else "S"
-        row = first[m] * c[m] if m < root_count else 1
-        for n, ok, column in columns:
-            lam = column / row
-            if ok and not member(lam):
-                certified.append(ZeroEntryWitness((m, n), block, lam, count))
+        row_num, row_den, row_key = row.numerator, row.denominator, key(row)
+        for n, ok, col_num, col_den, col_key in columns:
+            if ok and col_key != row_key:
+                certified.append(ZeroEntryWitness(
+                    (m, n), block, Fraction(col_num * row_den, col_den * row_num), count))
             else:
                 failed.append((m, n))
     verdict = "obstructed" if not failed else "inconclusive"
@@ -372,10 +387,6 @@ class FirstFactorReduction:
     power: int
     exponent: int
     permutation_order: int
-
-    @property
-    def power_scaling(self) -> ScalingAutomorphism:
-        return self.scaling ** self.power
 
 
 def project_product_to_first_factor(product_aut: ProductAutomorphism,

@@ -2,9 +2,10 @@
 
 import random
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tck import (
     DomainError,
@@ -16,7 +17,7 @@ from tck import (
     exponent_vector,
     supports_pairwise_disjoint,
 )
-from tck.fields import character_lattice, is_prime
+from tck.fields import character_classes, character_lattice, is_prime
 
 
 def test_exponent_vector_values():
@@ -185,6 +186,50 @@ def test_character_lattice_membership_over_composite_bases():
     assert not character_lattice_member(3, [6, 4])
     assert character_lattice_member(Fraction(3, 2), [12, 18])
     assert not character_lattice_member(Fraction(9, 2), [12, 18])
+
+
+# small primes, composites over them, and atoms sharing primes with each other
+ATOMS = (2, 3, 5, 4, 6, 10, 12, 45)
+
+
+@st.composite
+def rationals_over_atoms(draw, signed, min_atoms=0):
+    value = Fraction(1)
+    for atom in draw(st.lists(st.sampled_from(ATOMS), min_size=min_atoms, max_size=3)):
+        value *= Fraction(atom) ** draw(st.integers(-3, 3))
+    return -value if signed and draw(st.booleans()) else value
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.lists(rationals_over_atoms(signed=False, min_atoms=1), max_size=3),
+       st.lists(rationals_over_atoms(signed=True), min_size=1, max_size=6))
+def test_class_keys_agree_with_membership_of_quotients(generators, factors):
+    # drawn factors times lattice elements share their classes
+    factors = [*factors, *(factors[0] * g for g in generators),
+               factors[-1] / prod(generators) ** 2]
+    key = character_classes(generators, factors)
+    for x in factors:
+        for y in factors:
+            assert (key(x) == key(y)) == character_lattice_member(x / y, generators)
+
+
+def test_class_keys_refine_the_base_jointly():
+    # 2 / (1/3) = 6 lies in <6> although neither factor factors over the
+    # generators' own base [6]
+    key = character_classes([6], [2, Fraction(1, 3)])
+    assert key(2) == key(Fraction(1, 3))
+    assert character_lattice_member(Fraction(2) / Fraction(1, 3), [6])
+    assert key(2) != key(3) and key(2) != key(-2)
+    assert key(1) == key(Fraction(1, 36)) != key(Fraction(1, 3))
+    # classes are residues, not exponents: 8 / 2 lies in <4>
+    key = character_classes([4], [2, 8])
+    assert key(2) == key(8) != key(4)
+    with pytest.raises(DomainError):
+        key(7)
+    with pytest.raises(DomainError):
+        key(0)
+    with pytest.raises(DomainError):
+        character_classes([-6], [2])
 
 
 def test_character_lattice_member_errors():

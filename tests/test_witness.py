@@ -242,6 +242,66 @@ def test_certificate_eigencharacters_match_the_collapsed_products(name, order, c
         assert entry.family_size == 4
 
 
+@pytest.mark.parametrize("scalars, index", [
+    ((Fraction(3, 2),), 3),
+    ((Fraction(6),), 3),
+    ((Fraction(2), Fraction(3)), 4),
+])
+def test_certificate_leaves_lattice_entries_uncertified(scalars, index):
+    # the correction puts lambda(0, 1) = 1 and lambda(0, 2) = a generator,
+    # whose primes are those of the first witness; every position is decided
+    # against the per-entry membership route
+    rs = build_root_system("A2")
+    witnesses = generate_witnesses(rs, 4)
+    delta = ScalingAutomorphism(scalars)
+    phi = ChevalleyAutomorphism(rs, field=delta)
+    products = [twisted_power_product(phi, g, 6) for g in witnesses.diagonals]
+    first, other = products[0], products[index - 1]
+    generators = (delta ** 6).scalars
+    root_count = len(rs.roots)
+    c = [Fraction(1)] * root_count
+    c[1] = first[0] / other[1]
+    c[2] = first[0] / other[2] * generators[0]
+    certificate = obstruction_check(rs, witnesses, None, delta, index, correction=c)
+    assert certificate.generators == generators
+    rows = [first[m] * c[m] for m in range(root_count)] + [Fraction(1)] * rs.rank
+    certified, uncertified = [], []
+    for m in range(root_count + rs.rank):
+        for n in range(root_count):
+            lam = other[n] * c[n] / rows[m]
+            if character_lattice_member(lam, generators):
+                uncertified.append((m, n))
+            else:
+                certified.append(((m, n), lam))
+    assert {(0, 1), (0, 2)} <= set(uncertified)
+    assert certificate.verdict == "inconclusive"
+    assert certificate.uncertified == tuple(uncertified)
+    assert [(e.position, e.eigencharacter) for e in certificate.entries] == certified
+    assert all(e.family_size == 4 for e in certificate.entries)
+
+
+def test_certificate_factors_each_row_and_column_once(monkeypatch):
+    # one exponent vector per generator and per row and column factor, never
+    # one per entry
+    import tck.fields
+
+    calls = []
+    original = tck.fields.exponent_vector
+
+    def counting(x, base):
+        calls.append(x)
+        return original(x, base)
+
+    monkeypatch.setattr(tck.fields, "exponent_vector", counting)
+    rs = build_root_system("E6")
+    delta = ScalingAutomorphism((Fraction(2), Fraction(3)))
+    certificate = obstruction_check(rs, generate_witnesses(rs, 5), None, delta, 4)
+    assert certificate.verdict == "obstructed"
+    roots = len(rs.roots)
+    assert len(certificate.entries) == (roots + rs.rank) * roots
+    assert 0 < len(calls) <= 2 * roots + rs.rank + len(certificate.generators)
+
+
 def test_certificate_block_counts_a1():
     rs = build_root_system("A1")
     certificate = obstruction_check(rs, generate_witnesses(rs, 3), None,
@@ -442,12 +502,13 @@ def test_two_factor_swap_reduction():
     assert reduction.permutation_order == 2
     assert reduction.exponent == 12
     assert reduction.scaling.scalars == (Fraction(6),)
-    assert reduction.power_scaling.scalars == (Fraction(6) ** 6,)
+    assert (reduction.scaling ** reduction.power).scalars == (Fraction(6) ** 6,)
     # field parts fix the rational witnesses: the collapse is a 12th power
     for g, p in zip(witnesses.diagonals, reduction.products):
         assert p == tuple(e**12 for e in g)
     certificate = reduced_obstruction_check(reduction, 3)
     assert certificate.verdict == "obstructed"
+    assert certificate.generators == (Fraction(6) ** 6,)
     assert not pattern_determinant(certificate)
 
 
