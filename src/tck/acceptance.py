@@ -14,7 +14,7 @@ from fractions import Fraction
 from math import gcd, prod
 from typing import Callable
 
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError
 from .fields import ScalingAutomorphism, exponent_vector, supports_pairwise_disjoint
 from .linalg import diagonal_entries, is_diagonal, mat_eq, mat_inv, mat_mul, mat_product
 from .roots import build_root_system, diagram_symmetries
@@ -102,6 +102,13 @@ def random_unimodular(rng: random.Random, n: int) -> list[list[int]]:
     return m
 
 
+def _require(condition, context="check failed"):
+    """Raise ConsistencyError unless condition holds; unlike assert, this
+    stays in force under python -O."""
+    if not condition:
+        raise ConsistencyError(context)
+
+
 # Standard finite test groups; generators as in the twisted-module encodings.
 
 def _s3():
@@ -137,19 +144,19 @@ def _check_integer_spectrum() -> str:
     # The only automorphisms of Z are +-identity.
     flip = reidemeister_zn([[-1]])
     same = reidemeister_zn([[1]])
-    assert flip == 2, flip
-    assert same == INFINITY, same
+    _require(flip == 2, flip)
+    _require(same == INFINITY, same)
     return "R(-id) = 2, R(id) = infinity"
 
 
 def _check_zn_fullness() -> str:
     for m in range(1, 51):
         w = zn_fullness_witness(2, m)
-        assert int_det(w) in (1, -1), (m, w)
+        _require(int_det(w) in (1, -1), (m, w))
         r = reidemeister_zn(w)
-        assert r == m, (m, r)
+        _require(r == m, (m, r))
         shifted = [[w[i][j] - int(i == j) for j in range(2)] for i in range(2)]
-        assert abs(int_det(shifted)) == m, (m, shifted)
+        _require(abs(int_det(shifted)) == m, (m, shifted))
     return "every m in 1..50 realized on Z^2, determinant route agrees"
 
 
@@ -163,7 +170,7 @@ def _check_abelian_oracle() -> str:
         for m in range(2, 7):
             brute = abelian_oracle_count(m_mat, m)
             formula = cokernel_order_mod(shifted, m)
-            assert brute == formula, (m_mat, m, brute, formula)
+            _require(brute == formula, (m_mat, m, brute, formula))
             compared += 1
     return f"{compared} brute-force/cokernel comparisons agree"
 
@@ -173,12 +180,12 @@ def _check_inner_twist_invariance() -> str:
     for group in (_s4(), _d4(), _sl23(), _a1_mod3()):
         identity = GroupAutomorphism.identity(group)
         for g in group.elements:
-            assert inner_twist_invariance(group, identity, g)
+            _require(inner_twist_invariance(group, identity, g))
             checked += 1
     d4 = _d4()
     for phi in all_automorphisms(d4):
         for g in d4.elements:
-            assert inner_twist_invariance(d4, phi, g)
+            _require(inner_twist_invariance(d4, phi, g))
             checked += 1
     return f"{checked} inner twists leave R unchanged"
 
@@ -190,8 +197,8 @@ def _check_isogredience_counts() -> str:
             result = isogredience_count(group, phi)  # dual-route checked inside
             if phi == GroupAutomorphism.identity(group):
                 measured[label] = result.count
-    assert measured["Q8"] == 4, measured
-    assert measured["SL(2,3)"] == 4, measured
+    _require(measured["Q8"] == 4, measured)
+    _require(measured["SL(2,3)"] == 4, measured)
     return (f"S(id): Q8 = {measured['Q8']}, D4 = {measured['D4']}, "
             f"SL(2,3) = {measured['SL(2,3)']}; all automorphism routes agree")
 
@@ -213,7 +220,7 @@ def _check_projection_inequality() -> str:
             quotient, induced = induced_automorphism(group, normal, phi)
             upstairs = reidemeister_number(group, phi)
             downstairs = reidemeister_number(quotient, induced)
-            assert upstairs >= downstairs, (len(group), len(quotient), upstairs, downstairs)
+            _require(upstairs >= downstairs, (len(group), len(quotient), upstairs, downstairs))
             checked += 1
     return f"{len(instances)} (G, N) instances, {checked} projections satisfy R >= R-bar"
 
@@ -229,9 +236,9 @@ def _check_chevalley_relations() -> str:
             for t in _PARAMS:
                 for u in _PARAMS:
                     left = mat_mul(x_alpha(rs, alpha, t), x_alpha(rs, alpha, u))
-                    assert mat_eq(left, x_alpha(rs, alpha, t + u))
+                    _require(mat_eq(left, x_alpha(rs, alpha, t + u)))
                     prod = mat_mul(h_alpha(rs, alpha, t), h_alpha(rs, alpha, u))
-                    assert mat_eq(prod, h_alpha(rs, alpha, t * u))
+                    _require(mat_eq(prod, h_alpha(rs, alpha, t * u)))
                     relations += 2
         for alpha in rs.roots:
             h = h_alpha(rs, alpha, Fraction(2))
@@ -240,7 +247,7 @@ def _check_chevalley_relations() -> str:
                 weight = Fraction(2) ** rs.cartan_integer(beta, alpha)
                 for u in (Fraction(1), Fraction(1, 2)):
                     conjugated = mat_mul(mat_mul(h, x_alpha(rs, beta, u)), h_inverse)
-                    assert mat_eq(conjugated, x_alpha(rs, beta, weight * u))
+                    _require(mat_eq(conjugated, x_alpha(rs, beta, weight * u)))
                     relations += 1
         for alpha in rs.roots:
             for beta in rs.roots:
@@ -248,7 +255,7 @@ def _check_chevalley_relations() -> str:
                     continue
                 for t in _PARAMS:
                     for u in _PARAMS:
-                        assert commutator_relation_check(rs, alpha, beta, t, u)
+                        _require(commutator_relation_check(rs, alpha, beta, t, u))
                         relations += 1
     return f"{relations} relations verified over A1, A2, A3, B2, G2"
 
@@ -264,15 +271,15 @@ def _check_torus_diagonal_form() -> str:
                 diag = diagonal_entries(h)
                 expected = [t ** rs.cartan_integer(beta, alpha) for beta in rs.roots]
                 expected += [Fraction(1)] * rs.rank
-                assert all(h[i][j] == 0 for i in range(len(h)) for j in range(len(h)) if i != j)
-                assert diag == expected, (name, alpha, t)
+                _require(all(h[i][j] == 0 for i in range(len(h)) for j in range(len(h)) if i != j))
+                _require(diag == expected, (name, alpha, t))
                 # Independent route: the dense product n_alpha(t) n_alpha(-1).
                 dense = mat_mul(n_alpha(rs, alpha, t), n_alpha(rs, alpha, Fraction(-1)))
-                assert mat_eq(h, dense), (name, alpha, t)
+                _require(mat_eq(h, dense), (name, alpha, t))
                 checked += 1
     a1 = build_root_system("A1")
     sample = diagonal_entries(h_alpha(a1, (1,), Fraction(2)))
-    assert sample == [Fraction(4), Fraction(1, 4), Fraction(1)], sample
+    _require(sample == [Fraction(4), Fraction(1, 4), Fraction(1)], sample)
     return f"{checked} torus matrices diagonal with character entries; A1 sample diag(4, 1/4, 1)"
 
 
@@ -290,7 +297,7 @@ def _check_witness_disjointness() -> str:
         simple = [tuple(int(j == t) for j in range(rs.rank)) for t in range(rs.rank)]
         # Every entry is a product of its own block's primes and the blocks
         # share no prime, so supports are disjoint across witnesses.
-        assert supports_pairwise_disjoint(prod(block) for block in witnesses.primes), name
+        _require(supports_pairwise_disjoint(prod(block) for block in witnesses.primes), name)
         phi = ChevalleyAutomorphism(rs, graph=symmetry)
         for block, diag in zip(witnesses.primes, witnesses.diagonals):
             product = twisted_power_product(phi, diag, 6)
@@ -306,11 +313,11 @@ def _check_witness_disjointness() -> str:
                 acc = mat_mul(acc, current)
             for matrix, expected in ((dense, diag), (acc, product)):
                 entries = diagonal_entries(matrix)
-                assert is_diagonal(matrix) and entries[root_count:] == [1] * rs.rank, name
-                assert tuple(entries[:root_count]) == expected, name
+                _require(is_diagonal(matrix) and entries[root_count:] == [1] * rs.rank, name)
+                _require(tuple(entries[:root_count]) == expected, name)
             for a in (*diag, *product):
                 exponents = exponent_vector(a, block)
-                assert exponents is not None and any(exponents), (name, a)
+                _require(exponents is not None and any(exponents), (name, a))
     return "6 witnesses for A2, A3(rev), B2, D4(ord-3): entry and product supports disjoint"
 
 
@@ -327,7 +334,7 @@ def _check_telescoping_identity() -> str:
         y = group.elements[rng.randrange(len(group))]
         z = group.elements[rng.randrange(len(group))]
         m = rng.randint(1, 8)
-        assert telescoping_product_check(group, phi, y, z, m)
+        _require(telescoping_product_check(group, phi, y, z, m))
     return "1000 randomized telescoping instances hold"
 
 
@@ -338,29 +345,29 @@ def _check_obstruction_certificate() -> str:
     a2 = build_root_system("A2")
     witnesses = generate_witnesses(a2, 6)
     certificate = obstruction_check(a2, witnesses, None, scale, 3)
-    assert certificate.verdict == "obstructed", certificate.uncertified[:4]
+    _require(certificate.verdict == "obstructed", certificate.uncertified[:4])
     expected = (len(a2.roots) + a2.rank) * len(a2.roots)
-    assert len(certificate.entries) == expected, len(certificate.entries)
-    assert not pattern_determinant(certificate)
+    _require(len(certificate.entries) == expected, len(certificate.entries))
+    _require(not pattern_determinant(certificate))
     parts.append(f"A2: {len(certificate.entries)} certified")
 
     a3 = build_root_system("A3")
     reversal = next(s for s in diagram_symmetries(a3) if s.order == 2)
     witnesses3 = generate_witnesses(a3, 6)
     certificate3 = obstruction_check(a3, witnesses3, reversal, scale, 3)
-    assert certificate3.verdict == "obstructed"
+    _require(certificate3.verdict == "obstructed")
     expected3 = (len(a3.roots) + a3.rank) * len(a3.roots)
-    assert len(certificate3.entries) == expected3
-    assert not pattern_determinant(certificate3)
+    _require(len(certificate3.entries) == expected3)
+    _require(not pattern_determinant(certificate3))
     parts.append(f"A3 reversal: {len(certificate3.entries)} certified")
 
     factor = ChevalleyAutomorphism(a2, field=scale)
     product = ProductAutomorphism([factor, factor], (1, 0))
     reduction = project_product_to_first_factor(product, witnesses)
     reduced = reduced_obstruction_check(reduction, 3)
-    assert reduced.verdict == "obstructed"
-    assert len(reduced.entries) == expected
-    assert not pattern_determinant(reduced)
+    _require(reduced.verdict == "obstructed")
+    _require(len(reduced.entries) == expected)
+    _require(not pattern_determinant(reduced))
     parts.append(f"swap product: {len(reduced.entries)} certified")
     return "; ".join(parts) + "; pattern determinants all 0"
 
@@ -373,7 +380,7 @@ def _check_heisenberg_spectrum() -> str:
         matrix = random_unimodular(rng, 2)
         count = heisenberg_reidemeister(matrix)
         if count != INFINITY:
-            assert count.value % 2 == 0, (matrix, count)
+            _require(count.value % 2 == 0, (matrix, count))
             finite += 1
         candidates.append(matrix)
     compared = 0
@@ -389,26 +396,26 @@ def _check_heisenberg_spectrum() -> str:
                 brute = heisenberg_oracle(matrix, m)
             except DomainError:
                 continue
-            assert brute == heisenberg_cokernel_product(matrix, m), (matrix, m)
+            _require(brute == heisenberg_cokernel_product(matrix, m), (matrix, m))
             compared += 1
-    assert compared >= 12, compared
+    _require(compared >= 12, compared)
     fixed = heisenberg_reidemeister([[0, 1], [1, 1]])
-    assert fixed == ExtendedCount(2) and fixed.value % 2 == 0
+    _require(fixed == ExtendedCount(2) and fixed.value % 2 == 0)
     return (f"{finite} finite values all even; {compared} oracle/cokernel "
             "comparisons agree; [[0,1],[1,1]] gives 2")
 
 
 def _check_metabelian_table() -> str:
     case_a = metabelian_spectrum(Fraction(1), Fraction(1), 3)
-    assert case_a.case == "equal-units"
-    assert case_a.contains(4) and not case_a.contains(6)
+    _require(case_a.case == "equal-units")
+    _require(case_a.contains(4) and not case_a.contains(6))
     case_c = metabelian_spectrum(Fraction(2), Fraction(1, 2), 2)
-    assert case_c.case == "reciprocal-pair"
-    assert case_c.contains(6) and case_c.contains(4) and not case_c.contains(8)
+    _require(case_c.case == "reciprocal-pair")
+    _require(case_c.contains(6) and case_c.contains(4) and not case_c.contains(8))
     case_d = metabelian_spectrum(Fraction(5), Fraction(25), 5)
-    assert case_d.case == "generic"
-    assert case_d.contains(INFINITY)
-    assert not any(case_d.contains(v) for v in range(1, 30))
+    _require(case_d.case == "generic")
+    _require(case_d.contains(INFINITY))
+    _require(not any(case_d.contains(v) for v in range(1, 30)))
     return ("p=3 equal-units: 4 in, 6 out; p=2 reciprocal-pair: 6 in, 4 in, 8 out; "
             "generic: only infinity")
 

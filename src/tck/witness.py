@@ -112,39 +112,36 @@ def _require_graph_field(phi: ChevalleyAutomorphism, context: str):
                           "inner and diagonal parts are not allowed")
 
 
-def _root_images(phi: ChevalleyAutomorphism):
-    """Root-index images under phi's graph part, None without one."""
-    return None if phi.graph is None else root_permutation(phi.rs, phi.graph)
+def _index_map(rs: RootSystem, symmetry: DiagramSymmetry | None):
+    """A graph part's torus action as the index map phi(g)[k] = g[sources[k]],
+    None without a graph part.  The field part fixes rational entries and the
+    signs of the graph realization cancel, so phi(g)[sigma(beta)] = g[beta]."""
+    if symmetry is None:
+        return None
+    sources = [0] * len(rs.roots)
+    for i, j in enumerate(root_permutation(rs, symmetry)):
+        sources[j] = i
+    return tuple(sources)
 
 
-def _torus_action(images, g: Diagonal) -> Diagonal:
-    """phi(g) for a rational root-position diagonal g, or for its numerators
-    or denominators alone.
+def _collapse(cycle, g: Diagonal, m: int) -> Diagonal:
+    """g phi_1(g) (phi_1 phi_2)(g) ... (phi_1 ... phi_{m-1})(g), phi_t the
+    graph part with index map cycle[(t - 1) % len(cycle)].
 
-    The field part fixes rational entries and the signs of the graph
-    realization cancel in the conjugation, so phi(g)[sigma(beta)] = g[beta].
+    Factor t gathers g through the composed index map, so numerators and
+    denominators are multiplied as integers, and each entry becomes one
+    Fraction at the end.
     """
-    if images is None:
-        return g
-    out = [None] * len(g)
-    for i, j in enumerate(images):
-        out[j] = g[i]
-    return tuple(out)
-
-
-def _collapse(images, g: Diagonal, m: int) -> Diagonal:
-    """g phi(g) phi^2(g) ... phi^{m-1}(g), phi's graph part given by its root images.
-
-    Numerators and denominators are multiplied as integers, and each entry
-    becomes one Fraction at the end.
-    """
-    nums = tuple(x.numerator for x in g)
-    dens = tuple(x.denominator for x in g)
+    nums = [x.numerator for x in g]
+    dens = [x.denominator for x in g]
     acc_nums, acc_dens = nums, dens
-    for _ in range(m - 1):
-        nums, dens = _torus_action(images, nums), _torus_action(images, dens)
-        acc_nums = [a * b for a, b in zip(acc_nums, nums)]
-        acc_dens = [a * b for a, b in zip(acc_dens, dens)]
+    index = range(len(g))
+    for t in range(m - 1):
+        sources = cycle[t % len(cycle)]
+        if sources is not None:
+            index = [sources[i] for i in index]
+        acc_nums = [a * nums[i] for a, i in zip(acc_nums, index)]
+        acc_dens = [a * dens[i] for a, i in zip(acc_dens, index)]
     return tuple(map(Fraction, acc_nums, acc_dens))
 
 
@@ -154,7 +151,7 @@ def twisted_power_product(phi: ChevalleyAutomorphism, g, m: int) -> Diagonal:
     if m < 1:
         raise DomainError(f"exponent must be at least 1, got {m}")
     g = _rational_diagonal(g, len(phi.rs.roots), "twisted power product")
-    return _collapse(_root_images(phi), g, m)
+    return _collapse((_index_map(phi.rs, phi.graph),), g, m)
 
 
 class ProductAutomorphism:
@@ -192,7 +189,7 @@ class ProductAutomorphism:
         self.factors = factors
         self.permutation = permutation
         self.k = k
-        self._images = tuple(_root_images(phi) for phi in factors)
+        self._sources = tuple(_index_map(rs, phi.graph) for phi in factors)
 
     @property
     def permutation_order(self) -> int:
@@ -206,9 +203,9 @@ class ProductAutomorphism:
             )
         x = tuple(_rational_diagonal(g, len(self.rs.roots), "product automorphism")
                   for g in x)
-        return tuple(
-            _torus_action(self._images[j], x[j]) for j in self.permutation
-        )
+        return tuple(x[j] if self._sources[j] is None
+                     else tuple(x[j][i] for i in self._sources[j])
+                     for j in self.permutation)
 
     def __call__(self, summands) -> tuple:
         return self.apply(summands)
@@ -325,9 +322,9 @@ def obstruction_check(rs: RootSystem, witnesses: WitnessSequence,
     if witnesses.root_system.type != rs.type:
         raise DomainError("witnesses were generated for a different root system")
     rs = witnesses.root_system
-    images = None if symmetry is None else root_permutation(rs, symmetry)
+    cycle = (_index_map(rs, symmetry),)
     products = [
-        _collapse(images, _rational_diagonal(g, len(rs.roots), "twisted power product"), 6)
+        _collapse(cycle, _rational_diagonal(g, len(rs.roots), "twisted power product"), 6)
         for g in witnesses.diagonals
     ]
     return _certify(rs, products, scaling, 6, correction, index_beyond_bound)
@@ -391,13 +388,15 @@ class FirstFactorReduction:
 
 def project_product_to_first_factor(product_aut: ProductAutomorphism,
                                     witnesses: WitnessSequence) -> FirstFactorReduction:
-    """Collapse diag(g_i, ..., g_i) under the product automorphism, by
-    iterating its defining action, and keep only the first summand.
+    """Collapse diag(g_i, ..., g_i) under the product automorphism and keep
+    only the first summand.
 
+    After t steps the first summand is phi_{j_1} ... phi_{j_t}(g_i) along
+    the cycle j_t = s^t(0) through it, so the other summands never enter.
     Over 6s steps (s the permutation order) the permutation part returns to
     the identity and the graph parts cancel, leaving the sixth power of the
-    field scaling composed along the cycle through the first summand.  The
-    projected products feed the same certification as the one-factor case.
+    field scaling composed along that cycle.  The projected products feed
+    the same certification as the one-factor case.
     """
     if witnesses.root_system.type != product_aut.rs.type:
         raise DomainError("witnesses were generated for a different root system")
@@ -405,22 +404,20 @@ def project_product_to_first_factor(product_aut: ProductAutomorphism,
     perm = product_aut.permutation
     s = product_aut.permutation_order
     total = 6 * s
-    products = []
-    for g in witnesses.diagonals:
-        summands = (g,) * product_aut.k
-        hat = g
-        for _ in range(total - 1):
-            summands = product_aut.apply(summands)
-            hat = tuple(a * b for a, b in zip(hat, summands[0]))
-        products.append(hat)
+    orbit = [perm[0]]
+    while orbit[-1] != 0:
+        orbit.append(perm[orbit[-1]])
+    cycle = [product_aut._sources[j] for j in orbit]
+    products = tuple(
+        _collapse(cycle, _rational_diagonal(g, len(rs.roots), "product automorphism"), total)
+        for g in witnesses.diagonals
+    )
     theta = ScalingAutomorphism.identity(product_aut.variable_count)
-    j = 0
-    for _ in range(s):
-        j = perm[j]
-        field = product_aut.factors[j].field
+    for t in range(s):
+        field = product_aut.factors[orbit[t % len(orbit)]].field
         if field is not None:
             theta = theta.compose(field)
-    return FirstFactorReduction(rs, witnesses, tuple(products), theta, 6, total, s)
+    return FirstFactorReduction(rs, witnesses, products, theta, 6, total, s)
 
 
 def reduced_obstruction_check(reduction: FirstFactorReduction,

@@ -6,6 +6,11 @@ same outcomes.  A test fails either on a wrong result or on blowing the
 check's wall-clock budget.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 from tck.acceptance import all_checks, run_check
 
 CHECKS = {check.number: check for check in all_checks()}
@@ -71,3 +76,20 @@ def test_criterion_12_heisenberg_spectrum():
 
 def test_criterion_13_metabelian_table():
     _run(13)
+
+
+def test_broken_routes_fail_under_optimized_python():
+    # python -O strips assert statements; the criteria must fail regardless
+    src = Path(__file__).resolve().parents[1] / "src"
+    probe = (
+        "import tck.acceptance as acceptance\n"
+        "acceptance.reidemeister_zn = lambda matrix: 7\n"
+        "acceptance.metabelian_spectrum = lambda *args: None\n"
+        "checks = {check.number: check for check in acceptance.all_checks()}\n"
+        "print([acceptance.run_check(checks[n]).passed for n in (1, 13)])\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-O", "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert result.stdout.strip() == "[False, False]"

@@ -1,11 +1,14 @@
 """Witness families, collapsed products, and the zero-block certification."""
 
+import functools
 import hashlib
+import itertools
 import random
 from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tck import (
     ChevalleyAutomorphism,
@@ -32,6 +35,7 @@ from tck import (
     twisted_power_product,
     x_alpha,
 )
+import tck.witness
 from tck.chevalley import GraphMatrixRealization
 from tck.linalg import diagonal_entries, is_diagonal, mat_det, mat_eq, mat_mul, mat_product
 
@@ -151,6 +155,21 @@ def test_twisted_power_product_input_validation():
     for bad in (g[:-1], g + (Fraction(1),), (Fraction(0),) + g[1:]):
         with pytest.raises(DomainError):
             twisted_power_product(plain, bad, 6)
+
+
+def test_twisted_power_product_matches_iterated_dense_action():
+    # an order-3 graph part tells the root permutation from its inverse at
+    # every m that is not a multiple of 3
+    rs = build_root_system("D4")
+    sigma = next(s for s in diagram_symmetries(rs) if s.order == 3)
+    phi = ChevalleyAutomorphism(rs, graph=sigma, field=ScalingAutomorphism((Fraction(2),)))
+    witnesses = generate_witnesses(rs, 1)
+    g = _dense_witness(rs, witnesses.primes[0])
+    acc = current = g
+    for m in range(1, 6):
+        assert twisted_power_product(phi, witnesses.diagonals[0], m) == _root_block(rs, acc)
+        current = phi.apply(current)
+        acc = mat_mul(acc, current)
 
 
 def test_product_automorphism_validation():
@@ -526,3 +545,79 @@ def test_three_cycle_reduction_composes_the_fields():
     assert reduction.scaling.scalars == (Fraction(12),)
     certificate = reduced_obstruction_check(reduction, 3)
     assert certificate.verdict == "obstructed"
+
+
+def _reference_projection(product, witnesses):
+    """The projection by the defining action: apply the product automorphism
+    6s - 1 times, multiply the first summands as Fractions, and compose the
+    field parts along s steps from summand 0."""
+    s = product.permutation_order
+    products = []
+    for g in witnesses.diagonals:
+        summands = (g,) * product.k
+        hat = g
+        for _ in range(6 * s - 1):
+            summands = product.apply(summands)
+            hat = tuple(a * b for a, b in zip(hat, summands[0]))
+        products.append(hat)
+    theta = ScalingAutomorphism.identity(product.variable_count)
+    j = 0
+    for _ in range(s):
+        j = product.permutation[j]
+        if product.factors[j].field is not None:
+            theta = theta.compose(product.factors[j].field)
+    return tuple(products), theta, 6, 6 * s, s
+
+
+@functools.cache
+def _projection_setting(name):
+    rs = build_root_system(name)
+    return rs, generate_witnesses(rs, 2), [None] + diagram_symmetries(rs)
+
+
+PERMUTATIONS = [p for k in range(1, 5) for p in itertools.permutations(range(k))]
+
+
+@st.composite
+def product_automorphisms(draw):
+    rs, witnesses, graphs = _projection_setting(draw(st.sampled_from(("A3", "D4"))))
+    # (0, 2, 1) fixes summand 0; under (1, 0, 3, 4, 2) the cycle through
+    # summand 0 has length 2 and the permutation order is 6
+    perm = draw(st.sampled_from(((0, 2, 1), (1, 0, 3, 4, 2))) | st.sampled_from(PERMUTATIONS))
+    nvars = draw(st.integers(1, 2))
+    scalar = st.sampled_from((Fraction(2), Fraction(3), Fraction(1, 5), Fraction(-7)))
+    scaling = st.lists(scalar, min_size=nvars, max_size=nvars).map(
+        lambda c: ScalingAutomorphism(tuple(c)))
+    factors = [ChevalleyAutomorphism(rs, graph=draw(st.sampled_from(graphs)),
+                                     field=draw(st.none() | scaling))
+               for _ in perm]
+    return ProductAutomorphism(factors, tuple(perm)), witnesses
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(product_automorphisms())
+def test_projection_matches_the_iterated_defining_action(case):
+    product, witnesses = case
+    reduction = project_product_to_first_factor(product, witnesses)
+    got = (reduction.products, reduction.scaling, reduction.power, reduction.exponent,
+           reduction.permutation_order)
+    assert got == _reference_projection(product, witnesses)
+
+
+def test_projection_validates_each_witness_once(monkeypatch):
+    calls = []
+    original = tck.witness._rational_diagonal
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(tck.witness, "_rational_diagonal", counting)
+    rs = build_root_system("D4")
+    sigma = next(s for s in diagram_symmetries(rs) if s.order == 3)
+    factors = [ChevalleyAutomorphism(rs, graph=sigma) for _ in range(3)]
+    witnesses = generate_witnesses(rs, 4)
+    reduction = project_product_to_first_factor(ProductAutomorphism(factors, (1, 2, 0)),
+                                                witnesses)
+    assert reduction.exponent == 18
+    assert 0 < len(calls) <= witnesses.count
