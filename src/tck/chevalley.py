@@ -12,7 +12,11 @@ Generators:
     x_alpha(t)   exp(t ad e_alpha); the series terminates because ad e_alpha
                  is nilpotent.  Its terms come straight from the bracket
                  table: column j holds (ad e_alpha)^k e_j / k! for k >= 1,
-                 each a sparse vector, until the vector vanishes.
+                 each a sparse vector, until the vector vanishes.  In the
+                 Chevalley basis these vectors are integral (Steinberg,
+                 Lectures on Chevalley Groups, Sec. 1; Carter, Simple Groups
+                 of Lie Type, Thm 4.2.1), so the terms are stored as ints and
+                 a non-integral one raises ConsistencyError.
     n_alpha(t)   x_alpha(t) x_{-alpha}(-1/t) x_alpha(t); monomial, realizes
                  the reflection in alpha on root spaces.
     h_alpha(t)   n_alpha(t) n_alpha(-1); diagonal with entry t^<beta, alpha^v>
@@ -26,6 +30,13 @@ composite applies them in the fixed order inner, diagonal, field, graph.
 A diagram symmetry is realized as conjugation by a signed permutation matrix;
 the signs are forced by the structure constants and are recorded per root,
 since the naive unsigned permutation need not respect the brackets.
+
+commutator_relation_check takes one of two routes.  Over Q, with t = p/q,
+x_alpha(t) is M / q^K for K the largest exponent of its terms and M the
+integer matrix with q^K on the diagonal and c p^k q^(K-k) for the term c t^k;
+the check multiplies those integer matrices as sparse rows and compares the
+two sides by cross-multiplication.  Over Q(T) it multiplies the dense
+x_alpha matrices with ``linalg.mat_product``.
 
 The per-root tables behind x_alpha and h_alpha live in ``rs.tables``, so
 they are freed with their root system; no module-level cache holds one.
@@ -108,23 +119,32 @@ def _memoised_on_root_system(build):
 
 @_memoised_on_root_system
 def _exp_entries(rs: RootSystem, alpha) -> tuple:
-    """Terms (i, j, c, k) of exp(t ad e_alpha): c*t^k is added at (i, j).
+    """Terms (i, j, c, k) of exp(t ad e_alpha): the integer c times t^k is added at (i, j).
 
     Column j collects (ad e_alpha)^k e_j / k!, each vector the bracket image
     of the previous one divided by k, until it vanishes.  Position (i, j)
-    gets at most one term, since weight(i) = weight(j) + k*alpha fixes k.
+    gets at most one term, since weight(i) = weight(j) + k*alpha fixes k,
+    and never the diagonal.
     """
     a = rs.root_index[alpha]
     out = []
     for j in range(adjoint_dimension(rs)):
-        vector = {j: Fraction(1)}
+        vector = {j: 1}
         k = 1
         while True:
             image = {}
             for s, c in vector.items():
                 for i, b in bracket_coordinates(rs, a, s).items():
-                    image[i] = image.get(i, 0) + c * b / k
-            vector = {i: c for i, c in image.items() if c}
+                    image[i] = image.get(i, 0) + c * b
+            vector = {}
+            for i, total in image.items():
+                c = Fraction(total, k)
+                if c.denominator != 1:
+                    raise ConsistencyError(
+                        f"exp(ad e_{alpha}) coefficient {c} at ({i}, {j}) is not integral"
+                    )
+                if c:
+                    vector[i] = c.numerator
             if not vector:
                 break
             out.extend((i, j, c, k) for i, c in vector.items())
@@ -142,7 +162,8 @@ def x_alpha(rs: RootSystem, alpha, t) -> Matrix:
     for i, j, c, k in _exp_entries(rs, alpha):
         if k not in powers:
             powers[k] = t ** k
-        result[i][j] = result[i][j] + c * powers[k]
+        # scalar first: int * Fraction would take Fraction's slower reflected operator
+        result[i][j] = result[i][j] + powers[k] * c
     return result
 
 
@@ -413,20 +434,61 @@ def commutator_relation_check(rs: RootSystem, alpha, beta, t, u) -> bool:
     beta = rs.check_root(beta)
     t = _coerce_scalar(t)
     u = _coerce_scalar(u)
-    factors = commutator_factors(rs, alpha, beta)
-    left = mat_product(
-        [
-            x_alpha(rs, beta, -u),
-            x_alpha(rs, alpha, -t),
-            x_alpha(rs, beta, u),
-            x_alpha(rs, alpha, t),
-        ]
+    left = [(beta, -u), (alpha, -t), (beta, u), (alpha, t)]
+    right = [
+        (gamma, c * (-t) ** i * u**j) for gamma, i, j, c in commutator_factors(rs, alpha, beta)
+    ]
+    if isinstance(t, Fraction) and isinstance(u, Fraction):
+        (a, da), (b, db) = _integer_product(rs, left), _integer_product(rs, right)
+        return all(
+            {j: v * db for j, v in ra.items()} == {j: v * da for j, v in rb.items()}
+            for ra, rb in zip(a, b)
+        )
+    dense_left = mat_product([x_alpha(rs, gamma, s) for gamma, s in left])
+    dense_right = mat_product(
+        [x_alpha(rs, gamma, s) for gamma, s in right] or [identity_matrix(adjoint_dimension(rs))]
     )
-    right = mat_product(
-        [x_alpha(rs, gamma, c * (-t) ** i * u**j) for gamma, i, j, c in factors]
-        or [identity_matrix(adjoint_dimension(rs))]
-    )
-    return mat_eq(left, right)
+    return mat_eq(dense_left, dense_right)
+
+
+def _integer_x_alpha(rs: RootSystem, alpha, t: Fraction) -> tuple[list[dict], int]:
+    """x_alpha(t) as (rows, d): sparse integer rows {column: entry} with x_alpha(t) = rows / d.
+
+    For t = p/q and K the largest exponent among the terms, d = q^K; the
+    diagonal holds d and the term c t^k becomes c p^k q^(K-k).
+    """
+    entries = _exp_entries(rs, alpha)
+    depth = max(k for _, _, _, k in entries)
+    p, q = t.numerator, t.denominator
+    d = q**depth
+    rows = [{i: d} for i in range(adjoint_dimension(rs))]
+    if p:
+        scale = [p**k * q ** (depth - k) for k in range(depth + 1)]
+        for i, j, c, k in entries:
+            rows[i][j] = c * scale[k]
+    return rows, d
+
+
+def _integer_product(rs: RootSystem, parameters) -> tuple[list[dict], int]:
+    """Product of x_gamma(s) over the (gamma, s) pairs with rational s, as (rows, d)."""
+    rows, den = None, 1
+    for gamma, s in parameters:
+        factor, d = _integer_x_alpha(rs, gamma, s)
+        den *= d
+        if rows is None:
+            rows = factor
+            continue
+        product = []
+        for row in rows:
+            acc = {}
+            for t, x in row.items():
+                for j, y in factor[t].items():
+                    acc[j] = acc.get(j, 0) + x * y
+            product.append({j: v for j, v in acc.items() if v})
+        rows = product
+    if rows is None:
+        rows = [{i: 1} for i in range(adjoint_dimension(rs))]
+    return rows, den
 
 
 def reduce_mod_p(x: Matrix, p: int) -> list[list[int]]:

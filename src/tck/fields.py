@@ -277,6 +277,10 @@ class RationalFunction:
     graded-lex leading coefficient and cancels any common monomial factor.
     Representations are not forced into lowest terms; equality is decided by
     cross-multiplication, which is exact and avoids multivariate gcds.
+    An int or Fraction operand of +, -, * and == skips coercion into a
+    constant RationalFunction, and results already in normal form skip
+    normalization: c*num/den, (num + c*den)/den, -num/den and num^n/den^n
+    keep the terms the generic route gives.
     """
 
     __slots__ = ("num", "den")
@@ -302,9 +306,19 @@ class RationalFunction:
             num = unshift(num)
             den = unshift(den)
         _, lead = den.leading_term()
-        inv = 1 / lead
-        self.num = num.scale(inv)
-        self.den = den.scale(inv)
+        if lead != 1:
+            inv = 1 / lead
+            num, den = num.scale(inv), den.scale(inv)
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def _normal(cls, num: Polynomial, den: Polynomial) -> "RationalFunction":
+        """num/den as given, for a monic den with no monomial factor in common with num."""
+        f = object.__new__(cls)
+        f.num = num
+        f.den = den if num.terms else Polynomial.constant(den.nvars, 1)
+        return f
 
     @classmethod
     def from_polynomial(cls, p: Polynomial) -> "RationalFunction":
@@ -343,6 +357,10 @@ class RationalFunction:
         return None
 
     def __add__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # Terms of c*den all carry the den's lowest power of each
+            # variable, so no common monomial factor can appear.
+            return RationalFunction._normal(self.num + self.den.scale(other), self.den)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -351,18 +369,21 @@ class RationalFunction:
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den)
+        return RationalFunction._normal(-self.num, self.den)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
+        if not isinstance(other, (int, Fraction)):
+            other = self._coerce(other)
+            if other is None:
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return RationalFunction._normal(self.num.scale(other), self.den)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -390,9 +411,13 @@ class RationalFunction:
     def __pow__(self, n: int):
         if n < 0:
             return self.reciprocal() ** (-n)
-        return RationalFunction(self.num ** n, self.den ** n)
+        # Powers keep the den monic, and the lowest power of each variable
+        # scales by n on both sides, so no common monomial factor appears.
+        return RationalFunction._normal(self.num ** n, self.den ** n)
 
     def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.num == self.den.scale(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented

@@ -324,7 +324,7 @@ def obstruction_check(rs: RootSystem, witnesses: WitnessSequence,
     rs = witnesses.root_system
     cycle = (_index_map(rs, symmetry),)
     products = [
-        _collapse(cycle, _rational_diagonal(g, len(rs.roots), "twisted power product"), 6)
+        _collapse(cycle, _rational_diagonal(g, len(rs.roots), "obstruction check"), 6)
         for g in witnesses.diagonals
     ]
     return _certify(rs, products, scaling, 6, correction, index_beyond_bound)

@@ -24,8 +24,22 @@ from tck import (
     reduce_mod_p,
     x_alpha,
 )
-from tck.chevalley import GraphMatrixRealization, bracket_coordinates
-from tck.linalg import diagonal_entries, identity_matrix, is_diagonal, mat_eq, mat_mul
+import tck.chevalley
+import tck.linalg
+from tck.chevalley import (
+    GraphMatrixRealization,
+    _exp_entries,
+    _integer_x_alpha,
+    bracket_coordinates,
+)
+from tck.linalg import (
+    diagonal_entries,
+    identity_matrix,
+    is_diagonal,
+    mat_eq,
+    mat_mul,
+    mat_product,
+)
 
 SCALARS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 5))
 
@@ -214,6 +228,109 @@ def test_g2_commutator_reaches_depth_three():
         for _, i, j, _ in commutator_factors(rs, a, b)
     }
     assert (3, 1) in degrees or (1, 3) in degrees
+
+
+CRITERION_PARAMETERS = (Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2))
+
+
+def _drawn_rational(rng):
+    return Fraction(rng.choice([p for p in range(-9, 10) if p]), rng.randrange(1, 8))
+
+
+def test_integer_factor_matches_x_alpha():
+    # x_alpha(p/q) = M / q^K with M integral; the Fraction x_alpha is the reference
+    rng = random.Random(14)
+    for name in ("A1", "A2", "A3", "B2", "G2", "B3", "C3"):
+        rs = build_root_system(name)
+        dim = adjoint_dimension(rs)
+        for alpha in rs.roots:
+            entries = _exp_entries(rs, alpha)
+            assert all(type(c) is int for _, _, c, _ in entries)
+            depth = max(k for _, _, _, k in entries)
+            for t in (*CRITERION_PARAMETERS, _drawn_rational(rng), _drawn_rational(rng)):
+                rows, d = _integer_x_alpha(rs, alpha, t)
+                assert d == t.denominator**depth
+                assert all(type(v) is int for row in rows for v in row.values())
+                scaled = [[Fraction(row.get(j, 0), d) for j in range(dim)] for row in rows]
+                assert scaled == x_alpha(rs, alpha, t), (name, alpha, t)
+
+
+def _dense_commutator_check(rs, alpha, beta, t, u, factors):
+    """The commutator relation from dense Fraction matrices, for given factors."""
+    left = mat_product(
+        [x_alpha(rs, beta, -u), x_alpha(rs, alpha, -t), x_alpha(rs, beta, u), x_alpha(rs, alpha, t)]
+    )
+    right = mat_product(
+        [x_alpha(rs, gamma, c * (-t) ** i * u**j) for gamma, i, j, c in factors]
+        or [identity_matrix(adjoint_dimension(rs))]
+    )
+    return mat_eq(left, right)
+
+
+def test_integer_commutator_route_matches_the_dense_route():
+    rng = random.Random(21)
+    for name in ("G2", "B3"):
+        rs = build_root_system(name)
+        for alpha in rs.roots:
+            for beta in rs.roots:
+                if beta in (alpha, rs.negate(alpha)):
+                    continue
+                t, u = _drawn_rational(rng), _drawn_rational(rng)
+                factors = commutator_factors(rs, alpha, beta)
+                dense = _dense_commutator_check(rs, alpha, beta, t, u, factors)
+                assert commutator_relation_check(rs, alpha, beta, t, u) == dense
+                assert dense, (name, alpha, beta, t, u)
+
+
+def test_perturbed_commutator_constant_fails_on_both_routes(monkeypatch):
+    rs = build_root_system("G2")
+    a, b = rs.positive_roots[: rs.rank]
+    t, u = Fraction(2), Fraction(-1, 3)
+    factors = commutator_factors(rs, a, b)
+    assert len(factors) == 4
+    for position, (gamma, i, j, c) in enumerate(factors):
+        perturbed = list(factors)
+        perturbed[position] = (gamma, i, j, c + 1)
+        monkeypatch.setattr(tck.chevalley, "commutator_factors", lambda *_, f=perturbed: f)
+        assert not commutator_relation_check(rs, a, b, t, u)
+        assert not _dense_commutator_check(rs, a, b, t, u, perturbed)
+
+
+def test_non_integral_exp_coefficient_is_a_consistency_error(monkeypatch):
+    original = tck.chevalley.bracket_coordinates
+
+    def halved(rs, i, j):
+        return {k: c / 2 for k, c in original(rs, i, j).items()}
+
+    monkeypatch.setattr(tck.chevalley, "bracket_coordinates", halved)
+    rs = build_root_system("A2")  # fresh, so its exp table is built under the patch
+    with pytest.raises(ConsistencyError, match="is not integral"):
+        x_alpha(rs, rs.positive_roots[0], Fraction(1))
+
+
+def test_rational_commutator_check_multiplies_no_dense_matrix(monkeypatch):
+    # over Q the check runs on integer rows; over Q(T) the dense route stays
+    rs = build_root_system("C3")
+    a, b = rs.positive_roots[1], rs.positive_roots[2]
+    assert commutator_factors(rs, a, b)
+
+    def forbidden(*args):
+        raise AssertionError("dense route used over Q")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tck.linalg, "mat_mul", forbidden)
+        patch.setattr(tck.chevalley, "x_alpha", forbidden)
+        assert commutator_relation_check(rs, a, b, Fraction(2), Fraction(-1, 3))
+    calls = []
+    for module, name in ((tck.linalg, "mat_mul"), (tck.chevalley, "x_alpha")):
+        def counting(*args, original=getattr(module, name), name=name):
+            calls.append(name)
+            return original(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    T = RationalFunction.variable(1, 0)
+    assert commutator_relation_check(rs, a, b, T * 2 + 1, Fraction(-1, 3))
+    assert {"mat_mul", "x_alpha"} <= set(calls)
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "D4"])

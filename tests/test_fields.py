@@ -130,6 +130,69 @@ def test_rational_function_normalization():
     assert (one / t) * t == one
 
 
+NONZERO = (-4, -3, -2, -1, 1, 2, 3, 4)
+
+
+def _polynomials(nvars, min_terms=0):
+    coefficients = st.builds(Fraction, st.sampled_from(NONZERO), st.sampled_from((1, 2, 3)))
+    exponents = st.tuples(*[st.integers(0, 3)] * nvars)
+    return st.dictionaries(exponents, coefficients, min_size=min_terms, max_size=3).map(
+        lambda terms: Polynomial(nvars, terms))
+
+
+@st.composite
+def rational_function_pairs(draw):
+    nvars = draw(st.sampled_from((1, 2)))
+    return tuple(RationalFunction(draw(_polynomials(nvars)), draw(_polynomials(nvars, 1)))
+                 for _ in range(2))
+
+
+def _assert_normal(f):
+    terms = {**f.num.terms, **f.den.terms}
+    assert all(type(c) is Fraction for c in terms.values())
+    if f.num.is_zero:
+        assert f.den.terms == {(0,) * f.nvars: 1}
+        return
+    assert f.den.leading_term()[1] == 1
+    assert all(min(column) == 0 for column in zip(*f.num.terms, *f.den.terms))
+
+
+def _same_terms(fast, generic):
+    _assert_normal(fast)
+    assert (fast.num.terms, fast.den.terms) == (generic.num.terms, generic.den.terms)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(rational_function_pairs(),
+       st.one_of(st.integers(-6, 6), st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))),
+       st.integers(-2, 2))
+def test_rational_function_constant_operands_match_the_coerced_route(pair, c, n):
+    # an int or Fraction operand skips coercion; a constant RationalFunction
+    # through the generic route is the reference
+    f, g = pair
+    k = RationalFunction.constant(f.nvars, c)
+    _same_terms(f * c, f * k)
+    _same_terms(c * f, k * f)
+    _same_terms(f + c, f + k)
+    _same_terms(c + f, k + f)
+    _same_terms(f - c, f - k)
+    _same_terms(c - f, k - f)
+    _same_terms(-f, RationalFunction.constant(f.nvars, -1) * f)
+    assert (f == c) == (f == k)
+    assert (f * g == c) == (f * g == k)
+    if f.is_zero:
+        assert f == 0
+        if n < 0:
+            return
+    else:
+        assert f * f.reciprocal() == 1 and f * c / f == c
+    base = f if n >= 0 else f.reciprocal()
+    power = RationalFunction.constant(f.nvars, 1)
+    for _ in range(abs(n)):
+        power = power * base
+    _same_terms(f**n, power)
+
+
 def test_rational_function_division_by_zero():
     # mirrors Fraction: dividing by the zero function is a ZeroDivisionError
     t = RationalFunction.variable(1, 0)

@@ -345,6 +345,16 @@ def test_certificate_correction_and_scaling_validation():
         obstruction_check(rs, witnesses, None, None, 3)
 
 
+def test_malformed_witness_diagonal_names_the_obstruction_check():
+    rs = build_root_system("A2")
+    witnesses = generate_witnesses(rs, 4)
+    cut = WitnessSequence(rs, witnesses.primes,
+                          (witnesses.diagonals[0][:5], *witnesses.diagonals[1:]))
+    with pytest.raises(DomainError,
+                       match=r"^obstruction check: 5 diagonal entries for 6 roots$"):
+        obstruction_check(rs, cut, None, ScalingAutomorphism((Fraction(2),)), 3)
+
+
 def test_obstruction_check_builds_no_graph_realization(monkeypatch):
     # the certificate reads the graph's root permutation only, never the
     # dense signed-permutation realization
