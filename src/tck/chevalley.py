@@ -124,12 +124,15 @@ def _exp_entries(rs: RootSystem, alpha) -> tuple:
     Column j collects (ad e_alpha)^k e_j / k!, each vector the bracket image
     of the previous one divided by k, until it vanishes.  Position (i, j)
     gets at most one term, since weight(i) = weight(j) + k*alpha fixes k,
-    and never the diagonal.
+    and never the diagonal.  The generators assign each term to its position
+    on that promise, so a repeated or diagonal position raises
+    ConsistencyError.
     """
     a = rs.root_index[alpha]
     out = []
     for j in range(adjoint_dimension(rs)):
         vector = {j: 1}
+        placed = set()
         k = 1
         while True:
             image = {}
@@ -147,7 +150,13 @@ def _exp_entries(rs: RootSystem, alpha) -> tuple:
                     vector[i] = c.numerator
             if not vector:
                 break
-            out.extend((i, j, c, k) for i, c in vector.items())
+            for i, c in vector.items():
+                if i == j or i in placed:
+                    raise ConsistencyError(
+                        f"exp(ad e_{alpha}) has a second or diagonal term at ({i}, {j})"
+                    )
+                placed.add(i)
+                out.append((i, j, c, k))
             k += 1
     return tuple(out)
 
@@ -163,7 +172,7 @@ def x_alpha(rs: RootSystem, alpha, t) -> Matrix:
         if k not in powers:
             powers[k] = t ** k
         # scalar first: int * Fraction would take Fraction's slower reflected operator
-        result[i][j] = result[i][j] + powers[k] * c
+        result[i][j] = powers[k] * c
     return result
 
 

@@ -2,10 +2,13 @@
 
 Entries may be Fraction or RationalFunction values; the helpers only assume
 ring operations plus truthiness for zero tests, and division where stated.
-Multiplication and inversion skip zero entries, which matters because the
-unipotent and torus generators used elsewhere are very sparse.  Those
-generators are built from sparse tables in ``chevalley`` and only become
-dense here; integer determinants do not come here either, they use the
+Multiplication and inversion do no arithmetic on zeros, which matters
+because the unipotent and torus generators used elsewhere are very sparse:
+a product entry starts from its first nonzero term, and only later terms are
+added to it, while an entry with no nonzero term keeps the zero; a diagonal
+matrix inverts entrywise, and only other matrices go through Gauss-Jordan.
+Those generators are built from sparse tables in ``chevalley`` and only
+become dense here; integer determinants do not come here either, they use the
 fraction-free ``spectrum.int_det``.
 """
 
@@ -32,6 +35,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     for i in range(n):
         row = a[i]
         out_i = out[i]
+        touched = [False] * m
         for t in range(k):
             x = row[t]
             if not x:
@@ -40,7 +44,11 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
             for j in range(m):
                 y = b_t[j]
                 if y:
-                    out_i[j] = out_i[j] + x * y
+                    if touched[j]:
+                        out_i[j] = out_i[j] + x * y
+                    else:
+                        out_i[j] = x * y
+                        touched[j] = True
     return out
 
 
@@ -59,8 +67,23 @@ def mat_eq(a: Matrix, b: Matrix) -> bool:
 
 
 def mat_inv(a: Matrix) -> Matrix:
-    """Inverse by Gauss-Jordan elimination; entries must support division."""
+    """Inverse by Gauss-Jordan elimination; entries must support division.
+
+    A diagonal matrix is inverted entrywise, with one division per entry.
+    """
     n = len(a)
+    if any(len(row) != n for row in a):
+        raise DomainError("matrix is not square")
+    if is_diagonal(a):
+        diagonal = diagonal_entries(a)
+        if not any(diagonal):
+            raise DomainError("zero matrix is not invertible")
+        if not all(diagonal):
+            raise DomainError("matrix is singular")
+        out = [list(row) for row in a]
+        for i, x in enumerate(diagonal):
+            out[i][i] = 1 / x
+        return out
     one = None
     for row in a:
         for x in row:

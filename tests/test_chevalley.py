@@ -308,6 +308,32 @@ def test_non_integral_exp_coefficient_is_a_consistency_error(monkeypatch):
         x_alpha(rs, rs.positive_roots[0], Fraction(1))
 
 
+@pytest.mark.parametrize("collision", ["repeated", "diagonal"])
+def test_colliding_exp_terms_are_a_consistency_error(monkeypatch, collision):
+    # x_alpha assigns each term to its own position, so the table must refuse
+    # a second term at one position and a term on the diagonal
+    original = tck.chevalley.bracket_coordinates
+
+    def colliding(rs, i, j):
+        coords = original(rs, i, j)
+        m = len(rs.roots)
+        if coords and i < m and (j >= m if collision == "repeated" else j < m):
+            # repeated: [e_alpha, h] gains a component along h itself, so the
+            # column of e_{-alpha} meets h at k = 1 and again at k = 2;
+            # diagonal: [e_alpha, e_beta] gains a component along e_beta
+            coords = {**coords, j: Fraction(2 if collision == "repeated" else 1)}
+        return coords
+
+    monkeypatch.setattr(tck.chevalley, "bracket_coordinates", colliding)
+    rs = build_root_system("A2")  # fresh, so its exp table is built under the patch
+    alpha = rs.positive_roots[0]
+    h, minus = len(rs.roots) + alpha.index(1), rs.root_index[rs.negate(alpha)]
+    # in A2, the first column with a nonzero [e_alpha, e_beta] is beta = roots[1]
+    position = (h, minus) if collision == "repeated" else (1, 1)
+    with pytest.raises(ConsistencyError, match=rf"term at \({position[0]}, {position[1]}\)"):
+        x_alpha(rs, alpha, Fraction(1))
+
+
 def test_rational_commutator_check_multiplies_no_dense_matrix(monkeypatch):
     # over Q the check runs on integer rows; over Q(T) the dense route stays
     rs = build_root_system("C3")
