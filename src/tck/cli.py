@@ -2,7 +2,8 @@
 
 Every invocation prints one JSON document: {"status": "ok", "payload": ...}
 on success, {"status": "error", "payload": {"code", "message"}} on failure,
-exit code 0 or 1 (argparse itself exits 2 on usage problems).  Non-integer
+exit code 0 or 1 (argparse itself exits 2 on usage problems; a reader that
+closes stdout early gets exit code 1 and no traceback).  Non-integer
 rationals and integers beyond 64-bit range are serialized as strings so
 exact values survive any JSON consumer.  Output carries no timing unless
 --timing is passed; identical invocations then produce byte-identical
@@ -361,7 +362,13 @@ def main(argv=None) -> int:
         exit_code = 1
     if args.timing:
         report["timing_ms"] = int((time.perf_counter() - start) * 1000)
-    print(json.dumps(report, sort_keys=True))
+    try:
+        print(json.dumps(report, sort_keys=True), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout; with no stdout left, the flush at exit
+        # does not try the closed pipe again
+        sys.stdout = None
+        return 1
     return exit_code
 
 

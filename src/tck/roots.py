@@ -139,9 +139,8 @@ class RootSystem:
         self.form = tuple(
             tuple(c * d for c, d in zip(row, self.half_lengths)) for row in self.cartan
         )
-        positives = self._close_under_reflections()
-        positives.sort(key=lambda r: (sum(r), r))
-        self.positive_roots: tuple[Root, ...] = tuple(positives)
+        closed = self._close_under_reflections()
+        self.positive_roots: tuple[Root, ...] = tuple(sorted(closed, key=lambda r: (sum(r), r)))
         self.roots: tuple[Root, ...] = self.positive_roots + tuple(
             tuple(-c for c in r) for r in self.positive_roots
         )
@@ -154,8 +153,7 @@ class RootSystem:
             )
         # The norm (beta, beta) per root, shared by beta and -beta; form rows
         # are tabled on first use as a pairing's second argument.
-        norms = [sum(b * w for b, w in zip(beta, self._form_row(beta)))
-                 for beta in self.positive_roots]
+        norms = [closed[beta] for beta in self.positive_roots]
         self.norm: dict[Root, int] = dict(zip(self.roots, norms + norms))
         self._form_rows: dict[Root, tuple[int, ...]] = {}
 
@@ -181,13 +179,15 @@ class RootSystem:
         """(beta, alpha_j) for each simple root alpha_j."""
         return tuple(sum(b * f for b, f in zip(beta, row)) for row in self.form)
 
-    def _close_under_reflections(self) -> list[Root]:
+    def _close_under_reflections(self) -> dict[Root, int]:
         # s_j permutes the positive roots other than alpha_j, so the positive
         # roots are the closure of the simple roots under the reflections that
         # keep them positive.  Only coordinate j moves under s_j, so a negative
-        # image that is not -alpha_j has mixed signs.
+        # image that is not -alpha_j has mixed signs.  Reflections preserve the
+        # form, so each root inherits its norm (alpha_i, alpha_i) = 2 d_i from
+        # the simple root it was reached from.
         simple = [tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)]
-        seen = set(simple)
+        seen = {alpha: 2 * d for alpha, d in zip(simple, self.half_lengths)}
         queue = list(simple)
         while queue:
             beta = queue.pop()
@@ -201,9 +201,9 @@ class RootSystem:
                     continue
                 image_t = tuple(image)
                 if image_t not in seen:
-                    seen.add(image_t)
+                    seen[image_t] = seen[beta]
                     queue.append(image_t)
-        return list(seen)
+        return seen
 
     # -- basic queries ------------------------------------------------------
 

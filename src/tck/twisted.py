@@ -216,19 +216,78 @@ def element_order(G: FiniteGroup, x) -> int:
     return order
 
 
+def _conjugation_maps(G: FiniteGroup) -> list:
+    """For each generator s, x -> s x s^-1 as a list over element indices.
+
+    s^-1 x costs one product and its Cayley edge under s gives y = s^-1 x s,
+    the element that s x s^-1 sends to x.
+    """
+    mul, index, edges = G.ops.mul, G.index, G.edges
+    ngens = len(G.generators)
+    maps = []
+    for pos, s in enumerate(G.generators):
+        s_inv = G.inv(s)
+        conj = [0] * len(G)
+        for i, x in enumerate(G.elements):
+            conj[edges[index[mul(s_inv, x)] * ngens + pos]] = i
+        maps.append(conj)
+    return maps
+
+
 def all_automorphisms(G: FiniteGroup) -> list["GroupAutomorphism"]:
-    """Every automorphism, by exhausting generator images of matching order."""
-    orders = {x: element_order(G, x) for x in G.elements}
-    candidates = [
-        [x for x in G.elements if orders[x] == orders[g]] for g in G.generators
-    ]
-    found = []
-    for images in cartesian_product(*candidates):
-        try:
-            found.append(GroupAutomorphism.from_generator_images(G, images))
-        except DomainError:
-            continue
-    return found
+    """Every automorphism, searched up to inner ones and the rest conjugated.
+
+    Every automorphism is i_h o phi with phi(g1) a conjugacy class
+    representative, so the search puts g1 only on the least element of each
+    class of its order; a later generator g goes to elements y of its order
+    with g1 g and phi(g1) y of one order.  The other automorphisms are the
+    orbit of each found phi under phi -> i_s o phi for the generators s, on
+    index maps.  The list is ordered by the element indices of the generator
+    images, the order a full sweep of the image tuples gives.
+    """
+    gens, elements, index = G.generators, G.elements, G.index
+    if not gens:
+        return [GroupAutomorphism.identity(G)]
+    mul = G.ops.mul
+    orders = [element_order(G, x) for x in elements]
+    conj = _conjugation_maps(G)
+    first = gens[0]
+    reps, covered = [], set()
+    for i, o in enumerate(orders):
+        if o == orders[index[first]] and i not in covered:
+            reps.append(elements[i])
+            covered.add(i)
+            klass = [i]
+            for j in klass:
+                for c in conj:
+                    if c[j] not in covered:
+                        covered.add(c[j])
+                        klass.append(c[j])
+    targets = [(orders[index[g]], orders[index[mul(first, g)]]) for g in gens[1:]]
+    at_gens = [index[g] for g in gens]
+    found = {}  # generator image indices -> image indices of every element
+    for r in reps:
+        pools = [[y for i, y in enumerate(elements)
+                  if orders[i] == o and orders[index[mul(r, y)]] == o_product]
+                 for o, o_product in targets]
+        for images in cartesian_product([r], *pools):
+            if tuple(index[x] for x in images) in found:
+                continue
+            try:
+                phi = GroupAutomorphism.from_generator_images(G, images)
+            except DomainError:
+                continue
+            table = [index[phi.table[x]] for x in elements]
+            found[tuple(table[j] for j in at_gens)] = table
+            orbit = [table]
+            for psi in orbit:
+                for c in conj:
+                    key = tuple(c[psi[j]] for j in at_gens)
+                    if key not in found:
+                        found[key] = moved = [c[v] for v in psi]
+                        orbit.append(moved)
+    return [GroupAutomorphism(G, dict(zip(elements, map(elements.__getitem__, found[key]))))
+            for key in sorted(found)]
 
 
 def center(G: FiniteGroup) -> FiniteGroup:

@@ -427,3 +427,21 @@ def test_cli_imports_only_the_standard_library():
     loaded = json.loads(result.stdout)
     assert "tck" in loaded
     assert [m for m in loaded if m != "tck" and m not in sys.stdlib_module_names] == []
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone away, as after `tck ... | head -c 100`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_closed_stdout_ends_quietly_with_a_nonzero_exit(monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["chevalley", "gen", "--type", "E8", "--kind", "x",
+                 "--root", "1,0,0,0,0,0,0,0", "--t", "2"]) == 1
+    # nothing is left for the flush at interpreter exit to retry
+    assert sys.stdout is None

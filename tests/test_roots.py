@@ -16,7 +16,7 @@ from tck import (
     extend_symmetry_to_roots,
 )
 from tck.chevalley import adjoint_dimension, bracket_coordinates
-from tck.roots import RootSystem, permutation_order, root_permutation
+from tck.roots import RootSystem, _admissible, permutation_order, root_permutation
 
 COUNTS = {
     "A1": 2,
@@ -199,6 +199,14 @@ def test_constants_evaluate_the_form_once_per_root(monkeypatch):
     rs = build_root_system("E7")
     assert rs.constants.pairs
     assert calls <= len(rs.roots) + rs.rank
+
+
+@pytest.mark.parametrize("name", [f"{family}{rank}" for family in "ABCDEFG"
+                                  for rank in range(1, 9) if _admissible(family, rank)])
+def test_norms_carried_through_the_closure_match_the_form(name):
+    rs = build_root_system(name)
+    for beta in rs.roots:
+        assert rs.norm[beta] == sum(b * w for b, w in zip(beta, rs._form_row(beta)))
 
 
 def _bracket(rs, i, vector):

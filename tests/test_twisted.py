@@ -200,6 +200,92 @@ def test_automorphism_group_sizes():
     assert len(all_automorphisms(q8())) == 24
 
 
+def _exhaustive_automorphisms(g):
+    """Every tuple of generator images of matching order, tried in index order."""
+    orders = {x: element_order(g, x) for x in g.elements}
+    candidates = [[x for x in g.elements if orders[x] == orders[gen]] for gen in g.generators]
+    found = []
+    for images in product(*candidates):
+        try:
+            found.append(GroupAutomorphism.from_generator_images(g, images))
+        except DomainError:
+            continue
+    return found
+
+
+SWEEP_GROUPS = {"S3": s3, "S4": s4, "D4": d4, "Q8": q8, "SL(2,3)": lambda: sl2(3),
+                "SL(2,5)": lambda: sl2(5), "C12": lambda: closure([((2, 0), (0, 1))], modulus=13),
+                "trivial": lambda: closure([]), "trivial on one generator": lambda: closure([(0, 1)])}
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_GROUPS))
+def test_sweep_matches_the_exhaustive_oracle(name):
+    g = SWEEP_GROUPS[name]()
+    assert ([phi.table for phi in all_automorphisms(g)]
+            == [phi.table for phi in _exhaustive_automorphisms(g)])
+
+
+@st.composite
+def small_groups(draw):
+    count = draw(st.integers(0, 3))
+    if count == 3 or draw(st.booleans()):
+        degree = draw(st.integers(1, 4 if count == 3 else 5))
+        return closure([tuple(draw(st.permutations(range(degree)))) for _ in range(count)])
+    m = draw(st.integers(2, 4))
+    entry = st.integers(0, m - 1)
+    matrix = st.tuples(st.tuples(entry, entry), st.tuples(entry, entry)).filter(
+        lambda a: math.gcd(a[0][0] * a[1][1] - a[0][1] * a[1][0], m) == 1)
+    return closure([draw(matrix) for _ in range(max(count, 1))], modulus=m)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(small_groups())
+def test_sweep_matches_the_exhaustive_oracle_on_drawn_groups(g):
+    assert ([phi.table for phi in all_automorphisms(g)]
+            == [phi.table for phi in _exhaustive_automorphisms(g)])
+
+
+def test_sweep_tries_class_representatives_only(monkeypatch):
+    g = sl2(5)
+    build = GroupAutomorphism.from_generator_images.__func__
+    tried = []
+
+    def counting_build(cls, group, images):
+        tried.append(images)
+        return build(cls, group, images)
+
+    monkeypatch.setattr(GroupAutomorphism, "from_generator_images", classmethod(counting_build))
+    assert len(all_automorphisms(g)) == 120
+    # the exhaustive sweep tries all 24 * 24 order-matched pairs; the first
+    # image is a class representative and the second keeps the order of g1 g2
+    assert 0 < len(tried) <= 10
+
+
+def test_sweep_product_budget(monkeypatch):
+    g = sl2(7)
+    products = _count_products(monkeypatch)
+    # element orders take about 6 |G| products and the conjugation maps 2 |G|;
+    # the exhaustive sweep walked the edges of 48 * 48 order-matched pairs
+    assert len(all_automorphisms(g)) == 336
+    assert 0 < products[0] <= 20 * len(g)
+
+
+FELSHTYN_HILL_GROUPS = {"S4": s4, "D4": d4, "Q8": q8, "SL(2,3)": lambda: sl2(3),
+                        "SL(2,5)": lambda: sl2(5)}
+
+
+@pytest.mark.parametrize("name", sorted(FELSHTYN_HILL_GROUPS))
+def test_reidemeister_number_counts_invariant_classes(name):
+    # Fel'shtyn-Hill: R(phi) is the number of phi-invariant conjugacy classes
+    g = FELSHTYN_HILL_GROUPS[name]()
+    inverse = {z: g.inv(z) for z in g.elements}
+    classes = {frozenset(g.mul(g.mul(z, x), inverse[z]) for z in g.elements)
+               for x in g.elements}
+    for phi in all_automorphisms(g):
+        invariant = sum({phi(x) for x in c} == c for c in classes)
+        assert reidemeister_number(g, phi) == invariant
+
+
 def test_from_generator_images_validates():
     g = s3()
     with pytest.raises(DomainError):
