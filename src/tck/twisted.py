@@ -7,13 +7,18 @@ discovery order and every derived quantity is deterministic.  The closure
 keeps every edge x -> x g it walks, so a map given by generator images is
 defined and checked in one pass over those edges: the first edge into an
 element defines its image, every later edge checks f(x g) = f(x) f(g), and
-a bad map stops at its first failed product.  The same edges give x g for
-every generator g, so the center multiplies out only g x.
+a bad map stops at its first failed product.  A right factor used many times
+is taken once, as the callable ops.right(b): x -> x b.
 
-The twisting action of z on y is z y phi(z)^-1.  Orbits are walked forward
-from the least unvisited element under the generator moves y -> a y b; the
-moves generate a finite group, so walking forward reaches the whole orbit.
-The identity move y -> y reaches nothing new and is skipped.  S(phi) is
+Orbit walks run on index maps, not on group products.  For each generator s
+the maps x -> s x and x -> s x s^-1 are read off the Cayley edges at no
+product; they are built on first use and kept on the group, and the center
+is the set of elements every conjugation map fixes.  The twisting action of
+a generator z on y is z y phi(z)^-1: the left map gives z y, so its index
+map costs one product per element, and the twist maps of the last
+automorphism stay on the group, so R and then S on one phi build them once.
+Orbits are walked forward from the least unvisited index; the maps generate
+a finite group, so walking forward reaches the whole orbit.  S(phi) is
 checked in class space: it is the number of phi-invariant orbits of
 y -> z y z^-1 c with c central (Fel'shtyn-Hill on G/Z), so no quotient
 group is built.
@@ -24,6 +29,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from itertools import product as cartesian_product
+from math import gcd
 from operator import itemgetter, mul as scalar_mul
 from typing import Iterable
 
@@ -69,6 +75,12 @@ class PermOps:
         if self.degree < 2:
             return tuple(a[v] for v in b)
         return itemgetter(*b)(a)
+
+    def right(self, b):
+        """x -> x b as one callable, for a right factor used many times."""
+        if self.degree < 2:
+            return lambda a: tuple(a[v] for v in b)
+        return itemgetter(*b)
 
     def inv(self, a, cap=None):
         # linear in the degree, so the closure cap never binds here
@@ -117,6 +129,15 @@ class MatModOps:
             for row in a
         )
 
+    def right(self, b):
+        """x -> x b as one callable, with the columns of b taken once."""
+        p = self.modulus
+        columns = tuple(zip(*b))
+        return lambda a: tuple(
+            tuple(sum(map(scalar_mul, row, column)) % p for column in columns)
+            for row in a
+        )
+
     def inv(self, a, cap=None):
         seen = {a}
         previous, current = a, self.mul(a, a)
@@ -133,14 +154,19 @@ class MatModOps:
 class FiniteGroup:
     """Closure of a generator list, with its Cayley graph edges kept."""
 
-    def __init__(self, ops, elements, generators, edges):
+    def __init__(self, ops, elements, generators, edges, index):
         self.ops = ops
         self.elements = tuple(elements)
         self.generators = tuple(generators)
-        self.index = {x: i for i, x in enumerate(self.elements)}
+        self.index = index  # element -> its position in elements
         self.identity = ops.identity
         # edges[i * len(generators) + pos] = index of elements[i] * generators[pos]
         self.edges = edges
+        # per generator, x -> s x and x -> s x s^-1, built on first use
+        self._left_maps = None
+        self._conj_maps = None
+        # the twist maps of the last automorphism walked, keyed by phi(z)^-1
+        self._twist = None
 
     def __len__(self):
         return len(self.elements)
@@ -166,15 +192,15 @@ def _closure(ops, generators, cap=None) -> FiniteGroup:
         ops.inv(c, cap)  # rejects non-invertible input before closure starts
         if c not in gens:
             gens.append(c)
+    rights = [ops.right(g) for g in gens]
     elements = [ops.identity]
     edges = []
     seen = {ops.identity: 0}
-    head = 0
-    while head < len(elements):
-        x = elements[head]
-        for g in gens:
-            y = ops.mul(x, g)
-            j = seen.get(y)
+    find, add_edge = seen.get, edges.append
+    for x in elements:  # grows while it is walked: breadth-first order
+        for right in rights:
+            y = right(x)
+            j = find(y)
             if j is None:
                 if len(elements) >= cap:
                     raise ResourceLimitError(
@@ -182,9 +208,8 @@ def _closure(ops, generators, cap=None) -> FiniteGroup:
                     )
                 j = seen[y] = len(elements)
                 elements.append(y)
-            edges.append(j)
-        head += 1
-    return FiniteGroup(ops, elements, gens, edges)
+            add_edge(j)
+    return FiniteGroup(ops, elements, gens, edges, seen)
 
 
 def closure(generators, modulus: int | None = None, cap: int | None = None) -> FiniteGroup:
@@ -216,22 +241,70 @@ def element_order(G: FiniteGroup, x) -> int:
     return order
 
 
-def _conjugation_maps(G: FiniteGroup) -> list:
-    """For each generator s, x -> s x s^-1 as a list over element indices.
+def _element_orders(G: FiniteGroup) -> list:
+    """The order of every element, by index, from one walk per cyclic subgroup.
 
-    s^-1 x costs one product and its Cayley edge under s gives y = s^-1 x s,
-    the element that s x s^-1 sends to x.
+    The powers x, x^2, ..., x^n = 1 of an element with no order yet give
+    ord(x^k) = n / gcd(n, k) for every k at once.
     """
-    mul, index, edges = G.ops.mul, G.index, G.edges
-    ngens = len(G.generators)
-    maps = []
-    for pos, s in enumerate(G.generators):
-        s_inv = G.inv(s)
-        conj = [0] * len(G)
-        for i, x in enumerate(G.elements):
-            conj[edges[index[mul(s_inv, x)] * ngens + pos]] = i
-        maps.append(conj)
-    return maps
+    index, identity, right = G.index, G.identity, G.ops.right
+    orders = [0] * len(G)
+    for i, x in enumerate(G.elements):
+        if orders[i]:
+            continue
+        times_x, power, powers = right(x), x, [i]
+        while power != identity:
+            power = times_x(power)
+            powers.append(index[power])
+        n = len(powers)
+        for k, j in enumerate(powers, 1):
+            orders[j] = n // gcd(n, k)
+    return orders
+
+
+def _left_maps(G: FiniteGroup) -> list:
+    """For each generator s, x -> s x as an index array, read off the Cayley
+    edges at no product, built on first use and kept on the group.
+
+    An element x g first reached from x along the edge under g has
+    s (x g) = (s x) g, so the map follows the closure's breadth-first tree
+    from s 1 = s.
+    """
+    if G._left_maps is None:
+        # imported on the first walk, so a process that walks no group
+        # loads no extension module for it
+        from array import array
+
+        index, edges = G.index, G.edges
+        ngens = len(G.generators)
+        lefts = [[index[s]] for s in G.generators]
+        reached = 1
+        for k, j in enumerate(edges):
+            if j == reached:  # the edge x -> x g that first reached element j
+                reached += 1
+                i, g = divmod(k, ngens)
+                for left in lefts:
+                    left.append(edges[left[i] * ngens + g])
+        G._left_maps = [array("i", left) for left in lefts]
+    return G._left_maps
+
+
+def _conjugation_maps(G: FiniteGroup) -> list:
+    """For each generator s, x -> s x s^-1 as an index array, built on first
+    use and kept on the group: s x s^-1 is the element whose edge under s
+    leads to s x."""
+    if G._conj_maps is None:
+        from array import array
+
+        edges, ngens = G.edges, len(G.generators)
+        conj_maps = []
+        for pos, left in enumerate(_left_maps(G)):
+            source = array("i", bytes(4 * len(G)))
+            for i, j in enumerate(edges[pos::ngens]):
+                source[j] = i
+            conj_maps.append(array("i", map(source.__getitem__, left)))
+        G._conj_maps = conj_maps
+    return G._conj_maps
 
 
 def all_automorphisms(G: FiniteGroup) -> list["GroupAutomorphism"]:
@@ -249,7 +322,7 @@ def all_automorphisms(G: FiniteGroup) -> list["GroupAutomorphism"]:
     if not gens:
         return [GroupAutomorphism.identity(G)]
     mul = G.ops.mul
-    orders = [element_order(G, x) for x in elements]
+    orders = _element_orders(G)
     conj = _conjugation_maps(G)
     first = gens[0]
     reps, covered = [], set()
@@ -291,18 +364,18 @@ def all_automorphisms(G: FiniteGroup) -> list["GroupAutomorphism"]:
 
 
 def center(G: FiniteGroup) -> FiniteGroup:
-    """Elements commuting with every generator; x g is read off the edges.
+    """Elements that every generator's conjugation map fixes.
 
     Z is generated by a few central elements: one joins the generators only
     if the subgroup built so far misses it, so there are at most log2 |Z|.
     """
-    mul, elements, edges = G.ops.mul, G.elements, G.edges
-    ngens = len(G.generators)
+    central = range(len(G))
+    for conj in _conjugation_maps(G):
+        central = [i for i in central if conj[i] == i]
     Z = subgroup(G, [])
-    for i, x in enumerate(elements):
-        if x not in Z.index and all(elements[edges[i * ngens + pos]] == mul(g, x)
-                                    for pos, g in enumerate(G.generators)):
-            Z = subgroup(G, Z.generators + (x,))
+    for i in central:
+        if G.elements[i] not in Z.index:
+            Z = subgroup(G, Z.generators + (G.elements[i],))
     return Z
 
 
@@ -326,11 +399,11 @@ class GroupAutomorphism:
         # Breadth-first discovery numbers each element at its first incoming
         # edge, so walking the edges in order defines f(x) before any later
         # edge reads it; passing every edge makes f a homomorphism.
-        mul = group.ops.mul
+        rights = [group.ops.right(im) for im in images]
         ngens = len(images)
         image = [group.identity]
         for k, j in enumerate(group.edges):
-            fy = mul(image[k // ngens], images[k % ngens])
+            fy = rights[k % ngens](image[k // ngens])
             if j == len(image):
                 image.append(fy)
             elif image[j] != fy:
@@ -348,8 +421,8 @@ class GroupAutomorphism:
         g = group.ops.canonical(g)
         if g not in group.index:
             raise DomainError(f"{g} lies outside the group")
-        mul, g_inv = group.ops.mul, group.ops.inv(g)
-        return cls(group, {x: mul(mul(g, x), g_inv) for x in group.elements})
+        mul, times_g_inv = group.ops.mul, group.ops.right(group.ops.inv(g))
+        return cls(group, {x: times_g_inv(mul(g, x)) for x in group.elements})
 
     def __call__(self, x):
         return self.table[x]
@@ -387,47 +460,73 @@ class TwistedClassPartition:
         return len(self.blocks)
 
 
-def _orbit_blocks(G: FiniteGroup, moves) -> tuple:
-    """Orbits under the moves y -> a y b, one per (a, b) pair, each grown
-    forward from its least index and listed in index order."""
-    mul, index, elements, identity = G.ops.mul, G.index, G.elements, G.identity
-    # the identity move is dropped; a left factor of None costs no product
-    moves = [(None if a == identity else a, b)
-             for a, b in moves if a != identity or b != identity]
-    seen = [False] * len(elements)
-    blocks = []
-    for start in range(len(elements)):
-        if seen[start]:
+def _orbit_ids(n: int, maps) -> tuple:
+    """Orbits of range(n) under the index maps, walked forward from the
+    least unvisited index: each index's orbit id, ids numbered in order of
+    least index, and the number of orbits."""
+    ids = [-1] * n
+    count = 0
+    for start in range(n):
+        if ids[start] >= 0:
             continue
-        seen[start] = True
+        ids[start] = count
         orbit = [start]
         for i in orbit:
-            y = elements[i]
-            for a, b in moves:
-                j = index[mul(y if a is None else mul(a, y), b)]
-                if not seen[j]:
-                    seen[j] = True
+            for m in maps:
+                j = m[i]
+                if ids[j] < 0:
+                    ids[j] = count
                     orbit.append(j)
-        blocks.append(tuple(elements[i] for i in sorted(orbit)))
-    return tuple(blocks)
+        count += 1
+    return ids, count
 
 
-def _twisted_moves(G: FiniteGroup, phi: GroupAutomorphism) -> list:
-    """The twisting action of each generator z as the pair (z, phi(z)^-1)."""
-    return [(z, G.inv(phi(z))) for z in G.generators]
+def _orbit_blocks(G: FiniteGroup, ids, count) -> tuple:
+    """The orbits as element tuples, ordered by least index, each in index order."""
+    blocks = [[] for _ in range(count)]
+    for x, k in zip(G.elements, ids):
+        blocks[k].append(x)
+    return tuple(map(tuple, blocks))
+
+
+def _twist_maps(G: FiniteGroup, phi: GroupAutomorphism) -> list:
+    """For each generator z, y -> z y phi(z)^-1 as an index array.
+
+    z y is read off the left map, so each costs one product per element.
+    The maps of the last automorphism are kept on the group, keyed by the
+    images phi(z)^-1 they depend on, so R and then S on one phi build them
+    once.
+    """
+    key = tuple(G.inv(phi(z)) for z in G.generators)
+    if G._twist is None or G._twist[0] != key:
+        from array import array
+
+        G._twist = None  # the old maps go before the new ones are built
+        index, elements, lefts = G.index, G.elements, _left_maps(G)
+        G._twist = key, [array("i", [index[times_w(elements[j])] for j in left])
+                         for left, times_w in zip(lefts, map(G.ops.right, key))]
+    return G._twist[1]
+
+
+def _right_maps(G: FiniteGroup, factors) -> list:
+    """y -> y c as an index list for each c, one product per element."""
+    index, elements = G.index, G.elements
+    return [[index[times_c(y)] for y in elements] for times_c in map(G.ops.right, factors)]
 
 
 def twisted_classes(G: FiniteGroup, phi: GroupAutomorphism) -> TwistedClassPartition:
     if phi.group is not G:
         raise DomainError("automorphism acts on a different group")
-    blocks = _orbit_blocks(G, _twisted_moves(G, phi))
+    blocks = _orbit_blocks(G, *_orbit_ids(len(G), _twist_maps(G, phi)))
     if sum(len(b) for b in blocks) != len(G):
         raise ConsistencyError("twisted classes do not partition the group")
     return TwistedClassPartition(blocks, phi)
 
 
 def reidemeister_number(G: FiniteGroup, phi: GroupAutomorphism) -> int:
-    return twisted_classes(G, phi).count
+    if phi.group is not G:
+        raise DomainError("automorphism acts on a different group")
+    return _orbit_ids(len(G), _twist_maps(G, phi))[1]
 
 
 def inner_twist_invariance(G: FiniteGroup, phi: GroupAutomorphism, g) -> bool:
@@ -470,6 +569,10 @@ class _QuotientOps:
     def mul(self, a, b):
         return self._leader[self._mul(a, b)]
 
+    def right(self, b):
+        times_b, leader = self._G.ops.right(b), self._leader
+        return lambda a: leader[times_b(a)]
+
     def inv(self, a, cap=None):
         return self._leader[self._G.inv(a)]
 
@@ -483,9 +586,9 @@ def induced_automorphism(G: FiniteGroup, N, phi: GroupAutomorphism):
     n_set = set(N.elements)
     mul = G.ops.mul
     for g in G.generators:
-        g_inv = G.inv(g)
+        times_g_inv = G.ops.right(G.inv(g))
         for n in N.elements:
-            if mul(mul(g, n), g_inv) not in n_set:
+            if times_g_inv(mul(g, n)) not in n_set:
                 raise DomainError(f"subgroup is not normal: conjugate of {n} escapes")
     if {phi(n) for n in N.elements} != n_set:
         raise DomainError("automorphism does not preserve the subgroup")
@@ -515,10 +618,16 @@ def isogredience_count(G: FiniteGroup, phi: GroupAutomorphism) -> IsogredienceCl
     """
     if phi.group is not G:
         raise DomainError("automorphism acts on a different group")
-    central = [(G.identity, c) for c in center(G).generators]
-    direct = len(_orbit_blocks(G, _twisted_moves(G, phi) + central))
-    classes = _orbit_blocks(G, [(z, G.inv(z)) for z in G.generators] + central)
-    invariant = sum(phi(b[0]) in b for b in classes)
+    central = _right_maps(G, center(G).generators)
+    direct = _orbit_ids(len(G), _twist_maps(G, phi) + central)[1]
+    classes, _ = _orbit_ids(len(G), _conjugation_maps(G) + central)
+    # an orbit is phi-invariant iff its least element's image lies in it
+    index, elements = G.index, G.elements
+    invariant, seen = 0, 0
+    for i, k in enumerate(classes):
+        if k == seen:
+            seen += 1
+            invariant += classes[index[phi(elements[i])]] == k
     if direct != invariant:
         raise ConsistencyError(
             f"isogredience routes disagree: direct {direct}, invariant classes {invariant}"

@@ -7,7 +7,7 @@ import time
 from itertools import permutations, product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from tck import twisted
 from tck import (
@@ -83,6 +83,49 @@ def test_matmod_product_matches_triple_loop():
                 assert ops.mul(a, b) == expected
 
 
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.integers(0, 8).flatmap(lambda d: st.tuples(
+    st.permutations(range(d)), st.permutations(range(d)))))
+@example(((), ()))
+@example(((0,), (0,)))
+def test_perm_right_factor_matches_the_product(case):
+    a, b = map(tuple, case)
+    ops = twisted.PermOps(len(a))
+    assert ops.right(b)(a) == ops.mul(a, b)
+
+
+@st.composite
+def matrix_pairs(draw):
+    size, modulus = draw(st.integers(1, 3)), draw(st.sampled_from((2, 3, 4, 6, 7, 9, 11)))
+    entry = st.integers(0, modulus - 1)
+    a, b = (draw(st.tuples(*[st.tuples(*[entry] * size)] * size)) for _ in range(2))
+    return twisted.MatModOps(size, modulus), a, b
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(matrix_pairs())
+def test_matmod_right_factor_matches_the_product(case):
+    ops, a, b = case
+    assert ops.right(b)(a) == ops.mul(a, b)
+
+
+QUOTIENTS = {"S4/V4": lambda: (s4(), [(1, 0, 3, 2), (2, 3, 0, 1)]),
+             "SL(2,5)/Z": lambda: (sl2(5), center(sl2(5)).elements),
+             "SL(2,3)/Z": lambda: (sl2(3), center(sl2(3)).elements)}
+
+
+@pytest.mark.parametrize("name", sorted(QUOTIENTS))
+def test_quotient_right_factor_matches_the_product(name):
+    g, normal = QUOTIENTS[name]()
+    quotient, _ = induced_automorphism(g, normal, GroupAutomorphism.identity(g))
+    ops = quotient.ops
+    assert isinstance(ops, twisted._QuotientOps)
+    for b in quotient.elements:
+        times_b = ops.right(b)
+        assert [times_b(a) for a in quotient.elements] == [
+            ops.mul(a, b) for a in quotient.elements]
+
+
 def test_closure_sizes_and_orders():
     groups = {"S3": (s3(), 6), "S4": (s4(), 24), "D4": (d4(), 8), "Q8": (q8(), 8)}
     for name, (g, size) in groups.items():
@@ -147,8 +190,63 @@ def test_orbit_walk_matches_the_definition(name):
         phis += all_automorphisms(g)
     for phi in phis:
         assert twisted_classes(g, phi).blocks == _definition_blocks(g, phi, [g.identity])
-        moves = twisted._twisted_moves(g, phi) + [(g.identity, c) for c in central]
-        assert twisted._orbit_blocks(g, moves) == _definition_blocks(g, phi, central)
+        maps = twisted._twist_maps(g, phi) + twisted._right_maps(g, central)
+        blocks = twisted._orbit_blocks(g, *twisted._orbit_ids(len(g), maps))
+        assert blocks == _definition_blocks(g, phi, central)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
+def test_element_orders_in_one_pass_match_the_powering_oracle(name):
+    g = ORACLE_GROUPS[name]()
+    assert twisted._element_orders(g) == [element_order(g, x) for x in g.elements]
+
+
+def test_element_orders_product_budget(monkeypatch):
+    g = sl2(7)
+    products = _count_products(monkeypatch)
+    orders = twisted._element_orders(g)
+    # one walk per cyclic subgroup with no order yet, instead of powering
+    # each element up to its order (2019 products)
+    assert sorted(set(orders)) == [1, 2, 3, 4, 6, 7, 8, 14]
+    assert 0 < products[0] <= 500
+
+
+def test_twist_maps_kept_on_the_group_match_fresh_groups():
+    g = s4()
+    t, c = g.generators
+    identity = GroupAutomorphism.identity(g)
+    # (0 1 3 2) commutes with t, so this inner automorphism agrees with the
+    # identity on t and not on c
+    inner = GroupAutomorphism.inner(g, (0, 1, 3, 2))
+    assert inner(t) == t and inner(c) != c
+    table = dict(identity.table)
+    table[t], table[g.elements[5]] = g.elements[5], t
+    bijection = GroupAutomorphism(g, table)
+    assert table not in [phi.table for phi in all_automorphisms(g)]
+
+    def s_count(group, phi):
+        return isogredience_count(group, phi).count
+
+    def outcome(f, group, phi):
+        try:
+            return f(group, phi)
+        except ConsistencyError as exc:
+            return str(exc)
+
+    calls = [(reidemeister_number, identity), (reidemeister_number, inner),
+             (reidemeister_number, identity), (s_count, inner),
+             (reidemeister_number, bijection), (s_count, bijection),
+             (s_count, identity), (reidemeister_number, inner)]
+    for f, phi in calls:
+        fresh = s4()
+        expected = outcome(f, fresh, GroupAutomorphism(fresh, dict(phi.table)))
+        assert outcome(f, g, phi) == expected, (f.__name__, phi.table)
+        twist_maps = g._twist[1]
+        assert outcome(f, g, phi) == expected
+        assert g._twist[1] is twist_maps  # the same phi again builds nothing
+    fresh = s4()
+    assert (twisted_classes(g, inner).blocks
+            == twisted_classes(fresh, GroupAutomorphism(fresh, dict(inner.table))).blocks)
 
 
 def _count_inversions(monkeypatch):
@@ -264,8 +362,9 @@ def test_sweep_tries_class_representatives_only(monkeypatch):
 def test_sweep_product_budget(monkeypatch):
     g = sl2(7)
     products = _count_products(monkeypatch)
-    # element orders take about 6 |G| products and the conjugation maps 2 |G|;
-    # the exhaustive sweep walked the edges of 48 * 48 order-matched pairs
+    # element orders take about 1.3 |G| products and the conjugation maps
+    # none; the exhaustive sweep walked the edges of 48 * 48 order-matched
+    # pairs
     assert len(all_automorphisms(g)) == 336
     assert 0 < products[0] <= 20 * len(g)
 
@@ -341,22 +440,14 @@ def test_rejected_candidates_stop_at_the_first_failed_product(monkeypatch):
     g = sl2(5)
     orders = {x: element_order(g, x) for x in g.elements}
     candidates = [[x for x in g.elements if orders[x] == orders[gen]] for gen in g.generators]
-    products = 0
-    mul = g.ops.mul
-
-    def counting_mul(a, b):
-        nonlocal products
-        products += 1
-        return mul(a, b)
-
-    monkeypatch.setattr(g.ops, "mul", counting_mul)
+    products = _count_products(monkeypatch)
     costs = []
     for images in product(*candidates):
-        products = 0
+        products[0] = 0
         try:
             GroupAutomorphism.from_generator_images(g, images)
         except DomainError:
-            costs.append(products)
+            costs.append(products[0])
     # |Aut SL(2,5)| = |PGL(2,5)| = 120 of the 24^2 order-matched pairs
     assert len(costs) == 24 * 24 - 120
     # defining every image alone takes |G| - 1 products
@@ -382,24 +473,57 @@ def test_center_matches_the_two_sided_definition(name):
 
 
 def _count_products(monkeypatch):
-    """Count every product of both encodings, however the caller reaches it."""
+    """Count every product of both encodings, however the caller reaches it:
+    each call of mul and each call of a callable that right returns."""
     counter = [0]
     for ops in (twisted.PermOps, twisted.MatModOps):
         def counting_mul(self, a, b, mul=ops.mul):
             counter[0] += 1
             return mul(self, a, b)
+
+        def counting_right(self, b, right=ops.right):
+            times_b = right(self, b)
+
+            def counted(a):
+                counter[0] += 1
+                return times_b(a)
+            return counted
         monkeypatch.setattr(ops, "mul", counting_mul)
+        monkeypatch.setattr(ops, "right", counting_right)
     return counter
 
 
-def test_center_product_budget(monkeypatch):
-    g = sl2(5)
+def test_product_counter_sees_fixed_right_factors(monkeypatch):
+    g = s4()
     products = _count_products(monkeypatch)
-    # x g comes from the Cayley edges, so testing x costs one product per
-    # generator it is tested against, plus the closure of the two central
-    # elements
+    times = g.ops.right(g.generators[1])
+    for x in g.elements:
+        times(x)
+    g.mul(g.generators[0], g.generators[1])
+    assert products[0] == len(g) + 1
+
+
+def test_center_r_and_s_product_budget(monkeypatch):
+    g = sl2(5)
+    phi = GroupAutomorphism.inner(g, g.elements[7])
+    products = _count_products(monkeypatch)
+    # the conjugation and left maps come from the Cayley edges; the twist
+    # maps take one product per element and generator, the central move one
+    # per element, and the center the closure of -1
     assert len(center(g)) == 2
-    assert 0 < products[0] <= 140
+    assert reidemeister_number(g, phi) == 9
+    assert isogredience_count(g, phi).count == 5
+    assert 0 < products[0] <= 700
+
+
+def test_s8_inner_job_product_budget(monkeypatch):
+    products = _count_products(monkeypatch)
+    g = closure([(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)])
+    phi = GroupAutomorphism.inner(g, g.elements[7])
+    assert (reidemeister_number(g, phi), isogredience_count(g, phi).count) == (22, 22)
+    # closure, the inner table and the twist maps take 2 |G| each; the walks
+    # take none, and S reuses R's twist maps
+    assert 0 < products[0] <= 8 * len(g)
 
 
 def test_isogredience_product_budget(monkeypatch):
