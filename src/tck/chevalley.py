@@ -31,12 +31,13 @@ A diagram symmetry is realized as conjugation by a signed permutation matrix;
 the signs are forced by the structure constants and are recorded per root,
 since the naive unsigned permutation need not respect the brackets.
 
-commutator_relation_check takes one of two routes.  Over Q, with t = p/q,
-x_alpha(t) is M / q^K for K the largest exponent of its terms and M the
-integer matrix with q^K on the diagonal and c p^k q^(K-k) for the term c t^k;
-the check multiplies those integer matrices as sparse rows and compares the
-two sides by cross-multiplication.  Over Q(T) it multiplies the dense
-x_alpha matrices with ``linalg.mat_product``.
+commutator_relation_check takes one route over Q and Q(T).  With t = p/q,
+p and q integers or polynomials, x_alpha(t) is M / q^K for K the largest
+exponent of its terms and M the matrix with q^K on the diagonal and
+c p^k q^(K-k) for the term c t^k, integral over Z or Q[T] because the terms
+are; the check multiplies those matrices as sparse rows and compares the two
+sides by cross-multiplication.  The tests keep the dense x_alpha product as
+its reference route.
 
 The per-root tables behind x_alpha and h_alpha live in ``rs.tables``, so
 they are freed with their root system; no module-level cache holds one.
@@ -48,14 +49,7 @@ from fractions import Fraction
 
 from .errors import ConsistencyError, DomainError
 from .fields import Polynomial, RationalFunction, ScalingAutomorphism, apply_scaling, is_prime
-from .linalg import (
-    Matrix,
-    identity_matrix,
-    is_diagonal,
-    mat_eq,
-    mat_inv,
-    mat_product,
-)
+from .linalg import Matrix, identity_matrix, is_diagonal, mat_inv, mat_product
 from .roots import DiagramSymmetry, RootSystem, extend_symmetry_to_roots, root_permutation
 
 
@@ -71,12 +65,6 @@ def _coerce_scalar(t):
     if isinstance(t, (Fraction, RationalFunction)):
         return t
     raise DomainError(f"unsupported scalar {t!r}")
-
-
-def _scalar_inverse(t):
-    if isinstance(t, RationalFunction):
-        return t.reciprocal()
-    return 1 / t
 
 
 def bracket_coordinates(rs: RootSystem, i: int, j: int) -> dict[int, Fraction]:
@@ -183,7 +171,7 @@ def n_alpha(rs: RootSystem, alpha, t) -> Matrix:
         raise DomainError("n_alpha requires t != 0")
     neg = rs.negate(alpha)
     return mat_product(
-        [x_alpha(rs, alpha, t), x_alpha(rs, neg, -_scalar_inverse(t)), x_alpha(rs, alpha, t)]
+        [x_alpha(rs, alpha, t), x_alpha(rs, neg, -(t ** -1)), x_alpha(rs, alpha, t)]
     )
 
 
@@ -447,28 +435,26 @@ def commutator_relation_check(rs: RootSystem, alpha, beta, t, u) -> bool:
     right = [
         (gamma, c * (-t) ** i * u**j) for gamma, i, j, c in commutator_factors(rs, alpha, beta)
     ]
-    if isinstance(t, Fraction) and isinstance(u, Fraction):
-        (a, da), (b, db) = _integer_product(rs, left), _integer_product(rs, right)
-        return all(
-            {j: v * db for j, v in ra.items()} == {j: v * da for j, v in rb.items()}
-            for ra, rb in zip(a, b)
-        )
-    dense_left = mat_product([x_alpha(rs, gamma, s) for gamma, s in left])
-    dense_right = mat_product(
-        [x_alpha(rs, gamma, s) for gamma, s in right] or [identity_matrix(adjoint_dimension(rs))]
+    (a, da), (b, db) = _scaled_product(rs, left), _scaled_product(rs, right)
+    return all(
+        {j: v * db for j, v in ra.items()} == {j: v * da for j, v in rb.items()}
+        for ra, rb in zip(a, b)
     )
-    return mat_eq(dense_left, dense_right)
 
 
-def _integer_x_alpha(rs: RootSystem, alpha, t: Fraction) -> tuple[list[dict], int]:
-    """x_alpha(t) as (rows, d): sparse integer rows {column: entry} with x_alpha(t) = rows / d.
+def _scaled_x_alpha(rs: RootSystem, alpha, t) -> tuple[list[dict], int | Polynomial]:
+    """x_alpha(t) as (rows, d): sparse rows {column: entry} with x_alpha(t) = rows / d.
 
     For t = p/q and K the largest exponent among the terms, d = q^K; the
-    diagonal holds d and the term c t^k becomes c p^k q^(K-k).
+    diagonal holds d and the term c t^k becomes c p^k q^(K-k).  Over Q the
+    entries are ints, over Q(T) polynomials.
     """
     entries = _exp_entries(rs, alpha)
     depth = max(k for _, _, _, k in entries)
-    p, q = t.numerator, t.denominator
+    if isinstance(t, RationalFunction):
+        p, q = t.num, t.den
+    else:
+        p, q = t.numerator, t.denominator
     d = q**depth
     rows = [{i: d} for i in range(adjoint_dimension(rs))]
     if p:
@@ -478,11 +464,11 @@ def _integer_x_alpha(rs: RootSystem, alpha, t: Fraction) -> tuple[list[dict], in
     return rows, d
 
 
-def _integer_product(rs: RootSystem, parameters) -> tuple[list[dict], int]:
-    """Product of x_gamma(s) over the (gamma, s) pairs with rational s, as (rows, d)."""
+def _scaled_product(rs: RootSystem, parameters) -> tuple[list[dict], int | Polynomial]:
+    """Product of x_gamma(s) over the (gamma, s) pairs, as (rows, d)."""
     rows, den = None, 1
     for gamma, s in parameters:
-        factor, d = _integer_x_alpha(rs, gamma, s)
+        factor, d = _scaled_x_alpha(rs, gamma, s)
         den *= d
         if rows is None:
             rows = factor

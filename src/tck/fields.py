@@ -207,6 +207,8 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.scale(other)
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -231,8 +233,9 @@ class Polynomial:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # no square past the last bit
+                base = base * base
         return result
 
     def __eq__(self, other):

@@ -7,8 +7,9 @@ discovery order and every derived quantity is deterministic.  The closure
 keeps every edge x -> x g it walks, so a map given by generator images is
 defined and checked in one pass over those edges: the first edge into an
 element defines its image, every later edge checks f(x g) = f(x) f(g), and
-a bad map stops at its first failed product.  A right factor used many times
-is taken once, as the callable ops.right(b): x -> x b.
+a bad map stops at its first failed product.  Each encoding has one product,
+the callable ops.right(b): x -> x b, so a right factor used many times is
+taken once; FiniteGroup.mul(a, b) is ops.right(b)(a).
 
 Orbit walks run on index maps, not on group products.  For each generator s
 the maps x -> s x and x -> s x s^-1 are read off the Cayley edges at no
@@ -69,15 +70,10 @@ class PermOps:
             raise DomainError(f"{raw!r} is not a permutation of {self.degree} points")
         return image
 
-    def mul(self, a, b):
-        # apply b first, then a, matching matrix composition; itemgetter
-        # returns a scalar for one index and fails on none
-        if self.degree < 2:
-            return tuple(a[v] for v in b)
-        return itemgetter(*b)(a)
-
     def right(self, b):
         """x -> x b as one callable, for a right factor used many times."""
+        # apply b first, then a, matching matrix composition; itemgetter
+        # returns a scalar for one index and fails on none
         if self.degree < 2:
             return lambda a: tuple(a[v] for v in b)
         return itemgetter(*b)
@@ -121,14 +117,6 @@ class MatModOps:
             raise DomainError(f"matrix is not {self.size}x{self.size}")
         return rows
 
-    def mul(self, a, b):
-        p = self.modulus
-        columns = tuple(zip(*b))
-        return tuple(
-            tuple(sum(map(scalar_mul, row, column)) % p for column in columns)
-            for row in a
-        )
-
     def right(self, b):
         """x -> x b as one callable, with the columns of b taken once."""
         p = self.modulus
@@ -139,15 +127,16 @@ class MatModOps:
         )
 
     def inv(self, a, cap=None):
+        times_a = self.right(a)
         seen = {a}
-        previous, current = a, self.mul(a, a)
+        previous, current = a, times_a(a)
         while current != self.identity:
             if current in seen:
                 raise DomainError(f"matrix {a} is not invertible mod {self.modulus}")
             if cap is not None and len(seen) >= cap:
                 raise ResourceLimitError(f"matrix {a} has order above the closure cap {cap}")
             seen.add(current)
-            previous, current = current, self.mul(current, a)
+            previous, current = current, times_a(current)
         return previous
 
 
@@ -175,7 +164,7 @@ class FiniteGroup:
         return x in self.index
 
     def mul(self, a, b):
-        return self.ops.mul(a, b)
+        return self.ops.right(b)(a)
 
     def inv(self, a):
         return self.ops.inv(a)
@@ -321,7 +310,7 @@ def all_automorphisms(G: FiniteGroup) -> list["GroupAutomorphism"]:
     gens, elements, index = G.generators, G.elements, G.index
     if not gens:
         return [GroupAutomorphism.identity(G)]
-    mul = G.ops.mul
+    mul = G.mul
     orders = _element_orders(G)
     conj = _conjugation_maps(G)
     first = gens[0]
@@ -421,7 +410,7 @@ class GroupAutomorphism:
         g = group.ops.canonical(g)
         if g not in group.index:
             raise DomainError(f"{g} lies outside the group")
-        mul, times_g_inv = group.ops.mul, group.ops.right(group.ops.inv(g))
+        mul, times_g_inv = group.mul, group.ops.right(group.ops.inv(g))
         return cls(group, {x: times_g_inv(mul(g, x)) for x in group.elements})
 
     def __call__(self, x):
@@ -539,7 +528,7 @@ def inner_twist_invariance(G: FiniteGroup, phi: GroupAutomorphism, g) -> bool:
 
 def _coset_leaders(G: FiniteGroup, N: FiniteGroup) -> dict:
     """Map each element to min(xN); each coset is formed once, |G| products in all."""
-    mul, elements, index = G.ops.mul, G.elements, G.index
+    mul, elements, index = G.mul, G.elements, G.index
     leader = {}
     for x in elements:
         if x in leader:
@@ -556,7 +545,6 @@ class _QuotientOps:
     def __init__(self, G: FiniteGroup, leader: dict):
         self.encoding = G.ops.encoding
         self._G = G
-        self._mul = G.ops.mul
         self._leader = leader
         self.identity = leader[G.identity]
 
@@ -565,9 +553,6 @@ class _QuotientOps:
         if x not in self._leader:
             raise DomainError(f"{x} lies outside the group")
         return self._leader[x]
-
-    def mul(self, a, b):
-        return self._leader[self._mul(a, b)]
 
     def right(self, b):
         times_b, leader = self._G.ops.right(b), self._leader
@@ -584,7 +569,7 @@ def induced_automorphism(G: FiniteGroup, N, phi: GroupAutomorphism):
     elif any(x not in G.index for x in N.elements):
         raise DomainError("subgroup lies outside the ambient group")
     n_set = set(N.elements)
-    mul = G.ops.mul
+    mul = G.mul
     for g in G.generators:
         times_g_inv = G.ops.right(G.inv(g))
         for n in N.elements:

@@ -29,7 +29,7 @@ import tck.linalg
 from tck.chevalley import (
     GraphMatrixRealization,
     _exp_entries,
-    _integer_x_alpha,
+    _scaled_x_alpha,
     bracket_coordinates,
 )
 from tck.linalg import (
@@ -248,7 +248,7 @@ def test_integer_factor_matches_x_alpha():
             assert all(type(c) is int for _, _, c, _ in entries)
             depth = max(k for _, _, _, k in entries)
             for t in (*CRITERION_PARAMETERS, _drawn_rational(rng), _drawn_rational(rng)):
-                rows, d = _integer_x_alpha(rs, alpha, t)
+                rows, d = _scaled_x_alpha(rs, alpha, t)
                 assert d == t.denominator**depth
                 assert all(type(v) is int for row in rows for v in row.values())
                 scaled = [[Fraction(row.get(j, 0), d) for j in range(dim)] for row in rows]
@@ -267,33 +267,71 @@ def _dense_commutator_check(rs, alpha, beta, t, u, factors):
     return mat_eq(left, right)
 
 
+def _parameter_kinds(rng):
+    """One (t, u) pair of each kind: both rational; t = aT + b with u
+    rational; both in Q(T); both in Q(T1, T2); and a zero parameter."""
+    T = RationalFunction.variable(1, 0)
+    T1, T2 = RationalFunction.variable(2, 0), RationalFunction.variable(2, 1)
+
+    def q():
+        return _drawn_rational(rng)
+
+    return [
+        (q(), q()),
+        (T * q() + q(), q()),
+        (T * q() + q(), q() / T),
+        (T1 * q(), (T2 + q()) / T1),
+        (T - T, T * q() + q()),
+    ]
+
+
 def test_integer_commutator_route_matches_the_dense_route():
+    # every G2 pair and a seeded sample of B3 and C3 pairs, the parameter
+    # kind running through _parameter_kinds
     rng = random.Random(21)
-    for name in ("G2", "B3"):
+    for name, sample in (("G2", None), ("B3", 15), ("C3", 15)):
         rs = build_root_system(name)
-        for alpha in rs.roots:
-            for beta in rs.roots:
-                if beta in (alpha, rs.negate(alpha)):
-                    continue
-                t, u = _drawn_rational(rng), _drawn_rational(rng)
-                factors = commutator_factors(rs, alpha, beta)
-                dense = _dense_commutator_check(rs, alpha, beta, t, u, factors)
-                assert commutator_relation_check(rs, alpha, beta, t, u) == dense
-                assert dense, (name, alpha, beta, t, u)
+        pairs = [(alpha, beta) for alpha in rs.roots for beta in rs.roots
+                 if beta not in (alpha, rs.negate(alpha))]
+        if sample is not None:
+            pairs = rng.sample(pairs, sample)
+        for n, (alpha, beta) in enumerate(pairs):
+            t, u = _parameter_kinds(rng)[n % 5]
+            factors = commutator_factors(rs, alpha, beta)
+            dense = _dense_commutator_check(rs, alpha, beta, t, u, factors)
+            assert commutator_relation_check(rs, alpha, beta, t, u) == dense
+            assert dense, (name, alpha, beta, t, u)
 
 
 def test_perturbed_commutator_constant_fails_on_both_routes(monkeypatch):
     rs = build_root_system("G2")
     a, b = rs.positive_roots[: rs.rank]
-    t, u = Fraction(2), Fraction(-1, 3)
     factors = commutator_factors(rs, a, b)
     assert len(factors) == 4
-    for position, (gamma, i, j, c) in enumerate(factors):
-        perturbed = list(factors)
-        perturbed[position] = (gamma, i, j, c + 1)
-        monkeypatch.setattr(tck.chevalley, "commutator_factors", lambda *_, f=perturbed: f)
-        assert not commutator_relation_check(rs, a, b, t, u)
-        assert not _dense_commutator_check(rs, a, b, t, u, perturbed)
+    T = RationalFunction.variable(1, 0)
+    kinds = [(Fraction(2), Fraction(-1, 3)), (T * 2 - 1, Fraction(3) / (T + Fraction(1, 2))),
+             *_parameter_kinds(random.Random(22))]
+    for t, u in kinds:
+        # at a zero parameter every factor on the right is 1, whatever its constant
+        holds = not (t and u)
+        for position, (gamma, i, j, c) in enumerate(factors):
+            perturbed = list(factors)
+            perturbed[position] = (gamma, i, j, c + 1)
+            monkeypatch.setattr(tck.chevalley, "commutator_factors", lambda *_, f=perturbed: f)
+            assert commutator_relation_check(rs, a, b, t, u) == holds, (t, u, position)
+            assert _dense_commutator_check(rs, a, b, t, u, perturbed) == holds
+
+
+@pytest.mark.parametrize("name, pair", [("G2", (0, 1)), ("A3", (0, 2))])
+def test_commutator_check_over_mixed_variable_counts_is_a_domain_error(name, pair):
+    # with commutator factors (G2) and without (A3's commuting simple roots)
+    rs = build_root_system(name)
+    a, b = (rs.positive_roots[k] for k in pair)
+    assert bool(commutator_factors(rs, a, b)) == (name == "G2")
+    t = RationalFunction.variable(1, 0) + 1
+    u = RationalFunction.variable(2, 1) * 3
+    with pytest.raises(DomainError):
+        commutator_relation_check(rs, a, b, t, u)
 
 
 def test_non_integral_exp_coefficient_is_a_consistency_error(monkeypatch):
@@ -335,28 +373,19 @@ def test_colliding_exp_terms_are_a_consistency_error(monkeypatch, collision):
 
 
 def test_rational_commutator_check_multiplies_no_dense_matrix(monkeypatch):
-    # over Q the check runs on integer rows; over Q(T) the dense route stays
+    # over Q and over Q(T) alike the check runs on scaled sparse rows
     rs = build_root_system("C3")
     a, b = rs.positive_roots[1], rs.positive_roots[2]
     assert commutator_factors(rs, a, b)
 
     def forbidden(*args):
-        raise AssertionError("dense route used over Q")
+        raise AssertionError("dense route used")
 
-    with monkeypatch.context() as patch:
-        patch.setattr(tck.linalg, "mat_mul", forbidden)
-        patch.setattr(tck.chevalley, "x_alpha", forbidden)
-        assert commutator_relation_check(rs, a, b, Fraction(2), Fraction(-1, 3))
-    calls = []
-    for module, name in ((tck.linalg, "mat_mul"), (tck.chevalley, "x_alpha")):
-        def counting(*args, original=getattr(module, name), name=name):
-            calls.append(name)
-            return original(*args)
-
-        monkeypatch.setattr(module, name, counting)
+    monkeypatch.setattr(tck.linalg, "mat_mul", forbidden)
+    monkeypatch.setattr(tck.chevalley, "x_alpha", forbidden)
     T = RationalFunction.variable(1, 0)
-    assert commutator_relation_check(rs, a, b, T * 2 + 1, Fraction(-1, 3))
-    assert {"mat_mul", "x_alpha"} <= set(calls)
+    for t, u in ((Fraction(2), Fraction(-1, 3)), (T * 2 + 1, Fraction(-1, 3)), (T * 2 + 1, 1 / T)):
+        assert commutator_relation_check(rs, a, b, t, u)
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "D4"])

@@ -178,6 +178,13 @@ def test_rational_function_constant_operands_match_the_coerced_route(pair, c, n)
     _same_terms(f - c, f - k)
     _same_terms(c - f, k - f)
     _same_terms(-f, RationalFunction.constant(f.nvars, -1) * f)
+    # a polynomial scales by the constant; its product with the constant
+    # polynomial is the reference
+    for p in (f.num, f.den):
+        coerced = p * Polynomial.constant(f.nvars, c)
+        for fast in (p * c, c * p):
+            assert fast.nvars == p.nvars and fast.terms == coerced.terms
+            assert all(type(v) is Fraction for v in fast.terms.values())
     assert (f == c) == (f == k)
     assert (f * g == c) == (f * g == k)
     if f.is_zero:

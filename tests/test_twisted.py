@@ -58,14 +58,25 @@ def s5():
     return closure([(1, 0, 2, 3, 4), (1, 2, 3, 4, 0)])
 
 
+def _composition(a, b):
+    """a b as permutations: apply b first, then a."""
+    return tuple(a[b[i]] for i in range(len(a)))
+
+
+def _triple_loop(a, b, modulus):
+    size = len(a)
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(size)) % modulus for j in range(size))
+        for i in range(size))
+
+
 def test_perm_product_matches_composition():
     rng = random.Random(31)
     for degree in (0, 1, 2, 5, 8):
         ops = twisted.PermOps(degree)
         for _ in range(40):
             a, b = (tuple(rng.sample(range(degree), degree)) for _ in range(2))
-            # apply b first, then a
-            assert ops.mul(a, b) == tuple(a[b[i]] for i in range(degree))
+            assert ops.right(b)(a) == _composition(a, b)
 
 
 def test_matmod_product_matches_triple_loop():
@@ -76,11 +87,7 @@ def test_matmod_product_matches_triple_loop():
             for _ in range(30):
                 a, b = (tuple(tuple(rng.randrange(modulus) for _ in range(size))
                               for _ in range(size)) for _ in range(2))
-                expected = tuple(
-                    tuple(sum(a[i][k] * b[k][j] for k in range(size)) % modulus
-                          for j in range(size))
-                    for i in range(size))
-                assert ops.mul(a, b) == expected
+                assert ops.right(b)(a) == _triple_loop(a, b, modulus)
 
 
 @settings(max_examples=40, deadline=None, database=None, derandomize=True)
@@ -91,7 +98,7 @@ def test_matmod_product_matches_triple_loop():
 def test_perm_right_factor_matches_the_product(case):
     a, b = map(tuple, case)
     ops = twisted.PermOps(len(a))
-    assert ops.right(b)(a) == ops.mul(a, b)
+    assert ops.right(b)(a) == _composition(a, b)
 
 
 @st.composite
@@ -106,7 +113,7 @@ def matrix_pairs(draw):
 @given(matrix_pairs())
 def test_matmod_right_factor_matches_the_product(case):
     ops, a, b = case
-    assert ops.right(b)(a) == ops.mul(a, b)
+    assert ops.right(b)(a) == _triple_loop(a, b, ops.modulus)
 
 
 QUOTIENTS = {"S4/V4": lambda: (s4(), [(1, 0, 3, 2), (2, 3, 0, 1)]),
@@ -116,14 +123,16 @@ QUOTIENTS = {"S4/V4": lambda: (s4(), [(1, 0, 3, 2), (2, 3, 0, 1)]),
 
 @pytest.mark.parametrize("name", sorted(QUOTIENTS))
 def test_quotient_right_factor_matches_the_product(name):
+    # the product of two leaders is the least element of the coset a b N
     g, normal = QUOTIENTS[name]()
+    n = twisted.subgroup(g, normal).elements
     quotient, _ = induced_automorphism(g, normal, GroupAutomorphism.identity(g))
     ops = quotient.ops
     assert isinstance(ops, twisted._QuotientOps)
     for b in quotient.elements:
         times_b = ops.right(b)
         assert [times_b(a) for a in quotient.elements] == [
-            ops.mul(a, b) for a in quotient.elements]
+            min(g.mul(g.mul(a, b), m) for m in n) for a in quotient.elements]
 
 
 def test_closure_sizes_and_orders():
@@ -474,13 +483,10 @@ def test_center_matches_the_two_sided_definition(name):
 
 def _count_products(monkeypatch):
     """Count every product of both encodings, however the caller reaches it:
-    each call of mul and each call of a callable that right returns."""
+    right is each encoding's only product, so each call of a callable that
+    right returns."""
     counter = [0]
     for ops in (twisted.PermOps, twisted.MatModOps):
-        def counting_mul(self, a, b, mul=ops.mul):
-            counter[0] += 1
-            return mul(self, a, b)
-
         def counting_right(self, b, right=ops.right):
             times_b = right(self, b)
 
@@ -488,7 +494,6 @@ def _count_products(monkeypatch):
                 counter[0] += 1
                 return times_b(a)
             return counted
-        monkeypatch.setattr(ops, "mul", counting_mul)
         monkeypatch.setattr(ops, "right", counting_right)
     return counter
 
@@ -585,7 +590,7 @@ def test_coset_leaders_form_each_coset_once(monkeypatch):
     g = sl2(5)
     z = center(g)
     products = 0
-    mul = g.ops.mul
+    mul = g.mul
 
     def counting_mul(a, b):
         nonlocal products
@@ -601,7 +606,7 @@ def test_coset_leaders_form_each_coset_once(monkeypatch):
         spent.append(products - before)
         return leader
 
-    monkeypatch.setattr(g.ops, "mul", counting_mul)
+    monkeypatch.setattr(g, "mul", counting_mul)
     monkeypatch.setattr(twisted, "_coset_leaders", counted_leaders)
     quotient, phi_bar = induced_automorphism(g, z, GroupAutomorphism.identity(g))
     # |G|/|N| cosets of |N| products each, not |N| products for every element
