@@ -222,9 +222,6 @@ class RootSystem:
     def add(self, beta: Root, gamma: Root) -> Root:
         return tuple(b + c for b, c in zip(beta, gamma))
 
-    def height(self, beta: Root) -> int:
-        return sum(beta)
-
     def cartan_integer(self, beta, alpha) -> int:
         """<beta, alpha^vee> = 2(beta, alpha)/(alpha, alpha)."""
         beta = self.check_root(beta)

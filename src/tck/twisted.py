@@ -7,9 +7,11 @@ discovery order and every derived quantity is deterministic.  The closure
 keeps every edge x -> x g it walks, so a map given by generator images is
 defined and checked in one pass over those edges: the first edge into an
 element defines its image, every later edge checks f(x g) = f(x) f(g), and
-a bad map stops at its first failed product.  Each encoding has one product,
-the callable ops.right(b): x -> x b, so a right factor used many times is
-taken once; FiniteGroup.mul(a, b) is ops.right(b)(a).
+a bad map stops at its first failed product.  An automorphism is one index
+table, images[i] the index of the image of elements[i], so composing,
+comparing and sweeping automorphisms hash no element.  Each encoding has
+one product, the callable ops.right(b): x -> x b, so a right factor used
+many times is taken once; FiniteGroup.mul(a, b) is ops.right(b)(a).
 
 Orbit walks run on index maps, not on group products.  For each generator s
 the maps x -> s x and x -> s x s^-1 are read off the Cayley edges at no
@@ -159,9 +161,6 @@ class FiniteGroup:
 
     def __len__(self):
         return len(self.elements)
-
-    def __contains__(self, x):
-        return x in self.index
 
     def mul(self, a, b):
         return self.ops.right(b)(a)
@@ -336,20 +335,18 @@ def all_automorphisms(G: FiniteGroup) -> list["GroupAutomorphism"]:
             if tuple(index[x] for x in images) in found:
                 continue
             try:
-                phi = GroupAutomorphism.from_generator_images(G, images)
+                table = GroupAutomorphism.from_generator_images(G, images).images
             except DomainError:
                 continue
-            table = [index[phi.table[x]] for x in elements]
             found[tuple(table[j] for j in at_gens)] = table
             orbit = [table]
             for psi in orbit:
                 for c in conj:
                     key = tuple(c[psi[j]] for j in at_gens)
                     if key not in found:
-                        found[key] = moved = [c[v] for v in psi]
+                        found[key] = moved = tuple(map(c.__getitem__, psi))
                         orbit.append(moved)
-    return [GroupAutomorphism(G, dict(zip(elements, map(elements.__getitem__, found[key]))))
-            for key in sorted(found)]
+    return [GroupAutomorphism(G, found[key]) for key in sorted(found)]
 
 
 def center(G: FiniteGroup) -> FiniteGroup:
@@ -369,11 +366,12 @@ def center(G: FiniteGroup) -> FiniteGroup:
 
 
 class GroupAutomorphism:
-    """Bijective homomorphism given by generator images, fully tabulated."""
+    """Bijective homomorphism as an index table: images[i] is the index of
+    the image of group.elements[i]."""
 
-    def __init__(self, group: FiniteGroup, table: dict):
+    def __init__(self, group: FiniteGroup, images):
         self.group = group
-        self.table = table
+        self.images = tuple(images)
 
     @classmethod
     def from_generator_images(cls, group: FiniteGroup, images) -> "GroupAutomorphism":
@@ -397,45 +395,37 @@ class GroupAutomorphism:
                 image.append(fy)
             elif image[j] != fy:
                 raise DomainError("generator images do not extend to a homomorphism")
-        if len(set(image)) != len(group):
+        table = tuple(map(group.index.__getitem__, image))
+        if len(set(table)) != len(group):
             raise DomainError("generator images do not extend to a bijection")
-        return cls(group, dict(zip(group.elements, image)))
+        return cls(group, table)
 
     @classmethod
     def identity(cls, group: FiniteGroup) -> "GroupAutomorphism":
-        return cls(group, {x: x for x in group.elements})
+        return cls(group, range(len(group)))
 
     @classmethod
     def inner(cls, group: FiniteGroup, g) -> "GroupAutomorphism":
         g = group.ops.canonical(g)
         if g not in group.index:
             raise DomainError(f"{g} lies outside the group")
-        mul, times_g_inv = group.mul, group.ops.right(group.ops.inv(g))
-        return cls(group, {x: times_g_inv(mul(g, x)) for x in group.elements})
+        mul, times_g_inv, index = group.mul, group.ops.right(group.ops.inv(g)), group.index
+        return cls(group, [index[times_g_inv(mul(g, x))] for x in group.elements])
 
     def __call__(self, x):
-        return self.table[x]
+        group = self.group
+        return group.elements[self.images[group.index[x]]]
 
     def compose(self, other: "GroupAutomorphism") -> "GroupAutomorphism":
         if other.group is not self.group:
             raise DomainError("automorphisms act on different groups")
-        return GroupAutomorphism(self.group, {x: self.table[other.table[x]] for x in self.group.elements})
-
-    def inverse(self) -> "GroupAutomorphism":
-        return GroupAutomorphism(self.group, {v: k for k, v in self.table.items()})
-
-    def __pow__(self, n: int) -> "GroupAutomorphism":
-        base = self if n >= 0 else self.inverse()
-        result = GroupAutomorphism.identity(self.group)
-        for _ in range(abs(n)):
-            result = base.compose(result)
-        return result
+        return GroupAutomorphism(self.group, map(self.images.__getitem__, other.images))
 
     def __eq__(self, other):
         return (
             isinstance(other, GroupAutomorphism)
             and self.group is other.group
-            and self.table == other.table
+            and self.images == other.images
         )
 
 
@@ -564,6 +554,8 @@ class _QuotientOps:
 
 def induced_automorphism(G: FiniteGroup, N, phi: GroupAutomorphism):
     """Quotient by a phi-invariant normal subgroup with the induced map."""
+    if phi.group is not G:
+        raise DomainError("automorphism acts on a different group")
     if not isinstance(N, FiniteGroup):
         N = subgroup(G, N)
     elif any(x not in G.index for x in N.elements):
@@ -607,12 +599,11 @@ def isogredience_count(G: FiniteGroup, phi: GroupAutomorphism) -> IsogredienceCl
     direct = _orbit_ids(len(G), _twist_maps(G, phi) + central)[1]
     classes, _ = _orbit_ids(len(G), _conjugation_maps(G) + central)
     # an orbit is phi-invariant iff its least element's image lies in it
-    index, elements = G.index, G.elements
-    invariant, seen = 0, 0
+    images, invariant, seen = phi.images, 0, 0
     for i, k in enumerate(classes):
         if k == seen:
             seen += 1
-            invariant += classes[index[phi(elements[i])]] == k
+            invariant += classes[images[i]] == k
     if direct != invariant:
         raise ConsistencyError(
             f"isogredience routes disagree: direct {direct}, invariant classes {invariant}"
@@ -622,6 +613,8 @@ def isogredience_count(G: FiniteGroup, phi: GroupAutomorphism) -> IsogredienceCl
 
 def telescoping_product_check(G: FiniteGroup, phi: GroupAutomorphism, y, z, m: int) -> bool:
     """Identity behind pushing a twisted product through a conjugating element."""
+    if phi.group is not G:
+        raise DomainError("automorphism acts on a different group")
     if m < 1:
         raise DomainError("telescoping length must be at least 1")
     y = G.ops.canonical(y)

@@ -306,12 +306,10 @@ def test_triality_acts_transitively_on_outer_nodes():
     assert len(moved) == 3
 
 
-def test_height_and_addition():
+def test_root_addition():
     rs = build_root_system("A2")
     a, b = rs.positive_roots[0], rs.positive_roots[1]
     total = rs.add(a, b)
     assert rs.is_root(total)
-    assert rs.height(total) == 2
-    assert rs.height(rs.negate(total)) == -2
     with pytest.raises(DomainError):
         rs.check_root(tuple(2 * x for x in total))
