@@ -5,87 +5,52 @@ conjugacy and isogredience counting in finite groups, Reidemeister spectra
 of lattice, Heisenberg, lamplighter and metabelian families, and the
 eigencharacter obstruction certificate for diagonal witness sequences.
 All arithmetic is exact: rationals, rational functions, and integers.
+
+The names below are loaded on first use (PEP 562), so `import tck` runs no
+submodule; `from tck import x` and `tck.x` import the home module of x.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .errors import ConsistencyError, DomainError, ResourceLimitError
-from .fields import (
-    Polynomial,
-    RationalFunction,
-    ScalingAutomorphism,
-    apply_scaling,
-    character_lattice_member,
-    exponent_vector,
-    supports_pairwise_disjoint,
-)
-from .roots import (
-    DiagramSymmetry,
-    RootSystem,
-    RootSystemType,
-    build_root_system,
-    diagram_symmetries,
-    extend_symmetry_to_roots,
-)
-from .chevalley import (
-    ChevalleyAutomorphism,
-    adjoint_dimension,
-    commutator_factors,
-    commutator_relation_check,
-    h_alpha,
-    n_alpha,
-    reduce_mod_p,
-    x_alpha,
-)
-from .twisted import (
-    FiniteGroup,
-    GroupAutomorphism,
-    IsogredienceClassCount,
-    TwistedClassPartition,
-    all_automorphisms,
-    automorphism_from_descriptor,
-    center,
-    closure,
-    element_order,
-    group_descriptor,
-    group_from_descriptor,
-    induced_automorphism,
-    inner_twist_invariance,
-    isogredience_count,
-    reidemeister_number,
-    subgroup,
-    telescoping_product_check,
-    twisted_classes,
-)
-from .spectrum import (
-    INFINITY,
-    ExtendedCount,
-    SmithNormalForm,
-    SpectrumDescriptor,
-    abelian_oracle_count,
-    cokernel_order_mod,
-    heisenberg_automorphism,
-    heisenberg_cokernel_product,
-    heisenberg_group,
-    heisenberg_oracle,
-    heisenberg_reidemeister,
-    int_det,
-    lamplighter_r_infinity,
-    metabelian_spectrum,
-    reidemeister_zn,
-    smith_normal_form,
-    zn_fullness_witness,
-)
-from .witness import (
-    FirstFactorReduction,
-    ObstructionCertificate,
-    ProductAutomorphism,
-    WitnessSequence,
-    ZeroEntryWitness,
-    generate_witnesses,
-    obstruction_check,
-    pattern_determinant,
-    project_product_to_first_factor,
-    reduced_obstruction_check,
-    twisted_power_product,
-)
+_EXPORTS = {
+    "errors": ("ConsistencyError", "DomainError", "ResourceLimitError"),
+    "fields": ("Polynomial", "RationalFunction", "ScalingAutomorphism", "apply_scaling",
+               "character_lattice_member", "exponent_vector", "supports_pairwise_disjoint"),
+    "roots": ("DiagramSymmetry", "RootSystem", "RootSystemType", "build_root_system",
+              "diagram_symmetries", "extend_symmetry_to_roots"),
+    "chevalley": ("ChevalleyAutomorphism", "adjoint_dimension", "commutator_factors",
+                  "commutator_relation_check", "h_alpha", "n_alpha", "reduce_mod_p", "x_alpha"),
+    "twisted": ("FiniteGroup", "GroupAutomorphism", "IsogredienceClassCount",
+                "TwistedClassPartition", "all_automorphisms", "automorphism_from_descriptor",
+                "center", "closure", "element_order", "group_descriptor",
+                "group_from_descriptor", "induced_automorphism", "inner_twist_invariance",
+                "isogredience_count", "reidemeister_number", "subgroup",
+                "telescoping_product_check", "twisted_classes"),
+    "spectrum": ("INFINITY", "ExtendedCount", "SmithNormalForm", "SpectrumDescriptor",
+                 "abelian_oracle_count", "cokernel_order_mod", "heisenberg_automorphism",
+                 "heisenberg_cokernel_product", "heisenberg_group", "heisenberg_oracle",
+                 "heisenberg_reidemeister", "int_det", "lamplighter_r_infinity",
+                 "metabelian_spectrum", "reidemeister_zn", "smith_normal_form",
+                 "zn_fullness_witness"),
+    "witness": ("FirstFactorReduction", "ObstructionCertificate", "ProductAutomorphism",
+                "WitnessSequence", "ZeroEntryWitness", "generate_witnesses",
+                "obstruction_check", "pattern_determinant", "project_product_to_first_factor",
+                "reduced_obstruction_check", "twisted_power_product"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name in _HOME:
+        value = getattr(import_module(f"{__name__}.{_HOME[name]}"), name)
+        globals()[name] = value  # later lookups skip this hook
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -18,32 +18,13 @@ from fractions import Fraction
 
 from . import __version__
 from .errors import ConsistencyError, DomainError, ResourceLimitError
-from .fields import ScalingAutomorphism
-from .roots import build_root_system, diagram_symmetries
-from .chevalley import h_alpha, n_alpha, x_alpha
-from .twisted import (
-    automorphism_from_descriptor,
-    group_from_descriptor,
-    isogredience_count,
-    reidemeister_number,
-    twisted_classes,
-)
-from .spectrum import (
-    ExtendedCount,
-    heisenberg_reidemeister,
-    lamplighter_r_infinity,
-    metabelian_spectrum,
-    reidemeister_zn,
-)
-from .witness import generate_witnesses, obstruction_check
-from .acceptance import run_suite
+
+# Each handler imports the modules it runs, so a cold call loads only those.
 
 _INT64_MAX = 2**63 - 1
 
 
 def _encode_number(x):
-    if isinstance(x, ExtendedCount):
-        return _encode_number(x.value) if x.is_finite else "infinity"
     if isinstance(x, bool):
         return x
     if isinstance(x, Fraction) and x.denominator == 1:
@@ -56,6 +37,10 @@ def _encode_number(x):
         except ValueError as exc:  # past the int/str conversion digit limit
             raise ResourceLimitError(f"a result has too many digits to print: {exc}") from exc
     raise ConsistencyError(f"cannot serialize {x!r}")
+
+
+def _encode_count(count):
+    return _encode_number(count.value) if count.is_finite else "infinity"
 
 
 def _encode_matrix(matrix):
@@ -108,6 +93,8 @@ def _load_json(path: str) -> dict:
 
 
 def _run_root_info(args):
+    from .roots import build_root_system, diagram_symmetries
+
     rs = build_root_system(args.type)
     payload = {
         "type": str(rs.type),
@@ -122,6 +109,9 @@ def _run_root_info(args):
 
 
 def _run_chevalley_gen(args):
+    from .chevalley import h_alpha, n_alpha, x_alpha
+    from .roots import build_root_system
+
     rs = build_root_system(args.type)
     try:
         root = tuple(int(c) for c in args.root.split(","))
@@ -141,12 +131,16 @@ def _run_chevalley_gen(args):
 
 
 def _load_group_and_automorphism(args):
+    from .twisted import automorphism_from_descriptor, group_from_descriptor
+
     group = group_from_descriptor(_load_json(args.group))
     phi = automorphism_from_descriptor(group, _load_json(args.aut))
     return group, phi
 
 
 def _run_twisted_classes(args):
+    from .twisted import twisted_classes
+
     group, phi = _load_group_and_automorphism(args)
     partition = twisted_classes(group, phi)
     payload = {
@@ -158,12 +152,16 @@ def _run_twisted_classes(args):
 
 
 def _run_twisted_reidemeister(args):
+    from .twisted import reidemeister_number
+
     group, phi = _load_group_and_automorphism(args)
     payload = {"group_order": len(group), "reidemeister": reidemeister_number(group, phi)}
     return payload, 0
 
 
 def _run_twisted_isogredience(args):
+    from .twisted import isogredience_count
+
     group, phi = _load_group_and_automorphism(args)
     result = isogredience_count(group, phi)
     payload = {"group_order": len(group), "isogredience": result.count}
@@ -171,23 +169,31 @@ def _run_twisted_isogredience(args):
 
 
 def _run_spectrum_zn(args):
+    from .spectrum import reidemeister_zn
+
     matrix = _parse_matrix(args.matrix)
-    payload = {"reidemeister": _encode_number(reidemeister_zn(matrix))}
+    payload = {"reidemeister": _encode_count(reidemeister_zn(matrix))}
     return payload, 0
 
 
 def _run_spectrum_heisenberg(args):
+    from .spectrum import heisenberg_reidemeister
+
     matrix = _parse_matrix(args.matrix)
-    payload = {"reidemeister": _encode_number(heisenberg_reidemeister(matrix))}
+    payload = {"reidemeister": _encode_count(heisenberg_reidemeister(matrix))}
     return payload, 0
 
 
 def _run_spectrum_lamplighter(args):
+    from .spectrum import lamplighter_r_infinity
+
     payload = {"r_infinity": lamplighter_r_infinity(args.n)}
     return payload, 0
 
 
 def _run_spectrum_metabelian(args):
+    from .spectrum import metabelian_spectrum
+
     descriptor = metabelian_spectrum(
         _parse_rational(args.r), _parse_rational(args.s), args.p
     )
@@ -205,6 +211,10 @@ def _run_spectrum_metabelian(args):
 
 
 def _run_witness(args):
+    from .fields import ScalingAutomorphism
+    from .roots import build_root_system
+    from .witness import generate_witnesses, obstruction_check
+
     rs = build_root_system(args.type)
     scalars = [_parse_rational(part) for part in args.scale.split(",")]
     if len(scalars) == 1 and args.trdeg > 1:
@@ -238,6 +248,8 @@ def _run_witness(args):
 
 
 def _run_verify(args):
+    from .acceptance import run_suite
+
     outcomes = run_suite(args.filter)
     checks = []
     for outcome in outcomes:

@@ -19,11 +19,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from typing import TYPE_CHECKING
 
 from .errors import ConsistencyError, DomainError
 from .fields import exponent_vector, is_prime, strip_power
 from .linalg import mat_mul
-from .twisted import FiniteGroup, GroupAutomorphism, closure, reidemeister_number
+
+if TYPE_CHECKING:
+    from .twisted import FiniteGroup, GroupAutomorphism
 
 
 def _validate_integer_matrix(matrix) -> list[list[int]]:
@@ -291,6 +294,8 @@ def heisenberg_reidemeister(matrix) -> ExtendedCount:
 
 def heisenberg_group(m: int) -> FiniteGroup:
     """Upper unitriangular 3x3 matrices over Z/m, generated by the two slots."""
+    from .twisted import closure  # only the finite-group oracles need twisted
+
     if m < 2:
         raise DomainError("modulus must be at least 2")
     x = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
@@ -308,6 +313,8 @@ def heisenberg_automorphism(group: FiniteGroup, matrix) -> GroupAutomorphism:
     the matrix).  Over even moduli the lift can fail to be a homomorphism;
     that surfaces as a domain error from the image verification.
     """
+    from .twisted import GroupAutomorphism
+
     m2 = _require_unimodular(matrix)
     if len(m2) != 2:
         raise DomainError("expected a 2x2 matrix")
@@ -327,6 +334,8 @@ def heisenberg_automorphism(group: FiniteGroup, matrix) -> GroupAutomorphism:
 
 def heisenberg_oracle(matrix, m: int) -> int:
     """Brute-force twisted class count on the mod-m unitriangular group."""
+    from .twisted import reidemeister_number
+
     if m < 2:
         raise DomainError("modulus must be at least 2")
     group = heisenberg_group(m)
@@ -455,6 +464,8 @@ def abelian_oracle_count(matrix, m: int) -> int:
     permutes translations through the index mixing.  This is the slow
     independent check against the Smith-form cokernel order.
     """
+    from .twisted import GroupAutomorphism, closure, reidemeister_number
+
     rows = _require_unimodular(matrix)
     n = len(rows)
     if m < 2:

@@ -412,21 +412,65 @@ def test_descriptor_past_the_digit_limit_ends_in_a_typed_error(capsys, tmp_path)
     assert (exit_code, report["payload"]["code"]) == (1, "domain-error")
 
 
-def test_cli_imports_only_the_standard_library():
-    src = Path(__file__).resolve().parents[1] / "src"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _modules_loaded_by(statements, cwd=None):
+    """The modules a fresh interpreter holds after running `statements`
+    that it did not hold before."""
     probe = (
         "import json, sys\n"
         "before = set(sys.modules)\n"
-        "import tck.cli\n"
-        "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+        f"{statements}\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
     result = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=60, check=True,
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": str(SRC)},
+        cwd=cwd, capture_output=True, text=True, timeout=60, check=True,
     )
-    loaded = json.loads(result.stdout)
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_cli_imports_only_the_standard_library():
+    # tck.cli alone loads no other submodule; tck.acceptance loads them all
+    loaded = {m.split(".")[0] for m in _modules_loaded_by("import tck.cli, tck.acceptance")}
     assert "tck" in loaded
     assert [m for m in loaded if m != "tck" and m not in sys.stdlib_module_names] == []
+
+
+COMMAND_MODULES = {
+    "root info A2": {"errors", "roots"},
+    "chevalley gen --type A2 --kind x --root 1,0 --t 2":
+        {"errors", "fields", "linalg", "roots", "chevalley"},
+    "twisted classes --group s3.json --aut id.json": {"errors", "twisted"},
+    "spectrum zn --matrix [[2,1],[1,1]]": {"errors", "fields", "linalg", "spectrum"},
+    # fields reaches spectrum's Smith normal form for lattice membership
+    "witness run --type A2 --count 4 --trdeg 1 --scale 2 --index 3":
+        {"errors", "fields", "linalg", "roots", "chevalley", "spectrum", "witness"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_MODULES), ids=lambda c: " ".join(c.split()[:2]))
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
+    _write_s3(tmp_path)
+    loaded = _modules_loaded_by(
+        f"import tck.cli\nassert tck.cli.main({command.split()!r}) == 0", cwd=tmp_path)
+    expected = {"tck", "tck.cli"} | {f"tck.{m}" for m in COMMAND_MODULES[command]}
+    assert {m for m in loaded if m.split(".")[0] == "tck"} == expected
+
+
+def test_package_namespace_is_complete():
+    assert len(tck.__all__) == len(set(tck.__all__)) == 70
+    for name in tck.__all__:
+        value = getattr(tck, name)
+        home = value.__module__  # INFINITY's is its class's, tck.spectrum
+        assert home.startswith("tck."), name
+        assert value is getattr(importlib.import_module(home), name), name
+    namespace = {}
+    exec("from tck import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(tck.__all__)
+    assert set(tck.__all__) <= set(dir(tck))
+    assert not hasattr(tck, "no_such_name")
 
 
 class _ClosedPipe:

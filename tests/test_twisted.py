@@ -707,6 +707,17 @@ def test_isogredience_check_rejects_bijections_that_are_not_homomorphisms():
     assert rejected == 456
 
 
+@pytest.mark.parametrize("images", [
+    [0, 1, 2, 3, 4],  # one index short
+    [0, 1, 2, 3, 4, 5, 0],  # one index too many
+    [0] * 6,  # the right length, but not a bijection
+    [0, 1, 2, 3, 4, 6],  # an index outside the group
+], ids=["short", "long", "six-zeros", "outside"])
+def test_automorphism_table_must_permute_the_element_indices(images):
+    with pytest.raises(DomainError, match="each of the 6 element indices once"):
+        GroupAutomorphism(s3(), images)
+
+
 FOREIGN_AUTOMORPHISM_CALLS = {
     "twisted_classes": twisted_classes,
     "reidemeister_number": reidemeister_number,
