@@ -712,10 +712,18 @@ def test_isogredience_check_rejects_bijections_that_are_not_homomorphisms():
     [0, 1, 2, 3, 4, 5, 0],  # one index too many
     [0] * 6,  # the right length, but not a bijection
     [0, 1, 2, 3, 4, 6],  # an index outside the group
-], ids=["short", "long", "six-zeros", "outside"])
+    [0.0, 1, 2, 3, 4, 5],  # equal to a permutation, but a float is no index
+    [False, True, 2, 3, 4, 5],  # likewise for bools
+], ids=["short", "long", "six-zeros", "outside", "float", "bool"])
 def test_automorphism_table_must_permute_the_element_indices(images):
     with pytest.raises(DomainError, match="each of the 6 element indices once"):
         GroupAutomorphism(s3(), images)
+
+
+def test_generator_images_of_a_trivial_map_are_a_domain_error():
+    g = s3()
+    with pytest.raises(DomainError, match="each of the 6 element indices once"):
+        GroupAutomorphism.from_generator_images(g, [g.identity] * len(g.generators))
 
 
 FOREIGN_AUTOMORPHISM_CALLS = {
