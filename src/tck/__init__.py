@@ -16,6 +16,7 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "errors": ("ConsistencyError", "DomainError", "ResourceLimitError"),
+    "linalg": ("SmithNormalForm", "int_det", "smith_normal_form"),
     "fields": ("Polynomial", "RationalFunction", "ScalingAutomorphism", "apply_scaling",
                "character_lattice_member", "exponent_vector", "supports_pairwise_disjoint"),
     "roots": ("DiagramSymmetry", "RootSystem", "RootSystemType", "build_root_system",
@@ -28,11 +29,10 @@ _EXPORTS = {
                 "group_from_descriptor", "induced_automorphism", "inner_twist_invariance",
                 "isogredience_count", "reidemeister_number", "subgroup",
                 "telescoping_product_check", "twisted_classes"),
-    "spectrum": ("INFINITY", "ExtendedCount", "SmithNormalForm", "SpectrumDescriptor",
-                 "abelian_oracle_count", "cokernel_order_mod", "heisenberg_automorphism",
-                 "heisenberg_cokernel_product", "heisenberg_group", "heisenberg_oracle",
-                 "heisenberg_reidemeister", "int_det", "lamplighter_r_infinity",
-                 "metabelian_spectrum", "reidemeister_zn", "smith_normal_form",
+    "spectrum": ("INFINITY", "ExtendedCount", "SpectrumDescriptor", "abelian_oracle_count",
+                 "cokernel_order_mod", "heisenberg_automorphism", "heisenberg_cokernel_product",
+                 "heisenberg_group", "heisenberg_oracle", "heisenberg_reidemeister",
+                 "lamplighter_r_infinity", "metabelian_spectrum", "reidemeister_zn",
                  "zn_fullness_witness"),
     "witness": ("FirstFactorReduction", "ObstructionCertificate", "ProductAutomorphism",
                 "WitnessSequence", "ZeroEntryWitness", "generate_witnesses",

@@ -16,7 +16,7 @@ from typing import Callable
 
 from .errors import ConsistencyError, DomainError
 from .fields import ScalingAutomorphism, exponent_vector, supports_pairwise_disjoint
-from .linalg import diagonal_entries, is_diagonal, mat_eq, mat_inv, mat_mul, mat_product
+from .linalg import diagonal_entries, int_det, is_diagonal, mat_eq, mat_inv, mat_mul, mat_product
 from .roots import build_root_system, diagram_symmetries
 from .chevalley import (
     ChevalleyAutomorphism,
@@ -46,7 +46,6 @@ from .spectrum import (
     heisenberg_cokernel_product,
     heisenberg_oracle,
     heisenberg_reidemeister,
-    int_det,
     metabelian_spectrum,
     reidemeister_zn,
     zn_fullness_witness,

@@ -16,6 +16,7 @@ from fractions import Fraction
 from math import gcd
 
 from .errors import DomainError
+from .linalg import smith_normal_form
 
 Exponent = tuple[int, ...]
 
@@ -497,8 +498,6 @@ def _lattice_divisors(rows, width: int):
     exactly when w = v*V has w_j = 0 where d_j = 0 and d_j | w_j elsewhere;
     a column with d_j = 1 always passes, so it is left out.
     """
-    from .spectrum import smith_normal_form  # spectrum depends on fields
-
     # Pad to a square system; zero rows and columns do not change
     # solvability of x*A = v over Z.  The padded entries of v are 0, so only
     # the base rows of V enter w.

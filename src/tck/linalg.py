@@ -8,15 +8,19 @@ a product entry starts from its first nonzero term, and only later terms are
 added to it, while an entry with no nonzero term keeps the zero; a diagonal
 matrix inverts entrywise, and only other matrices go through Gauss-Jordan.
 Those generators are built from sparse tables in ``chevalley`` and only
-become dense here; integer determinants do not come here either, they use the
-fraction-free ``spectrum.int_det``.
+become dense here.
+
+The integer routines live here too: the fraction-free Bareiss determinant
+``int_det`` and the checked Smith normal form, which ``fields`` uses for
+character-lattice membership and ``spectrum`` for cokernel orders.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import ConsistencyError, DomainError
 
 Matrix = list
 _ONE, _ZERO = Fraction(1), Fraction(0)
@@ -144,3 +148,139 @@ def diagonal_entries(a: Matrix) -> list:
 
 def is_diagonal(a: Matrix) -> bool:
     return all(not x for i, row in enumerate(a) for j, x in enumerate(row) if i != j)
+
+
+def _validate_integer_matrix(matrix) -> list[list[int]]:
+    rows = [list(row) for row in matrix]
+    n = len(rows)
+    if n == 0 or any(len(row) != n for row in rows):
+        raise DomainError("expected a nonempty square matrix")
+    for row in rows:
+        for x in row:
+            if not isinstance(x, int) or isinstance(x, bool):
+                raise DomainError(f"entry {x!r} is not an integer")
+    return rows
+
+
+def int_det(matrix) -> int:
+    """Determinant by fraction-free Bareiss elimination: every division is exact."""
+    a = _validate_integer_matrix(matrix)
+    n = len(a)
+    sign, previous = 1, 1
+    for k in range(n - 1):
+        pivot = next((r for r in range(k, n) if a[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        p, row_k = a[k][k], a[k]
+        for row in a[k + 1:]:
+            f = row[k]
+            for j in range(k + 1, n):
+                row[j] = (p * row[j] - f * row_k[j]) // previous
+        previous = p
+    return sign * a[n - 1][n - 1]
+
+
+@dataclass(frozen=True)
+class SmithNormalForm:
+    diagonal: tuple[int, ...]
+    left: tuple[tuple[int, ...], ...]
+    right: tuple[tuple[int, ...], ...]
+
+
+def smith_normal_form(matrix) -> SmithNormalForm:
+    """Diagonalize an integer matrix as U*M*V = D with unimodular U, V.
+
+    Diagonal entries are nonnegative and each divides the next.  The
+    returned transforms are verified before the result is released.
+    """
+    a = _validate_integer_matrix(matrix)
+    n = len(a)
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    v = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+    def row_sub(i, j, q):
+        a[i] = [x - q * y for x, y in zip(a[i], a[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_sub(i, j, q):
+        for row in a:
+            row[i] -= q * row[j]
+        for row in v:
+            row[i] -= q * row[j]
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for row in a:
+            row[i], row[j] = row[j], row[i]
+        for row in v:
+            row[i], row[j] = row[j], row[i]
+
+    for k in range(n):
+        while True:
+            pivot = None
+            for i in range(k, n):
+                for j in range(k, n):
+                    if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
+                        pivot = (i, j)
+            if pivot is None:
+                break
+            swap_rows(k, pivot[0])
+            swap_cols(k, pivot[1])
+            if a[k][k] < 0:
+                a[k] = [-x for x in a[k]]
+                u[k] = [-x for x in u[k]]
+            dirty = False
+            for i in range(k + 1, n):
+                q = a[i][k] // a[k][k]
+                if q:
+                    row_sub(i, k, q)
+                if a[i][k]:
+                    dirty = True
+            for j in range(k + 1, n):
+                q = a[k][j] // a[k][k]
+                if q:
+                    col_sub(j, k, q)
+                if a[k][j]:
+                    dirty = True
+            if dirty:
+                continue
+            offender = next(
+                (
+                    i
+                    for i in range(k + 1, n)
+                    if any(a[i][j] % a[k][k] for j in range(k + 1, n))
+                ),
+                None,
+            )
+            if offender is None:
+                break
+            # Fold the non-divisible row into the pivot row; the next pass
+            # shrinks the pivot until it divides everything remaining.
+            row_sub(k, offender, -1)
+
+    diagonal = tuple(a[i][i] for i in range(n))
+    for i in range(n - 1):
+        if diagonal[i + 1] and (diagonal[i] == 0 or diagonal[i + 1] % diagonal[i]):
+            raise ConsistencyError(f"divisibility chain broken at {diagonal}")
+    if any(a[i][j] for i in range(n) for j in range(n) if i != j):
+        raise ConsistencyError("reduction left an off-diagonal entry")
+    product = mat_mul(mat_mul(u, _validate_integer_matrix(matrix)), v)
+    if any(
+        product[i][j] != (diagonal[i] if i == j else 0)
+        for i in range(n)
+        for j in range(n)
+    ):
+        raise ConsistencyError("transforms do not reproduce the diagonal")
+    if abs(int_det(u)) != 1 or abs(int_det(v)) != 1:
+        raise ConsistencyError("transform is not unimodular")
+    return SmithNormalForm(
+        diagonal,
+        tuple(tuple(row) for row in u),
+        tuple(tuple(row) for row in v),
+    )

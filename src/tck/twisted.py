@@ -221,6 +221,9 @@ def subgroup(G: FiniteGroup, elements: Iterable) -> FiniteGroup:
 
 
 def element_order(G: FiniteGroup, x) -> int:
+    x = G.ops.canonical(x)
+    if x not in G.index:
+        raise DomainError(f"{x} lies outside the group")
     order = 1
     power = x
     while power != G.identity:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tck import DomainError, RationalFunction, build_root_system, h_alpha
-from tck.linalg import identity_matrix, mat_inv, mat_mul
+from tck.linalg import identity_matrix, int_det, mat_det, mat_inv, mat_mul, smith_normal_form
 
 T = RationalFunction.variable(1, 0)
 
@@ -180,3 +180,54 @@ def test_diagonal_inverse_divides_once_per_entry(n):
     assert Counted.ops == Counter(div=n)
     assert all(inverse[i][j] == (Fraction(1, i + 2) if i == j else 0)
                for i in range(n) for j in range(n))
+
+
+def _random_int_matrix(rng, n, m):
+    return [[rng.randrange(-9, 10) for _ in range(m)] for _ in range(n)]
+
+
+def test_int_det_matches_fraction_elimination():
+    # Bareiss against Gaussian elimination over Q; the seeded matrices get
+    # zero leading entries (forcing a row swap) and zero columns mixed in
+    rng = random.Random(23)
+    swapped = zero_column = 0
+    for trial in range(300):
+        n = rng.randrange(1, 7)
+        a = _random_int_matrix(rng, n, n)
+        if trial % 3 == 1 and n > 1:
+            a[0][0] = 0
+            swapped += 1
+        if trial % 5 == 2:
+            col = rng.randrange(n)
+            for row in a:
+                row[col] = 0
+            zero_column += 1
+        assert int_det(a) == mat_det([[Fraction(x) for x in row] for row in a]), a
+    assert swapped and zero_column
+    assert int_det([[0, 1], [1, 0]]) == -1
+    assert int_det([[0, 0, 1], [0, 2, 0], [3, 0, 0]]) == -6
+    assert int_det([[1, 2], [2, 4]]) == 0
+    with pytest.raises(DomainError):
+        int_det([[1, 2], [3, Fraction(1, 2)]])
+
+
+def test_smith_normal_form_properties():
+    rng = random.Random(17)
+    for _ in range(40):
+        n = rng.randrange(1, 6)
+        a = _random_int_matrix(rng, n, n)
+        snf = smith_normal_form(a)
+        assert abs(int_det(snf.left)) == 1
+        assert abs(int_det(snf.right)) == 1
+        product = _naive_mul(_naive_mul(snf.left, a), snf.right)
+        for i in range(n):
+            for j in range(n):
+                assert product[i][j] == (snf.diagonal[i] if i == j else 0)
+        diag = [d for d in snf.diagonal if d]
+        assert all(d > 0 for d in diag)
+        for prev, following in zip(diag, diag[1:]):
+            assert following % prev == 0
+        # zeros trail the chain
+        assert list(snf.diagonal) == diag + [0] * (n - len(diag))
+    with pytest.raises(DomainError):
+        smith_normal_form([[1, 2, 3], [4, 5, 6]])

@@ -145,6 +145,15 @@ def test_closure_sizes_and_orders():
     assert sorted(element_order(g, x) for x in g.elements) == [1, 2, 2, 2, 2, 2, 4, 4]
 
 
+def test_element_order_refuses_elements_outside_the_group():
+    shear = closure([((1, 1), (0, 1))], modulus=3)
+    assert element_order(shear, ((1, 4), (3, 1))) == 3  # canonicalised mod 3
+    with pytest.raises(DomainError, match="lies outside the group"):
+        element_order(shear, ((0, 0), (0, 0)))
+    with pytest.raises(DomainError, match="lies outside the group"):
+        element_order(closure([(1, 0, 2)]), (1, 2, 0))
+
+
 def test_identity_twist_recovers_conjugacy_classes():
     for g, classes in ((s3(), 3), (s4(), 5), (d4(), 5), (q8(), 5)):
         ident = GroupAutomorphism.identity(g)
