@@ -76,9 +76,15 @@ class RootSystemType:
     @classmethod
     def parse(cls, text: str) -> "RootSystemType":
         text = text.strip()
-        if len(text) < 2 or text[0].upper() not in _FAMILIES or not text[1:].isdigit():
+        try:
+            # isdigit admits superscripts, which int() refuses, as it refuses
+            # a rank past the int/str digit limit
+            rank = int(text[1:]) if text[1:].isdigit() else None
+        except ValueError:
+            rank = None
+        if rank is None or text[0].upper() not in _FAMILIES:
             raise DomainError(f"cannot parse root system type {text!r}")
-        return cls(text[0].upper(), int(text[1:]))
+        return cls(text[0].upper(), rank)
 
     def __str__(self):
         return f"{self.family}{self.rank}"

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from itertools import product as cartesian_product
+from itertools import chain, product as cartesian_product
 from math import gcd
 from operator import itemgetter, mul as scalar_mul
 from typing import Iterable
@@ -65,10 +65,10 @@ class PermOps:
 
     def canonical(self, raw):
         try:
-            image = tuple(int(v) for v in raw)
-        except (TypeError, ValueError) as exc:
+            image = tuple(raw)
+        except TypeError as exc:
             raise DomainError(f"{raw!r} is not a permutation of {self.degree} points") from exc
-        if sorted(image) != list(range(self.degree)):
+        if not {int}.issuperset(map(type, image)) or sorted(image) != list(range(self.degree)):
             raise DomainError(f"{raw!r} is not a permutation of {self.degree} points")
         return image
 
@@ -110,14 +110,16 @@ class MatModOps:
         )
 
     def canonical(self, raw):
-        p = self.modulus
         try:
-            rows = tuple(tuple(int(v) % p for v in row) for row in raw)
-        except (TypeError, ValueError) as exc:
+            rows = tuple(map(tuple, raw))
+        except TypeError as exc:
             raise DomainError(f"matrix {raw!r} does not hold integer entries") from exc
+        if not {int}.issuperset(map(type, chain.from_iterable(rows))):
+            raise DomainError(f"matrix {raw!r} does not hold integer entries")
         if len(rows) != self.size or any(len(r) != self.size for r in rows):
             raise DomainError(f"matrix is not {self.size}x{self.size}")
-        return rows
+        p = self.modulus
+        return tuple(tuple(v % p for v in row) for row in rows)
 
     def right(self, b):
         """x -> x b as one callable, with the columns of b taken once."""
@@ -171,6 +173,13 @@ class FiniteGroup:
     def conjugate(self, g, x):
         return self.mul(self.mul(g, x), self.inv(g))
 
+    def element(self, raw):
+        """raw in canonical form; the one gate for elements from outside."""
+        x = self.ops.canonical(raw)
+        if x not in self.index:
+            raise DomainError(f"{x} lies outside the group")
+        return x
+
 
 def _closure(ops, generators, cap=None) -> FiniteGroup:
     cap = closure_cap() if cap is None else cap
@@ -221,9 +230,7 @@ def subgroup(G: FiniteGroup, elements: Iterable) -> FiniteGroup:
 
 
 def element_order(G: FiniteGroup, x) -> int:
-    x = G.ops.canonical(x)
-    if x not in G.index:
-        raise DomainError(f"{x} lies outside the group")
+    x = G.element(x)
     order = 1
     power = x
     while power != G.identity:
@@ -316,17 +323,8 @@ def all_automorphisms(G: FiniteGroup) -> list["GroupAutomorphism"]:
     orders = _element_orders(G)
     conj = _conjugation_maps(G)
     first = gens[0]
-    reps, covered = [], set()
-    for i, o in enumerate(orders):
-        if o == orders[index[first]] and i not in covered:
-            reps.append(elements[i])
-            covered.add(i)
-            klass = [i]
-            for j in klass:
-                for c in conj:
-                    if c[j] not in covered:
-                        covered.add(c[j])
-                        klass.append(c[j])
+    reps = [elements[i] for i in _orbit_ids(len(G), conj)[1]
+            if orders[i] == orders[index[first]]]
     targets = [(orders[index[g]], orders[index[mul(first, g)]]) for g in gens[1:]]
     at_gens = [index[g] for g in gens]
     found = {}  # generator image indices -> image indices of every element
@@ -385,14 +383,11 @@ class GroupAutomorphism:
 
     @classmethod
     def from_generator_images(cls, group: FiniteGroup, images) -> "GroupAutomorphism":
-        images = [group.ops.canonical(im) for im in images]
+        images = [group.element(im) for im in images]
         if len(images) != len(group.generators):
             raise DomainError(
                 f"expected {len(group.generators)} generator images, got {len(images)}"
             )
-        for im in images:
-            if im not in group.index:
-                raise DomainError(f"image {im} lies outside the group")
         # Breadth-first discovery numbers each element at its first incoming
         # edge, so walking the edges in order defines f(x) before any later
         # edge reads it; passing every edge makes f a homomorphism.
@@ -413,9 +408,7 @@ class GroupAutomorphism:
 
     @classmethod
     def inner(cls, group: FiniteGroup, g) -> "GroupAutomorphism":
-        g = group.ops.canonical(g)
-        if g not in group.index:
-            raise DomainError(f"{g} lies outside the group")
+        g = group.element(g)
         mul, times_g_inv, index = group.mul, group.ops.right(group.ops.inv(g)), group.index
         return cls(group, [index[times_g_inv(mul(g, x))] for x in group.elements])
 
@@ -450,13 +443,14 @@ class TwistedClassPartition:
 def _orbit_ids(n: int, maps) -> tuple:
     """Orbits of range(n) under the index maps, walked forward from the
     least unvisited index: each index's orbit id, ids numbered in order of
-    least index, and the number of orbits."""
+    least index, and leaders[k] the least index of orbit k."""
     ids = [-1] * n
-    count = 0
+    leaders = []
     for start in range(n):
         if ids[start] >= 0:
             continue
-        ids[start] = count
+        count = ids[start] = len(leaders)
+        leaders.append(start)
         orbit = [start]
         for i in orbit:
             for m in maps:
@@ -464,13 +458,12 @@ def _orbit_ids(n: int, maps) -> tuple:
                 if ids[j] < 0:
                     ids[j] = count
                     orbit.append(j)
-        count += 1
-    return ids, count
+    return ids, leaders
 
 
-def _orbit_blocks(G: FiniteGroup, ids, count) -> tuple:
+def _orbit_blocks(G: FiniteGroup, ids, leaders) -> tuple:
     """The orbits as element tuples, ordered by least index, each in index order."""
-    blocks = [[] for _ in range(count)]
+    blocks = [[] for _ in leaders]
     for x, k in zip(G.elements, ids):
         blocks[k].append(x)
     return tuple(map(tuple, blocks))
@@ -484,6 +477,8 @@ def _twist_maps(G: FiniteGroup, phi: GroupAutomorphism) -> list:
     images phi(z)^-1 they depend on, so R and then S on one phi build them
     once.
     """
+    if phi.group is not G:
+        raise DomainError("automorphism acts on a different group")
     key = tuple(G.inv(phi(z)) for z in G.generators)
     if G._twist is None or G._twist[0] != key:
         from array import array
@@ -502,8 +497,6 @@ def _right_maps(G: FiniteGroup, factors) -> list:
 
 
 def twisted_classes(G: FiniteGroup, phi: GroupAutomorphism) -> TwistedClassPartition:
-    if phi.group is not G:
-        raise DomainError("automorphism acts on a different group")
     blocks = _orbit_blocks(G, *_orbit_ids(len(G), _twist_maps(G, phi)))
     if sum(len(b) for b in blocks) != len(G):
         raise ConsistencyError("twisted classes do not partition the group")
@@ -511,15 +504,10 @@ def twisted_classes(G: FiniteGroup, phi: GroupAutomorphism) -> TwistedClassParti
 
 
 def reidemeister_number(G: FiniteGroup, phi: GroupAutomorphism) -> int:
-    if phi.group is not G:
-        raise DomainError("automorphism acts on a different group")
-    return _orbit_ids(len(G), _twist_maps(G, phi))[1]
+    return len(_orbit_ids(len(G), _twist_maps(G, phi))[1])
 
 
 def inner_twist_invariance(G: FiniteGroup, phi: GroupAutomorphism, g) -> bool:
-    g = G.ops.canonical(g)
-    if g not in G.index:
-        raise DomainError(f"{g} lies outside the group")
     twisted = phi.compose(GroupAutomorphism.inner(G, g))
     return reidemeister_number(G, twisted) == reidemeister_number(G, phi)
 
@@ -601,17 +589,12 @@ def isogredience_count(G: FiniteGroup, phi: GroupAutomorphism) -> IsogredienceCl
     classes (Fel'shtyn-Hill).  Since phi(Z) = Z, phi permutes the orbits,
     so one image per orbit decides.  The two counts must agree.
     """
-    if phi.group is not G:
-        raise DomainError("automorphism acts on a different group")
+    twists = _twist_maps(G, phi)  # checks phi's group before the center is built
     central = _right_maps(G, center(G).generators)
-    direct = _orbit_ids(len(G), _twist_maps(G, phi) + central)[1]
-    classes, _ = _orbit_ids(len(G), _conjugation_maps(G) + central)
+    direct = len(_orbit_ids(len(G), twists + central)[1])
+    classes, leaders = _orbit_ids(len(G), _conjugation_maps(G) + central)
     # an orbit is phi-invariant iff its least element's image lies in it
-    images, invariant, seen = phi.images, 0, 0
-    for i, k in enumerate(classes):
-        if k == seen:
-            seen += 1
-            invariant += classes[images[i]] == k
+    invariant = sum(classes[phi.images[i]] == k for k, i in enumerate(leaders))
     if direct != invariant:
         raise ConsistencyError(
             f"isogredience routes disagree: direct {direct}, invariant classes {invariant}"
@@ -625,10 +608,7 @@ def telescoping_product_check(G: FiniteGroup, phi: GroupAutomorphism, y, z, m: i
         raise DomainError("automorphism acts on a different group")
     if m < 1:
         raise DomainError("telescoping length must be at least 1")
-    y = G.ops.canonical(y)
-    z = G.ops.canonical(z)
-    if y not in G.index or z not in G.index:
-        raise DomainError("arguments lie outside the group")
+    y, z = G.element(y), G.element(z)
 
     def product(base):
         acc = base
@@ -658,43 +638,32 @@ def group_descriptor(G: FiniteGroup) -> dict:
     return out
 
 
-def _nested_lists(value, depth: int) -> bool:
-    """Whether value is a list whose items are nested lists depth - 1 deep."""
-    return isinstance(value, list) and (
-        depth == 1 or all(_nested_lists(v, depth - 1) for v in value))
-
-
 def group_from_descriptor(descriptor: dict) -> FiniteGroup:
     try:
         encoding = descriptor["encoding"]
         generators = descriptor["generators"]
     except KeyError as exc:
         raise DomainError(f"group descriptor missing key {exc}") from exc
+    # the closure reads its degree or size off the first generator; the
+    # encoding's canonical form checks every entry
+    if not isinstance(generators, list) or not all(isinstance(g, list) for g in generators):
+        raise DomainError("generators must be a list of lists")
     if encoding == "perm":
-        if not _nested_lists(generators, 2):
-            raise DomainError("perm generators must be a list of image lists")
-        return closure([tuple(g) for g in generators])
+        return closure(generators)
     if encoding == "matmod":
-        if not _nested_lists(generators, 3):
-            raise DomainError("matmod generators must be a list of matrices given as row lists")
         if "modulus" not in descriptor:
             raise DomainError("matmod descriptor needs a modulus")
         modulus = descriptor["modulus"]
         if not isinstance(modulus, int) or isinstance(modulus, bool) or modulus < 2:
             raise DomainError(f"matmod modulus must be an integer >= 2, got {modulus!r}")
-        return closure([tuple(tuple(row) for row in g) for g in generators], modulus=modulus)
+        return closure(generators, modulus=modulus)
     raise DomainError(f"unknown encoding {encoding!r}")
 
 
 def automorphism_from_descriptor(G: FiniteGroup, descriptor: dict) -> GroupAutomorphism:
     if "images" not in descriptor:
         raise DomainError("automorphism descriptor missing 'images'")
-    matmod = G.ops.encoding == "matmod"
-    if not _nested_lists(descriptor["images"], 3 if matmod else 2):
-        raise DomainError("images must be a list of "
-                          + ("matrices given as row lists" if matmod else "image lists"))
-    images = [
-        tuple(tuple(row) for row in im) if matmod else tuple(im)
-        for im in descriptor["images"]
-    ]
+    images = descriptor["images"]
+    if not isinstance(images, list):
+        raise DomainError("images must be a list")
     return GroupAutomorphism.from_generator_images(G, images)

@@ -461,6 +461,14 @@ def test_diagonal_part_must_be_a_character():
     bogus[0][0] = Fraction(2)  # breaks the opposite-root cancellation
     with pytest.raises(DomainError):
         ChevalleyAutomorphism(rs, diagonal=bogus)
+    # cancels on opposite roots but is not multiplicative: the entry at
+    # alpha_1 + alpha_2 is 3, the product of the simple entries is 1
+    beta = (1, 1)
+    i, j = rs.root_index[beta], rs.root_index[rs.negate(beta)]
+    skewed = identity_matrix(dim)
+    skewed[i][i], skewed[j][j] = Fraction(3), Fraction(1, 3)
+    with pytest.raises(DomainError, match="not a character at"):
+        ChevalleyAutomorphism(rs, diagonal=skewed)
     good = h_alpha(rs, rs.positive_roots[0], Fraction(2))
     phi = ChevalleyAutomorphism(rs, diagonal=good)
     assert mat_eq(phi.apply(identity_matrix(dim)), identity_matrix(dim))

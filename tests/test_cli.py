@@ -45,6 +45,14 @@ def test_root_info_rejects_unknown_type(capsys):
     assert report["payload"]["message"]
 
 
+@pytest.mark.parametrize("text", ["A\u00b2", "A" + "1" * 5000], ids=["superscript", "5000-digits"])
+def test_root_info_rejects_unparsable_ranks(capsys, text):
+    code, report = run_cli(capsys, ["root", "info", text])
+    assert code == 1
+    assert report["payload"]["code"] == "domain-error"
+    assert report["payload"]["message"].startswith("cannot parse root system type")
+
+
 def test_chevalley_gen_torus_element(capsys):
     code, report = run_cli(
         capsys,
@@ -107,6 +115,10 @@ def test_twisted_subcommands(capsys, tmp_path):
 @pytest.mark.parametrize("descriptor", [
     {"encoding": "perm", "generators": ["ab"]},
     {"encoding": "matmod", "modulus": 3, "generators": [[["a", 0], [0, 1]]]},
+    # S3 with one generator's entries as a float, bools or numeric strings
+    {"encoding": "perm", "generators": [[1.5, 0, 2], [1, 2, 0]]},
+    {"encoding": "perm", "generators": [[True, False, 2], [1, 2, 0]]},
+    {"encoding": "perm", "generators": [["1", "0", "2"], [1, 2, 0]]},
     # not nested lists, or a modulus that is not an integer >= 2
     {"encoding": "perm", "generators": 5},
     {"encoding": "perm", "generators": [5]},
@@ -126,7 +138,7 @@ def test_twisted_rejects_non_integer_generators(capsys, tmp_path, descriptor):
     assert report["payload"]["code"] == "domain-error"
 
 
-@pytest.mark.parametrize("images", [5, [5, 6]])
+@pytest.mark.parametrize("images", [5, [5, 6], [[1.0, 0, 2], [1, 2, 0]]])
 def test_twisted_rejects_hostile_images(capsys, tmp_path, images):
     group_file, _ = _write_s3(tmp_path)
     aut_file = tmp_path / "bad-aut.json"

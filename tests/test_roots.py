@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tck import (
     ConsistencyError,
@@ -16,7 +17,13 @@ from tck import (
     extend_symmetry_to_roots,
 )
 from tck.chevalley import adjoint_dimension, bracket_coordinates
-from tck.roots import RootSystem, _admissible, permutation_order, root_permutation
+from tck.roots import (
+    RootSystem,
+    RootSystemType,
+    _admissible,
+    permutation_order,
+    root_permutation,
+)
 
 COUNTS = {
     "A1": 2,
@@ -53,6 +60,42 @@ def test_bad_types_rejected():
     for text in ("A0", "B1", "C2", "D3", "E5", "E9", "F5", "G3", "H2", "X1", "A"):
         with pytest.raises(DomainError):
             build_root_system(text)
+
+
+@pytest.mark.parametrize("text", ["A\u00b2", "B\u00b3", "A" + "1" * 5000, "", "A-1", "A 2"],
+                         ids=["superscript-2", "superscript-3", "5000-digits", "empty",
+                              "signed", "spaced"])
+def test_unparsable_types_are_a_domain_error(text):
+    with pytest.raises(DomainError, match="cannot parse root system type"):
+        RootSystemType.parse(text)
+
+
+def test_types_parse_case_and_space_insensitively():
+    assert RootSystemType.parse(" e8 ") == RootSystemType("E", 8)
+    assert RootSystemType.parse("a12") == RootSystemType("A", 12)
+
+
+# a family letter, then decimal digits and other numerals (superscripts,
+# fractions, other scripts' digits); parse only, since building a large
+# rank enumerates its diagram symmetries
+TYPE_TEXT = st.one_of(
+    st.text(max_size=6),
+    st.builds(str.__add__, st.sampled_from("ABCDEFGaegXZ "),
+              st.text(st.characters(categories=("Nd", "No", "Nl", "Zs")), max_size=6)),
+)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(TYPE_TEXT)
+@example("A\u00b2")
+@example("A\u0663")  # an Arabic-Indic 3, which int() reads
+def test_parse_raises_only_domain_errors(text):
+    try:
+        parsed = RootSystemType.parse(text)
+    except DomainError:
+        return
+    assert parsed.family in "ABCDEFG"
+    assert type(parsed.rank) is int and parsed.rank >= 1
 
 
 def test_cartan_matrix_matches_pairings():

@@ -154,6 +154,51 @@ def test_element_order_refuses_elements_outside_the_group():
         element_order(closure([(1, 0, 2)]), (1, 2, 0))
 
 
+# entries that int() reads as 1, in an element whose entry 1 they replace
+NON_INT_ENTRIES = {"float": 1.5, "bool": True, "str": "1"}
+ENTRY_GATES = {
+    "group_from_descriptor": lambda g, x, descriptor: group_from_descriptor(descriptor),
+    "from_generator_images":
+        lambda g, x, _: GroupAutomorphism.from_generator_images(g, [x, *g.generators[1:]]),
+    "inner": lambda g, x, _: GroupAutomorphism.inner(g, x),
+    "element_order": lambda g, x, _: element_order(g, x),
+    "telescoping_product_check": lambda g, x, _: telescoping_product_check(
+        g, GroupAutomorphism.identity(g), x, g.identity, 1),
+}
+
+
+@pytest.mark.parametrize("gate", sorted(ENTRY_GATES))
+@pytest.mark.parametrize("entry", sorted(NON_INT_ENTRIES))
+@pytest.mark.parametrize("encoding", ["perm", "matmod"])
+def test_non_int_entries_are_a_domain_error(encoding, entry, gate):
+    if encoding == "perm":
+        g, message = s3(), "is not a permutation of 3 points"
+        element = lambda v: [v, 0, 2]
+        descriptor = lambda v: {"encoding": "perm", "generators": [element(v), [1, 2, 0]]}
+    else:
+        g, message = sl2(3), "does not hold integer entries"
+        element = lambda v: [[1, v], [0, 1]]
+        descriptor = lambda v: {"encoding": "matmod", "modulus": 3,
+                                "generators": [element(v), [[1, 0], [1, 1]]]}
+    ENTRY_GATES[gate](g, element(1), descriptor(1))  # the int 1 passes
+    v = NON_INT_ENTRIES[entry]
+    with pytest.raises(DomainError, match=message):
+        ENTRY_GATES[gate](g, element(v), descriptor(v))
+
+
+def test_each_argument_outside_the_group_is_named():
+    g, outside = d4(), (1, 0, 2, 3)
+    phi = GroupAutomorphism.identity(g)
+    with pytest.raises(DomainError, match=r"^\(1, 0, 2, 3\) lies outside the group$"):
+        telescoping_product_check(g, phi, outside, g.identity, 2)
+    with pytest.raises(DomainError, match=r"^\(1, 0, 2, 3\) lies outside the group$"):
+        telescoping_product_check(g, phi, g.identity, outside, 2)
+    with pytest.raises(DomainError, match=r"^\(1, 0, 2, 3\) lies outside the group$"):
+        GroupAutomorphism.from_generator_images(g, [outside, g.generators[1]])
+    with pytest.raises(DomainError, match="lies outside the group"):
+        inner_twist_invariance(g, phi, outside)
+
+
 def test_identity_twist_recovers_conjugacy_classes():
     for g, classes in ((s3(), 3), (s4(), 5), (d4(), 5), (q8(), 5)):
         ident = GroupAutomorphism.identity(g)
@@ -209,8 +254,12 @@ def test_orbit_walk_matches_the_definition(name):
     for phi in phis:
         assert twisted_classes(g, phi).blocks == _definition_blocks(g, phi, [g.identity])
         maps = twisted._twist_maps(g, phi) + twisted._right_maps(g, central)
-        blocks = twisted._orbit_blocks(g, *twisted._orbit_ids(len(g), maps))
+        ids, leaders = twisted._orbit_ids(len(g), maps)
+        blocks = twisted._orbit_blocks(g, ids, leaders)
         assert blocks == _definition_blocks(g, phi, central)
+        # leaders[k] is the least index of block k, and its id is k
+        assert leaders == [g.index[block[0]] for block in blocks]
+        assert [ids[i] for i in leaders] == list(range(len(blocks)))
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
@@ -820,3 +869,73 @@ def test_group_from_descriptor_rejects_junk():
         group_from_descriptor({"encoding": "perm"})
     with pytest.raises(DomainError):
         group_from_descriptor({"encoding": "poem", "generators": []})
+
+
+# JSON values: the scalars, and lists and objects of them
+JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-1, 7), st.floats(),
+                         st.text(max_size=2))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=2), inner,
+                                                                max_size=2),
+    max_leaves=12)
+NEAR_INTS = st.one_of(st.integers(-1, 7), JSON_SCALARS)
+
+
+def perm_lists(n):
+    """Up to 3 permutations of n points, or lists of n near-integers."""
+    return st.lists(st.permutations(range(n)).map(list)
+                    | st.lists(NEAR_INTS, min_size=n, max_size=n), max_size=3)
+
+
+def matrix_lists(n):
+    """Up to 3 n x n matrices of integers, or of near-integers."""
+    def matrices(cell):
+        return st.lists(st.lists(cell, min_size=n, max_size=n), min_size=n, max_size=n)
+    return st.lists(matrices(st.integers(-1, 7)) | matrices(NEAR_INTS), max_size=3)
+
+
+GROUP_DESCRIPTORS = st.one_of(
+    st.integers(0, 6).flatmap(lambda n: st.fixed_dictionaries(
+        {"encoding": st.just("perm"), "generators": perm_lists(n)})),
+    st.integers(1, 3).flatmap(lambda n: st.fixed_dictionaries(
+        {"encoding": st.just("matmod"), "modulus": st.integers(2, 7),
+         "generators": matrix_lists(n)})),
+    st.fixed_dictionaries(
+        {"encoding": st.sampled_from(["perm", "matmod"]) | JSON_VALUES,
+         "generators": JSON_VALUES},
+        optional={"modulus": JSON_VALUES}),
+)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(GROUP_DESCRIPTORS)
+@example({"encoding": "perm", "generators": [[0, 1.5]]})
+@example({"encoding": "perm", "generators": [[True, False]]})
+@example({"encoding": "matmod", "modulus": 3, "generators": [[["1", "0"], ["0", "1"]]]})
+def test_group_descriptors_build_int_groups_or_raise_typed_errors(descriptor):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("TCK_CLOSURE_CAP", "1000")  # GL(3, 7) is far larger
+        try:
+            g = group_from_descriptor(descriptor)
+        except (DomainError, ResourceLimitError):
+            return
+    matmod = g.ops.encoding == "matmod"
+    entries = [v for x in g.generators for v in (sum(x, ()) if matmod else x)]
+    assert {int}.issuperset(map(type, entries))
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.tuples(st.just("S3"), perm_lists(3) | JSON_VALUES)
+       | st.tuples(st.just("Q8"), matrix_lists(2) | JSON_VALUES))
+@example(("S3", [[1.0, 0, 2], [1, 2, 0]]))
+@example(("S3", [[1, 0, 2], [1, 2, 0]]))
+@example(("Q8", [[[0, 5], [1, 3]], [[1, 1], [1, 2]]]))  # entries reduce mod 3
+def test_automorphism_descriptors_map_into_the_group_or_raise_domain_errors(case):
+    name, images = case
+    g = ORACLE_GROUPS[name]()
+    try:
+        phi = automorphism_from_descriptor(g, {"images": images})
+    except DomainError:
+        return
+    assert all(phi(x) in g.index for x in g.generators)
