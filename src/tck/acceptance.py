@@ -16,7 +16,7 @@ from typing import Callable
 
 from .errors import ConsistencyError, DomainError
 from .fields import ScalingAutomorphism, exponent_vector, supports_pairwise_disjoint
-from .linalg import diagonal_entries, int_det, is_diagonal, mat_eq, mat_inv, mat_mul, mat_product
+from .linalg import diagonal_entries, int_det, is_diagonal, mat_inv, mat_mul, mat_product
 from .roots import build_root_system, diagram_symmetries
 from .chevalley import (
     ChevalleyAutomorphism,
@@ -235,9 +235,9 @@ def _check_chevalley_relations() -> str:
             for t in _PARAMS:
                 for u in _PARAMS:
                     left = mat_mul(x_alpha(rs, alpha, t), x_alpha(rs, alpha, u))
-                    _require(mat_eq(left, x_alpha(rs, alpha, t + u)))
+                    _require(left == x_alpha(rs, alpha, t + u))
                     prod = mat_mul(h_alpha(rs, alpha, t), h_alpha(rs, alpha, u))
-                    _require(mat_eq(prod, h_alpha(rs, alpha, t * u)))
+                    _require(prod == h_alpha(rs, alpha, t * u))
                     relations += 2
         for alpha in rs.roots:
             h = h_alpha(rs, alpha, Fraction(2))
@@ -246,7 +246,7 @@ def _check_chevalley_relations() -> str:
                 weight = Fraction(2) ** rs.cartan_integer(beta, alpha)
                 for u in (Fraction(1), Fraction(1, 2)):
                     conjugated = mat_mul(mat_mul(h, x_alpha(rs, beta, u)), h_inverse)
-                    _require(mat_eq(conjugated, x_alpha(rs, beta, weight * u)))
+                    _require(conjugated == x_alpha(rs, beta, weight * u))
                     relations += 1
         for alpha in rs.roots:
             for beta in rs.roots:
@@ -274,7 +274,7 @@ def _check_torus_diagonal_form() -> str:
                 _require(diag == expected, (name, alpha, t))
                 # Independent route: the dense product n_alpha(t) n_alpha(-1).
                 dense = mat_mul(n_alpha(rs, alpha, t), n_alpha(rs, alpha, Fraction(-1)))
-                _require(mat_eq(h, dense), (name, alpha, t))
+                _require(h == dense, (name, alpha, t))
                 checked += 1
     a1 = build_root_system("A1")
     sample = diagonal_entries(h_alpha(a1, (1,), Fraction(2)))

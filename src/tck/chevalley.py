@@ -27,9 +27,11 @@ Generators:
 
 Automorphisms come in four families (inner, diagonal, field, graph) and a
 composite applies them in the fixed order inner, diagonal, field, graph.
-A diagram symmetry is realized as conjugation by a signed permutation matrix;
-the signs are forced by the structure constants and are recorded per root,
-since the naive unsigned permutation need not respect the brackets.
+A diagonal part is held as its entries at the roots and scales entry (i, j) by
+d_i / d_j.  A diagram symmetry acts by a signed basis permutation, moving entry
+(i, j) to the images of i and j, negated where their signs differ; the signs
+are forced by the structure constants and are recorded per root, since the
+naive unsigned permutation need not respect the brackets.
 
 commutator_relation_check takes one route over Q and Q(T).  With t = p/q,
 p and q integers or polynomials, x_alpha(t) is M / q^K for K the largest
@@ -50,7 +52,7 @@ from math import prod
 
 from .errors import ConsistencyError, DomainError
 from .fields import Polynomial, RationalFunction, ScalingAutomorphism, apply_scaling, is_prime
-from .linalg import Matrix, identity_matrix, is_diagonal, mat_inv, mat_product
+from .linalg import Matrix, identity_matrix, mat_inv, mat_product
 from .roots import DiagramSymmetry, RootSystem, extend_symmetry_to_roots, root_permutation
 
 
@@ -207,8 +209,8 @@ class GraphMatrixRealization:
     Simple roots carry sign +1; the sign of a composite root is forced by
     requiring the permutation to respect the bracket at its extraspecial
     decomposition, and opposite roots share a sign.  Construction verifies
-    bracket compatibility on every basis pair, so conjugation by ``matrix``
-    is an algebra (hence group) automorphism.
+    bracket compatibility on every basis pair, so conjugation by the signed
+    permutation is an algebra (hence group) automorphism.
     """
 
     def __init__(self, rs: RootSystem, symmetry: DiagramSymmetry):
@@ -231,16 +233,8 @@ class GraphMatrixRealization:
             signs[rs.negate(beta)] = signs[beta]
         self.signs = signs
 
-        m = len(rs.roots)
-        dim = adjoint_dimension(rs)
         self.root_images = root_permutation(rs, symmetry)
-        matrix = [[Fraction(0)] * dim for _ in range(dim)]
-        for i, beta in enumerate(rs.roots):
-            matrix[self.root_images[i]][i] = Fraction(signs[beta])
-        for t in range(rs.rank):
-            matrix[m + symmetry(t)][m + t] = Fraction(1)
-        self.matrix = matrix
-        self.inverse = [list(col) for col in zip(*matrix)]
+        self._images = [self._basis_image(i) for i in range(adjoint_dimension(rs))]
         self._verify()
 
     def _basis_image(self, i: int) -> tuple[int, int]:
@@ -252,11 +246,9 @@ class GraphMatrixRealization:
 
     def _verify(self):
         rs = self.rs
-        dim = adjoint_dimension(rs)
-        images = [self._basis_image(i) for i in range(dim)]
-        for i in range(dim):
-            pi, si = images[i]
-            for j in range(i + 1, dim):
+        images = self._images
+        for i, (pi, si) in enumerate(images):
+            for j in range(i + 1, len(images)):
                 pj, sj = images[j]
                 pushed = {}
                 for k, c in bracket_coordinates(rs, i, j).items():
@@ -271,22 +263,21 @@ class GraphMatrixRealization:
                     )
 
     def apply(self, x: Matrix) -> Matrix:
-        return mat_product([self.matrix, x, self.inverse])
+        out = [[None] * len(x) for _ in x]
+        for (pi, si), row in zip(self._images, x):
+            target = out[pi]
+            for (pj, sj), entry in zip(self._images, row):
+                target[pj] = entry if si == sj else -entry
+        return out
 
 
-def _validate_torus_matrix(rs: RootSystem, h: Matrix):
-    dim = adjoint_dimension(rs)
-    if len(h) != dim or len(h[0]) != dim:
-        raise DomainError("diagonal part has the wrong dimension")
-    if not is_diagonal(h):
-        raise DomainError("diagonal part is not diagonal")
-    m = len(rs.roots)
-    entries = [h[i][i] for i in range(dim)]
-    if any(not e for e in entries):
+def _validate_torus(rs: RootSystem, diagonal) -> tuple:
+    """The diagonal part's entries at ``rs.roots``, checked to be a character."""
+    entries = tuple(map(_coerce_scalar, diagonal))
+    if len(entries) != len(rs.roots):
+        raise DomainError(f"diagonal part needs {len(rs.roots)} root entries, got {len(entries)}")
+    if not all(entries):
         raise DomainError("diagonal part is singular")
-    for k in range(m, dim):
-        if entries[k] != 1:
-            raise DomainError("diagonal part must fix the Cartan block")
     # Root entries must form a character: the entry at beta is prod c_k^beta_k
     # over the simple-root entries c_k, with negative powers cleared so that
     # integer and polynomial entries stay exact.
@@ -296,19 +287,21 @@ def _validate_torus_matrix(rs: RootSystem, h: Matrix):
         if (entries[i] * prod(c ** -b for c, b in zip(simple, beta) if b < 0)
                 != prod(c ** b for c, b in zip(simple, beta) if b > 0)):
             raise DomainError(f"diagonal entries are not a character at {beta}")
+    return entries
 
 
 class ChevalleyAutomorphism:
     """Composite automorphism: inner, then diagonal, then field, then graph.
 
-    Any of the four parts may be omitted.  The diagonal part must be a
-    character-consistent torus matrix; the field part acts entrywise and
-    fixes rational constants; the graph part conjugates by the signed
-    permutation realization of a diagram symmetry.
+    Any of the four parts may be omitted.  The diagonal part is a torus
+    element given by its entries at ``rs.roots`` (the Cartan block is 1),
+    which must form a character; the field part acts entrywise and fixes
+    rational constants; the graph part conjugates by the signed permutation
+    realization of a diagram symmetry.
     """
 
     def __init__(self, rs: RootSystem, inner: Matrix | None = None,
-                 diagonal: Matrix | None = None,
+                 diagonal=None,
                  graph: DiagramSymmetry | None = None,
                  field: ScalingAutomorphism | None = None):
         self.rs = rs
@@ -320,12 +313,7 @@ class ChevalleyAutomorphism:
         else:
             self._inner_inverse = None
         self.inner = inner
-        if diagonal is not None:
-            _validate_torus_matrix(rs, diagonal)
-            self._diagonal_inverse = mat_inv(diagonal)
-        else:
-            self._diagonal_inverse = None
-        self.diagonal = diagonal
+        self.diagonal = None if diagonal is None else _validate_torus(rs, diagonal)
         self.graph = graph
         self._graph_realization = (
             GraphMatrixRealization(rs, graph) if graph is not None else None
@@ -356,20 +344,21 @@ class ChevalleyAutomorphism:
 
     def apply(self, x: Matrix) -> Matrix:
         dim = adjoint_dimension(self.rs)
-        if len(x) != dim or len(x[0]) != dim:
+        # every row: the index forms below would pass a short row over silently
+        if len(x) != dim or any(len(row) != dim for row in x):
             raise DomainError("matrix dimension does not match the root system")
         if self.inner is not None:
             x = mat_product([self.inner, x, self._inner_inverse])
         if self.diagonal is not None:
-            x = mat_product([self.diagonal, x, self._diagonal_inverse])
+            # entry (i, j) scales by d_i / d_j, the Cartan entries being 1
+            d = self.diagonal + (Fraction(1),) * self.rs.rank
+            x = [[e * d[i] / d[j] if e else e for j, e in enumerate(row)]
+                 for i, row in enumerate(x)]
         if self.field is not None:
             x = self._apply_field(x)
         if self._graph_realization is not None:
             x = self._graph_realization.apply(x)
         return x
-
-    def __call__(self, x: Matrix) -> Matrix:
-        return self.apply(x)
 
 
 def _string_product(rs: RootSystem, base, step, count) -> Fraction:

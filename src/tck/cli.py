@@ -204,7 +204,7 @@ def _run_spectrum_metabelian(args):
     }
     if args.member is not None:
         payload["member"] = {
-            "value": args.member,
+            "value": _encode_number(args.member),
             "contained": descriptor.contains(args.member),
         }
     return payload, 0
@@ -360,17 +360,9 @@ def main(argv=None) -> int:
     try:
         payload, exit_code = args.handler(args)
         report = {"status": "ok", "payload": payload, "version": __version__}
-    except DomainError as failure:
+    except (DomainError, ResourceLimitError, ConsistencyError) as failure:
         report = {"status": "error", "version": __version__,
-                  "payload": {"code": "domain-error", "message": str(failure)}}
-        exit_code = 1
-    except ResourceLimitError as failure:
-        report = {"status": "error", "version": __version__,
-                  "payload": {"code": "resource-limit", "message": str(failure)}}
-        exit_code = 1
-    except ConsistencyError as failure:
-        report = {"status": "error", "version": __version__,
-                  "payload": {"code": "internal-inconsistency", "message": str(failure)}}
+                  "payload": {"code": failure.code, "message": str(failure)}}
         exit_code = 1
     if args.timing:
         report["timing_ms"] = int((time.perf_counter() - start) * 1000)

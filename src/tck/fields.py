@@ -127,7 +127,8 @@ class Polynomial:
 
     ``terms`` maps exponent tuples (one entry per variable, entries >= 0) to
     nonzero Fraction coefficients; the zero polynomial has an empty map.
-    Where an order on terms matters it is graded lexicographic.
+    Where an order on terms matters it is graded lexicographic.  A constant
+    polynomial equals its int or Fraction value, so the class has no hash.
     """
 
     __slots__ = ("nvars", "terms")
@@ -163,10 +164,6 @@ class Polynomial:
         if coefficient == 0:
             return cls.zero(nvars)
         return cls(nvars, {exps: coefficient})
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def __bool__(self) -> bool:
         return bool(self.terms)
@@ -245,9 +242,6 @@ class Polynomial:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
     def scale(self, c) -> "Polynomial":
         c = Fraction(c)
         if c == 0:
@@ -256,19 +250,16 @@ class Polynomial:
 
     def leading_term(self) -> tuple[Exponent, Fraction]:
         """Graded-lex leading term of a nonzero polynomial."""
-        if self.is_zero:
+        if not self.terms:
             raise DomainError("zero polynomial has no leading term")
         exps = max(self.terms, key=_grlex_key)
         return exps, self.terms[exps]
 
-    def sorted_terms(self) -> list[tuple[Exponent, Fraction]]:
-        return sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True)
-
     def __repr__(self):
-        if self.is_zero:
+        if not self.terms:
             return "0"
         parts = []
-        for exps, c in self.sorted_terms():
+        for exps, c in sorted(self.terms.items(), key=lambda t: _grlex_key(t[0]), reverse=True):
             mono = "*".join(f"T{i + 1}^{e}" for i, e in enumerate(exps) if e)
             parts.append(f"{c}" + (f"*{mono}" if mono else ""))
         return " + ".join(parts)
@@ -280,11 +271,12 @@ class RationalFunction:
     Normalization divides numerator and denominator by the denominator's
     graded-lex leading coefficient and cancels any common monomial factor.
     Representations are not forced into lowest terms; equality is decided by
-    cross-multiplication, which is exact and avoids multivariate gcds.
-    An int or Fraction operand of +, -, * and == skips coercion into a
-    constant RationalFunction, and results already in normal form skip
-    normalization: c*num/den, (num + c*den)/den, -num/den and num^n/den^n
-    keep the terms the generic route gives.
+    cross-multiplication, which is exact and avoids multivariate gcds; with
+    no canonical form, the class has no hash.  An int or Fraction operand of
+    +, -, * and == skips coercion into a constant RationalFunction, and
+    results already in normal form skip normalization: c*num/den,
+    (num + c*den)/den, -num/den and num^n/den^n keep the terms the generic
+    route gives.
     """
 
     __slots__ = ("num", "den")
@@ -292,9 +284,9 @@ class RationalFunction:
     def __init__(self, num: Polynomial, den: Polynomial):
         if num.nvars != den.nvars:
             raise DomainError("numerator and denominator over different variable counts")
-        if den.is_zero:
+        if not den:
             raise ZeroDivisionError("zero denominator")
-        if num.is_zero:
+        if not num:
             self.num = num
             self.den = Polynomial.constant(den.nvars, 1)
             return
@@ -340,12 +332,8 @@ class RationalFunction:
     def nvars(self) -> int:
         return self.num.nvars
 
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
     def __bool__(self):
-        return not self.is_zero
+        return bool(self.num)
 
     def _coerce(self, other):
         if isinstance(other, RationalFunction):
@@ -396,7 +384,7 @@ class RationalFunction:
     __rmul__ = __mul__
 
     def reciprocal(self) -> "RationalFunction":
-        if self.is_zero:
+        if not self.num:
             raise ZeroDivisionError("reciprocal of zero")
         return RationalFunction(self.den, self.num)
 
@@ -426,10 +414,6 @@ class RationalFunction:
         if other is None:
             return NotImplemented
         return self.num * other.den == other.num * self.den
-
-    def __hash__(self):
-        # Hashing would need a canonical form; equality classes are enough here.
-        raise TypeError("RationalFunction is not hashable")
 
     def __repr__(self):
         if self.den == Polynomial.constant(self.nvars, 1):

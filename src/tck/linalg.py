@@ -64,12 +64,6 @@ def mat_product(matrices) -> Matrix:
     return result
 
 
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    if len(a) != len(b) or len(a[0]) != len(b[0]):
-        return False
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
 def mat_inv(a: Matrix) -> Matrix:
     """Inverse by Gauss-Jordan elimination; entries must support division.
 

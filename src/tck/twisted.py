@@ -414,7 +414,7 @@ class GroupAutomorphism:
 
     def __call__(self, x):
         group = self.group
-        return group.elements[self.images[group.index[x]]]
+        return group.elements[self.images[group.index[group.element(x)]]]
 
     def compose(self, other: "GroupAutomorphism") -> "GroupAutomorphism":
         if other.group is not self.group:
@@ -433,7 +433,6 @@ class GroupAutomorphism:
 @dataclass(frozen=True)
 class TwistedClassPartition:
     blocks: tuple
-    automorphism: GroupAutomorphism
 
     @property
     def count(self) -> int:
@@ -500,7 +499,7 @@ def twisted_classes(G: FiniteGroup, phi: GroupAutomorphism) -> TwistedClassParti
     blocks = _orbit_blocks(G, *_orbit_ids(len(G), _twist_maps(G, phi)))
     if sum(len(b) for b in blocks) != len(G):
         raise ConsistencyError("twisted classes do not partition the group")
-    return TwistedClassPartition(blocks, phi)
+    return TwistedClassPartition(blocks)
 
 
 def reidemeister_number(G: FiniteGroup, phi: GroupAutomorphism) -> int:
@@ -576,7 +575,6 @@ def induced_automorphism(G: FiniteGroup, N, phi: GroupAutomorphism):
 @dataclass(frozen=True)
 class IsogredienceClassCount:
     count: int
-    automorphism: GroupAutomorphism
 
 
 def isogredience_count(G: FiniteGroup, phi: GroupAutomorphism) -> IsogredienceClassCount:
@@ -599,7 +597,7 @@ def isogredience_count(G: FiniteGroup, phi: GroupAutomorphism) -> IsogredienceCl
         raise ConsistencyError(
             f"isogredience routes disagree: direct {direct}, invariant classes {invariant}"
         )
-    return IsogredienceClassCount(direct, phi)
+    return IsogredienceClassCount(direct)
 
 
 def telescoping_product_check(G: FiniteGroup, phi: GroupAutomorphism, y, z, m: int) -> bool:

@@ -207,20 +207,16 @@ class ProductAutomorphism:
                      else tuple(x[j][i] for i in self._sources[j])
                      for j in self.permutation)
 
-    def __call__(self, summands) -> tuple:
-        return self.apply(summands)
-
 
 @dataclass(frozen=True)
 class ZeroEntryWitness:
     """One certified-zero position with the data forcing it: the required
-    eigencharacter lies outside the scalar lattice, and the witness family
-    behind the column has disjoint supports of the stated size."""
+    eigencharacter lies outside the scalar lattice, and the certificate's
+    witness family has disjoint supports in the column."""
 
     position: tuple[int, int]
     block: str
     eigencharacter: Fraction
-    family_size: int
 
 
 @dataclass(frozen=True)
@@ -244,12 +240,12 @@ class ObstructionCertificate:
     uncertified: tuple[tuple[int, int], ...]
 
 
-def _certify(rs: RootSystem, products, scaling: ScalingAutomorphism, power: int,
+def _certify(rs: RootSystem, products, scaling: ScalingAutomorphism,
              correction, index: int) -> ObstructionCertificate:
     """Certify the Q and S entries of every root-indexed column.
 
     Any Z intertwining the collapsed first and index-th witnesses satisfies
-    (power of scaling applied entrywise to Z) = first^{-1} Z other, read
+    (sixth power of scaling applied entrywise to Z) = first^{-1} Z other, read
     entrywise as the eigencharacter in the module docstring; c is a diagonal
     correction on the root positions (identity when omitted).
     """
@@ -260,7 +256,7 @@ def _certify(rs: RootSystem, products, scaling: ScalingAutomorphism, power: int,
         raise DomainError(f"index {index} outside the witness range 1..{count}")
     root_count = len(rs.roots)
     bound = scaling.variable_count + 1
-    generators = tuple((scaling ** power).scalars)
+    generators = tuple((scaling ** 6).scalars)
     if index <= bound:
         return ObstructionCertificate(root_count, rs.rank, index, bound, count,
                                       generators, "inconclusive", (), ())
@@ -298,7 +294,7 @@ def _certify(rs: RootSystem, products, scaling: ScalingAutomorphism, power: int,
         for n, ok, col_num, col_den, col_key in columns:
             if ok and col_key != row_key:
                 certified.append(ZeroEntryWitness(
-                    (m, n), block, Fraction(col_num * row_den, col_den * row_num), count))
+                    (m, n), block, Fraction(col_num * row_den, col_den * row_num)))
             else:
                 failed.append((m, n))
     verdict = "obstructed" if not failed else "inconclusive"
@@ -327,7 +323,7 @@ def obstruction_check(rs: RootSystem, witnesses: WitnessSequence,
         _collapse(cycle, _rational_diagonal(g, len(rs.roots), "obstruction check"), 6)
         for g in witnesses.diagonals
     ]
-    return _certify(rs, products, scaling, 6, correction, index_beyond_bound)
+    return _certify(rs, products, scaling, correction, index_beyond_bound)
 
 
 def pattern_determinant(certificate: ObstructionCertificate):
@@ -378,11 +374,8 @@ class FirstFactorReduction:
     steps together with the composed field scaling along the first cycle."""
 
     root_system: RootSystem
-    witnesses: WitnessSequence
     products: tuple[Diagonal, ...]
     scaling: ScalingAutomorphism
-    power: int
-    exponent: int
     permutation_order: int
 
 
@@ -403,13 +396,12 @@ def project_product_to_first_factor(product_aut: ProductAutomorphism,
     rs = witnesses.root_system
     perm = product_aut.permutation
     s = product_aut.permutation_order
-    total = 6 * s
     orbit = [perm[0]]
     while orbit[-1] != 0:
         orbit.append(perm[orbit[-1]])
     cycle = [product_aut._sources[j] for j in orbit]
     products = tuple(
-        _collapse(cycle, _rational_diagonal(g, len(rs.roots), "product automorphism"), total)
+        _collapse(cycle, _rational_diagonal(g, len(rs.roots), "product automorphism"), 6 * s)
         for g in witnesses.diagonals
     )
     theta = ScalingAutomorphism.identity(product_aut.variable_count)
@@ -417,7 +409,7 @@ def project_product_to_first_factor(product_aut: ProductAutomorphism,
         field = product_aut.factors[orbit[t % len(orbit)]].field
         if field is not None:
             theta = theta.compose(field)
-    return FirstFactorReduction(rs, witnesses, products, theta, 6, total, s)
+    return FirstFactorReduction(rs, products, theta, s)
 
 
 def reduced_obstruction_check(reduction: FirstFactorReduction,
@@ -426,4 +418,4 @@ def reduced_obstruction_check(reduction: FirstFactorReduction,
     """Certification on the first-summand shadow; same mechanism, with the
     composed cycle scaling in place of the single field automorphism."""
     return _certify(reduction.root_system, list(reduction.products),
-                    reduction.scaling, reduction.power, correction, index_beyond_bound)
+                    reduction.scaling, correction, index_beyond_bound)

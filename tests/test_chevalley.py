@@ -36,7 +36,7 @@ from tck.linalg import (
     diagonal_entries,
     identity_matrix,
     is_diagonal,
-    mat_eq,
+    mat_inv,
     mat_mul,
     mat_product,
 )
@@ -57,11 +57,9 @@ def test_root_group_additivity(name):
     for alpha in rs.roots:
         for t in SCALARS:
             for u in (Fraction(3), Fraction(-1, 2)):
-                assert mat_eq(
-                    mat_mul(x_alpha(rs, alpha, t), x_alpha(rs, alpha, u)),
-                    x_alpha(rs, alpha, t + u),
-                )
-    assert mat_eq(x_alpha(rs, rs.roots[0], 0), identity_matrix(adjoint_dimension(rs)))
+                assert (mat_mul(x_alpha(rs, alpha, t), x_alpha(rs, alpha, u))
+                        == x_alpha(rs, alpha, t + u))
+    assert x_alpha(rs, rs.roots[0], 0) == identity_matrix(adjoint_dimension(rs))
 
 
 def _dense_exponential(rs, alpha, t):
@@ -97,7 +95,6 @@ def test_sparse_exponential_matches_dense_route():
             for t in (Fraction(3, 2), field_parameters[n]):
                 dense = _dense_exponential(rs, alpha, t)
                 sparse = x_alpha(rs, alpha, t)
-                assert mat_eq(sparse, dense), (name, alpha, t)
                 assert sparse == dense, (name, alpha, t)
 
 
@@ -119,11 +116,9 @@ def test_torus_multiplicativity(name):
     for alpha in rs.positive_roots:
         for t in SCALARS:
             for u in (Fraction(2), Fraction(-1, 3)):
-                assert mat_eq(
-                    mat_mul(h_alpha(rs, alpha, t), h_alpha(rs, alpha, u)),
-                    h_alpha(rs, alpha, t * u),
-                )
-        assert mat_eq(h_alpha(rs, alpha, 1), identity_matrix(adjoint_dimension(rs)))
+                assert (mat_mul(h_alpha(rs, alpha, t), h_alpha(rs, alpha, u))
+                        == h_alpha(rs, alpha, t * u))
+        assert h_alpha(rs, alpha, 1) == identity_matrix(adjoint_dimension(rs))
 
 
 def test_torus_matrices_are_diagonal_characters():
@@ -150,7 +145,6 @@ def test_torus_closed_form_matches_dense_route():
             for t in (Fraction(3), Fraction(-2, 5), field_parameters[cases % len(field_parameters)]):
                 h = h_alpha(rs, alpha, t)
                 dense = mat_mul(n_alpha(rs, alpha, t), n_alpha(rs, alpha, Fraction(-1)))
-                assert mat_eq(h, dense), (name, alpha, t)
                 assert h == dense, (name, alpha, t)
             cases += 1
     assert cases == 76
@@ -166,7 +160,7 @@ def test_weight_conjugation():
                 rs, beta, Fraction(3) ** rs.cartan_integer(beta, alpha) * Fraction(1, 2)
             )
             got = mat_mul(mat_mul(h, x_alpha(rs, beta, Fraction(1, 2))), h_inv)
-            assert mat_eq(got, expected)
+            assert got == expected
 
 
 def test_weyl_conjugation_permutes_root_groups():
@@ -181,7 +175,7 @@ def test_weyl_conjugation_permutes_root_groups():
             b - rs.cartan_integer(beta, alpha) * a for a, b in zip(alpha, beta)
         )
         options = [x_alpha(rs, reflected, Fraction(2)), x_alpha(rs, reflected, Fraction(-2))]
-        assert any(mat_eq(conj, option) for option in options)
+        assert any(conj == option for option in options)
     with pytest.raises(DomainError):
         n_alpha(rs, alpha, 0)
     with pytest.raises(DomainError):
@@ -264,7 +258,7 @@ def _dense_commutator_check(rs, alpha, beta, t, u, factors):
         [x_alpha(rs, gamma, c * (-t) ** i * u**j) for gamma, i, j, c in factors]
         or [identity_matrix(adjoint_dimension(rs))]
     )
-    return mat_eq(left, right)
+    return left == right
 
 
 def _parameter_kinds(rng):
@@ -398,15 +392,13 @@ def test_graph_realization_is_an_automorphism(name):
             alpha = rng.choice(rs.roots)
             beta = rng.choice(rs.roots)
             x = mat_mul(x_alpha(rs, alpha, Fraction(2)), x_alpha(rs, beta, Fraction(-1, 2)))
-            assert mat_eq(real.apply(x), mat_mul(real.apply(x_alpha(rs, alpha, Fraction(2))),
-                                                 real.apply(x_alpha(rs, beta, Fraction(-1, 2)))))
+            assert real.apply(x) == mat_mul(real.apply(x_alpha(rs, alpha, Fraction(2))),
+                                            real.apply(x_alpha(rs, beta, Fraction(-1, 2))))
         # sends each root group to the root group of the image root
         for alpha in rs.roots:
             image = real.apply(x_alpha(rs, alpha, Fraction(3)))
             target = extend_symmetry_to_roots(rs, sigma, alpha)
-            assert any(
-                mat_eq(image, x_alpha(rs, target, s)) for s in (Fraction(3), Fraction(-3))
-            )
+            assert any(image == x_alpha(rs, target, s) for s in (Fraction(3), Fraction(-3)))
 
 
 def test_graph_realization_order():
@@ -417,7 +409,64 @@ def test_graph_realization_order():
     y = x
     for _ in range(3):
         y = real.apply(y)
-    assert mat_eq(y, x)
+    assert y == x
+
+
+def _signed_permutation_matrix(rs, sigma, real):
+    """The dense P with P[sigma(i)][i] = sign(i), built from the root images
+    and signs; conjugation by P is the reference for the graph part."""
+    m, dim = len(rs.roots), adjoint_dimension(rs)
+    P = [[Fraction(0)] * dim for _ in range(dim)]
+    for i, beta in enumerate(rs.roots):
+        P[real.root_images[i]][i] = Fraction(real.signs[beta])
+    for t in range(rs.rank):
+        P[m + sigma(t)][m + t] = Fraction(1)
+    return P
+
+
+@pytest.mark.parametrize("name, order", [("A2", 2), ("A3", 2), ("D4", 3)])
+def test_graph_part_matches_the_dense_signed_permutation(name, order):
+    # the graph part moves entries; P x P^T with the dense signed
+    # permutation matrix P is the reference route
+    rs = build_root_system(name)
+    sigma = next(s for s in diagram_symmetries(rs) if s.order == order)
+    real = GraphMatrixRealization(rs, sigma)
+    P = _signed_permutation_matrix(rs, sigma, real)
+    P_T = [list(column) for column in zip(*P)]
+    assert mat_mul(P, P_T) == identity_matrix(adjoint_dimension(rs))
+    T = RationalFunction.variable(1, 0)
+    rng = random.Random(13)
+    for _ in range(4):
+        alpha, beta = rng.choice(rs.roots), rng.choice(rs.roots)
+        # x_alpha x_{-alpha} reaches the Cartan block
+        x = mat_product([x_alpha(rs, alpha, Fraction(2)), x_alpha(rs, rs.negate(alpha), T - 1),
+                         x_alpha(rs, beta, Fraction(-1, 3))])
+        assert real.apply(x) == mat_product([P, x, P_T])
+
+
+def test_diagonal_part_matches_the_dense_conjugation():
+    # the diagonal part scales entry (i, j) by d_i / d_j; D x D^-1 with the
+    # dense torus matrix D is the reference route, over Q and Q(T)
+    T = RationalFunction.variable(1, 0)
+    rng = random.Random(17)
+    for name in ("A2", "B2", "G2"):
+        rs = build_root_system(name)
+        a, b = rs.positive_roots[:2]
+        for t in (Fraction(3), Fraction(-2, 5), 2 * T + 1, 1 / T):
+            D = mat_mul(h_alpha(rs, a, t), h_alpha(rs, b, Fraction(7)))
+            phi = ChevalleyAutomorphism(rs, diagonal=diagonal_entries(D)[:len(rs.roots)])
+            alpha, beta = rng.choice(rs.roots), rng.choice(rs.roots)
+            x = mat_product([x_alpha(rs, alpha, Fraction(2)), x_alpha(rs, rs.negate(alpha), t),
+                             x_alpha(rs, beta, Fraction(1, 3))])
+            assert phi.apply(x) == mat_product([D, x, mat_inv(D)]), (name, t)
+    # a composite applies the diagonal part before the field part
+    rs = build_root_system("A2")
+    delta = ScalingAutomorphism((Fraction(5),))
+    D = h_alpha(rs, rs.positive_roots[1], 2 * T + 1)
+    phi = ChevalleyAutomorphism(rs, diagonal=diagonal_entries(D)[:len(rs.roots)], field=delta)
+    x = x_alpha(rs, rs.positive_roots[0], T)
+    expected = ChevalleyAutomorphism(rs, field=delta).apply(mat_product([D, x, mat_inv(D)]))
+    assert phi.apply(x) == expected
 
 
 def test_automorphism_part_order():
@@ -428,7 +477,21 @@ def test_automorphism_part_order():
     phi = ChevalleyAutomorphism(rs, graph=sigma, field=delta)
     g = h_alpha(rs, rs.positive_roots[0], Fraction(4))
     expected = GraphMatrixRealization(rs, sigma).apply(g)
-    assert mat_eq(phi.apply(g), expected)
+    assert phi.apply(g) == expected
+
+
+def test_apply_rejects_matrices_of_the_wrong_shape():
+    # a short last row must not pass the index forms unnoticed
+    rs = build_root_system("A2")
+    dim = adjoint_dimension(rs)
+    ragged = identity_matrix(dim)
+    ragged[-1] = ragged[-1][:-1]
+    diagonal = diagonal_entries(h_alpha(rs, rs.positive_roots[0], Fraction(2)))[:len(rs.roots)]
+    for phi in (ChevalleyAutomorphism(rs, graph=diagram_symmetries(rs)[1]),
+                ChevalleyAutomorphism(rs, diagonal=diagonal)):
+        for x in (identity_matrix(dim - 1), ragged):
+            with pytest.raises(DomainError, match="matrix dimension does not match"):
+                phi.apply(x)
 
 
 def test_field_part_scales_variable_entries():
@@ -449,29 +512,34 @@ def test_inner_part_conjugates():
     g = n_alpha(rs, rs.positive_roots[0], Fraction(1))
     phi = ChevalleyAutomorphism(rs, inner=g)
     x = x_alpha(rs, rs.positive_roots[1], Fraction(5))
-    from tck.linalg import mat_inv, mat_product
-
-    assert mat_eq(phi.apply(x), mat_product([g, x, mat_inv(g)]))
+    assert phi.apply(x) == mat_product([g, x, mat_inv(g)])
 
 
 def test_diagonal_part_must_be_a_character():
     rs = build_root_system("A2")
-    dim = adjoint_dimension(rs)
-    bogus = identity_matrix(dim)
-    bogus[0][0] = Fraction(2)  # breaks the opposite-root cancellation
+    m, dim = len(rs.roots), adjoint_dimension(rs)
+    bogus = [Fraction(1)] * m
+    bogus[0] = Fraction(2)  # breaks the opposite-root cancellation
     with pytest.raises(DomainError):
         ChevalleyAutomorphism(rs, diagonal=bogus)
     # cancels on opposite roots but is not multiplicative: the entry at
     # alpha_1 + alpha_2 is 3, the product of the simple entries is 1
     beta = (1, 1)
-    i, j = rs.root_index[beta], rs.root_index[rs.negate(beta)]
-    skewed = identity_matrix(dim)
-    skewed[i][i], skewed[j][j] = Fraction(3), Fraction(1, 3)
+    skewed = [Fraction(1)] * m
+    skewed[rs.root_index[beta]], skewed[rs.root_index[rs.negate(beta)]] = 3, Fraction(1, 3)
     with pytest.raises(DomainError, match="not a character at"):
         ChevalleyAutomorphism(rs, diagonal=skewed)
-    good = h_alpha(rs, rs.positive_roots[0], Fraction(2))
-    phi = ChevalleyAutomorphism(rs, diagonal=good)
-    assert mat_eq(phi.apply(identity_matrix(dim)), identity_matrix(dim))
+    good = tuple(diagonal_entries(h_alpha(rs, rs.positive_roots[0], Fraction(2))))
+    # the entries are given at the roots only, without the Cartan block
+    for wrong_length in (good, good[:m - 1]):
+        with pytest.raises(DomainError, match=f"needs {m} root entries"):
+            ChevalleyAutomorphism(rs, diagonal=wrong_length)
+    with pytest.raises(DomainError, match="singular"):
+        ChevalleyAutomorphism(rs, diagonal=(0,) * m)
+    with pytest.raises(DomainError, match="unsupported scalar"):
+        ChevalleyAutomorphism(rs, diagonal=("2",) * m)
+    phi = ChevalleyAutomorphism(rs, diagonal=good[:m])
+    assert phi.apply(identity_matrix(dim)) == identity_matrix(dim)
 
 
 def test_reduce_mod_p():

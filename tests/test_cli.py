@@ -1,5 +1,6 @@
 """Command line surface: JSON reports, exit codes, determinism."""
 
+import ast
 import hashlib
 import importlib
 import json
@@ -12,7 +13,9 @@ from pathlib import Path
 import pytest
 
 import tck
+import tck.cli
 from tck.cli import main
+from tck.errors import ConsistencyError, DomainError, ResourceLimitError
 
 
 def run_cli(capsys, argv):
@@ -388,6 +391,37 @@ def test_big_integers_ride_as_strings(capsys):
     value = report["payload"]["reidemeister"]
     assert isinstance(value, str)
     assert value == str(10**19 + 2)
+    member = str(10**23 - 1)
+    code, report = run_cli(capsys, ["spectrum", "metabelian", "--r", "2", "--s", "1/2",
+                                    "--p", "2", "--member", member])
+    assert code == 0
+    assert report["payload"]["member"] == {"value": member, "contained": False}
+
+
+ERROR_CODES = [(DomainError, "domain-error"), (ResourceLimitError, "resource-limit"),
+               (ConsistencyError, "internal-inconsistency")]
+
+
+@pytest.mark.parametrize("error, code", ERROR_CODES, ids=lambda e: getattr(e, "__name__", e))
+def test_each_error_class_prints_its_code(capsys, monkeypatch, error, code):
+    def failing(args):
+        raise error("raised by the handler")
+
+    monkeypatch.setattr(tck.cli, "_run_root_info", failing)
+    exit_code, report = run_cli(capsys, ["root", "info", "A2"])
+    assert error.code == code
+    assert (exit_code, report["status"]) == (1, "error")
+    assert report["payload"] == {"code": code, "message": "raised by the handler"}
+
+
+def test_error_codes_are_the_codes_the_benchmark_accepts():
+    # perfbench/clijobs.py counts a failing job as typed when its code is in
+    # TYPED_CODES; it is read here, not imported
+    source = Path(__file__).resolve().parents[1] / "perfbench" / "clijobs.py"
+    typed = next(ast.literal_eval(node.value) for node in ast.parse(source.read_text()).body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["TYPED_CODES"])
+    assert {code for _, code in ERROR_CODES} == set(typed)
 
 
 FIVE_THOUSAND_DIGITS = "9" * 5000

@@ -197,6 +197,18 @@ def test_each_argument_outside_the_group_is_named():
         GroupAutomorphism.from_generator_images(g, [outside, g.generators[1]])
     with pytest.raises(DomainError, match="lies outside the group"):
         inner_twist_invariance(g, phi, outside)
+    with pytest.raises(DomainError, match=r"^\(1, 0, 2, 3\) lies outside the group$"):
+        phi(outside)
+
+
+def test_automorphism_call_takes_elements_through_the_gate():
+    g = s3()
+    phi = GroupAutomorphism.inner(g, (1, 2, 0))
+    # a list is canonicalised as at every other gate
+    assert phi([1, 0, 2]) == phi((1, 0, 2)) == (0, 2, 1)
+    for raw in ((0, 1, 2, 3), [1.0, 0, 2], 5):
+        with pytest.raises(DomainError, match="is not a permutation of 3 points"):
+            phi(raw)
 
 
 def test_identity_twist_recovers_conjugacy_classes():
