@@ -24,11 +24,11 @@ _EXPORTS = {
     "chevalley": ("ChevalleyAutomorphism", "adjoint_dimension", "commutator_factors",
                   "commutator_relation_check", "h_alpha", "n_alpha", "reduce_mod_p", "x_alpha"),
     "twisted": ("FiniteGroup", "GroupAutomorphism", "IsogredienceClassCount",
-                "TwistedClassPartition", "all_automorphisms", "automorphism_from_descriptor",
-                "center", "closure", "element_order", "group_descriptor",
-                "group_from_descriptor", "induced_automorphism", "inner_twist_invariance",
-                "isogredience_count", "reidemeister_number", "subgroup",
-                "telescoping_product_check", "twisted_classes"),
+                "all_automorphisms", "automorphism_from_descriptor", "center", "closure",
+                "element_order", "group_descriptor", "group_from_descriptor",
+                "induced_automorphism", "inner_twist_invariance", "isogredience_count",
+                "reidemeister_number", "subgroup", "telescoping_product_check",
+                "twisted_classes"),
     "spectrum": ("INFINITY", "ExtendedCount", "SpectrumDescriptor", "abelian_oracle_count",
                  "cokernel_order_mod", "heisenberg_automorphism", "heisenberg_cokernel_product",
                  "heisenberg_group", "heisenberg_oracle", "heisenberg_reidemeister",

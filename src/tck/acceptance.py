@@ -263,7 +263,6 @@ def _check_torus_diagonal_form() -> str:
     checked = 0
     for name in ("A1", "A2", "A3", "B2", "G2"):
         rs = build_root_system(name)
-        root_count = len(rs.roots)
         for alpha in rs.roots:
             for t in (Fraction(2), Fraction(1, 2), Fraction(-3)):
                 h = h_alpha(rs, alpha, t)

@@ -242,7 +242,7 @@ class GraphMatrixRealization:
         m = len(rs.roots)
         if i < m:
             return self.root_images[i], self.signs[rs.roots[i]]
-        return m + self.symmetry(i - m), 1
+        return m + self.symmetry.permutation[i - m], 1
 
     def _verify(self):
         rs = self.rs
@@ -306,13 +306,12 @@ class ChevalleyAutomorphism:
                  field: ScalingAutomorphism | None = None):
         self.rs = rs
         dim = adjoint_dimension(rs)
+        self.inner = self._inner_inverse = None
         if inner is not None:
             if len(inner) != dim or len(inner[0]) != dim:
                 raise DomainError("inner part has the wrong dimension")
-            self._inner_inverse = mat_inv(inner)
-        else:
-            self._inner_inverse = None
-        self.inner = inner
+            self.inner = [list(map(_coerce_scalar, row)) for row in inner]
+            self._inner_inverse = mat_inv(self.inner)
         self.diagonal = None if diagonal is None else _validate_torus(rs, diagonal)
         self.graph = graph
         self._graph_realization = (
@@ -326,19 +325,15 @@ class ChevalleyAutomorphism:
         for i, row in enumerate(x):
             new_row = []
             for j, entry in enumerate(row):
-                if isinstance(entry, Fraction):
-                    new_row.append(entry)
-                    continue
-                if isinstance(entry, Polynomial):
-                    entry = RationalFunction.from_polynomial(entry)
-                if not isinstance(entry, RationalFunction):
-                    raise DomainError(f"entry ({i}, {j}) is not a field element")
-                if entry.nvars != delta.variable_count:
-                    raise DomainError(
-                        f"entry ({i}, {j}) lives over {entry.nvars} variables, "
-                        f"the field automorphism over {delta.variable_count}"
-                    )
-                new_row.append(apply_scaling(delta, entry))
+                entry = _coerce_scalar(entry)
+                if isinstance(entry, RationalFunction):
+                    if entry.nvars != delta.variable_count:
+                        raise DomainError(
+                            f"entry ({i}, {j}) lives over {entry.nvars} variables, "
+                            f"the field automorphism over {delta.variable_count}"
+                        )
+                    entry = apply_scaling(delta, entry)
+                new_row.append(entry)
             out.append(new_row)
         return out
 

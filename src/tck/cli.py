@@ -142,11 +142,11 @@ def _run_twisted_classes(args):
     from .twisted import twisted_classes
 
     group, phi = _load_group_and_automorphism(args)
-    partition = twisted_classes(group, phi)
+    blocks = twisted_classes(group, phi)
     payload = {
         "group_order": len(group),
-        "count": partition.count,
-        "class_sizes": sorted(len(block) for block in partition.blocks),
+        "count": len(blocks),
+        "class_sizes": sorted(map(len, blocks)),
     }
     return payload, 0
 

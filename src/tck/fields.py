@@ -155,16 +155,6 @@ class Polynomial:
         exps = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(nvars, {exps: Fraction(1)})
 
-    @classmethod
-    def monomial(cls, nvars: int, exps, coefficient=1) -> "Polynomial":
-        exps = tuple(exps)
-        if len(exps) != nvars or any(e < 0 for e in exps):
-            raise DomainError(f"bad exponent tuple {exps} for {nvars} variables")
-        coefficient = Fraction(coefficient)
-        if coefficient == 0:
-            return cls.zero(nvars)
-        return cls(nvars, {exps: coefficient})
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -449,9 +439,6 @@ class ScalingAutomorphism:
             raise DomainError("scaling automorphisms over different variable counts")
         return ScalingAutomorphism(tuple(a * b for a, b in zip(self.scalars, other.scalars)))
 
-    def inverse(self) -> "ScalingAutomorphism":
-        return ScalingAutomorphism(tuple(1 / c for c in self.scalars))
-
     def __pow__(self, n: int) -> "ScalingAutomorphism":
         return ScalingAutomorphism(tuple(c ** n for c in self.scalars))
 
@@ -468,10 +455,8 @@ def _scale_polynomial(delta: ScalingAutomorphism, p: Polynomial) -> Polynomial:
 
 def apply_scaling(delta: ScalingAutomorphism, f: RationalFunction) -> RationalFunction:
     """Image of f under T_i -> c_i T_i."""
-    if isinstance(f, Polynomial):
-        return _scale_polynomial(delta, f)
     if not isinstance(f, RationalFunction):
-        raise DomainError("apply_scaling expects a RationalFunction or Polynomial")
+        raise DomainError("apply_scaling expects a RationalFunction")
     return RationalFunction(_scale_polynomial(delta, f.num), _scale_polynomial(delta, f.den))
 
 

@@ -29,37 +29,22 @@ Root = tuple[int, ...]
 
 _FAMILIES = {"A", "B", "C", "D", "E", "F", "G"}
 
-# Classical root counts, used as an independent check on the reflection closure.
-def _expected_root_count(family: str, rank: int) -> int:
-    if family == "A":
+# Classical root counts, None where no irreducible system of that type exists;
+# the count is an independent check on the reflection closure.
+def _root_count(family: str, rank: int) -> int | None:
+    if family == "A" and rank >= 1:
         return rank * (rank + 1)
-    if family in ("B", "C"):
+    if family == "B" and rank >= 2 or family == "C" and rank >= 3:
         return 2 * rank * rank
-    if family == "D":
+    if family == "D" and rank >= 4:
         return 2 * rank * (rank - 1)
     if family == "E":
-        return {6: 72, 7: 126, 8: 240}[rank]
-    if family == "F":
+        return {6: 72, 7: 126, 8: 240}.get(rank)
+    if (family, rank) == ("F", 4):
         return 48
-    return 12  # G2
-
-
-def _admissible(family: str, rank: int) -> bool:
-    if family == "A":
-        return rank >= 1
-    if family == "B":
-        return rank >= 2
-    if family == "C":
-        return rank >= 3
-    if family == "D":
-        return rank >= 4
-    if family == "E":
-        return rank in (6, 7, 8)
-    if family == "F":
-        return rank == 4
-    if family == "G":
-        return rank == 2
-    return False
+    if (family, rank) == ("G", 2):
+        return 12
+    return None
 
 
 @dataclass(frozen=True)
@@ -70,7 +55,7 @@ class RootSystemType:
     rank: int
 
     def __post_init__(self):
-        if self.family not in _FAMILIES or not _admissible(self.family, self.rank):
+        if _root_count(self.family, self.rank) is None:
             raise DomainError(f"no irreducible root system of type {self.family}{self.rank}")
 
     @classmethod
@@ -101,7 +86,7 @@ def _cartan_matrix(family: str, rank: int) -> list[list[int]]:
     if family in ("A", "B", "C"):
         for i in range(rank - 1):
             edge(i, i + 1)
-        if family == "B" and rank >= 2:
+        if family == "B":
             # alpha_{rank} is short: <alpha_{rank-1}, alpha_rank^vee> = -2
             a[rank - 2][rank - 1] = -2
         if family == "C":
@@ -152,10 +137,10 @@ class RootSystem:
         )
         self.root_index = {r: i for i, r in enumerate(self.roots)}
         self.tables: dict = {}  # per-root tables of other layers, keyed by (table, root)
-        if len(self.roots) != _expected_root_count(type_.family, type_.rank):
+        expected = _root_count(type_.family, type_.rank)
+        if len(self.roots) != expected:
             raise ConsistencyError(
-                f"{type_}: closure found {len(self.roots)} roots, "
-                f"expected {_expected_root_count(type_.family, type_.rank)}"
+                f"{type_}: closure found {len(self.roots)} roots, expected {expected}"
             )
         # The norm (beta, beta) per root, shared by beta and -beta; form rows
         # are tabled on first use as a pairing's second argument.
@@ -263,13 +248,9 @@ class RootSystem:
         return f"RootSystem({self.type})"
 
 
-def build_root_system(type_or_text) -> RootSystem:
-    """Construct the root system for a type such as ``"B3"`` or a RootSystemType."""
-    if isinstance(type_or_text, RootSystem):
-        return type_or_text
-    if isinstance(type_or_text, RootSystemType):
-        return RootSystem(type_or_text)
-    return RootSystem(RootSystemType.parse(type_or_text))
+def build_root_system(text: str) -> RootSystem:
+    """Construct the root system for a type string such as ``"B3"``."""
+    return RootSystem(RootSystemType.parse(text))
 
 
 def permutation_order(permutation) -> int:
@@ -293,9 +274,6 @@ class DiagramSymmetry:
     @property
     def order(self) -> int:
         return permutation_order(self.permutation)
-
-    def __call__(self, index: int) -> int:
-        return self.permutation[index]
 
 
 def diagram_symmetries(rs: RootSystem) -> list[DiagramSymmetry]:

@@ -29,20 +29,17 @@ if TYPE_CHECKING:
     from .twisted import FiniteGroup, GroupAutomorphism
 
 
+@dataclass(frozen=True)
 class ExtendedCount:
-    """A positive integer or infinity."""
+    """A positive integer or infinity (value None); a finite count equals and
+    hashes as its int."""
 
-    __slots__ = ("value",)
+    value: int | None
 
-    def __init__(self, value: int | None):
-        if value is not None:
-            value = int(value)
-            if value < 1:
-                raise DomainError(f"count must be positive, got {value}")
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, *_):
-        raise AttributeError("ExtendedCount is immutable")
+    def __post_init__(self):
+        v = self.value
+        if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v < 1):
+            raise DomainError(f"count must be a positive integer, got {v!r}")
 
     @property
     def is_finite(self) -> bool:
@@ -56,7 +53,7 @@ class ExtendedCount:
         return NotImplemented
 
     def __hash__(self):
-        return hash(("ExtendedCount", self.value))
+        return hash(self.value)
 
     def __str__(self):
         return "infinity" if self.value is None else str(self.value)
@@ -250,8 +247,6 @@ class SpectrumDescriptor:
             if not value.is_finite:
                 return True
             value = value.value
-        elif value == "infinity":
-            return True
         if not isinstance(value, int) or isinstance(value, bool):
             raise DomainError(f"membership query needs a positive integer, got {value!r}")
         if value < 1:

@@ -181,8 +181,8 @@ class FiniteGroup:
         return x
 
 
-def _closure(ops, generators, cap=None) -> FiniteGroup:
-    cap = closure_cap() if cap is None else cap
+def _closure(ops, generators) -> FiniteGroup:
+    cap = closure_cap()
     gens = []
     for g in generators:
         c = ops.canonical(g)
@@ -209,16 +209,16 @@ def _closure(ops, generators, cap=None) -> FiniteGroup:
     return FiniteGroup(ops, elements, gens, edges, seen)
 
 
-def closure(generators, modulus: int | None = None, cap: int | None = None) -> FiniteGroup:
+def closure(generators, modulus: int | None = None) -> FiniteGroup:
     """Breadth-first closure of permutation or matrix generators."""
     generators = list(generators)
     if modulus is not None:
         if not generators:
             raise DomainError("matrix closure needs at least one generator for its size")
         ops = MatModOps(len(tuple(generators[0])), modulus)
-        return _closure(ops, generators, cap)
+        return _closure(ops, generators)
     degree = len(tuple(generators[0])) if generators else 0
-    return _closure(PermOps(degree), generators, cap)
+    return _closure(PermOps(degree), generators)
 
 
 def subgroup(G: FiniteGroup, elements: Iterable) -> FiniteGroup:
@@ -430,15 +430,6 @@ class GroupAutomorphism:
         )
 
 
-@dataclass(frozen=True)
-class TwistedClassPartition:
-    blocks: tuple
-
-    @property
-    def count(self) -> int:
-        return len(self.blocks)
-
-
 def _orbit_ids(n: int, maps) -> tuple:
     """Orbits of range(n) under the index maps, walked forward from the
     least unvisited index: each index's orbit id, ids numbered in order of
@@ -495,11 +486,12 @@ def _right_maps(G: FiniteGroup, factors) -> list:
     return [[index[times_c(y)] for y in elements] for times_c in map(G.ops.right, factors)]
 
 
-def twisted_classes(G: FiniteGroup, phi: GroupAutomorphism) -> TwistedClassPartition:
+def twisted_classes(G: FiniteGroup, phi: GroupAutomorphism) -> tuple:
+    """The classes of y ~ z y phi(z)^-1 as element tuples, by least element index."""
     blocks = _orbit_blocks(G, *_orbit_ids(len(G), _twist_maps(G, phi)))
     if sum(len(b) for b in blocks) != len(G):
         raise ConsistencyError("twisted classes do not partition the group")
-    return TwistedClassPartition(blocks)
+    return blocks
 
 
 def reidemeister_number(G: FiniteGroup, phi: GroupAutomorphism) -> int:

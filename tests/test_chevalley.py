@@ -11,6 +11,7 @@ from tck import (
     ChevalleyAutomorphism,
     ConsistencyError,
     DomainError,
+    Polynomial,
     ScalingAutomorphism,
     RationalFunction,
     adjoint_dimension,
@@ -420,7 +421,7 @@ def _signed_permutation_matrix(rs, sigma, real):
     for i, beta in enumerate(rs.roots):
         P[real.root_images[i]][i] = Fraction(real.signs[beta])
     for t in range(rs.rank):
-        P[m + sigma(t)][m + t] = Fraction(1)
+        P[m + sigma.permutation[t]][m + t] = Fraction(1)
     return P
 
 
@@ -505,6 +506,37 @@ def test_field_part_scales_variable_entries():
     for row_got, row_want in zip(image, expected):
         for got, want in zip(row_got, row_want):
             assert got == want
+
+
+def _integer_identity(dim):
+    return [[int(i == j) for j in range(dim)] for i in range(dim)]
+
+
+def test_inner_part_with_integer_entries_stays_exact():
+    # an int inner part is coerced before inversion, so no float enters
+    rs = build_root_system("A1")
+    one = _integer_identity(adjoint_dimension(rs))
+    image = ChevalleyAutomorphism(rs, inner=one).apply(one)
+    assert image == one
+    assert all(type(e) is Fraction for row in image for e in row)
+
+
+def test_field_part_accepts_every_scalar_type():
+    rs = build_root_system("A1")
+    phi = ChevalleyAutomorphism(rs, field=ScalingAutomorphism((Fraction(3),)))
+    t = Polynomial.variable(1, 0)
+    f = RationalFunction.variable(1, 0)
+    # T -> 3T on variable entries; rational constants are fixed
+    for entry, want in ((2, Fraction(2)), (Fraction(1, 2), Fraction(1, 2)),
+                        (t, f * 3), (1 / f, 1 / (f * 3))):
+        x = _integer_identity(adjoint_dimension(rs))
+        x[0][1] = entry
+        assert phi.apply(x) == [[want if (i, j) == (0, 1) else int(i == j) for j in range(3)]
+                         for i in range(3)]
+    x = _integer_identity(adjoint_dimension(rs))
+    x[0][1] = 1.5
+    with pytest.raises(DomainError, match="unsupported scalar"):
+        phi.apply(x)
 
 
 def test_inner_part_conjugates():

@@ -335,29 +335,6 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 GOLDEN = json.loads((PERFBENCH / "golden.json").read_text())
 
 
-def _recorded(prefix):
-    return sorted(k for k in GOLDEN if k.startswith(prefix))
-
-
-def _replay(capsys, key):
-    # perfbench/golden.json holds the sha256 and exit code of each recorded
-    # CLI document; the in-process bytes must match them
-    code = main(key.split())
-    out = capsys.readouterr().out.encode()
-    assert code == GOLDEN[key]["exit"]
-    assert hashlib.sha256(out).hexdigest() == GOLDEN[key]["sha256"]
-
-
-@pytest.mark.parametrize("key", _recorded("witness run "))
-def test_witness_run_matches_recorded_output(capsys, key):
-    _replay(capsys, key)
-
-
-@pytest.mark.parametrize("key", _recorded("root info "))
-def test_root_info_matches_recorded_output(capsys, key):
-    _replay(capsys, key)
-
-
 @pytest.fixture(scope="module")
 def recorded_descriptors(tmp_path_factory):
     """The descriptor files the recorded twisted documents were run on,
@@ -369,10 +346,16 @@ def recorded_descriptors(tmp_path_factory):
     return directory
 
 
-@pytest.mark.parametrize("key", _recorded("twisted "))
-def test_twisted_matches_recorded_output(capsys, monkeypatch, recorded_descriptors, key):
+@pytest.mark.parametrize("key", sorted(GOLDEN))
+def test_cli_matches_recorded_output(capsys, monkeypatch, recorded_descriptors, key):
+    # perfbench/golden.json holds the sha256 and exit code of each recorded
+    # CLI document, run in the descriptors' directory; the in-process bytes
+    # must match them
     monkeypatch.chdir(recorded_descriptors)
-    _replay(capsys, key)
+    code = main(key.split())
+    out = capsys.readouterr().out.encode()
+    assert code == GOLDEN[key]["exit"]
+    assert hashlib.sha256(out).hexdigest() == GOLDEN[key]["sha256"]
 
 
 def test_usage_errors_exit_two(capsys):
@@ -505,7 +488,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
 
 
 def test_package_namespace_is_complete():
-    assert len(tck.__all__) == len(set(tck.__all__)) == 70
+    assert len(tck.__all__) == len(set(tck.__all__)) == 69
     for name in tck.__all__:
         value = getattr(tck, name)
         home = value.__module__  # INFINITY's is its class's, tck.spectrum

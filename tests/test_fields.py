@@ -80,7 +80,7 @@ def _random_polynomial(rng, nvars, terms=4):
     for _ in range(terms):
         exps = tuple(rng.randrange(4) for _ in range(nvars))
         c = Fraction(rng.randrange(-5, 6), rng.randrange(1, 5))
-        p = p + Polynomial.monomial(nvars, exps, c)
+        p = p + Polynomial(nvars, {exps: c} if c else {})
     return p
 
 
@@ -227,9 +227,8 @@ def test_scaling_composition_and_inverse():
     d = ScalingAutomorphism((Fraction(2), Fraction(3)))
     e = ScalingAutomorphism((Fraction(1, 2), Fraction(5)))
     assert d.compose(e).scalars == (Fraction(1), Fraction(15))
-    assert d.compose(d.inverse()).scalars == (Fraction(1), Fraction(1))
+    assert d.compose(d ** -1).scalars == (Fraction(1), Fraction(1))
     assert (d ** 3).scalars == (Fraction(8), Fraction(27))
-    assert (d ** -1).scalars == d.inverse().scalars
     assert ScalingAutomorphism.identity(2).scalars == (Fraction(1), Fraction(1))
     with pytest.raises(DomainError):
         ScalingAutomorphism((Fraction(0),))

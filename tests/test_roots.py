@@ -20,7 +20,7 @@ from tck.chevalley import adjoint_dimension, bracket_coordinates
 from tck.roots import (
     RootSystem,
     RootSystemType,
-    _admissible,
+    _root_count,
     permutation_order,
     root_permutation,
 )
@@ -245,7 +245,7 @@ def test_constants_evaluate_the_form_once_per_root(monkeypatch):
 
 
 @pytest.mark.parametrize("name", [f"{family}{rank}" for family in "ABCDEFG"
-                                  for rank in range(1, 9) if _admissible(family, rank)])
+                                  for rank in range(1, 9) if _root_count(family, rank)])
 def test_norms_carried_through_the_closure_match_the_form(name):
     rs = build_root_system(name)
     for beta in rs.roots:
@@ -345,7 +345,7 @@ def test_triality_acts_transitively_on_outer_nodes():
     assert len(order3) == 2
     sigma = order3[0]
     # the branch node is fixed, the three leaves cycle
-    moved = {i for i in range(4) if sigma(i) != i}
+    moved = {i for i in range(4) if sigma.permutation[i] != i}
     assert len(moved) == 3
 
 

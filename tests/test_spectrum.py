@@ -39,6 +39,14 @@ def test_extended_count_semantics():
         ExtendedCount(0)
     with pytest.raises(DomainError):
         ExtendedCount(-2)
+    # a finite count hashes as its int, so a set of values holds 3 once
+    assert {ExtendedCount(3), 3} == {3}
+    # exact positive ints only: no truncation, no bool, no parsing
+    for value in (Fraction(5, 2), 2.7, True, "7"):
+        with pytest.raises(DomainError):
+            ExtendedCount(value)
+    with pytest.raises(AttributeError):
+        ExtendedCount(3).value = 4
 
 
 def test_zn_counts():
@@ -213,7 +221,7 @@ def test_metabelian_opposite_units():
     assert not desc.contains(4)  # the l = 0 boundary stays out
     assert not desc.contains(2 * (3 - 1))
     assert not desc.contains(10)
-    assert desc.contains("infinity")
+    assert desc.contains(INFINITY)
 
 
 def test_metabelian_reciprocal_pair():
@@ -248,5 +256,6 @@ def test_metabelian_parameter_validation():
     with pytest.raises(DomainError):
         desc = metabelian_spectrum(1, 1, 3)
         desc.contains(0)
-    with pytest.raises(DomainError):
-        metabelian_spectrum(1, 1, 3).contains("six")
+    for text in ("six", "infinity"):
+        with pytest.raises(DomainError):
+            metabelian_spectrum(1, 1, 3).contains(text)

@@ -220,18 +220,17 @@ def test_identity_twist_recovers_conjugacy_classes():
 def test_partition_blocks_cover_the_group():
     g = s4()
     for phi in (GroupAutomorphism.identity(g), GroupAutomorphism.inner(g, g.elements[5])):
-        partition = twisted_classes(g, phi)
-        assert partition.count == len(partition.blocks)
-        assert sum(len(b) for b in partition.blocks) == len(g)
-        seen = {x for b in partition.blocks for x in b}
+        blocks = twisted_classes(g, phi)
+        assert len(blocks) == reidemeister_number(g, phi)
+        assert sum(len(b) for b in blocks) == len(g)
+        seen = {x for b in blocks for x in b}
         assert seen == set(g.elements)
 
 
 def test_twisted_classes_are_twist_orbits():
     g = s3()
     phi = GroupAutomorphism.inner(g, (1, 2, 0))
-    partition = twisted_classes(g, phi)
-    index = {x: k for k, block in enumerate(partition.blocks) for x in block}
+    index = {x: k for k, block in enumerate(twisted_classes(g, phi)) for x in block}
     for x in g.elements:
         for z in g.elements:
             moved = g.mul(g.mul(z, x), g.inv(phi(z)))
@@ -264,7 +263,7 @@ def test_orbit_walk_matches_the_definition(name):
     if name in ("S3", "D4", "Q8"):
         phis += all_automorphisms(g)
     for phi in phis:
-        assert twisted_classes(g, phi).blocks == _definition_blocks(g, phi, [g.identity])
+        assert twisted_classes(g, phi) == _definition_blocks(g, phi, [g.identity])
         maps = twisted._twist_maps(g, phi) + twisted._right_maps(g, central)
         ids, leaders = twisted._orbit_ids(len(g), maps)
         blocks = twisted._orbit_blocks(g, ids, leaders)
@@ -336,8 +335,8 @@ def test_twist_maps_kept_on_the_group_match_fresh_groups():
         assert outcome(f, g, phi) == expected
         assert g._twist[1] is twist_maps  # the same phi again builds nothing
     fresh = s4()
-    assert (twisted_classes(g, inner).blocks
-            == twisted_classes(fresh, GroupAutomorphism(fresh, inner.images)).blocks)
+    assert (twisted_classes(g, inner)
+            == twisted_classes(fresh, GroupAutomorphism(fresh, inner.images)))
 
 
 def _count_inversions(monkeypatch):
@@ -830,8 +829,9 @@ def test_telescoping_identity_sweep():
 
 
 def test_closure_cap(monkeypatch):
+    monkeypatch.setenv("TCK_CLOSURE_CAP", "10")
     with pytest.raises(ResourceLimitError):
-        closure([(1, 2, 3, 0), (1, 0, 2, 3)], cap=10)
+        closure([(1, 2, 3, 0), (1, 0, 2, 3)])
     monkeypatch.setenv("TCK_CLOSURE_CAP", "5")
     with pytest.raises(ResourceLimitError):
         s4()
@@ -840,19 +840,22 @@ def test_closure_cap(monkeypatch):
         s4()
 
 
-def test_matrix_inverse_is_bounded_by_the_closure_cap():
+def test_matrix_inverse_is_bounded_by_the_closure_cap(monkeypatch):
     # [[0,1],[1,1]] has order about 2 * 10^6 mod 1000003, far above the cap:
     # inverting it must stop at the cap, not power up to the order
     fibonacci = [[0, 1], [1, 1]]
+    monkeypatch.setenv("TCK_CLOSURE_CAP", "1000")
     start = time.perf_counter()
     with pytest.raises(ResourceLimitError, match="order above the closure cap 1000"):
-        closure([fibonacci], modulus=1000003, cap=1000)
+        closure([fibonacci], modulus=1000003)
     assert time.perf_counter() - start < 2.0
     # an element of order at most the cap still inverts
-    g = closure([fibonacci], modulus=7, cap=16)
+    monkeypatch.setenv("TCK_CLOSURE_CAP", "16")
+    g = closure([fibonacci], modulus=7)
     assert len(g) == 16
+    monkeypatch.setenv("TCK_CLOSURE_CAP", "1000")
     with pytest.raises(DomainError):
-        closure([[[1, 1], [1, 1]]], modulus=7, cap=1000)
+        closure([[[1, 1], [1, 1]]], modulus=7)
 
 
 def test_group_descriptor_roundtrip():
