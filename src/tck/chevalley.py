@@ -25,6 +25,15 @@ Generators:
                  keep the product n_alpha(t) n_alpha(-1) as the reference
                  route.
 
+One builder and one sparse product serve Q and Q(T) alike.  With t = p/q,
+p and q integers or polynomials, x_alpha(t) is M / q^K for K the largest
+exponent of its terms and M the matrix with q^K on the diagonal and
+c p^k q^(K-k) for the term c t^k, integral because the terms are.  x_alpha,
+n_alpha and commutator_relation_check multiply such rows over the product of
+the denominators; only x_alpha and n_alpha make the result dense, at the
+return, and over Q(T) they leave a multi-term q^K uncancelled.  The tests keep
+the dense exponential and dense products as the reference routes.
+
 Automorphisms come in four families (inner, diagonal, field, graph) and a
 composite applies them in the fixed order inner, diagonal, field, graph.
 A diagonal part is held as its entries at the roots and scales entry (i, j) by
@@ -32,14 +41,6 @@ d_i / d_j.  A diagram symmetry acts by a signed basis permutation, moving entry
 (i, j) to the images of i and j, negated where their signs differ; the signs
 are forced by the structure constants and are recorded per root, since the
 naive unsigned permutation need not respect the brackets.
-
-commutator_relation_check takes one route over Q and Q(T).  With t = p/q,
-p and q integers or polynomials, x_alpha(t) is M / q^K for K the largest
-exponent of its terms and M the matrix with q^K on the diagonal and
-c p^k q^(K-k) for the term c t^k, integral over Z or Q[T] because the terms
-are; the check multiplies those matrices as sparse rows and compares the two
-sides by cross-multiplication.  The tests keep the dense x_alpha product as
-its reference route.
 
 The per-root tables behind x_alpha and h_alpha live in ``rs.tables``, so
 they are freed with their root system; no module-level cache holds one.
@@ -52,7 +53,7 @@ from math import prod
 
 from .errors import ConsistencyError, DomainError
 from .fields import Polynomial, RationalFunction, ScalingAutomorphism, apply_scaling, is_prime
-from .linalg import Matrix, identity_matrix, mat_inv, mat_product
+from .linalg import _ONE, _ZERO, Matrix, identity_matrix, mat_inv, mat_product
 from .roots import DiagramSymmetry, RootSystem, extend_symmetry_to_roots, root_permutation
 
 
@@ -61,7 +62,7 @@ def adjoint_dimension(rs: RootSystem) -> int:
 
 
 def _coerce_scalar(t):
-    if isinstance(t, int):
+    if isinstance(t, int) and not isinstance(t, bool):
         return Fraction(t)
     if isinstance(t, Polynomial):
         return RationalFunction.from_polynomial(t)
@@ -154,17 +155,7 @@ def _exp_entries(rs: RootSystem, alpha) -> tuple:
 
 def x_alpha(rs: RootSystem, alpha, t) -> Matrix:
     alpha = rs.check_root(alpha)
-    t = _coerce_scalar(t)
-    result = identity_matrix(adjoint_dimension(rs))
-    if not t:
-        return result
-    powers = {}
-    for i, j, c, k in _exp_entries(rs, alpha):
-        if k not in powers:
-            powers[k] = t ** k
-        # scalar first: int * Fraction would take Fraction's slower reflected operator
-        result[i][j] = powers[k] * c
-    return result
+    return _dense(*_scaled_product(rs, [(alpha, _coerce_scalar(t))]))
 
 
 def n_alpha(rs: RootSystem, alpha, t) -> Matrix:
@@ -172,10 +163,7 @@ def n_alpha(rs: RootSystem, alpha, t) -> Matrix:
     t = _coerce_scalar(t)
     if not t:
         raise DomainError("n_alpha requires t != 0")
-    neg = rs.negate(alpha)
-    return mat_product(
-        [x_alpha(rs, alpha, t), x_alpha(rs, neg, -(t ** -1)), x_alpha(rs, alpha, t)]
-    )
+    return _dense(*_scaled_product(rs, [(alpha, t), (rs.negate(alpha), -(t ** -1)), (alpha, t)]))
 
 
 @_memoised_on_root_system
@@ -464,6 +452,16 @@ def _scaled_product(rs: RootSystem, parameters) -> tuple[list[dict], int | Polyn
     if rows is None:
         rows = [{i: 1} for i in range(adjoint_dimension(rs))]
     return rows, den
+
+
+def _dense(rows, d) -> Matrix:
+    """The dense matrix rows / d, with linalg's shared 0 and 1 where they occur."""
+    entry = RationalFunction if isinstance(d, Polynomial) else Fraction
+    dense = [[_ZERO] * len(rows) for _ in rows]
+    for out, row in zip(dense, rows):
+        for j, v in row.items():
+            out[j] = _ONE if v == d else entry(v, d)
+    return dense
 
 
 def reduce_mod_p(x: Matrix, p: int) -> list[list[int]]:

@@ -55,6 +55,8 @@ class RootSystemType:
     rank: int
 
     def __post_init__(self):
+        if not isinstance(self.rank, int) or isinstance(self.rank, bool):
+            raise DomainError(f"root system rank must be an int, got {self.rank!r}")
         if _root_count(self.family, self.rank) is None:
             raise DomainError(f"no irreducible root system of type {self.family}{self.rank}")
 

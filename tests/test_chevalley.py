@@ -63,6 +63,13 @@ def test_root_group_additivity(name):
     assert x_alpha(rs, rs.roots[0], 0) == identity_matrix(adjoint_dimension(rs))
 
 
+def test_bool_parameter_is_unsupported():
+    # bool is an int subclass, so an int check alone would read True as 1
+    rs = build_root_system("A1")
+    with pytest.raises(DomainError, match="unsupported scalar"):
+        x_alpha(rs, rs.roots[0], True)
+
+
 def _dense_exponential(rs, alpha, t):
     """exp(t ad e_alpha) from the dense ad matrix and its powers."""
     dim = adjoint_dimension(rs)
@@ -233,7 +240,7 @@ def _drawn_rational(rng):
 
 
 def test_integer_factor_matches_x_alpha():
-    # x_alpha(p/q) = M / q^K with M integral; the Fraction x_alpha is the reference
+    # x_alpha(p/q) = M / q^K with M integral; the dense exponential is the reference
     rng = random.Random(14)
     for name in ("A1", "A2", "A3", "B2", "G2", "B3", "C3"):
         rs = build_root_system(name)
@@ -247,7 +254,25 @@ def test_integer_factor_matches_x_alpha():
                 assert d == t.denominator**depth
                 assert all(type(v) is int for row in rows for v in row.values())
                 scaled = [[Fraction(row.get(j, 0), d) for j in range(dim)] for row in rows]
-                assert scaled == x_alpha(rs, alpha, t), (name, alpha, t)
+                assert scaled == _dense_exponential(rs, alpha, t), (name, alpha, t)
+
+
+def test_n_alpha_matches_dense_exponential_product():
+    # n_alpha is one sparse product; the reference multiplies three dense exponentials
+    T = RationalFunction.variable(1, 0)
+    rng = random.Random(26)
+    for name in ("A1", "A2", "A3", "B2", "G2", "B3", "C3"):
+        rs = build_root_system(name)
+        for alpha in rs.roots:
+            field = T * rng.choice((1, -2, Fraction(1, 2))) + rng.choice((0, 1, Fraction(-1, 3)))
+            for t in (_drawn_rational(rng), field):
+                dense = mat_product([_dense_exponential(rs, alpha, t),
+                                     _dense_exponential(rs, rs.negate(alpha), -(1 / t)),
+                                     _dense_exponential(rs, alpha, t)])
+                assert n_alpha(rs, alpha, t) == dense, (name, alpha, t)
+        for zero in (0, Fraction(0), T * 0):
+            with pytest.raises(DomainError, match="t != 0"):
+                n_alpha(rs, alpha, zero)
 
 
 def _dense_commutator_check(rs, alpha, beta, t, u, factors):
@@ -368,7 +393,8 @@ def test_colliding_exp_terms_are_a_consistency_error(monkeypatch, collision):
 
 
 def test_rational_commutator_check_multiplies_no_dense_matrix(monkeypatch):
-    # over Q and over Q(T) alike the check runs on scaled sparse rows
+    # over Q and over Q(T) alike the check, x_alpha and n_alpha run on scaled
+    # sparse rows; x_alpha and n_alpha only make the result dense
     rs = build_root_system("C3")
     a, b = rs.positive_roots[1], rs.positive_roots[2]
     assert commutator_factors(rs, a, b)
@@ -381,6 +407,9 @@ def test_rational_commutator_check_multiplies_no_dense_matrix(monkeypatch):
     T = RationalFunction.variable(1, 0)
     for t, u in ((Fraction(2), Fraction(-1, 3)), (T * 2 + 1, Fraction(-1, 3)), (T * 2 + 1, 1 / T)):
         assert commutator_relation_check(rs, a, b, t, u)
+        for s in (t, u):
+            for build in (x_alpha, n_alpha):
+                assert len(build(rs, a, s)) == adjoint_dimension(rs)
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "D4"])
@@ -568,8 +597,9 @@ def test_diagonal_part_must_be_a_character():
             ChevalleyAutomorphism(rs, diagonal=wrong_length)
     with pytest.raises(DomainError, match="singular"):
         ChevalleyAutomorphism(rs, diagonal=(0,) * m)
-    with pytest.raises(DomainError, match="unsupported scalar"):
-        ChevalleyAutomorphism(rs, diagonal=("2",) * m)
+    for entry in ("2", True):
+        with pytest.raises(DomainError, match="unsupported scalar"):
+            ChevalleyAutomorphism(rs, diagonal=(entry,) * m)
     phi = ChevalleyAutomorphism(rs, diagonal=good[:m])
     assert phi.apply(identity_matrix(dim)) == identity_matrix(dim)
 

@@ -70,6 +70,13 @@ def test_unparsable_types_are_a_domain_error(text):
         RootSystemType.parse(text)
 
 
+@pytest.mark.parametrize("rank", [True, 2.0, "2"], ids=["bool", "float", "str"])
+def test_non_int_rank_is_a_domain_error(rank):
+    # an int check alone passes True (printed "ATrue"); 2.0 would reach _cartan_matrix
+    with pytest.raises(DomainError, match="rank must be an int"):
+        RootSystemType("A", rank)
+
+
 def test_types_parse_case_and_space_insensitively():
     assert RootSystemType.parse(" e8 ") == RootSystemType("E", 8)
     assert RootSystemType.parse("a12") == RootSystemType("A", 12)
