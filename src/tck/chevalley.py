@@ -25,13 +25,15 @@ Generators:
                  keep the product n_alpha(t) n_alpha(-1) as the reference
                  route.
 
-One builder and one sparse product serve Q and Q(T) alike.  With t = p/q,
-p and q integers or polynomials, x_alpha(t) is M / q^K for K the largest
-exponent of its terms and M the matrix with q^K on the diagonal and
-c p^k q^(K-k) for the term c t^k, integral because the terms are.  x_alpha,
-n_alpha and commutator_relation_check multiply such rows over the product of
-the denominators; only x_alpha and n_alpha make the result dense, at the
-return, and over Q(T) they leave a multi-term q^K uncancelled.  The tests keep
+The generators return a ``linalg.ScaledMatrix``, but for h_alpha over Q(T).
+With t = p/q, p and q integers or polynomials, x_alpha(t) is M / q^K for K the
+largest exponent of its terms and M the matrix with q^K on the diagonal and
+c p^k q^(K-k) for the term c t^k, integral because the terms are; over Q(T) a
+multi-term q^K stays uncancelled.  n_alpha and commutator_relation_check fold
+linalg's sparse product over such factors.  Over Q, h_alpha(p/q) is its
+diagonal over |pq|^K, K the largest |k|.  Over Q(T) h_alpha stays a dense
+list: a scaled Q(T) diagonal inverts only through the dense route (scaled, it
+needs a polynomial lcm), which made Q(T) conjugations slower.  The tests keep
 the dense exponential and dense products as the reference routes.
 
 Automorphisms come in four families (inner, diagonal, field, graph) and a
@@ -49,11 +51,12 @@ they are freed with their root system; no module-level cache holds one.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import prod
 
 from .errors import ConsistencyError, DomainError
 from .fields import Polynomial, RationalFunction, ScalingAutomorphism, apply_scaling, is_prime
-from .linalg import _ONE, _ZERO, Matrix, identity_matrix, mat_inv, mat_product
+from .linalg import Matrix, ScaledMatrix, identity_matrix, mat_inv, mat_mul, mat_product
 from .roots import DiagramSymmetry, RootSystem, extend_symmetry_to_roots, root_permutation
 
 
@@ -153,17 +156,16 @@ def _exp_entries(rs: RootSystem, alpha) -> tuple:
     return tuple(out)
 
 
-def x_alpha(rs: RootSystem, alpha, t) -> Matrix:
-    alpha = rs.check_root(alpha)
-    return _dense(*_scaled_product(rs, [(alpha, _coerce_scalar(t))]))
+def x_alpha(rs: RootSystem, alpha, t) -> ScaledMatrix:
+    return _scaled_x_alpha(rs, rs.check_root(alpha), _coerce_scalar(t))
 
 
-def n_alpha(rs: RootSystem, alpha, t) -> Matrix:
+def n_alpha(rs: RootSystem, alpha, t) -> ScaledMatrix:
     alpha = rs.check_root(alpha)
     t = _coerce_scalar(t)
     if not t:
         raise DomainError("n_alpha requires t != 0")
-    return _dense(*_scaled_product(rs, [(alpha, t), (rs.negate(alpha), -(t ** -1)), (alpha, t)]))
+    return _scaled_product(rs, [(alpha, t), (rs.negate(alpha), -(t ** -1)), (alpha, t)])
 
 
 @_memoised_on_root_system
@@ -177,18 +179,26 @@ def _pairings(rs: RootSystem, alpha) -> tuple:
     return tuple(out)
 
 
-def h_alpha(rs: RootSystem, alpha, t) -> Matrix:
+def h_alpha(rs: RootSystem, alpha, t) -> ScaledMatrix | Matrix:
+    """diag(t^<beta, alpha^v>) at the roots, 1 on the Cartan block; dense over Q(T)."""
     alpha = rs.check_root(alpha)
     t = _coerce_scalar(t)
     if not t:
         raise DomainError("h_alpha requires t != 0")
-    result = identity_matrix(adjoint_dimension(rs))
-    powers = {}
-    for i, k in _pairings(rs, alpha):
-        if k not in powers:
-            powers[k] = t ** k
-        result[i][i] = powers[k]
-    return result
+    pairings, dim = _pairings(rs, alpha), adjoint_dimension(rs)
+    if isinstance(t, RationalFunction):
+        powers, result = {k: t ** k for k in {k for _, k in pairings}}, identity_matrix(dim)
+        for i, k in pairings:
+            result[i][i] = powers[k]
+        return result
+    # t^k = p^(K+k) q^(K-k) / (pq)^K, both signs flipped where (pq)^K < 0
+    p, q = t.numerator, t.denominator
+    depth = max(abs(k) for _, k in pairings)
+    sign, den = (-1 if p < 0 and depth % 2 else 1), abs(p * q) ** depth
+    rows = [{i: den} for i in range(dim)]
+    for i, k in pairings:
+        rows[i] = {i: sign * p ** (depth + k) * q ** (depth - k)}
+    return ScaledMatrix(rows, den)
 
 
 class GraphMatrixRealization:
@@ -403,15 +413,11 @@ def commutator_relation_check(rs: RootSystem, alpha, beta, t, u) -> bool:
     right = [
         (gamma, c * (-t) ** i * u**j) for gamma, i, j, c in commutator_factors(rs, alpha, beta)
     ]
-    (a, da), (b, db) = _scaled_product(rs, left), _scaled_product(rs, right)
-    return all(
-        {j: v * db for j, v in ra.items()} == {j: v * da for j, v in rb.items()}
-        for ra, rb in zip(a, b)
-    )
+    return _scaled_product(rs, left) == _scaled_product(rs, right)
 
 
-def _scaled_x_alpha(rs: RootSystem, alpha, t) -> tuple[list[dict], int | Polynomial]:
-    """x_alpha(t) as (rows, d): sparse rows {column: entry} with x_alpha(t) = rows / d.
+def _scaled_x_alpha(rs: RootSystem, alpha, t) -> ScaledMatrix:
+    """x_alpha(t) as sparse rows {column: entry} over one denominator d.
 
     For t = p/q and K the largest exponent among the terms, d = q^K; the
     diagonal holds d and the term c t^k becomes c p^k q^(K-k).  Over Q the
@@ -429,39 +435,14 @@ def _scaled_x_alpha(rs: RootSystem, alpha, t) -> tuple[list[dict], int | Polynom
         scale = [p**k * q ** (depth - k) for k in range(depth + 1)]
         for i, j, c, k in entries:
             rows[i][j] = c * scale[k]
-    return rows, d
+    return ScaledMatrix(rows, d, type(t))
 
 
-def _scaled_product(rs: RootSystem, parameters) -> tuple[list[dict], int | Polynomial]:
-    """Product of x_gamma(s) over the (gamma, s) pairs, as (rows, d)."""
-    rows, den = None, 1
-    for gamma, s in parameters:
-        factor, d = _scaled_x_alpha(rs, gamma, s)
-        den *= d
-        if rows is None:
-            rows = factor
-            continue
-        product = []
-        for row in rows:
-            acc = {}
-            for t, x in row.items():
-                for j, y in factor[t].items():
-                    acc[j] = acc.get(j, 0) + x * y
-            product.append({j: v for j, v in acc.items() if v})
-        rows = product
-    if rows is None:
-        rows = [{i: 1} for i in range(adjoint_dimension(rs))]
-    return rows, den
-
-
-def _dense(rows, d) -> Matrix:
-    """The dense matrix rows / d, with linalg's shared 0 and 1 where they occur."""
-    entry = RationalFunction if isinstance(d, Polynomial) else Fraction
-    dense = [[_ZERO] * len(rows) for _ in rows]
-    for out, row in zip(dense, rows):
-        for j, v in row.items():
-            out[j] = _ONE if v == d else entry(v, d)
-    return dense
+def _scaled_product(rs: RootSystem, parameters) -> ScaledMatrix:
+    """Product of x_gamma(s) over the (gamma, s) pairs."""
+    if not parameters:
+        return ScaledMatrix([{i: 1} for i in range(adjoint_dimension(rs))], 1)
+    return reduce(mat_mul, [_scaled_x_alpha(rs, gamma, s) for gamma, s in parameters])
 
 
 def reduce_mod_p(x: Matrix, p: int) -> list[list[int]]:

@@ -1,14 +1,14 @@
-"""Dense exact matrices as nested lists.
+"""Exact matrices: dense nested lists, and scaled sparse rows.
 
-Entries may be Fraction or RationalFunction values; the helpers only assume
-ring operations plus truthiness for zero tests, and division where stated.
-Multiplication and inversion do no arithmetic on zeros, which matters
-because the unipotent and torus generators used elsewhere are very sparse:
-a product entry starts from its first nonzero term, and only later terms are
-added to it, while an entry with no nonzero term keeps the zero; a diagonal
-matrix inverts entrywise, and only other matrices go through Gauss-Jordan.
-Those generators are built from sparse tables in ``chevalley`` and only
-become dense here.
+Dense entries may be Fraction or RationalFunction values; the helpers only
+assume ring operations plus truthiness for zero tests, and division where
+stated.  Multiplication and inversion do no arithmetic on zeros: a product
+entry starts from its first nonzero term, and only later terms are added to
+it, while an entry with no nonzero term keeps the zero; a diagonal matrix
+inverts entrywise, and only other matrices go through Gauss-Jordan.  The
+generators of ``chevalley`` return a ``ScaledMatrix``, sparse rows of ints
+(over Q) or polynomials (over Q(T)) over one denominator, whose products,
+diagonal inverses over Q and comparisons stay in that ring.
 
 The integer routines live here too: the fraction-free Bareiss determinant
 ``int_det`` and the checked Smith normal form, which ``fields`` uses for
@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import ConsistencyError, DomainError
 
@@ -26,11 +27,75 @@ Matrix = list
 _ONE, _ZERO = Fraction(1), Fraction(0)
 
 
+class ScaledMatrix:
+    """The square matrix rows / den, immutable; with no canonical form, no hash.
+
+    ``rows`` are dicts {column: nonzero entry}, ``den`` is nonzero (positive
+    over Q), ``field(num, den)`` makes an entry: Fraction over Q,
+    RationalFunction over Q(T).  Reading rows builds the dense view once.
+    """
+
+    __slots__ = ("rows", "den", "field", "_view")
+    __hash__ = None
+
+    def __init__(self, rows: list[dict], den, field=Fraction):
+        self.rows, self.den, self.field, self._view = rows, den, field, None
+
+    def __len__(self):
+        return len(self.rows)
+
+    def _entry(self, v):
+        return _ZERO if not v else _ONE if v == self.den else self.field(v, self.den)
+
+    def dense(self) -> Matrix:
+        if self._view is None:
+            self._view = [[_ZERO] * len(self.rows) for _ in self.rows]
+            for out, row in zip(self._view, self.rows):
+                for j, v in row.items():
+                    out[j] = self._entry(v)
+        return self._view
+
+    def __getitem__(self, i):
+        return self.dense()[i]
+
+    def __iter__(self):
+        return iter(self.dense())
+
+    def __eq__(self, other):
+        if not isinstance(other, ScaledMatrix):
+            return self.dense() == other if isinstance(other, list) else NotImplemented
+        da, db = self.den, other.den
+        return len(self.rows) == len(other.rows) and all(
+            {j: v * db for j, v in ra.items()} == {j: v * da for j, v in rb.items()}
+            for ra, rb in zip(self.rows, other.rows)
+        )
+
+
 def identity_matrix(n: int) -> Matrix:
     return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+def mat_mul(a, b):
+    """a * b: sparse when both are scaled, else dense on the dense views."""
+    if isinstance(a, ScaledMatrix) and isinstance(b, ScaledMatrix):
+        return _scaled_mul(a, b)
+    return _dense_mul(list(a), list(b))
+
+
+def _scaled_mul(a: ScaledMatrix, b: ScaledMatrix) -> ScaledMatrix:
+    if len(a.rows) != len(b.rows):
+        raise DomainError("matrix shapes do not compose")
+    rows = []
+    for row in a.rows:
+        acc = {}
+        for t, x in row.items():
+            for j, y in b.rows[t].items():
+                acc[j] = acc[j] + x * y if j in acc else x * y
+        rows.append({j: v for j, v in acc.items() if v})
+    return ScaledMatrix(rows, a.den * b.den, b.field if a.field is Fraction else a.field)
+
+
+def _dense_mul(a: Matrix, b: Matrix) -> Matrix:
     n, k, m = len(a), len(b), len(b[0])
     if len(a[0]) != k:
         raise DomainError("matrix shapes do not compose")
@@ -64,11 +129,19 @@ def mat_product(matrices) -> Matrix:
     return result
 
 
-def mat_inv(a: Matrix) -> Matrix:
+def mat_inv(a):
     """Inverse by Gauss-Jordan elimination; entries must support division.
 
-    A diagonal matrix is inverted entrywise, with one division per entry.
+    A diagonal matrix is inverted entrywise, with one division per entry.  An
+    invertible scaled diagonal diag(v_i) / d over Q inverts to diag(d L / v_i)
+    / L, L the lcm of the v_i; other scaled matrices use their dense view.
     """
+    if isinstance(a, ScaledMatrix):
+        diagonal = [row.get(i, 0) for i, row in enumerate(a.rows)]
+        if not (isinstance(a.den, int) and is_diagonal(a) and all(diagonal)):
+            return mat_inv(a.dense())
+        den = lcm(*diagonal)
+        return ScaledMatrix([{i: a.den * (den // v)} for i, v in enumerate(diagonal)], den)
     n = len(a)
     if any(len(row) != n for row in a):
         raise DomainError("matrix is not square")
@@ -136,11 +209,15 @@ def mat_det(a: Matrix):
     return det if sign == 1 else -det
 
 
-def diagonal_entries(a: Matrix) -> list:
+def diagonal_entries(a) -> list:
+    if isinstance(a, ScaledMatrix):
+        return [a._entry(row.get(i)) for i, row in enumerate(a.rows)]
     return [a[i][i] for i in range(len(a))]
 
 
-def is_diagonal(a: Matrix) -> bool:
+def is_diagonal(a) -> bool:
+    if isinstance(a, ScaledMatrix):
+        return all(row.keys() <= {i} for i, row in enumerate(a.rows))
     return all(not x for i, row in enumerate(a) for j, x in enumerate(row) if i != j)
 
 

@@ -3,6 +3,7 @@
 import gc
 import random
 import weakref
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -250,7 +251,8 @@ def test_integer_factor_matches_x_alpha():
             assert all(type(c) is int for _, _, c, _ in entries)
             depth = max(k for _, _, _, k in entries)
             for t in (*CRITERION_PARAMETERS, _drawn_rational(rng), _drawn_rational(rng)):
-                rows, d = _scaled_x_alpha(rs, alpha, t)
+                factor = _scaled_x_alpha(rs, alpha, t)
+                rows, d = factor.rows, factor.den
                 assert d == t.denominator**depth
                 assert all(type(v) is int for row in rows for v in row.values())
                 scaled = [[Fraction(row.get(j, 0), d) for j in range(dim)] for row in rows]
@@ -277,11 +279,12 @@ def test_n_alpha_matches_dense_exponential_product():
 
 def _dense_commutator_check(rs, alpha, beta, t, u, factors):
     """The commutator relation from dense Fraction matrices, for given factors."""
-    left = mat_product(
-        [x_alpha(rs, beta, -u), x_alpha(rs, alpha, -t), x_alpha(rs, beta, u), x_alpha(rs, alpha, t)]
-    )
+    def dense(gamma, s):
+        return list(x_alpha(rs, gamma, s))
+
+    left = mat_product([dense(beta, -u), dense(alpha, -t), dense(beta, u), dense(alpha, t)])
     right = mat_product(
-        [x_alpha(rs, gamma, c * (-t) ** i * u**j) for gamma, i, j, c in factors]
+        [dense(gamma, c * (-t) ** i * u**j) for gamma, i, j, c in factors]
         or [identity_matrix(adjoint_dimension(rs))]
     )
     return left == right
@@ -394,7 +397,7 @@ def test_colliding_exp_terms_are_a_consistency_error(monkeypatch, collision):
 
 def test_rational_commutator_check_multiplies_no_dense_matrix(monkeypatch):
     # over Q and over Q(T) alike the check, x_alpha and n_alpha run on scaled
-    # sparse rows; x_alpha and n_alpha only make the result dense
+    # sparse rows, and the check never reaches the dense product kernel
     rs = build_root_system("C3")
     a, b = rs.positive_roots[1], rs.positive_roots[2]
     assert commutator_factors(rs, a, b)
@@ -402,7 +405,7 @@ def test_rational_commutator_check_multiplies_no_dense_matrix(monkeypatch):
     def forbidden(*args):
         raise AssertionError("dense route used")
 
-    monkeypatch.setattr(tck.linalg, "mat_mul", forbidden)
+    monkeypatch.setattr(tck.linalg, "_dense_mul", forbidden)
     monkeypatch.setattr(tck.chevalley, "x_alpha", forbidden)
     T = RationalFunction.variable(1, 0)
     for t, u in ((Fraction(2), Fraction(-1, 3)), (T * 2 + 1, Fraction(-1, 3)), (T * 2 + 1, 1 / T)):
@@ -410,6 +413,50 @@ def test_rational_commutator_check_multiplies_no_dense_matrix(monkeypatch):
         for s in (t, u):
             for build in (x_alpha, n_alpha):
                 assert len(build(rs, a, s)) == adjoint_dimension(rs)
+
+
+def test_rational_relations_build_no_fraction(monkeypatch):
+    # the four relation shapes that criterion 7 and the relations benchmark
+    # run over Q pass on scaled rows, with the dense kernel forbidden and no
+    # Fraction built beyond the commutator's own scalar parameters
+    rs = build_root_system("G2")
+    alpha, beta = rs.positive_roots[0], rs.positive_roots[1]
+    factors = commutator_factors(rs, alpha, beta)
+    assert factors
+    t, u = Fraction(-3, 2), Fraction(5, 4)
+    s, w = t + u, t * u
+    weight = t ** rs.cartan_integer(beta, alpha) * u
+
+    def forbidden(*args):
+        raise AssertionError("dense route used")
+
+    built = Counter()
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built["Fraction"] += 1
+        return original(cls, *args, **kwargs)
+
+    def scalars():
+        # what the check computes besides matrices: its parameters
+        return [-u, -t], [c * (-t) ** i * u**j for _, i, j, c in commutator_factors(rs, alpha, beta)]
+
+    def relations():
+        h = h_alpha(rs, alpha, t)
+        return (mat_mul(x_alpha(rs, alpha, t), x_alpha(rs, alpha, u)) == x_alpha(rs, alpha, s),
+                mat_mul(h_alpha(rs, alpha, t), h_alpha(rs, alpha, u)) == h_alpha(rs, alpha, w),
+                mat_mul(mat_mul(h, x_alpha(rs, beta, u)), mat_inv(h)) == x_alpha(rs, beta, weight))
+
+    # build the per-root tables first, as the warm benchmark jobs find them
+    relations(), commutator_relation_check(rs, alpha, beta, t, u)
+    monkeypatch.setattr(tck.linalg, "_dense_mul", forbidden)
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert relations() == (True, True, True)
+    assert built["Fraction"] == 0
+    scalars()
+    parameters = built["Fraction"]
+    assert commutator_relation_check(rs, alpha, beta, t, u)
+    assert built["Fraction"] == 2 * parameters
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "D4"])

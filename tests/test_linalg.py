@@ -1,5 +1,6 @@
-"""Exact dense products and inversion, checked against closed forms, a naive
-triple loop and the identity, with the work each kernel does counted."""
+"""Exact dense and scaled products, inversion and equality, checked against
+closed forms, a naive triple loop, the dense views and the identity, with the
+work each kernel does counted."""
 
 import random
 from collections import Counter
@@ -8,10 +9,21 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tck import DomainError, RationalFunction, build_root_system, h_alpha
-from tck.linalg import identity_matrix, int_det, mat_det, mat_inv, mat_mul, smith_normal_form
+from tck import DomainError, Polynomial, RationalFunction, build_root_system, h_alpha
+from tck.linalg import (
+    ScaledMatrix,
+    diagonal_entries,
+    identity_matrix,
+    int_det,
+    is_diagonal,
+    mat_det,
+    mat_inv,
+    mat_mul,
+    smith_normal_form,
+)
 
 T = RationalFunction.variable(1, 0)
+P = Polynomial.variable(1, 0)
 
 
 def test_torus_inverse_is_the_reciprocal_parameter():
@@ -180,6 +192,156 @@ def test_diagonal_inverse_divides_once_per_entry(n):
     assert Counted.ops == Counter(div=n)
     assert all(inverse[i][j] == (Fraction(1, i + 2) if i == j else 0)
                for i in range(n) for j in range(n))
+
+
+def _view(m):
+    """A dense copy of a scaled matrix's rows."""
+    return [list(row) for row in m]
+
+
+# Over Q: nonzero int entries over a positive int; over Q(T): polynomial
+# entries over a polynomial.  Values repeat often, so that equal entries and
+# entries equal to the denominator (read as the shared 1) turn up.
+SCALED_FIELDS = {
+    Fraction: (st.integers(-3, 3).filter(bool), st.integers(1, 4)),
+    RationalFunction: (st.sampled_from((Polynomial.constant(1, 2), P, -P, P + 1, P * 2 - 3)),
+                       st.sampled_from((Polynomial.constant(1, 1), P, P + 1, P * P - 2))),
+}
+
+
+@st.composite
+def scaled_matrices(draw, field, n=None, diagonal=False):
+    entries, dens = SCALED_FIELDS[field]
+    n = draw(st.integers(1, 4)) if n is None else n
+    if diagonal:
+        rows = [{i: draw(entries)} for i in range(n)]
+    else:
+        rows = [draw(st.dictionaries(st.integers(0, n - 1), entries, max_size=n)) for _ in range(n)]
+    return ScaledMatrix(rows, draw(dens), field)
+
+
+def _rescaled(m, c):
+    """The same matrix as m, with every numerator and the denominator times c."""
+    return ScaledMatrix([{j: v * c for j, v in row.items()} for row in m.rows], m.den * c, m.field)
+
+
+@st.composite
+def scaled_pairs(draw, field):
+    a = draw(scaled_matrices(field))
+    entries, dens = SCALED_FIELDS[field]
+    choice = draw(st.sampled_from(("other", "rescaled", "same")))
+    if choice == "other":
+        return a, draw(scaled_matrices(field, n=len(a)))
+    return a, _rescaled(a, draw(dens)) if choice == "rescaled" else a
+
+
+ANY_SCALED_PAIR = st.one_of(scaled_pairs(Fraction), scaled_pairs(RationalFunction))
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(ANY_SCALED_PAIR)
+def test_scaled_equality_matches_the_dense_views(pair):
+    a, b = pair
+    expected = _view(a) == _view(b)
+    assert (a == b) is expected and (b == a) is expected
+    assert (a != b) is not expected and (b != a) is not expected
+    assert (a == _view(b)) is expected and (_view(b) == a) is expected
+    assert (a != _view(b)) is not expected and (_view(b) != a) is not expected
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from((Fraction, RationalFunction)).flatmap(
+    lambda field: st.tuples(scaled_matrices(field), SCALED_FIELDS[field][1], st.data())))
+def test_changing_one_entry_by_one_breaks_equality(drawn):
+    a, c, data = drawn
+    b = _rescaled(a, c)
+    assert a == b
+    i, j = data.draw(st.integers(0, len(a) - 1)), data.draw(st.integers(0, len(a) - 1))
+    row = dict(b.rows[i])
+    row[j] = row.get(j, b.den * 0) + 1  # the ring's 0 where j holds nothing
+    if not row[j]:
+        del row[j]
+    changed = ScaledMatrix([row if k == i else r for k, r in enumerate(b.rows)], b.den, b.field)
+    assert a != changed and changed != a
+    assert not a == changed and a != _view(changed) and _view(changed) != a
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(ANY_SCALED_PAIR)
+def test_scaled_products_match_the_triple_loop(pair):
+    a, b = pair
+    expected = _naive_mul(_view(a), _view(b))
+    product = mat_mul(a, b)
+    assert isinstance(product, ScaledMatrix)
+    for got in (product, mat_mul(a, _view(b)), mat_mul(_view(a), b)):
+        assert got == expected
+    assert _view(product) == expected
+
+
+INVERTIBLE_SCALED_DIAGONALS = st.sampled_from((Fraction, RationalFunction)).flatmap(
+    lambda field: scaled_matrices(field, diagonal=True))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(INVERTIBLE_SCALED_DIAGONALS)
+def test_scaled_diagonal_inverse_matches_the_dense_inverse(a):
+    inverse = mat_inv(a)
+    assert inverse == mat_inv(_view(a))
+    # over Q the inverse stays scaled; over Q(T) it is the dense route's
+    assert isinstance(inverse, ScaledMatrix) is (a.field is Fraction)
+    if a.field is Fraction:
+        assert inverse.den > 0 and is_diagonal(inverse)
+    assert mat_mul(a, inverse) == identity_matrix(len(a))
+
+
+def test_zero_and_singular_scaled_diagonals_fail_as_the_dense_route_does():
+    for den, field in ((3, Fraction), (P + 1, RationalFunction)):
+        zero = ScaledMatrix([{}, {}, {}], den, field)
+        singular = ScaledMatrix([{0: den}, {}, {2: den * 2}], den, field)
+        for m, message in ((zero, "^zero matrix is not invertible$"),
+                           (singular, "^matrix is singular$")):
+            for form in (m, _view(m)):
+                with pytest.raises(DomainError, match=message):
+                    mat_inv(form)
+
+
+def test_torus_at_a_negative_parameter_has_a_positive_denominator():
+    # G2 pairs roots up to +-3, so its scale |pq|^3 would be negative as (pq)^3
+    for name in ("A1", "B2", "G2"):
+        rs = build_root_system(name)
+        for alpha in rs.roots:
+            for t in (Fraction(-3), Fraction(-2, 7), Fraction(5, -4)):
+                h = h_alpha(rs, alpha, t)
+                assert isinstance(h, ScaledMatrix) and h.den > 0
+                expected = [t ** rs.cartan_integer(beta, alpha) for beta in rs.roots]
+                assert diagonal_entries(h) == expected + [1] * rs.rank, (name, alpha, t)
+
+
+def test_reading_every_entry_builds_the_view_once(monkeypatch):
+    rs = build_root_system("G2")
+    alpha = rs.positive_roots[0]
+    h = h_alpha(rs, alpha, Fraction(-2, 3))
+
+    def forbidden(self):
+        raise AssertionError("dense view built")
+
+    # diagonal reads, the scaled inverse, products and == read the sparse rows
+    monkeypatch.setattr(ScaledMatrix, "dense", forbidden)
+    assert is_diagonal(h)
+    entries = diagonal_entries(h)
+    assert mat_mul(h, mat_inv(h)) == h_alpha(rs, alpha, 1)
+    monkeypatch.undo()
+    made = Counter()
+    entry = ScaledMatrix._entry
+    monkeypatch.setattr(ScaledMatrix, "_entry", lambda self, v: made.update([id(self)]) or entry(self, v))
+    n = len(h)
+    # every h[i][j], as criterion 8 reads them: one entry made per stored value
+    assert [[h[i][j] for j in range(n)] for i in range(n)] == [
+        [entries[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    assert made == Counter({id(h): n})
+    assert h[0] is h[0] and list(h)[0] is h[0]
 
 
 def _random_int_matrix(rng, n, m):
