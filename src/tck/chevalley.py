@@ -28,8 +28,9 @@ Generators:
 The generators return a ``linalg.ScaledMatrix``, but for h_alpha over Q(T).
 With t = p/q, p and q integers or polynomials, x_alpha(t) is M / q^K for K the
 largest exponent of its terms and M the matrix with q^K on the diagonal and
-c p^k q^(K-k) for the term c t^k, integral because the terms are; over Q(T) a
-multi-term q^K stays uncancelled.  n_alpha and commutator_relation_check fold
+c p^k q^(K-k) for the term c t^k, integral because the terms are.  Over Q(T),
+p and q are first multiplied by the lcm of their coefficients' denominators,
+so M and q^K lie in Z[T]; a multi-term q^K stays uncancelled.  n_alpha and commutator_relation_check fold
 linalg's sparse product over such factors.  Over Q, h_alpha(p/q) is its
 diagonal over |pq|^K, K the largest |k|.  Over Q(T) h_alpha stays a dense
 list: a scaled Q(T) diagonal inverts only through the dense route (scaled, it
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import reduce
-from math import prod
+from math import lcm, prod
 
 from .errors import ConsistencyError, DomainError
 from .fields import Polynomial, RationalFunction, ScalingAutomorphism, apply_scaling, is_prime
@@ -421,18 +422,23 @@ def _scaled_x_alpha(rs: RootSystem, alpha, t) -> ScaledMatrix:
 
     For t = p/q and K the largest exponent among the terms, d = q^K; the
     diagonal holds d and the term c t^k becomes c p^k q^(K-k).  Over Q the
-    entries are ints, over Q(T) polynomials.
+    entries are ints.  Over Q(T), p and q are first multiplied by the lcm of
+    their coefficients' denominators, so the entries are polynomials with
+    int coefficients.
     """
     entries = _exp_entries(rs, alpha)
     depth = max(k for _, _, _, k in entries)
     if isinstance(t, RationalFunction):
-        p, q = t.num, t.den
+        m = lcm(*(c.denominator for f in (t.num, t.den) for c in f.terms.values()))
+        p, q = (Polynomial(f.nvars, {e: c.numerator * (m // c.denominator)
+                                     for e, c in f.terms.items()}) for f in (t.num, t.den))
     else:
         p, q = t.numerator, t.denominator
     d = q**depth
     rows = [{i: d} for i in range(adjoint_dimension(rs))]
     if p:
-        scale = [p**k * q ** (depth - k) for k in range(depth + 1)]
+        # p^K alone: q^0 is a Fraction constant over Q(T)
+        scale = [None, *(p**k * q ** (depth - k) for k in range(1, depth)), p**depth]
         for i, j, c, k in entries:
             rows[i][j] = c * scale[k]
     return ScaledMatrix(rows, d, type(t))

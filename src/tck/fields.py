@@ -1,12 +1,16 @@
 """Exact arithmetic over Q and over rational function fields Q(T1,...,Tk).
 
-Rationals are stdlib Fraction values throughout.  Polynomials are sparse maps
-from exponent tuples to Fraction coefficients, rational functions are
-normalized quotients of those, and scaling automorphisms act by T_i -> c_i T_i
-with nonzero rational c_i.  Rationals whose prime supports are pairwise
-disjoint are multiplicatively independent, which is what keeps distinct
-witnesses apart.  Supports are decided by gcds and by stripping pairwise
-coprime bases, never by factoring.
+Rationals are stdlib Fraction values throughout; a polynomial coefficient or
+scaling scalar given as a float, bool or string is a DomainError, not converted.
+Polynomials are sparse maps from exponent tuples to coefficients.  The public
+constructors write Fraction coefficients and arithmetic keeps the
+coefficients' type, so the scaled generator matrices of ``chevalley`` stay in
+Z[T].  Rational functions are normalized quotients of polynomials over
+Fraction coefficients, and scaling automorphisms act by T_i -> c_i T_i with
+nonzero rational c_i.  Rationals whose prime supports are pairwise disjoint
+are multiplicatively independent, which is what keeps distinct witnesses
+apart.  Supports are decided by gcds and by stripping pairwise coprime bases,
+never by factoring.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 from .errors import DomainError
 from .linalg import smith_normal_form
@@ -118,6 +123,15 @@ def supports_pairwise_disjoint(values) -> bool:
     return True
 
 
+def _rational(value) -> Fraction:
+    """An int or Fraction as a Fraction; a float, bool or string is a DomainError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise DomainError(f"unsupported scalar {value!r}")
+
+
 def _grlex_key(exps: Exponent):
     return (sum(exps), exps)
 
@@ -126,14 +140,18 @@ class Polynomial:
     """Sparse multivariate polynomial over Q.
 
     ``terms`` maps exponent tuples (one entry per variable, entries >= 0) to
-    nonzero Fraction coefficients; the zero polynomial has an empty map.
-    Where an order on terms matters it is graded lexicographic.  A constant
-    polynomial equals its int or Fraction value, so the class has no hash.
+    nonzero coefficients; the zero polynomial has an empty map.  The public
+    constructors write Fraction coefficients; +, -, *, ** and scaling by an
+    int keep the coefficients' type, so int coefficients give int
+    coefficients (Gauss's lemma: a polynomial over Q is a rational times one
+    over Z).  Where an order on terms matters it is graded lexicographic.  A
+    constant polynomial equals its int or Fraction value, so the class has no
+    hash.
     """
 
     __slots__ = ("nvars", "terms")
 
-    def __init__(self, nvars: int, terms: dict[Exponent, Fraction]):
+    def __init__(self, nvars: int, terms: dict[Exponent, Fraction | int]):
         self.nvars = nvars
         self.terms = terms
 
@@ -143,7 +161,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
-        value = Fraction(value)
+        value = _rational(value)
         if value == 0:
             return cls.zero(nvars)
         return cls(nvars, {(0,) * nvars: value})
@@ -173,11 +191,12 @@ class Polynomial:
             return NotImplemented
         terms = dict(self.terms)
         for exps, c in other.terms.items():
-            s = terms.get(exps, Fraction(0)) + c
-            if s:
+            if exps not in terms:
+                terms[exps] = c
+            elif s := terms[exps] + c:
                 terms[exps] = s
             else:
-                terms.pop(exps, None)
+                del terms[exps]
         return Polynomial(self.nvars, terms)
 
     __radd__ = __add__
@@ -200,31 +219,28 @@ class Polynomial:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        terms: dict[Exponent, Fraction] = {}
+        terms = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = terms.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    terms[e] = s
-                else:
-                    terms.pop(e, None)
-        return Polynomial(self.nvars, terms)
+                e = tuple(map(add, e1, e2))
+                terms[e] = terms[e] + c1 * c2 if e in terms else c1 * c2
+        return Polynomial(self.nvars, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative polynomial power; use a RationalFunction")
-        result = Polynomial.constant(self.nvars, 1)
-        base = self
-        while n:
+        if n == 0:
+            return Polynomial.constant(self.nvars, 1)
+        result, base = None, self
+        while True:
             if n & 1:
-                result = result * base
+                result = base if result is None else result * base
             n >>= 1
-            if n:  # no square past the last bit
-                base = base * base
-        return result
+            if not n:  # no square past the last bit
+                return result
+            base = base * base
 
     def __eq__(self, other):
         other = self._coerce(other)
@@ -233,10 +249,14 @@ class Polynomial:
         return self.terms == other.terms
 
     def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        if c == 0:
-            return Polynomial.zero(self.nvars)
-        return Polynomial(self.nvars, {e: c * v for e, v in self.terms.items()})
+        """c times self, the Fraction operand first; an int c keeps int coefficients int."""
+        if isinstance(c, Fraction):
+            terms = {e: c * v for e, v in self.terms.items()} if c else {}
+        elif isinstance(c, int) and not isinstance(c, bool):
+            terms = {e: v * c for e, v in self.terms.items()} if c else {}
+        else:
+            raise DomainError(f"unsupported scalar {c!r}")
+        return Polynomial(self.nvars, terms)
 
     def leading_term(self) -> tuple[Exponent, Fraction]:
         """Graded-lex leading term of a nonzero polynomial."""
@@ -258,8 +278,10 @@ class Polynomial:
 class RationalFunction:
     """Quotient of two polynomials over the same variables.
 
-    Normalization divides numerator and denominator by the denominator's
-    graded-lex leading coefficient and cancels any common monomial factor.
+    Normalization divides numerator and denominator exactly by the
+    denominator's graded-lex leading coefficient, so the denominator is monic
+    and every coefficient a Fraction even for int-coefficient inputs, and
+    cancels any common monomial factor.
     Representations are not forced into lowest terms; equality is decided by
     cross-multiplication, which is exact and avoids multivariate gcds; with
     no canonical form, the class has no hash.  An int or Fraction operand of
@@ -292,8 +314,8 @@ class RationalFunction:
             num = unshift(num)
             den = unshift(den)
         _, lead = den.leading_term()
-        if lead != 1:
-            inv = 1 / lead
+        if lead != 1 or type(lead) is int:
+            inv = Fraction(1, lead)
             num, den = num.scale(inv), den.scale(inv)
         self.num = num
         self.den = den
@@ -418,7 +440,7 @@ class ScalingAutomorphism:
     scalars: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coerced = tuple(Fraction(c) for c in self.scalars)
+        coerced = tuple(map(_rational, self.scalars))
         if any(c == 0 for c in coerced):
             raise DomainError("scaling automorphism needs nonzero scalars")
         object.__setattr__(self, "scalars", coerced)

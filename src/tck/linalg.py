@@ -6,9 +6,10 @@ stated.  Multiplication and inversion do no arithmetic on zeros: a product
 entry starts from its first nonzero term, and only later terms are added to
 it, while an entry with no nonzero term keeps the zero; a diagonal matrix
 inverts entrywise, and only other matrices go through Gauss-Jordan.  The
-generators of ``chevalley`` return a ``ScaledMatrix``, sparse rows of ints
-(over Q) or polynomials (over Q(T)) over one denominator, whose products,
-diagonal inverses over Q and comparisons stay in that ring.
+generators of ``chevalley`` return a ``ScaledMatrix``, sparse rows over one
+denominator, in Z over Q and in Z[T] (polynomials with int coefficients) over
+Q(T), whose products, diagonal inverses over Q and comparisons stay in that
+ring and build no Fraction.
 
 The integer routines live here too: the fraction-free Bareiss determinant
 ``int_det`` and the checked Smith normal form, which ``fields`` uses for
@@ -30,9 +31,11 @@ _ONE, _ZERO = Fraction(1), Fraction(0)
 class ScaledMatrix:
     """The square matrix rows / den, immutable; with no canonical form, no hash.
 
-    ``rows`` are dicts {column: nonzero entry}, ``den`` is nonzero (positive
-    over Q), ``field(num, den)`` makes an entry: Fraction over Q,
-    RationalFunction over Q(T).  Reading rows builds the dense view once.
+    ``rows`` are dicts {column: nonzero entry} and ``den`` is nonzero:
+    ints over Q, with ``den`` positive, and polynomials over Q(T), which the
+    generators write with int coefficients.  ``field(num, den)`` makes an
+    entry: Fraction over Q, RationalFunction (normalized to Fraction
+    coefficients) over Q(T).  Reading rows builds the dense view once.
     """
 
     __slots__ = ("rows", "den", "field", "_view")

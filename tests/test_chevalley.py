@@ -277,6 +277,25 @@ def test_n_alpha_matches_dense_exponential_product():
                 n_alpha(rs, alpha, zero)
 
 
+def _two_term_parameters():
+    """Quotients with non-integral coefficients over two-term denominators."""
+    T = RationalFunction.variable(1, 0)
+    return (T + 1) / (T * 3 + Fraction(1, 3)), 3 / (T + 5)
+
+
+def test_generators_at_two_term_parameters_match_the_dense_exponential():
+    # the scaled rows clear the coefficient denominators of t = p/q; the
+    # dense exponential at t itself is the reference
+    for name in ("A1", "A2", "A3", "B2", "G2", "B3", "C3"):
+        rs = build_root_system(name)
+        for alpha in rs.roots:
+            for t in _two_term_parameters():
+                x = _dense_exponential(rs, alpha, t)
+                minus = _dense_exponential(rs, rs.negate(alpha), -(1 / t))
+                assert x_alpha(rs, alpha, t) == x, (name, alpha, t)
+                assert n_alpha(rs, alpha, t) == mat_product([x, minus, x]), (name, alpha, t)
+
+
 def _dense_commutator_check(rs, alpha, beta, t, u, factors):
     """The commutator relation from dense Fraction matrices, for given factors."""
     def dense(gamma, s):
@@ -292,7 +311,8 @@ def _dense_commutator_check(rs, alpha, beta, t, u, factors):
 
 def _parameter_kinds(rng):
     """One (t, u) pair of each kind: both rational; t = aT + b with u
-    rational; both in Q(T); both in Q(T1, T2); and a zero parameter."""
+    rational; both in Q(T); both in Q(T1, T2); a zero parameter; and two
+    quotients with two-term denominators, fixed and drawn."""
     T = RationalFunction.variable(1, 0)
     T1, T2 = RationalFunction.variable(2, 0), RationalFunction.variable(2, 1)
 
@@ -305,6 +325,8 @@ def _parameter_kinds(rng):
         (T * q() + q(), q() / T),
         (T1 * q(), (T2 + q()) / T1),
         (T - T, T * q() + q()),
+        _two_term_parameters(),
+        ((T * q() + q()) / (T * q() + q()), q() / (T + q())),
     ]
 
 
@@ -319,7 +341,8 @@ def test_integer_commutator_route_matches_the_dense_route():
         if sample is not None:
             pairs = rng.sample(pairs, sample)
         for n, (alpha, beta) in enumerate(pairs):
-            t, u = _parameter_kinds(rng)[n % 5]
+            kinds = _parameter_kinds(rng)
+            t, u = kinds[n % len(kinds)]
             factors = commutator_factors(rs, alpha, beta)
             dense = _dense_commutator_check(rs, alpha, beta, t, u, factors)
             assert commutator_relation_check(rs, alpha, beta, t, u) == dense
@@ -457,6 +480,51 @@ def test_rational_relations_build_no_fraction(monkeypatch):
     parameters = built["Fraction"]
     assert commutator_relation_check(rs, alpha, beta, t, u)
     assert built["Fraction"] == 2 * parameters
+
+
+def test_function_field_relations_build_no_fraction(monkeypatch):
+    # over Q(T) the generators and both commutator products hold int
+    # polynomial coefficients, and a product and a comparison of scaled
+    # matrices build no Fraction and never reach the dense kernel
+    rs = build_root_system("G2")
+    alpha, beta = rs.positive_roots[0], rs.positive_roots[1]
+    t, u = _two_term_parameters()
+    T = RationalFunction.variable(1, 0)
+    products, scaled_product = [], tck.chevalley._scaled_product
+
+    def recording(*args):
+        products.append(scaled_product(*args))
+        return products[-1]
+
+    monkeypatch.setattr(tck.chevalley, "_scaled_product", recording)
+    assert commutator_relation_check(rs, alpha, beta, t, u) and len(products) == 2
+
+    def coefficients(m):
+        return [c for f in (m.den, *(v for row in m.rows for v in row.values()))
+                for c in f.terms.values()]
+
+    for s in (t, u, T * Fraction(2, 3) - Fraction(1, 2)):
+        products += [x_alpha(rs, beta, s), n_alpha(rs, beta, s)]
+    for m in products:
+        assert m.field is RationalFunction
+        assert all(type(c) is int for c in coefficients(m))
+
+    def forbidden(*args):
+        raise AssertionError("dense route used")
+
+    built = Counter()
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built["Fraction"] += 1
+        return original(cls, *args, **kwargs)
+
+    a, b, s = x_alpha(rs, alpha, t), x_alpha(rs, alpha, u), x_alpha(rs, alpha, t + u)
+    monkeypatch.setattr(tck.linalg, "_dense_mul", forbidden)
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert mat_mul(a, b) == s and mat_mul(b, a) == s and mat_mul(a, a) != s
+    assert x_alpha(rs, beta, t) == x_alpha(rs, beta, t)
+    assert built["Fraction"] == 0
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "D4"])

@@ -13,9 +13,12 @@ from tck import (
     RationalFunction,
     ScalingAutomorphism,
     apply_scaling,
+    build_root_system,
     character_lattice_member,
     exponent_vector,
+    n_alpha,
     supports_pairwise_disjoint,
+    x_alpha,
 )
 from tck.fields import character_classes, character_lattice, is_prime
 
@@ -207,6 +210,68 @@ def test_rational_function_division_by_zero():
         t / (t - t)
     with pytest.raises(ZeroDivisionError):
         RationalFunction.constant(1, 0).reciprocal()
+
+
+def _int_polynomials(nvars):
+    exponents = st.tuples(*[st.integers(0, 3)] * nvars)
+    return st.dictionaries(exponents, st.sampled_from(NONZERO), max_size=3).map(
+        lambda terms: Polynomial(nvars, terms))
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(st.sampled_from((1, 2)).flatmap(
+           lambda nvars: st.tuples(_int_polynomials(nvars), _int_polynomials(nvars))),
+       st.integers(-4, 4), st.integers(1, 3))
+def test_int_coefficients_stay_int_through_ring_operations(pair, c, n):
+    # the scaled Q(T) generators live in Z[T]; the same polynomials over
+    # Fraction coefficients are the reference
+    p, q = pair
+    fp, fq = (Polynomial(f.nvars, {e: Fraction(v) for e, v in f.terms.items()}) for f in pair)
+    for got, reference in ((p + q, fp + fq), (p - q, fp - fq), (-p, -fp), (p * q, fp * fq),
+                           (p**n, fp**n), (p.scale(c), fp.scale(c)), (c * p, c * fp)):
+        assert all(type(v) is int for v in got.terms.values())
+        assert all(type(v) is Fraction for v in reference.terms.values())
+        assert got.terms == reference.terms
+
+
+def test_normalization_divides_exactly():
+    # int coefficients, as a scaled Q(T) matrix entry has them, come back
+    # over Fraction with a monic denominator; 1 / 81 as a float would not be
+    # exact, and a denominator with lead 1 is normalized all the same
+    num = Polynomial(1, {(1,): 6, (0,): -1})
+    f = RationalFunction(num, Polynomial(1, {(2,): 81, (0,): 18}))
+    _assert_normal(f)
+    assert f.num.terms == {(1,): Fraction(2, 27), (0,): Fraction(-1, 81)}
+    assert f.den.terms == {(2,): 1, (0,): Fraction(2, 9)}
+    g = RationalFunction(num, Polynomial(1, {(1,): 1, (0,): 5}))
+    _assert_normal(g)
+    assert g.num.terms == num.terms and g.den.terms == {(1,): 1, (0,): 5}
+
+
+@pytest.mark.parametrize("value", [0.1, True, "1"])
+def test_scalar_gate_refuses_floats_bools_and_strings(value):
+    # Fraction(0.1) would be 3602879701896397/36028797018963968, silently
+    p = Polynomial.variable(1, 0)
+    for make in (lambda: Polynomial.constant(1, value), lambda: p.scale(value),
+                 lambda: ScalingAutomorphism((value,)), lambda: RationalFunction.constant(1, value)):
+        with pytest.raises(DomainError, match="unsupported scalar"):
+            make()
+
+
+def test_scaled_function_field_entries_read_as_normal_rational_functions():
+    # the dense view of a scaled Q(T) generator divides int-coefficient
+    # polynomials; each entry must still come out normal
+    T = RationalFunction.variable(1, 0)
+    for name in ("A2", "G2"):
+        rs = build_root_system(name)
+        for alpha in rs.roots:
+            for t in ((T + 1) / (T * 3 + Fraction(1, 3)), 3 / (T + 5), T * 9 + 2):
+                for m in (x_alpha(rs, alpha, t), n_alpha(rs, alpha, t)):
+                    for entry in (entry for row in m for entry in row):
+                        if isinstance(entry, RationalFunction):
+                            _assert_normal(entry)
+                        else:
+                            assert type(entry) is Fraction and entry in (0, 1)
 
 
 @pytest.mark.parametrize("value", [
