@@ -15,6 +15,7 @@ import json
 import sys
 import time
 from fractions import Fraction
+from math import gcd
 
 from . import __version__
 from .errors import ConsistencyError, DomainError, ResourceLimitError
@@ -37,6 +38,21 @@ def _encode_number(x):
         except ValueError as exc:  # past the int/str conversion digit limit
             raise ResourceLimitError(f"a result has too many digits to print: {exc}") from exc
     raise ConsistencyError(f"cannot serialize {x!r}")
+
+
+def _encode_ratio(num: int, den: int):
+    """_encode_number(Fraction(num, den)) for ints with den != 0, reduced by
+    one gcd without building the Fraction."""
+    g = gcd(num, den)
+    if den < 0:
+        g = -g
+    num, den = num // g, den // g
+    if den == 1:
+        return _encode_number(num)
+    try:
+        return f"{num}/{den}"
+    except ValueError as exc:  # past the int/str conversion digit limit
+        raise ResourceLimitError(f"a result has too many digits to print: {exc}") from exc
 
 
 def _encode_count(count):
@@ -235,12 +251,8 @@ def _run_witness(args):
         "family_size": certificate.family_size,
         "generators": [_encode_number(g) for g in certificate.generators],
         "certified": [
-            {
-                "position": list(entry.position),
-                "block": entry.block,
-                "eigencharacter": _encode_number(entry.eigencharacter),
-            }
-            for entry in certificate.entries
+            {"position": [m, n], "block": block, "eigencharacter": _encode_ratio(num, den)}
+            for m, n, block, num, den in certificate.entries.integer_entries()
         ],
         "uncertified": [list(position) for position in certificate.uncertified],
     }

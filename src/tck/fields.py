@@ -68,13 +68,22 @@ def strip_power(n: int, b: int) -> tuple[int, int]:
     return e, n
 
 
+def _rational(value) -> Fraction:
+    """An int or Fraction as a Fraction; a float, bool or string is a DomainError."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
+    raise DomainError(f"unsupported scalar {value!r}")
+
+
 def exponent_vector(x, base) -> list[int] | None:
     """Exponents e with |x| = prod(b**e_b), or None when |x| is no such product.
 
     The base must consist of pairwise coprime integers > 1; then the
     exponents are unique and stripping each base element in turn finds them.
     """
-    x = Fraction(x)
+    x = _rational(x)
     if x == 0:
         raise DomainError("0 has no exponent vector")
     num, den = abs(x.numerator), x.denominator
@@ -113,7 +122,7 @@ def supports_pairwise_disjoint(values) -> bool:
     """True when the prime supports of the given nonzero rationals are pairwise disjoint."""
     seen = 1
     for v in values:
-        v = Fraction(v)
+        v = _rational(v)
         if v == 0:
             raise DomainError("prime support is undefined at 0")
         n = abs(v.numerator) * v.denominator
@@ -121,15 +130,6 @@ def supports_pairwise_disjoint(values) -> bool:
             return False
         seen *= n
     return True
-
-
-def _rational(value) -> Fraction:
-    """An int or Fraction as a Fraction; a float, bool or string is a DomainError."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise DomainError(f"unsupported scalar {value!r}")
 
 
 def _grlex_key(exps: Exponent):
@@ -512,14 +512,14 @@ def character_lattice(generators):
     checks, the Smith form on the first query that factors over the base;
     every later query reuses both.
     """
-    gens = [Fraction(g) for g in generators]
+    gens = [_rational(g) for g in generators]
     if any(g <= 0 for g in gens):
         raise DomainError("character lattice generators must be positive")
     base = divisors = None
 
     def member(lam) -> bool:
         nonlocal base, divisors
-        lam = Fraction(lam)
+        lam = _rational(lam)
         if lam == 0:
             raise DomainError("0 is not a unit")
         if lam < 0:
@@ -555,7 +555,8 @@ def character_classes(generators, values):
     (w_j where d_j = 0) for the Smith columns of the used ones with d_j != 1.
     Keys exist only for nonzero values that factor over the base.
     """
-    gens = [Fraction(g) for g in generators]
+    gens = [_rational(g) for g in generators]
+    values = [_rational(x) for x in values]
     if any(g <= 0 for g in gens):
         raise DomainError("character lattice generators must be positive")
     base = _coprime_base({n for x in (*gens, *values) for n in (abs(x.numerator), x.denominator)})

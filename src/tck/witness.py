@@ -27,6 +27,9 @@ det Z = 0, and that contradiction is what the certificate records.
 """
 
 import itertools
+import operator
+from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -195,18 +198,6 @@ class ProductAutomorphism:
     def permutation_order(self) -> int:
         return permutation_order(self.permutation)
 
-    def apply(self, summands) -> tuple:
-        x = tuple(summands)
-        if len(x) != self.k:
-            raise DomainError(
-                f"direct sum has {len(x)} summands, the automorphism acts on {self.k}"
-            )
-        x = tuple(_rational_diagonal(g, len(self.rs.roots), "product automorphism")
-                  for g in x)
-        return tuple(x[j] if self._sources[j] is None
-                     else tuple(x[j][i] for i in self._sources[j])
-                     for j in self.permutation)
-
 
 @dataclass(frozen=True)
 class ZeroEntryWitness:
@@ -219,6 +210,69 @@ class ZeroEntryWitness:
     eigencharacter: Fraction
 
 
+class CertifiedEntries(Sequence):
+    """The certified entries of a certificate, in row-major order, built on access.
+
+    The sequence keeps what the certification computed: the numerator and
+    denominator of every row and column factor and, for each row, the
+    ascending indices of its certified columns.  Reading entry (m, n) builds
+    ZeroEntryWitness((m, n), block, col_num row_den / (col_den row_num)), so a
+    certificate with thousands of entries holds no Fraction and no
+    ZeroEntryWitness until they are read.  It compares equal to, and hashes
+    like, the tuple of its entries; a slice is that tuple's slice.
+    """
+
+    __slots__ = ("_root_count", "_rows", "_cols", "_columns", "_offsets")
+
+    def __init__(self, root_count: int, rows, cols, columns):
+        self._root_count = root_count
+        self._rows = tuple(rows)
+        self._cols = tuple(cols)
+        self._columns = tuple(columns)
+        self._offsets = tuple(itertools.accumulate(map(len, self._columns), initial=0))
+
+    def __len__(self) -> int:
+        return self._offsets[-1]
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[k] for k in range(*i.indices(len(self))))
+        k = operator.index(i)
+        if k < 0:
+            k += len(self)
+        if not 0 <= k < len(self):
+            raise IndexError("certified entry index out of range")
+        m = bisect_right(self._offsets, k) - 1
+        n = self._columns[m][k - self._offsets[m]]
+        (row_num, row_den), (col_num, col_den) = self._rows[m], self._cols[n]
+        return ZeroEntryWitness((m, n), "Q" if m < self._root_count else "S",
+                                Fraction(col_num * row_den, col_den * row_num))
+
+    def __iter__(self):
+        for m, n, block, num, den in self.integer_entries():
+            yield ZeroEntryWitness((m, n), block, Fraction(num, den))
+
+    def integer_entries(self):
+        """(m, n, block, num, den) for each entry in order, with eigencharacter
+        num / den, den != 0, not reduced."""
+        for m, ((row_num, row_den), columns) in enumerate(zip(self._rows, self._columns)):
+            block = "Q" if m < self._root_count else "S"
+            for n in columns:
+                col_num, col_den = self._cols[n]
+                yield m, n, block, col_num * row_den, col_den * row_num
+
+    def __eq__(self, other):
+        if isinstance(other, (tuple, CertifiedEntries)):
+            return tuple(self) == tuple(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
 @dataclass(frozen=True)
 class ObstructionCertificate:
     """Outcome of the block-zero analysis for one witness index.
@@ -227,6 +281,7 @@ class ObstructionCertificate:
     the root-indexed columns of any admissible Z vanish and det Z = 0.
     verdict "inconclusive" means the index is within the transcendence bound
     or some position could not be certified; uncertified lists those.
+    entries lists the certified positions as a CertifiedEntries.
     """
 
     root_count: int
@@ -236,7 +291,7 @@ class ObstructionCertificate:
     family_size: int
     generators: tuple[Fraction, ...]
     verdict: str
-    entries: tuple[ZeroEntryWitness, ...]
+    entries: Sequence[ZeroEntryWitness]
     uncertified: tuple[tuple[int, int], ...]
 
 
@@ -258,8 +313,9 @@ def _certify(rs: RootSystem, products, scaling: ScalingAutomorphism,
     bound = scaling.variable_count + 1
     generators = tuple((scaling ** 6).scalars)
     if index <= bound:
-        return ObstructionCertificate(root_count, rs.rank, index, bound, count,
-                                      generators, "inconclusive", (), ())
+        return ObstructionCertificate(root_count, rs.rank, index, bound, count, generators,
+                                      "inconclusive", CertifiedEntries(root_count, (), (), ()),
+                                      ())
     diagonals = [_rational_diagonal(p, root_count, "obstruction check") for p in products]
     # Columns whose witness family has nonempty, pairwise disjoint supports;
     # a collision would mean the prime blocks leaked across witnesses.
@@ -283,23 +339,26 @@ def _certify(rs: RootSystem, products, scaling: ScalingAutomorphism,
     rows = [first[m] * c[m] for m in range(root_count)] + [Fraction(1)] * rs.rank
     cols = [other[n] * c[n] for n in range(root_count)]
     # Entry (m, n) lies in the lattice exactly when row m and column n share
-    # a class key.
+    # a class key, so a row whose key no good column has certifies them all.
     key = character_classes(generators, rows + cols)
-    columns = [(n, ok, x.numerator, x.denominator, key(x))
-               for n, (ok, x) in enumerate(zip(column_ok, cols))]
-    certified, failed = [], []
+    col_keys = [key(x) for x in cols]
+    good = tuple(n for n, ok in enumerate(column_ok) if ok)
+    good_keys = {col_keys[n] for n in good}
+    columns, failed = [], []
     for m, row in enumerate(rows):
-        block = "Q" if m < root_count else "S"
-        row_num, row_den, row_key = row.numerator, row.denominator, key(row)
-        for n, ok, col_num, col_den, col_key in columns:
-            if ok and col_key != row_key:
-                certified.append(ZeroEntryWitness(
-                    (m, n), block, Fraction(col_num * row_den, col_den * row_num)))
-            else:
-                failed.append((m, n))
+        row_key = key(row)
+        certified = good
+        if row_key in good_keys:
+            certified = tuple(n for n in good if col_keys[n] != row_key)
+        columns.append(certified)
+        if len(certified) < root_count:
+            failed += [(m, n) for n in range(root_count)
+                       if not column_ok[n] or col_keys[n] == row_key]
+    entries = CertifiedEntries(root_count, [(x.numerator, x.denominator) for x in rows],
+                               [(x.numerator, x.denominator) for x in cols], columns)
     verdict = "obstructed" if not failed else "inconclusive"
     return ObstructionCertificate(root_count, rs.rank, index, bound, count, generators,
-                                  verdict, tuple(certified), tuple(failed))
+                                  verdict, entries, tuple(failed))
 
 
 def obstruction_check(rs: RootSystem, witnesses: WitnessSequence,
@@ -336,18 +395,36 @@ def pattern_determinant(certificate: ObstructionCertificate):
     augmenting-path search decides that first; an "obstructed" certificate
     zeroes every root-indexed column and gets its zero there.  The symbolic
     expansion runs only when a matching exists, which is expensive for
-    patterns with few certified zeros and is not the intended use.
+    patterns with few certified zeros and is not the intended use.  The
+    zero pattern is read from a CertifiedEntries' column indices without
+    building its entries; a plain tuple of ZeroEntryWitness is read entry by
+    entry.
     """
     dim = certificate.root_count + certificate.cartan_rank
-    zeros = {entry.position for entry in certificate.entries}
-    free = [(m, n) for m in range(dim) for n in range(dim) if (m, n) not in zeros]
-    nvars = len(free)
+    entries = certificate.entries
+    if isinstance(entries, CertifiedEntries):
+        zeroed = list(entries._columns)
+    else:
+        rows = [set() for _ in range(dim)]
+        for entry in entries:
+            m, n = entry.position
+            rows[m].add(n)
+        zeroed = [tuple(row) for row in rows]
+    zeroed += [()] * (dim - len(zeroed))
+    # Rows with the same certified columns share one list of free columns.
+    free_of = {}
+    for columns in zeroed:
+        if columns not in free_of:
+            certified = set(columns)
+            free_of[columns] = [n for n in range(dim) if n not in certified]
+    free = [free_of[columns] for columns in zeroed]
+    nvars = sum(map(len, free))
     zero = RationalFunction.constant(nvars, 0)
     row_of: dict[int, int] = {}
 
     def augment(m: int, visited: set) -> bool:
-        for n in range(dim):
-            if (m, n) not in zeros and n not in visited:
+        for n in free[m]:
+            if n not in visited:
                 visited.add(n)
                 if n not in row_of or augment(row_of[n], visited):
                     row_of[n] = m
@@ -356,14 +433,11 @@ def pattern_determinant(certificate: ObstructionCertificate):
 
     if not all(augment(m, set()) for m in range(dim)):
         return zero
-    index = {pos: t for t, pos in enumerate(free)}
-    matrix = [
-        [
-            zero if (m, n) in zeros else RationalFunction.variable(nvars, index[(m, n)])
-            for n in range(dim)
-        ]
-        for m in range(dim)
-    ]
+    matrix = [[zero] * dim for _ in range(dim)]
+    variables = iter(range(nvars))
+    for m, columns in enumerate(free):
+        for n in columns:
+            matrix[m][n] = RationalFunction.variable(nvars, next(variables))
     return mat_det(matrix)
 
 

@@ -8,9 +8,11 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import tck
 import tck.cli
@@ -329,6 +331,42 @@ def test_byte_identical_reports(capsys):
     main(["witness", "run", "--type", "A2", "--count", "4", "--trdeg", "1",
           "--scale", "2", "--index", "3"])
     assert capsys.readouterr().out == third
+
+
+# stdout of `witness run --type E6 --count 6 --trdeg 1 --scale 2 --index 3`
+# (642043 bytes, 5616 certified entries), recorded from the Fraction-per-entry
+# route; no golden document is as long
+E6_WITNESS_RUN_SHA256 = "e9dfda72c57315e1e5fbaf998f63696b4a34704138605a7153bb87e2cbeecdd0"
+
+
+def test_long_witness_run_is_byte_pinned(capsys):
+    code = main(["witness", "run", "--type", "E6", "--count", "6", "--trdeg", "1",
+                 "--scale", "2", "--index", "3"])
+    out = capsys.readouterr().out.encode()
+    assert code == 0 and len(out) == 642043
+    assert hashlib.sha256(out).hexdigest() == E6_WITNESS_RUN_SHA256
+
+
+_INT64 = 2**63 - 1
+_ratio_parts = st.one_of(st.integers(-10**6, 10**6), st.integers(-2**70, 2**70),
+                         st.sampled_from((_INT64, _INT64 + 1, -_INT64, -_INT64 - 1)))
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(_ratio_parts, _ratio_parts.filter(bool), st.integers(1, 10**6))
+def test_ratio_text_matches_the_fraction_text(num, den, scale):
+    # unreduced pairs, both signs, reduced denominators of 1 and values past
+    # int64 give the bytes _encode_number writes for the Fraction
+    for pair in ((num, den), (num * scale, den * scale), (num * den, den), (num * den, -den)):
+        assert tck.cli._encode_ratio(*pair) == tck.cli._encode_number(Fraction(*pair))
+
+
+def test_ratio_text_past_the_digit_limit_is_a_resource_limit():
+    big = 10**5000 + 1  # coprime to 3, with more digits than Python prints
+    for encode in (lambda: tck.cli._encode_ratio(-2 * big, -6),
+                   lambda: tck.cli._encode_number(Fraction(big, 3))):
+        with pytest.raises(ResourceLimitError, match="too many digits to print"):
+            encode()
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

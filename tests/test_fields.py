@@ -20,7 +20,7 @@ from tck import (
     supports_pairwise_disjoint,
     x_alpha,
 )
-from tck.fields import character_classes, character_lattice, is_prime
+from tck.fields import _rational, character_classes, character_lattice, is_prime
 
 
 def test_exponent_vector_values():
@@ -256,6 +256,31 @@ def test_scalar_gate_refuses_floats_bools_and_strings(value):
                  lambda: ScalingAutomorphism((value,)), lambda: RationalFunction.constant(1, value)):
         with pytest.raises(DomainError, match="unsupported scalar"):
             make()
+
+
+# Each was converted silently before: 0.25 and True were lattice members,
+# the generator 4.0 spanned <4>, and 0.5 had the exponent vector [-1].
+@pytest.mark.parametrize("call", [
+    lambda: character_lattice_member(0.25, [4]),
+    lambda: character_lattice_member(True, [4]),
+    lambda: character_lattice_member(4, [4.0]),
+    lambda: exponent_vector(0.5, [2]),
+], ids=["float member", "bool member", "float generator", "float exponent vector"])
+def test_lattice_helpers_refuse_floats_and_bools(call):
+    with pytest.raises(DomainError, match="unsupported scalar"):
+        call()
+
+
+def test_lattice_helpers_gate_every_input():
+    for call in (lambda: supports_pairwise_disjoint([Fraction(2), 0.5]),
+                 lambda: character_lattice([2.0]),
+                 lambda: character_classes([4], [Fraction(2), True]),
+                 lambda: character_classes([4.0], [Fraction(2)])):
+        with pytest.raises(DomainError, match="unsupported scalar"):
+            call()
+    # the certify path passes Fractions, which go through as themselves
+    x = Fraction(3, 4)
+    assert _rational(x) is x
 
 
 def test_scaled_function_field_entries_read_as_normal_rational_functions():

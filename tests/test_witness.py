@@ -38,6 +38,7 @@ from tck import (
 import tck.witness
 from tck.chevalley import GraphMatrixRealization
 from tck.linalg import diagonal_entries, is_diagonal, mat_det, mat_mul, mat_product
+from tck.roots import root_permutation
 
 TYPES = ("A1", "A2", "A3", "B2", "D4", "G2")
 
@@ -221,8 +222,6 @@ def test_first_factor_projection_matches_dense_route():
                     summands = [factors[j].apply(summands[j]) for j in perm]
                     hat = mat_mul(hat, summands[0])
                 assert p == _root_block(rs, hat), (name, perm)
-    with pytest.raises(DomainError):
-        product.apply(witnesses.diagonals[:1] * (k + 1))
 
 
 def _certificate_positions(certificate):
@@ -319,6 +318,123 @@ def test_certificate_factors_each_row_and_column_once(monkeypatch):
     roots = len(rs.roots)
     assert len(certificate.entries) == (roots + rs.rank) * roots
     assert 0 < len(calls) <= 2 * roots + rs.rank + len(certificate.generators)
+
+
+def _count_constructions(monkeypatch):
+    """Count ZeroEntryWitness and Fraction constructions from here on."""
+    built = {"entry": 0, "Fraction": 0}
+    entry_init, fraction_new = ZeroEntryWitness.__init__, Fraction.__new__
+
+    def counting_entry(self, *args, **kwargs):
+        built["entry"] += 1
+        entry_init(self, *args, **kwargs)
+
+    def counting_fraction(cls, *args, **kwargs):
+        built["Fraction"] += 1
+        return fraction_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(ZeroEntryWitness, "__init__", counting_entry)
+    monkeypatch.setattr(Fraction, "__new__", counting_fraction)
+    return built
+
+
+def test_certificate_builds_no_entry_until_one_is_read(monkeypatch):
+    rs = build_root_system("E6")
+    witnesses = generate_witnesses(rs, 5)
+    delta = ScalingAutomorphism((Fraction(2), Fraction(3)))
+    built = _count_constructions(monkeypatch)
+    certificate = obstruction_check(rs, witnesses, None, delta, 4)
+    assert certificate.verdict == "obstructed"
+    roots = len(rs.roots)
+    assert len(certificate.entries) == (roots + rs.rank) * roots == 5616
+    # Fractions for the collapsed products and a few per row and column
+    # factor, never one per entry
+    assert built["entry"] == 0
+    assert built["Fraction"] <= 2 * (witnesses.count + 2) * (roots + rs.rank)
+    fractions = built["Fraction"]
+    assert not pattern_determinant(certificate)
+    assert built["entry"] == 0 and built["Fraction"] - fractions <= 3
+    certificate.entries[-1]
+    assert built["entry"] == 1
+
+
+def _sequence_cases():
+    """(certificate, oracle) pairs: the oracle is the tuple of ZeroEntryWitness
+    rebuilt from independently collapsed products, in row-major order.  The
+    A2 case has rows of different lengths."""
+    cases = []
+    for name, order, scalars, index, lifted in (("D4", 3, (2,), 3, False),
+                                                ("A2", None, (Fraction(3, 2),), 3, True),
+                                                ("A2", None, (2,), 2, False)):
+        rs = build_root_system(name)
+        sigma = None if order is None else next(
+            s for s in diagram_symmetries(rs) if s.order == order)
+        delta = ScalingAutomorphism(tuple(map(Fraction, scalars)))
+        witnesses = generate_witnesses(rs, 4)
+        phi = ChevalleyAutomorphism(rs, graph=sigma, field=delta)
+        products = [twisted_power_product(phi, g, 6) for g in witnesses.diagonals]
+        first, other = products[0], products[index - 1]
+        generators = (delta ** 6).scalars
+        roots = len(rs.roots)
+        c = [Fraction(1)] * roots
+        if lifted:
+            # lambda(0, 1) = 1 and lambda(0, 2) a generator stay uncertified
+            c[1] = first[0] / other[1]
+            c[2] = first[0] / other[2] * generators[0]
+        certificate = obstruction_check(rs, witnesses, sigma, delta, index, correction=c)
+        rows = [first[m] * c[m] for m in range(roots)] + [Fraction(1)] * rs.rank
+        oracle = []
+        if index > certificate.bound:
+            for m in range(roots + rs.rank):
+                for n in range(roots):
+                    lam = other[n] * c[n] / rows[m]
+                    if not character_lattice_member(lam, generators):
+                        oracle.append(ZeroEntryWitness((m, n), "Q" if m < roots else "S", lam))
+        cases.append((certificate, tuple(oracle)))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(3), ids=["D4 obstructed", "A2 uneven rows",
+                                                "A2 inconclusive"])
+def test_certified_entries_read_as_the_tuple(case):
+    certificate, oracle = _sequence_cases()[case]
+    entries = certificate.entries
+    assert len(entries) == len(oracle) and bool(entries) == bool(oracle)
+    assert tuple(entries) == oracle and list(reversed(entries)) == list(reversed(oracle))
+    assert entries == oracle and oracle == entries and not entries != oracle
+    assert hash(entries) == hash(oracle)
+    assert hash(certificate) == hash(certificate)
+    for k in range(-len(oracle), len(oracle)):
+        assert entries[k] == oracle[k]
+    for k in (len(oracle), -len(oracle) - 1):
+        with pytest.raises(IndexError):
+            entries[k]
+    with pytest.raises(TypeError):
+        entries[1.0]
+    for cut in (slice(None), slice(3, 40), slice(-7, None), slice(None, None, -5),
+                slice(5, 2), slice(-100, 100, 3)):
+        assert entries[cut] == oracle[cut] and type(entries[cut]) is tuple
+    for k in {0, 1, 8, len(oracle)}:
+        if k <= len(oracle):
+            assert random.Random(k).sample(entries, k) == random.Random(k).sample(oracle, k)
+    if oracle:
+        assert entries.index(oracle[-1]) == len(oracle) - 1 and oracle[0] in entries
+        assert entries != oracle[:-1] and entries != oracle[1:] + oracle[:1]
+        assert entries != list(oracle)
+    else:
+        assert entries == () and certificate.uncertified == ()
+
+
+def test_certified_entries_compare_across_certificates():
+    rs = build_root_system("A2")
+    witnesses = generate_witnesses(rs, 5)
+    delta = ScalingAutomorphism((Fraction(2),))
+    first = obstruction_check(rs, witnesses, None, delta, 4).entries
+    again = obstruction_check(rs, witnesses, None, delta, 4).entries
+    other = obstruction_check(rs, witnesses, None, delta, 5).entries
+    assert first == again and hash(first) == hash(again) and first is not again
+    assert first != other and len(first) == len(other)
+    assert {first: 1}[again] == 1
 
 
 def test_certificate_block_counts_a1():
@@ -553,6 +669,23 @@ def test_three_cycle_reduction_composes_the_fields():
     assert certificate.verdict == "obstructed"
 
 
+def _apply_product(product, summands):
+    """The defining action (x_1, ..., x_k) -> (phi_{s(1)}(x_{s(1)}), ...,
+    phi_{s(k)}(x_{s(k)})) on root-position diagonals: the field parts fix
+    rational entries and a graph part moves entry beta to sigma(beta)."""
+    image = []
+    for j in product.permutation:
+        g, sigma = summands[j], product.factors[j].graph
+        if sigma is None:
+            image.append(tuple(g))
+            continue
+        moved = [None] * len(g)
+        for i, target in enumerate(root_permutation(product.rs, sigma)):
+            moved[target] = g[i]
+        image.append(tuple(moved))
+    return tuple(image)
+
+
 def _reference_projection(product, witnesses):
     """The projection by the defining action: apply the product automorphism
     6s - 1 times, multiply the first summands as Fractions, and compose the
@@ -563,7 +696,7 @@ def _reference_projection(product, witnesses):
         summands = (g,) * product.k
         hat = g
         for _ in range(6 * s - 1):
-            summands = product.apply(summands)
+            summands = _apply_product(product, summands)
             hat = tuple(a * b for a, b in zip(hat, summands[0]))
         products.append(hat)
     theta = ScalingAutomorphism.identity(product.variable_count)
