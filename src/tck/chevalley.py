@@ -30,12 +30,13 @@ With t = p/q, p and q integers or polynomials, x_alpha(t) is M / q^K for K the
 largest exponent of its terms and M the matrix with q^K on the diagonal and
 c p^k q^(K-k) for the term c t^k, integral because the terms are.  Over Q(T),
 p and q are first multiplied by the lcm of their coefficients' denominators,
-so M and q^K lie in Z[T]; a multi-term q^K stays uncancelled.  n_alpha and commutator_relation_check fold
-linalg's sparse product over such factors.  Over Q, h_alpha(p/q) is its
-diagonal over |pq|^K, K the largest |k|.  Over Q(T) h_alpha stays a dense
-list: a scaled Q(T) diagonal inverts only through the dense route (scaled, it
-needs a polynomial lcm), which made Q(T) conjugations slower.  The tests keep
-the dense exponential and dense products as the reference routes.
+so M and q^K lie in Z[T]; a multi-term q^K stays uncancelled.  n_alpha and
+commutator_relation_check fold linalg's sparse product over such factors.
+Over Q, h_alpha(p/q) is its diagonal over |pq|^K, K the largest |k|.  Over
+Q(T) h_alpha stays a dense list: a scaled Q(T) diagonal inverts only through
+the dense route (scaled, it needs a polynomial lcm), which made Q(T)
+conjugations slower.  The tests keep the dense exponential and dense products
+as the reference routes.
 
 Automorphisms come in four families (inner, diagonal, field, graph) and a
 composite applies them in the fixed order inner, diagonal, field, graph.
@@ -52,12 +53,11 @@ they are freed with their root system; no module-level cache holds one.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
 from math import lcm, prod
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, integer, rational
 from .fields import Polynomial, RationalFunction, ScalingAutomorphism, apply_scaling, is_prime
-from .linalg import Matrix, ScaledMatrix, identity_matrix, mat_inv, mat_mul, mat_product
+from .linalg import Matrix, ScaledMatrix, identity_matrix, mat_inv, mat_product
 from .roots import DiagramSymmetry, RootSystem, extend_symmetry_to_roots, root_permutation
 
 
@@ -66,13 +66,9 @@ def adjoint_dimension(rs: RootSystem) -> int:
 
 
 def _coerce_scalar(t):
-    if isinstance(t, int) and not isinstance(t, bool):
-        return Fraction(t)
     if isinstance(t, Polynomial):
         return RationalFunction.from_polynomial(t)
-    if isinstance(t, (Fraction, RationalFunction)):
-        return t
-    raise DomainError(f"unsupported scalar {t!r}")
+    return t if isinstance(t, RationalFunction) else rational(t)
 
 
 def bracket_coordinates(rs: RootSystem, i: int, j: int) -> dict[int, Fraction]:
@@ -441,28 +437,26 @@ def _scaled_x_alpha(rs: RootSystem, alpha, t) -> ScaledMatrix:
         scale = [None, *(p**k * q ** (depth - k) for k in range(1, depth)), p**depth]
         for i, j, c, k in entries:
             rows[i][j] = c * scale[k]
-    return ScaledMatrix(rows, d, type(t))
+    return ScaledMatrix(rows, d)
 
 
 def _scaled_product(rs: RootSystem, parameters) -> ScaledMatrix:
     """Product of x_gamma(s) over the (gamma, s) pairs."""
     if not parameters:
         return ScaledMatrix([{i: 1} for i in range(adjoint_dimension(rs))], 1)
-    return reduce(mat_mul, [_scaled_x_alpha(rs, gamma, s) for gamma, s in parameters])
+    return mat_product(_scaled_x_alpha(rs, gamma, s) for gamma, s in parameters)
 
 
 def reduce_mod_p(x: Matrix, p: int) -> list[list[int]]:
     """Entrywise reduction of a rational matrix modulo a prime."""
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
+    message = f"{p} is not prime"
+    if not is_prime(integer(p, 2, message)):
+        raise DomainError(message)
     out = []
     for i, row in enumerate(x):
         new_row = []
         for j, entry in enumerate(row):
-            if isinstance(entry, int):
-                entry = Fraction(entry)
-            if not isinstance(entry, Fraction):
-                raise DomainError(f"entry ({i}, {j}) is not rational")
+            entry = rational(entry)
             if entry.denominator % p == 0:
                 raise DomainError(f"entry ({i}, {j}) = {entry} has denominator divisible by {p}")
             new_row.append(entry.numerator * pow(entry.denominator, -1, p) % p)

@@ -26,8 +26,6 @@ _INT64_MAX = 2**63 - 1
 
 
 def _encode_number(x):
-    if isinstance(x, bool):
-        return x
     if isinstance(x, Fraction) and x.denominator == 1:
         x = x.numerator
     if isinstance(x, int) and -_INT64_MAX <= x <= _INT64_MAX:
@@ -88,9 +86,9 @@ def _parse_matrix(text: str):
     for row in data:
         parsed = []
         for entry in row:
-            if isinstance(entry, bool) or not isinstance(entry, (int, str)):
+            if type(entry) not in (int, str):
                 raise DomainError(f"matrix entries must be integers or 'p/q' strings, got {entry!r}")
-            parsed.append(entry if isinstance(entry, int) else _parse_rational(entry))
+            parsed.append(entry if type(entry) is int else _parse_rational(entry))
         out.append(parsed)
     return out
 

@@ -1,7 +1,7 @@
 """Exact arithmetic over Q and over rational function fields Q(T1,...,Tk).
 
 Rationals are stdlib Fraction values throughout; a polynomial coefficient or
-scaling scalar given as a float, bool or string is a DomainError, not converted.
+scaling scalar passes the rational gate of ``errors``.
 Polynomials are sparse maps from exponent tuples to coefficients.  The public
 constructors write Fraction coefficients and arithmetic keeps the
 coefficients' type, so the scaled generator matrices of ``chevalley`` stay in
@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from operator import add
 
-from .errors import DomainError
+from .errors import DomainError, rational
 from .linalg import smith_normal_form
 
 Exponent = tuple[int, ...]
@@ -68,22 +68,13 @@ def strip_power(n: int, b: int) -> tuple[int, int]:
     return e, n
 
 
-def _rational(value) -> Fraction:
-    """An int or Fraction as a Fraction; a float, bool or string is a DomainError."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Fraction(value)
-    raise DomainError(f"unsupported scalar {value!r}")
-
-
 def exponent_vector(x, base) -> list[int] | None:
     """Exponents e with |x| = prod(b**e_b), or None when |x| is no such product.
 
     The base must consist of pairwise coprime integers > 1; then the
     exponents are unique and stripping each base element in turn finds them.
     """
-    x = _rational(x)
+    x = rational(x)
     if x == 0:
         raise DomainError("0 has no exponent vector")
     num, den = abs(x.numerator), x.denominator
@@ -122,7 +113,7 @@ def supports_pairwise_disjoint(values) -> bool:
     """True when the prime supports of the given nonzero rationals are pairwise disjoint."""
     seen = 1
     for v in values:
-        v = _rational(v)
+        v = rational(v)
         if v == 0:
             raise DomainError("prime support is undefined at 0")
         n = abs(v.numerator) * v.denominator
@@ -144,9 +135,9 @@ class Polynomial:
     constructors write Fraction coefficients; +, -, *, ** and scaling by an
     int keep the coefficients' type, so int coefficients give int
     coefficients (Gauss's lemma: a polynomial over Q is a rational times one
-    over Z).  Where an order on terms matters it is graded lexicographic.  A
-    constant polynomial equals its int or Fraction value, so the class has no
-    hash.
+    over Z), and / gives a RationalFunction.  Where an order on terms matters
+    it is graded lexicographic.  A constant polynomial equals its int or
+    Fraction value, so the class has no hash.
     """
 
     __slots__ = ("nvars", "terms")
@@ -161,7 +152,7 @@ class Polynomial:
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
-        value = _rational(value)
+        value = rational(value)
         if value == 0:
             return cls.zero(nvars)
         return cls(nvars, {(0,) * nvars: value})
@@ -228,6 +219,10 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        return NotImplemented if other is None else RationalFunction(self, other)
+
     def __pow__(self, n: int):
         if n < 0:
             raise DomainError("negative polynomial power; use a RationalFunction")
@@ -252,7 +247,7 @@ class Polynomial:
         """c times self, the Fraction operand first; an int c keeps int coefficients int."""
         if isinstance(c, Fraction):
             terms = {e: c * v for e, v in self.terms.items()} if c else {}
-        elif isinstance(c, int) and not isinstance(c, bool):
+        elif type(c) is int:
             terms = {e: v * c for e, v in self.terms.items()} if c else {}
         else:
             raise DomainError(f"unsupported scalar {c!r}")
@@ -440,7 +435,7 @@ class ScalingAutomorphism:
     scalars: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coerced = tuple(map(_rational, self.scalars))
+        coerced = tuple(map(rational, self.scalars))
         if any(c == 0 for c in coerced):
             raise DomainError("scaling automorphism needs nonzero scalars")
         object.__setattr__(self, "scalars", coerced)
@@ -512,14 +507,14 @@ def character_lattice(generators):
     checks, the Smith form on the first query that factors over the base;
     every later query reuses both.
     """
-    gens = [_rational(g) for g in generators]
+    gens = [rational(g) for g in generators]
     if any(g <= 0 for g in gens):
         raise DomainError("character lattice generators must be positive")
     base = divisors = None
 
     def member(lam) -> bool:
         nonlocal base, divisors
-        lam = _rational(lam)
+        lam = rational(lam)
         if lam == 0:
             raise DomainError("0 is not a unit")
         if lam < 0:
@@ -555,8 +550,8 @@ def character_classes(generators, values):
     (w_j where d_j = 0) for the Smith columns of the used ones with d_j != 1.
     Keys exist only for nonzero values that factor over the base.
     """
-    gens = [_rational(g) for g in generators]
-    values = [_rational(x) for x in values]
+    gens = [rational(g) for g in generators]
+    values = [rational(x) for x in values]
     if any(g <= 0 for g in gens):
         raise DomainError("character lattice generators must be positive")
     base = _coprime_base({n for x in (*gens, *values) for n in (abs(x.numerator), x.denominator)})

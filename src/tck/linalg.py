@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import lcm
 
 from .errors import ConsistencyError, DomainError
@@ -33,22 +34,27 @@ class ScaledMatrix:
 
     ``rows`` are dicts {column: nonzero entry} and ``den`` is nonzero:
     ints over Q, with ``den`` positive, and polynomials over Q(T), which the
-    generators write with int coefficients.  ``field(num, den)`` makes an
-    entry: Fraction over Q, RationalFunction (normalized to Fraction
-    coefficients) over Q(T).  Reading rows builds the dense view once.
+    generators write with int coefficients.  So the type of ``den`` decides
+    an entry's: Fraction(num, den) over Q, and over Q(T) num / den, a
+    RationalFunction normalized to Fraction coefficients.  Reading rows
+    builds the dense view once.
     """
 
-    __slots__ = ("rows", "den", "field", "_view")
+    __slots__ = ("rows", "den", "_view")
     __hash__ = None
 
-    def __init__(self, rows: list[dict], den, field=Fraction):
-        self.rows, self.den, self.field, self._view = rows, den, field, None
+    def __init__(self, rows: list[dict], den):
+        self.rows, self.den, self._view = rows, den, None
 
     def __len__(self):
         return len(self.rows)
 
     def _entry(self, v):
-        return _ZERO if not v else _ONE if v == self.den else self.field(v, self.den)
+        if not v:
+            return _ZERO
+        if v == self.den:
+            return _ONE
+        return Fraction(v, self.den) if isinstance(self.den, int) else v / self.den
 
     def dense(self) -> Matrix:
         if self._view is None:
@@ -95,7 +101,7 @@ def _scaled_mul(a: ScaledMatrix, b: ScaledMatrix) -> ScaledMatrix:
             for j, y in b.rows[t].items():
                 acc[j] = acc[j] + x * y if j in acc else x * y
         rows.append({j: v for j, v in acc.items() if v})
-    return ScaledMatrix(rows, a.den * b.den, b.field if a.field is Fraction else a.field)
+    return ScaledMatrix(rows, a.den * b.den)
 
 
 def _dense_mul(a: Matrix, b: Matrix) -> Matrix:
@@ -125,11 +131,7 @@ def _dense_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_product(matrices) -> Matrix:
-    matrices = list(matrices)
-    result = matrices[0]
-    for m in matrices[1:]:
-        result = mat_mul(result, m)
-    return result
+    return reduce(mat_mul, matrices)
 
 
 def mat_inv(a):
@@ -230,9 +232,9 @@ def _validate_integer_matrix(matrix) -> list[list[int]]:
     if n == 0 or any(len(row) != n for row in rows):
         raise DomainError("expected a nonempty square matrix")
     for row in rows:
-        for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise DomainError(f"entry {x!r} is not an integer")
+        if not {int}.issuperset(map(type, row)):
+            x = next(x for x in row if type(x) is not int)
+            raise DomainError(f"entry {x!r} is not an integer")
     return rows
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, integer
 
 Root = tuple[int, ...]
 
@@ -55,8 +55,8 @@ class RootSystemType:
     rank: int
 
     def __post_init__(self):
-        if not isinstance(self.rank, int) or isinstance(self.rank, bool):
-            raise DomainError(f"root system rank must be an int, got {self.rank!r}")
+        # rank 0 is left to the next check, whose message names the type
+        integer(self.rank, 0, "root system rank must be an int >= 0")
         if _root_count(self.family, self.rank) is None:
             raise DomainError(f"no irreducible root system of type {self.family}{self.rank}")
 

@@ -21,7 +21,7 @@ from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, integer, rational
 from .fields import exponent_vector, is_prime, strip_power
 from .linalg import int_det, smith_normal_form
 
@@ -37,9 +37,8 @@ class ExtendedCount:
     value: int | None
 
     def __post_init__(self):
-        v = self.value
-        if v is not None and (not isinstance(v, int) or isinstance(v, bool) or v < 1):
-            raise DomainError(f"count must be a positive integer, got {v!r}")
+        if self.value is not None:
+            integer(self.value, 1, "count must be a positive integer")
 
     @property
     def is_finite(self) -> bool:
@@ -97,10 +96,8 @@ def zn_fullness_witness(n: int, m: int) -> list[list[int]]:
     targets use the companion matrix of x^n + m*x^(n-1) - 1, whose value at
     1 is m.
     """
-    if n < 2:
-        raise DomainError("rank must be at least 2: rank one admits only 2 and infinity")
-    if m < 1:
-        raise DomainError("target count must be at least 1")
+    integer(n, 2, "rank must be at least 2: rank one admits only 2 and infinity")
+    integer(m, 1, "target count must be at least 1")
     if n == 2:
         witness = [[0, 1], [-1, 2 - m]]
     else:
@@ -126,8 +123,7 @@ def zn_fullness_witness(n: int, m: int) -> list[list[int]]:
 
 def cokernel_order_mod(matrix, m: int) -> int:
     """Order of the cokernel of an integer matrix acting on (Z/m)^n."""
-    if m < 1:
-        raise DomainError("modulus must be positive")
+    integer(m, 1, "modulus must be positive")
     snf = smith_normal_form(matrix)
     order = 1
     for d in snf.diagonal:
@@ -157,8 +153,7 @@ def heisenberg_group(m: int) -> FiniteGroup:
     """Upper unitriangular 3x3 matrices over Z/m, generated by the two slots."""
     from .twisted import closure  # only the finite-group oracles need twisted
 
-    if m < 2:
-        raise DomainError("modulus must be at least 2")
+    integer(m, 2, "modulus must be at least 2")
     x = ((1, 1, 0), (0, 1, 0), (0, 0, 1))
     y = ((1, 0, 0), (0, 1, 1), (0, 0, 1))
     group = closure([x, y], modulus=m)
@@ -197,8 +192,6 @@ def heisenberg_oracle(matrix, m: int) -> int:
     """Brute-force twisted class count on the mod-m unitriangular group."""
     from .twisted import reidemeister_number
 
-    if m < 2:
-        raise DomainError("modulus must be at least 2")
     group = heisenberg_group(m)
     phi = heisenberg_automorphism(group, matrix)
     return reidemeister_number(group, phi)
@@ -215,8 +208,7 @@ def heisenberg_cokernel_product(matrix, m: int) -> int:
 
 def lamplighter_r_infinity(n: int) -> bool:
     """Whether every automorphism of the order-n lamplighter has infinite count."""
-    if n < 2:
-        raise DomainError("lamp group order must be at least 2")
+    integer(n, 2, "lamp group order must be at least 2")
     return n % 2 == 0 or n % 3 == 0
 
 
@@ -247,10 +239,7 @@ class SpectrumDescriptor:
             if not value.is_finite:
                 return True
             value = value.value
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise DomainError(f"membership query needs a positive integer, got {value!r}")
-        if value < 1:
-            raise DomainError("membership query needs a positive integer")
+        integer(value, 1, "membership query needs a positive integer")
         p = self.prime
         if self.case == "generic":
             return False
@@ -288,10 +277,10 @@ def _unit_power(p: int, value: Fraction) -> None:
 
 def metabelian_spectrum(r, s, p: int) -> SpectrumDescriptor:
     """Spectrum descriptor for diag(r, s) acting on the rank-two p-local lattice."""
-    if not is_prime(p):
-        raise DomainError(f"{p} is not prime")
-    r = Fraction(r)
-    s = Fraction(s)
+    message = f"{p} is not prime"
+    if not is_prime(integer(p, 2, message)):
+        raise DomainError(message)
+    r, s = rational(r), rational(s)
     _unit_power(p, r)
     _unit_power(p, s)
     if r == s and abs(r) == 1:
@@ -327,8 +316,7 @@ def abelian_oracle_count(matrix, m: int) -> int:
 
     rows = _require_unimodular(matrix)
     n = len(rows)
-    if m < 2:
-        raise DomainError("modulus must be at least 2")
+    integer(m, 2, "modulus must be at least 2")
     size = m**n
 
     def decode(index):

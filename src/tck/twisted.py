@@ -36,7 +36,7 @@ from math import gcd
 from operator import itemgetter, mul as scalar_mul
 from typing import Iterable
 
-from .errors import ConsistencyError, DomainError, ResourceLimitError
+from .errors import ConsistencyError, DomainError, ResourceLimitError, integer
 
 DEFAULT_CLOSURE_CAP = 200000
 
@@ -596,8 +596,7 @@ def telescoping_product_check(G: FiniteGroup, phi: GroupAutomorphism, y, z, m: i
     """Identity behind pushing a twisted product through a conjugating element."""
     if phi.group is not G:
         raise DomainError("automorphism acts on a different group")
-    if m < 1:
-        raise DomainError("telescoping length must be at least 1")
+    integer(m, 1, "telescoping length must be at least 1")
     y, z = G.element(y), G.element(z)
 
     def product(base):
@@ -644,8 +643,7 @@ def group_from_descriptor(descriptor: dict) -> FiniteGroup:
         if "modulus" not in descriptor:
             raise DomainError("matmod descriptor needs a modulus")
         modulus = descriptor["modulus"]
-        if not isinstance(modulus, int) or isinstance(modulus, bool) or modulus < 2:
-            raise DomainError(f"matmod modulus must be an integer >= 2, got {modulus!r}")
+        integer(modulus, 2, f"matmod modulus must be an integer >= 2, got {modulus!r}")
         return closure(generators, modulus=modulus)
     raise DomainError(f"unknown encoding {encoding!r}")
 

@@ -2,8 +2,9 @@
 
 A torus element is a root-position diagonal: its entries at e_beta for beta
 in ``rs.roots``, the Cartan block being 1 (h_alpha(t) e_beta =
-t^<beta, alpha^v> e_beta).  The dense generators of ``tck.chevalley`` are the
-reference route that criterion 9 and the tests compare against.
+t^<beta, alpha^v> e_beta).  The reference route that criterion 9 and the
+tests compare against is in ``tck.chevalley``: the products n_alpha(t)
+n_alpha(-1) and ``ChevalleyAutomorphism.apply``.
 
 The pipeline: build torus elements from consecutive primes so that distinct
 witnesses have pairwise disjoint prime supports, collapse a graph-plus-field
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, integer, rational
 from .fields import (
     RationalFunction,
     ScalingAutomorphism,
@@ -74,8 +75,7 @@ def generate_witnesses(rs: RootSystem, count: int) -> WitnessSequence:
     randomization: certificates built on top of the sequence stay
     reproducible.
     """
-    if count < 1:
-        raise DomainError(f"at least one witness is required, got {count}")
+    integer(count, 1, f"at least one witness is required, got {count}")
     simple = [tuple(1 if j == t else 0 for j in range(rs.rank)) for t in range(rs.rank)]
     pairings = [[rs.cartan_integer(beta, alpha) for alpha in simple] for beta in rs.roots]
     prime = 1
@@ -100,12 +100,12 @@ def generate_witnesses(rs: RootSystem, count: int) -> WitnessSequence:
 
 
 def _rational_diagonal(diagonal, length: int, context: str) -> Diagonal:
-    diagonal = tuple(Fraction(e) if isinstance(e, int) else e for e in diagonal)
+    diagonal = tuple(map(rational, diagonal))
     if len(diagonal) != length:
         raise DomainError(f"{context}: {len(diagonal)} diagonal entries for {length} roots")
-    for i, entry in enumerate(diagonal):
-        if not isinstance(entry, Fraction) or entry == 0:
-            raise DomainError(f"{context}: diagonal entry {i} is not a nonzero rational")
+    if not all(diagonal):
+        i = diagonal.index(0)
+        raise DomainError(f"{context}: diagonal entry {i} is not a nonzero rational")
     return diagonal
 
 
@@ -151,8 +151,7 @@ def _collapse(cycle, g: Diagonal, m: int) -> Diagonal:
 def twisted_power_product(phi: ChevalleyAutomorphism, g, m: int) -> Diagonal:
     """g phi(g) phi^2(g) ... phi^{m-1}(g) for a rational root-position diagonal g."""
     _require_graph_field(phi, "twisted power product")
-    if m < 1:
-        raise DomainError(f"exponent must be at least 1, got {m}")
+    integer(m, 1, f"exponent must be at least 1, got {m}")
     g = _rational_diagonal(g, len(phi.rs.roots), "twisted power product")
     return _collapse((_index_map(phi.rs, phi.graph),), g, m)
 
@@ -186,7 +185,7 @@ class ProductAutomorphism:
         self.variable_count = counts.pop() if counts else 0
         k = len(factors)
         permutation = tuple(permutation)
-        if sorted(permutation) != list(range(k)):
+        if not {int}.issuperset(map(type, permutation)) or sorted(permutation) != list(range(k)):
             raise DomainError(f"permutation {permutation} does not rearrange 0..{k - 1}")
         self.rs = rs
         self.factors = factors
@@ -307,8 +306,9 @@ def _certify(rs: RootSystem, products, scaling: ScalingAutomorphism,
     if not isinstance(scaling, ScalingAutomorphism):
         raise DomainError("a scaling automorphism is required")
     count = len(products)
-    if index < 1 or index > count:
-        raise DomainError(f"index {index} outside the witness range 1..{count}")
+    message = f"index {index} outside the witness range 1..{count}"
+    if integer(index, 1, message) > count:
+        raise DomainError(message)
     root_count = len(rs.roots)
     bound = scaling.variable_count + 1
     generators = tuple((scaling ** 6).scalars)
@@ -330,7 +330,7 @@ def _certify(rs: RootSystem, products, scaling: ScalingAutomorphism,
     if correction is None:
         c = (Fraction(1),) * root_count
     else:
-        c = [Fraction(x) for x in correction]
+        c = [rational(x) for x in correction]
         if len(c) != root_count:
             raise DomainError(f"correction vector needs {root_count} entries, got {len(c)}")
         if any(x == 0 for x in c):

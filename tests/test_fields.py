@@ -20,7 +20,8 @@ from tck import (
     supports_pairwise_disjoint,
     x_alpha,
 )
-from tck.fields import _rational, character_classes, character_lattice, is_prime
+from tck.errors import rational
+from tck.fields import character_classes, character_lattice, is_prime
 
 
 def test_exponent_vector_values():
@@ -280,7 +281,7 @@ def test_lattice_helpers_gate_every_input():
             call()
     # the certify path passes Fractions, which go through as themselves
     x = Fraction(3, 4)
-    assert _rational(x) is x
+    assert rational(x) is x
 
 
 def test_scaled_function_field_entries_read_as_normal_rational_functions():
