@@ -39,11 +39,12 @@ def rational(value) -> Fraction:
     raise DomainError(f"unsupported scalar {value!r}")
 
 
-def integer(value, least: int, message: str) -> int:
-    """value when its type is exactly int (a bool is not) and value >= least;
-    DomainError(message) below least, and one naming the value for other types."""
+def integer(value, least: int | None, message: str) -> int:
+    """value when its type is exactly int (a bool is not) and value >= least,
+    any int when least is None; DomainError(message) below least, and one
+    naming the value for other types."""
     if type(value) is not int:
         raise DomainError(f"{message}: {value!r} is not an int")
-    if value < least:
+    if least is not None and value < least:
         raise DomainError(message)
     return value

@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from operator import add
 
-from .errors import DomainError, rational
+from .errors import DomainError, integer, rational
 from .linalg import smith_normal_form
 
 Exponent = tuple[int, ...]
@@ -224,8 +224,7 @@ class Polynomial:
         return NotImplemented if other is None else RationalFunction(self, other)
 
     def __pow__(self, n: int):
-        if n < 0:
-            raise DomainError("negative polynomial power; use a RationalFunction")
+        integer(n, 0, "a polynomial power is an int >= 0; a negative one needs a RationalFunction")
         if n == 0:
             return Polynomial.constant(self.nvars, 1)
         result, base = None, self
@@ -408,7 +407,7 @@ class RationalFunction:
         return other * self.reciprocal()
 
     def __pow__(self, n: int):
-        if n < 0:
+        if integer(n, None, "rational function power") < 0:
             return self.reciprocal() ** (-n)
         # Powers keep the den monic, and the lowest power of each variable
         # scales by n on both sides, so no common monomial factor appears.

@@ -11,18 +11,27 @@ a bad map stops at its first failed product.  An automorphism is one index
 table, images[i] the index of the image of elements[i], so composing,
 comparing and sweeping automorphisms hash no element.  Each encoding has
 one product, the callable ops.right(b): x -> x b, so a right factor used
-many times is taken once; FiniteGroup.mul(a, b) is ops.right(b)(a).
+many times is taken once; FiniteGroup.mul(a, b) is ops.right(b)(a).  A
+matrix product is a row lookup once warm: row i of x b is (row i of x) b,
+and a group's elements share few distinct rows.  Products are taken by
+closures, from_generator_images and element orders, and by the checks
+that test a product definition directly (normality, cosets, telescoping).
 
-Orbit walks run on index maps, not on group products.  For each generator s
-the maps x -> s x and x -> s x s^-1 are read off the Cayley edges at no
-product; they are built on first use and kept on the group, and the center
-is the set of elements every conjugation map fixes.  The twisting action of
-a generator z on y is z y phi(z)^-1: the left map gives z y, so its index
-map costs one product per element, and the twist maps of the last
-automorphism stay on the group, so R and then S on one phi build them once.
-Orbits are walked forward from the least unvisited index; the maps generate
-a finite group, so walking forward reaches the whole orbit.  S(phi) is
-checked in class space: it is the number of phi-invariant orbits of
+Orbit walks run on index maps, not on group products.  After closure every
+map is composed from the Cayley edges along the closure's breadth-first
+tree, so it takes no product and inverts no element.  An element first
+reached as x s has u (x s) = (u x) s, so x -> u x follows the tree from u,
+and (x s)^-1 = s^-1 x^-1, so x -> x^-1 follows it from 1 with the maps
+x -> s^-1 x.  Conjugation, inner automorphisms and the twisting action of a
+generator z on y are then compositions of index lists: z y phi(z)^-1 is
+L_z o inv o L_phi(z) o inv, for any bijection phi, and a central move
+y -> y c is L_c.  The maps of the generators and the inverse map are built
+on first use and kept on the group, and so are the twist maps of the last
+automorphism with their orbit count, so R and then S on one phi build and
+walk them once.  The center is the set of elements every conjugation map
+fixes.  Orbits are walked forward from the least unvisited index; the maps
+generate a finite group, so walking forward reaches the whole orbit.  S(phi)
+is checked in class space: it is the number of phi-invariant orbits of
 y -> z y z^-1 c with c central (Fel'shtyn-Hill on G/Z), so no quotient
 group is built.
 """
@@ -88,6 +97,23 @@ class PermOps:
         return tuple(out)
 
 
+class _RowImages(dict):
+    """row -> row b mod m for one matrix b, each distinct row computed on its
+    first lookup: a group's elements share few distinct rows."""
+
+    __slots__ = ("columns", "modulus")
+
+    def __init__(self, b, modulus: int):
+        self.columns = tuple(zip(*b))
+        self.modulus = modulus
+
+    def __missing__(self, row):
+        p = self.modulus
+        image = self[row] = tuple(sum(map(scalar_mul, row, column)) % p
+                                  for column in self.columns)
+        return image
+
+
 class MatModOps:
     """Invertible size x size matrices over Z/m, encoded as row tuples.
 
@@ -101,8 +127,9 @@ class MatModOps:
     encoding = "matmod"
 
     def __init__(self, size: int, modulus: int):
-        if modulus < 2:
-            raise DomainError(f"matrix encoding needs a modulus >= 2, got {modulus}")
+        # the message names no value: an int past the int/str digit limit
+        # cannot be formatted
+        integer(modulus, 2, "matrix encoding needs an int modulus >= 2")
         self.size = size
         self.modulus = modulus
         self.identity = tuple(
@@ -122,13 +149,10 @@ class MatModOps:
         return tuple(tuple(v % p for v in row) for row in rows)
 
     def right(self, b):
-        """x -> x b as one callable, with the columns of b taken once."""
-        p = self.modulus
-        columns = tuple(zip(*b))
-        return lambda a: tuple(
-            tuple(sum(map(scalar_mul, row, column)) % p for column in columns)
-            for row in a
-        )
+        """x -> x b as one callable: row i of x b is (row i of x) b, and each
+        distinct row's image is computed once per callable, then looked up."""
+        images = _RowImages(b, self.modulus)
+        return lambda a: tuple(map(images.__getitem__, a))
 
     def inv(self, a, cap=None):
         times_a = self.right(a)
@@ -155,10 +179,14 @@ class FiniteGroup:
         self.identity = ops.identity
         # edges[i * len(generators) + pos] = index of elements[i] * generators[pos]
         self.edges = edges
-        # per generator, x -> s x and x -> s x s^-1, built on first use
+        # built on first use: the breadth-first tree, per generator s the maps
+        # x -> s x and x -> s x s^-1, and x -> x^-1
+        self._tree = None
         self._left_maps = None
         self._conj_maps = None
-        # the twist maps of the last automorphism walked, keyed by phi(z)^-1
+        self._inverse = None
+        # [phi(z) indices, twist maps, their orbit count] of the last
+        # automorphism walked
         self._twist = None
 
     def __len__(self):
@@ -189,7 +217,11 @@ def _closure(ops, generators) -> FiniteGroup:
         ops.inv(c, cap)  # rejects non-invertible input before closure starts
         if c not in gens:
             gens.append(c)
-    rights = [ops.right(g) for g in gens]
+    return _walk(ops, gens, [ops.right(g) for g in gens], cap)
+
+
+def _walk(ops, gens, rights, cap: int) -> FiniteGroup:
+    """Breadth-first closure from the identity, rights[pos] being x -> x gens[pos]."""
     elements = [ops.identity]
     edges = []
     seen = {ops.identity: 0}
@@ -260,48 +292,94 @@ def _element_orders(G: FiniteGroup) -> list:
     return orders
 
 
-def _left_maps(G: FiniteGroup) -> list:
-    """For each generator s, x -> s x as an index array, read off the Cayley
-    edges at no product, built on first use and kept on the group.
-
-    An element x g first reached from x along the edge under g has
-    s (x g) = (s x) g, so the map follows the closure's breadth-first tree
-    from s 1 = s.
-    """
-    if G._left_maps is None:
+def _tree(G: FiniteGroup) -> tuple:
+    """The closure's breadth-first tree, built on first use and kept on the
+    group: element j > 0 was first reached along the edge from parent[j - 1]
+    under generator via[j - 1]."""
+    if G._tree is None:
         # imported on the first walk, so a process that walks no group
         # loads no extension module for it
         from array import array
 
-        index, edges = G.index, G.edges
-        ngens = len(G.generators)
-        lefts = [[index[s]] for s in G.generators]
-        reached = 1
-        for k, j in enumerate(edges):
-            if j == reached:  # the edge x -> x g that first reached element j
-                reached += 1
-                i, g = divmod(k, ngens)
-                for left in lefts:
-                    left.append(edges[left[i] * ngens + g])
-        G._left_maps = [array("i", left) for left in lefts]
+        edges, ngens = G.edges, len(G.generators)
+        parent, via = array("i"), array("i")
+        k = 0
+        for j in range(1, len(G)):
+            # breadth-first numbering: j is first reached after j - 1
+            k = edges.index(j, k)
+            i, pos = divmod(k, ngens)
+            parent.append(i)
+            via.append(pos)
+        G._tree = parent, via
+    return G._tree
+
+
+def _edge_columns(G: FiniteGroup) -> list:
+    """For each generator s, x -> x s as an index list that shares the
+    closure's ints; sliced on each call, so the group keeps no copy."""
+    ngens = len(G.generators)
+    return [G.edges[pos::ngens] for pos in range(ngens)]
+
+
+def _propagate(G: FiniteGroup, start: int, columns) -> list:
+    """The index map f with f(1) = start and f(x s) = columns[s][f(x)], down
+    the breadth-first tree: parents come first, so no product is taken."""
+    parent, via = _tree(G)
+    out = [start]
+    append = out.append
+    for i, pos in zip(parent, via):
+        append(columns[pos][out[i]])
+    return out
+
+
+def _left_maps(G: FiniteGroup) -> list:
+    """For each generator s, x -> s x as an index list, built on first use and
+    kept on the group."""
+    if G._left_maps is None:
+        columns = _edge_columns(G)
+        G._left_maps = [_propagate(G, G.index[s], columns) for s in G.generators]
     return G._left_maps
 
 
-def _conjugation_maps(G: FiniteGroup) -> list:
-    """For each generator s, x -> s x s^-1 as an index array, built on first
-    use and kept on the group: s x s^-1 is the element whose edge under s
-    leads to s x."""
-    if G._conj_maps is None:
-        from array import array
+def _left_map(G: FiniteGroup, u: int) -> list:
+    """x -> u x for the element of index u: u (x s) = (u x) s, so the map
+    follows the tree from u along the edge columns."""
+    for s, left in zip(G.generators, _left_maps(G)):
+        if G.index[s] == u:
+            return left
+    return _propagate(G, u, _edge_columns(G))
 
-        edges, ngens = G.edges, len(G.generators)
-        conj_maps = []
-        for pos, left in enumerate(_left_maps(G)):
-            source = array("i", bytes(4 * len(G)))
-            for i, j in enumerate(edges[pos::ngens]):
-                source[j] = i
-            conj_maps.append(array("i", map(source.__getitem__, left)))
-        G._conj_maps = conj_maps
+
+def _inverse_map(G: FiniteGroup) -> list:
+    """x -> x^-1 as an index list, built on first use and kept on the group.
+
+    (x s)^-1 = s^-1 x^-1, so the map follows the tree from 1 along the maps
+    x -> s^-1 x, and s^-1 is the element whose edge under s leads to 1.
+    """
+    if G._inverse is None:
+        lefts = [_left_map(G, column.index(0)) for column in _edge_columns(G)]
+        G._inverse = _propagate(G, 0, lefts)
+    return G._inverse
+
+
+def _compose(outer, inner) -> tuple:
+    """outer o inner for index maps, as a tuple of outer's own ints."""
+    if len(inner) < 2:  # itemgetter returns a scalar for one index
+        return tuple(outer[i] for i in inner)
+    return itemgetter(*inner)(outer)
+
+
+def _twist_map(G: FiniteGroup, left_a, left_b) -> tuple:
+    """y -> a y b^-1 from the left maps of a and b, as L_a o inv o L_b o inv."""
+    inverse = _inverse_map(G)
+    return _compose(left_a, _compose(inverse, _compose(left_b, inverse)))
+
+
+def _conjugation_maps(G: FiniteGroup) -> list:
+    """For each generator s, x -> s x s^-1 as an index map, built on first
+    use and kept on the group."""
+    if G._conj_maps is None:
+        G._conj_maps = [_twist_map(G, left, left) for left in _left_maps(G)]
     return G._conj_maps
 
 
@@ -319,20 +397,19 @@ def all_automorphisms(G: FiniteGroup) -> list["GroupAutomorphism"]:
     gens, elements, index = G.generators, G.elements, G.index
     if not gens:
         return [GroupAutomorphism.identity(G)]
-    mul = G.mul
     orders = _element_orders(G)
     conj = _conjugation_maps(G)
-    first = gens[0]
-    reps = [elements[i] for i in _orbit_ids(len(G), conj)[1]
-            if orders[i] == orders[index[first]]]
-    targets = [(orders[index[g]], orders[index[mul(first, g)]]) for g in gens[1:]]
     at_gens = [index[g] for g in gens]
+    first = _left_maps(G)[0]
+    reps = [i for i in _orbit_ids(len(G), conj)[1] if orders[i] == orders[at_gens[0]]]
+    targets = [(orders[j], orders[first[j]]) for j in at_gens[1:]]
     found = {}  # generator image indices -> image indices of every element
     for r in reps:
+        left = _left_map(G, r)
         pools = [[y for i, y in enumerate(elements)
-                  if orders[i] == o and orders[index[mul(r, y)]] == o_product]
+                  if orders[i] == o and orders[left[i]] == o_product]
                  for o, o_product in targets]
-        for images in cartesian_product([r], *pools):
+        for images in cartesian_product([elements[r]], *pools):
             if tuple(index[x] for x in images) in found:
                 continue
             try:
@@ -347,7 +424,7 @@ def all_automorphisms(G: FiniteGroup) -> list["GroupAutomorphism"]:
                     if key not in found:
                         found[key] = moved = tuple(map(c.__getitem__, psi))
                         orbit.append(moved)
-    return [GroupAutomorphism(G, found[key]) for key in sorted(found)]
+    return [GroupAutomorphism._composed(G, found[key]) for key in sorted(found)]
 
 
 def center(G: FiniteGroup) -> FiniteGroup:
@@ -356,14 +433,26 @@ def center(G: FiniteGroup) -> FiniteGroup:
     Z is generated by a few central elements: one joins the generators only
     if the subgroup built so far misses it, so there are at most log2 |Z|.
     """
+    return _center(G)[0]
+
+
+def _center(G: FiniteGroup) -> tuple:
+    """Z, and for each of its generators c the central move y -> y c = c y as
+    an index map, L_c; Z is closed on those maps, at no product."""
     central = range(len(G))
     for conj in _conjugation_maps(G):
         central = [i for i in central if conj[i] == i]
-    Z = subgroup(G, [])
+    elements, index = G.elements, G.index
+    gens, moves = [], []
+    # Z lies in G, so its walk never reaches the cap len(G)
+    Z = _walk(G.ops, gens, [], len(G))
     for i in central:
-        if G.elements[i] not in Z.index:
-            Z = subgroup(G, Z.generators + (G.elements[i],))
-    return Z
+        if elements[i] not in Z.index:
+            gens.append(elements[i])
+            moves.append(_left_map(G, i))
+            rights = [lambda x, move=move: elements[move[index[x]]] for move in moves]
+            Z = _walk(G.ops, gens, rights, len(G))
+    return Z, moves
 
 
 class GroupAutomorphism:
@@ -380,6 +469,15 @@ class GroupAutomorphism:
             or not set(self.images).issuperset(range(n))
         ):
             raise DomainError(f"images must list each of the {n} element indices once")
+
+    @classmethod
+    def _composed(cls, group: FiniteGroup, images: tuple) -> "GroupAutomorphism":
+        """A table composed from the group's own bijections (index maps, or an
+        automorphism checked before and its conjugates): a bijection by
+        construction, so it skips the check and the set of |G| ints it builds."""
+        phi = object.__new__(cls)
+        phi.group, phi.images = group, images
+        return phi
 
     @classmethod
     def from_generator_images(cls, group: FiniteGroup, images) -> "GroupAutomorphism":
@@ -408,9 +506,8 @@ class GroupAutomorphism:
 
     @classmethod
     def inner(cls, group: FiniteGroup, g) -> "GroupAutomorphism":
-        g = group.element(g)
-        mul, times_g_inv, index = group.mul, group.ops.right(group.ops.inv(g)), group.index
-        return cls(group, [index[times_g_inv(mul(g, x))] for x in group.elements])
+        left = _left_map(group, group.index[group.element(g)])
+        return cls._composed(group, _twist_map(group, left, left))
 
     def __call__(self, x):
         group = self.group
@@ -460,30 +557,20 @@ def _orbit_blocks(G: FiniteGroup, ids, leaders) -> tuple:
 
 
 def _twist_maps(G: FiniteGroup, phi: GroupAutomorphism) -> list:
-    """For each generator z, y -> z y phi(z)^-1 as an index array.
+    """For each generator z, y -> z y phi(z)^-1 as an index map.
 
-    z y is read off the left map, so each costs one product per element.
     The maps of the last automorphism are kept on the group, keyed by the
-    images phi(z)^-1 they depend on, so R and then S on one phi build them
+    images phi(z) they depend on, so R and then S on one phi build them
     once.
     """
     if phi.group is not G:
         raise DomainError("automorphism acts on a different group")
-    key = tuple(G.inv(phi(z)) for z in G.generators)
+    key = tuple(phi.images[G.index[z]] for z in G.generators)
     if G._twist is None or G._twist[0] != key:
-        from array import array
-
         G._twist = None  # the old maps go before the new ones are built
-        index, elements, lefts = G.index, G.elements, _left_maps(G)
-        G._twist = key, [array("i", [index[times_w(elements[j])] for j in left])
-                         for left, times_w in zip(lefts, map(G.ops.right, key))]
+        maps = [_twist_map(G, left, _left_map(G, w)) for left, w in zip(_left_maps(G), key)]
+        G._twist = [key, maps, None]
     return G._twist[1]
-
-
-def _right_maps(G: FiniteGroup, factors) -> list:
-    """y -> y c as an index list for each c, one product per element."""
-    index, elements = G.index, G.elements
-    return [[index[times_c(y)] for y in elements] for times_c in map(G.ops.right, factors)]
 
 
 def twisted_classes(G: FiniteGroup, phi: GroupAutomorphism) -> tuple:
@@ -495,7 +582,11 @@ def twisted_classes(G: FiniteGroup, phi: GroupAutomorphism) -> tuple:
 
 
 def reidemeister_number(G: FiniteGroup, phi: GroupAutomorphism) -> int:
-    return len(_orbit_ids(len(G), _twist_maps(G, phi))[1])
+    """The number of twisted classes, kept with the twist maps it walked."""
+    twists = _twist_maps(G, phi)
+    if G._twist[2] is None:
+        G._twist[2] = len(_orbit_ids(len(G), twists)[1])
+    return G._twist[2]
 
 
 def inner_twist_invariance(G: FiniteGroup, phi: GroupAutomorphism, g) -> bool:
@@ -580,8 +671,10 @@ def isogredience_count(G: FiniteGroup, phi: GroupAutomorphism) -> IsogredienceCl
     so one image per orbit decides.  The two counts must agree.
     """
     twists = _twist_maps(G, phi)  # checks phi's group before the center is built
-    central = _right_maps(G, center(G).generators)
-    direct = len(_orbit_ids(len(G), twists + central)[1])
+    central = _center(G)[1]
+    # with no central move, route one walks R's maps: the kept count serves
+    direct = (len(_orbit_ids(len(G), twists + central)[1]) if central
+              else reidemeister_number(G, phi))
     classes, leaders = _orbit_ids(len(G), _conjugation_maps(G) + central)
     # an orbit is phi-invariant iff its least element's image lies in it
     invariant = sum(classes[phi.images[i]] == k for k, i in enumerate(leaders))

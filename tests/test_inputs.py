@@ -17,7 +17,9 @@ from tck import (
     DomainError,
     ExtendedCount,
     GroupAutomorphism,
+    Polynomial,
     ProductAutomorphism,
+    RationalFunction,
     ScalingAutomorphism,
     abelian_oracle_count,
     build_root_system,
@@ -44,6 +46,9 @@ GRAPH = ChevalleyAutomorphism(A2, graph=next(s for s in diagram_symmetries(A2) i
 S3 = closure([(1, 0, 2), (1, 2, 0)])
 S3_ID = GroupAutomorphism.identity(S3)
 ROOTS = len(A2.roots)
+SHEAR = ((1, 1), (0, 1))
+T = Polynomial.variable(1, 0)
+T_OVER_1 = RationalFunction.variable(1, 0)
 
 
 def _certify(index=3, correction=None):
@@ -87,6 +92,19 @@ WRONG_KINDS = {
     "member bool": (lambda: metabelian_spectrum(1, 1, 3).contains(True), "True is not an int"),
     "permutation bools": (lambda: ProductAutomorphism([GRAPH, GRAPH], (True, 0)),
                           "does not rearrange"),
+    "closure modulus float": (lambda: closure([SHEAR], modulus=7.0),
+                              "^matrix encoding needs an int modulus >= 2: 7.0 is not an int$"),
+    "closure modulus bool": (lambda: closure([SHEAR], modulus=True), "True is not an int"),
+    # the message names no value, which could not be formatted
+    "closure modulus past the digit limit": (lambda: closure([SHEAR], modulus=-10**5000),
+                                             "^matrix encoding needs an int modulus >= 2$"),
+    "polynomial power float": (lambda: T ** 2.0, "2.0 is not an int"),
+    "polynomial power string": (lambda: T ** "2", "'2' is not an int"),
+    "polynomial power bool": (lambda: T ** True, "True is not an int"),
+    "polynomial power negative": (lambda: T ** -1, "needs a RationalFunction"),
+    "rational function power float": (lambda: T_OVER_1 ** 2.0, "2.0 is not an int"),
+    "rational function power string": (lambda: T_OVER_1 ** "2", "'2' is not an int"),
+    "rational function power bool": (lambda: T_OVER_1 ** True, "True is not an int"),
 }
 
 
@@ -115,6 +133,9 @@ VALID = {
     "telescoping": (lambda: telescoping_product_check(S3, S3_ID, (1, 0, 2), (1, 2, 0), 2), True),
     "fullness": (lambda: zn_fullness_witness(2, 3), [[0, 1], [-1, -1]]),
     "member": (lambda: metabelian_spectrum(1, 1, 3).contains(4), True),
+    "closure modulus": (lambda: len(closure([SHEAR], modulus=7)), 7),
+    "polynomial power": (lambda: T ** 2 == T * T, True),
+    "rational function power": (lambda: T_OVER_1 ** -2 == (T_OVER_1 ** 2).reciprocal(), True),
 }
 
 
