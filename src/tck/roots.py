@@ -10,9 +10,11 @@ d_i = (alpha_i, alpha_i)/2 scaled to the least integers.  Each root's row
 coroots are exact integer quotients.  Structure constants for a Chevalley
 basis are fixed by the extraspecial-pair convention: for each non-simple
 positive root the decomposition with the smallest first summand gets a
-positive constant, and every other constant follows from antisymmetry, the
-negation symmetry N(-a,-b) = -N(a,b), the three-term rotation identity, and
-the four-term Jacobi-type identity on quadruples summing to zero.
+positive constant.  One pass over the positive roots in height order fills
+the rest: each other positive pair through the four-term Jacobi-type identity
+on quadruples summing to zero, and from each positive pair the eleven other
+ordered pairs of its triple and of the negated triple, through antisymmetry,
+the negation symmetry N(-a,-b) = -N(a,b) and the three-term rotation identity.
 """
 
 from __future__ import annotations
@@ -314,50 +316,88 @@ def root_permutation(rs: RootSystem, symmetry: DiagramSymmetry) -> tuple[int, ..
 class ChevalleyBasisData:
     """Structure constants N(a, b) with [e_a, e_b] = N(a, b) e_{a+b}.
 
-    Signs follow the extraspecial-pair convention.  Positive pairs are reduced
-    to extraspecial ones through the length-weighted four-term identity, valid
-    for a+b+c+d = 0 with no two of them opposite:
+    Signs follow the extraspecial-pair convention, and one pass over the
+    positive roots g, in height order, fills every constant.  The
+    positive pairs (a, b) with a + b = g and a before b in the root order are
+    scanned by a.  The first is extraspecial, with N(a, b) = p+1 for the
+    length p of the root string b - a, b - 2a, ...  Every later pair is
+    reduced to it through the length-weighted four-term identity, valid for
+    a+b+c+d = 0 with no two of them opposite:
 
         N(a,b)N(c,d)/(a+b,a+b) + N(b,c)N(a,d)/(b+c,b+c)
             + N(c,a)N(b,d)/(c+a,c+a) = 0,
 
-    mixed-sign pairs rotate through the three-term identity
+    whose other constants are mixed-sign pairs with sums of lower height, so
+    an earlier step has filled them.  Each positive value then fills the
+    twelve ordered pairs of its triple a + b + c = 0 and of its negation,
+    through antisymmetry, N(-a,-b) = -N(a,b) and the three-term identity
 
-        N(a,b)/(c,c) = N(b,c)/(a,a) = N(c,a)/(b,b)       (a+b+c = 0),
+        N(a,b)/(c,c) = N(b,c)/(a,a) = N(c,a)/(b,b).
 
-    and negative pairs use N(-a,-b) = -N(a,b).  Both identities are
-    homogeneous of degree 0 in the norms, so they run on the root system's
-    integer norms whatever its scale: each constant is one exact integer
-    quotient, and a nonzero remainder is a ConsistencyError.  A norm is only
-    read where its term is nonzero, hence at a root.  All magnitudes come out
-    as p+1 for the root string length p, which the tests verify together with
-    the Jacobi identity.
+    Both identities are homogeneous of degree 0 in the norms, so they run on
+    the root system's integer norms whatever its scale: each constant is one
+    exact integer quotient, and a nonzero remainder is a ConsistencyError.  A
+    norm is only read where its term is nonzero, hence at a root.  All
+    magnitudes come out as p+1, which the tests verify together with the
+    Jacobi identity.
+
+    Roots are walked as integers in base 4h+1, h the largest coefficient: the
+    encoding is additive, and every vector the pass looks up is a root minus
+    a root, with entries in [-2h, 2h], so its key is its balanced base-(4h+1)
+    expansion and names no other vector.
     """
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        self._extraspecial: dict[Root, tuple[Root, Root]] = {}
-        n_pos = len(rs.positive_roots)
-        for gamma in rs.positive_roots:
-            if sum(gamma) == 1:
-                continue
-            for alpha in rs.positive_roots:
-                beta = tuple(g - a for g, a in zip(gamma, alpha))
-                if beta in rs.root_index and rs.root_index[beta] < n_pos:
-                    self._extraspecial[gamma] = (alpha, beta)
-                    break  # positive roots are scanned in the fixed order
-        # Every pair whose sum is a root, memoised as it is reached.  Roots are
-        # walked as integers in base 4h+1 (h the largest coefficient): the
-        # encoding is additive and no sum of two roots collides with a root
-        # it is not equal to, so a sum is one integer addition and lookup.
-        self.pairs: dict[tuple[Root, Root], int] = {}
+        roots = rs.roots
+        n = len(roots)
+        n_pos = n // 2
+        norm = [rs.norm[r] for r in roots]
         base = 4 * max(max(r) for r in rs.positive_roots) + 1
-        keyed = [(r, sum(c * base**i for i, c in enumerate(r))) for r in rs.roots]
-        root_keys = {k for _, k in keyed}
-        for a, ka in keyed:
-            for b, kb in keyed:
-                if ka + kb in root_keys:
-                    self._n(a, b)
+        key = [sum(c * base**i for i, c in enumerate(r)) for r in roots]
+        index = {k: i for i, k in enumerate(key)}
+        # N(i, j) for root indices i and j at i*n + j; -i is at i + n_pos.
+        table = [0] * (n * n)
+        self._extraspecial: dict[Root, tuple[Root, Root]] = {}
+        # Every pair whose sum is a root, keyed by the roots themselves.
+        pairs: dict[tuple[Root, Root], int] = {}
+        self.pairs = pairs
+        for g in range(n_pos):
+            first = None
+            for a in range(g):
+                b = index.get(key[g] - key[a])
+                if b is None or b <= a or b >= n_pos:
+                    continue
+                na, nb, c = a + n_pos, b + n_pos, g + n_pos
+                if first is None:
+                    first, second = a, b
+                    self._extraspecial[roots[g]] = (roots[a], roots[b])
+                    p, step = 0, key[b] - key[a]
+                    while step in index:
+                        p, step = p + 1, step - key[a]
+                    v = p + 1
+                else:
+                    # Four-term identity on (first, second, -a, -b), solved for
+                    # N(a, b) = (g,g) (t1/l1 + t2/l2) / N(first, second) with
+                    # t1 = N(second,-a)N(first,-b), l1 = (second-a, second-a),
+                    # t2 = N(-a,first)N(second,-b), l2 = (first-a, first-a).
+                    # A vanishing term keeps l = 1, since its difference need
+                    # not be a root.
+                    t1 = table[second * n + na] * table[first * n + nb]
+                    t2 = table[na * n + first] * table[second * n + nb]
+                    l1 = norm[index[key[second] - key[a]]] if t1 else 1
+                    l2 = norm[index[key[first] - key[a]]] if t2 else 1
+                    v = _exact(norm[g] * (t1 * l2 + t2 * l1),
+                               l1 * l2 * table[first * n + second], "constant",
+                               roots[a], roots[b])
+                vbc = _exact(v * norm[a], norm[g], "constant", roots[b], roots[c])
+                vca = _exact(v * norm[b], norm[g], "constant", roots[c], roots[a])
+                for x, y, value in ((a, b, v), (b, c, vbc), (c, a, vca),
+                                    (na, nb, -v), (nb, g, -vbc), (g, na, -vca)):
+                    table[x * n + y] = value
+                    table[y * n + x] = -value
+                    pairs[(roots[x], roots[y])] = value
+                    pairs[(roots[y], roots[x])] = -value
 
     def n(self, a, b) -> int:
         """N(a, b), with 0 when a+b is not a root."""
@@ -365,54 +405,3 @@ class ChevalleyBasisData:
 
     def extraspecial_pair(self, gamma) -> tuple[Root, Root]:
         return self._extraspecial[tuple(gamma)]
-
-    # -- internal computation ----------------------------------------------
-
-    def _n(self, a: Root, b: Root) -> int:
-        value = self.pairs.get((a, b))
-        if value is None:
-            if self.rs.add(a, b) not in self.rs.root_index:
-                return 0
-            # Every recursion in _compute strictly lowers the height of the
-            # pair's sum, so a cycle would be a bug.
-            value = self.pairs[(a, b)] = self._compute(a, b)
-        return value
-
-    def _compute(self, a: Root, b: Root) -> int:
-        rs = self.rs
-        idx = rs.root_index
-        norm = rs.norm
-        n_pos = len(rs.positive_roots)
-        a_pos = idx[a] < n_pos
-        b_pos = idx[b] < n_pos
-        if a_pos and b_pos:
-            if idx[a] > idx[b]:
-                return -self._n(b, a)
-            gamma = rs.add(a, b)
-            first, second = self._extraspecial[gamma]
-            if (a, b) == (first, second):
-                return rs.root_string_down(a, b) + 1
-            # Four-term identity on (first, second, -a, -b), solved for N(a, b):
-            #   N(a,b) = (gamma,gamma) (t1/l1 + t2/l2) / N(first, second)
-            # with t1 = N(second,-a)N(first,-b), l1 = (second-a, second-a) and
-            # t2 = N(-a,first)N(second,-b), l2 = (first-a, first-a).  A
-            # vanishing term keeps l = 1, since its difference need not be a root.
-            na = rs.negate(a)
-            nb = rs.negate(b)
-            t1 = self._n(second, na) * self._n(first, nb)
-            t2 = self._n(na, first) * self._n(second, nb)
-            l1 = norm[rs.add(second, na)] if t1 else 1
-            l2 = norm[rs.add(na, first)] if t2 else 1
-            return _exact(norm[gamma] * (t1 * l2 + t2 * l1),
-                          l1 * l2 * self._n(first, second), "constant", a, b)
-        if not a_pos and not b_pos:
-            return -self._n(rs.negate(a), rs.negate(b))
-        if not a_pos:
-            return -self._n(b, a)
-        # a positive, b negative; rotate to a pure-sign pair.
-        w = rs.add(a, b)
-        c = rs.negate(w)
-        if idx[w] < n_pos:
-            # (b, c) are both negative with b + c = -a.
-            return _exact(self._n(b, c) * norm[w], norm[a], "constant", a, b)
-        return _exact(self._n(c, a) * norm[w], norm[b], "constant", a, b)

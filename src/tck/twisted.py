@@ -516,8 +516,8 @@ class GroupAutomorphism:
     def compose(self, other: "GroupAutomorphism") -> "GroupAutomorphism":
         if other.group is not self.group:
             raise DomainError("automorphisms act on different groups")
-        images = map(self.images.__getitem__, other.images)
-        return GroupAutomorphism(self.group, images)
+        return GroupAutomorphism._composed(
+            self.group, tuple(map(self.images.__getitem__, other.images)))
 
     def __eq__(self, other):
         return (
@@ -736,7 +736,8 @@ def group_from_descriptor(descriptor: dict) -> FiniteGroup:
         if "modulus" not in descriptor:
             raise DomainError("matmod descriptor needs a modulus")
         modulus = descriptor["modulus"]
-        integer(modulus, 2, f"matmod modulus must be an integer >= 2, got {modulus!r}")
+        # the message names no value, which could be past the int/str digit limit
+        integer(modulus, 2, "matmod modulus must be an integer >= 2")
         return closure(generators, modulus=modulus)
     raise DomainError(f"unknown encoding {encoding!r}")
 

@@ -27,6 +27,7 @@ from tck import (
     cokernel_order_mod,
     diagram_symmetries,
     generate_witnesses,
+    group_from_descriptor,
     heisenberg_group,
     heisenberg_oracle,
     lamplighter_r_infinity,
@@ -98,6 +99,10 @@ WRONG_KINDS = {
     # the message names no value, which could not be formatted
     "closure modulus past the digit limit": (lambda: closure([SHEAR], modulus=-10**5000),
                                              "^matrix encoding needs an int modulus >= 2$"),
+    "descriptor modulus past the digit limit": (
+        lambda: group_from_descriptor({"encoding": "matmod", "modulus": -10**5000,
+                                       "generators": [[[1, 1], [0, 1]]]}),
+        "^matmod modulus must be an integer >= 2$"),
     "polynomial power float": (lambda: T ** 2.0, "2.0 is not an int"),
     "polynomial power string": (lambda: T ** "2", "'2' is not an int"),
     "polynomial power bool": (lambda: T ** True, "True is not an int"),

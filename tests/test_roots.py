@@ -20,6 +20,7 @@ from tck.chevalley import adjoint_dimension, bracket_coordinates
 from tck.roots import (
     RootSystem,
     RootSystemType,
+    _exact,
     _root_count,
     permutation_order,
     root_permutation,
@@ -251,8 +252,88 @@ def test_constants_evaluate_the_form_once_per_root(monkeypatch):
     assert calls <= len(rs.roots) + rs.rank
 
 
-@pytest.mark.parametrize("name", [f"{family}{rank}" for family in "ABCDEFG"
-                                  for rank in range(1, 9) if _root_count(family, rank)])
+ALL_TYPES = [f"{family}{rank}" for family in "ABCDEFG" for rank in range(1, 9)
+             if _root_count(family, rank)]
+
+
+def _recursive_constants(rs):
+    """The structure constants by recursion from each pair to the pairs it
+    needs, memoised by root tuples: the extraspecial pair of each non-simple
+    positive root, then every pair whose sum is a root.  Positive pairs use
+    the four-term identity, mixed pairs the three-term rotation, negative
+    pairs N(-a,-b) = -N(a,b)."""
+    idx, norm = rs.root_index, rs.norm
+    n_pos = len(rs.positive_roots)
+    extraspecial = {}
+    for gamma in rs.positive_roots:
+        if sum(gamma) == 1:
+            continue
+        for alpha in rs.positive_roots:
+            beta = tuple(g - a for g, a in zip(gamma, alpha))
+            if beta in idx and idx[beta] < n_pos:
+                extraspecial[gamma] = (alpha, beta)
+                break
+    pairs = {}
+
+    def n(a, b):
+        value = pairs.get((a, b))
+        if value is None:
+            if rs.add(a, b) not in idx:
+                return 0
+            value = pairs[(a, b)] = compute(a, b)
+        return value
+
+    def compute(a, b):
+        a_pos, b_pos = idx[a] < n_pos, idx[b] < n_pos
+        if a_pos and b_pos:
+            if idx[a] > idx[b]:
+                return -n(b, a)
+            gamma = rs.add(a, b)
+            first, second = extraspecial[gamma]
+            if (a, b) == (first, second):
+                return rs.root_string_down(a, b) + 1
+            na, nb = rs.negate(a), rs.negate(b)
+            t1 = n(second, na) * n(first, nb)
+            t2 = n(na, first) * n(second, nb)
+            l1 = norm[rs.add(second, na)] if t1 else 1
+            l2 = norm[rs.add(na, first)] if t2 else 1
+            return _exact(norm[gamma] * (t1 * l2 + t2 * l1), l1 * l2 * n(first, second),
+                          "constant", a, b)
+        if not a_pos and not b_pos:
+            return -n(rs.negate(a), rs.negate(b))
+        if not a_pos:
+            return -n(b, a)
+        w = rs.add(a, b)
+        c = rs.negate(w)
+        if idx[w] < n_pos:
+            return _exact(n(b, c) * norm[w], norm[a], "constant", a, b)
+        return _exact(n(c, a) * norm[w], norm[b], "constant", a, b)
+
+    for a in rs.roots:
+        for b in rs.roots:
+            n(a, b)
+    return pairs, extraspecial
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
+def test_height_pass_matches_the_recursive_constants(name):
+    data = build_root_system(name).constants
+    pairs, extraspecial = _recursive_constants(build_root_system(name))
+    assert data.pairs == pairs
+    assert list(data._extraspecial.items()) == list(extraspecial.items())
+
+
+@pytest.mark.parametrize("name", ["A2", "B2", "G2", "D4", "F4", "E6"])
+def test_a_perturbed_norm_is_a_consistency_error(name):
+    # the highest root's norm one too large makes a rotated constant non-integral
+    for route in (lambda rs: rs.constants, _recursive_constants):
+        rs = build_root_system(name)
+        rs.norm[rs.positive_roots[-1]] += 1
+        with pytest.raises(ConsistencyError, match="non-integral constant"):
+            route(rs)
+
+
+@pytest.mark.parametrize("name", ALL_TYPES)
 def test_norms_carried_through_the_closure_match_the_form(name):
     rs = build_root_system(name)
     for beta in rs.roots:

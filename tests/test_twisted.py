@@ -726,6 +726,20 @@ def test_automorphism_algebra():
         assert a.compose(GroupAutomorphism.identity(g)) == a
 
 
+@pytest.mark.parametrize("name", ["S4", "SL(2,3)"])
+def test_compose_is_index_table_composition(name):
+    g = {"S4": s4, "SL(2,3)": lambda: sl2(3)}[name]()
+    autos = all_automorphisms(g)
+    for a in autos:
+        for b in autos:
+            c = a.compose(b)
+            assert c.images == tuple(a.images[i] for i in b.images)
+            # the unchecked table passes the bijection check it skips
+            assert GroupAutomorphism(g, c.images) == c
+    with pytest.raises(DomainError, match="different groups"):
+        autos[0].compose(GroupAutomorphism.identity(s3()))
+
+
 def test_induced_automorphism_on_quotient():
     g = s4()
     v4 = subgroup(g, [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)])
