@@ -25,18 +25,19 @@ Generators:
                  keep the product n_alpha(t) n_alpha(-1) as the reference
                  route.
 
-The generators return a ``linalg.ScaledMatrix``, but for h_alpha over Q(T).
-With t = p/q, p and q integers or polynomials, x_alpha(t) is M / q^K for K the
-largest exponent of its terms and M the matrix with q^K on the diagonal and
-c p^k q^(K-k) for the term c t^k, integral because the terms are.  Over Q(T),
-p and q are first multiplied by the lcm of their coefficients' denominators,
-so M and q^K lie in Z[T]; a multi-term q^K stays uncancelled.  n_alpha and
+The generators return a ``linalg.ScaledMatrix``.  With t = p/q, p and q
+integers or polynomials, x_alpha(t) is M / q^K for K the largest exponent of
+its terms and M the matrix with q^K on the diagonal and c p^k q^(K-k) for the
+term c t^k, integral because the terms are.  Over Q(T), p and q are first
+multiplied by the lcm of their coefficients' denominators, so M and q^K lie in
+Z[T]; a multi-term q^K stays uncancelled.  n_alpha and
 commutator_relation_check fold linalg's sparse product over such factors.
-Over Q, h_alpha(p/q) is its diagonal over |pq|^K, K the largest |k|.  Over
-Q(T) h_alpha stays a dense list: a scaled Q(T) diagonal inverts only through
-the dense route (scaled, it needs a polynomial lcm), which made Q(T)
-conjugations slower.  The tests keep the dense exponential and dense products
-as the reference routes.
+h_alpha(p/q) is its diagonal p^(K+k) q^(K-k) over (pq)^K, K the largest |k|,
+with both signs flipped over Q where (pq)^K < 0.  Its inverse stays scaled
+over Q and, through one gcd over Z[T] per distinct diagonal value, over Q(T)
+in one variable, where its denominator is that of h_alpha(1/t)
+(``linalg.mat_inv``).  The tests keep the dense exponential, the dense t^k
+diagonal and dense products as the reference routes.
 
 Automorphisms come in four families (inner, diagonal, field, graph) and a
 composite applies them in the fixed order inner, diagonal, field, graph.
@@ -57,7 +58,7 @@ from math import lcm, prod
 
 from .errors import ConsistencyError, DomainError, integer, rational
 from .fields import Polynomial, RationalFunction, ScalingAutomorphism, apply_scaling, is_prime
-from .linalg import Matrix, ScaledMatrix, identity_matrix, mat_inv, mat_product
+from .linalg import Matrix, ScaledMatrix, mat_inv, mat_product
 from .roots import DiagramSymmetry, RootSystem, extend_symmetry_to_roots, root_permutation
 
 
@@ -167,34 +168,32 @@ def n_alpha(rs: RootSystem, alpha, t) -> ScaledMatrix:
 
 @_memoised_on_root_system
 def _pairings(rs: RootSystem, alpha) -> tuple:
-    """Pairs (i, k) with k = <beta_i, alpha^v> != 0 over the roots beta_i."""
-    out = []
+    """(K, the distinct k, the pairs (i, k)): k = <beta_i, alpha^v> != 0 over
+    the roots beta_i, and K the largest |k|."""
+    pairs = []
     for i, beta in enumerate(rs.roots):
         k = rs.cartan_integer(beta, alpha)
         if k:
-            out.append((i, k))
-    return tuple(out)
+            pairs.append((i, k))
+    return max(abs(k) for _, k in pairs), tuple({k for _, k in pairs}), tuple(pairs)
 
 
-def h_alpha(rs: RootSystem, alpha, t) -> ScaledMatrix | Matrix:
-    """diag(t^<beta, alpha^v>) at the roots, 1 on the Cartan block; dense over Q(T)."""
+def h_alpha(rs: RootSystem, alpha, t) -> ScaledMatrix:
+    """diag(t^<beta, alpha^v>) at the roots, 1 on the Cartan block, over (pq)^K."""
     alpha = rs.check_root(alpha)
     t = _coerce_scalar(t)
     if not t:
         raise DomainError("h_alpha requires t != 0")
-    pairings, dim = _pairings(rs, alpha), adjoint_dimension(rs)
-    if isinstance(t, RationalFunction):
-        powers, result = {k: t ** k for k in {k for _, k in pairings}}, identity_matrix(dim)
-        for i, k in pairings:
-            result[i][i] = powers[k]
-        return result
-    # t^k = p^(K+k) q^(K-k) / (pq)^K, both signs flipped where (pq)^K < 0
-    p, q = t.numerator, t.denominator
-    depth = max(abs(k) for _, k in pairings)
-    sign, den = (-1 if p < 0 and depth % 2 else 1), abs(p * q) ** depth
-    rows = [{i: den} for i in range(dim)]
+    # t^k = p^(K+k) q^(K-k) / (pq)^K for |k| <= K
+    (depth, exponents, pairings), (p, q) = _pairings(rs, alpha), _cleared(t)
+    den = (p * q) ** depth
+    values = {k: _power_product(p, depth + k, q, depth - k) for k in exponents}
+    if isinstance(den, int) and den < 0:
+        # over Q the denominator is positive, so both signs flip
+        den, values = -den, {k: -v for k, v in values.items()}
+    rows = [{i: den} for i in range(adjoint_dimension(rs))]
     for i, k in pairings:
-        rows[i] = {i: sign * p ** (depth + k) * q ** (depth - k)}
+        rows[i] = {i: values[k]}
     return ScaledMatrix(rows, den)
 
 
@@ -424,20 +423,31 @@ def _scaled_x_alpha(rs: RootSystem, alpha, t) -> ScaledMatrix:
     """
     entries = _exp_entries(rs, alpha)
     depth = max(k for _, _, _, k in entries)
-    if isinstance(t, RationalFunction):
-        m = lcm(*(c.denominator for f in (t.num, t.den) for c in f.terms.values()))
-        p, q = (Polynomial(f.nvars, {e: c.numerator * (m // c.denominator)
-                                     for e, c in f.terms.items()}) for f in (t.num, t.den))
-    else:
-        p, q = t.numerator, t.denominator
+    p, q = _cleared(t)
     d = q**depth
     rows = [{i: d} for i in range(adjoint_dimension(rs))]
     if p:
-        # p^K alone: q^0 is a Fraction constant over Q(T)
-        scale = [None, *(p**k * q ** (depth - k) for k in range(1, depth)), p**depth]
+        scale = [None, *(_power_product(p, k, q, depth - k) for k in range(1, depth + 1))]
         for i, j, c, k in entries:
             rows[i][j] = c * scale[k]
     return ScaledMatrix(rows, d)
+
+
+def _cleared(t) -> tuple:
+    """(p, q) with t = p/q: ints over Q; over Q(T) the numerator and denominator
+    times the lcm of their coefficients' denominators, so polynomials in Z[T]."""
+    if not isinstance(t, RationalFunction):
+        return t.numerator, t.denominator
+    m = lcm(*(c.denominator for f in (t.num, t.den) for c in f.terms.values()))
+    return tuple(Polynomial(f.nvars, {e: c.numerator * (m // c.denominator)
+                                      for e, c in f.terms.items()}) for f in (t.num, t.den))
+
+
+def _power_product(p, i, q, j):
+    """p^i q^j for i + j > 0, with no zeroth power: over Q(T) that is a Fraction constant."""
+    if not i:
+        return q**j
+    return p**i * q**j if j else p**i
 
 
 def _scaled_product(rs: RootSystem, parameters) -> ScaledMatrix:

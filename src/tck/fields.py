@@ -5,22 +5,24 @@ scaling scalar passes the rational gate of ``errors``.
 Polynomials are sparse maps from exponent tuples to coefficients.  The public
 constructors write Fraction coefficients and arithmetic keeps the
 coefficients' type, so the scaled generator matrices of ``chevalley`` stay in
-Z[T].  Rational functions are normalized quotients of polynomials over
-Fraction coefficients, and scaling automorphisms act by T_i -> c_i T_i with
-nonzero rational c_i.  Rationals whose prime supports are pairwise disjoint
-are multiplicatively independent, which is what keeps distinct witnesses
-apart.  Supports are decided by gcds and by stripping pairwise coprime bases,
-never by factoring.
+Z[T].  In one variable a polynomial has a gcd, by primitive remainder
+sequences with the content split off, and exact division; ``linalg`` inverts
+and compares scaled Q(T) matrices with them.  Rational functions are
+normalized quotients of polynomials over Fraction coefficients, and scaling
+automorphisms act by T_i -> c_i T_i with nonzero rational c_i.  Rationals
+whose prime supports are pairwise disjoint are multiplicatively independent,
+which is what keeps distinct witnesses apart.  Supports are decided by gcds
+and by stripping pairwise coprime bases, never by factoring.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add
 
-from .errors import DomainError, integer, rational
+from .errors import ConsistencyError, DomainError, integer, rational
 from .linalg import smith_normal_form
 
 Exponent = tuple[int, ...]
@@ -259,6 +261,63 @@ class Polynomial:
         exps = max(self.terms, key=_grlex_key)
         return exps, self.terms[exps]
 
+    def _coefficients(self, other) -> tuple[list, list]:
+        """Both operands as coefficient lists, constant term first; one variable only."""
+        other = self._coerce(other)
+        if other is None or self.nvars != 1:
+            raise DomainError("gcd and exact division take polynomials in one variable")
+        return _dense(self), _dense(other)
+
+    def gcd(self, other) -> "Polynomial":
+        """Greatest common divisor in one variable, with a positive leading coefficient.
+
+        The contents (gcd of the coefficients' numerators over the lcm of
+        their denominators) split off by Gauss's lemma, and the primitive
+        parts run a primitive remainder sequence over Z (Collins, J. ACM 14,
+        1967; Brown, J. ACM 18, 1971): each pseudo-remainder is divided by its
+        content, which keeps the coefficients from growing exponentially along
+        the sequence.  For int coefficients this is the gcd in Z[T] and its
+        coefficients are ints.  gcd(0, 0) is 0.
+        """
+        (ca, a), (cb, b) = map(_primitive, self._coefficients(other))
+        if len(a) < len(b):
+            a, b = b, a
+        while len(b) > 1:
+            a, b = b, _primitive(_pseudo_remainder(a, b))[1]
+        # a zero b leaves a as the gcd; a nonzero constant b means coprime
+        g = [1] if b else a
+        content = _rational_gcd(ca, cb)
+        return _sparse(g if content == 1 else [c * content for c in g])
+
+    def exact_quotient(self, other) -> "Polynomial":
+        """self / other in one variable, which must divide it exactly.
+
+        With int coefficients on both sides the quotient must lie in Z[T];
+        otherwise it is taken over Q.  An inexact division raises
+        ConsistencyError: callers divide only by what a gcd promises divides.
+        """
+        r, b = self._coefficients(other)
+        if not b:
+            raise ZeroDivisionError("exact division by the zero polynomial")
+        lead, shift = b[-1], len(b) - 1
+        q = [0] * max(len(r) - shift, 0)
+        for top in range(len(r) - 1, shift - 1, -1):
+            c = r[top]
+            if not c:
+                continue
+            if type(c) is int and type(lead) is int:
+                c, rest = divmod(c, lead)
+                if rest:
+                    raise ConsistencyError("polynomial division is not exact")
+            else:
+                c = c / lead
+            q[top - shift] = c
+            for i, x in enumerate(b):
+                r[top - shift + i] -= c * x
+        if any(r[:shift]):
+            raise ConsistencyError("polynomial division is not exact")
+        return _sparse(q)
+
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -267,6 +326,49 @@ class Polynomial:
             mono = "*".join(f"T{i + 1}^{e}" for i, e in enumerate(exps) if e)
             parts.append(f"{c}" + (f"*{mono}" if mono else ""))
         return " + ".join(parts)
+
+
+def _dense(p: Polynomial) -> list:
+    """The coefficients of a polynomial in one variable, constant term first."""
+    out = [0] * (max(p.terms)[0] + 1) if p.terms else []
+    for (e,), c in p.terms.items():
+        out[e] = c
+    return out
+
+
+def _sparse(coefficients) -> Polynomial:
+    return Polynomial(1, {(i,): c for i, c in enumerate(coefficients) if c})
+
+
+def _rational_gcd(x, y):
+    """gcd of two nonnegative rationals: gcd of the numerators over lcm of the denominators."""
+    num, den = gcd(x.numerator, y.numerator), lcm(x.denominator, y.denominator)
+    return num if den == 1 else Fraction(num, den)
+
+
+def _primitive(coefficients) -> tuple:
+    """(content, int coefficients over it with a positive leading one); (0, []) for 0."""
+    if not coefficients:
+        return 0, []
+    num = gcd(*(c.numerator for c in coefficients))
+    den = lcm(*(c.denominator for c in coefficients))
+    signed = -num if coefficients[-1] < 0 else num
+    return (num if den == 1 else Fraction(num, den),
+            [c.numerator // signed * (den // c.denominator) for c in coefficients])
+
+
+def _pseudo_remainder(a: list, b: list) -> list:
+    """lc(b)^e a mod b over Z, e the reduction steps, for len(a) >= len(b) >= 2."""
+    r, lead, width = list(a), b[-1], len(b)
+    while len(r) >= width:
+        c, offset = r[-1], len(r) - width
+        r = [x * lead for x in r]
+        for i, x in enumerate(b):
+            r[offset + i] -= c * x
+        r.pop()  # its leading coefficient cancels
+        while r and not r[-1]:
+            r.pop()
+    return r
 
 
 class RationalFunction:

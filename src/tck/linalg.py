@@ -8,8 +8,12 @@ it, while an entry with no nonzero term keeps the zero; a diagonal matrix
 inverts entrywise, and only other matrices go through Gauss-Jordan.  The
 generators of ``chevalley`` return a ``ScaledMatrix``, sparse rows over one
 denominator, in Z over Q and in Z[T] (polynomials with int coefficients) over
-Q(T), whose products, diagonal inverses over Q and comparisons stay in that
-ring and build no Fraction.
+Q(T), whose products, diagonal inverses and comparisons stay in that ring and
+build no Fraction.  In one variable the diagonal inverse and the comparison
+reach a gcd and exact division over Z[T] through the polynomials' own methods
+(``fields`` imports this module, so not the other way round); they run only
+there, about once per distinct diagonal value or comparison, never per
+arithmetic operation.
 
 The integer routines live here too: the fraction-free Bareiss determinant
 ``int_det`` and the checked Smith normal form, which ``fields`` uses for
@@ -37,7 +41,9 @@ class ScaledMatrix:
     generators write with int coefficients.  So the type of ``den`` decides
     an entry's: Fraction(num, den) over Q, and over Q(T) num / den, a
     RationalFunction normalized to Fraction coefficients.  Reading rows
-    builds the dense view once.
+    builds the dense view once.  Equality compares the rows at equal
+    denominators and otherwise cross-multiplies them by the denominators, in
+    one variable first divided by their gcd.
     """
 
     __slots__ = ("rows", "den", "_view")
@@ -74,10 +80,24 @@ class ScaledMatrix:
         if not isinstance(other, ScaledMatrix):
             return self.dense() == other if isinstance(other, list) else NotImplemented
         da, db = self.den, other.den
-        return len(self.rows) == len(other.rows) and all(
+        if len(self.rows) != len(other.rows):
+            return False
+        if da == db:
+            return self.rows == other.rows
+        if type(da) is type(db) and not isinstance(da, int) and da.nvars == db.nvars == 1:
+            # one variable: cross-multiply by the denominators over their gcd,
+            # a constant one as its coefficient, which scales
+            g = da.gcd(db)
+            da, db = (_coefficient_if_constant(x.exact_quotient(g)) for x in (da, db))
+        return all(
             {j: v * db for j, v in ra.items()} == {j: v * da for j, v in rb.items()}
             for ra, rb in zip(self.rows, other.rows)
         )
+
+
+def _coefficient_if_constant(p):
+    """A constant polynomial in one variable as its coefficient; others as they are."""
+    return p.terms[(0,)] if p.terms.keys() == {(0,)} else p
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -138,15 +158,26 @@ def mat_inv(a):
     """Inverse by Gauss-Jordan elimination; entries must support division.
 
     A diagonal matrix is inverted entrywise, with one division per entry.  An
-    invertible scaled diagonal diag(v_i) / d over Q inverts to diag(d L / v_i)
-    / L, L the lcm of the v_i; other scaled matrices use their dense view.
+    invertible scaled diagonal diag(v_i) / d stays scaled: over Q it inverts to
+    diag(d L / v_i) / L, L the lcm of the v_i.  Over Q(T) in one variable it is
+    diag(d L / v_i) / L with L = V / gcd(V, d), V the lcm of the distinct v_i,
+    which makes L the lcm of the v_i / gcd(d, v_i) up to sign; that takes one
+    gcd per distinct v_i and one with d.  For h_alpha(t), L is h_alpha(1/t)'s
+    denominator, so later products do not grow in degree.  Other scaled
+    matrices, those over two or more variables among them, use their dense
+    view.
     """
     if isinstance(a, ScaledMatrix):
-        diagonal = [row.get(i, 0) for i, row in enumerate(a.rows)]
-        if not (isinstance(a.den, int) and is_diagonal(a) and all(diagonal)):
+        d, diagonal = a.den, [row.get(i, 0) for i, row in enumerate(a.rows)]
+        if not is_diagonal(a):
             return mat_inv(a.dense())
-        den = lcm(*diagonal)
-        return ScaledMatrix([{i: a.den * (den // v)} for i, v in enumerate(diagonal)], den)
+        if isinstance(d, int) and all(diagonal):
+            den = lcm(*diagonal)
+            return ScaledMatrix([{i: d * (den // v)} for i, v in enumerate(diagonal)], den)
+        if (not isinstance(d, int) and d.nvars == 1
+                and all(type(v) is type(d) and v for v in diagonal)):
+            return _polynomial_diagonal_inverse(diagonal, d)
+        return mat_inv(a.dense())
     n = len(a)
     if any(len(row) != n for row in a):
         raise DomainError("matrix is not square")
@@ -184,6 +215,20 @@ def mat_inv(a):
                 factor = work[r][col]
                 work[r] = [x - factor * y if y else x for x, y in zip(work[r], work[col])]
     return [row[n:] for row in work]
+
+
+def _polynomial_diagonal_inverse(diagonal: list, d) -> ScaledMatrix:
+    """diag(v_i) / d inverted over polynomials in one variable: d L / v_i over L."""
+    # polynomials have no hash; their term maps do, as frozensets
+    keys = [frozenset(v.terms.items()) for v in diagonal]
+    values = dict(zip(keys, diagonal))
+    multiple = None  # V, the lcm of the distinct v
+    for v in values.values():
+        multiple = v if multiple is None else multiple.exact_quotient(multiple.gcd(v)) * v
+    den = multiple.exact_quotient(multiple.gcd(d))
+    top = d * den
+    entries = {key: top.exact_quotient(v) for key, v in values.items()}
+    return ScaledMatrix([{i: entries[key]} for i, key in enumerate(keys)], den)
 
 
 def mat_det(a: Matrix):

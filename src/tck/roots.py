@@ -233,17 +233,6 @@ class RootSystem:
         return tuple(_exact(2 * m * d, self.norm[alpha], "coroot coordinate", alpha)
                      for m, d in zip(alpha, self.half_lengths))
 
-    def root_string_down(self, alpha: Root, beta: Root) -> int:
-        """Largest p with beta - p*alpha still a root."""
-        p = 0
-        current = beta
-        while True:
-            current = tuple(b - a for b, a in zip(current, alpha))
-            if current in self.root_index:
-                p += 1
-            else:
-                return p
-
     @cached_property
     def constants(self) -> "ChevalleyBasisData":
         return ChevalleyBasisData(self)

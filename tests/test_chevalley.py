@@ -35,6 +35,7 @@ from tck.chevalley import (
     bracket_coordinates,
 )
 from tck.linalg import (
+    ScaledMatrix,
     diagonal_entries,
     identity_matrix,
     is_diagonal,
@@ -44,6 +45,7 @@ from tck.linalg import (
 )
 
 SCALARS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 5))
+T = RationalFunction.variable(1, 0)
 
 
 def test_adjoint_dimensions():
@@ -96,7 +98,6 @@ def _dense_exponential(rs, alpha, t):
 def test_sparse_exponential_matches_dense_route():
     # x_alpha reads its terms off the bracket table column by column; the
     # reference exponentiates the dense ad e_alpha until a power vanishes
-    T = RationalFunction.variable(1, 0)
     field_parameters = [T * a + b for a in (1, -2, Fraction(1, 2)) for b in (0, 1, Fraction(-1, 3))]
     for n, name in enumerate(("A1", "A2", "A3", "B2", "G2", "B3", "C3", "D4")):
         rs = build_root_system(name)
@@ -145,7 +146,6 @@ def test_torus_matrices_are_diagonal_characters():
 def test_torus_closed_form_matches_dense_route():
     # h_alpha is built as its diagonal; n_alpha(t) n_alpha(-1) is the dense
     # reference, over Q and over Q(T) with parameters a*T + b
-    T = RationalFunction.variable(1, 0)
     field_parameters = [T * a + b for a in (1, -2, Fraction(1, 2)) for b in (0, 1, Fraction(-1, 3))]
     cases = 0
     for name in ("A1", "A2", "A3", "B2", "G2", "B3", "C3"):
@@ -157,6 +157,54 @@ def test_torus_closed_form_matches_dense_route():
                 assert h == dense, (name, alpha, t)
             cases += 1
     assert cases == 76
+
+
+def _dense_torus(rs, alpha, t):
+    """diag(t^<beta, alpha^v>) at the roots and 1 on the Cartan block, dense."""
+    out = identity_matrix(adjoint_dimension(rs))
+    for i, beta in enumerate(rs.roots):
+        out[i][i] = t ** rs.cartan_integer(beta, alpha)
+    return out
+
+
+FUNCTION_FIELD_PARAMETERS = (T * 2 + 1, T / 2 + Fraction(1, 3), 1 / (T + 1),
+                             (T * T + 3) / (T * 2 - 5))
+
+
+def test_function_field_torus_is_scaled_in_int_polynomials():
+    # h_alpha(p/q) is p^(K+k) q^(K-k) over (pq)^K in Z[T]; the dense t^k
+    # diagonal is the reference
+    for name in ("A1", "A2", "B2", "G2", "B3", "C3"):
+        rs = build_root_system(name)
+        for alpha in rs.roots:
+            for t in FUNCTION_FIELD_PARAMETERS:
+                h = h_alpha(rs, alpha, t)
+                assert isinstance(h, ScaledMatrix) and isinstance(h.den, Polynomial)
+                values = (h.den, *(v for row in h.rows for v in row.values()))
+                assert all(type(c) is int for f in values for c in f.terms.values())
+                dense = _dense_torus(rs, alpha, t)
+                assert h == dense and dense == h, (name, alpha, t)
+
+
+def test_function_field_conjugation_builds_no_dense_view(monkeypatch):
+    # h x h^-1 == x_alpha(weight) over Q(T) multiplies, inverts and compares
+    # the scaled rows only
+    rs = build_root_system("G2")
+
+    def forbidden(*args):
+        raise AssertionError("dense view built")
+
+    monkeypatch.setattr(ScaledMatrix, "dense", forbidden)
+    monkeypatch.setattr(tck.linalg, "_dense_mul", forbidden)
+    pairs = ((rs.roots[0], rs.roots[1]), (rs.roots[5], rs.roots[8]), (rs.roots[2], rs.roots[2]))
+    for alpha, beta in pairs:
+        for t in FUNCTION_FIELD_PARAMETERS:
+            u = Fraction(-3, 2)
+            weight = t ** rs.cartan_integer(beta, alpha) * u
+            h = h_alpha(rs, alpha, t)
+            conjugated = mat_mul(mat_mul(h, x_alpha(rs, beta, u)), mat_inv(h))
+            assert conjugated == x_alpha(rs, beta, weight)
+            assert conjugated != x_alpha(rs, beta, weight + 1)
 
 
 def test_weight_conjugation():
@@ -261,7 +309,6 @@ def test_integer_factor_matches_x_alpha():
 
 def test_n_alpha_matches_dense_exponential_product():
     # n_alpha is one sparse product; the reference multiplies three dense exponentials
-    T = RationalFunction.variable(1, 0)
     rng = random.Random(26)
     for name in ("A1", "A2", "A3", "B2", "G2", "B3", "C3"):
         rs = build_root_system(name)
@@ -279,7 +326,6 @@ def test_n_alpha_matches_dense_exponential_product():
 
 def _two_term_parameters():
     """Quotients with non-integral coefficients over two-term denominators."""
-    T = RationalFunction.variable(1, 0)
     return (T + 1) / (T * 3 + Fraction(1, 3)), 3 / (T + 5)
 
 
@@ -313,7 +359,6 @@ def _parameter_kinds(rng):
     """One (t, u) pair of each kind: both rational; t = aT + b with u
     rational; both in Q(T); both in Q(T1, T2); a zero parameter; and two
     quotients with two-term denominators, fixed and drawn."""
-    T = RationalFunction.variable(1, 0)
     T1, T2 = RationalFunction.variable(2, 0), RationalFunction.variable(2, 1)
 
     def q():
@@ -354,7 +399,6 @@ def test_perturbed_commutator_constant_fails_on_both_routes(monkeypatch):
     a, b = rs.positive_roots[: rs.rank]
     factors = commutator_factors(rs, a, b)
     assert len(factors) == 4
-    T = RationalFunction.variable(1, 0)
     kinds = [(Fraction(2), Fraction(-1, 3)), (T * 2 - 1, Fraction(3) / (T + Fraction(1, 2))),
              *_parameter_kinds(random.Random(22))]
     for t, u in kinds:
@@ -430,7 +474,6 @@ def test_rational_commutator_check_multiplies_no_dense_matrix(monkeypatch):
 
     monkeypatch.setattr(tck.linalg, "_dense_mul", forbidden)
     monkeypatch.setattr(tck.chevalley, "x_alpha", forbidden)
-    T = RationalFunction.variable(1, 0)
     for t, u in ((Fraction(2), Fraction(-1, 3)), (T * 2 + 1, Fraction(-1, 3)), (T * 2 + 1, 1 / T)):
         assert commutator_relation_check(rs, a, b, t, u)
         for s in (t, u):
@@ -489,7 +532,6 @@ def test_function_field_relations_build_no_fraction(monkeypatch):
     rs = build_root_system("G2")
     alpha, beta = rs.positive_roots[0], rs.positive_roots[1]
     t, u = _two_term_parameters()
-    T = RationalFunction.variable(1, 0)
     products, scaled_product = [], tck.chevalley._scaled_product
 
     def recording(*args):
@@ -579,7 +621,6 @@ def test_graph_part_matches_the_dense_signed_permutation(name, order):
     P = _signed_permutation_matrix(rs, sigma, real)
     P_T = [list(column) for column in zip(*P)]
     assert mat_mul(P, P_T) == identity_matrix(adjoint_dimension(rs))
-    T = RationalFunction.variable(1, 0)
     rng = random.Random(13)
     for _ in range(4):
         alpha, beta = rng.choice(rs.roots), rng.choice(rs.roots)
@@ -592,7 +633,6 @@ def test_graph_part_matches_the_dense_signed_permutation(name, order):
 def test_diagonal_part_matches_the_dense_conjugation():
     # the diagonal part scales entry (i, j) by d_i / d_j; D x D^-1 with the
     # dense torus matrix D is the reference route, over Q and Q(T)
-    T = RationalFunction.variable(1, 0)
     rng = random.Random(17)
     for name in ("A2", "B2", "G2"):
         rs = build_root_system(name)

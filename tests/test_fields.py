@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from tck import (
+    ConsistencyError,
     DomainError,
     Polynomial,
     RationalFunction,
@@ -247,6 +248,110 @@ def test_normalization_divides_exactly():
     g = RationalFunction(num, Polynomial(1, {(1,): 1, (0,): 5}))
     _assert_normal(g)
     assert g.num.terms == num.terms and g.den.terms == {(1,): 1, (0,): 5}
+
+
+def _univariate(coefficients):
+    return st.dictionaries(st.integers(0, 4), coefficients, max_size=4).map(
+        lambda terms: Polynomial(1, {(e,): c for e, c in terms.items()}))
+
+
+INT_UNIVARIATE = _univariate(st.integers(-6, 6).filter(bool))
+RATIONAL_UNIVARIATE = _univariate(
+    st.builds(Fraction, st.integers(-6, 6).filter(bool), st.integers(1, 4)))
+
+
+def _euclid_gcd(a, b):
+    """Monic gcd over Q[T] on Fraction coefficient lists, constant term first."""
+    def trim(f):
+        while f and not f[-1]:
+            f.pop()
+        return f
+
+    def remainder(f, g):
+        f = list(f)
+        while len(f) >= len(g):
+            c, shift = f[-1] / g[-1], len(f) - len(g)
+            for i, x in enumerate(g):
+                f[shift + i] -= c * x
+            trim(f)
+        return f
+
+    a, b = trim(list(a)), trim(list(b))
+    while b:
+        a, b = b, remainder(a, b)
+    return [c / a[-1] for c in a] if a else []
+
+
+def _fraction_list(p):
+    out = [Fraction(0)] * (max(p.terms)[0] + 1) if p.terms else []
+    for (e,), c in p.terms.items():
+        out[e] = Fraction(c)
+    return out
+
+
+def _monic(p):
+    return [c / p.terms[max(p.terms)] for c in _fraction_list(p)] if p else []
+
+
+def _associates(f, g):
+    return f == g or f == -g
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(INT_UNIVARIATE, INT_UNIVARIATE, INT_UNIVARIATE.filter(bool))
+def test_gcd_of_common_multiples_is_the_common_factor_times_the_gcd(a, b, c):
+    # Z[T] is a UFD, so gcd(ac, bc) and c gcd(a, b) agree up to the units +-1
+    assert _associates((a * c).gcd(b * c), c * a.gcd(b))
+
+
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(st.one_of(st.tuples(INT_UNIVARIATE, INT_UNIVARIATE),
+                 st.tuples(RATIONAL_UNIVARIATE, RATIONAL_UNIVARIATE),
+                 st.builds(lambda a, b, c: (a * c, b * c), INT_UNIVARIATE, INT_UNIVARIATE,
+                           INT_UNIVARIATE)))
+def test_gcd_divides_both_and_leaves_coprime_cofactors(pair):
+    a, b = pair
+    g = a.gcd(b)
+    assert g == b.gcd(a)
+    # a monic Euclidean remainder sequence over Q[T] is the reference
+    assert _monic(g) == _euclid_gcd(_fraction_list(a), _fraction_list(b))
+    if not g:
+        assert not a and not b
+        return
+    assert g.leading_term()[1] > 0
+    if all(type(c) is int for f in pair for c in f.terms.values()):
+        assert all(type(c) is int for c in g.terms.values())
+    cofactors = [f.exact_quotient(g) for f in pair]
+    assert [q * g for q in cofactors] == [a, b]
+    if a and b:
+        assert cofactors[0].gcd(cofactors[1]) == 1
+
+
+@settings(max_examples=80, deadline=None, database=None, derandomize=True)
+@given(INT_UNIVARIATE, INT_UNIVARIATE.filter(bool))
+def test_exact_division_by_a_non_divisor_raises(a, b):
+    assert (a * b).exact_quotient(b) == a
+    if _euclid_gcd(_fraction_list(a), _fraction_list(b)) != _monic(b):
+        # b does not divide a over Q, so neither over Z
+        with pytest.raises(ConsistencyError, match="^polynomial division is not exact$"):
+            a.exact_quotient(b)
+
+
+def test_exact_division_stays_in_the_coefficient_ring():
+    t = Polynomial(1, {(1,): 1})
+    # over Z, T / 2T = 1/2 is not exact; over Q it is
+    with pytest.raises(ConsistencyError):
+        t.exact_quotient(t * 2)
+    assert Polynomial.variable(1, 0).exact_quotient(t * 2) == Fraction(1, 2)
+    assert (t * 4 + 6).gcd(t * 6 + 9).terms == {(1,): 2, (0,): 3}
+    assert (t * 2).gcd(Polynomial.variable(1, 0) * Fraction(4, 3)) == t * Fraction(2, 3)
+    with pytest.raises(ZeroDivisionError):
+        t.exact_quotient(t - t)
+    two = Polynomial.variable(2, 0)
+    for call in (lambda: two.gcd(two), lambda: two.exact_quotient(two),
+                 lambda: t.gcd(two), lambda: t.gcd(0.5)):
+        with pytest.raises(DomainError):
+            call()
 
 
 @pytest.mark.parametrize("value", [0.1, True, "1"])

@@ -26,12 +26,38 @@ T = RationalFunction.variable(1, 0)
 P = Polynomial.variable(1, 0)
 
 
+# One linear, one with a fractional coefficient, one a reciprocal and one
+# with a quadratic over a linear part
+FUNCTION_FIELD_PARAMETERS = (T * 2 + 1, T / 2 + Fraction(1, 3), 1 / (T + 1),
+                             (T * T + 3) / (T * 2 - 5))
+
+
 def test_torus_inverse_is_the_reciprocal_parameter():
-    for name in ("A2", "B2", "G2"):
+    # over Q(T) one gcd per distinct diagonal value leaves h_alpha(1/t)'s own
+    # denominator, so products with the inverse do not grow in degree
+    for name in ("A1", "A2", "B2", "G2", "B3", "C3"):
         rs = build_root_system(name)
         for alpha in rs.roots:
-            for t in (Fraction(3), Fraction(-2, 7), T * 2 + 1, T - Fraction(1, 3)):
-                assert mat_inv(h_alpha(rs, alpha, t)) == h_alpha(rs, alpha, 1 / t), (name, alpha, t)
+            for t in (Fraction(3), Fraction(-2, 7), Fraction(1, 3) - T, *FUNCTION_FIELD_PARAMETERS):
+                h, reciprocal = h_alpha(rs, alpha, t), h_alpha(rs, alpha, 1 / t)
+                inverse = mat_inv(h)
+                assert isinstance(inverse, ScaledMatrix) and is_diagonal(inverse)
+                assert inverse == reciprocal, (name, alpha, t)
+                if isinstance(t, RationalFunction):
+                    assert inverse.den == reciprocal.den, (name, alpha, t)
+                assert mat_mul(h, inverse) == identity_matrix(len(h))
+
+
+def test_two_variable_torus_inverts_on_the_dense_view():
+    T1, T2 = (RationalFunction.variable(2, i) for i in range(2))
+    rs = build_root_system("B2")
+    for alpha in rs.roots:
+        for t in (T1 + T2 * 2, T1 / (T2 - 3)):
+            h = h_alpha(rs, alpha, t)
+            inverse = mat_inv(h)
+            assert isinstance(h, ScaledMatrix) and not isinstance(inverse, ScaledMatrix)
+            assert inverse == h_alpha(rs, alpha, 1 / t)
+            assert mat_mul(h, inverse) == identity_matrix(len(h))
 
 
 def test_dense_rational_inverse():
@@ -202,10 +228,15 @@ def _view(m):
 # Over Q: nonzero int entries over a positive int; over Q(T): polynomial
 # entries over a polynomial.  Values repeat often, so that equal entries and
 # entries equal to the denominator (read as the shared 1) turn up.
+# Over two variables, which have no gcd here, only diagonals are drawn.
+TWO_VARIABLES = "Q(T1, T2)"
+P1, P2 = Polynomial.variable(2, 0), Polynomial.variable(2, 1)
 SCALED_FIELDS = {
     Fraction: (st.integers(-3, 3).filter(bool), st.integers(1, 4)),
     RationalFunction: (st.sampled_from((Polynomial.constant(1, 2), P, -P, P + 1, P * 2 - 3)),
                        st.sampled_from((Polynomial.constant(1, 1), P, P + 1, P * P - 2))),
+    TWO_VARIABLES: (st.sampled_from((P1, P2 * 2 - 1, P1 * P2 + 3)),
+                    st.sampled_from((Polynomial.constant(2, 1), P2 + 1))),
 }
 
 
@@ -235,7 +266,20 @@ def scaled_pairs(draw, field):
     return a, _rescaled(a, draw(dens)) if choice == "rescaled" else a
 
 
-ANY_SCALED_PAIR = st.one_of(scaled_pairs(Fraction), scaled_pairs(RationalFunction))
+@st.composite
+def mixed_scaled_pairs(draw):
+    """A matrix over Q and one over Q(T) of the same size, in either order; the
+    second is the first rescaled by a polynomial, so equal, a third of the time."""
+    a = draw(scaled_matrices(Fraction))
+    if draw(st.integers(0, 2)):
+        b = draw(scaled_matrices(RationalFunction, n=len(a)))
+    else:
+        b = _rescaled(a, draw(SCALED_FIELDS[RationalFunction][1]))
+    return (a, b) if draw(st.booleans()) else (b, a)
+
+
+ANY_SCALED_PAIR = st.one_of(scaled_pairs(Fraction), scaled_pairs(RationalFunction),
+                            mixed_scaled_pairs())
 
 
 @settings(max_examples=120, deadline=None, database=None, derandomize=True)
@@ -280,19 +324,24 @@ def test_scaled_products_match_the_triple_loop(pair):
     assert _view(product) == expected
 
 
-INVERTIBLE_SCALED_DIAGONALS = st.sampled_from((Fraction, RationalFunction)).flatmap(
-    lambda field: scaled_matrices(field, diagonal=True))
+INVERTIBLE_SCALED_DIAGONALS = st.sampled_from(
+    (Fraction, RationalFunction, TWO_VARIABLES)).flatmap(
+        lambda field: scaled_matrices(field, diagonal=True))
 
 
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@settings(max_examples=90, deadline=None, database=None, derandomize=True)
 @given(INVERTIBLE_SCALED_DIAGONALS)
 def test_scaled_diagonal_inverse_matches_the_dense_inverse(a):
     inverse = mat_inv(a)
     assert inverse == mat_inv(_view(a))
-    # over Q the inverse stays scaled; over Q(T) it is the dense route's
-    assert isinstance(inverse, ScaledMatrix) is isinstance(a.den, int)
+    # over Q and Q(T) in one variable the inverse stays scaled; over two
+    # variables it is the dense route's
+    one_variable = isinstance(a.den, int) or a.den.nvars == 1
+    assert isinstance(inverse, ScaledMatrix) is one_variable
+    if one_variable:
+        assert is_diagonal(inverse) and type(inverse.den) is type(a.den)
     if isinstance(a.den, int):
-        assert inverse.den > 0 and is_diagonal(inverse)
+        assert inverse.den > 0
     assert mat_mul(a, inverse) == identity_matrix(len(a))
 
 
