@@ -59,7 +59,7 @@ from math import lcm, prod
 from .errors import ConsistencyError, DomainError, integer, rational
 from .fields import Polynomial, RationalFunction, ScalingAutomorphism, apply_scaling, is_prime
 from .linalg import Matrix, ScaledMatrix, mat_inv, mat_product
-from .roots import DiagramSymmetry, RootSystem, extend_symmetry_to_roots, root_permutation
+from .roots import DiagramSymmetry, RootSystem, root_permutation
 
 
 def adjoint_dimension(rs: RootSystem) -> int:
@@ -210,6 +210,7 @@ class GraphMatrixRealization:
     def __init__(self, rs: RootSystem, symmetry: DiagramSymmetry):
         self.rs = rs
         self.symmetry = symmetry
+        self.root_images = root_permutation(rs, symmetry)
         data = rs.constants
         signs: dict = {}
         for beta in rs.positive_roots:
@@ -217,8 +218,7 @@ class GraphMatrixRealization:
                 signs[beta] = 1
                 continue
             a, b = data.extraspecial_pair(beta)
-            ra = extend_symmetry_to_roots(rs, symmetry, a)
-            rb = extend_symmetry_to_roots(rs, symmetry, b)
+            ra, rb = (rs.roots[self.root_images[rs.root_index[x]]] for x in (a, b))
             ratio = Fraction(data.n(ra, rb), data.n(a, b))
             if ratio != 1 and ratio != -1:
                 raise ConsistencyError(f"sign ratio {ratio} at {beta} is not a unit")
@@ -226,8 +226,6 @@ class GraphMatrixRealization:
         for beta in rs.positive_roots:
             signs[rs.negate(beta)] = signs[beta]
         self.signs = signs
-
-        self.root_images = root_permutation(rs, symmetry)
         self._images = [self._basis_image(i) for i in range(adjoint_dimension(rs))]
         self._verify()
 

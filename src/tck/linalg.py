@@ -1,6 +1,6 @@
 """Exact matrices: dense nested lists, and scaled sparse rows.
 
-Dense entries may be Fraction or RationalFunction values; the helpers only
+Dense entries may be Fractions or rational functions in Q(T); the helpers only
 assume ring operations plus truthiness for zero tests, and division where
 stated.  Multiplication and inversion do no arithmetic on zeros: a product
 entry starts from its first nonzero term, and only later terms are added to
@@ -16,8 +16,9 @@ there, about once per distinct diagonal value or comparison, never per
 arithmetic operation.
 
 The integer routines live here too: the fraction-free Bareiss determinant
-``int_det`` and the checked Smith normal form, which ``fields`` uses for
-character-lattice membership and ``spectrum`` for cokernel orders.
+``int_det``, the only determinant in the package, and the checked Smith
+normal form, which ``fields`` uses for character-lattice membership and
+``spectrum`` for cokernel orders.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class ScaledMatrix:
     ints over Q, with ``den`` positive, and polynomials over Q(T), which the
     generators write with int coefficients.  So the type of ``den`` decides
     an entry's: Fraction(num, den) over Q, and over Q(T) num / den, a
-    RationalFunction normalized to Fraction coefficients.  Reading rows
+    rational function normalized to Fraction coefficients.  Reading rows
     builds the dense view once.  Equality compares the rows at equal
     denominators and otherwise cross-multiplies them by the denominators, in
     one variable first divided by their gcd.
@@ -229,34 +230,6 @@ def _polynomial_diagonal_inverse(diagonal: list, d) -> ScaledMatrix:
     top = d * den
     entries = {key: top.exact_quotient(v) for key, v in values.items()}
     return ScaledMatrix([{i: entries[key]} for i, key in enumerate(keys)], den)
-
-
-def mat_det(a: Matrix):
-    """Determinant by fraction-producing Gaussian elimination.
-
-    Returns immediately with 0 when some pivot column is entirely zero, so
-    determinants of matrices with certified zero columns cost nothing even
-    over large function fields.
-    """
-    n = len(a)
-    work = [list(row) for row in a]
-    sign = 1
-    det = None
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            z = work[0][0] - work[0][0]
-            return z
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            sign = -sign
-        p = work[col][col]
-        det = p if det is None else det * p
-        for r in range(col + 1, n):
-            if work[r][col]:
-                factor = work[r][col] / p
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return det if sign == 1 else -det
 
 
 def diagonal_entries(a) -> list:

@@ -269,37 +269,49 @@ class DiagramSymmetry:
         return permutation_order(self.permutation)
 
 
+def _preserves_cartan(rs: RootSystem, perm) -> bool:
+    return all(rs.cartan[perm[i]][perm[j]] == rs.cartan[i][j]
+               for i in range(rs.rank) for j in range(rs.rank))
+
+
 def diagram_symmetries(rs: RootSystem) -> list[DiagramSymmetry]:
     """All Dynkin diagram symmetries, identity first, in lexicographic order."""
-    out = []
-    for perm in itertools.permutations(range(rs.rank)):
-        if all(
-            rs.cartan[perm[i]][perm[j]] == rs.cartan[i][j]
-            for i in range(rs.rank)
-            for j in range(rs.rank)
-        ):
-            out.append(DiagramSymmetry(perm))
-    return out
+    return [DiagramSymmetry(perm) for perm in itertools.permutations(range(rs.rank))
+            if _preserves_cartan(rs, perm)]
 
 
-def extend_symmetry_to_roots(rs: RootSystem, symmetry: DiagramSymmetry, beta) -> Root:
-    """Linear extension of a diagram symmetry; maps roots to roots."""
-    if len(symmetry.permutation) != rs.rank:
+def _symmetry_permutation(rs: RootSystem, symmetry: DiagramSymmetry) -> tuple[int, ...]:
+    """The permutation of a diagram symmetry of rs; DomainError for any other."""
+    if not isinstance(symmetry, DiagramSymmetry) or not isinstance(symmetry.permutation, tuple):
+        raise DomainError("a DiagramSymmetry over a tuple of indices is required")
+    perm = symmetry.permutation
+    if len(perm) != rs.rank:
         raise DomainError("symmetry rank does not match the root system")
-    beta = rs.check_root(beta)
+    if (not all(type(i) is int for i in perm) or sorted(perm) != list(range(rs.rank))
+            or not _preserves_cartan(rs, perm)):
+        raise DomainError("permutation is not a diagram symmetry of the root system")
+    return perm
+
+
+def _image(rs: RootSystem, perm, beta) -> Root:
     image = [0] * rs.rank
     for i, c in enumerate(beta):
-        image[symmetry.permutation[i]] = c
+        image[perm[i]] = c
     image_t = tuple(image)
     if image_t not in rs.root_index:
         raise ConsistencyError(f"diagram symmetry image {image_t} left the root system")
     return image_t
 
 
+def extend_symmetry_to_roots(rs: RootSystem, symmetry: DiagramSymmetry, beta) -> Root:
+    """Linear extension of a diagram symmetry; maps roots to roots."""
+    return _image(rs, _symmetry_permutation(rs, symmetry), rs.check_root(beta))
+
+
 def root_permutation(rs: RootSystem, symmetry: DiagramSymmetry) -> tuple[int, ...]:
     """Entry i is the index in ``rs.roots`` of the image of ``rs.roots[i]``."""
-    return tuple(rs.root_index[extend_symmetry_to_roots(rs, symmetry, beta)]
-                 for beta in rs.roots)
+    perm = _symmetry_permutation(rs, symmetry)
+    return tuple(rs.root_index[_image(rs, perm, beta)] for beta in rs.roots)
 
 
 class ChevalleyBasisData:

@@ -37,13 +37,11 @@ from math import prod
 
 from .errors import ConsistencyError, DomainError, integer, rational
 from .fields import (
-    RationalFunction,
     ScalingAutomorphism,
     character_classes,
     is_prime,
     supports_pairwise_disjoint,
 )
-from .linalg import mat_det
 from .roots import DiagramSymmetry, RootSystem, permutation_order, root_permutation
 from .chevalley import ChevalleyAutomorphism
 
@@ -385,20 +383,19 @@ def obstruction_check(rs: RootSystem, witnesses: WitnessSequence,
     return _certify(rs, products, scaling, correction, index_beyond_bound)
 
 
-def pattern_determinant(certificate: ObstructionCertificate):
-    """Determinant of a generic matrix honoring the certified zero pattern.
+def pattern_determinant(certificate: ObstructionCertificate) -> bool:
+    """Whether a generic matrix honoring the certified zero pattern has a
+    nonzero determinant.
 
     Free positions get independent variables, certified positions are zero.
     Distinct Leibniz terms are distinct monomials and cannot cancel, so the
-    determinant is zero exactly when the free positions hold no perfect
-    matching of rows to columns (Edmonds, J. Res. NBS 71B, 1967).  An
-    augmenting-path search decides that first; an "obstructed" certificate
-    zeroes every root-indexed column and gets its zero there.  The symbolic
-    expansion runs only when a matching exists, which is expensive for
-    patterns with few certified zeros and is not the intended use.  The
-    zero pattern is read from a CertifiedEntries' column indices without
-    building its entries; a plain tuple of ZeroEntryWitness is read entry by
-    entry.
+    determinant is nonzero exactly when the free positions hold a perfect
+    matching of rows to columns (Edmonds, J. Res. NBS 71B, 1967), which an
+    augmenting-path search decides.  An "obstructed" certificate zeroes
+    every root-indexed column and gets False.  The zero pattern is read from
+    a CertifiedEntries' column indices without building its entries; a plain
+    tuple of ZeroEntryWitness is read entry by entry, and a position outside
+    the matrix is a DomainError.
     """
     dim = certificate.root_count + certificate.cartan_rank
     entries = certificate.entries
@@ -406,8 +403,11 @@ def pattern_determinant(certificate: ObstructionCertificate):
         zeroed = list(entries._columns)
     else:
         rows = [set() for _ in range(dim)]
+        message = "certified position outside the matrix"
         for entry in entries:
             m, n = entry.position
+            if integer(m, 0, message) >= dim or integer(n, 0, message) >= dim:
+                raise DomainError(message)
             rows[m].add(n)
         zeroed = [tuple(row) for row in rows]
     zeroed += [()] * (dim - len(zeroed))
@@ -418,27 +418,30 @@ def pattern_determinant(certificate: ObstructionCertificate):
             certified = set(columns)
             free_of[columns] = [n for n in range(dim) if n not in certified]
     free = [free_of[columns] for columns in zeroed]
-    nvars = sum(map(len, free))
-    zero = RationalFunction.constant(nvars, 0)
     row_of: dict[int, int] = {}
-
-    def augment(m: int, visited: set) -> bool:
-        for n in free[m]:
-            if n not in visited:
-                visited.add(n)
-                if n not in row_of or augment(row_of[n], visited):
-                    row_of[n] = m
-                    return True
-        return False
-
-    if not all(augment(m, set()) for m in range(dim)):
-        return zero
-    matrix = [[zero] * dim for _ in range(dim)]
-    variables = iter(range(nvars))
-    for m, columns in enumerate(free):
-        for n in columns:
-            matrix[m][n] = RationalFunction.variable(nvars, next(variables))
-    return mat_det(matrix)
+    for start in range(dim):
+        # Depth-first search for an augmenting path from row start, on an
+        # explicit stack so that no dimension reaches the recursion limit;
+        # taken[i] is the column that the row stack[i] moves to.
+        visited: set[int] = set()
+        stack, taken = [(start, iter(free[start]))], []
+        while stack:
+            n = next((n for n in stack[-1][1] if n not in visited), None)
+            if n is None:
+                stack.pop()
+                if taken:
+                    taken.pop()
+                continue
+            visited.add(n)
+            taken.append(n)
+            if n not in row_of:
+                for (m, _), column in zip(stack, taken):
+                    row_of[column] = m
+                break
+            stack.append((row_of[n], iter(free[row_of[n]])))
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,6 @@ from tck.linalg import (
     identity_matrix,
     int_det,
     is_diagonal,
-    mat_det,
     mat_inv,
     mat_mul,
     smith_normal_form,
@@ -395,6 +394,30 @@ def test_reading_every_entry_builds_the_view_once(monkeypatch):
 
 def _random_int_matrix(rng, n, m):
     return [[rng.randrange(-9, 10) for _ in range(m)] for _ in range(n)]
+
+
+def mat_det(a):
+    """Determinant by fraction-producing Gaussian elimination over any field
+    with ring operations, division and truthiness: the reference for int_det
+    here and for the generic pattern determinants over Q(T) in test_witness."""
+    n = len(a)
+    work = [list(row) for row in a]
+    sign = 1
+    det = None
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            return work[0][0] - work[0][0]
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            sign = -sign
+        p = work[col][col]
+        det = p if det is None else det * p
+        for r in range(col + 1, n):
+            if work[r][col]:
+                factor = work[r][col] / p
+                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+    return det if sign == 1 else -det
 
 
 def test_int_det_matches_fraction_elimination():

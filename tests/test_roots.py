@@ -416,9 +416,17 @@ def test_permutation_order_is_the_cycle_lcm():
 
 def test_symmetry_must_preserve_the_diagram():
     rs = build_root_system("A3")
-    # swapping adjacent with non-adjacent nodes maps 0+1+1 outside the system
-    with pytest.raises(ConsistencyError):
+    # swapping adjacent with non-adjacent nodes would map 0+1+1 outside the
+    # system; the Cartan matrix check refuses the permutation first
+    with pytest.raises(DomainError, match="not a diagram symmetry"):
         extend_symmetry_to_roots(rs, DiagramSymmetry((1, 0, 2)), (0, 1, 1))
+    # (-1, 1, 0) would pass the Cartan check by wrapping to (2, 1, 0)
+    for bad in ((-1, 1, 0), (0, 1, 5), (True, 0, 2)):
+        with pytest.raises(DomainError, match="not a diagram symmetry"):
+            root_permutation(rs, DiagramSymmetry(bad))
+    for bad in ((1, 0, 2), DiagramSymmetry(5), DiagramSymmetry([2, 1, 0])):
+        with pytest.raises(DomainError, match="^a DiagramSymmetry over a tuple"):
+            root_permutation(rs, bad)
     with pytest.raises(DomainError):
         extend_symmetry_to_roots(rs, DiagramSymmetry((2, 1, 0)), (1, 0, 1))
 

@@ -1,11 +1,15 @@
 """Witness families, collapsed products, and the zero-block certification."""
 
+import ast
 import functools
 import hashlib
 import itertools
 import random
+import sys
+import time
 from fractions import Fraction
 from math import prod
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,9 +40,11 @@ from tck import (
     x_alpha,
 )
 import tck.witness
+from tck.witness import CertifiedEntries
 from tck.chevalley import GraphMatrixRealization
-from tck.linalg import diagonal_entries, is_diagonal, mat_det, mat_mul, mat_product
+from tck.linalg import diagonal_entries, is_diagonal, mat_mul, mat_product
 from tck.roots import root_permutation
+from test_linalg import mat_det
 
 TYPES = ("A1", "A2", "A3", "B2", "D4", "G2")
 
@@ -504,6 +510,21 @@ def test_wrong_rank_symmetry_is_a_domain_error():
             ChevalleyAutomorphism(rs, graph=bad)
 
 
+@pytest.mark.parametrize("name, permutation",
+                         [("A2", (0, 0)), ("A3", (0, 0, 2)), ("B2", (1, 0))])
+def test_permutation_that_is_no_diagram_symmetry_is_a_domain_error(name, permutation):
+    rs = build_root_system(name)
+    bad = DiagramSymmetry(permutation)
+    message = "permutation is not a diagram symmetry"
+    with pytest.raises(DomainError, match=message):
+        obstruction_check(rs, generate_witnesses(rs, 4), bad,
+                          ScalingAutomorphism((Fraction(2),)), 3)
+    with pytest.raises(DomainError, match=message):
+        root_permutation(rs, bad)
+    with pytest.raises(DomainError, match=message):
+        ChevalleyAutomorphism(rs, graph=bad)
+
+
 def test_obstruction_certificate_a2():
     rs = build_root_system("A2")
     witnesses = generate_witnesses(rs, 6)
@@ -520,8 +541,7 @@ def test_obstruction_certificate_a2():
     assert sum(1 for e in certificate.entries if e.block == "Q") == 36
     for entry in certificate.entries[:8]:
         assert not character_lattice_member(entry.eigencharacter, certificate.generators)
-    det = pattern_determinant(certificate)
-    assert not det
+    assert pattern_determinant(certificate) is False
 
 
 def test_obstruction_inconclusive_at_low_index():
@@ -547,7 +567,16 @@ def test_obstruction_with_graph_part():
     assert certificate.verdict == "obstructed"
     # 12 roots and rank 3: the root-indexed columns carry 15 * 12 entries
     assert len(certificate.entries) == 180
-    assert not pattern_determinant(certificate)
+    assert pattern_determinant(certificate) is False
+
+
+def _pattern_certificate(dim, zeros):
+    """A hand-built certificate whose entries are the given zero positions."""
+    return ObstructionCertificate(
+        root_count=dim - 1, cartan_rank=1, index=3, bound=2, family_size=dim,
+        generators=(), verdict="inconclusive",
+        entries=tuple(ZeroEntryWitness(pos, "Q", Fraction(3)) for pos in zeros),
+        uncertified=())
 
 
 def _symbolic_pattern_determinant(dim, zeros):
@@ -570,18 +599,82 @@ def test_pattern_determinant_matches_the_symbolic_route():
         # sparser 5x5 patterns take about a second each to expand
         density = rng.choice((0.4, 0.55, 0.7))
         zeros = sorted((m, n) for m in range(dim) for n in range(dim) if rng.random() < density)
-        certificate = ObstructionCertificate(
-            root_count=dim - 1, cartan_rank=1, index=3, bound=2, family_size=dim,
-            generators=(), verdict="inconclusive",
-            entries=tuple(ZeroEntryWitness(pos, "Q", Fraction(3)) for pos in zeros),
-            uncertified=())
-        got = pattern_determinant(certificate)
+        got = pattern_determinant(_pattern_certificate(dim, zeros))
         expected = _symbolic_pattern_determinant(dim, set(zeros))
-        assert type(got) is type(expected) and got.nvars == expected.nvars
-        assert got == expected
-        outcomes.add(bool(expected))
+        assert type(got) is bool
+        assert got == bool(expected)
+        outcomes.add(got)
     # both singular patterns and patterns with a perfect matching were drawn
     assert outcomes == {False, True}
+
+
+def test_pattern_determinant_matches_a_permutation_search():
+    # Leibniz: the generic determinant is nonzero exactly when some
+    # permutation avoids every zero; 6x6 and 7x7 are beyond the expansion.
+    rng = random.Random(11)
+    outcomes = set()
+    for trial in range(30):
+        dim = 6 + trial % 2
+        density = rng.choice((0.5, 0.65, 0.8))
+        zeros = {(m, n) for m in range(dim) for n in range(dim) if rng.random() < density}
+        expected = any(all((m, n) not in zeros for m, n in enumerate(sigma))
+                       for sigma in itertools.permutations(range(dim)))
+        assert pattern_determinant(_pattern_certificate(dim, sorted(zeros))) is expected
+        outcomes.add(expected)
+    assert outcomes == {False, True}
+
+
+@pytest.mark.parametrize("position", [(9, 0), (-1, 0), (0, 9), (0, -1), (10 ** 5000, 0)])
+def test_pattern_positions_outside_the_matrix_are_domain_errors(position):
+    certificate = _pattern_certificate(3, [(0, 0), position])
+    with pytest.raises(DomainError, match="^certified position outside the matrix$"):
+        pattern_determinant(certificate)
+
+
+@pytest.mark.parametrize("name", ["A2", "E8"])
+def test_pattern_determinant_of_an_inconclusive_certificate_is_fast(name):
+    # index 1 is within the bound: no entry is certified, so the pattern is
+    # a fully generic matrix of the adjoint dimension (8 for A2, 248 for E8)
+    rs = build_root_system(name)
+    certificate = obstruction_check(rs, generate_witnesses(rs, 4), None,
+                                    ScalingAutomorphism((Fraction(2),)), 1)
+    assert certificate.verdict == "inconclusive" and certificate.entries == ()
+    start = time.perf_counter()
+    assert pattern_determinant(certificate) is True
+    assert time.perf_counter() - start < 1
+
+
+def test_pattern_determinant_follows_paths_longer_than_the_recursion_limit():
+    # Row m < dim - 1 may use columns m and m + 1, the last row only column
+    # 0: its augmenting path moves every other row one column right.
+    dim = sys.getrecursionlimit() + 200
+    columns = [tuple(n for n in range(dim) if n not in (m, m + 1)) for m in range(dim - 1)]
+    columns.append(tuple(range(1, dim)))
+    entries = CertifiedEntries(dim - 1, [(1, 1)] * dim, [(1, 1)] * dim, columns)
+    certificate = ObstructionCertificate(dim - 1, 1, 3, 2, 3, (), "inconclusive", entries, ())
+    assert pattern_determinant(certificate) is True
+
+
+def _function_field_uses(tree):
+    """Line numbers of imports from tck.linalg and of uses of RationalFunction."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        else:
+            names = [getattr(node, "id", None) or getattr(node, "attr", None) or ""]
+        if any(name.split(".")[-1] in ("linalg", "RationalFunction") for name in names):
+            yield node.lineno
+
+
+def test_witness_module_does_no_function_field_arithmetic():
+    # The certificate layer decides zero patterns by matching alone; the
+    # symbolic determinant over Q(T) lives in the tests, as the oracle.
+    source = Path(tck.witness.__file__).read_text()
+    assert list(_function_field_uses(ast.parse(source))) == []
+    sample = "from .linalg import mat_det\nfrom tck import linalg\nx = fields.RationalFunction\n"
+    assert sorted(_function_field_uses(ast.parse(sample))) == [1, 2, 3]
 
 
 def test_obstruction_rejects_type_mismatch():
@@ -651,7 +744,7 @@ def test_two_factor_swap_reduction():
     certificate = reduced_obstruction_check(reduction, 3)
     assert certificate.verdict == "obstructed"
     assert certificate.generators == (Fraction(6) ** 6,)
-    assert not pattern_determinant(certificate)
+    assert pattern_determinant(certificate) is False
 
 
 def test_three_cycle_reduction_composes_the_fields():
