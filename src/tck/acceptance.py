@@ -299,17 +299,17 @@ def _check_witness_disjointness() -> str:
         phi = ChevalleyAutomorphism(rs, graph=symmetry)
         for block, diag in zip(witnesses.primes, witnesses.diagonals):
             product = twisted_power_product(phi, diag, 6)
-            # Dense route: the product of h_alpha(p) = n_alpha(p) n_alpha(-1)
+            # Matrix route: the product of h_alpha(p) = n_alpha(p) n_alpha(-1)
             # is a torus matrix whose root block is the witness, and iterating
-            # phi on it gives the collapse.
-            dense = mat_product([n_alpha(rs, alpha, q)
-                                 for alpha, p in zip(simple, block)
-                                 for q in (Fraction(p), Fraction(-1))])
-            acc = current = dense
+            # phi.apply on its scaled rows gives the collapse.
+            g = mat_product([n_alpha(rs, alpha, q)
+                             for alpha, p in zip(simple, block)
+                             for q in (Fraction(p), Fraction(-1))])
+            acc = current = g
             for _ in range(5):
                 current = phi.apply(current)
                 acc = mat_mul(acc, current)
-            for matrix, expected in ((dense, diag), (acc, product)):
+            for matrix, expected in ((g, diag), (acc, product)):
                 entries = diagonal_entries(matrix)
                 _require(is_diagonal(matrix) and entries[root_count:] == [1] * rs.rank, name)
                 _require(tuple(entries[:root_count]) == expected, name)

@@ -34,18 +34,22 @@ Z[T]; a multi-term q^K stays uncancelled.  n_alpha and
 commutator_relation_check fold linalg's sparse product over such factors.
 h_alpha(p/q) is its diagonal p^(K+k) q^(K-k) over (pq)^K, K the largest |k|,
 with both signs flipped over Q where (pq)^K < 0.  Its inverse stays scaled
-over Q and, through one gcd over Z[T] per distinct diagonal value, over Q(T)
-in one variable, where its denominator is that of h_alpha(1/t)
+over Q and Q(T); in one variable, through one gcd over Z[T] per distinct
+diagonal value, its denominator is that of h_alpha(1/t)
 (``linalg.mat_inv``).  The tests keep the dense exponential, the dense t^k
-diagonal and dense products as the reference routes.
+diagonal and dense products, in their own dense oracle, as the reference
+routes.
 
 Automorphisms come in four families (inner, diagonal, field, graph) and a
-composite applies them in the fixed order inner, diagonal, field, graph.
-A diagonal part is held as its entries at the roots and scales entry (i, j) by
-d_i / d_j.  A diagram symmetry acts by a signed basis permutation, moving entry
-(i, j) to the images of i and j, negated where their signs differ; the signs
-are forced by the structure constants and are recorded per root, since the
-naive unsigned permutation need not respect the brackets.
+composite applies them in the fixed order inner, diagonal, field, graph to a
+``ScaledMatrix``, returning one.  G(K) is generated by its root elements
+(Steinberg, Lectures on Chevalley Groups, Yale 1967), so the inner part is a
+word in them; it and the diagonal part conjugate by a scaled matrix and its
+inverse, both built once.  A diagram symmetry acts by a signed basis
+permutation, moving entry (i, j) to the images of i and j, negated where
+their signs differ; the signs are forced by the structure constants and are
+recorded per root, since the naive unsigned permutation need not respect the
+brackets.
 
 The per-root tables behind x_alpha and h_alpha live in ``rs.tables``, so
 they are freed with their root system; no module-level cache holds one.
@@ -54,11 +58,12 @@ they are freed with their root system; no module-level cache holds one.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import lcm, prod
 
 from .errors import ConsistencyError, DomainError, integer, rational
 from .fields import Polynomial, RationalFunction, ScalingAutomorphism, apply_scaling, is_prime
-from .linalg import Matrix, ScaledMatrix, mat_inv, mat_product
+from .linalg import ScaledMatrix, diagonal_entries, mat_product
 from .roots import DiagramSymmetry, RootSystem, root_permutation
 
 
@@ -254,95 +259,102 @@ class GraphMatrixRealization:
                         f"sign table breaks the bracket at basis pair ({i}, {j})"
                     )
 
-    def apply(self, x: Matrix) -> Matrix:
-        out = [[None] * len(x) for _ in x]
-        for (pi, si), row in zip(self._images, x):
-            target = out[pi]
-            for (pj, sj), entry in zip(self._images, row):
-                target[pj] = entry if si == sj else -entry
-        return out
+    def apply(self, x: ScaledMatrix) -> ScaledMatrix:
+        images = self._images
+        rows = [None] * len(images)
+        for (pi, si), row in zip(images, x.rows):
+            rows[pi] = {images[j][0]: v if images[j][1] == si else -v for j, v in row.items()}
+        return ScaledMatrix(rows, x.den)
+
+
+def _validate_word(rs: RootSystem, word) -> tuple:
+    """The inner part as a tuple of (root, parameter) pairs, each checked, and
+    the product of its root elements and the inverse."""
+    try:
+        pairs = [(gamma, s) for gamma, s in word]
+    except (TypeError, ValueError):  # not iterable, or an item that is not a pair
+        raise DomainError("inner part must be a word of (root, parameter) pairs") from None
+    word = tuple((rs.check_root(gamma), _coerce_scalar(s)) for gamma, s in pairs)
+    inverse = [(gamma, -s) for gamma, s in reversed(word)]
+    return word, (_scaled_product(rs, word), _scaled_product(rs, inverse))
 
 
 def _validate_torus(rs: RootSystem, diagonal) -> tuple:
-    """The diagonal part's entries at ``rs.roots``, checked to be a character."""
+    """The diagonal part's entries at ``rs.roots``, checked to be a character,
+    and its torus matrix and the inverse."""
     entries = tuple(map(_coerce_scalar, diagonal))
     if len(entries) != len(rs.roots):
         raise DomainError(f"diagonal part needs {len(rs.roots)} root entries, got {len(entries)}")
     if not all(entries):
         raise DomainError("diagonal part is singular")
-    # Root entries must form a character: the entry at beta is prod c_k^beta_k
-    # over the simple-root entries c_k, with negative powers cleared so that
-    # integer and polynomial entries stay exact.
-    simple = [entries[rs.root_index[tuple(int(j == k) for j in range(rs.rank))]]
-              for k in range(rs.rank)]
-    for i, beta in enumerate(rs.roots):
-        if (entries[i] * prod(c ** -b for c, b in zip(simple, beta) if b < 0)
-                != prod(c ** b for c, b in zip(simple, beta) if b > 0)):
+    cleared = [_cleared(entries[rs.root_index[tuple(int(j == k) for j in range(rs.rank))]])
+               for k in range(rs.rank)]
+    torus = _torus_matrix(rs, cleared)
+    # a character: the entry at beta is prod c_k^beta_k over the simple-root entries c_k
+    for beta, entry, value in zip(rs.roots, entries, diagonal_entries(torus)):
+        if entry != value:
             raise DomainError(f"diagonal entries are not a character at {beta}")
-    return entries
+    return entries, (torus, _torus_matrix(rs, [(q, p) for p, q in cleared]))
+
+
+def _torus_matrix(rs: RootSystem, cleared) -> ScaledMatrix:
+    """diag(prod c_k^beta_k) at the roots, 1 on the Cartan block, for c_k = p_k/q_k
+    given as the pairs (p_k, q_k): prod p_k^(K_k+beta_k) q_k^(K_k-beta_k) over
+    prod (p_k q_k)^K_k, K_k the largest |beta_k|, as h_alpha writes t^k."""
+    depths = [max(abs(beta[k]) for beta in rs.roots) for k in range(rs.rank)]
+    den = prod((p * q) ** depth for (p, q), depth in zip(cleared, depths))
+    values = [prod(_power_product(p, depth + b, q, depth - b)
+                   for (p, q), depth, b in zip(cleared, depths, beta)) for beta in rs.roots]
+    if isinstance(den, int) and den < 0:
+        # over Q the denominator is positive, so both signs flip
+        den, values = -den, [-v for v in values]
+    m = len(rs.roots)
+    return ScaledMatrix([{i: v} for i, v in enumerate(values)]
+                        + [{m + k: den} for k in range(rs.rank)], den)
 
 
 class ChevalleyAutomorphism:
     """Composite automorphism: inner, then diagonal, then field, then graph.
 
-    Any of the four parts may be omitted.  The diagonal part is a torus
-    element given by its entries at ``rs.roots`` (the Cartan block is 1),
-    which must form a character; the field part acts entrywise and fixes
-    rational constants; the graph part conjugates by the signed permutation
-    realization of a diagram symmetry.
+    Any of the four parts may be omitted; ``apply`` takes and returns a
+    ``ScaledMatrix``.  The inner part is a word of (root, parameter) pairs,
+    conjugation by the product g of the x_gamma(s), with g^-1 the reversed
+    word with each s negated.  The diagonal part is a torus element given by
+    its entries at ``rs.roots`` (the Cartan block is 1), which must form a
+    character.  The field part scales the variables and fixes a matrix over
+    Q; the graph part conjugates by the signed permutation realization of a
+    diagram symmetry.
     """
 
-    def __init__(self, rs: RootSystem, inner: Matrix | None = None,
-                 diagonal=None,
+    def __init__(self, rs: RootSystem, inner=None, diagonal=None,
                  graph: DiagramSymmetry | None = None,
                  field: ScalingAutomorphism | None = None):
         self.rs = rs
-        dim = adjoint_dimension(rs)
-        self.inner = self._inner_inverse = None
+        # (g, g^-1) for the inner part, then the diagonal part, each built once
+        self._conjugations = []
+        self.inner = self.diagonal = None
         if inner is not None:
-            if len(inner) != dim or len(inner[0]) != dim:
-                raise DomainError("inner part has the wrong dimension")
-            self.inner = [list(map(_coerce_scalar, row)) for row in inner]
-            self._inner_inverse = mat_inv(self.inner)
-        self.diagonal = None if diagonal is None else _validate_torus(rs, diagonal)
+            self.inner, pair = _validate_word(rs, inner)
+            self._conjugations.append(pair)
+        if diagonal is not None:
+            self.diagonal, pair = _validate_torus(rs, diagonal)
+            self._conjugations.append(pair)
         self.graph = graph
-        self._graph_realization = (
-            GraphMatrixRealization(rs, graph) if graph is not None else None
-        )
+        self._graph_realization = None if graph is None else GraphMatrixRealization(rs, graph)
         self.field = field
 
-    def _apply_field(self, x: Matrix) -> Matrix:
-        delta = self.field
-        out = []
-        for i, row in enumerate(x):
-            new_row = []
-            for j, entry in enumerate(row):
-                entry = _coerce_scalar(entry)
-                if isinstance(entry, RationalFunction):
-                    if entry.nvars != delta.variable_count:
-                        raise DomainError(
-                            f"entry ({i}, {j}) lives over {entry.nvars} variables, "
-                            f"the field automorphism over {delta.variable_count}"
-                        )
-                    entry = apply_scaling(delta, entry)
-                new_row.append(entry)
-            out.append(new_row)
-        return out
-
-    def apply(self, x: Matrix) -> Matrix:
+    def apply(self, x: ScaledMatrix) -> ScaledMatrix:
         dim = adjoint_dimension(self.rs)
-        # every row: the index forms below would pass a short row over silently
-        if len(x) != dim or any(len(row) != dim for row in x):
-            raise DomainError("matrix dimension does not match the root system")
-        if self.inner is not None:
-            x = mat_product([self.inner, x, self._inner_inverse])
-        if self.diagonal is not None:
-            # entry (i, j) scales by d_i / d_j, the Cartan entries being 1
-            d = self.diagonal + (Fraction(1),) * self.rs.rank
-            x = [[e * d[i] / d[j] if e else e for j, e in enumerate(row)]
-                 for i, row in enumerate(x)]
-        if self.field is not None:
-            x = self._apply_field(x)
+        if not isinstance(x, ScaledMatrix) or len(x.rows) != dim:
+            raise DomainError(f"apply takes a ScaledMatrix of dimension {dim}")
+        for g, g_inverse in self._conjugations:
+            x = mat_product([g, x, g_inverse])
+        if self.field is not None and not isinstance(x.den, int):
+            # T_i -> c_i T_i on the numerators and the denominator; over Q
+            # the field part fixes every entry
+            scale = partial(apply_scaling, self.field)
+            x = ScaledMatrix([{j: scale(v) for j, v in row.items()} for row in x.rows],
+                             scale(x.den))
         if self._graph_realization is not None:
             x = self._graph_realization.apply(x)
         return x
@@ -455,7 +467,7 @@ def _scaled_product(rs: RootSystem, parameters) -> ScaledMatrix:
     return mat_product(_scaled_x_alpha(rs, gamma, s) for gamma, s in parameters)
 
 
-def reduce_mod_p(x: Matrix, p: int) -> list[list[int]]:
+def reduce_mod_p(x, p: int) -> list[list[int]]:
     """Entrywise reduction of a rational matrix modulo a prime."""
     message = f"{p} is not prime"
     if not is_prime(integer(p, 2, message)):

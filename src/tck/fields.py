@@ -571,10 +571,12 @@ def _scale_polynomial(delta: ScalingAutomorphism, p: Polynomial) -> Polynomial:
     return Polynomial(p.nvars, {e: c * delta.character(e) for e, c in p.terms.items()})
 
 
-def apply_scaling(delta: ScalingAutomorphism, f: RationalFunction) -> RationalFunction:
-    """Image of f under T_i -> c_i T_i."""
+def apply_scaling(delta: ScalingAutomorphism, f):
+    """Image of f, a Polynomial or a RationalFunction, under T_i -> c_i T_i."""
+    if isinstance(f, Polynomial):
+        return _scale_polynomial(delta, f)
     if not isinstance(f, RationalFunction):
-        raise DomainError("apply_scaling expects a RationalFunction")
+        raise DomainError("apply_scaling expects a Polynomial or a RationalFunction")
     return RationalFunction(_scale_polynomial(delta, f.num), _scale_polynomial(delta, f.den))
 
 

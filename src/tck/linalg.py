@@ -1,19 +1,17 @@
-"""Exact matrices: dense nested lists, and scaled sparse rows.
+"""Exact matrices: scaled sparse rows, and the integer routines.
 
-Dense entries may be Fractions or rational functions in Q(T); the helpers only
-assume ring operations plus truthiness for zero tests, and division where
-stated.  Multiplication and inversion do no arithmetic on zeros: a product
-entry starts from its first nonzero term, and only later terms are added to
-it, while an entry with no nonzero term keeps the zero; a diagonal matrix
-inverts entrywise, and only other matrices go through Gauss-Jordan.  The
-generators of ``chevalley`` return a ``ScaledMatrix``, sparse rows over one
+A ``ScaledMatrix`` is the package's one matrix form: sparse rows over one
 denominator, in Z over Q and in Z[T] (polynomials with int coefficients) over
-Q(T), whose products, diagonal inverses and comparisons stay in that ring and
-build no Fraction.  In one variable the diagonal inverse and the comparison
-reach a gcd and exact division over Z[T] through the polynomials' own methods
-(``fields`` imports this module, so not the other way round); they run only
-there, about once per distinct diagonal value or comparison, never per
-arithmetic operation.
+Q(T).  The generators of ``chevalley`` return it and its automorphisms act on
+it.  Products, diagonal inverses and comparisons stay in that ring and build
+no Fraction, and do no arithmetic on zeros: a product entry starts from its
+first nonzero term, and only later terms are added to it.  Only diagonals are
+inverted, the torus elements; a unipotent or Weyl element is inverted through
+its parameters, by the generators, so no general inverse is needed.  In one
+variable the diagonal inverse and the comparison reach a gcd and exact
+division over Z[T] through the polynomials' own methods (``fields`` imports
+this module, so not the other way round); they run only there, about once per
+distinct diagonal value or comparison, never per arithmetic operation.
 
 The integer routines live here too: the fraction-free Bareiss determinant
 ``int_det``, the only determinant in the package, and the checked Smith
@@ -26,11 +24,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from math import lcm
+from math import lcm, prod
+from operator import mul
 
 from .errors import ConsistencyError, DomainError
 
-Matrix = list
 _ONE, _ZERO = Fraction(1), Fraction(0)
 
 
@@ -63,7 +61,7 @@ class ScaledMatrix:
             return _ONE
         return Fraction(v, self.den) if isinstance(self.den, int) else v / self.den
 
-    def dense(self) -> Matrix:
+    def dense(self) -> list:
         if self._view is None:
             self._view = [[_ZERO] * len(self.rows) for _ in self.rows]
             for out, row in zip(self._view, self.rows):
@@ -101,18 +99,8 @@ def _coefficient_if_constant(p):
     return p.terms[(0,)] if p.terms.keys() == {(0,)} else p
 
 
-def identity_matrix(n: int) -> Matrix:
-    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    """a * b: sparse when both are scaled, else dense on the dense views."""
-    if isinstance(a, ScaledMatrix) and isinstance(b, ScaledMatrix):
-        return _scaled_mul(a, b)
-    return _dense_mul(list(a), list(b))
-
-
-def _scaled_mul(a: ScaledMatrix, b: ScaledMatrix) -> ScaledMatrix:
+def mat_mul(a: ScaledMatrix, b: ScaledMatrix) -> ScaledMatrix:
+    """a * b on the sparse rows, over the product of the denominators."""
     if len(a.rows) != len(b.rows):
         raise DomainError("matrix shapes do not compose")
     rows = []
@@ -125,123 +113,58 @@ def _scaled_mul(a: ScaledMatrix, b: ScaledMatrix) -> ScaledMatrix:
     return ScaledMatrix(rows, a.den * b.den)
 
 
-def _dense_mul(a: Matrix, b: Matrix) -> Matrix:
-    n, k, m = len(a), len(b), len(b[0])
-    if len(a[0]) != k:
-        raise DomainError("matrix shapes do not compose")
-    zero = a[0][0] - a[0][0]
-    out = [[zero] * m for _ in range(n)]
-    for i in range(n):
-        row = a[i]
-        out_i = out[i]
-        touched = [False] * m
-        for t in range(k):
-            x = row[t]
-            if not x:
-                continue
-            b_t = b[t]
-            for j in range(m):
-                y = b_t[j]
-                if y:
-                    if touched[j]:
-                        out_i[j] = out_i[j] + x * y
-                    else:
-                        out_i[j] = x * y
-                        touched[j] = True
-    return out
-
-
-def mat_product(matrices) -> Matrix:
+def mat_product(matrices) -> ScaledMatrix:
     return reduce(mat_mul, matrices)
 
 
-def mat_inv(a):
-    """Inverse by Gauss-Jordan elimination; entries must support division.
+def mat_inv(a: ScaledMatrix) -> ScaledMatrix:
+    """Inverse of an invertible scaled diagonal diag(v_i) / d: diag(d L / v_i) / L.
 
-    A diagonal matrix is inverted entrywise, with one division per entry.  An
-    invertible scaled diagonal diag(v_i) / d stays scaled: over Q it inverts to
-    diag(d L / v_i) / L, L the lcm of the v_i.  Over Q(T) in one variable it is
-    diag(d L / v_i) / L with L = V / gcd(V, d), V the lcm of the distinct v_i,
-    which makes L the lcm of the v_i / gcd(d, v_i) up to sign; that takes one
-    gcd per distinct v_i and one with d.  For h_alpha(t), L is h_alpha(1/t)'s
-    denominator, so later products do not grow in degree.  Other scaled
-    matrices, those over two or more variables among them, use their dense
-    view.
+    Over Q, L is the lcm of the v_i.  Over Q(T) in one variable, L = V / gcd(V, d)
+    with V the lcm of the distinct v_i, the lcm of the v_i / gcd(d, v_i) up to
+    sign, from one gcd per distinct v_i and one with d; for h_alpha(t) that is
+    h_alpha(1/t)'s denominator, so later products do not grow in degree.  Over
+    two or more variables, with no gcd here, L is the product of the distinct
+    v_i.  Any other matrix is a DomainError.
     """
-    if isinstance(a, ScaledMatrix):
-        d, diagonal = a.den, [row.get(i, 0) for i, row in enumerate(a.rows)]
-        if not is_diagonal(a):
-            return mat_inv(a.dense())
-        if isinstance(d, int) and all(diagonal):
-            den = lcm(*diagonal)
-            return ScaledMatrix([{i: d * (den // v)} for i, v in enumerate(diagonal)], den)
-        if (not isinstance(d, int) and d.nvars == 1
-                and all(type(v) is type(d) and v for v in diagonal)):
-            return _polynomial_diagonal_inverse(diagonal, d)
-        return mat_inv(a.dense())
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise DomainError("matrix is not square")
-    if is_diagonal(a):
-        diagonal = diagonal_entries(a)
-        if not any(diagonal):
-            raise DomainError("zero matrix is not invertible")
-        if not all(diagonal):
-            raise DomainError("matrix is singular")
-        out = [list(row) for row in a]
-        for i, x in enumerate(diagonal):
-            out[i][i] = 1 / x
-        return out
-    one = None
-    for row in a:
-        for x in row:
-            if x:
-                one = x / x
-                break
-        if one is not None:
-            break
-    if one is None:
+    if not is_diagonal(a):
+        raise DomainError("only a diagonal matrix is inverted")
+    d, diagonal = a.den, [row.get(i, 0) for i, row in enumerate(a.rows)]
+    if not any(diagonal):
         raise DomainError("zero matrix is not invertible")
-    zero = one - one
-    work = [list(row) + [one if i == j else zero for j in range(n)] for i, row in enumerate(a)]
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            raise DomainError("matrix is singular")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv = one / work[col][col]
-        work[col] = [x * inv if x else x for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col]:
-                factor = work[r][col]
-                work[r] = [x - factor * y if y else x for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
+    if not all(diagonal):
+        raise DomainError("matrix is singular")
+    if isinstance(d, int):
+        den = lcm(*diagonal)
+        return ScaledMatrix([{i: d * (den // v)} for i, v in enumerate(diagonal)], den)
+    return _polynomial_diagonal_inverse(diagonal, d)
 
 
 def _polynomial_diagonal_inverse(diagonal: list, d) -> ScaledMatrix:
-    """diag(v_i) / d inverted over polynomials in one variable: d L / v_i over L."""
+    """diag(v_i) / d inverted over polynomials: d L / v_i over L."""
     # polynomials have no hash; their term maps do, as frozensets
     keys = [frozenset(v.terms.items()) for v in diagonal]
     values = dict(zip(keys, diagonal))
-    multiple = None  # V, the lcm of the distinct v
-    for v in values.values():
-        multiple = v if multiple is None else multiple.exact_quotient(multiple.gcd(v)) * v
-    den = multiple.exact_quotient(multiple.gcd(d))
-    top = d * den
-    entries = {key: top.exact_quotient(v) for key, v in values.items()}
+    if d.nvars == 1:
+        multiple = None  # V, the lcm of the distinct v
+        for v in values.values():
+            multiple = v if multiple is None else multiple.exact_quotient(multiple.gcd(v)) * v
+        den = multiple.exact_quotient(multiple.gcd(d))
+        top = d * den
+        entries = {key: top.exact_quotient(v) for key, v in values.items()}
+    else:
+        den = prod(values.values())
+        entries = {key: d * prod(w for other, w in values.items() if other != key)
+                   for key in values}
     return ScaledMatrix([{i: entries[key]} for i, key in enumerate(keys)], den)
 
 
-def diagonal_entries(a) -> list:
-    if isinstance(a, ScaledMatrix):
-        return [a._entry(row.get(i)) for i, row in enumerate(a.rows)]
-    return [a[i][i] for i in range(len(a))]
+def diagonal_entries(a: ScaledMatrix) -> list:
+    return [a._entry(row.get(i)) for i, row in enumerate(a.rows)]
 
 
-def is_diagonal(a) -> bool:
-    if isinstance(a, ScaledMatrix):
-        return all(row.keys() <= {i} for i, row in enumerate(a.rows))
-    return all(not x for i, row in enumerate(a) for j, x in enumerate(row) if i != j)
+def is_diagonal(a: ScaledMatrix) -> bool:
+    return all(row.keys() <= {i} for i, row in enumerate(a.rows))
 
 
 def _validate_integer_matrix(matrix) -> list[list[int]]:
@@ -254,6 +177,11 @@ def _validate_integer_matrix(matrix) -> list[list[int]]:
             x = next(x for x in row if type(x) is not int)
             raise DomainError(f"entry {x!r} is not an integer")
     return rows
+
+
+def _int_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    columns = list(zip(*b))
+    return [[sum(map(mul, row, column)) for column in columns] for row in a]
 
 
 def int_det(matrix) -> int:
@@ -364,7 +292,7 @@ def smith_normal_form(matrix) -> SmithNormalForm:
             raise ConsistencyError(f"divisibility chain broken at {diagonal}")
     if any(a[i][j] for i in range(n) for j in range(n) if i != j):
         raise ConsistencyError("reduction left an off-diagonal entry")
-    product = mat_mul(mat_mul(u, _validate_integer_matrix(matrix)), v)
+    product = _int_mul(_int_mul(u, _validate_integer_matrix(matrix)), v)
     if any(
         product[i][j] != (diagonal[i] if i == j else 0)
         for i in range(n)

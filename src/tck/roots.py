@@ -206,8 +206,12 @@ class RootSystem:
         return tuple(beta) in self.root_index
 
     def check_root(self, beta) -> Root:
-        beta = tuple(beta)
-        if beta not in self.root_index:
+        try:
+            beta = tuple(beta)
+            known = beta in self.root_index
+        except TypeError:  # not iterable, or an unhashable coordinate
+            known = False
+        if not known:
             raise DomainError(f"{beta} is not a root of {self.type}")
         return beta
 

@@ -3,8 +3,8 @@
 A torus element is a root-position diagonal: its entries at e_beta for beta
 in ``rs.roots``, the Cartan block being 1 (h_alpha(t) e_beta =
 t^<beta, alpha^v> e_beta).  The reference route that criterion 9 and the
-tests compare against is in ``tck.chevalley``: the products n_alpha(t)
-n_alpha(-1) and ``ChevalleyAutomorphism.apply``.
+tests compare against is in ``tck.chevalley``: the scaled products n_alpha(t)
+n_alpha(-1) and ``ChevalleyAutomorphism.apply`` on their rows.
 
 The pipeline: build torus elements from consecutive primes so that distinct
 witnesses have pairwise disjoint prime supports, collapse a graph-plus-field
@@ -390,8 +390,8 @@ def pattern_determinant(certificate: ObstructionCertificate) -> bool:
     Free positions get independent variables, certified positions are zero.
     Distinct Leibniz terms are distinct monomials and cannot cancel, so the
     determinant is nonzero exactly when the free positions hold a perfect
-    matching of rows to columns (Edmonds, J. Res. NBS 71B, 1967), which an
-    augmenting-path search decides.  An "obstructed" certificate zeroes
+    matching of rows to columns (Edmonds, J. Res. NBS 71B, 1967), which a
+    greedy pass and augmenting-path searches decide.  An "obstructed" certificate zeroes
     every root-indexed column and gets False.  The zero pattern is read from
     a CertifiedEntries' column indices without building its entries; a plain
     tuple of ZeroEntryWitness is read entry by entry, and a position outside
@@ -405,21 +405,33 @@ def pattern_determinant(certificate: ObstructionCertificate) -> bool:
         rows = [set() for _ in range(dim)]
         message = "certified position outside the matrix"
         for entry in entries:
-            m, n = entry.position
+            try:
+                m, n = entry.position
+            except (TypeError, ValueError):  # not a pair
+                raise DomainError(message) from None
             if integer(m, 0, message) >= dim or integer(n, 0, message) >= dim:
                 raise DomainError(message)
             rows[m].add(n)
         zeroed = [tuple(row) for row in rows]
     zeroed += [()] * (dim - len(zeroed))
-    # Rows with the same certified columns share one list of free columns.
-    free_of = {}
+    # Rows with the same certified columns share one list of free columns,
+    # and one cursor over it.
+    free_of, cursor_of = {}, {}
     for columns in zeroed:
         if columns not in free_of:
             certified = set(columns)
             free_of[columns] = [n for n in range(dim) if n not in certified]
+            cursor_of[columns] = iter(free_of[columns])
     free = [free_of[columns] for columns in zeroed]
     row_of: dict[int, int] = {}
-    for start in range(dim):
+    for start, columns in enumerate(zeroed):
+        # A free column that no row holds yet is taken directly.  A matched
+        # column stays matched, so a shared cursor passes each column once
+        # and a generic pattern is matched in one sweep.
+        n = next((n for n in cursor_of[columns] if n not in row_of), None)
+        if n is not None:
+            row_of[n] = start
+            continue
         # Depth-first search for an augmenting path from row start, on an
         # explicit stack so that no dimension reaches the recursion limit;
         # taken[i] is the column that the row stack[i] moves to.

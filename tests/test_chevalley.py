@@ -5,6 +5,7 @@ import random
 import weakref
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -27,25 +28,35 @@ from tck import (
     x_alpha,
 )
 import tck.chevalley
-import tck.linalg
 from tck.chevalley import (
     GraphMatrixRealization,
     _exp_entries,
     _scaled_x_alpha,
     bracket_coordinates,
 )
+from tck.fields import apply_scaling
 from tck.linalg import (
     ScaledMatrix,
     diagonal_entries,
-    identity_matrix,
     is_diagonal,
     mat_inv,
     mat_mul,
     mat_product,
 )
 
+from dense_oracle import dense_mul, dense_product, identity
+
 SCALARS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 5))
 T = RationalFunction.variable(1, 0)
+
+
+@pytest.fixture
+def no_dense_view(monkeypatch):
+    """Forbid the dense view: what runs under it reads the scaled rows only."""
+    def forbidden(*args):
+        raise AssertionError("dense view built")
+
+    monkeypatch.setattr(ScaledMatrix, "dense", forbidden)
 
 
 def test_adjoint_dimensions():
@@ -63,7 +74,7 @@ def test_root_group_additivity(name):
             for u in (Fraction(3), Fraction(-1, 2)):
                 assert (mat_mul(x_alpha(rs, alpha, t), x_alpha(rs, alpha, u))
                         == x_alpha(rs, alpha, t + u))
-    assert x_alpha(rs, rs.roots[0], 0) == identity_matrix(adjoint_dimension(rs))
+    assert x_alpha(rs, rs.roots[0], 0) == identity(adjoint_dimension(rs))
 
 
 def test_bool_parameter_is_unsupported():
@@ -81,7 +92,7 @@ def _dense_exponential(rs, alpha, t):
     for j in range(dim):
         for i, c in bracket_coordinates(rs, a, j).items():
             ad[i][j] = c
-    result = identity_matrix(dim)
+    result = identity(dim)
     power, k, factorial = ad, 1, 1
     while any(x for row in power for x in row):
         term = t**k / factorial
@@ -89,7 +100,7 @@ def _dense_exponential(rs, alpha, t):
             for j in range(dim):
                 if power[i][j]:
                     result[i][j] = result[i][j] + power[i][j] * term
-        power = mat_mul(power, ad)
+        power = dense_mul(power, ad)
         k += 1
         factorial *= k
     return result
@@ -128,7 +139,7 @@ def test_torus_multiplicativity(name):
             for u in (Fraction(2), Fraction(-1, 3)):
                 assert (mat_mul(h_alpha(rs, alpha, t), h_alpha(rs, alpha, u))
                         == h_alpha(rs, alpha, t * u))
-        assert h_alpha(rs, alpha, 1) == identity_matrix(adjoint_dimension(rs))
+        assert h_alpha(rs, alpha, 1) == identity(adjoint_dimension(rs))
 
 
 def test_torus_matrices_are_diagonal_characters():
@@ -161,7 +172,7 @@ def test_torus_closed_form_matches_dense_route():
 
 def _dense_torus(rs, alpha, t):
     """diag(t^<beta, alpha^v>) at the roots and 1 on the Cartan block, dense."""
-    out = identity_matrix(adjoint_dimension(rs))
+    out = identity(adjoint_dimension(rs))
     for i, beta in enumerate(rs.roots):
         out[i][i] = t ** rs.cartan_integer(beta, alpha)
     return out
@@ -186,16 +197,10 @@ def test_function_field_torus_is_scaled_in_int_polynomials():
                 assert h == dense and dense == h, (name, alpha, t)
 
 
-def test_function_field_conjugation_builds_no_dense_view(monkeypatch):
+def test_function_field_conjugation_builds_no_dense_view(no_dense_view):
     # h x h^-1 == x_alpha(weight) over Q(T) multiplies, inverts and compares
     # the scaled rows only
     rs = build_root_system("G2")
-
-    def forbidden(*args):
-        raise AssertionError("dense view built")
-
-    monkeypatch.setattr(ScaledMatrix, "dense", forbidden)
-    monkeypatch.setattr(tck.linalg, "_dense_mul", forbidden)
     pairs = ((rs.roots[0], rs.roots[1]), (rs.roots[5], rs.roots[8]), (rs.roots[2], rs.roots[2]))
     for alpha, beta in pairs:
         for t in FUNCTION_FIELD_PARAMETERS:
@@ -315,9 +320,9 @@ def test_n_alpha_matches_dense_exponential_product():
         for alpha in rs.roots:
             field = T * rng.choice((1, -2, Fraction(1, 2))) + rng.choice((0, 1, Fraction(-1, 3)))
             for t in (_drawn_rational(rng), field):
-                dense = mat_product([_dense_exponential(rs, alpha, t),
-                                     _dense_exponential(rs, rs.negate(alpha), -(1 / t)),
-                                     _dense_exponential(rs, alpha, t)])
+                dense = dense_product([_dense_exponential(rs, alpha, t),
+                                       _dense_exponential(rs, rs.negate(alpha), -(1 / t)),
+                                       _dense_exponential(rs, alpha, t)])
                 assert n_alpha(rs, alpha, t) == dense, (name, alpha, t)
         for zero in (0, Fraction(0), T * 0):
             with pytest.raises(DomainError, match="t != 0"):
@@ -339,7 +344,7 @@ def test_generators_at_two_term_parameters_match_the_dense_exponential():
                 x = _dense_exponential(rs, alpha, t)
                 minus = _dense_exponential(rs, rs.negate(alpha), -(1 / t))
                 assert x_alpha(rs, alpha, t) == x, (name, alpha, t)
-                assert n_alpha(rs, alpha, t) == mat_product([x, minus, x]), (name, alpha, t)
+                assert n_alpha(rs, alpha, t) == dense_product([x, minus, x]), (name, alpha, t)
 
 
 def _dense_commutator_check(rs, alpha, beta, t, u, factors):
@@ -347,10 +352,10 @@ def _dense_commutator_check(rs, alpha, beta, t, u, factors):
     def dense(gamma, s):
         return list(x_alpha(rs, gamma, s))
 
-    left = mat_product([dense(beta, -u), dense(alpha, -t), dense(beta, u), dense(alpha, t)])
-    right = mat_product(
+    left = dense_product([dense(beta, -u), dense(alpha, -t), dense(beta, u), dense(alpha, t)])
+    right = dense_product(
         [dense(gamma, c * (-t) ** i * u**j) for gamma, i, j, c in factors]
-        or [identity_matrix(adjoint_dimension(rs))]
+        or [identity(adjoint_dimension(rs))]
     )
     return left == right
 
@@ -462,9 +467,9 @@ def test_colliding_exp_terms_are_a_consistency_error(monkeypatch, collision):
         x_alpha(rs, alpha, Fraction(1))
 
 
-def test_rational_commutator_check_multiplies_no_dense_matrix(monkeypatch):
+def test_rational_commutator_check_multiplies_no_dense_matrix(monkeypatch, no_dense_view):
     # over Q and over Q(T) alike the check, x_alpha and n_alpha run on scaled
-    # sparse rows, and the check never reaches the dense product kernel
+    # sparse rows, and the check never builds a dense view
     rs = build_root_system("C3")
     a, b = rs.positive_roots[1], rs.positive_roots[2]
     assert commutator_factors(rs, a, b)
@@ -472,7 +477,6 @@ def test_rational_commutator_check_multiplies_no_dense_matrix(monkeypatch):
     def forbidden(*args):
         raise AssertionError("dense route used")
 
-    monkeypatch.setattr(tck.linalg, "_dense_mul", forbidden)
     monkeypatch.setattr(tck.chevalley, "x_alpha", forbidden)
     for t, u in ((Fraction(2), Fraction(-1, 3)), (T * 2 + 1, Fraction(-1, 3)), (T * 2 + 1, 1 / T)):
         assert commutator_relation_check(rs, a, b, t, u)
@@ -481,9 +485,9 @@ def test_rational_commutator_check_multiplies_no_dense_matrix(monkeypatch):
                 assert len(build(rs, a, s)) == adjoint_dimension(rs)
 
 
-def test_rational_relations_build_no_fraction(monkeypatch):
+def test_rational_relations_build_no_fraction(monkeypatch, no_dense_view):
     # the four relation shapes that criterion 7 and the relations benchmark
-    # run over Q pass on scaled rows, with the dense kernel forbidden and no
+    # run over Q pass on scaled rows, with the dense view forbidden and no
     # Fraction built beyond the commutator's own scalar parameters
     rs = build_root_system("G2")
     alpha, beta = rs.positive_roots[0], rs.positive_roots[1]
@@ -492,10 +496,6 @@ def test_rational_relations_build_no_fraction(monkeypatch):
     t, u = Fraction(-3, 2), Fraction(5, 4)
     s, w = t + u, t * u
     weight = t ** rs.cartan_integer(beta, alpha) * u
-
-    def forbidden(*args):
-        raise AssertionError("dense route used")
-
     built = Counter()
     original = Fraction.__new__
 
@@ -515,7 +515,6 @@ def test_rational_relations_build_no_fraction(monkeypatch):
 
     # build the per-root tables first, as the warm benchmark jobs find them
     relations(), commutator_relation_check(rs, alpha, beta, t, u)
-    monkeypatch.setattr(tck.linalg, "_dense_mul", forbidden)
     monkeypatch.setattr(Fraction, "__new__", counting)
     assert relations() == (True, True, True)
     assert built["Fraction"] == 0
@@ -525,10 +524,10 @@ def test_rational_relations_build_no_fraction(monkeypatch):
     assert built["Fraction"] == 2 * parameters
 
 
-def test_function_field_relations_build_no_fraction(monkeypatch):
+def test_function_field_relations_build_no_fraction(monkeypatch, no_dense_view):
     # over Q(T) the generators and both commutator products hold int
     # polynomial coefficients, and a product and a comparison of scaled
-    # matrices build no Fraction and never reach the dense kernel
+    # matrices build no Fraction and no dense view
     rs = build_root_system("G2")
     alpha, beta = rs.positive_roots[0], rs.positive_roots[1]
     t, u = _two_term_parameters()
@@ -551,9 +550,6 @@ def test_function_field_relations_build_no_fraction(monkeypatch):
         assert isinstance(m.den, Polynomial)
         assert all(type(c) is int for c in coefficients(m))
 
-    def forbidden(*args):
-        raise AssertionError("dense route used")
-
     built = Counter()
     original = Fraction.__new__
 
@@ -562,7 +558,6 @@ def test_function_field_relations_build_no_fraction(monkeypatch):
         return original(cls, *args, **kwargs)
 
     a, b, s = x_alpha(rs, alpha, t), x_alpha(rs, alpha, u), x_alpha(rs, alpha, t + u)
-    monkeypatch.setattr(tck.linalg, "_dense_mul", forbidden)
     monkeypatch.setattr(Fraction, "__new__", counting)
     assert mat_mul(a, b) == s and mat_mul(b, a) == s and mat_mul(a, a) != s
     assert x_alpha(rs, beta, t) == x_alpha(rs, beta, t)
@@ -620,30 +615,40 @@ def test_graph_part_matches_the_dense_signed_permutation(name, order):
     real = GraphMatrixRealization(rs, sigma)
     P = _signed_permutation_matrix(rs, sigma, real)
     P_T = [list(column) for column in zip(*P)]
-    assert mat_mul(P, P_T) == identity_matrix(adjoint_dimension(rs))
+    assert dense_mul(P, P_T) == identity(adjoint_dimension(rs))
     rng = random.Random(13)
     for _ in range(4):
         alpha, beta = rng.choice(rs.roots), rng.choice(rs.roots)
         # x_alpha x_{-alpha} reaches the Cartan block
         x = mat_product([x_alpha(rs, alpha, Fraction(2)), x_alpha(rs, rs.negate(alpha), T - 1),
                          x_alpha(rs, beta, Fraction(-1, 3))])
-        assert real.apply(x) == mat_product([P, x, P_T])
+        assert real.apply(x) == dense_product([P, x, P_T])
+
+
+def _dense_torus_pair(entries, rank):
+    """The dense torus matrix with the given entries at the roots and 1 on
+    the Cartan block, and its inverse, the entrywise reciprocals."""
+    diagonal = [*entries, *[Fraction(1)] * rank]
+    n = len(diagonal)
+    return ([[d if i == j else Fraction(0) for j in range(n)] for i, d in enumerate(diagonal)],
+            [[1 / d if i == j else Fraction(0) for j in range(n)] for i, d in enumerate(diagonal)])
 
 
 def test_diagonal_part_matches_the_dense_conjugation():
-    # the diagonal part scales entry (i, j) by d_i / d_j; D x D^-1 with the
+    # the diagonal part conjugates by its torus matrix; D x D^-1 with the
     # dense torus matrix D is the reference route, over Q and Q(T)
     rng = random.Random(17)
     for name in ("A2", "B2", "G2"):
         rs = build_root_system(name)
         a, b = rs.positive_roots[:2]
         for t in (Fraction(3), Fraction(-2, 5), 2 * T + 1, 1 / T):
-            D = mat_mul(h_alpha(rs, a, t), h_alpha(rs, b, Fraction(7)))
-            phi = ChevalleyAutomorphism(rs, diagonal=diagonal_entries(D)[:len(rs.roots)])
+            entries = diagonal_entries(mat_mul(h_alpha(rs, a, t), h_alpha(rs, b, Fraction(7))))
+            phi = ChevalleyAutomorphism(rs, diagonal=entries[:len(rs.roots)])
             alpha, beta = rng.choice(rs.roots), rng.choice(rs.roots)
             x = mat_product([x_alpha(rs, alpha, Fraction(2)), x_alpha(rs, rs.negate(alpha), t),
                              x_alpha(rs, beta, Fraction(1, 3))])
-            assert phi.apply(x) == mat_product([D, x, mat_inv(D)]), (name, t)
+            D, D_inverse = _dense_torus_pair(entries[:len(rs.roots)], rs.rank)
+            assert phi.apply(x) == dense_product([D, x, D_inverse]), (name, t)
     # a composite applies the diagonal part before the field part
     rs = build_root_system("A2")
     delta = ScalingAutomorphism((Fraction(5),))
@@ -652,6 +657,20 @@ def test_diagonal_part_matches_the_dense_conjugation():
     x = x_alpha(rs, rs.positive_roots[0], T)
     expected = ChevalleyAutomorphism(rs, field=delta).apply(mat_product([D, x, mat_inv(D)]))
     assert phi.apply(x) == expected
+
+
+def test_diagonal_part_torus_has_a_positive_denominator_over_q():
+    # (pq)^K is negative for a negative simple value at an odd depth; both
+    # signs flip, as for h_alpha, and the entries are the character's
+    rs = build_root_system("G2")
+    for simple in ((Fraction(-3, 2), Fraction(5)), (Fraction(2, 7), Fraction(-1, 3))):
+        cleared = [(c.numerator, c.denominator) for c in simple]
+        for pairs, values in ((cleared, simple),
+                              ([(q, p) for p, q in cleared], [1 / c for c in simple])):
+            torus = tck.chevalley._torus_matrix(rs, pairs)
+            assert torus.den > 0
+            expected = [prod(c ** b for c, b in zip(values, beta)) for beta in rs.roots]
+            assert diagonal_entries(torus) == expected + [1] * rs.rank
 
 
 def test_automorphism_part_order():
@@ -665,17 +684,72 @@ def test_automorphism_part_order():
     assert phi.apply(g) == expected
 
 
+def _composite_cases():
+    """(name, simple-root values, word, field scalars, x parameters) over Q,
+    Q(T) and Q(T1, T2)."""
+    T1, T2 = RationalFunction.variable(2, 0), RationalFunction.variable(2, 1)
+    return [
+        ("A3", (Fraction(3), Fraction(-1, 2), Fraction(5, 4)),
+         [Fraction(2), Fraction(-1, 3)], (Fraction(2),), (Fraction(5), Fraction(-3, 7))),
+        ("A2", (T + 1, 2 / T), [T - 2, Fraction(1, 3) / (T + 3)], (Fraction(5),),
+         (T * 3, Fraction(-2))),
+        ("A2", (T1 + 2, 1 / T2), [T2, Fraction(-1, 2)], (Fraction(2), Fraction(3)),
+         (T1, Fraction(1, 2))),
+    ]
+
+
+def _dense_outer_parts(rs, entries, delta, sigma, x):
+    """P delta(D x D^-1) P^T on dense matrices: the diagonal, field and graph
+    parts, with the field acting entrywise on rational functions."""
+    D, D_inverse = _dense_torus_pair(entries, rs.rank)
+    y = dense_product([D, x, D_inverse])
+    y = [[apply_scaling(delta, e) if isinstance(e, RationalFunction) else e for e in row]
+         for row in y]
+    P = _signed_permutation_matrix(rs, sigma, GraphMatrixRealization(rs, sigma))
+    return dense_product([P, y, [list(column) for column in zip(*P)]])
+
+
+@pytest.mark.parametrize("case", range(3), ids=["Q", "Q(T)", "Q(T1,T2)"])
+def test_composite_automorphism_matches_the_dense_route(case):
+    # phi = graph . field . diagonal . inner, psi the same without the inner
+    # part.  psi(x) is checked against D x D^-1, the entrywise field map and
+    # P y P^T on dense matrices; as psi is a homomorphism, phi(x) = psi(g x
+    # g^-1) satisfies phi(x) psi(g) = psi(g) psi(x), which needs no inverse
+    name, simple, parameters, scalars, (s, u) = _composite_cases()[case]
+    rs = build_root_system(name)
+    entries = [prod(c ** b for c, b in zip(simple, beta)) for beta in rs.roots]
+    sigma = next(sym for sym in diagram_symmetries(rs) if sym.order == 2)
+    delta = ScalingAutomorphism(scalars)
+    a, b = rs.positive_roots[:2]
+    word = [(a, parameters[0]), (rs.negate(b), parameters[1])]
+    phi = ChevalleyAutomorphism(rs, inner=word, diagonal=entries, graph=sigma, field=delta)
+    psi = ChevalleyAutomorphism(rs, diagonal=entries, graph=sigma, field=delta)
+    g = dense_product([list(x_alpha(rs, gamma, t)) for gamma, t in word])
+    psi_g = _dense_outer_parts(rs, entries, delta, sigma, g)
+    for alpha in (a, rs.negate(a), rs.positive_roots[-1]):
+        x = mat_product([x_alpha(rs, alpha, s), x_alpha(rs, rs.negate(alpha), u)])
+        psi_x = _dense_outer_parts(rs, entries, delta, sigma, x)
+        assert psi.apply(x) == psi_x, (name, alpha)
+        image = phi.apply(x)
+        assert isinstance(image, ScaledMatrix)
+        assert dense_mul(image, psi_g) == dense_mul(psi_g, psi_x), (name, alpha)
+
+
 def test_apply_rejects_matrices_of_the_wrong_shape():
-    # a short last row must not pass the index forms unnoticed
+    # apply takes a ScaledMatrix of the adjoint dimension: a dense list, even
+    # of the right size, and a smaller scaled matrix are domain errors
     rs = build_root_system("A2")
     dim = adjoint_dimension(rs)
-    ragged = identity_matrix(dim)
-    ragged[-1] = ragged[-1][:-1]
+    smaller = x_alpha(build_root_system("A1"), (1,), Fraction(2))
     diagonal = diagonal_entries(h_alpha(rs, rs.positive_roots[0], Fraction(2)))[:len(rs.roots)]
+    message = f"^apply takes a ScaledMatrix of dimension {dim}$"
     for phi in (ChevalleyAutomorphism(rs, graph=diagram_symmetries(rs)[1]),
-                ChevalleyAutomorphism(rs, diagonal=diagonal)):
-        for x in (identity_matrix(dim - 1), ragged):
-            with pytest.raises(DomainError, match="matrix dimension does not match"):
+                ChevalleyAutomorphism(rs, diagonal=diagonal),
+                ChevalleyAutomorphism(rs, inner=[(rs.roots[0], 1)]),
+                ChevalleyAutomorphism(rs, field=ScalingAutomorphism((Fraction(2),))),
+                ChevalleyAutomorphism(rs)):
+        for x in (identity(dim), list(x_alpha(rs, rs.roots[0], Fraction(1))), None, smaller):
+            with pytest.raises(DomainError, match=message):
                 phi.apply(x)
 
 
@@ -692,43 +766,75 @@ def test_field_part_scales_variable_entries():
             assert got == want
 
 
-def _integer_identity(dim):
-    return [[int(i == j) for j in range(dim)] for i in range(dim)]
-
-
 def test_inner_part_with_integer_entries_stays_exact():
-    # an int inner part is coerced before inversion, so no float enters
+    # int parameters are coerced, so the rows stay ints over an int
+    # denominator and no float enters
     rs = build_root_system("A1")
-    one = _integer_identity(adjoint_dimension(rs))
-    image = ChevalleyAutomorphism(rs, inner=one).apply(one)
-    assert image == one
+    alpha = rs.positive_roots[0]
+    word = [(alpha, 2), (rs.negate(alpha), -1)]
+    x = x_alpha(rs, alpha, 3)
+    image = ChevalleyAutomorphism(rs, inner=word).apply(x)
+    assert type(image.den) is int
+    assert all(type(v) is int for row in image.rows for v in row.values())
     assert all(type(e) is Fraction for row in image for e in row)
+    g = dense_product([list(x_alpha(rs, gamma, s)) for gamma, s in word])
+    assert dense_mul(image, g) == dense_mul(g, x)
 
 
 def test_field_part_accepts_every_scalar_type():
+    # the entries a scaled matrix holds: int rows over Q are fixed, and
+    # polynomial rows over Q(T) are scaled T -> 3T with their denominator, as
+    # each dense entry is; an entry of another type or over another variable
+    # count is a domain error
     rs = build_root_system("A1")
-    phi = ChevalleyAutomorphism(rs, field=ScalingAutomorphism((Fraction(3),)))
-    t = Polynomial.variable(1, 0)
-    f = RationalFunction.variable(1, 0)
-    # T -> 3T on variable entries; rational constants are fixed
-    for entry, want in ((2, Fraction(2)), (Fraction(1, 2), Fraction(1, 2)),
-                        (t, f * 3), (1 / f, 1 / (f * 3))):
-        x = _integer_identity(adjoint_dimension(rs))
-        x[0][1] = entry
-        assert phi.apply(x) == [[want if (i, j) == (0, 1) else int(i == j) for j in range(3)]
-                         for i in range(3)]
-    x = _integer_identity(adjoint_dimension(rs))
-    x[0][1] = 1.5
-    with pytest.raises(DomainError, match="unsupported scalar"):
-        phi.apply(x)
+    delta = ScalingAutomorphism((Fraction(3),))
+    phi = ChevalleyAutomorphism(rs, field=delta)
+    alpha = rs.positive_roots[0]
+    rational = x_alpha(rs, alpha, Fraction(1, 2))
+    assert phi.apply(rational) == rational
+    for t in (T, 1 / (T + 1), (T * T + 3) / (T * 2 - 5), T - T + 2):
+        x = mat_product([x_alpha(rs, alpha, t), x_alpha(rs, rs.negate(alpha), Fraction(1, 2))])
+        expected = [[apply_scaling(delta, e) if isinstance(e, RationalFunction) else e
+                     for e in row] for row in x]
+        assert phi.apply(x) == expected, t
+    P = Polynomial.variable(1, 0)
+    P1 = Polynomial.variable(2, 0)
+    for bad, message in ((ScaledMatrix([{0: P}, {1: 1.5}, {2: P}], P), "expects a Polynomial"),
+                         (ScaledMatrix([{0: P1}, {1: P1}, {2: P1}], P1), "variable count")):
+        with pytest.raises(DomainError, match=message):
+            phi.apply(bad)
 
 
 def test_inner_part_conjugates():
+    # the inner part is the product g of its word; apply(x) g = g x is the
+    # reference, which needs no inverse
     rs = build_root_system("A2")
-    g = n_alpha(rs, rs.positive_roots[0], Fraction(1))
-    phi = ChevalleyAutomorphism(rs, inner=g)
-    x = x_alpha(rs, rs.positive_roots[1], Fraction(5))
-    assert phi.apply(x) == mat_product([g, x, mat_inv(g)])
+    alpha = rs.positive_roots[0]
+    word = [(alpha, Fraction(1)), (rs.negate(alpha), Fraction(-1)), (alpha, Fraction(1))]
+    phi = ChevalleyAutomorphism(rs, inner=word)
+    assert phi.inner == tuple(word)
+    g = n_alpha(rs, alpha, Fraction(1))
+    for beta in rs.roots:
+        x = x_alpha(rs, beta, Fraction(5))
+        image = phi.apply(x)
+        assert isinstance(image, ScaledMatrix)
+        assert dense_mul(image, g) == dense_mul(g, x), beta
+
+
+@pytest.mark.parametrize("inner", [
+    5, "ab", [5], [(1, 0)], [((1, 0), 1, 2)], [((1, 0),)], [((9, 9), 1)], [(None, 1)],
+    [(5, 1)], [([[1]], 1)], [((1, 0), 1.5)], [((1, 0), True)], [((1, 0), "2")],
+], ids=repr)
+def test_inner_part_must_be_a_word_of_root_pairs(inner):
+    with pytest.raises(DomainError):
+        ChevalleyAutomorphism(build_root_system("A2"), inner=inner)
+
+
+def test_inner_part_given_as_a_matrix_is_a_domain_error():
+    # the inner part is a word, not the matrix of its product
+    rs = build_root_system("A2")
+    with pytest.raises(DomainError, match="word of"):
+        ChevalleyAutomorphism(rs, inner=n_alpha(rs, rs.positive_roots[0], Fraction(1)))
 
 
 def test_diagonal_part_must_be_a_character():
@@ -756,7 +862,7 @@ def test_diagonal_part_must_be_a_character():
         with pytest.raises(DomainError, match="unsupported scalar"):
             ChevalleyAutomorphism(rs, diagonal=(entry,) * m)
     phi = ChevalleyAutomorphism(rs, diagonal=good[:m])
-    assert phi.apply(identity_matrix(dim)) == identity_matrix(dim)
+    assert phi.apply(x_alpha(rs, rs.roots[0], 0)) == identity(dim)
 
 
 def test_reduce_mod_p():

@@ -1,6 +1,6 @@
-"""Exact dense and scaled products, inversion and equality, checked against
-closed forms, a naive triple loop, the dense views and the identity, with the
-work each kernel does counted."""
+"""Exact scaled products, diagonal inversion and equality, checked against
+closed forms, the dense oracle's triple loop, the dense views and the
+identity, with the work each kernel does counted."""
 
 import random
 from collections import Counter
@@ -13,13 +13,14 @@ from tck import DomainError, Polynomial, RationalFunction, build_root_system, h_
 from tck.linalg import (
     ScaledMatrix,
     diagonal_entries,
-    identity_matrix,
     int_det,
     is_diagonal,
     mat_inv,
     mat_mul,
     smith_normal_form,
 )
+
+from dense_oracle import dense_mul, identity, mat_det
 
 T = RationalFunction.variable(1, 0)
 P = Polynomial.variable(1, 0)
@@ -44,116 +45,100 @@ def test_torus_inverse_is_the_reciprocal_parameter():
                 assert inverse == reciprocal, (name, alpha, t)
                 if isinstance(t, RationalFunction):
                     assert inverse.den == reciprocal.den, (name, alpha, t)
-                assert mat_mul(h, inverse) == identity_matrix(len(h))
+                assert mat_mul(h, inverse) == identity(len(h))
 
 
-def test_two_variable_torus_inverts_on_the_dense_view():
+def test_two_variable_torus_inverse_is_the_reciprocal_parameter(monkeypatch):
+    # with no gcd over two variables the inverse is taken over the product of
+    # the distinct diagonal values, on the scaled rows alone
     T1, T2 = (RationalFunction.variable(2, i) for i in range(2))
     rs = build_root_system("B2")
-    for alpha in rs.roots:
-        for t in (T1 + T2 * 2, T1 / (T2 - 3)):
-            h = h_alpha(rs, alpha, t)
-            inverse = mat_inv(h)
-            assert isinstance(h, ScaledMatrix) and not isinstance(inverse, ScaledMatrix)
-            assert inverse == h_alpha(rs, alpha, 1 / t)
-            assert mat_mul(h, inverse) == identity_matrix(len(h))
+    cases = [(alpha, t) for alpha in rs.roots for t in (T1 + T2 * 2, T1 / (T2 - 3))]
+    tori = [(h_alpha(rs, alpha, t), h_alpha(rs, alpha, 1 / t)) for alpha, t in cases]
+    monkeypatch.setattr(ScaledMatrix, "dense", _forbidden_view)
+    inverses = [mat_inv(h) for h, _ in tori]
+    monkeypatch.undo()
+    for (h, reciprocal), inverse in zip(tori, inverses):
+        assert isinstance(inverse, ScaledMatrix) and is_diagonal(inverse)
+        assert inverse == reciprocal
+        assert mat_mul(h, inverse) == identity(len(h))
 
 
-def test_dense_rational_inverse():
-    rng = random.Random(6)
-    a = [[Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(6)] for _ in range(6)]
-    inverse = mat_inv(a)
-    assert mat_mul(a, inverse) == identity_matrix(6)
-    assert mat_mul(inverse, a) == identity_matrix(6)
+def _forbidden_view(self):
+    raise AssertionError("dense view built")
 
 
 def test_singular_matrices_are_refused():
-    singular = [[Fraction(1), Fraction(2), Fraction(3)],
-                [Fraction(2), Fraction(4), Fraction(6)],
-                [Fraction(0), Fraction(1), Fraction(5)]]
-    zero, one = Fraction(0), Fraction(1)
-    with pytest.raises(DomainError, match="^matrix is singular$"):
-        mat_inv(singular)
-    with pytest.raises(DomainError, match="^zero matrix is not invertible$"):
-        mat_inv([[zero] * 2] * 2)
-    with pytest.raises(DomainError, match="^matrix is singular$"):
-        mat_inv([[one, zero, zero], [zero, zero, zero], [zero, zero, T]])
-    with pytest.raises(DomainError, match="^matrix is not square$"):
-        mat_inv([[one, zero], [zero, one], [zero, zero]])
+    # only a diagonal is inverted: any other matrix, over Q and Q(T), is a
+    # domain error
+    for den in (3, P + 1):
+        shear = ScaledMatrix([{0: den, 1: den}, {1: den}, {2: den}], den)
+        with pytest.raises(DomainError, match="^only a diagonal matrix is inverted$"):
+            mat_inv(shear)
 
 
-def _naive_mul(a, b):
-    zero = a[0][0] - a[0][0]
-    out = []
-    for i in range(len(a)):
-        row = []
-        for j in range(len(b[0])):
-            acc = zero
-            for t in range(len(b)):
-                acc = acc + a[i][t] * b[t][j]
-            row.append(acc)
-        out.append(row)
-    return out
+def test_zero_and_singular_scaled_diagonals_fail_as_the_dense_route_does():
+    # a zero or singular diagonal, over Q and Q(T), is refused, and the dense
+    # oracle's elimination finds the same matrices singular
+    for den in (3, P + 1):
+        zero = ScaledMatrix([{}, {}, {}], den)
+        singular = ScaledMatrix([{0: den}, {}, {2: den * 2}], den)
+        for m, message in ((zero, "^zero matrix is not invertible$"),
+                           (singular, "^matrix is singular$")):
+            assert not mat_det(_view(m))
+            with pytest.raises(DomainError, match=message):
+                mat_inv(m)
 
 
-# Small values over few atoms, so that sums of products often cancel to zero.
-INTEGERS = st.integers(-2, 2)
-FRACTIONS = st.sampled_from((0, 1, -1, 2, Fraction(1, 2), Fraction(-1, 2))).map(Fraction)
-FUNCTIONS = st.sampled_from((T, -T, T + 1, 2 / (T - 1), -2 / (T - 1)))
-MIXED = st.one_of(FRACTIONS, FUNCTIONS)
+# Small values over few atoms, so that sums of products often cancel to zero:
+# ints over an int denominator, polynomials over a polynomial one.
+INTEGERS = (st.integers(-2, 2), st.integers(1, 3))
+POLYNOMIALS = (st.sampled_from((P, -P, P + 1, -P - 1, P * 2 - 3)),
+               st.sampled_from((Polynomial.constant(1, 1), P + 1)))
 
 
 def _sparse(entries):
-    # about half the entries are the zero of the entry type
+    # about half the positions hold nothing
     return st.one_of(st.just(None), entries)
 
 
 @st.composite
-def composable_pairs(draw, entries):
-    n, k, m = (draw(st.integers(1, 5)) for _ in range(3))
-    cells = draw(st.lists(_sparse(entries), min_size=n * k + k * m, max_size=n * k + k * m))
-    zero = draw(entries) * 0
-    values = [zero if x is None else x for x in cells]
-    a = [values[i * k:(i + 1) * k] for i in range(n)]
-    b = [values[n * k + t * m:n * k + (t + 1) * m] for t in range(k)]
-    if k > 1 and draw(st.booleans()):
+def composable_pairs(draw, field):
+    entries, dens = field
+    n = draw(st.integers(1, 5))
+    cells = draw(st.lists(_sparse(entries), min_size=2 * n * n, max_size=2 * n * n))
+    a, b = cells[:n * n], cells[n * n:]
+    if n > 1 and draw(st.booleans()):
         # the last term of every entry cancels the first one
-        for row in a:
-            row[-1] = row[0]
-        b[-1] = [-y for y in b[0]]
-    return a, b
+        for i in range(n):
+            a[i * n + n - 1] = a[i * n]
+            b[(n - 1) * n + i] = None if b[i] is None else -b[i]
+
+    def scaled(cells):
+        rows = [{j: v for j, v in enumerate(cells[i * n:(i + 1) * n]) if v} for i in range(n)]
+        return ScaledMatrix(rows, draw(dens))
+
+    return scaled(a), scaled(b)
 
 
 @settings(max_examples=120, deadline=None, database=None, derandomize=True)
-@given(st.one_of(composable_pairs(INTEGERS), composable_pairs(FRACTIONS), composable_pairs(MIXED)))
+@given(st.one_of(composable_pairs(INTEGERS), composable_pairs(POLYNOMIALS)))
 def test_mat_mul_matches_the_triple_loop(pair):
     a, b = pair
-    assert mat_mul(a, b) == _naive_mul(a, b)
+    product = mat_mul(a, b)
+    assert product == dense_mul(a, b)
+    # an entry whose terms cancel is dropped from the sparse rows
+    assert all(v for row in product.rows for v in row.values())
 
 
 def test_products_that_cancel_are_zero():
-    for one in (1, Fraction(1), T):
-        a = [[one, one], [one * 0, one]]
-        b = [[one, one], [-one, one * 0]]
-        assert mat_mul(a, b) == [[0, one * one], [-one * one, 0]]
-        assert not mat_mul(a, b)[0][0]
-
-
-@st.composite
-def invertible_diagonals(draw):
-    n = draw(st.integers(1, 6))
-    units = st.one_of(FRACTIONS.filter(bool), FUNCTIONS)
-    diagonal = draw(st.lists(units, min_size=n, max_size=n))
-    return [[diagonal[i] if i == j else Fraction(0) for j in range(n)] for i in range(n)]
-
-
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
-@given(invertible_diagonals())
-def test_diagonal_inverse_is_two_sided(a):
-    inverse = mat_inv(a)
-    n = len(a)
-    assert mat_mul(a, inverse) == identity_matrix(n)
-    assert mat_mul(inverse, a) == identity_matrix(n)
+    for one, den in ((1, 1), (1, 3), (P, P + 1)):
+        a = ScaledMatrix([{0: one, 1: one}, {1: one}], den)
+        b = ScaledMatrix([{0: one, 1: one}, {0: -one}], den)
+        product = mat_mul(a, b)
+        assert product.rows == [{1: one * one}, {0: -one * one}]
+        assert product == dense_mul(a, b)
+        assert not product[0][0]
 
 
 class Counted:
@@ -195,28 +180,20 @@ class Counted:
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
-@given(composable_pairs(INTEGERS))
+@given(composable_pairs((INTEGERS[0], st.just(1))))
 def test_mat_mul_adds_only_past_the_first_product(pair):
-    a, b = ([[Counted(x) for x in row] for row in m] for m in pair)
-    pairs = [[[t for t in range(len(b)) if a[i][t] and b[t][j]] for j in range(len(b[0]))]
-             for i in range(len(a))]
+    a, b = (ScaledMatrix([{j: Counted(v) for j, v in row.items()} for row in m.rows], 1)
+            for m in pair)
+    n = len(a)
+    pairs = [[[t for t in a.rows[i] if j in b.rows[t]] for j in range(n)] for i in range(n)]
     products = sum(len(terms) for row in pairs for terms in row)
     touched = sum(1 for row in pairs for terms in row if terms)
     Counted.ops.clear()
     product = mat_mul(a, b)
     assert Counted.ops["mul"] == products
     assert Counted.ops["add"] == products - touched
-    assert product == _naive_mul(*pair)
-
-
-@pytest.mark.parametrize("n", [1, 4, 9])
-def test_diagonal_inverse_divides_once_per_entry(n):
-    a = [[Counted(i + 2 if i == j else 0) for j in range(n)] for i in range(n)]
-    Counted.ops.clear()
-    inverse = mat_inv(a)
-    assert Counted.ops == Counter(div=n)
-    assert all(inverse[i][j] == (Fraction(1, i + 2) if i == j else 0)
-               for i in range(n) for j in range(n))
+    values = [{j: v.value for j, v in row.items()} for row in product.rows]
+    assert ScaledMatrix(values, product.den) == dense_mul(*pair)
 
 
 def _view(m):
@@ -315,12 +292,10 @@ def test_changing_one_entry_by_one_breaks_equality(drawn):
 @given(ANY_SCALED_PAIR)
 def test_scaled_products_match_the_triple_loop(pair):
     a, b = pair
-    expected = _naive_mul(_view(a), _view(b))
+    expected = dense_mul(_view(a), _view(b))
     product = mat_mul(a, b)
     assert isinstance(product, ScaledMatrix)
-    for got in (product, mat_mul(a, _view(b)), mat_mul(_view(a), b)):
-        assert got == expected
-    assert _view(product) == expected
+    assert product == expected and _view(product) == expected
 
 
 INVERTIBLE_SCALED_DIAGONALS = st.sampled_from(
@@ -328,31 +303,29 @@ INVERTIBLE_SCALED_DIAGONALS = st.sampled_from(
         lambda field: scaled_matrices(field, diagonal=True))
 
 
+def _dense_inverse(a):
+    """The inverse of a diagonal from its dense view: the entrywise reciprocals."""
+    return [[1 / x if i == j else x for j, x in enumerate(row)] for i, row in enumerate(_view(a))]
+
+
 @settings(max_examples=90, deadline=None, database=None, derandomize=True)
 @given(INVERTIBLE_SCALED_DIAGONALS)
 def test_scaled_diagonal_inverse_matches_the_dense_inverse(a):
+    # over Q, Q(T) and Q(T1, T2) the inverse is a scaled diagonal of the
+    # same kind
     inverse = mat_inv(a)
-    assert inverse == mat_inv(_view(a))
-    # over Q and Q(T) in one variable the inverse stays scaled; over two
-    # variables it is the dense route's
-    one_variable = isinstance(a.den, int) or a.den.nvars == 1
-    assert isinstance(inverse, ScaledMatrix) is one_variable
-    if one_variable:
-        assert is_diagonal(inverse) and type(inverse.den) is type(a.den)
+    assert inverse == _dense_inverse(a)
+    assert is_diagonal(inverse) and type(inverse.den) is type(a.den)
     if isinstance(a.den, int):
         assert inverse.den > 0
-    assert mat_mul(a, inverse) == identity_matrix(len(a))
 
 
-def test_zero_and_singular_scaled_diagonals_fail_as_the_dense_route_does():
-    for den in (3, P + 1):
-        zero = ScaledMatrix([{}, {}, {}], den)
-        singular = ScaledMatrix([{0: den}, {}, {2: den * 2}], den)
-        for m, message in ((zero, "^zero matrix is not invertible$"),
-                           (singular, "^matrix is singular$")):
-            for form in (m, _view(m)):
-                with pytest.raises(DomainError, match=message):
-                    mat_inv(form)
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(INVERTIBLE_SCALED_DIAGONALS)
+def test_diagonal_inverse_is_two_sided(a):
+    inverse = mat_inv(a)
+    assert mat_mul(a, inverse) == identity(len(a))
+    assert mat_mul(inverse, a) == identity(len(a))
 
 
 def test_torus_at_a_negative_parameter_has_a_positive_denominator():
@@ -396,30 +369,6 @@ def _random_int_matrix(rng, n, m):
     return [[rng.randrange(-9, 10) for _ in range(m)] for _ in range(n)]
 
 
-def mat_det(a):
-    """Determinant by fraction-producing Gaussian elimination over any field
-    with ring operations, division and truthiness: the reference for int_det
-    here and for the generic pattern determinants over Q(T) in test_witness."""
-    n = len(a)
-    work = [list(row) for row in a]
-    sign = 1
-    det = None
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if work[r][col]), None)
-        if pivot is None:
-            return work[0][0] - work[0][0]
-        if pivot != col:
-            work[col], work[pivot] = work[pivot], work[col]
-            sign = -sign
-        p = work[col][col]
-        det = p if det is None else det * p
-        for r in range(col + 1, n):
-            if work[r][col]:
-                factor = work[r][col] / p
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return det if sign == 1 else -det
-
-
 def test_int_det_matches_fraction_elimination():
     # Bareiss against Gaussian elimination over Q; the seeded matrices get
     # zero leading entries (forcing a row swap) and zero columns mixed in
@@ -453,7 +402,7 @@ def test_smith_normal_form_properties():
         snf = smith_normal_form(a)
         assert abs(int_det(snf.left)) == 1
         assert abs(int_det(snf.right)) == 1
-        product = _naive_mul(_naive_mul(snf.left, a), snf.right)
+        product = dense_mul(dense_mul(snf.left, a), snf.right)
         for i in range(n):
             for j in range(n):
                 assert product[i][j] == (snf.diagonal[i] if i == j else 0)

@@ -37,14 +37,14 @@ from tck import (
     reduced_obstruction_check,
     supports_pairwise_disjoint,
     twisted_power_product,
-    x_alpha,
 )
 import tck.witness
 from tck.witness import CertifiedEntries
 from tck.chevalley import GraphMatrixRealization
 from tck.linalg import diagonal_entries, is_diagonal, mat_mul, mat_product
 from tck.roots import root_permutation
-from test_linalg import mat_det
+
+from dense_oracle import mat_det
 
 TYPES = ("A1", "A2", "A3", "B2", "D4", "G2")
 
@@ -155,7 +155,7 @@ def test_twisted_power_product_values():
 def test_twisted_power_product_input_validation():
     rs = build_root_system("A2")
     g = generate_witnesses(rs, 1).diagonals[0]
-    inner = ChevalleyAutomorphism(rs, inner=x_alpha(rs, rs.roots[0], Fraction(1)))
+    inner = ChevalleyAutomorphism(rs, inner=[(rs.roots[0], Fraction(1))])
     with pytest.raises(DomainError):
         twisted_power_product(inner, g, 6)
     plain = ChevalleyAutomorphism(rs, field=ScalingAutomorphism((Fraction(2),)))
@@ -624,7 +624,8 @@ def test_pattern_determinant_matches_a_permutation_search():
     assert outcomes == {False, True}
 
 
-@pytest.mark.parametrize("position", [(9, 0), (-1, 0), (0, 9), (0, -1), (10 ** 5000, 0)])
+@pytest.mark.parametrize("position", [(9, 0), (-1, 0), (0, 9), (0, -1), (10 ** 5000, 0),
+                                      (0, 0, 1), (0,), 5, None])
 def test_pattern_positions_outside_the_matrix_are_domain_errors(position):
     certificate = _pattern_certificate(3, [(0, 0), position])
     with pytest.raises(DomainError, match="^certified position outside the matrix$"):
@@ -639,6 +640,15 @@ def test_pattern_determinant_of_an_inconclusive_certificate_is_fast(name):
     certificate = obstruction_check(rs, generate_witnesses(rs, 4), None,
                                     ScalingAutomorphism((Fraction(2),)), 1)
     assert certificate.verdict == "inconclusive" and certificate.entries == ()
+    start = time.perf_counter()
+    assert pattern_determinant(certificate) is True
+    assert time.perf_counter() - start < 1
+
+
+def test_generic_pattern_is_matched_in_one_greedy_sweep():
+    # with no zeros every row takes the next free column directly; an
+    # augmenting search per row would walk O(dim^2) path steps
+    certificate = _pattern_certificate(1200, [])
     start = time.perf_counter()
     assert pattern_determinant(certificate) is True
     assert time.perf_counter() - start < 1
