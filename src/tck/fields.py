@@ -641,42 +641,6 @@ def character_lattice(generators):
     return member
 
 
-def character_classes(generators, values):
-    """Class key of the given nonzero rationals modulo the lattice the positive
-    generators span: key(x) == key(y) exactly when x / y is a member.
-
-    One coprime base is refined over the generators and all values together,
-    so every value factors over it and exponent vectors subtract; over the
-    generators' base alone, 2 / (1/3) lies in <6> although neither factor
-    does.  Membership is linear in the exponent vector, so the key is the
-    sign, the exponents on base elements no generator uses, and w_j mod d_j
-    (w_j where d_j = 0) for the Smith columns of the used ones with d_j != 1.
-    Keys exist only for nonzero values that factor over the base.
-    """
-    gens = [rational(g) for g in generators]
-    values = [rational(x) for x in values]
-    if any(g <= 0 for g in gens):
-        raise DomainError("character lattice generators must be positive")
-    base = _coprime_base({n for x in (*gens, *values) for n in (abs(x.numerator), x.denominator)})
-    rows = [exponent_vector(g, base) for g in gens if g != 1]
-    used = [j for j in range(len(base)) if any(row[j] for row in rows)]
-    unused = [j for j in range(len(base)) if j not in used]
-    divisors = _lattice_divisors([[row[j] for j in used] for row in rows], len(used)) if rows else []
-
-    def key(x) -> tuple:
-        vec = exponent_vector(x, base)
-        if vec is None:
-            raise DomainError(f"{x} does not factor over the class base")
-        target = [vec[j] for j in used]
-        residues = []
-        for column, d in divisors:
-            w = sum(t * v for t, v in zip(target, column))
-            residues.append(w % d if d else w)
-        return (x < 0, tuple(vec[j] for j in unused), tuple(residues))
-
-    return key
-
-
 def character_lattice_member(lam, generators) -> bool:
     """Is lam a product of integer powers of the given positive rationals?"""
     return character_lattice(generators)(lam)

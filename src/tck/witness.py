@@ -1,16 +1,20 @@
 """Diagonal witnesses and the eigencharacter obstruction certificate.
 
-A torus element is a root-position diagonal: its entries at e_beta for beta
-in ``rs.roots``, the Cartan block being 1 (h_alpha(t) e_beta =
-t^<beta, alpha^v> e_beta).  The reference route that criterion 9 and the
-tests compare against is in ``tck.chevalley``: the scaled products n_alpha(t)
-n_alpha(-1) and ``ChevalleyAutomorphism.apply`` on their rows.
+A witness is its character.  g = h_{alpha_1}(p_1) ... h_{alpha_l}(p_l)
+acts on e_beta by prod_t p_t^<beta, alpha_t^v> (Steinberg, Lectures on
+Chevalley Groups, Yale 1967) and on the Cartan block by 1, so over the
+witness's own prime block the exponent vector of entry beta is beta's pairing
+row with the simple coroots: one integer matrix for every witness.  The
+reference route that criterion 9 and the tests compare against is in
+``tck.chevalley``: the scaled products n_alpha(t) n_alpha(-1) and
+``ChevalleyAutomorphism.apply`` on their rows.
 
-The pipeline: build torus elements from consecutive primes so that distinct
-witnesses have pairwise disjoint prime supports, collapse a graph-plus-field
-automorphism against them (the field part fixes rational entries, the graph
-part permutes root positions through its root permutation), and certify the
-entries of any intertwining matrix Z between two collapsed witnesses
+The pipeline: take consecutive primes, rank-many per witness, so that the
+blocks are pairwise disjoint; collapse a graph-plus-field automorphism on the
+pairing rows (the field part fixes rational entries and the graph part
+permutes root positions, so a collapsed row is a sum of pairing rows, again
+one for every witness); and certify the entries of any intertwining matrix Z
+between two collapsed witnesses
 
     Z = ( Q | R )      Q of size |roots| x |roots|, T of size rank x rank
         ( S | T )
@@ -20,11 +24,13 @@ or an eigenvector of the power of the field scaling with eigencharacter
 other[n] c[n] / (first[m] c[m]) (c an optional correction, the Cartan rows
 contributing 1).  Wherever that eigencharacter falls outside the
 multiplicative lattice spanned by the field scalars, the entry must vanish.
-Its exponent vector is the column factor's minus the row factor's, so each
-row and column factor is keyed once by its class modulo the lattice, and an
-entry lies outside exactly when its row and column keys differ.  Certifying
-this for every Q and S entry zeroes the root-indexed columns and forces
-det Z = 0, and that contradiction is what the certificate records.
+Its exponent vector is the column factor's minus the row factor's, each a
+collapsed row over its witness's block plus the correction's vector, so each
+factor is keyed once by its class modulo the lattice, and an entry lies
+outside exactly when its row and column keys differ.  Certifying this for
+every Q and S entry zeroes the root-indexed columns and forces det Z = 0, and
+that contradiction is what the certificate records.  Fractions are built only
+for output: the ``diagonals`` view and the entries' eigencharacters.
 """
 
 import itertools
@@ -33,78 +39,62 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from functools import cached_property
+from math import gcd, prod
 
 from .errors import ConsistencyError, DomainError, integer, rational
-from .fields import (
-    ScalingAutomorphism,
-    character_classes,
-    is_prime,
-    supports_pairwise_disjoint,
-)
+from .fields import ScalingAutomorphism, _coprime_base, _lattice_divisors, exponent_vector, is_prime
 from .roots import DiagramSymmetry, RootSystem, permutation_order, root_permutation
 from .chevalley import ChevalleyAutomorphism
 
 Diagonal = tuple[Fraction, ...]
+Rows = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True, eq=False)
 class WitnessSequence:
-    """Torus elements g_i built from fresh primes, one block per witness,
-    each held as its root-position diagonal."""
+    """Torus elements g_i built from fresh primes, one block per witness:
+    entry beta of g_i is prod_t primes[i][t] ** pairings[beta][t], and
+    ``diagonals`` is that root-position view as Fractions, built when read."""
 
     root_system: RootSystem
     primes: tuple[tuple[int, ...], ...]
-    diagonals: tuple[Diagonal, ...]
 
     @property
     def count(self) -> int:
-        return len(self.diagonals)
+        return len(self.primes)
+
+    @cached_property
+    def pairings(self) -> Rows:
+        """P[beta][t] = <beta, alpha_t^v> = sum_i beta_i cartan[i][t], in
+        ``rs.roots`` order; no root pairs trivially with every simple coroot."""
+        rs = self.root_system
+        columns = tuple(zip(*rs.cartan))
+        rows = tuple(tuple(sum(map(operator.mul, beta, column)) for column in columns)
+                     for beta in rs.roots)
+        if not all(map(any, rows)):
+            raise ConsistencyError(f"a root of {rs.type} pairs trivially with every simple coroot")
+        return rows
+
+    @cached_property
+    def diagonals(self) -> tuple[Diagonal, ...]:
+        return tuple(tuple(Fraction(prod(p ** k for p, k in zip(block, row) if k > 0),
+                                    prod(p ** -k for p, k in zip(block, row) if k < 0))
+                           for row in self.pairings) for block in self.primes)
 
 
 def generate_witnesses(rs: RootSystem, count: int) -> WitnessSequence:
     """Witnesses g_i = h_{alpha_1}(p_{i1}) ... h_{alpha_l}(p_{il}).
 
-    Entry beta of g_i is prod_t p_{it}^<beta, alpha_t^v>, so its exponent
-    vector over the block is beta's pairing row and the entry is nontrivial
-    exactly when that row is nonzero.  Primes are consumed consecutively from
-    2, 3, 5, ... with rank-many per witness, so diagonal supports are
-    nonempty within each witness's block and disjoint across witnesses.  No
-    randomization: certificates built on top of the sequence stay
-    reproducible.
+    Entry beta of g_i is prod_t p_{it}^<beta, alpha_t^v>, its exponent vector
+    over the block beta's pairing row.  Primes are consumed consecutively
+    from 2, 3, 5, ... with rank-many per witness, so the blocks are pairwise
+    disjoint.  No randomization: certificates stay reproducible.
     """
     integer(count, 1, f"at least one witness is required, got {count}")
-    simple = [tuple(1 if j == t else 0 for j in range(rs.rank)) for t in range(rs.rank)]
-    pairings = [[rs.cartan_integer(beta, alpha) for alpha in simple] for beta in rs.roots]
-    prime = 1
-    blocks, diagonals = [], []
-    for i in range(count):
-        block = []
-        for _ in range(rs.rank):
-            prime = next(q for q in itertools.count(prime + 1) if is_prime(q))
-            block.append(prime)
-        diag = []
-        for j, row in enumerate(pairings):
-            a = Fraction(prod(p ** k for p, k in zip(block, row) if k > 0),
-                         prod(p ** -k for p, k in zip(block, row) if k < 0))
-            if not any(row):
-                raise ConsistencyError(
-                    f"witness {i} entry {j} = {a} is not a nontrivial product of powers of {block}"
-                )
-            diag.append(a)
-        blocks.append(tuple(block))
-        diagonals.append(tuple(diag))
-    return WitnessSequence(rs, tuple(blocks), tuple(diagonals))
-
-
-def _rational_diagonal(diagonal, length: int, context: str) -> Diagonal:
-    diagonal = tuple(map(rational, diagonal))
-    if len(diagonal) != length:
-        raise DomainError(f"{context}: {len(diagonal)} diagonal entries for {length} roots")
-    if not all(diagonal):
-        i = diagonal.index(0)
-        raise DomainError(f"{context}: diagonal entry {i} is not a nonzero rational")
-    return diagonal
+    primes = list(itertools.islice(filter(is_prime, itertools.count(2)), count * rs.rank))
+    return WitnessSequence(rs, tuple(tuple(primes[i:i + rs.rank])
+                                     for i in range(0, len(primes), rs.rank)))
 
 
 def _require_graph_field(phi: ChevalleyAutomorphism, context: str):
@@ -125,33 +115,41 @@ def _index_map(rs: RootSystem, symmetry: DiagramSymmetry | None):
     return tuple(sources)
 
 
-def _collapse(cycle, g: Diagonal, m: int) -> Diagonal:
-    """g phi_1(g) (phi_1 phi_2)(g) ... (phi_1 ... phi_{m-1})(g), phi_t the
-    graph part with index map cycle[(t - 1) % len(cycle)].
-
-    Factor t gathers g through the composed index map, so numerators and
-    denominators are multiplied as integers, and each entry becomes one
-    Fraction at the end.
-    """
-    nums = [x.numerator for x in g]
-    dens = [x.denominator for x in g]
-    acc_nums, acc_dens = nums, dens
-    index = range(len(g))
+def _factors(cycle, size: int, m: int):
+    """For each position k, the positions j whose entries g[j] multiply into
+    entry k of g phi_1(g) (phi_1 phi_2)(g) ... (phi_1 ... phi_{m-1})(g),
+    phi_t the graph part with index map cycle[(t - 1) % len(cycle)]: factor t
+    gathers g through the composed index map."""
+    index = range(size)
+    steps = [index]
     for t in range(m - 1):
         sources = cycle[t % len(cycle)]
         if sources is not None:
             index = [sources[i] for i in index]
-        acc_nums = [a * nums[i] for a, i in zip(acc_nums, index)]
-        acc_dens = [a * dens[i] for a, i in zip(acc_dens, index)]
-    return tuple(map(Fraction, acc_nums, acc_dens))
+        steps.append(index)
+    return zip(*steps)
+
+
+def _collapse(cycle, rows: Rows, m: int) -> Rows:
+    """The exponent rows of the collapse: a product of entries is the sum of
+    their rows, so one call serves every witness of a sequence."""
+    return tuple(tuple(map(sum, zip(*map(rows.__getitem__, factors))))
+                 for factors in _factors(cycle, len(rows), m))
 
 
 def twisted_power_product(phi: ChevalleyAutomorphism, g, m: int) -> Diagonal:
     """g phi(g) phi^2(g) ... phi^{m-1}(g) for a rational root-position diagonal g."""
     _require_graph_field(phi, "twisted power product")
     integer(m, 1, f"exponent must be at least 1, got {m}")
-    g = _rational_diagonal(g, len(phi.rs.roots), "twisted power product")
-    return _collapse((_index_map(phi.rs, phi.graph),), g, m)
+    g, length = tuple(map(rational, g)), len(phi.rs.roots)
+    if len(g) != length:
+        raise DomainError(f"twisted power product: {len(g)} diagonal entries for {length} roots")
+    if not all(g):
+        raise DomainError(f"twisted power product: diagonal entry {g.index(0)} is not a "
+                          "nonzero rational")
+    return tuple(Fraction(prod(g[j].numerator for j in factors),
+                          prod(g[j].denominator for j in factors))
+                 for factors in _factors((_index_map(phi.rs, phi.graph),), len(g), m))
 
 
 class ProductAutomorphism:
@@ -292,21 +290,31 @@ class ObstructionCertificate:
     uncertified: tuple[tuple[int, int], ...]
 
 
-def _certify(rs: RootSystem, products, scaling: ScalingAutomorphism,
+def _certify(rs: RootSystem, primes, exponents: Rows, scaling: ScalingAutomorphism,
              correction, index: int) -> ObstructionCertificate:
     """Certify the Q and S entries of every root-indexed column.
 
     Any Z intertwining the collapsed first and index-th witnesses satisfies
     (sixth power of scaling applied entrywise to Z) = first^{-1} Z other, read
-    entrywise as the eigencharacter in the module docstring; c is a diagonal
+    entrywise as the eigencharacter in the module docstring.  Collapsed entry
+    k of witness i is prod_t primes[i][t] ** exponents[k][t]; c is a diagonal
     correction on the root positions (identity when omitted).
     """
     if not isinstance(scaling, ScalingAutomorphism):
         raise DomainError("a scaling automorphism is required")
-    count = len(products)
+    count = len(primes)
     message = f"index {index} outside the witness range 1..{count}"
     if integer(index, 1, message) > count:
         raise DomainError(message)
+    # Each witness holds rank ints and no two share one, checked as sets.
+    seen = set()
+    for i, block in enumerate(primes):
+        if len(block) != rs.rank or not {int}.issuperset(map(type, block)):
+            raise DomainError(f"obstruction check: witness {i + 1} needs {rs.rank} int primes, "
+                              f"got {block!r}")
+        seen.update(block)
+    if len(seen) < rs.rank * count:
+        raise ConsistencyError("obstruction check: a prime occurs twice in the witness blocks")
     root_count = len(rs.roots)
     bound = scaling.variable_count + 1
     generators = tuple((scaling ** 6).scalars)
@@ -314,37 +322,66 @@ def _certify(rs: RootSystem, products, scaling: ScalingAutomorphism,
         return ObstructionCertificate(root_count, rs.rank, index, bound, count, generators,
                                       "inconclusive", CertifiedEntries(root_count, (), (), ()),
                                       ())
-    diagonals = [_rational_diagonal(p, root_count, "obstruction check") for p in products]
-    # Columns whose witness family has nonempty, pairwise disjoint supports;
-    # a collision would mean the prime blocks leaked across witnesses.
-    column_ok = []
-    for n in range(root_count):
-        family = [diagonals[j][n] for j in range(count)]
-        if not supports_pairwise_disjoint(family):
-            raise ConsistencyError(
-                f"product supports collide across witnesses at root position {n}"
-            )
-        column_ok.append(all(abs(b) != 1 for b in family))
-    if correction is None:
-        c = (Fraction(1),) * root_count
-    else:
+    first, other = primes[0], primes[index - 1]
+    if not all(map(is_prime, (*first, *other))):
+        raise DomainError(f"obstruction check: witnesses 1 and {index} need prime blocks")
+    # One coprime base over the two blocks, the generators and the correction:
+    # each prime is a base element, and every factor has an exponent vector.
+    numbers = {*first, *other, *(n for g in generators for n in (g.numerator, g.denominator))}
+    c = None
+    if correction is not None:
         c = [rational(x) for x in correction]
         if len(c) != root_count:
             raise DomainError(f"correction vector needs {root_count} entries, got {len(c)}")
         if any(x == 0 for x in c):
             raise DomainError("correction entries must be nonzero")
-    first, other = diagonals[0], diagonals[index - 1]
-    rows = [first[m] * c[m] for m in range(root_count)] + [Fraction(1)] * rs.rank
-    cols = [other[n] * c[n] for n in range(root_count)]
+        numbers.update(n for x in c for n in (abs(x.numerator), x.denominator))
+    base = _coprime_base(numbers)
+    slot = {b: j for j, b in enumerate(base)}
+    shifts = None if c is None else [exponent_vector(x, base) for x in c]
+    # Membership of x / y is linear in the difference of the exponent vectors,
+    # so the class key is the sign, the exponents on base elements no
+    # generator uses, and the residues modulo the Smith divisors of the used.
+    lattice = [exponent_vector(g, base) for g in generators if g != 1]
+    used = [j for j in range(len(base)) if any(row[j] for row in lattice)]
+    unused = [j for j in range(len(base)) if j not in used]
+    divisors = _lattice_divisors([[row[j] for j in used] for row in lattice],
+                                 len(used)) if lattice else []
+
+    def factor(block, e, k=None):
+        """(key, (num, den)) of prod(block ** e), times c[k] when both are given."""
+        shifted = shifts is not None and k is not None
+        v = list(shifts[k]) if shifted else [0] * len(base)
+        num = den = 1
+        for p, x in zip(block, e):
+            v[slot[p]] += x
+            if x > 0:
+                num *= p ** x
+            elif x < 0:
+                den *= p ** -x
+        if shifted:
+            num, den = num * c[k].numerator, den * c[k].denominator
+            g = gcd(num, den)
+            num, den = num // g, den // g
+        residues = []
+        for column, d in divisors:
+            w = sum(map(operator.mul, map(v.__getitem__, used), column))
+            residues.append(w % d if d else w)
+        return (num < 0, tuple(map(v.__getitem__, unused)), tuple(residues)), (num, den)
+
+    rows = [factor(first, exponents[m], m) for m in range(root_count)]
+    rows += [factor((), ())] * rs.rank
+    cols = [factor(other, exponents[n], n) for n in range(root_count)]
+    # A column is good when its collapsed row is nonzero: then every witness's
+    # entry there is a nontrivial product over its block.
+    column_ok = [any(e) for e in exponents]
     # Entry (m, n) lies in the lattice exactly when row m and column n share
     # a class key, so a row whose key no good column has certifies them all.
-    key = character_classes(generators, rows + cols)
-    col_keys = [key(x) for x in cols]
+    col_keys = [key for key, _ in cols]
     good = tuple(n for n, ok in enumerate(column_ok) if ok)
     good_keys = {col_keys[n] for n in good}
     columns, failed = [], []
-    for m, row in enumerate(rows):
-        row_key = key(row)
+    for m, (row_key, _) in enumerate(rows):
         certified = good
         if row_key in good_keys:
             certified = tuple(n for n in good if col_keys[n] != row_key)
@@ -352,11 +389,10 @@ def _certify(rs: RootSystem, products, scaling: ScalingAutomorphism,
         if len(certified) < root_count:
             failed += [(m, n) for n in range(root_count)
                        if not column_ok[n] or col_keys[n] == row_key]
-    entries = CertifiedEntries(root_count, [(x.numerator, x.denominator) for x in rows],
-                               [(x.numerator, x.denominator) for x in cols], columns)
-    verdict = "obstructed" if not failed else "inconclusive"
+    entries = CertifiedEntries(root_count, [x for _, x in rows], [x for _, x in cols], columns)
     return ObstructionCertificate(root_count, rs.rank, index, bound, count, generators,
-                                  verdict, entries, tuple(failed))
+                                  "inconclusive" if failed else "obstructed", entries,
+                                  tuple(failed))
 
 
 def obstruction_check(rs: RootSystem, witnesses: WitnessSequence,
@@ -370,17 +406,13 @@ def obstruction_check(rs: RootSystem, witnesses: WitnessSequence,
     one; otherwise the verdict is "inconclusive" without analysis, since up
     to that many witnesses can share a twisted class.  The field part fixes
     the rational witnesses, so only the graph's root permutation enters the
-    collapse.
+    collapse, which runs once on the pairing rows.
     """
     if witnesses.root_system.type != rs.type:
         raise DomainError("witnesses were generated for a different root system")
     rs = witnesses.root_system
-    cycle = (_index_map(rs, symmetry),)
-    products = [
-        _collapse(cycle, _rational_diagonal(g, len(rs.roots), "obstruction check"), 6)
-        for g in witnesses.diagonals
-    ]
-    return _certify(rs, products, scaling, correction, index_beyond_bound)
+    exponents = _collapse((_index_map(rs, symmetry),), witnesses.pairings, 6)
+    return _certify(rs, witnesses.primes, exponents, scaling, correction, index_beyond_bound)
 
 
 def pattern_determinant(certificate: ObstructionCertificate) -> bool:
@@ -459,11 +491,13 @@ def pattern_determinant(certificate: ObstructionCertificate) -> bool:
 @dataclass(frozen=True, eq=False)
 class FirstFactorReduction:
     """First-summand shadow of a product automorphism acting on direct-sum
-    witnesses: the collapsed products over 6 * (order of the permutation)
-    steps together with the composed field scaling along the first cycle."""
+    witnesses: their prime blocks, the exponent rows of the collapse over
+    6 * (order of the permutation) steps, shared by every witness, and the
+    composed field scaling along the first cycle."""
 
     root_system: RootSystem
-    products: tuple[Diagonal, ...]
+    primes: tuple[tuple[int, ...], ...]
+    exponents: Rows
     scaling: ScalingAutomorphism
     permutation_order: int
 
@@ -477,8 +511,8 @@ def project_product_to_first_factor(product_aut: ProductAutomorphism,
     the cycle j_t = s^t(0) through it, so the other summands never enter.
     Over 6s steps (s the permutation order) the permutation part returns to
     the identity and the graph parts cancel, leaving the sixth power of the
-    field scaling composed along that cycle.  The projected products feed
-    the same certification as the one-factor case.
+    field scaling composed along that cycle.  The collapse runs once, on the
+    pairing rows, and feeds the same certification as the one-factor case.
     """
     if witnesses.root_system.type != product_aut.rs.type:
         raise DomainError("witnesses were generated for a different root system")
@@ -489,16 +523,13 @@ def project_product_to_first_factor(product_aut: ProductAutomorphism,
     while orbit[-1] != 0:
         orbit.append(perm[orbit[-1]])
     cycle = [product_aut._sources[j] for j in orbit]
-    products = tuple(
-        _collapse(cycle, _rational_diagonal(g, len(rs.roots), "product automorphism"), 6 * s)
-        for g in witnesses.diagonals
-    )
+    exponents = _collapse(cycle, witnesses.pairings, 6 * s)
     theta = ScalingAutomorphism.identity(product_aut.variable_count)
     for t in range(s):
         field = product_aut.factors[orbit[t % len(orbit)]].field
         if field is not None:
             theta = theta.compose(field)
-    return FirstFactorReduction(rs, products, theta, s)
+    return FirstFactorReduction(rs, witnesses.primes, exponents, theta, s)
 
 
 def reduced_obstruction_check(reduction: FirstFactorReduction,
@@ -506,5 +537,10 @@ def reduced_obstruction_check(reduction: FirstFactorReduction,
                               correction=None) -> ObstructionCertificate:
     """Certification on the first-summand shadow; same mechanism, with the
     composed cycle scaling in place of the single field automorphism."""
-    return _certify(reduction.root_system, list(reduction.products),
-                    reduction.scaling, correction, index_beyond_bound)
+    rs, exponents = reduction.root_system, tuple(map(tuple, reduction.exponents))
+    if (len(exponents) != len(rs.roots) or any(len(e) != rs.rank for e in exponents)
+            or not {int}.issuperset(map(type, itertools.chain.from_iterable(exponents)))):
+        raise DomainError(f"obstruction check: the reduction needs {len(rs.roots)} "
+                          f"int exponent rows of length {rs.rank}")
+    return _certify(rs, reduction.primes, exponents, reduction.scaling, correction,
+                    index_beyond_bound)

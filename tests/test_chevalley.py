@@ -583,6 +583,26 @@ def test_graph_realization_is_an_automorphism(name):
             assert any(image == x_alpha(rs, target, s) for s in (Fraction(3), Fraction(-3)))
 
 
+@pytest.mark.parametrize("name, order", [("A3", 2), ("D4", 3)])
+def test_graph_realization_rejects_a_tampered_sign_table(name, order, monkeypatch):
+    # Flipping the sign of one composite root (and of its negative) breaks
+    # the bracket at some basis pair; construction must refuse that table.
+    rs = build_root_system(name)
+    sigma = next(s for s in diagram_symmetries(rs) if s.order == order)
+    composite = next(beta for beta in rs.positive_roots if sum(beta) == 2)
+    flipped = {rs.root_index[composite], rs.root_index[rs.negate(composite)]}
+    original = GraphMatrixRealization._basis_image
+
+    def tampered(self, i):
+        image, sign = original(self, i)
+        return image, -sign if i in flipped else sign
+
+    GraphMatrixRealization(rs, sigma)
+    monkeypatch.setattr(GraphMatrixRealization, "_basis_image", tampered)
+    with pytest.raises(ConsistencyError, match="^sign table breaks the bracket at basis pair"):
+        GraphMatrixRealization(rs, sigma)
+
+
 def test_graph_realization_order():
     rs = build_root_system("D4")
     sigma = next(s for s in diagram_symmetries(rs) if s.order == 3)

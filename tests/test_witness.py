@@ -19,6 +19,7 @@ from tck import (
     ConsistencyError,
     DiagramSymmetry,
     DomainError,
+    FirstFactorReduction,
     ObstructionCertificate,
     ProductAutomorphism,
     RationalFunction,
@@ -45,6 +46,7 @@ from tck.linalg import diagonal_entries, is_diagonal, mat_mul, mat_product
 from tck.roots import root_permutation
 
 from dense_oracle import mat_det
+from fraction_oracle import fraction_certify, fraction_products, summary
 
 TYPES = ("A1", "A2", "A3", "B2", "D4", "G2")
 
@@ -221,7 +223,8 @@ def test_first_factor_projection_matches_dense_route():
             rng.shuffle(perm)
             product = ProductAutomorphism(factors, tuple(perm))
             reduction = project_product_to_first_factor(product, witnesses)
-            for block, p in zip(witnesses.primes, reduction.products):
+            products = fraction_products(reduction.primes, reduction.exponents)
+            for block, p in zip(witnesses.primes, products):
                 summands = [_dense_witness(rs, block)] * k
                 hat = summands[0]
                 for _ in range(6 * reduction.permutation_order - 1):
@@ -305,25 +308,30 @@ def test_certificate_leaves_lattice_entries_uncertified(scalars, index):
 
 
 def test_certificate_factors_each_row_and_column_once(monkeypatch):
-    # one exponent vector per generator and per row and column factor, never
-    # one per entry
-    import tck.fields
-
+    # the witness factors come factored: only the generators, and the
+    # correction entries when a correction is given, get an exponent vector,
+    # once each and never one per entry
     calls = []
-    original = tck.fields.exponent_vector
+    original = tck.witness.exponent_vector
 
     def counting(x, base):
         calls.append(x)
         return original(x, base)
 
-    monkeypatch.setattr(tck.fields, "exponent_vector", counting)
+    monkeypatch.setattr(tck.witness, "exponent_vector", counting)
     rs = build_root_system("E6")
+    witnesses = generate_witnesses(rs, 5)
     delta = ScalingAutomorphism((Fraction(2), Fraction(3)))
-    certificate = obstruction_check(rs, generate_witnesses(rs, 5), None, delta, 4)
-    assert certificate.verdict == "obstructed"
     roots = len(rs.roots)
+    certificate = obstruction_check(rs, witnesses, None, delta, 4)
+    assert certificate.verdict == "obstructed"
     assert len(certificate.entries) == (roots + rs.rank) * roots
-    assert 0 < len(calls) <= 2 * roots + rs.rank + len(certificate.generators)
+    assert calls == list(certificate.generators)
+    calls.clear()
+    correction = [Fraction(-5, 7)] * roots
+    certificate = obstruction_check(rs, witnesses, None, delta, 4, correction=correction)
+    assert certificate.verdict == "obstructed"
+    assert sorted(calls) == sorted([*certificate.generators, *correction])
 
 
 def _count_constructions(monkeypatch):
@@ -353,10 +361,10 @@ def test_certificate_builds_no_entry_until_one_is_read(monkeypatch):
     assert certificate.verdict == "obstructed"
     roots = len(rs.roots)
     assert len(certificate.entries) == (roots + rs.rank) * roots == 5616
-    # Fractions for the collapsed products and a few per row and column
-    # factor, never one per entry
+    # the witnesses are characters and the factors integers: the lattice
+    # generators are the only Fractions, and no entry is built
     assert built["entry"] == 0
-    assert built["Fraction"] <= 2 * (witnesses.count + 2) * (roots + rs.rank)
+    assert built["Fraction"] <= len(certificate.generators)
     fractions = built["Fraction"]
     assert not pattern_determinant(certificate)
     assert built["entry"] == 0 and built["Fraction"] - fractions <= 3
@@ -468,13 +476,31 @@ def test_certificate_correction_and_scaling_validation():
 
 
 def test_malformed_witness_diagonal_names_the_obstruction_check():
+    # a witness is its prime block: a block shorter than the rank, or two
+    # blocks that share a prime, end in a typed error of the obstruction
+    # check, on both routes and on both sides of the bound
     rs = build_root_system("A2")
-    witnesses = generate_witnesses(rs, 4)
-    cut = WitnessSequence(rs, witnesses.primes,
-                          (witnesses.diagonals[0][:5], *witnesses.diagonals[1:]))
-    with pytest.raises(DomainError,
-                       match=r"^obstruction check: 5 diagonal entries for 6 roots$"):
-        obstruction_check(rs, cut, None, ScalingAutomorphism((Fraction(2),)), 3)
+    primes = generate_witnesses(rs, 4).primes
+    delta = ScalingAutomorphism((Fraction(2),))
+    product = ProductAutomorphism([ChevalleyAutomorphism(rs, field=delta)] * 2, (1, 0))
+    cut = WitnessSequence(rs, (primes[0][:1], *primes[1:]))
+    shared = WitnessSequence(rs, (primes[0], (3, 5), *primes[2:]))
+    for index in (1, 3):
+        for route in (lambda w: obstruction_check(rs, w, None, delta, index),
+                      lambda w: reduced_obstruction_check(
+                          project_product_to_first_factor(product, w), index)):
+            with pytest.raises(DomainError,
+                               match=r"^obstruction check: witness 1 needs 2 int primes, "
+                                     r"got \(2,\)$"):
+                route(cut)
+            with pytest.raises(ConsistencyError,
+                               match="^obstruction check: a prime occurs twice in the "
+                                     "witness blocks$"):
+                route(shared)
+    for block in ((2, 4), (2, Fraction(3)), (2, 3.0)):
+        bad = WitnessSequence(rs, (block, *primes[1:]))
+        with pytest.raises(DomainError, match="^obstruction check: witness"):
+            obstruction_check(rs, bad, None, delta, 3)
 
 
 def test_obstruction_check_builds_no_graph_realization(monkeypatch):
@@ -698,13 +724,42 @@ def test_obstruction_rejects_type_mismatch():
 def test_obstruction_detects_support_collisions():
     rs = build_root_system("A2")
     w = generate_witnesses(rs, 3)
-    collided = WitnessSequence(
-        rs,
-        (w.primes[0], w.primes[0], w.primes[2]),
-        (w.diagonals[0], w.diagonals[0], w.diagonals[2]),
-    )
+    collided = WitnessSequence(rs, (w.primes[0], w.primes[0], w.primes[2]))
     with pytest.raises(ConsistencyError):
         obstruction_check(rs, collided, None, ScalingAutomorphism((Fraction(2),)), 3)
+
+
+def test_trivial_collapsed_column_stays_uncertified():
+    # A collapsed row E[n] = 0 makes entry n of every witness 1, so column n
+    # has no nontrivial witness family and none of its positions is
+    # certified, even where the row and column keys differ.
+    rs = build_root_system("A2")
+    witnesses = generate_witnesses(rs, 4)
+    exponents = [tuple(6 * x for x in row) for row in witnesses.pairings]
+    exponents[2] = (0, 0)
+    delta = ScalingAutomorphism((Fraction(2),))
+    reduction = FirstFactorReduction(rs, witnesses.primes, tuple(exponents), delta, 1)
+    certificate = reduced_obstruction_check(reduction, 3)
+    roots = len(rs.roots)
+    assert certificate.verdict == "inconclusive"
+    assert certificate.uncertified == tuple((m, 2) for m in range(roots + rs.rank))
+    assert len(certificate.entries) == (roots + rs.rank) * (roots - 1)
+    assert all(entry.position[1] != 2 for entry in certificate.entries)
+    # the Fraction route agrees
+    oracle = fraction_certify(rs, fraction_products(witnesses.primes, exponents), delta, None, 3)
+    assert summary(certificate) == summary(oracle)
+
+
+def test_reduction_exponent_rows_are_checked():
+    rs = build_root_system("A2")
+    witnesses = generate_witnesses(rs, 4)
+    delta = ScalingAutomorphism((Fraction(2),))
+    rows = witnesses.pairings
+    for bad in (rows[:-1], (rows[0][:1], *rows[1:]), ((Fraction(1), 2), *rows[1:])):
+        reduction = FirstFactorReduction(rs, witnesses.primes, bad, delta, 1)
+        with pytest.raises(DomainError, match="^obstruction check: the reduction needs 6 int "
+                                              "exponent rows of length 2$"):
+            reduced_obstruction_check(reduction, 3)
 
 
 def test_obstruction_correction_keeps_the_verdict():
@@ -749,7 +804,8 @@ def test_two_factor_swap_reduction():
     assert reduction.scaling.scalars == (Fraction(6),)
     assert (reduction.scaling ** 6).scalars == (Fraction(6) ** 6,)
     # field parts fix the rational witnesses: the collapse is a 12th power
-    for g, p in zip(witnesses.diagonals, reduction.products):
+    products = fraction_products(reduction.primes, reduction.exponents)
+    for g, p in zip(witnesses.diagonals, products):
         assert p == tuple(e**12 for e in g)
     certificate = reduced_obstruction_check(reduction, 3)
     assert certificate.verdict == "obstructed"
@@ -841,19 +897,21 @@ def product_automorphisms(draw):
 def test_projection_matches_the_iterated_defining_action(case):
     product, witnesses = case
     reduction = project_product_to_first_factor(product, witnesses)
-    got = (reduction.products, reduction.scaling, reduction.permutation_order)
+    got = (fraction_products(reduction.primes, reduction.exponents), reduction.scaling,
+           reduction.permutation_order)
     assert got == _reference_projection(product, witnesses)
 
 
-def test_projection_validates_each_witness_once(monkeypatch):
+def test_projection_collapses_the_pairing_rows_once(monkeypatch):
+    # one collapse of the shared pairing matrix serves every witness
     calls = []
-    original = tck.witness._rational_diagonal
+    original = tck.witness._collapse
 
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
+    def counting(cycle, rows, m):
+        calls.append((rows, m))
+        return original(cycle, rows, m)
 
-    monkeypatch.setattr(tck.witness, "_rational_diagonal", counting)
+    monkeypatch.setattr(tck.witness, "_collapse", counting)
     rs = build_root_system("D4")
     sigma = next(s for s in diagram_symmetries(rs) if s.order == 3)
     factors = [ChevalleyAutomorphism(rs, graph=sigma) for _ in range(3)]
@@ -861,4 +919,5 @@ def test_projection_validates_each_witness_once(monkeypatch):
     reduction = project_product_to_first_factor(ProductAutomorphism(factors, (1, 2, 0)),
                                                 witnesses)
     assert 6 * reduction.permutation_order == 18
-    assert 0 < len(calls) <= witnesses.count
+    assert calls == [(witnesses.pairings, 18)]
+    assert reduction.primes is witnesses.primes
