@@ -58,7 +58,6 @@ they are freed with their root system; no module-level cache holds one.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from math import lcm, prod
 
 from .errors import ConsistencyError, DomainError, integer, rational
@@ -350,11 +349,13 @@ class ChevalleyAutomorphism:
         for g, g_inverse in self._conjugations:
             x = mat_product([g, x, g_inverse])
         if self.field is not None and not isinstance(x.den, int):
-            # T_i -> c_i T_i on the numerators and the denominator; over Q
-            # the field part fixes every entry
-            scale = partial(apply_scaling, self.field)
-            x = ScaledMatrix([{j: scale(v) for j, v in row.items()} for row in x.rows],
-                             scale(x.den))
+            # T_i -> c_i T_i on the numerators and the denominator, cleared by
+            # one lcm so the image stays in Z[T]; over Q the field part fixes
+            # every entry
+            den, *values = _clear([apply_scaling(self.field, v) for v in
+                                   (x.den, *(v for row in x.rows for v in row.values()))])
+            values = iter(values)
+            x = ScaledMatrix([{j: next(values) for j in row} for row in x.rows], den)
         if self._graph_realization is not None:
             x = self._graph_realization.apply(x)
         return x
@@ -448,9 +449,14 @@ def _cleared(t) -> tuple:
     times the lcm of their coefficients' denominators, so polynomials in Z[T]."""
     if not isinstance(t, RationalFunction):
         return t.numerator, t.denominator
-    m = lcm(*(c.denominator for f in (t.num, t.den) for c in f.terms.values()))
-    return tuple(Polynomial(f.nvars, {e: c.numerator * (m // c.denominator)
-                                      for e, c in f.terms.items()}) for f in (t.num, t.den))
+    return tuple(_clear((t.num, t.den)))
+
+
+def _clear(polynomials) -> list:
+    """The polynomials times the lcm of all their coefficients' denominators."""
+    m = lcm(*(c.denominator for f in polynomials for c in f.terms.values()))
+    return [Polynomial(f.nvars, {e: c.numerator * (m // c.denominator)
+                                 for e, c in f.terms.items()}) for f in polynomials]
 
 
 def _power_product(p, i, q, j):

@@ -10,22 +10,23 @@ reference route that criterion 9 and the tests compare against is in
 ``ChevalleyAutomorphism.apply`` on their rows.
 
 The pipeline: take consecutive primes, rank-many per witness, so that the
-blocks are pairwise disjoint; collapse a graph-plus-field automorphism on the
-pairing rows (the field part fixes rational entries and the graph part
-permutes root positions, so a collapsed row is a sum of pairing rows, again
-one for every witness); and certify the entries of any intertwining matrix Z
-between two collapsed witnesses
+blocks are pairwise disjoint; collapse the automorphism on the pairing rows
+(the field part fixes rational entries and the graph part permutes root
+positions, so a collapsed row is a sum of pairing rows, again one for every
+witness, and the diagonal part conjugates the collapse by a torus element c);
+and certify the entries of any intertwining matrix Z between two collapsed
+witnesses
 
     Z = ( Q | R )      Q of size |roots| x |roots|, T of size rank x rank
         ( S | T )
 
 in one pass over the root-indexed columns.  Entry (m, n) of Q or S is zero
 or an eigenvector of the power of the field scaling with eigencharacter
-other[n] c[n] / (first[m] c[m]) (c an optional correction, the Cartan rows
-contributing 1).  Wherever that eigencharacter falls outside the
+other[n] c[n] / (first[m] c[m]) (c = 1 without a diagonal part, the Cartan
+rows contributing 1).  Wherever that eigencharacter falls outside the
 multiplicative lattice spanned by the field scalars, the entry must vanish.
 Its exponent vector is the column factor's minus the row factor's, each a
-collapsed row over its witness's block plus the correction's vector, so each
+collapsed row over its witness's block plus c's vector, so each
 factor is keyed once by its class modulo the lattice, and an entry lies
 outside exactly when its row and column keys differ.  Certifying this for
 every Q and S entry zeroes the root-indexed columns and forces det Z = 0, and
@@ -78,6 +79,8 @@ class WitnessSequence:
 
     @cached_property
     def diagonals(self) -> tuple[Diagonal, ...]:
+        for i, block in enumerate(self.primes):
+            _check_block(self.root_system, i, block)
         return tuple(tuple(Fraction(prod(p ** k for p, k in zip(block, row) if k > 0),
                                     prod(p ** -k for p, k in zip(block, row) if k < 0))
                            for row in self.pairings) for block in self.primes)
@@ -97,10 +100,16 @@ def generate_witnesses(rs: RootSystem, count: int) -> WitnessSequence:
                                      for i in range(0, len(primes), rs.rank)))
 
 
-def _require_graph_field(phi: ChevalleyAutomorphism, context: str):
-    if phi.inner is not None or phi.diagonal is not None:
-        raise DomainError(f"{context} needs a graph-plus-field automorphism, "
-                          "inner and diagonal parts are not allowed")
+def _check_block(rs: RootSystem, i: int, block):
+    if len(block) != rs.rank or not {int}.issuperset(map(type, block)):
+        raise DomainError(f"obstruction check: witness {i + 1} needs {rs.rank} int primes, "
+                          f"got {block!r}")
+
+
+def _refuse_inner(phi: ChevalleyAutomorphism, context: str):
+    if phi.inner is not None:
+        raise DomainError(f"{context} takes no inner part: criterion 4 covers inner parts, "
+                          "R(iota_g phi) = R(phi)")
 
 
 def _index_map(rs: RootSystem, symmetry: DiagramSymmetry | None):
@@ -138,8 +147,9 @@ def _collapse(cycle, rows: Rows, m: int) -> Rows:
 
 
 def twisted_power_product(phi: ChevalleyAutomorphism, g, m: int) -> Diagonal:
-    """g phi(g) phi^2(g) ... phi^{m-1}(g) for a rational root-position diagonal g."""
-    _require_graph_field(phi, "twisted power product")
+    """g phi(g) phi^2(g) ... phi^{m-1}(g) for a rational root-position diagonal g;
+    a diagonal part conjugates by a torus element and fixes g."""
+    _refuse_inner(phi, "twisted power product")
     integer(m, 1, f"exponent must be at least 1, got {m}")
     g, length = tuple(map(rational, g)), len(phi.rs.roots)
     if len(g) != length:
@@ -154,14 +164,15 @@ def twisted_power_product(phi: ChevalleyAutomorphism, g, m: int) -> Diagonal:
 
 class ProductAutomorphism:
     """Automorphism of a k-fold direct sum: permute the summands, then act
-    factorwise by graph-plus-field automorphisms.
+    factorwise by diagonal-graph-field automorphisms.
 
     The action is (x_1, ..., x_k) -> (phi_{s(1)}(x_{s(1)}), ..., phi_{s(k)}(x_{s(k)}))
     with s the stored permutation (0-based images), on summands that are
     rational root-position diagonals.  All factors must share one root
-    system and carry no inner or diagonal part; field parts, where present,
-    must agree on the variable count so their compositions along
-    permutation cycles stay well formed.
+    system and carry no inner part (criterion 4 covers it); field parts,
+    where present, must agree on the variable count so their compositions
+    along permutation cycles stay well formed.  One automorphism phi is
+    ProductAutomorphism([phi], (0,)).
     """
 
     def __init__(self, factors, permutation):
@@ -172,7 +183,7 @@ class ProductAutomorphism:
         for pos, phi in enumerate(factors):
             if not isinstance(phi, ChevalleyAutomorphism):
                 raise DomainError(f"factor {pos} is not a Chevalley automorphism")
-            _require_graph_field(phi, f"factor {pos}")
+            _refuse_inner(phi, f"factor {pos}")
             if phi.rs.type != rs.type:
                 raise DomainError("factors must share one root system")
         counts = {phi.field.variable_count for phi in factors if phi.field is not None}
@@ -297,8 +308,9 @@ def _certify(rs: RootSystem, primes, exponents: Rows, scaling: ScalingAutomorphi
     Any Z intertwining the collapsed first and index-th witnesses satisfies
     (sixth power of scaling applied entrywise to Z) = first^{-1} Z other, read
     entrywise as the eigencharacter in the module docstring.  Collapsed entry
-    k of witness i is prod_t primes[i][t] ** exponents[k][t]; c is a diagonal
-    correction on the root positions (identity when omitted).
+    k of witness i is prod_t primes[i][t] ** exponents[k][t]; c is the
+    collapse of the diagonal parts on the root positions (identity when
+    None), checked here because a hand-built reduction carries it too.
     """
     if not isinstance(scaling, ScalingAutomorphism):
         raise DomainError("a scaling automorphism is required")
@@ -309,9 +321,7 @@ def _certify(rs: RootSystem, primes, exponents: Rows, scaling: ScalingAutomorphi
     # Each witness holds rank ints and no two share one, checked as sets.
     seen = set()
     for i, block in enumerate(primes):
-        if len(block) != rs.rank or not {int}.issuperset(map(type, block)):
-            raise DomainError(f"obstruction check: witness {i + 1} needs {rs.rank} int primes, "
-                              f"got {block!r}")
+        _check_block(rs, i, block)
         seen.update(block)
     if len(seen) < rs.rank * count:
         raise ConsistencyError("obstruction check: a prime occurs twice in the witness blocks")
@@ -398,7 +408,7 @@ def _certify(rs: RootSystem, primes, exponents: Rows, scaling: ScalingAutomorphi
 def obstruction_check(rs: RootSystem, witnesses: WitnessSequence,
                       symmetry: DiagramSymmetry | None,
                       scaling: ScalingAutomorphism,
-                      index_beyond_bound: int, correction=None) -> ObstructionCertificate:
+                      index_beyond_bound: int) -> ObstructionCertificate:
     """Certify that witness index_beyond_bound cannot be reached from the
     first witness by any intertwining matrix compatible with the automorphism.
 
@@ -406,13 +416,15 @@ def obstruction_check(rs: RootSystem, witnesses: WitnessSequence,
     one; otherwise the verdict is "inconclusive" without analysis, since up
     to that many witnesses can share a twisted class.  The field part fixes
     the rational witnesses, so only the graph's root permutation enters the
-    collapse, which runs once on the pairing rows.
+    collapse, which runs once on the pairing rows.  An automorphism with a
+    diagonal part goes through ``project_product_to_first_factor`` as
+    ProductAutomorphism([phi], (0,)).
     """
     if witnesses.root_system.type != rs.type:
         raise DomainError("witnesses were generated for a different root system")
     rs = witnesses.root_system
     exponents = _collapse((_index_map(rs, symmetry),), witnesses.pairings, 6)
-    return _certify(rs, witnesses.primes, exponents, scaling, correction, index_beyond_bound)
+    return _certify(rs, witnesses.primes, exponents, scaling, None, index_beyond_bound)
 
 
 def pattern_determinant(certificate: ObstructionCertificate) -> bool:
@@ -492,14 +504,16 @@ def pattern_determinant(certificate: ObstructionCertificate) -> bool:
 class FirstFactorReduction:
     """First-summand shadow of a product automorphism acting on direct-sum
     witnesses: their prime blocks, the exponent rows of the collapse over
-    6 * (order of the permutation) steps, shared by every witness, and the
-    composed field scaling along the first cycle."""
+    6 * (order of the permutation) steps, shared by every witness, the
+    composed field scaling along the first cycle, and the torus element c
+    that the diagonal parts conjugate the collapse by (None without one)."""
 
     root_system: RootSystem
     primes: tuple[tuple[int, ...], ...]
     exponents: Rows
     scaling: ScalingAutomorphism
     permutation_order: int
+    correction: tuple | None = None
 
 
 def project_product_to_first_factor(product_aut: ProductAutomorphism,
@@ -513,6 +527,12 @@ def project_product_to_first_factor(product_aut: ProductAutomorphism,
     the identity and the graph parts cancel, leaving the sixth power of the
     field scaling composed along that cycle.  The collapse runs once, on the
     pairing rows, and feeds the same certification as the one-factor case.
+
+    A diagonal part D gives phi(x) = psi(D) psi(x) psi(D)^-1 for psi the
+    graph-plus-field part, and torus conjugation fixes the witnesses, so the
+    6s steps only add conjugation by c, c[k] the product over t of
+    D_{j_(t+1)} at the composed index map idx_(t+1)(k); a factor without a
+    diagonal part contributes 1.
     """
     if witnesses.root_system.type != product_aut.rs.type:
         raise DomainError("witnesses were generated for a different root system")
@@ -524,23 +544,29 @@ def project_product_to_first_factor(product_aut: ProductAutomorphism,
         orbit.append(perm[orbit[-1]])
     cycle = [product_aut._sources[j] for j in orbit]
     exponents = _collapse(cycle, witnesses.pairings, 6 * s)
+    correction = None
+    if any(phi.diagonal is not None for phi in product_aut.factors):
+        diagonals = [product_aut.factors[j].diagonal for j in orbit]
+        correction = tuple(prod(d[i] for d, i in zip(itertools.cycle(diagonals), idx[1:])
+                                if d is not None)
+                           for idx in _factors(cycle, len(rs.roots), 6 * s + 1))
     theta = ScalingAutomorphism.identity(product_aut.variable_count)
     for t in range(s):
         field = product_aut.factors[orbit[t % len(orbit)]].field
         if field is not None:
             theta = theta.compose(field)
-    return FirstFactorReduction(rs, witnesses.primes, exponents, theta, s)
+    return FirstFactorReduction(rs, witnesses.primes, exponents, theta, s, correction)
 
 
 def reduced_obstruction_check(reduction: FirstFactorReduction,
-                              index_beyond_bound: int,
-                              correction=None) -> ObstructionCertificate:
+                              index_beyond_bound: int) -> ObstructionCertificate:
     """Certification on the first-summand shadow; same mechanism, with the
-    composed cycle scaling in place of the single field automorphism."""
+    composed cycle scaling in place of the single field automorphism and the
+    reduction's correction from the diagonal parts."""
     rs, exponents = reduction.root_system, tuple(map(tuple, reduction.exponents))
     if (len(exponents) != len(rs.roots) or any(len(e) != rs.rank for e in exponents)
             or not {int}.issuperset(map(type, itertools.chain.from_iterable(exponents)))):
         raise DomainError(f"obstruction check: the reduction needs {len(rs.roots)} "
                           f"int exponent rows of length {rs.rank}")
-    return _certify(rs, reduction.primes, exponents, reduction.scaling, correction,
+    return _certify(rs, reduction.primes, exponents, reduction.scaling, reduction.correction,
                     index_beyond_bound)

@@ -786,6 +786,22 @@ def test_field_part_scales_variable_entries():
             assert got == want
 
 
+def test_field_part_keeps_the_image_in_int_polynomials():
+    # T -> 3T/2 brings Fraction coefficients; one lcm clears them from the
+    # rows and the denominator, and the image equals the uncleared one
+    rs = build_root_system("A2")
+    delta = ScalingAutomorphism((Fraction(3, 2),))
+    phi = ChevalleyAutomorphism(rs, field=delta)
+    for t in FUNCTION_FIELD_PARAMETERS:
+        x = x_alpha(rs, (1, 0), t)
+        image = phi.apply(x)
+        values = (image.den, *(v for row in image.rows for v in row.values()))
+        assert all(type(c) is int for f in values for c in f.terms.values()), t
+        scaled = ScaledMatrix([{j: apply_scaling(delta, v) for j, v in row.items()}
+                               for row in x.rows], apply_scaling(delta, x.den))
+        assert image == scaled and scaled == image, t
+
+
 def test_inner_part_with_integer_entries_stays_exact():
     # int parameters are coerced, so the rows stay ints over an int
     # denominator and no float enters

@@ -33,7 +33,9 @@ from tck import (
     lamplighter_r_infinity,
     metabelian_spectrum,
     obstruction_check,
+    project_product_to_first_factor,
     reduce_mod_p,
+    reduced_obstruction_check,
     telescoping_product_check,
     twisted_power_product,
     zn_fullness_witness,
@@ -52,8 +54,14 @@ T = Polynomial.variable(1, 0)
 T_OVER_1 = RationalFunction.variable(1, 0)
 
 
-def _certify(index=3, correction=None):
-    return obstruction_check(A2, WITNESSES, None, SCALING, index, correction).verdict
+def _certify(index=3, diagonal=None):
+    """The verdict, through the diagonal part's reduction when one is given:
+    the certificate's correction comes from the diagonal part."""
+    if diagonal is None:
+        return obstruction_check(A2, WITNESSES, None, SCALING, index).verdict
+    phi = ChevalleyAutomorphism(A2, diagonal=diagonal, field=SCALING)
+    reduction = project_product_to_first_factor(ProductAutomorphism([phi], (0,)), WITNESSES)
+    return reduced_obstruction_check(reduction, index).verdict
 
 
 WRONG_KINDS = {
@@ -63,9 +71,10 @@ WRONG_KINDS = {
     "metabelian float p": (lambda: metabelian_spectrum(2, Fraction(1, 2), 2.0),
                            "^2.0 is not prime: 2.0 is not an int$"),
     "metabelian prime 7.0": (lambda: metabelian_spectrum(1, 1, 7.0), "7.0 is not an int"),
-    "correction float": (lambda: _certify(correction=[0.5] * ROOTS), "unsupported scalar"),
-    "correction string": (lambda: _certify(correction=["1/3"] * ROOTS), "unsupported scalar"),
-    "correction bool": (lambda: _certify(correction=[True] * ROOTS), "unsupported scalar"),
+    # the correction's entries enter as the diagonal part's, through its gate
+    "correction float": (lambda: _certify(diagonal=[0.5] * ROOTS), "unsupported scalar"),
+    "correction string": (lambda: _certify(diagonal=["1/3"] * ROOTS), "unsupported scalar"),
+    "correction bool": (lambda: _certify(diagonal=[True] * ROOTS), "unsupported scalar"),
     "index bool": (lambda: _certify(index=True), "True is not an int"),
     "index float": (lambda: _certify(index=3.0), "3.0 is not an int"),
     "witness count bool": (lambda: generate_witnesses(A2, True), "True is not an int"),
@@ -124,9 +133,11 @@ def test_wrong_kinds_are_domain_errors(case):
 VALID = {
     "metabelian": (lambda: metabelian_spectrum(2, Fraction(1, 2), 2).set_form,
                    "{2*(2^l - 1), 2*(2^l + 1) : l >= 1} U {4} U {infinity}"),
-    "certify int correction": (lambda: _certify(correction=[1] * ROOTS), "obstructed"),
-    "certify Fraction correction": (lambda: _certify(correction=[Fraction(1, 3)] * ROOTS),
-                                    "obstructed"),
+    # diagonal parts with values -1 and 1/3 at both simple roots
+    "certify int correction": (lambda: _certify(diagonal=[(-1) ** (sum(b) % 2) for b in A2.roots]),
+                               "obstructed"),
+    "certify Fraction correction": (
+        lambda: _certify(diagonal=[Fraction(1, 3) ** sum(b) for b in A2.roots]), "obstructed"),
     "certify index 2": (lambda: _certify(index=2), "inconclusive"),
     "witness count": (lambda: WITNESSES.primes, ((2, 3), (5, 7), (11, 13), (17, 19))),
     "power product": (lambda: twisted_power_product(GRAPH, [1, 2, Fraction(1, 3), 1, 1, 1], 2),

@@ -1,6 +1,7 @@
 """Witness families, collapsed products, and the zero-block certification."""
 
 import ast
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -38,6 +39,7 @@ from tck import (
     reduced_obstruction_check,
     supports_pairwise_disjoint,
     twisted_power_product,
+    x_alpha,
 )
 import tck.witness
 from tck.witness import CertifiedEntries
@@ -158,7 +160,8 @@ def test_twisted_power_product_input_validation():
     rs = build_root_system("A2")
     g = generate_witnesses(rs, 1).diagonals[0]
     inner = ChevalleyAutomorphism(rs, inner=[(rs.roots[0], Fraction(1))])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="^twisted power product takes no inner part: "
+                                          "criterion 4 covers inner parts"):
         twisted_power_product(inner, g, 6)
     plain = ChevalleyAutomorphism(rs, field=ScalingAutomorphism((Fraction(2),)))
     for bad in (g[:-1], g + (Fraction(1),), (Fraction(0),) + g[1:]):
@@ -196,6 +199,9 @@ def test_product_automorphism_validation():
     mixed = ChevalleyAutomorphism(a2, field=ScalingAutomorphism((Fraction(2), Fraction(3))))
     with pytest.raises(DomainError):
         ProductAutomorphism([f_a2, mixed], (0, 1))
+    inner = ChevalleyAutomorphism(a2, inner=[(a2.roots[0], Fraction(1))])
+    with pytest.raises(DomainError, match="^factor 1 takes no inner part: criterion 4"):
+        ProductAutomorphism([f_a2, inner], (1, 0))
     product = ProductAutomorphism([f_a2, f_a2], (1, 0))
     assert product.k == 2
     assert product.permutation_order == 2
@@ -233,30 +239,126 @@ def test_first_factor_projection_matches_dense_route():
                 assert p == _root_block(rs, hat), (name, perm)
 
 
+def _character(rs, simple):
+    """Diagonal-part entries at ``rs.roots`` with the given values at the
+    simple roots: entry beta is prod_k simple[k] ** beta_k."""
+    return tuple(prod(Fraction(c) ** b for c, b in zip(simple, beta)) for beta in rs.roots)
+
+
+def _diagonal_certificate(phi, witnesses, index):
+    """The certificate of one automorphism, through its one-factor reduction,
+    the route that carries a diagonal part into the certificate."""
+    reduction = project_product_to_first_factor(ProductAutomorphism([phi], (0,)), witnesses)
+    return reduced_obstruction_check(reduction, index)
+
+
+# Values at the simple roots, shifted by the factor's position so that the
+# factors of a product carry different diagonal parts.
+SIMPLE_VALUES = (2, Fraction(3, 5), 7, Fraction(-1, 11), 13, 17, Fraction(19, 23), 29)
+
+# (type, permutation, parts): each factor's parts as (index into
+# diagram_symmetries, 0 for no graph part; diagonal part; field part).
+DIAGONAL_CASES = [(name, (0,), ((graph, True, True),))
+                  for name, count in (("A2", 2), ("A3", 2), ("D4", 6), ("E6", 2))
+                  for graph in range(count)]
+DIAGONAL_CASES += [
+    ("A2", (1, 0), ((1, True, False), (0, False, True))),
+    ("A2", (0, 1), ((0, True, True), (1, True, False))),
+    ("A2", (1, 2, 0), ((0, True, False), (1, False, False), (1, True, True))),
+    ("A2", (2, 0, 1), ((1, True, False), (0, True, False), (0, False, True))),
+    ("D4", (1, 0), ((3, True, False), (0, True, True))),
+    ("D4", (0, 1), ((1, True, False), (5, False, True))),
+    ("D4", (1, 2, 0), ((3, True, True), (4, False, False), (2, True, False))),
+    ("D4", (0, 2, 1), ((1, True, False), (3, True, True), (0, False, True))),
+]
+
+
+@pytest.mark.parametrize("name, permutation, parts", DIAGONAL_CASES,
+                         ids=[f"{i}-{name}^{len(perm)}-{''.join(map(str, perm))}"
+                              for i, (name, perm, _) in enumerate(DIAGONAL_CASES)])
+def test_diagonal_parts_give_the_dense_correction(name, permutation, parts):
+    # the first summand of Phi^{6s}(x_alpha(1), ..., x_alpha(1)), iterated on
+    # matrices through ChevalleyAutomorphism.apply, is x_alpha(c[alpha])
+    rs = build_root_system(name)
+    symmetries = diagram_symmetries(rs)
+    factors = [ChevalleyAutomorphism(
+        rs, diagonal=_character(rs, SIMPLE_VALUES[pos:pos + rs.rank]) if diagonal else None,
+        graph=symmetries[graph] if graph else None,
+        field=ScalingAutomorphism((Fraction(3, 2),)) if field else None)
+        for pos, (graph, diagonal, field) in enumerate(parts)]
+    product = ProductAutomorphism(factors, permutation)
+    reduction = project_product_to_first_factor(product, generate_witnesses(rs, 2))
+    assert len(reduction.correction) == len(rs.roots)
+    for alpha, c in zip(rs.roots, reduction.correction):
+        summands = [x_alpha(rs, alpha, 1)] * product.k
+        for _ in range(6 * reduction.permutation_order):
+            summands = [factors[j].apply(summands[j]) for j in permutation]
+        assert summands[0] == x_alpha(rs, alpha, c), (alpha, c)
+
+
+def test_function_field_diagonal_part_is_a_domain_error():
+    # the correction must be rational: a Q(T) diagonal part is refused by
+    # the certificate's gate, past the bound
+    rs = build_root_system("A2")
+    t = RationalFunction.variable(1, 0)
+    phi = ChevalleyAutomorphism(rs, diagonal=[t ** beta[0] for beta in rs.roots])
+    with pytest.raises(DomainError, match="unsupported scalar"):
+        _diagonal_certificate(phi, generate_witnesses(rs, 4), 3)
+
+
+@pytest.mark.parametrize("name", ["A2", "D4"])
+def test_twisted_power_product_ignores_the_diagonal_part(name):
+    # a diagonal part conjugates by a torus element, which fixes g
+    rs = build_root_system(name)
+    sigma, delta = _nontrivial_symmetry(rs), ScalingAutomorphism((Fraction(2),))
+    plain = ChevalleyAutomorphism(rs, graph=sigma, field=delta)
+    diagonal = ChevalleyAutomorphism(rs, diagonal=_character(rs, SIMPLE_VALUES[:rs.rank]),
+                                     graph=sigma, field=delta)
+    for g in generate_witnesses(rs, 2).diagonals:
+        for m in (1, 2, 5, 6):
+            assert twisted_power_product(diagonal, g, m) == twisted_power_product(plain, g, m)
+
+
+def test_short_witness_block_is_a_domain_error_in_the_view():
+    rs = build_root_system("A2")
+    with pytest.raises(DomainError, match=r"^obstruction check: witness 1 needs 2 int primes, "
+                                          r"got \(2,\)$"):
+        WitnessSequence(rs, ((2,), (5, 7))).diagonals
+
+
 def _certificate_positions(certificate):
     return [entry.position for entry in certificate.entries] + list(certificate.uncertified)
 
 
+# correction: the diagonal part's values at the simple roots, None without one
 @pytest.mark.parametrize("name, order, correction", [
     ("A1", None, None),
-    ("A2", None, (Fraction(11), Fraction(2, 3), Fraction(-5), Fraction(1), Fraction(7), 3)),
+    ("A2", None, (Fraction(11), Fraction(2, 3))),
     ("A3", 2, None),
     ("D4", 3, None),
+    ("D4", 3, (Fraction(-5), 7, Fraction(1, 3), 2)),
 ])
 def test_certificate_eigencharacters_match_the_collapsed_products(name, order, correction):
     # every Q and S entry carries products[index-1][n] c[n] / (products[0][m] c[m]),
     # with the products collapsed independently through ChevalleyAutomorphism
+    # and c the six-step collapse of the diagonal part
     rs = build_root_system(name)
     sigma = None if order is None else next(
         s for s in diagram_symmetries(rs) if s.order == order)
     delta = ScalingAutomorphism((Fraction(2),))
     witnesses = generate_witnesses(rs, 4)
     index = 3
-    certificate = obstruction_check(rs, witnesses, sigma, delta, index, correction=correction)
-    phi = ChevalleyAutomorphism(rs, graph=sigma, field=delta)
-    products = [twisted_power_product(phi, g, 6) for g in witnesses.diagonals]
     root_count = len(rs.roots)
-    c = [Fraction(1)] * root_count if correction is None else [Fraction(x) for x in correction]
+    if correction is None:
+        phi = ChevalleyAutomorphism(rs, graph=sigma, field=delta)
+        certificate = obstruction_check(rs, witnesses, sigma, delta, index)
+        c = [Fraction(1)] * root_count
+    else:
+        phi = ChevalleyAutomorphism(rs, diagonal=_character(rs, correction), graph=sigma,
+                                    field=delta)
+        certificate = _diagonal_certificate(phi, witnesses, index)
+        c = twisted_power_product(phi, phi.diagonal, 6)
+    products = [twisted_power_product(phi, g, 6) for g in witnesses.diagonals]
     # the Cartan rows contribute 1
     rows = [products[0][m] * c[m] for m in range(root_count)] + [Fraction(1)] * rs.rank
     assert certificate.verdict == "obstructed"
@@ -269,27 +371,38 @@ def test_certificate_eigencharacters_match_the_collapsed_products(name, order, c
     assert certificate.family_size == 4
 
 
+def _lifting_diagonal(rs, witnesses, index, scalar):
+    """A diagonal part on A2 whose sixth power puts lambda(0, 1) = 1 and
+    lambda(m, 0) = scalar ** 6, a generator, on both Cartan rows m: with no
+    graph part phi^6 conjugates the collapse by D^6, so D[0] = scalar /
+    other[0] and D[1] = D[0] first[0] / other[1] (positions 0 and 1 hold
+    alpha_2 and alpha_1)."""
+    first, other = witnesses.diagonals[0], witnesses.diagonals[index - 1]
+    d = scalar / other[0]
+    return _character(rs, (d * first[0] / other[1], d))
+
+
 @pytest.mark.parametrize("scalars, index", [
     ((Fraction(3, 2),), 3),
     ((Fraction(6),), 3),
     ((Fraction(2), Fraction(3)), 4),
 ])
 def test_certificate_leaves_lattice_entries_uncertified(scalars, index):
-    # the correction puts lambda(0, 1) = 1 and lambda(0, 2) = a generator,
-    # whose primes are those of the first witness; every position is decided
-    # against the per-entry membership route
+    # the diagonal part lands eigencharacters on 1 and on a generator past
+    # the bound; every position is decided against the per-entry membership
+    # route
     rs = build_root_system("A2")
     witnesses = generate_witnesses(rs, 4)
     delta = ScalingAutomorphism(scalars)
-    phi = ChevalleyAutomorphism(rs, field=delta)
+    diagonal = _lifting_diagonal(rs, witnesses, index, scalars[0])
+    phi = ChevalleyAutomorphism(rs, diagonal=diagonal, field=delta)
     products = [twisted_power_product(phi, g, 6) for g in witnesses.diagonals]
     first, other = products[0], products[index - 1]
     generators = (delta ** 6).scalars
     root_count = len(rs.roots)
-    c = [Fraction(1)] * root_count
-    c[1] = first[0] / other[1]
-    c[2] = first[0] / other[2] * generators[0]
-    certificate = obstruction_check(rs, witnesses, None, delta, index, correction=c)
+    c = [x ** 6 for x in diagonal]
+    certificate = _diagonal_certificate(phi, witnesses, index)
+    assert index > certificate.bound
     assert certificate.generators == generators
     rows = [first[m] * c[m] for m in range(root_count)] + [Fraction(1)] * rs.rank
     certified, uncertified = [], []
@@ -300,7 +413,7 @@ def test_certificate_leaves_lattice_entries_uncertified(scalars, index):
                 uncertified.append((m, n))
             else:
                 certified.append(((m, n), lam))
-    assert {(0, 1), (0, 2)} <= set(uncertified)
+    assert {(0, 1), (root_count, 0), (root_count + 1, 0)} <= set(uncertified)
     assert certificate.verdict == "inconclusive"
     assert certificate.uncertified == tuple(uncertified)
     assert [(e.position, e.eigencharacter) for e in certificate.entries] == certified
@@ -309,8 +422,8 @@ def test_certificate_leaves_lattice_entries_uncertified(scalars, index):
 
 def test_certificate_factors_each_row_and_column_once(monkeypatch):
     # the witness factors come factored: only the generators, and the
-    # correction entries when a correction is given, get an exponent vector,
-    # once each and never one per entry
+    # correction's entries when a diagonal part gives one, get an exponent
+    # vector, once each and never one per entry
     calls = []
     original = tck.witness.exponent_vector
 
@@ -327,11 +440,13 @@ def test_certificate_factors_each_row_and_column_once(monkeypatch):
     assert certificate.verdict == "obstructed"
     assert len(certificate.entries) == (roots + rs.rank) * roots
     assert calls == list(certificate.generators)
+    phi = ChevalleyAutomorphism(rs, diagonal=_character(rs, [Fraction(-5, 7)] * rs.rank),
+                                field=delta)
+    reduction = project_product_to_first_factor(ProductAutomorphism([phi], (0,)), witnesses)
     calls.clear()
-    correction = [Fraction(-5, 7)] * roots
-    certificate = obstruction_check(rs, witnesses, None, delta, 4, correction=correction)
+    certificate = reduced_obstruction_check(reduction, 4)
     assert certificate.verdict == "obstructed"
-    assert sorted(calls) == sorted([*certificate.generators, *correction])
+    assert sorted(calls) == sorted([*certificate.generators, *reduction.correction])
 
 
 def _count_constructions(monkeypatch):
@@ -385,17 +500,20 @@ def _sequence_cases():
             s for s in diagram_symmetries(rs) if s.order == order)
         delta = ScalingAutomorphism(tuple(map(Fraction, scalars)))
         witnesses = generate_witnesses(rs, 4)
-        phi = ChevalleyAutomorphism(rs, graph=sigma, field=delta)
+        roots = len(rs.roots)
+        if lifted:
+            # lambda(0, 1) = 1 and lambda(m, 0) a generator stay uncertified
+            diagonal = _lifting_diagonal(rs, witnesses, index, delta.scalars[0])
+            phi = ChevalleyAutomorphism(rs, diagonal=diagonal, field=delta)
+            certificate = _diagonal_certificate(phi, witnesses, index)
+            c = [x ** 6 for x in diagonal]
+        else:
+            phi = ChevalleyAutomorphism(rs, graph=sigma, field=delta)
+            certificate = obstruction_check(rs, witnesses, sigma, delta, index)
+            c = [Fraction(1)] * roots
         products = [twisted_power_product(phi, g, 6) for g in witnesses.diagonals]
         first, other = products[0], products[index - 1]
         generators = (delta ** 6).scalars
-        roots = len(rs.roots)
-        c = [Fraction(1)] * roots
-        if lifted:
-            # lambda(0, 1) = 1 and lambda(0, 2) a generator stay uncertified
-            c[1] = first[0] / other[1]
-            c[2] = first[0] / other[2] * generators[0]
-        certificate = obstruction_check(rs, witnesses, sigma, delta, index, correction=c)
         rows = [first[m] * c[m] for m in range(roots)] + [Fraction(1)] * rs.rank
         oracle = []
         if index > certificate.bound:
@@ -467,10 +585,14 @@ def test_certificate_correction_and_scaling_validation():
     rs = build_root_system("A1")
     witnesses = generate_witnesses(rs, 3)
     delta = ScalingAutomorphism((Fraction(2),))
-    with pytest.raises(DomainError, match="correction vector needs 2 entries, got 1"):
-        obstruction_check(rs, witnesses, None, delta, 3, correction=[Fraction(1)])
-    with pytest.raises(DomainError, match="correction entries must be nonzero"):
-        obstruction_check(rs, witnesses, None, delta, 3, correction=[1, 0])
+    # a hand-built reduction carries its own correction, which the
+    # certificate checks
+    product = ProductAutomorphism([ChevalleyAutomorphism(rs, field=delta)], (0,))
+    reduction = project_product_to_first_factor(product, witnesses)
+    for correction, message in (([Fraction(1)], "correction vector needs 2 entries, got 1"),
+                                ([1, 0], "correction entries must be nonzero")):
+        with pytest.raises(DomainError, match=message):
+            reduced_obstruction_check(dataclasses.replace(reduction, correction=correction), 3)
     with pytest.raises(DomainError, match="a scaling automorphism is required"):
         obstruction_check(rs, witnesses, None, None, 3)
 
@@ -765,10 +887,9 @@ def test_reduction_exponent_rows_are_checked():
 def test_obstruction_correction_keeps_the_verdict():
     rs = build_root_system("A2")
     witnesses = generate_witnesses(rs, 5)
-    delta = ScalingAutomorphism((Fraction(2),))
-    correction = [Fraction(11)] * len(rs.roots)
-    certificate = obstruction_check(rs, witnesses, None, delta, 4, correction=correction)
-    assert certificate.verdict == "obstructed"
+    phi = ChevalleyAutomorphism(rs, diagonal=_character(rs, (11, 11)),
+                                field=ScalingAutomorphism((Fraction(2),)))
+    assert _diagonal_certificate(phi, witnesses, 4).verdict == "obstructed"
 
 
 def test_trdeg_two_scaling_raises_the_bound():
@@ -802,6 +923,7 @@ def test_two_factor_swap_reduction():
     reduction = project_product_to_first_factor(product, witnesses)
     assert reduction.permutation_order == 2
     assert reduction.scaling.scalars == (Fraction(6),)
+    assert reduction.correction is None
     assert (reduction.scaling ** 6).scalars == (Fraction(6) ** 6,)
     # field parts fix the rational witnesses: the collapse is a 12th power
     products = fraction_products(reduction.primes, reduction.exponents)
