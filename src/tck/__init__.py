@@ -20,12 +20,12 @@ _EXPORTS = {
     "fields": ("Polynomial", "RationalFunction", "ScalingAutomorphism", "apply_scaling",
                "character_lattice_member", "exponent_vector", "supports_pairwise_disjoint"),
     "roots": ("DiagramSymmetry", "RootSystem", "RootSystemType", "build_root_system",
-              "diagram_symmetries", "extend_symmetry_to_roots"),
+              "diagram_symmetries"),
     "chevalley": ("ChevalleyAutomorphism", "adjoint_dimension", "commutator_factors",
                   "commutator_relation_check", "h_alpha", "n_alpha", "reduce_mod_p", "x_alpha"),
     "twisted": ("FiniteGroup", "GroupAutomorphism", "IsogredienceClassCount",
                 "all_automorphisms", "automorphism_from_descriptor", "center", "closure",
-                "element_order", "group_descriptor", "group_from_descriptor",
+                "group_descriptor", "group_from_descriptor",
                 "induced_automorphism", "inner_twist_invariance", "isogredience_count",
                 "reidemeister_number", "subgroup", "telescoping_product_check",
                 "twisted_classes"),
@@ -37,7 +37,7 @@ _EXPORTS = {
     "witness": ("FirstFactorReduction", "ObstructionCertificate", "ProductAutomorphism",
                 "WitnessSequence", "ZeroEntryWitness", "generate_witnesses",
                 "obstruction_check", "pattern_determinant", "project_product_to_first_factor",
-                "reduced_obstruction_check", "twisted_power_product"),
+                "reduced_obstruction_check"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

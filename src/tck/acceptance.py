@@ -57,7 +57,6 @@ from .witness import (
     pattern_determinant,
     project_product_to_first_factor,
     reduced_obstruction_check,
-    twisted_power_product,
 )
 
 
@@ -297,11 +296,15 @@ def _check_witness_disjointness() -> str:
         # share no prime, so supports are disjoint across witnesses.
         _require(supports_pairwise_disjoint(prod(block) for block in witnesses.primes), name)
         phi = ChevalleyAutomorphism(rs, graph=symmetry)
-        for block, diag in zip(witnesses.primes, witnesses.diagonals):
-            product = twisted_power_product(phi, diag, 6)
+        # The certificate's input: the pairing rows and their six-step collapse.
+        collapsed = project_product_to_first_factor(ProductAutomorphism([phi], (0,)),
+                                                    witnesses).exponents
+        _require(all(map(any, collapsed)), name)
+        for block in witnesses.primes:
             # Matrix route: the product of h_alpha(p) = n_alpha(p) n_alpha(-1)
-            # is a torus matrix whose root block is the witness, and iterating
-            # phi.apply on its scaled rows gives the collapse.
+            # is a torus matrix whose root entries have the pairing rows as
+            # exponent vectors over the block, and iterating phi.apply on its
+            # scaled rows gives the collapse.
             g = mat_product([n_alpha(rs, alpha, q)
                              for alpha, p in zip(simple, block)
                              for q in (Fraction(p), Fraction(-1))])
@@ -309,13 +312,13 @@ def _check_witness_disjointness() -> str:
             for _ in range(5):
                 current = phi.apply(current)
                 acc = mat_mul(acc, current)
-            for matrix, expected in ((g, diag), (acc, product)):
+            for matrix, rows in ((g, witnesses.pairings), (acc, collapsed)):
                 entries = diagonal_entries(matrix)
-                _require(is_diagonal(matrix) and entries[root_count:] == [1] * rs.rank, name)
-                _require(tuple(entries[:root_count]) == expected, name)
-            for a in (*diag, *product):
-                exponents = exponent_vector(a, block)
-                _require(exponents is not None and any(exponents), (name, a))
+                roots = entries[:root_count]
+                _require(is_diagonal(matrix) and entries[root_count:] == [1] * rs.rank
+                         and all(a > 0 for a in roots), name)
+                _require([exponent_vector(a, block) for a in roots] == list(map(list, rows)),
+                         name)
     return "6 witnesses for A2, A3(rev), B2, D4(ord-3): entry and product supports disjoint"
 
 

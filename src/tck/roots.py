@@ -307,11 +307,6 @@ def _image(rs: RootSystem, perm, beta) -> Root:
     return image_t
 
 
-def extend_symmetry_to_roots(rs: RootSystem, symmetry: DiagramSymmetry, beta) -> Root:
-    """Linear extension of a diagram symmetry; maps roots to roots."""
-    return _image(rs, _symmetry_permutation(rs, symmetry), rs.check_root(beta))
-
-
 def root_permutation(rs: RootSystem, symmetry: DiagramSymmetry) -> tuple[int, ...]:
     """Entry i is the index in ``rs.roots`` of the image of ``rs.roots[i]``."""
     perm = _symmetry_permutation(rs, symmetry)

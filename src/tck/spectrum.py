@@ -71,6 +71,13 @@ def _require_unimodular(matrix) -> list[list[int]]:
     return rows
 
 
+def _require_unimodular_2x2(matrix) -> list[list[int]]:
+    rows = _require_unimodular(matrix)
+    if len(rows) != 2:
+        raise DomainError("expected a 2x2 matrix")
+    return rows
+
+
 def reidemeister_zn(matrix) -> ExtendedCount:
     """Twisted class count for the Z^n automorphism given by a unimodular matrix."""
     m = _require_unimodular(matrix)
@@ -139,9 +146,7 @@ def heisenberg_reidemeister(matrix) -> ExtendedCount:
     means infinitely many classes.  Finite values are always even because
     finiteness forces det M = -1.
     """
-    m = _require_unimodular(matrix)
-    if len(m) != 2:
-        raise DomainError("expected a 2x2 matrix")
+    m = _require_unimodular_2x2(matrix)
     abelian = int_det([[m[0][0] - 1, m[0][1]], [m[1][0], m[1][1] - 1]])
     central = int_det(m) - 1
     if abelian == 0 or central == 0:
@@ -171,10 +176,7 @@ def heisenberg_automorphism(group: FiniteGroup, matrix) -> GroupAutomorphism:
     """
     from .twisted import GroupAutomorphism
 
-    m2 = _require_unimodular(matrix)
-    if len(m2) != 2:
-        raise DomainError("expected a 2x2 matrix")
-    (a, b), (c, d) = m2
+    (a, b), (c, d) = _require_unimodular_2x2(matrix)
     x, y = group.generators
 
     def power(base, k):
@@ -199,9 +201,7 @@ def heisenberg_oracle(matrix, m: int) -> int:
 
 def heisenberg_cokernel_product(matrix, m: int) -> int:
     """The mod-m shadow of the closed-form count: both cokernel factors."""
-    rows = _require_unimodular(matrix)
-    if len(rows) != 2:
-        raise DomainError("expected a 2x2 matrix")
+    rows = _require_unimodular_2x2(matrix)
     shifted = [[rows[0][0] - 1, rows[0][1]], [rows[1][0], rows[1][1] - 1]]
     return cokernel_order_mod(shifted, m) * gcd(int_det(rows) - 1, m)
 

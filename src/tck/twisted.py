@@ -261,16 +261,6 @@ def subgroup(G: FiniteGroup, elements: Iterable) -> FiniteGroup:
     return sub
 
 
-def element_order(G: FiniteGroup, x) -> int:
-    x = G.element(x)
-    order = 1
-    power = x
-    while power != G.identity:
-        power = G.mul(power, x)
-        order += 1
-    return order
-
-
 def _element_orders(G: FiniteGroup) -> list:
     """The order of every element, by index, from one walk per cyclic subgroup.
 

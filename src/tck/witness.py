@@ -4,10 +4,10 @@ A witness is its character.  g = h_{alpha_1}(p_1) ... h_{alpha_l}(p_l)
 acts on e_beta by prod_t p_t^<beta, alpha_t^v> (Steinberg, Lectures on
 Chevalley Groups, Yale 1967) and on the Cartan block by 1, so over the
 witness's own prime block the exponent vector of entry beta is beta's pairing
-row with the simple coroots: one integer matrix for every witness.  The
-reference route that criterion 9 and the tests compare against is in
-``tck.chevalley``: the scaled products n_alpha(t) n_alpha(-1) and
-``ChevalleyAutomorphism.apply`` on their rows.
+row with the simple coroots: one integer matrix for every witness.
+Criterion 9 checks these rows and their collapse against the reference route
+in ``tck.chevalley``: the exponent vectors of the scaled products
+n_alpha(t) n_alpha(-1) and of ``ChevalleyAutomorphism.apply`` on their rows.
 
 The pipeline: take consecutive primes, rank-many per witness, so that the
 blocks are pairwise disjoint; collapse the automorphism on the pairing rows
@@ -31,7 +31,7 @@ factor is keyed once by its class modulo the lattice, and an entry lies
 outside exactly when its row and column keys differ.  Certifying this for
 every Q and S entry zeroes the root-indexed columns and forces det Z = 0, and
 that contradiction is what the certificate records.  Fractions are built only
-for output: the ``diagonals`` view and the entries' eigencharacters.
+for output, as the entries' eigencharacters.
 """
 
 import itertools
@@ -48,15 +48,13 @@ from .fields import ScalingAutomorphism, _coprime_base, _lattice_divisors, expon
 from .roots import DiagramSymmetry, RootSystem, permutation_order, root_permutation
 from .chevalley import ChevalleyAutomorphism
 
-Diagonal = tuple[Fraction, ...]
 Rows = tuple[tuple[int, ...], ...]
 
 
 @dataclass(frozen=True, eq=False)
 class WitnessSequence:
     """Torus elements g_i built from fresh primes, one block per witness:
-    entry beta of g_i is prod_t primes[i][t] ** pairings[beta][t], and
-    ``diagonals`` is that root-position view as Fractions, built when read."""
+    entry beta of g_i is prod_t primes[i][t] ** pairings[beta][t]."""
 
     root_system: RootSystem
     primes: tuple[tuple[int, ...], ...]
@@ -77,14 +75,6 @@ class WitnessSequence:
             raise ConsistencyError(f"a root of {rs.type} pairs trivially with every simple coroot")
         return rows
 
-    @cached_property
-    def diagonals(self) -> tuple[Diagonal, ...]:
-        for i, block in enumerate(self.primes):
-            _check_block(self.root_system, i, block)
-        return tuple(tuple(Fraction(prod(p ** k for p, k in zip(block, row) if k > 0),
-                                    prod(p ** -k for p, k in zip(block, row) if k < 0))
-                           for row in self.pairings) for block in self.primes)
-
 
 def generate_witnesses(rs: RootSystem, count: int) -> WitnessSequence:
     """Witnesses g_i = h_{alpha_1}(p_{i1}) ... h_{alpha_l}(p_{il}).
@@ -98,18 +88,6 @@ def generate_witnesses(rs: RootSystem, count: int) -> WitnessSequence:
     primes = list(itertools.islice(filter(is_prime, itertools.count(2)), count * rs.rank))
     return WitnessSequence(rs, tuple(tuple(primes[i:i + rs.rank])
                                      for i in range(0, len(primes), rs.rank)))
-
-
-def _check_block(rs: RootSystem, i: int, block):
-    if len(block) != rs.rank or not {int}.issuperset(map(type, block)):
-        raise DomainError(f"obstruction check: witness {i + 1} needs {rs.rank} int primes, "
-                          f"got {block!r}")
-
-
-def _refuse_inner(phi: ChevalleyAutomorphism, context: str):
-    if phi.inner is not None:
-        raise DomainError(f"{context} takes no inner part: criterion 4 covers inner parts, "
-                          "R(iota_g phi) = R(phi)")
 
 
 def _index_map(rs: RootSystem, symmetry: DiagramSymmetry | None):
@@ -146,22 +124,6 @@ def _collapse(cycle, rows: Rows, m: int) -> Rows:
                  for factors in _factors(cycle, len(rows), m))
 
 
-def twisted_power_product(phi: ChevalleyAutomorphism, g, m: int) -> Diagonal:
-    """g phi(g) phi^2(g) ... phi^{m-1}(g) for a rational root-position diagonal g;
-    a diagonal part conjugates by a torus element and fixes g."""
-    _refuse_inner(phi, "twisted power product")
-    integer(m, 1, f"exponent must be at least 1, got {m}")
-    g, length = tuple(map(rational, g)), len(phi.rs.roots)
-    if len(g) != length:
-        raise DomainError(f"twisted power product: {len(g)} diagonal entries for {length} roots")
-    if not all(g):
-        raise DomainError(f"twisted power product: diagonal entry {g.index(0)} is not a "
-                          "nonzero rational")
-    return tuple(Fraction(prod(g[j].numerator for j in factors),
-                          prod(g[j].denominator for j in factors))
-                 for factors in _factors((_index_map(phi.rs, phi.graph),), len(g), m))
-
-
 class ProductAutomorphism:
     """Automorphism of a k-fold direct sum: permute the summands, then act
     factorwise by diagonal-graph-field automorphisms.
@@ -169,7 +131,8 @@ class ProductAutomorphism:
     The action is (x_1, ..., x_k) -> (phi_{s(1)}(x_{s(1)}), ..., phi_{s(k)}(x_{s(k)}))
     with s the stored permutation (0-based images), on summands that are
     rational root-position diagonals.  All factors must share one root
-    system and carry no inner part (criterion 4 covers it); field parts,
+    system, carry no inner part (criterion 4 covers it) and only a rational
+    diagonal part, whose collapse enters the eigencharacters; field parts,
     where present, must agree on the variable count so their compositions
     along permutation cycles stay well formed.  One automorphism phi is
     ProductAutomorphism([phi], (0,)).
@@ -183,7 +146,12 @@ class ProductAutomorphism:
         for pos, phi in enumerate(factors):
             if not isinstance(phi, ChevalleyAutomorphism):
                 raise DomainError(f"factor {pos} is not a Chevalley automorphism")
-            _refuse_inner(phi, f"factor {pos}")
+            if phi.inner is not None:
+                raise DomainError(f"factor {pos} takes no inner part: criterion 4 covers "
+                                  "inner parts, R(iota_g phi) = R(phi)")
+            if phi.diagonal is not None and not all(isinstance(x, Fraction) for x in phi.diagonal):
+                raise DomainError(f"factor {pos} needs a rational diagonal part: the "
+                                  "certificate's eigencharacters lie in Q")
             if phi.rs.type != rs.type:
                 raise DomainError("factors must share one root system")
         counts = {phi.field.variable_count for phi in factors if phi.field is not None}
@@ -321,7 +289,9 @@ def _certify(rs: RootSystem, primes, exponents: Rows, scaling: ScalingAutomorphi
     # Each witness holds rank ints and no two share one, checked as sets.
     seen = set()
     for i, block in enumerate(primes):
-        _check_block(rs, i, block)
+        if len(block) != rs.rank or not {int}.issuperset(map(type, block)):
+            raise DomainError(f"obstruction check: witness {i + 1} needs {rs.rank} int primes, "
+                              f"got {block!r}")
         seen.update(block)
     if len(seen) < rs.rank * count:
         raise ConsistencyError("obstruction check: a prime occurs twice in the witness blocks")

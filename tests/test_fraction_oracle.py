@@ -51,7 +51,7 @@ def test_certificates_match_the_fraction_route(name):
     # index, on both sides of the transcendence bound
     rs = build_root_system(name)
     witnesses = generate_witnesses(rs, 5)
-    assert witnesses.diagonals == fraction_diagonals(witnesses)
+    assert fraction_products(witnesses.primes, witnesses.pairings) == fraction_diagonals(witnesses)
     graphs = [None] + (diagram_symmetries(rs)[1:] if rs.rank <= 6 else [])
     verdicts = set()
     for symmetry in graphs:

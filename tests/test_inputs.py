@@ -37,7 +37,6 @@ from tck import (
     reduce_mod_p,
     reduced_obstruction_check,
     telescoping_product_check,
-    twisted_power_product,
     zn_fullness_witness,
 )
 from tck.errors import integer, rational
@@ -79,12 +78,6 @@ WRONG_KINDS = {
     "index float": (lambda: _certify(index=3.0), "3.0 is not an int"),
     "witness count bool": (lambda: generate_witnesses(A2, True), "True is not an int"),
     "witness count float": (lambda: generate_witnesses(A2, 2.0), "2.0 is not an int"),
-    "power product bool entries": (lambda: twisted_power_product(GRAPH, [True] * ROOTS, 2),
-                                   "unsupported scalar True"),
-    "power product bool m": (lambda: twisted_power_product(GRAPH, [1] * ROOTS, True),
-                             "True is not an int"),
-    "power product float m": (lambda: twisted_power_product(GRAPH, [1] * ROOTS, 2.0),
-                              "2.0 is not an int"),
     "reduce bool entry": (lambda: reduce_mod_p([[True, 2]], 3), "unsupported scalar True"),
     "reduce prime 7.0": (lambda: reduce_mod_p([[1, 2]], 7.0), "7.0 is not an int"),
     "lamplighter float": (lambda: lamplighter_r_infinity(4.0), "4.0 is not an int"),
@@ -140,8 +133,6 @@ VALID = {
         lambda: _certify(diagonal=[Fraction(1, 3) ** sum(b) for b in A2.roots]), "obstructed"),
     "certify index 2": (lambda: _certify(index=2), "inconclusive"),
     "witness count": (lambda: WITNESSES.primes, ((2, 3), (5, 7), (11, 13), (17, 19))),
-    "power product": (lambda: twisted_power_product(GRAPH, [1, 2, Fraction(1, 3), 1, 1, 1], 2),
-                      (2, 2, Fraction(1, 9), 1, 1, 1)),
     "reduce": (lambda: reduce_mod_p([[1, Fraction(1, 2)]], 3), [[1, 2]]),
     "lamplighter": (lambda: lamplighter_r_infinity(4), True),
     "heisenberg": (lambda: len(heisenberg_group(2)), 8),

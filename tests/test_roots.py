@@ -14,7 +14,6 @@ from tck import (
     DiagramSymmetry,
     build_root_system,
     diagram_symmetries,
-    extend_symmetry_to_roots,
 )
 from tck.chevalley import adjoint_dimension, bracket_coordinates
 from tck.roots import (
@@ -419,7 +418,7 @@ def test_symmetry_must_preserve_the_diagram():
     # swapping adjacent with non-adjacent nodes would map 0+1+1 outside the
     # system; the Cartan matrix check refuses the permutation first
     with pytest.raises(DomainError, match="not a diagram symmetry"):
-        extend_symmetry_to_roots(rs, DiagramSymmetry((1, 0, 2)), (0, 1, 1))
+        root_permutation(rs, DiagramSymmetry((1, 0, 2)))
     # (-1, 1, 0) would pass the Cartan check by wrapping to (2, 1, 0)
     for bad in ((-1, 1, 0), (0, 1, 5), (True, 0, 2)):
         with pytest.raises(DomainError, match="not a diagram symmetry"):
@@ -427,8 +426,15 @@ def test_symmetry_must_preserve_the_diagram():
     for bad in ((1, 0, 2), DiagramSymmetry(5), DiagramSymmetry([2, 1, 0])):
         with pytest.raises(DomainError, match="^a DiagramSymmetry over a tuple"):
             root_permutation(rs, bad)
-    with pytest.raises(DomainError):
-        extend_symmetry_to_roots(rs, DiagramSymmetry((2, 1, 0)), (1, 0, 1))
+
+
+def extend_symmetry_to_roots(rs, symmetry, beta):
+    """The linear extension of a diagram symmetry at one root, coordinate i
+    moving to coordinate sigma(i): the oracle for ``root_permutation``."""
+    image = [0] * rs.rank
+    for i, c in enumerate(beta):
+        image[symmetry.permutation[i]] = c
+    return tuple(image)
 
 
 def test_symmetry_extension_permutes_roots():

@@ -38,17 +38,22 @@ from tck import (
     project_product_to_first_factor,
     reduced_obstruction_check,
     supports_pairwise_disjoint,
-    twisted_power_product,
     x_alpha,
 )
 import tck.witness
-from tck.witness import CertifiedEntries
+from tck.witness import CertifiedEntries, _collapse, _index_map
 from tck.chevalley import GraphMatrixRealization
 from tck.linalg import diagonal_entries, is_diagonal, mat_mul, mat_product
 from tck.roots import root_permutation
 
 from dense_oracle import mat_det
-from fraction_oracle import fraction_certify, fraction_products, summary
+from fraction_oracle import (
+    fraction_certify,
+    fraction_collapse,
+    fraction_diagonals,
+    fraction_products,
+    summary,
+)
 
 TYPES = ("A1", "A2", "A3", "B2", "D4", "G2")
 
@@ -74,23 +79,37 @@ def _root_block(rs, matrix):
     return tuple(entries[:len(rs.roots)])
 
 
+def _exponent_rows(entries, block):
+    """The exponent vectors of positive entries over a prime block."""
+    assert all(a > 0 for a in entries)
+    return tuple(tuple(exponent_vector(a, block)) for a in entries)
+
+
+def _power_product(phi, g, m):
+    """g phi(g) ... phi^{m-1}(g) for a root-position diagonal g, on the
+    Fraction oracle: the field and diagonal parts fix g, and the graph part
+    moves its entries along the root permutation."""
+    return fraction_collapse((_index_map(phi.rs, phi.graph),), g, m)
+
+
 def test_generate_witnesses_shapes():
     rs = build_root_system("A1")
     w = generate_witnesses(rs, 1)
     assert w.count == 1
     assert w.primes == ((2,),)
-    assert w.diagonals[0] == (Fraction(4), Fraction(1, 4))
+    assert w.pairings == ((2,), (-2,))
+    assert fraction_diagonals(w)[0] == (Fraction(4), Fraction(1, 4))
     rs2 = build_root_system("A2")
     w2 = generate_witnesses(rs2, 2)
     assert w2.primes == ((2, 3), (5, 7))
-    for block, diag in zip(w2.primes, w2.diagonals):
-        assert diag == _root_block(rs2, _dense_witness(rs2, block))
+    for block in w2.primes:
+        assert _exponent_rows(_root_block(rs2, _dense_witness(rs2, block)), block) == w2.pairings
     with pytest.raises(DomainError):
         generate_witnesses(rs, 0)
 
 
-# sha256 prefixes of repr(diagonals) for four witnesses, recorded with every
-# entry computed as prod(Fraction(p) ** k) over its block
+# sha256 prefixes of repr(fraction_diagonals) for four witnesses, recorded
+# with every entry computed as prod(Fraction(p) ** k) over its block
 DIAGONAL_DIGESTS = {
     "A1": "9e9e0a0ab242ba65", "A2": "7d8ae30aa32ba773", "A3": "d286f4d1d311f76d",
     "B2": "444a02b2160e6083", "B3": "713996cc7a7d5c67", "C3": "201d914e99eacf9e",
@@ -101,7 +120,7 @@ DIAGONAL_DIGESTS = {
 
 @pytest.mark.parametrize("name", sorted(DIAGONAL_DIGESTS))
 def test_witness_diagonals_are_pinned(name):
-    diagonals = generate_witnesses(build_root_system(name), 4).diagonals
+    diagonals = fraction_diagonals(generate_witnesses(build_root_system(name), 4))
     digest = hashlib.sha256(repr(diagonals).encode()).hexdigest()[:16]
     assert digest == DIAGONAL_DIGESTS[name]
 
@@ -113,16 +132,18 @@ def test_witness_supports_disjoint_across_the_family(name):
     phi = ChevalleyAutomorphism(
         rs, graph=_nontrivial_symmetry(rs), field=ScalingAutomorphism((Fraction(2),))
     )
-    products = [twisted_power_product(phi, g, 6) for g in witnesses.diagonals]
+    reduction = project_product_to_first_factor(ProductAutomorphism([phi], (0,)), witnesses)
+    diagonals = fraction_products(witnesses.primes, witnesses.pairings)
+    products = fraction_products(reduction.primes, reduction.exponents)
     root_count = len(rs.roots)
     for n in range(root_count):
         # per root position, entries and collapsed entries use fresh primes
-        assert supports_pairwise_disjoint([d[n] for d in witnesses.diagonals])
+        assert supports_pairwise_disjoint([d[n] for d in diagonals])
         assert supports_pairwise_disjoint([p[n] for p in products])
     # blocks share no prime and every entry is a product of its own block,
     # so whole-family supports are disjoint block by block
     assert supports_pairwise_disjoint(prod(block) for block in witnesses.primes)
-    for block, g, p in zip(witnesses.primes, witnesses.diagonals, products):
+    for block, g, p in zip(witnesses.primes, diagonals, products):
         for n in range(root_count):
             assert exponent_vector(g[n], block) is not None
             assert exponent_vector(p[n], block) is not None
@@ -135,51 +156,39 @@ def test_field_part_fixes_rational_witnesses():
     phi = ChevalleyAutomorphism(rs, graph=sigma, field=delta)
     rho = GraphMatrixRealization(rs, sigma)
     witnesses = generate_witnesses(rs, 1)
-    g = _dense_witness(rs, witnesses.primes[0])
+    block = witnesses.primes[0]
+    g = _dense_witness(rs, block)
     assert phi.apply(g) == rho.apply(g)
+    # the collapse reads the graph part alone, and two of its steps are the
+    # dense g rho(g)
     graph_only = ChevalleyAutomorphism(rs, graph=sigma)
-    diag = witnesses.diagonals[0]
-    assert twisted_power_product(phi, diag, 2) == twisted_power_product(graph_only, diag, 2)
-    assert twisted_power_product(phi, diag, 2) == _root_block(rs, mat_mul(g, rho.apply(g)))
+    exponents = [project_product_to_first_factor(ProductAutomorphism([f], (0,)),
+                                                 witnesses).exponents
+                 for f in (phi, graph_only)]
+    assert exponents[0] == exponents[1]
+    rows = _collapse((_index_map(rs, sigma),), witnesses.pairings, 2)
+    assert rows == _exponent_rows(_root_block(rs, mat_mul(g, rho.apply(g))), block)
 
 
-def test_twisted_power_product_values():
-    rs = build_root_system("A1")
-    w = generate_witnesses(rs, 1)
-    g = w.diagonals[0]
-    phi = ChevalleyAutomorphism(rs, field=ScalingAutomorphism((Fraction(2),)))
-    product = twisted_power_product(phi, g, 6)
-    # trivial graph part: the collapse is a plain sixth power
-    assert product == (Fraction(4) ** 6, Fraction(4) ** -6)
-    assert twisted_power_product(phi, g, 1) == g
-    with pytest.raises(DomainError):
-        twisted_power_product(phi, g, 0)
+def test_collapse_without_a_graph_part_is_a_power():
+    rows = generate_witnesses(build_root_system("A1"), 1).pairings
+    # trivial graph part: the collapse is a plain sixth power, 2^(+-2) to 2^(+-12)
+    assert _collapse((None,), rows, 6) == ((12,), (-12,))
+    assert _collapse((None,), rows, 1) == rows
 
 
-def test_twisted_power_product_input_validation():
-    rs = build_root_system("A2")
-    g = generate_witnesses(rs, 1).diagonals[0]
-    inner = ChevalleyAutomorphism(rs, inner=[(rs.roots[0], Fraction(1))])
-    with pytest.raises(DomainError, match="^twisted power product takes no inner part: "
-                                          "criterion 4 covers inner parts"):
-        twisted_power_product(inner, g, 6)
-    plain = ChevalleyAutomorphism(rs, field=ScalingAutomorphism((Fraction(2),)))
-    for bad in (g[:-1], g + (Fraction(1),), (Fraction(0),) + g[1:]):
-        with pytest.raises(DomainError):
-            twisted_power_product(plain, bad, 6)
-
-
-def test_twisted_power_product_matches_iterated_dense_action():
+def test_collapse_matches_iterated_dense_action():
     # an order-3 graph part tells the root permutation from its inverse at
     # every m that is not a multiple of 3
     rs = build_root_system("D4")
     sigma = next(s for s in diagram_symmetries(rs) if s.order == 3)
     phi = ChevalleyAutomorphism(rs, graph=sigma, field=ScalingAutomorphism((Fraction(2),)))
     witnesses = generate_witnesses(rs, 1)
-    g = _dense_witness(rs, witnesses.primes[0])
-    acc = current = g
+    block = witnesses.primes[0]
+    acc = current = _dense_witness(rs, block)
     for m in range(1, 6):
-        assert twisted_power_product(phi, witnesses.diagonals[0], m) == _root_block(rs, acc)
+        rows = _collapse((_index_map(rs, sigma),), witnesses.pairings, m)
+        assert rows == _exponent_rows(_root_block(rs, acc), block)
         current = phi.apply(current)
         acc = mat_mul(acc, current)
 
@@ -297,33 +306,42 @@ def test_diagonal_parts_give_the_dense_correction(name, permutation, parts):
 
 
 def test_function_field_diagonal_part_is_a_domain_error():
-    # the correction must be rational: a Q(T) diagonal part is refused by
-    # the certificate's gate, past the bound
+    # the correction must be rational: a Q(T) diagonal part is refused when
+    # the product is built, so every index fails alike, on both sides of the
+    # bound; the automorphism itself still acts
     rs = build_root_system("A2")
     t = RationalFunction.variable(1, 0)
     phi = ChevalleyAutomorphism(rs, diagonal=[t ** beta[0] for beta in rs.roots])
-    with pytest.raises(DomainError, match="unsupported scalar"):
-        _diagonal_certificate(phi, generate_witnesses(rs, 4), 3)
+    witnesses = generate_witnesses(rs, 4)
+    for index in (1, 3):
+        with pytest.raises(DomainError, match="^factor 0 needs a rational diagonal part: the "
+                                              "certificate's eigencharacters lie in Q$"):
+            _diagonal_certificate(phi, witnesses, index)
+    plain = ChevalleyAutomorphism(rs, field=ScalingAutomorphism((Fraction(2),)))
+    with pytest.raises(DomainError, match="^factor 1 needs a rational diagonal part"):
+        ProductAutomorphism([plain, phi], (1, 0))
+    for alpha, d in zip(rs.roots, phi.diagonal):
+        assert phi.apply(x_alpha(rs, alpha, 1)) == x_alpha(rs, alpha, d)
 
 
 @pytest.mark.parametrize("name", ["A2", "D4"])
-def test_twisted_power_product_ignores_the_diagonal_part(name):
-    # a diagonal part conjugates by a torus element, which fixes g
+def test_diagonal_part_leaves_the_collapse_rows(name):
+    # a diagonal part conjugates by a torus element, which fixes the
+    # witnesses: it gives the correction and leaves the exponent rows
     rs = build_root_system(name)
     sigma, delta = _nontrivial_symmetry(rs), ScalingAutomorphism((Fraction(2),))
     plain = ChevalleyAutomorphism(rs, graph=sigma, field=delta)
     diagonal = ChevalleyAutomorphism(rs, diagonal=_character(rs, SIMPLE_VALUES[:rs.rank]),
                                      graph=sigma, field=delta)
-    for g in generate_witnesses(rs, 2).diagonals:
-        for m in (1, 2, 5, 6):
-            assert twisted_power_product(diagonal, g, m) == twisted_power_product(plain, g, m)
-
-
-def test_short_witness_block_is_a_domain_error_in_the_view():
-    rs = build_root_system("A2")
-    with pytest.raises(DomainError, match=r"^obstruction check: witness 1 needs 2 int primes, "
-                                          r"got \(2,\)$"):
-        WitnessSequence(rs, ((2,), (5, 7))).diagonals
+    witnesses = generate_witnesses(rs, 2)
+    for factors, permutation in (([diagonal], (0,)), ([diagonal, plain], (1, 0)),
+                                 ([plain, diagonal, diagonal], (2, 0, 1))):
+        reduction = project_product_to_first_factor(ProductAutomorphism(factors, permutation),
+                                                    witnesses)
+        reference = project_product_to_first_factor(
+            ProductAutomorphism([plain] * len(factors), permutation), witnesses)
+        assert reduction.exponents == reference.exponents
+        assert reduction.correction is not None and reference.correction is None
 
 
 def _certificate_positions(certificate):
@@ -357,8 +375,8 @@ def test_certificate_eigencharacters_match_the_collapsed_products(name, order, c
         phi = ChevalleyAutomorphism(rs, diagonal=_character(rs, correction), graph=sigma,
                                     field=delta)
         certificate = _diagonal_certificate(phi, witnesses, index)
-        c = twisted_power_product(phi, phi.diagonal, 6)
-    products = [twisted_power_product(phi, g, 6) for g in witnesses.diagonals]
+        c = _power_product(phi, phi.diagonal, 6)
+    products = [_power_product(phi, g, 6) for g in fraction_diagonals(witnesses)]
     # the Cartan rows contribute 1
     rows = [products[0][m] * c[m] for m in range(root_count)] + [Fraction(1)] * rs.rank
     assert certificate.verdict == "obstructed"
@@ -377,7 +395,8 @@ def _lifting_diagonal(rs, witnesses, index, scalar):
     graph part phi^6 conjugates the collapse by D^6, so D[0] = scalar /
     other[0] and D[1] = D[0] first[0] / other[1] (positions 0 and 1 hold
     alpha_2 and alpha_1)."""
-    first, other = witnesses.diagonals[0], witnesses.diagonals[index - 1]
+    diagonals = fraction_diagonals(witnesses)
+    first, other = diagonals[0], diagonals[index - 1]
     d = scalar / other[0]
     return _character(rs, (d * first[0] / other[1], d))
 
@@ -396,7 +415,7 @@ def test_certificate_leaves_lattice_entries_uncertified(scalars, index):
     delta = ScalingAutomorphism(scalars)
     diagonal = _lifting_diagonal(rs, witnesses, index, scalars[0])
     phi = ChevalleyAutomorphism(rs, diagonal=diagonal, field=delta)
-    products = [twisted_power_product(phi, g, 6) for g in witnesses.diagonals]
+    products = [_power_product(phi, g, 6) for g in fraction_diagonals(witnesses)]
     first, other = products[0], products[index - 1]
     generators = (delta ** 6).scalars
     root_count = len(rs.roots)
@@ -511,7 +530,7 @@ def _sequence_cases():
             phi = ChevalleyAutomorphism(rs, graph=sigma, field=delta)
             certificate = obstruction_check(rs, witnesses, sigma, delta, index)
             c = [Fraction(1)] * roots
-        products = [twisted_power_product(phi, g, 6) for g in witnesses.diagonals]
+        products = [_power_product(phi, g, 6) for g in fraction_diagonals(witnesses)]
         first, other = products[0], products[index - 1]
         generators = (delta ** 6).scalars
         rows = [first[m] * c[m] for m in range(roots)] + [Fraction(1)] * rs.rank
@@ -927,7 +946,7 @@ def test_two_factor_swap_reduction():
     assert (reduction.scaling ** 6).scalars == (Fraction(6) ** 6,)
     # field parts fix the rational witnesses: the collapse is a 12th power
     products = fraction_products(reduction.primes, reduction.exponents)
-    for g, p in zip(witnesses.diagonals, products):
+    for g, p in zip(fraction_diagonals(witnesses), products):
         assert p == tuple(e**12 for e in g)
     certificate = reduced_obstruction_check(reduction, 3)
     assert certificate.verdict == "obstructed"
@@ -973,7 +992,7 @@ def _reference_projection(product, witnesses):
     field parts along s steps from summand 0."""
     s = product.permutation_order
     products = []
-    for g in witnesses.diagonals:
+    for g in fraction_diagonals(witnesses):
         summands = (g,) * product.k
         hat = g
         for _ in range(6 * s - 1):
