@@ -26,7 +26,7 @@ _EXPORTS = {
     "twisted": ("FiniteGroup", "GroupAutomorphism", "IsogredienceClassCount",
                 "all_automorphisms", "automorphism_from_descriptor", "center", "closure",
                 "group_descriptor", "group_from_descriptor",
-                "induced_automorphism", "inner_twist_invariance", "isogredience_count",
+                "induced_reidemeister_number", "inner_twist_invariance", "isogredience_count",
                 "reidemeister_number", "subgroup", "telescoping_product_check",
                 "twisted_classes"),
     "spectrum": ("INFINITY", "ExtendedCount", "SpectrumDescriptor", "abelian_oracle_count",

@@ -14,8 +14,8 @@ one product, the callable ops.right(b): x -> x b, so a right factor used
 many times is taken once; FiniteGroup.mul(a, b) is ops.right(b)(a).  A
 matrix product is a row lookup once warm: row i of x b is (row i of x) b,
 and a group's elements share few distinct rows.  Products are taken by
-closures, from_generator_images and element orders, and by the checks
-that test a product definition directly (normality, cosets, telescoping).
+closures, from_generator_images and element orders, and by the telescoping
+check, which tests a product definition directly.
 
 Orbit walks run on index maps, not on group products.  After closure every
 map is composed from the Cayley edges along the closure's breadth-first
@@ -30,10 +30,13 @@ on first use and kept on the group, and so are the twist maps of the last
 automorphism with their orbit count, so R and then S on one phi build and
 walk them once.  The center is the set of elements every conjugation map
 fixes.  Orbits are walked forward from the least unvisited index; the maps
-generate a finite group, so walking forward reaches the whole orbit.  S(phi)
-is checked in class space: it is the number of phi-invariant orbits of
-y -> z y z^-1 c with c central (Fel'shtyn-Hill on G/Z), so no quotient
-group is built.
+generate a finite group, so walking forward reaches the whole orbit.  R of
+the map phi induces on G/N, for any phi-invariant normal subgroup N, is
+counted in class space: it is the number of phi-invariant orbits of
+y -> z y z^-1 and y -> n y with n in N (Fel'shtyn-Hill), so no quotient
+group is built.  Normality and invariance of N are checked on the
+conjugation maps and phi's table.  S(phi) is the case N = Z, where the
+moves are the central moves.
 """
 
 from __future__ import annotations
@@ -584,65 +587,52 @@ def inner_twist_invariance(G: FiniteGroup, phi: GroupAutomorphism, g) -> bool:
     return reidemeister_number(G, twisted) == reidemeister_number(G, phi)
 
 
-def _coset_leaders(G: FiniteGroup, N: FiniteGroup) -> dict:
-    """Map each element to min(xN); each coset is formed once, |G| products in all."""
-    mul, elements, index = G.mul, G.elements, G.index
-    leader = {}
-    for x in elements:
-        if x in leader:
-            continue
-        # keyed by G's own element objects, not fresh copies of them
-        coset = [elements[index[mul(x, n)]] for n in N.elements]
-        best = min(coset)
-        for y in coset:
-            leader[y] = best
-    return leader
+def _quotient_count(G: FiniteGroup, phi: GroupAutomorphism, moves: list) -> int:
+    """R of the map phi induces on G/N, counted on G two independent ways;
+    moves are the maps y -> n y for generators n of the phi-invariant normal
+    subgroup N.
+
+    Route one enumerates orbits of y under y -> g y phi(g)^-1 and the moves.
+    Route two counts the orbits of y -> g y g^-1 and the moves that phi maps
+    to themselves: these orbits are the conjugacy classes of G/N, and the
+    Reidemeister number of the induced map is its number of invariant
+    classes (Fel'shtyn-Hill).  Since phi(N) = N, phi permutes the orbits,
+    so one image per orbit decides.  The two counts must agree.
+    """
+    twists = _twist_maps(G, phi)
+    # with no move, route one walks R's maps: the kept count serves
+    direct = (len(_orbit_ids(len(G), twists + moves)[1]) if moves
+              else reidemeister_number(G, phi))
+    classes, leaders = _orbit_ids(len(G), _conjugation_maps(G) + moves)
+    # an orbit is phi-invariant iff its least element's image lies in it
+    invariant = sum(classes[phi.images[i]] == k for k, i in enumerate(leaders))
+    if direct != invariant:
+        raise ConsistencyError(
+            f"isogredience routes disagree: direct {direct}, invariant classes {invariant}"
+        )
+    return direct
 
 
-class _QuotientOps:
-    def __init__(self, G: FiniteGroup, leader: dict):
-        self.encoding = G.ops.encoding
-        self._G = G
-        self._leader = leader
-        self.identity = leader[G.identity]
-
-    def canonical(self, raw):
-        x = self._G.ops.canonical(raw)
-        if x not in self._leader:
-            raise DomainError(f"{x} lies outside the group")
-        return self._leader[x]
-
-    def right(self, b):
-        times_b, leader = self._G.ops.right(b), self._leader
-        return lambda a: leader[times_b(a)]
-
-    def inv(self, a, cap=None):
-        return self._leader[self._G.inv(a)]
-
-
-def induced_automorphism(G: FiniteGroup, N, phi: GroupAutomorphism):
-    """Quotient by a phi-invariant normal subgroup with the induced map."""
+def induced_reidemeister_number(G: FiniteGroup, N, phi: GroupAutomorphism) -> int:
+    """R of the map phi induces on G/N, for a phi-invariant normal subgroup
+    N given as a group or by its elements, counted in class space: no
+    quotient group is built."""
     if phi.group is not G:
         raise DomainError("automorphism acts on a different group")
     if not isinstance(N, FiniteGroup):
         N = subgroup(G, N)
     elif any(x not in G.index for x in N.elements):
         raise DomainError("subgroup lies outside the ambient group")
-    n_set = set(N.elements)
-    mul = G.mul
-    for g in G.generators:
-        times_g_inv = G.ops.right(G.inv(g))
-        for n in N.elements:
-            if times_g_inv(mul(g, n)) not in n_set:
+    members = [G.index[n] for n in N.elements]
+    inside = set(members)
+    for conj in _conjugation_maps(G):
+        for n, i in zip(N.elements, members):
+            if conj[i] not in inside:
                 raise DomainError(f"subgroup is not normal: conjugate of {n} escapes")
-    if {phi(n) for n in N.elements} != n_set:
+    if any(phi.images[i] not in inside for i in members):
         raise DomainError("automorphism does not preserve the subgroup")
-    leader = _coset_leaders(G, N)
-    qops = _QuotientOps(G, leader)
-    quotient = _closure(qops, [leader[g] for g in G.generators])
-    images = [leader[phi(g)] for g in quotient.generators]
-    phi_bar = GroupAutomorphism.from_generator_images(quotient, images)
-    return quotient, phi_bar
+    # N is normal, so y -> n y moves y within its coset yN = Ny
+    return _quotient_count(G, phi, [_left_map(G, G.index[n]) for n in N.generators])
 
 
 @dataclass(frozen=True)
@@ -651,28 +641,9 @@ class IsogredienceClassCount:
 
 
 def isogredience_count(G: FiniteGroup, phi: GroupAutomorphism) -> IsogredienceClassCount:
-    """Orbit count of the twists phi_s phi, computed two independent ways.
-
-    Route one enumerates orbits of s under s -> g s phi(g)^-1 and s -> s c
-    with c central.  Route two counts the orbits of y -> g y g^-1 c that phi
-    maps to themselves: these orbits are the conjugacy classes of G/Z, and
-    the Reidemeister number of the induced map is its number of invariant
-    classes (Fel'shtyn-Hill).  Since phi(Z) = Z, phi permutes the orbits,
-    so one image per orbit decides.  The two counts must agree.
-    """
-    twists = _twist_maps(G, phi)  # checks phi's group before the center is built
-    central = _center(G)[1]
-    # with no central move, route one walks R's maps: the kept count serves
-    direct = (len(_orbit_ids(len(G), twists + central)[1]) if central
-              else reidemeister_number(G, phi))
-    classes, leaders = _orbit_ids(len(G), _conjugation_maps(G) + central)
-    # an orbit is phi-invariant iff its least element's image lies in it
-    invariant = sum(classes[phi.images[i]] == k for k, i in enumerate(leaders))
-    if direct != invariant:
-        raise ConsistencyError(
-            f"isogredience routes disagree: direct {direct}, invariant classes {invariant}"
-        )
-    return IsogredienceClassCount(direct)
+    """S(phi), the orbit count of the twists phi_s phi: R of the map phi
+    induces on G/Z, with the central moves y -> y c = c y."""
+    return IsogredienceClassCount(_quotient_count(G, phi, _center(G)[1]))
 
 
 def telescoping_product_check(G: FiniteGroup, phi: GroupAutomorphism, y, z, m: int) -> bool:

@@ -278,7 +278,8 @@ def _certify(rs: RootSystem, primes, exponents: Rows, scaling: ScalingAutomorphi
     entrywise as the eigencharacter in the module docstring.  Collapsed entry
     k of witness i is prod_t primes[i][t] ** exponents[k][t]; c is the
     collapse of the diagonal parts on the root positions (identity when
-    None), checked here because a hand-built reduction carries it too.
+    None), checked here because a hand-built reduction carries it too, and
+    before the bound, as the prime blocks are.
     """
     if not isinstance(scaling, ScalingAutomorphism):
         raise DomainError("a scaling automorphism is required")
@@ -296,6 +297,13 @@ def _certify(rs: RootSystem, primes, exponents: Rows, scaling: ScalingAutomorphi
     if len(seen) < rs.rank * count:
         raise ConsistencyError("obstruction check: a prime occurs twice in the witness blocks")
     root_count = len(rs.roots)
+    c = None
+    if correction is not None:
+        c = [rational(x) for x in correction]
+        if len(c) != root_count:
+            raise DomainError(f"correction vector needs {root_count} entries, got {len(c)}")
+        if any(x == 0 for x in c):
+            raise DomainError("correction entries must be nonzero")
     bound = scaling.variable_count + 1
     generators = tuple((scaling ** 6).scalars)
     if index <= bound:
@@ -308,13 +316,7 @@ def _certify(rs: RootSystem, primes, exponents: Rows, scaling: ScalingAutomorphi
     # One coprime base over the two blocks, the generators and the correction:
     # each prime is a base element, and every factor has an exponent vector.
     numbers = {*first, *other, *(n for g in generators for n in (g.numerator, g.denominator))}
-    c = None
-    if correction is not None:
-        c = [rational(x) for x in correction]
-        if len(c) != root_count:
-            raise DomainError(f"correction vector needs {root_count} entries, got {len(c)}")
-        if any(x == 0 for x in c):
-            raise DomainError("correction entries must be nonzero")
+    if c is not None:
         numbers.update(n for x in c for n in (abs(x.numerator), x.denominator))
     base = _coprime_base(numbers)
     slot = {b: j for j, b in enumerate(base)}

@@ -23,7 +23,7 @@ from tck import (
     group_descriptor,
     group_from_descriptor,
     heisenberg_group,
-    induced_automorphism,
+    induced_reidemeister_number,
     inner_twist_invariance,
     isogredience_count,
     reidemeister_number,
@@ -143,25 +143,6 @@ def matrix_pairs(draw):
 def test_matmod_right_factor_matches_the_product(case):
     ops, a, b = case
     assert ops.right(b)(a) == _triple_loop(a, b, ops.modulus)
-
-
-QUOTIENTS = {"S4/V4": lambda: (s4(), [(1, 0, 3, 2), (2, 3, 0, 1)]),
-             "SL(2,5)/Z": lambda: (sl2(5), center(sl2(5)).elements),
-             "SL(2,3)/Z": lambda: (sl2(3), center(sl2(3)).elements)}
-
-
-@pytest.mark.parametrize("name", sorted(QUOTIENTS))
-def test_quotient_right_factor_matches_the_product(name):
-    # the product of two leaders is the least element of the coset a b N
-    g, normal = QUOTIENTS[name]()
-    n = twisted.subgroup(g, normal).elements
-    quotient, _ = induced_automorphism(g, normal, GroupAutomorphism.identity(g))
-    ops = quotient.ops
-    assert isinstance(ops, twisted._QuotientOps)
-    for b in quotient.elements:
-        times_b = ops.right(b)
-        assert [times_b(a) for a in quotient.elements] == [
-            min(g.mul(g.mul(a, b), m) for m in n) for a in quotient.elements]
 
 
 def test_closure_sizes_and_orders():
@@ -428,13 +409,6 @@ def test_inversions_are_hoisted_out_of_the_loops(monkeypatch, build, isogredienc
     # formed, and x^-1 follows the closure's tree
     phi = GroupAutomorphism.inner(g, g.elements[7])
     assert inversions[0] == products[0] == 0
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("isogredience_count built a quotient group")
-
-    # S(phi) is checked in class space, with no quotient group
-    monkeypatch.setattr(twisted, "induced_automorphism", refuse)
-    monkeypatch.setattr(twisted, "_QuotientOps", refuse)
     assert isogredience_count(g, phi).count == isogredience
     assert inversions[0] == products[0] == 0
 
@@ -753,63 +727,86 @@ def test_compose_is_index_table_composition(name):
         autos[0].compose(GroupAutomorphism.identity(s3()))
 
 
-def test_induced_automorphism_on_quotient():
+def quotient_oracle(g, normal, phi):
+    """R of the map phi induces on G/N, rebuilt as the image of G acting on
+    the cosets xN by left multiplication: the oracle for
+    ``induced_reidemeister_number``.  normal lists the elements of N."""
+    coset, leaders = {}, []
+    for x in g.elements:
+        if x not in coset:
+            coset.update((g.mul(x, n), len(leaders)) for n in normal)
+            leaders.append(x)
+
+    def action(s):
+        return tuple(coset[g.mul(s, x)] for x in leaders)
+
+    # generators with one action have images with one action: phi(N) = N
+    images = {action(s): action(phi(s)) for s in g.generators}
+    quotient = closure(list(images))
+    return reidemeister_number(
+        quotient, GroupAutomorphism.from_generator_images(quotient, list(images.values())))
+
+
+@pytest.mark.parametrize("name", sorted(AUTOMORPHISM_COUNTS))
+def test_induced_reidemeister_number_matches_the_quotient_on_every_automorphism(name):
+    g = AUTOMORPHISM_COUNTS[name][0]()
+    # every automorphism preserves 1, Z and G, and V4 in S4
+    normals = {"1": [g.identity], "Z": center(g).elements, "G": g.elements}
+    if name == "S4":
+        normals["V4"] = subgroup(g, [(1, 0, 3, 2), (2, 3, 0, 1)]).elements
+    for label, normal in normals.items():
+        for phi in all_automorphisms(g):
+            expected = quotient_oracle(g, normal, phi)
+            assert induced_reidemeister_number(g, normal, phi) == expected, (label, phi.images)
+            assert induced_reidemeister_number(g, subgroup(g, normal), phi) == expected
+
+
+def test_induced_reidemeister_number_on_known_quotients():
     g = s4()
     v4 = subgroup(g, [(0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0)])
-    quotient, phi_bar = induced_automorphism(g, v4, GroupAutomorphism.identity(g))
-    assert len(quotient) == 6
-    assert reidemeister_number(quotient, phi_bar) == 3
-    # the projected count never exceeds the upstairs count
-    assert 3 <= reidemeister_number(g, GroupAutomorphism.identity(g))
+    identity = GroupAutomorphism.identity(g)
+    # S4/V4 = S3 has three conjugacy classes, and the projected count never
+    # exceeds the upstairs count
+    assert induced_reidemeister_number(g, v4, identity) == 3
+    assert 3 <= reidemeister_number(g, identity)
+    # SL(2,5)/Z = A5 has five
+    h = sl2(5)
+    assert induced_reidemeister_number(h, center(h), GroupAutomorphism.identity(h)) == 5
 
 
-def test_induced_automorphism_rejects_bad_subgroups():
+def test_induced_reidemeister_number_gates_the_subgroup():
     g = s4()
+    identity = GroupAutomorphism.identity(g)
     not_normal = subgroup(g, [(0, 1, 2, 3), (1, 0, 2, 3)])
-    with pytest.raises(DomainError):
-        induced_automorphism(g, not_normal, GroupAutomorphism.identity(g))
+    with pytest.raises(DomainError, match=r"^subgroup is not normal: conjugate of \(1, 0, 2, 3\) "
+                                          r"escapes$"):
+        induced_reidemeister_number(g, not_normal, identity)
+    with pytest.raises(DomainError, match="^subgroup lies outside the ambient group$"):
+        induced_reidemeister_number(g, center(s3()), identity)
+    # in the Klein four group, the swap of its generators moves the normal
+    # subgroup of order 2 that the first one generates
+    v4 = closure([(1, 0, 2, 3), (0, 1, 3, 2)])
+    swap = GroupAutomorphism.from_generator_images(v4, v4.generators[::-1])
+    with pytest.raises(DomainError, match="^automorphism does not preserve the subgroup$"):
+        induced_reidemeister_number(v4, [(1, 0, 2, 3)], swap)
+    assert induced_reidemeister_number(
+        v4, [(1, 0, 2, 3)], GroupAutomorphism.identity(v4)) == 2
 
 
-def test_coset_leaders_form_each_coset_once(monkeypatch):
-    g = sl2(5)
-    z = center(g)
-    products = 0
-    mul = g.mul
+def test_quotient_routes_must_agree(monkeypatch):
+    # route two walks the conjugation maps; with the first one, conjugation
+    # by a transposition, taken out, S4/V4 = S3 seems to have four classes
+    g = s4()
+    conjugation_maps = twisted._conjugation_maps
 
-    def counting_mul(a, b):
-        nonlocal products
-        products += 1
-        return mul(a, b)
+    def perturbed(group):
+        return [tuple(range(len(group)))] + conjugation_maps(group)[1:]
 
-    leaders = twisted._coset_leaders
-    spent = []
-
-    def counted_leaders(G, N):
-        before = products
-        leader = leaders(G, N)
-        spent.append(products - before)
-        return leader
-
-    monkeypatch.setattr(g, "mul", counting_mul)
-    monkeypatch.setattr(twisted, "_coset_leaders", counted_leaders)
-    quotient, phi_bar = induced_automorphism(g, z, GroupAutomorphism.identity(g))
-    # |G|/|N| cosets of |N| products each, not |N| products for every element
-    assert spent == [len(g)]
-    assert len(quotient) == len(g) // len(z) == 60
-    for x in quotient.elements:
-        assert x == min(mul(x, n) for n in z.elements)
-    # PSL(2,5) = A5 has five conjugacy classes
-    assert reidemeister_number(quotient, phi_bar) == 5
-
-
-def test_coset_leaders_are_the_groups_own_elements():
-    g, h = s4(), sl2(5)
-    v4 = subgroup(g, [(1, 0, 3, 2), (2, 3, 0, 1)])
-    for group, n in ((g, center(g)), (g, v4), (h, center(h))):
-        own = {id(x) for x in group.elements}
-        leader = twisted._coset_leaders(group, n)
-        assert len(leader) == len(group)
-        assert all(id(x) in own and id(best) in own for x, best in leader.items())
+    monkeypatch.setattr(twisted, "_conjugation_maps", perturbed)
+    v4 = [(1, 0, 3, 2), (2, 3, 0, 1)]
+    with pytest.raises(ConsistencyError,
+                       match="^isogredience routes disagree: direct 3, invariant classes 4$"):
+        induced_reidemeister_number(g, v4, GroupAutomorphism.identity(g))
 
 
 def test_isogredience_counts():
@@ -824,7 +821,7 @@ def test_isogredience_counts():
 
 def _isogredience_oracle(g, phi):
     """R of the automorphism phi induces on the rebuilt quotient G/Z."""
-    return reidemeister_number(*induced_automorphism(g, center(g), phi))
+    return quotient_oracle(g, center(g).elements, phi)
 
 
 @pytest.mark.parametrize("name", sorted(AUTOMORPHISM_COUNTS))
@@ -854,16 +851,18 @@ def groups_with_twists(draw):
         matrix = st.tuples(st.tuples(entry, entry), st.tuples(entry, entry)).filter(
             lambda a: math.gcd(a[0][0] * a[1][1] - a[0][1] * a[1][0], m) == 1)
         g = closure([draw(matrix), draw(matrix)], modulus=m)
+    normal = draw(st.sampled_from([[g.identity], center(g).elements, g.elements]))
     if draw(st.booleans()):
-        return g, GroupAutomorphism.inner(g, draw(st.sampled_from(g.elements)))
-    return g, GroupAutomorphism.identity(g)
+        return g, normal, GroupAutomorphism.inner(g, draw(st.sampled_from(g.elements)))
+    return g, normal, GroupAutomorphism.identity(g)
 
 
 @settings(max_examples=30, deadline=None, database=None, derandomize=True)
 @given(groups_with_twists())
 def test_isogredience_matches_the_quotient_on_drawn_groups(case):
-    g, phi = case
+    g, normal, phi = case
     assert isogredience_count(g, phi).count == _isogredience_oracle(g, phi)
+    assert induced_reidemeister_number(g, normal, phi) == quotient_oracle(g, normal, phi)
 
 
 def test_isogredience_check_rejects_bijections_that_are_not_homomorphisms():
@@ -903,7 +902,8 @@ FOREIGN_AUTOMORPHISM_CALLS = {
     "twisted_classes": twisted_classes,
     "reidemeister_number": reidemeister_number,
     "isogredience_count": isogredience_count,
-    "induced_automorphism": lambda g, phi: induced_automorphism(g, center(g), phi),
+    "induced_reidemeister_number":
+        lambda g, phi: induced_reidemeister_number(g, center(g), phi),
     "telescoping_product_check":
         lambda g, phi: telescoping_product_check(g, phi, g.identity, g.generators[0], 2),
 }

@@ -616,6 +616,26 @@ def test_certificate_correction_and_scaling_validation():
         obstruction_check(rs, witnesses, None, None, 3)
 
 
+@pytest.mark.parametrize("correction, message", [
+    ([1], "correction vector needs 6 entries, got 1"),
+    ([0] * 6, "correction entries must be nonzero"),
+    ([0.5] * 6, "unsupported scalar 0.5"),
+], ids=["short", "zero", "float"])
+def test_certificate_gates_a_hand_built_correction_on_both_sides_of_the_bound(correction,
+                                                                              message):
+    # the correction is checked before the bound, as the prime blocks are, so
+    # a bad one fails the same way at index 1 and past the bound
+    rs = build_root_system("A2")
+    delta = ScalingAutomorphism((Fraction(2),))
+    product = ProductAutomorphism([ChevalleyAutomorphism(rs, field=delta)], (0,))
+    reduction = project_product_to_first_factor(product, generate_witnesses(rs, 4))
+    bound = reduced_obstruction_check(reduction, 1).bound
+    bad = dataclasses.replace(reduction, correction=correction)
+    for index in (1, bound + 1):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            reduced_obstruction_check(bad, index)
+
+
 def test_malformed_witness_diagonal_names_the_obstruction_check():
     # a witness is its prime block: a block shorter than the rank, or two
     # blocks that share a prime, end in a typed error of the obstruction
