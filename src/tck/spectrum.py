@@ -308,8 +308,9 @@ def metabelian_spectrum(r, s, p: int) -> SpectrumDescriptor:
 def abelian_oracle_count(matrix, m: int) -> int:
     """Brute-force twisted class count of a unimodular matrix acting on (Z/m)^n.
 
-    The group is realized by its translations; the matrix automorphism
-    permutes translations through the index mixing.  This is the slow
+    The group is closed from the unit translations [[I, e_k], [0, 1]] mod m,
+    the encoding heisenberg_group uses, under the closure cap; the matrix
+    sends e_k to the translation by its column k.  This is the slow
     independent check against the Smith-form cokernel order.
     """
     from .twisted import GroupAutomorphism, closure, reidemeister_number
@@ -317,36 +318,15 @@ def abelian_oracle_count(matrix, m: int) -> int:
     rows = _require_unimodular(matrix)
     n = len(rows)
     integer(m, 2, "modulus must be at least 2")
-    size = m**n
-
-    def decode(index):
-        coords = []
-        for _ in range(n):
-            coords.append(index % m)
-            index //= m
-        return coords
-
-    def encode(coords):
-        index = 0
-        for c in reversed(coords):
-            index = index * m + c % m
-        return index
 
     def translation(vector):
-        return tuple(
-            encode([a + b for a, b in zip(decode(i), vector)]) for i in range(size)
-        )
+        """[[I, vector], [0, 1]], an (n + 1) x (n + 1) matrix."""
+        return [[int(i == j) for j in range(n)] + [vector[i]] for i in range(n)] + [[0] * n + [1]]
 
-    basis = []
-    for k in range(n):
-        vector = [0] * n
-        vector[k] = 1
-        basis.append(translation(vector))
-    group = closure(basis)
-    if len(group) != size:
-        raise ConsistencyError(f"translation closure has order {len(group)}, expected {size}")
-    images = [
-        translation([rows[i][k] for i in range(n)]) for k in range(n)
-    ]
+    basis = [translation([int(i == k) for i in range(n)]) for k in range(n)]
+    group = closure(basis, modulus=m)
+    if len(group) != m**n:
+        raise ConsistencyError(f"translation closure has order {len(group)}, expected {m**n}")
+    images = [translation([rows[i][k] for i in range(n)]) for k in range(n)]
     phi = GroupAutomorphism.from_generator_images(group, images)
     return reidemeister_number(group, phi)

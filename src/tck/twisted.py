@@ -22,7 +22,11 @@ map is composed from the Cayley edges along the closure's breadth-first
 tree, so it takes no product and inverts no element.  An element first
 reached as x s has u (x s) = (u x) s, so x -> u x follows the tree from u,
 and (x s)^-1 = s^-1 x^-1, so x -> x^-1 follows it from 1 with the maps
-x -> s^-1 x.  Conjugation, inner automorphisms and the twisting action of a
+x -> s^-1 x, s^-1 being the x whose edge under s leads to 1.
+FiniteGroup.inv reads this map, so no element is inverted by powering; the
+closure gates each generator on the same edges, since in the finite monoid
+it walked s is invertible exactly when some x has x s = 1.  Conjugation,
+inner automorphisms and the twisting action of a
 generator z on y are then compositions of index lists: z y phi(z)^-1 is
 L_z o inv o L_phi(z) o inv, for any bijection phi, and a central move
 y -> y c is L_c.  The maps of the generators and the inverse map are built
@@ -92,13 +96,6 @@ class PermOps:
             return lambda a: tuple(a[v] for v in b)
         return itemgetter(*b)
 
-    def inv(self, a, cap=None):
-        # linear in the degree, so the closure cap never binds here
-        out = [0] * self.degree
-        for i, v in enumerate(a):
-            out[v] = i
-        return tuple(out)
-
 
 class _RowImages(dict):
     """row -> row b mod m for one matrix b, each distinct row computed on its
@@ -120,11 +117,9 @@ class _RowImages(dict):
 class MatModOps:
     """Invertible size x size matrices over Z/m, encoded as row tuples.
 
-    The modulus need not be prime: inverses are found by powering until the
-    identity recurs, which works for any invertible element of a finite
-    monoid and detects non-invertible input by cycle revisit.  Under a
-    closure cap the powering stops after cap steps: an element of larger
-    order lies in no group the closure would accept.
+    The modulus need not be prime, and no element is inverted by powering:
+    the closure gates each generator on its own edges, since in the finite
+    monoid it walked s is invertible exactly when some x has x s = 1.
     """
 
     encoding = "matmod"
@@ -157,19 +152,6 @@ class MatModOps:
         images = _RowImages(b, self.modulus)
         return lambda a: tuple(map(images.__getitem__, a))
 
-    def inv(self, a, cap=None):
-        times_a = self.right(a)
-        seen = {a}
-        previous, current = a, times_a(a)
-        while current != self.identity:
-            if current in seen:
-                raise DomainError(f"matrix {a} is not invertible mod {self.modulus}")
-            if cap is not None and len(seen) >= cap:
-                raise ResourceLimitError(f"matrix {a} has order above the closure cap {cap}")
-            seen.add(current)
-            previous, current = current, times_a(current)
-        return previous
-
 
 class FiniteGroup:
     """Closure of a generator list, with its Cayley graph edges kept."""
@@ -199,7 +181,8 @@ class FiniteGroup:
         return self.ops.right(b)(a)
 
     def inv(self, a):
-        return self.ops.inv(a)
+        """a^-1, read off the inverse map along the closure's tree."""
+        return self.elements[_inverse_map(self)[self.index[self.element(a)]]]
 
     def conjugate(self, g, x):
         return self.mul(self.mul(g, x), self.inv(g))
@@ -217,10 +200,15 @@ def _closure(ops, generators) -> FiniteGroup:
     gens = []
     for g in generators:
         c = ops.canonical(g)
-        ops.inv(c, cap)  # rejects non-invertible input before closure starts
         if c not in gens:
             gens.append(c)
-    return _walk(ops, gens, [ops.right(g) for g in gens], cap)
+    G = _walk(ops, gens, [ops.right(g) for g in gens], cap)
+    # the walk closed a finite monoid, in which s is invertible exactly when
+    # some x has x s = 1: when the edge column of s reaches the identity
+    for s, column in zip(gens, _edge_columns(G)):
+        if 0 not in column:
+            raise DomainError(f"matrix {s} is not invertible mod {ops.modulus}")
+    return G
 
 
 def _walk(ops, gens, rights, cap: int) -> FiniteGroup:

@@ -1,10 +1,12 @@
 """Spectrum computations: Z^n, discrete Heisenberg, lamplighters, metabelian."""
 
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tck import (
     ConsistencyError,
@@ -12,6 +14,7 @@ from tck import (
     ExtendedCount,
     GroupAutomorphism,
     INFINITY,
+    ResourceLimitError,
     center,
     abelian_oracle_count,
     cokernel_order_mod,
@@ -119,6 +122,41 @@ def test_abelian_oracle_agrees_with_cokernel():
                     matrix[i][k] += c * matrix[j][k]
         shifted = [[matrix[i][j] - (i == j) for j in range(n)] for i in range(n)]
         assert abelian_oracle_count(matrix, m) == cokernel_order_mod(shifted, m)
+
+
+@st.composite
+def unimodular_moduli(draw):
+    """A unimodular n x n matrix, n <= 3, from row additions, swaps and sign
+    flips of the identity, with a modulus m <= 6."""
+    n = draw(st.integers(1, 3))
+    matrix = [[int(i == j) for j in range(n)] for i in range(n)]
+    rows = st.integers(0, n - 1)
+    for kind, i, j, c in draw(st.lists(st.tuples(st.integers(0, 2), rows, rows,
+                                                 st.sampled_from((-2, -1, 1, 2))), max_size=8)):
+        if kind == 0 and i != j:
+            matrix[i] = [a + c * b for a, b in zip(matrix[i], matrix[j])]
+        elif kind == 1:
+            matrix[i], matrix[j] = matrix[j], matrix[i]
+        else:
+            matrix[i] = [-a for a in matrix[i]]
+    return matrix, draw(st.integers(2, 6))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(unimodular_moduli())
+def test_abelian_oracle_matches_the_cokernel_on_drawn_matrices(case):
+    matrix, m = case
+    shifted = [[matrix[i][j] - (i == j) for j in range(len(matrix))] for i in range(len(matrix))]
+    assert abelian_oracle_count(matrix, m) == cokernel_order_mod(shifted, m)
+
+
+def test_abelian_oracle_is_bounded_by_the_closure_cap():
+    # (Z/3000)^2 has 9 * 10^6 translations, past the default cap: the closure
+    # stops there, before any structure of size m^n is built
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError, match="^closure exceeded cap"):
+        abelian_oracle_count([[1, 0], [0, 1]], 3000)
+    assert time.perf_counter() - start < 2.0
 
 
 def test_heisenberg_counts():

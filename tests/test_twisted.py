@@ -66,6 +66,15 @@ def element_order(g, x):
     return order
 
 
+def power_inverse(g, x):
+    """x^(ord x - 1) by repeated products: the inverse oracle for the map
+    ``FiniteGroup.inv`` reads off the closure's tree."""
+    inverse = g.identity
+    for _ in range(element_order(g, x) - 1):
+        inverse = g.mul(inverse, x)
+    return inverse
+
+
 def _composition(a, b):
     """a b as permutations: apply b first, then a."""
     return tuple(a[b[i]] for i in range(len(a)))
@@ -248,7 +257,7 @@ def test_twisted_classes_are_twist_orbits():
     index = {x: k for k, block in enumerate(twisted_classes(g, phi)) for x in block}
     for x in g.elements:
         for z in g.elements:
-            moved = g.mul(g.mul(z, x), g.inv(phi(z)))
+            moved = g.mul(g.mul(z, x), power_inverse(g, phi(z)))
             assert index[moved] == index[x]
 
 
@@ -259,7 +268,7 @@ ORACLE_GROUPS = {"S3": s3, "S4": s4, "D4": d4, "Q8": q8, "SL(2,3)": lambda: sl2(
 def _definition_blocks(g, phi, central):
     """Classes {z x phi(z)^-1 c : z in G, c central} straight from the
     definition, ordered by least index and each in index order."""
-    twists = [(z, g.inv(phi(z))) for z in g.elements]
+    twists = [(z, power_inverse(g, phi(z))) for z in g.elements]
     done, blocks = set(), []
     for x in g.elements:
         if x not in done:
@@ -295,12 +304,15 @@ MAP_GROUPS = {"S3": s3, "Q8": q8, "D4": d4, "SL(2,3)": lambda: sl2(3), "SL(2,5)"
 @pytest.mark.parametrize("name", sorted(MAP_GROUPS))
 def test_index_maps_match_their_product_definitions(name):
     g = MAP_GROUPS[name]()
-    elements, mul, inv = g.elements, g.mul, g.inv
+    elements, mul = g.elements, g.mul
+    inverses = {x: power_inverse(g, x) for x in elements}
+    inv = inverses.__getitem__
 
     def image(table):
         return [elements[j] for j in table]
 
     assert image(twisted._inverse_map(g)) == [inv(x) for x in elements]
+    assert [g.inv(x) for x in elements] == [inv(x) for x in elements]
     rng = random.Random(41)
     for u in rng.sample(elements, 4) + [g.identity, *g.generators, elements[-1]]:
         assert image(twisted._left_map(g, g.index[u])) == [mul(u, x) for x in elements]
@@ -329,7 +341,7 @@ def test_automorphism_tables_match_their_definitions(name):
     for h in random.Random(3).sample(g.elements, 4) + [g.elements[-1]]:
         inner = GroupAutomorphism.inner(g, h)
         for x in g.elements:
-            assert inner(x) == g.mul(g.mul(h, x), g.inv(h))
+            assert inner(x) == g.mul(g.mul(h, x), power_inverse(g, h))
     for phi in all_automorphisms(g):
         assert sorted(phi.images) == list(range(len(g)))
 
@@ -389,13 +401,14 @@ def test_twist_maps_kept_on_the_group_match_fresh_groups():
 
 
 def _count_inversions(monkeypatch):
-    """Count every inverse of both encodings, however the caller reaches it."""
+    """Count every call of ``FiniteGroup.inv``, the one element inverse."""
     counter = [0]
-    for ops in (twisted.PermOps, twisted.MatModOps):
-        def counting_inv(self, a, cap=None, inv=ops.inv):
-            counter[0] += 1
-            return inv(self, a, cap)
-        monkeypatch.setattr(ops, "inv", counting_inv)
+    inv = FiniteGroup.inv
+
+    def counting_inv(self, a):
+        counter[0] += 1
+        return inv(self, a)
+    monkeypatch.setattr(FiniteGroup, "inv", counting_inv)
     return counter
 
 
@@ -509,7 +522,7 @@ FELSHTYN_HILL_GROUPS = {"S4": s4, "D4": d4, "Q8": q8, "SL(2,3)": lambda: sl2(3),
 def test_reidemeister_number_counts_invariant_classes(name):
     # Fel'shtyn-Hill: R(phi) is the number of phi-invariant conjugacy classes
     g = FELSHTYN_HILL_GROUPS[name]()
-    inverse = {z: g.inv(z) for z in g.elements}
+    inverse = {z: power_inverse(g, z) for z in g.elements}
     classes = {frozenset(g.mul(g.mul(z, x), inverse[z]) for z in g.elements)
                for x in g.elements}
     for phi in all_automorphisms(g):
@@ -649,9 +662,9 @@ def test_s8_inner_job_product_budget(monkeypatch):
     products = _count_products(monkeypatch)
     inversions = _count_inversions(monkeypatch)
     g = closure([(1, 0, 2, 3, 4, 5, 6, 7), (1, 2, 3, 4, 5, 6, 7, 0)])
-    # the closure takes one product per element and generator, and inverts
-    # each generator once to reject non-invertible input
-    assert (products[0], inversions[0]) == (2 * len(g), 2)
+    # the closure takes one product per element and generator, and gates
+    # each generator on its edges, inverting none
+    assert (products[0], inversions[0]) == (2 * len(g), 0)
     products[0] = inversions[0] = 0
     phi = GroupAutomorphism.inner(g, g.elements[7])
     assert (reidemeister_number(g, phi), isogredience_count(g, phi).count) == (22, 22)
@@ -946,20 +959,34 @@ def test_closure_cap(monkeypatch):
 
 def test_matrix_inverse_is_bounded_by_the_closure_cap(monkeypatch):
     # [[0,1],[1,1]] has order about 2 * 10^6 mod 1000003, far above the cap:
-    # inverting it must stop at the cap, not power up to the order
+    # the closure stops at the cap, and no generator is inverted by powering
     fibonacci = [[0, 1], [1, 1]]
     monkeypatch.setenv("TCK_CLOSURE_CAP", "1000")
     start = time.perf_counter()
-    with pytest.raises(ResourceLimitError, match="order above the closure cap 1000"):
+    with pytest.raises(ResourceLimitError,
+                       match="^closure exceeded cap 1000; partial size 1000$"):
         closure([fibonacci], modulus=1000003)
     assert time.perf_counter() - start < 2.0
-    # an element of order at most the cap still inverts
+    # an element of order at most the cap closes and passes the gate
     monkeypatch.setenv("TCK_CLOSURE_CAP", "16")
     g = closure([fibonacci], modulus=7)
     assert len(g) == 16
+    assert g.inv(fibonacci) == ((6, 1), (1, 0))
     monkeypatch.setenv("TCK_CLOSURE_CAP", "1000")
-    with pytest.raises(DomainError):
+    # a generator whose edge column misses the identity is refused once its
+    # monoid closes, and the message names it
+    with pytest.raises(DomainError,
+                       match=r"^matrix \(\(1, 1\), \(1, 1\)\) is not invertible mod 7$"):
         closure([[[1, 1], [1, 1]]], modulus=7)
+    # a non-unit on a composite modulus, beside an invertible generator
+    with pytest.raises(DomainError,
+                       match=r"^matrix \(\(2, 0\), \(0, 1\)\) is not invertible mod 4$"):
+        closure([[[1, 1], [0, 1]], [[2, 0], [0, 1]]], modulus=4)
+    with pytest.raises(DomainError, match=r"^\(\(0, 0\), \(0, 1\)\) lies outside the group$"):
+        g.inv([[0, 0], [0, 1]])
+    # a non-invertible generator whose monoid passes the cap meets the cap
+    with pytest.raises(ResourceLimitError, match="^closure exceeded cap 1000"):
+        closure([[[2, 0], [0, 0]]], modulus=1000003)
 
 
 def test_group_descriptor_roundtrip():
