@@ -311,7 +311,7 @@ def _check_witness_disjointness() -> str:
             for _ in range(5):
                 current = phi.apply(current)
                 acc = mat_mul(acc, current)
-            for matrix, rows in ((g, witnesses.pairings), (acc, collapsed)):
+            for matrix, rows in ((g, rs.pairings), (acc, collapsed)):
                 entries = diagonal_entries(matrix)
                 roots = entries[:root_count]
                 _require(is_diagonal(matrix) and entries[root_count:] == [1] * rs.rank

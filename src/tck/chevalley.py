@@ -57,8 +57,8 @@ they are freed with their root system; no module-level cache holds one.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import lcm, prod
+from math import factorial, lcm, prod
+from operator import mul
 
 from .errors import ConsistencyError, DomainError, integer, rational
 from .fields import Polynomial, RationalFunction, ScalingAutomorphism, apply_scaling, is_prime
@@ -76,8 +76,8 @@ def _coerce_scalar(t):
     return t if isinstance(t, RationalFunction) else rational(t)
 
 
-def bracket_coordinates(rs: RootSystem, i: int, j: int) -> dict[int, Fraction]:
-    """Bracket of basis elements i and j as a sparse coordinate vector."""
+def bracket_coordinates(rs: RootSystem, i: int, j: int) -> dict[int, int]:
+    """Bracket of basis elements i and j as a sparse integer coordinate vector."""
     m = len(rs.roots)
     if i >= m and j >= m:
         return {}
@@ -88,17 +88,15 @@ def bracket_coordinates(rs: RootSystem, i: int, j: int) -> dict[int, Fraction]:
     if j >= m:
         # [e_alpha, h_t] = -<alpha, alpha_t^v> e_alpha, flipped by `sign`
         # when the Cartan element came first.
-        t = j - m
-        alpha = rs.roots[i]
-        c = sum(alpha[s] * rs.cartan[s][t] for s in range(rs.rank))
-        return {i: Fraction(-sign * c)} if c else {}
+        c = rs.pairings[i][j - m]
+        return {i: -sign * c} if c else {}
     alpha, beta = rs.roots[i], rs.roots[j]
     if beta == rs.negate(alpha):
         coords = rs.coroot_coordinates(alpha)
-        return {m + k: Fraction(c) for k, c in enumerate(coords) if c}
+        return {m + k: c for k, c in enumerate(coords) if c}
     total = rs.add(alpha, beta)
     if rs.is_root(total):
-        return {rs.root_index[total]: Fraction(rs.constants.n(alpha, beta))}
+        return {rs.root_index[total]: rs.constants.n(alpha, beta)}
     return {}
 
 
@@ -138,13 +136,13 @@ def _exp_entries(rs: RootSystem, alpha) -> tuple:
                     image[i] = image.get(i, 0) + c * b
             vector = {}
             for i, total in image.items():
-                c = Fraction(total, k)
-                if c.denominator != 1:
+                c, remainder = divmod(total, k)
+                if remainder:
                     raise ConsistencyError(
-                        f"exp(ad e_{alpha}) coefficient {c} at ({i}, {j}) is not integral"
+                        f"exp(ad e_{alpha}) coefficient {total}/{k} at ({i}, {j}) is not integral"
                     )
                 if c:
-                    vector[i] = c.numerator
+                    vector[i] = c
             if not vector:
                 break
             for i, c in vector.items():
@@ -172,11 +170,12 @@ def n_alpha(rs: RootSystem, alpha, t) -> ScaledMatrix:
 
 @_memoised_on_root_system
 def _pairings(rs: RootSystem, alpha) -> tuple:
-    """(K, the distinct k, the pairs (i, k)): k = <beta_i, alpha^v> != 0 over
-    the roots beta_i, and K the largest |k|."""
+    """(K, the distinct k, the pairs (i, k)): k = <beta_i, alpha^v> != 0, beta_i's
+    pairing row dotted with alpha's coroot coordinates, and K the largest |k|."""
+    coroot = rs.coroot_coordinates(alpha)
     pairs = []
-    for i, beta in enumerate(rs.roots):
-        k = rs.cartan_integer(beta, alpha)
+    for i, row in enumerate(rs.pairings):
+        k = sum(map(mul, row, coroot))
         if k:
             pairs.append((i, k))
     return max(abs(k) for _, k in pairs), tuple({k for _, k in pairs}), tuple(pairs)
@@ -223,10 +222,10 @@ class GraphMatrixRealization:
                 continue
             a, b = data.extraspecial_pair(beta)
             ra, rb = (rs.roots[self.root_images[rs.root_index[x]]] for x in (a, b))
-            ratio = Fraction(data.n(ra, rb), data.n(a, b))
-            if ratio != 1 and ratio != -1:
-                raise ConsistencyError(f"sign ratio {ratio} at {beta} is not a unit")
-            signs[beta] = signs[a] * signs[b] * int(ratio)
+            image, source = data.n(ra, rb), data.n(a, b)
+            if image not in (source, -source):
+                raise ConsistencyError(f"sign ratio {image}/{source} at {beta} is not a unit")
+            signs[beta] = signs[a] * signs[b] * (1 if image == source else -1)
         for beta in rs.positive_roots:
             signs[rs.negate(beta)] = signs[beta]
         self.signs = signs
@@ -361,17 +360,10 @@ class ChevalleyAutomorphism:
         return x
 
 
-def _string_product(rs: RootSystem, base, step, count) -> Fraction:
-    """(1/count!) N(step, base) N(step, step+base) ... over `count` brackets."""
-    data = rs.constants
-    value = Fraction(1)
-    current = base
-    for _ in range(count):
-        value *= data.n(step, current)
-        current = rs.add(step, current)
-    for k in range(2, count + 1):
-        value /= k
-    return value
+def _string_product(rs: RootSystem, base, step, count) -> int:
+    """N(step, base) N(step, step+base) ... over `count` brackets."""
+    return prod(rs.constants.n(step, tuple(b + k * s for b, s in zip(base, step)))
+                for k in range(count))
 
 
 def commutator_factors(rs: RootSystem, alpha, beta) -> list[tuple]:
@@ -395,17 +387,19 @@ def commutator_factors(rs: RootSystem, alpha, beta) -> list[tuple]:
         if not rs.is_root(gamma):
             continue
         if j == 1:
-            c = _string_product(rs, beta, alpha, i)
+            value, divisor = _string_product(rs, beta, alpha, i), factorial(i)
         elif i == 1:
-            c = Fraction(-1) ** j * _string_product(rs, alpha, beta, j)
+            value, divisor = (-1) ** j * _string_product(rs, alpha, beta, j), factorial(j)
         elif (i, j) == (3, 2):
-            c = Fraction(1, 3) * _string_product(rs, alpha, rs.add(alpha, beta), 2)
+            value, divisor = _string_product(rs, alpha, rs.add(alpha, beta), 2), 6
         elif (i, j) == (2, 3):
-            c = Fraction(-2, 3) * _string_product(rs, beta, rs.add(beta, alpha), 2)
+            value, divisor = -2 * _string_product(rs, beta, rs.add(beta, alpha), 2), 6
         else:
             raise ConsistencyError(f"unexpected root string pair ({i}, {j})")
-        if c.denominator != 1:
-            raise ConsistencyError(f"commutator constant {c} at ({i}, {j}) is not integral")
+        c, remainder = divmod(value, divisor)
+        if remainder:
+            raise ConsistencyError(
+                f"commutator constant {value}/{divisor} at ({i}, {j}) is not integral")
         factors.append((gamma, i, j, c))
     return factors
 

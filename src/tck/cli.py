@@ -78,7 +78,7 @@ def _parse_rational(text: str) -> Fraction:
 def _parse_matrix(text: str):
     try:
         data = json.loads(text)
-    except ValueError as exc:  # malformed, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # malformed, too deep, or too many digits
         raise DomainError(f"matrix is not valid JSON: {exc}") from exc
     if not isinstance(data, list) or not data or not all(isinstance(r, list) for r in data):
         raise DomainError("matrix must be a nonempty array of arrays")
@@ -99,7 +99,7 @@ def _load_json(path: str) -> dict:
             data = json.load(handle)
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
-    except ValueError as exc:  # malformed, or an integer past the digit limit
+    except (ValueError, RecursionError) as exc:  # malformed, too deep, or too many digits
         raise DomainError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise DomainError(f"{path} must hold a JSON object")

@@ -7,7 +7,9 @@ and the negative roots mirror that order.  The bilinear form is one symmetric
 integer matrix, (alpha_i, alpha_j) = cartan[i][j] d_j, with the half-lengths
 d_i = (alpha_i, alpha_i)/2 scaled to the least integers.  Each root's row
 (beta, alpha_j) and norm (beta, beta) are tabled once, so Cartan pairings and
-coroots are exact integer quotients.  Structure constants for a Chevalley
+coroots are exact integer quotients.  The reflection closure tables each
+root's pairings <beta, alpha_t^v> as ``pairings``, and ``cartan_integer``
+reads the form, an independent route.  Structure constants for a Chevalley
 basis are fixed by the extraspecial-pair convention: for each non-simple
 positive root the decomposition with the smallest first summand gets a
 positive constant.  One pass over the positive roots in height order fills
@@ -21,9 +23,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm, prod
 
 from .errors import ConsistencyError, DomainError, integer
 
@@ -139,6 +140,9 @@ class RootSystem:
         self.roots: tuple[Root, ...] = self.positive_roots + tuple(
             tuple(-c for c in r) for r in self.positive_roots
         )
+        # Row i is <roots[i], alpha_t^v> for t = 1..rank, negated on the negative roots.
+        rows = tuple(closed[beta][1] for beta in self.positive_roots)
+        self.pairings = rows + tuple(tuple(-k for k in row) for row in rows)
         self.root_index = {r: i for i, r in enumerate(self.roots)}
         self.tables: dict = {}  # per-root tables of other layers, keyed by (table, root)
         expected = _root_count(type_.family, type_.rank)
@@ -148,46 +152,53 @@ class RootSystem:
             )
         # The norm (beta, beta) per root, shared by beta and -beta; form rows
         # are tabled on first use as a pairing's second argument.
-        norms = [closed[beta] for beta in self.positive_roots]
+        norms = [closed[beta][0] for beta in self.positive_roots]
         self.norm: dict[Root, int] = dict(zip(self.roots, norms + norms))
         self._form_rows: dict[Root, tuple[int, ...]] = {}
 
     def _solve_half_lengths(self) -> tuple[int, ...]:
         # d_i = (alpha_i, alpha_i)/2, determined up to one global scale by
         # requiring the bilinear form to be symmetric across each diagram edge;
-        # the scale is the least one that makes every d_i an integer.
+        # the scale is the least one that makes every d_i an integer.  Starting
+        # from the product of the off-diagonal entries keeps each quotient exact.
         d = [None] * self.rank
-        d[0] = Fraction(1)
+        d[0] = abs(prod(c for row in self.cartan for c in row if c < 0))
         queue = [0]
         while queue:
             i = queue.pop()
             for j in range(self.rank):
                 if j != i and self.cartan[i][j] != 0 and d[j] is None:
-                    d[j] = d[i] * self.cartan[j][i] / self.cartan[i][j]
+                    d[j] = d[i] * self.cartan[j][i] // self.cartan[i][j]
                     queue.append(j)
         if any(v is None for v in d):
             raise ConsistencyError("disconnected Dynkin diagram")
-        scale = lcm(*(v.denominator for v in d))
-        return tuple(int(v * scale) for v in d)
+        scale = gcd(*d)
+        return tuple(v // scale for v in d)
 
     def _form_row(self, beta) -> tuple[int, ...]:
         """(beta, alpha_j) for each simple root alpha_j."""
         return tuple(sum(b * f for b, f in zip(beta, row)) for row in self.form)
 
-    def _close_under_reflections(self) -> dict[Root, int]:
+    def _close_under_reflections(self) -> dict[Root, tuple[int, tuple[int, ...]]]:
         # s_j permutes the positive roots other than alpha_j, so the positive
         # roots are the closure of the simple roots under the reflections that
         # keep them positive.  Only coordinate j moves under s_j, so a negative
         # image that is not -alpha_j has mixed signs.  Reflections preserve the
         # form, so each root inherits its norm (alpha_i, alpha_i) = 2 d_i from
-        # the simple root it was reached from.
+        # the simple root it was reached from.  Each maps to its norm and its
+        # pairing row <beta, alpha_j^v>, the amounts the s_j subtract.
         simple = [tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)]
-        seen = {alpha: 2 * d for alpha, d in zip(simple, self.half_lengths)}
+        norms = {alpha: 2 * d for alpha, d in zip(simple, self.half_lengths)}
+        columns = tuple(zip(*self.cartan))
+        closed = {}
         queue = list(simple)
         while queue:
             beta = queue.pop()
-            for j in range(self.rank):
-                pairing = sum(b * row[j] for b, row in zip(beta, self.cartan) if b)
+            row = tuple(sum(b * c for b, c in zip(beta, column) if b) for column in columns)
+            if not any(row):
+                raise ConsistencyError(
+                    f"a root of {self.type} pairs trivially with every simple coroot")
+            for j, pairing in enumerate(row):
                 image = list(beta)
                 image[j] -= pairing
                 if image[j] < 0:
@@ -195,10 +206,11 @@ class RootSystem:
                         raise ConsistencyError(f"root {tuple(image)} has mixed signs")
                     continue
                 image_t = tuple(image)
-                if image_t not in seen:
-                    seen[image_t] = seen[beta]
+                if image_t not in norms:
+                    norms[image_t] = norms[beta]
                     queue.append(image_t)
-        return seen
+            closed[beta] = norms[beta], row
+        return closed
 
     # -- basic queries ------------------------------------------------------
 

@@ -170,23 +170,16 @@ def heisenberg_group(m: int) -> FiniteGroup:
 def heisenberg_automorphism(group: FiniteGroup, matrix) -> GroupAutomorphism:
     """Lift of a unimodular 2x2 matrix through the generator images.
 
-    The first generator maps to x^a y^c, the second to x^b y^d (columns of
-    the matrix).  Over even moduli the lift can fail to be a homomorphism;
-    that surfaces as a domain error from the image verification.
+    x and y map to x^a y^c and x^b y^d (columns of the matrix), with
+    x^a y^c = ((1, a, ac), (0, 1, c), (0, 0, 1)) reduced mod m by the element
+    gate, which refuses it outside a Heisenberg group.  Over even moduli the
+    lift can fail to be a homomorphism; that surfaces as a domain error from
+    the image verification.
     """
     from .twisted import GroupAutomorphism
 
     (a, b), (c, d) = _require_unimodular_2x2(matrix)
-    x, y = group.generators
-
-    def power(base, k):
-        k %= group.ops.modulus
-        acc = group.identity
-        for _ in range(k):
-            acc = group.mul(acc, base)
-        return acc
-
-    images = [group.mul(power(x, a), power(y, c)), group.mul(power(x, b), power(y, d))]
+    images = [((1, p, p * q), (0, 1, q), (0, 0, 1)) for p, q in ((a, c), (b, d))]
     return GroupAutomorphism.from_generator_images(group, images)
 
 

@@ -55,6 +55,7 @@ from typing import Iterable
 from .errors import ConsistencyError, DomainError, ResourceLimitError, integer
 
 DEFAULT_CLOSURE_CAP = 200000
+_WIDTH_UNIT = 64  # an element of width w counts ceil(w / 64) against the cap
 
 
 def closure_cap() -> int:
@@ -76,7 +77,7 @@ class PermOps:
     encoding = "perm"
 
     def __init__(self, degree: int):
-        self.degree = degree
+        self.degree = self.width = degree
         self.identity = tuple(range(degree))
 
     def canonical(self, raw):
@@ -129,6 +130,7 @@ class MatModOps:
         # cannot be formatted
         integer(modulus, 2, "matrix encoding needs an int modulus >= 2")
         self.size = size
+        self.width = size * size
         self.modulus = modulus
         self.identity = tuple(
             tuple(1 if i == j else 0 for j in range(size)) for i in range(size)
@@ -202,7 +204,8 @@ def _closure(ops, generators) -> FiniteGroup:
         c = ops.canonical(g)
         if c not in gens:
             gens.append(c)
-    G = _walk(ops, gens, [ops.right(g) for g in gens], cap)
+    weight = max(1, -(-ops.width // _WIDTH_UNIT))
+    G = _walk(ops, gens, [ops.right(g) for g in gens], cap, weight)
     # the walk closed a finite monoid, in which s is invertible exactly when
     # some x has x s = 1: when the edge column of s reaches the identity
     for s, column in zip(gens, _edge_columns(G)):
@@ -211,21 +214,23 @@ def _closure(ops, generators) -> FiniteGroup:
     return G
 
 
-def _walk(ops, gens, rights, cap: int) -> FiniteGroup:
-    """Breadth-first closure from the identity, rights[pos] being x -> x gens[pos]."""
+def _walk(ops, gens, rights, cap: int, weight: int = 1) -> FiniteGroup:
+    """Breadth-first closure from the identity, rights[pos] being x -> x gens[pos],
+    each element counting weight against cap."""
     elements = [ops.identity]
     edges = []
     seen = {ops.identity: 0}
     find, add_edge = seen.get, edges.append
+    limit = cap // weight
     for x in elements:  # grows while it is walked: breadth-first order
         for right in rights:
             y = right(x)
             j = find(y)
             if j is None:
-                if len(elements) >= cap:
+                if len(elements) >= limit:
                     raise ResourceLimitError(
                         f"closure exceeded cap {cap}; partial size {len(elements)}"
-                    )
+                        + (f" at width {ops.width} ({weight} per element)" if weight > 1 else ""))
                 j = seen[y] = len(elements)
                 elements.append(y)
             add_edge(j)

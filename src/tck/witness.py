@@ -4,7 +4,7 @@ A witness is its character.  g = h_{alpha_1}(p_1) ... h_{alpha_l}(p_l)
 acts on e_beta by prod_t p_t^<beta, alpha_t^v> (Steinberg, Lectures on
 Chevalley Groups, Yale 1967) and on the Cartan block by 1, so over the
 witness's own prime block the exponent vector of entry beta is beta's pairing
-row with the simple coroots: one integer matrix for every witness.
+row with the simple coroots (``rs.pairings``), one matrix for every witness.
 Criterion 9 checks these rows and their collapse against the reference route
 in ``tck.chevalley``: the exponent vectors of the scaled products
 n_alpha(t) n_alpha(-1) and of ``ChevalleyAutomorphism.apply`` on their rows.
@@ -40,7 +40,6 @@ from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, prod
 
 from .errors import ConsistencyError, DomainError, integer, rational
@@ -54,7 +53,7 @@ Rows = tuple[tuple[int, ...], ...]
 @dataclass(frozen=True, eq=False)
 class WitnessSequence:
     """Torus elements g_i built from fresh primes, one block per witness:
-    entry beta of g_i is prod_t primes[i][t] ** pairings[beta][t]."""
+    entry beta of g_i is prod_t primes[i][t] ** rs.pairings[beta][t]."""
 
     root_system: RootSystem
     primes: tuple[tuple[int, ...], ...]
@@ -62,18 +61,6 @@ class WitnessSequence:
     @property
     def count(self) -> int:
         return len(self.primes)
-
-    @cached_property
-    def pairings(self) -> Rows:
-        """P[beta][t] = <beta, alpha_t^v> = sum_i beta_i cartan[i][t], in
-        ``rs.roots`` order; no root pairs trivially with every simple coroot."""
-        rs = self.root_system
-        columns = tuple(zip(*rs.cartan))
-        rows = tuple(tuple(sum(map(operator.mul, beta, column)) for column in columns)
-                     for beta in rs.roots)
-        if not all(map(any, rows)):
-            raise ConsistencyError(f"a root of {rs.type} pairs trivially with every simple coroot")
-        return rows
 
 
 def generate_witnesses(rs: RootSystem, count: int) -> WitnessSequence:
@@ -395,7 +382,7 @@ def obstruction_check(rs: RootSystem, witnesses: WitnessSequence,
     if witnesses.root_system.type != rs.type:
         raise DomainError("witnesses were generated for a different root system")
     rs = witnesses.root_system
-    exponents = _collapse((_index_map(rs, symmetry),), witnesses.pairings, 6)
+    exponents = _collapse((_index_map(rs, symmetry),), rs.pairings, 6)
     return _certify(rs, witnesses.primes, exponents, scaling, None, index_beyond_bound)
 
 
@@ -515,7 +502,7 @@ def project_product_to_first_factor(product_aut: ProductAutomorphism,
     while orbit[-1] != 0:
         orbit.append(perm[orbit[-1]])
     cycle = [product_aut._sources[j] for j in orbit]
-    exponents = _collapse(cycle, witnesses.pairings, 6 * s)
+    exponents = _collapse(cycle, rs.pairings, 6 * s)
     correction = None
     if any(phi.diagonal is not None for phi in product_aut.factors):
         diagonals = [product_aut.factors[j].diagonal for j in orbit]

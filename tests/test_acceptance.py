@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+import tck.acceptance
 import tck.witness
 from tck.acceptance import all_checks, run_check
 
@@ -97,9 +98,14 @@ def _perturb_collapse(monkeypatch):
 
 
 def _perturb_pairings(monkeypatch):
-    pairings = tck.witness.WitnessSequence.pairings.func
-    monkeypatch.setattr(tck.witness.WitnessSequence, "pairings",
-                        property(lambda self: _bump_first_exponent(pairings(self))))
+    build = tck.acceptance.build_root_system
+
+    def bumped(text):
+        rs = build(text)
+        rs.pairings = _bump_first_exponent(rs.pairings)
+        return rs
+
+    monkeypatch.setattr(tck.acceptance, "build_root_system", bumped)
 
 
 @pytest.mark.parametrize("perturb", [_perturb_collapse, _perturb_pairings],

@@ -1,6 +1,8 @@
 """Adjoint Chevalley generators and the four-part automorphism."""
 
+import ast
 import gc
+import inspect
 import random
 import weakref
 from collections import Counter
@@ -27,9 +29,11 @@ from tck import (
     x_alpha,
 )
 import tck.chevalley
+import tck.roots
 from tck.chevalley import (
     GraphMatrixRealization,
     _exp_entries,
+    _pairings,
     _scaled_x_alpha,
     bracket_coordinates,
 )
@@ -398,12 +402,93 @@ def test_integer_commutator_route_matches_the_dense_route():
             assert dense, (name, alpha, beta, t, u)
 
 
+IDENTITY_TYPES = ("A1", "A2", "A3", "B2", "G2", "B3", "C3", "D4")
+
+
+def test_chevalley_relations_hold_as_identities_in_two_variables():
+    # t and u are the variables of Q(t, u), and the generators' scaled rows
+    # lie in Z[t, u], so == proves each relation as a polynomial identity: it
+    # holds at every parameter over every commutative ring.  The exponent of
+    # the torus relation is read off the form, not off h_alpha's table.
+    t, u = RationalFunction.variable(2, 0), RationalFunction.variable(2, 1)
+    proved = 0
+    for name in IDENTITY_TYPES:
+        rs = build_root_system(name)
+        for alpha in rs.roots:
+            assert (mat_mul(x_alpha(rs, alpha, t), x_alpha(rs, alpha, u))
+                    == x_alpha(rs, alpha, t + u)), (name, alpha)
+            h = h_alpha(rs, alpha, t)
+            assert mat_mul(h, h_alpha(rs, alpha, u)) == h_alpha(rs, alpha, t * u), (name, alpha)
+            h_inverse = mat_inv(h)
+            proved += 2
+            for beta in rs.roots:
+                weight = t ** rs.cartan_integer(beta, alpha) * u
+                assert (mat_mul(mat_mul(h, x_alpha(rs, beta, u)), h_inverse)
+                        == x_alpha(rs, beta, weight)), (name, alpha, beta)
+                proved += 1
+                if beta not in (alpha, rs.negate(alpha)):
+                    assert commutator_relation_check(rs, alpha, beta, t, u), (name, alpha, beta)
+                    proved += 1
+    assert proved == 3232
+
+
+TYPES_UP_TO_RANK_6 = [f"{family}{rank}" for family, low in (("A", 1), ("B", 2), ("C", 3), ("D", 4))
+                      for rank in range(low, 7)] + ["E6", "F4", "G2"]
+
+
+@pytest.mark.parametrize("name", TYPES_UP_TO_RANK_6)
+def test_h_alpha_exponents_match_the_form(name):
+    # h_alpha's exponents are the pairing table times the coroot coordinates;
+    # cartan_integer reads the form rows and norms instead
+    rs = build_root_system(name)
+    for alpha in rs.roots:
+        expected = [(i, k) for i, beta in enumerate(rs.roots)
+                    if (k := rs.cartan_integer(beta, alpha))]
+        depth, exponents, pairs = _pairings(rs, alpha)
+        assert list(pairs) == expected, (name, alpha)
+        assert depth == max(abs(k) for _, k in expected)
+        assert sorted(exponents) == sorted({k for _, k in expected})
+
+
+def test_the_structure_layer_builds_no_fraction(monkeypatch):
+    # the root system, the structure constants, the exp tables, the
+    # commutator constants and the graph signs are integer data
+    for module in (tck.roots, tck.chevalley):
+        tree = ast.parse(inspect.getsource(module))
+        imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                    for alias in node.names}
+        imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "fractions" not in imported, module.__name__
+    built = Counter()
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built["Fraction"] += 1
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    constants = []
+    for name in ("A3", "B3", "G2", "D4", "F4"):
+        rs = build_root_system(name)
+        assert rs.constants.pairs
+        for alpha in rs.roots:
+            constants += [c for _, _, c, _ in _exp_entries(rs, alpha)]
+            for beta in rs.roots:
+                if beta not in (alpha, rs.negate(alpha)):
+                    constants += [c for _, _, _, c in commutator_factors(rs, alpha, beta)]
+        for symmetry in diagram_symmetries(rs):
+            GraphMatrixRealization(rs, symmetry)
+    assert built["Fraction"] == 0
+    assert constants and {type(c) for c in constants} == {int}
+
+
 def test_perturbed_commutator_constant_fails_on_both_routes(monkeypatch):
     rs = build_root_system("G2")
     a, b = rs.positive_roots[: rs.rank]
     factors = commutator_factors(rs, a, b)
     assert len(factors) == 4
     kinds = [(Fraction(2), Fraction(-1, 3)), (T * 2 - 1, Fraction(3) / (T + Fraction(1, 2))),
+             (RationalFunction.variable(2, 0), RationalFunction.variable(2, 1)),
              *_parameter_kinds(random.Random(22))]
     for t, u in kinds:
         # at a zero parameter every factor on the right is 1, whatever its constant
@@ -432,7 +517,8 @@ def test_non_integral_exp_coefficient_is_a_consistency_error(monkeypatch):
     original = tck.chevalley.bracket_coordinates
 
     def halved(rs, i, j):
-        return {k: c / 2 for k, c in original(rs, i, j).items()}
+        # the bracket values are ints, so halving them exactly needs a Fraction
+        return {k: Fraction(c, 2) for k, c in original(rs, i, j).items()}
 
     monkeypatch.setattr(tck.chevalley, "bracket_coordinates", halved)
     rs = build_root_system("A2")  # fresh, so its exp table is built under the patch

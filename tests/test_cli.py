@@ -1,10 +1,13 @@
 """Command line surface: JSON reports, exit codes, determinism."""
 
 import ast
+import contextlib
 import hashlib
 import importlib
+import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -477,6 +480,174 @@ def test_descriptor_past_the_digit_limit_ends_in_a_typed_error(capsys, tmp_path)
         capsys, ["twisted", "classes", "--group", str(group_file), "--aut", aut_file])
     assert time.perf_counter() - start < 2.0
     assert (exit_code, report["payload"]["code"]) == (1, "domain-error")
+
+
+def _nested_inputs(tmp_path):
+    """Deeply nested JSON arrays in each place the CLI parses JSON."""
+    group_file, aut_file = _write_s3(tmp_path)
+    deep_group, deep_aut = tmp_path / "deep-group.json", tmp_path / "deep-aut.json"
+    deep_group.write_text("[" * 200000)
+    deep_aut.write_text("[" * 3000)
+    return {
+        "zn-matrix": ["spectrum", "zn", "--matrix", "[" * 5000],
+        "heisenberg-matrix": ["spectrum", "heisenberg", "--matrix", "[" * 5000],
+        "group-file": ["twisted", "reidemeister", "--group", str(deep_group), "--aut", aut_file],
+        "aut-file": ["twisted", "reidemeister", "--group", group_file, "--aut", str(deep_aut)],
+    }
+
+
+@pytest.mark.parametrize("name", ["zn-matrix", "heisenberg-matrix", "group-file", "aut-file"])
+def test_deeply_nested_json_ends_in_a_typed_error(capsys, tmp_path, name):
+    # the JSON decoder meets the recursion limit; that is invalid input, not a traceback
+    start = time.perf_counter()
+    exit_code, report = run_cli(capsys, _nested_inputs(tmp_path)[name])
+    assert time.perf_counter() - start < 2.0
+    assert (exit_code, report["payload"]["code"]) == (1, "domain-error")
+    assert "is not valid JSON" in report["payload"]["message"]
+
+
+def _prime_cycles(degree):
+    """A permutation of range(degree) with cycles of lengths 2, 3, 5, ..., 19
+    (order 9699690) and every other point fixed."""
+    perm, start = list(range(degree)), 0
+    for length in (2, 3, 5, 7, 11, 13, 17, 19):
+        for k in range(length):
+            perm[start + k] = start + (k + 1) % length
+        start += length
+    return perm
+
+
+def test_wide_permutations_count_their_width_against_the_cap(capsys, tmp_path):
+    # 200000 elements of 1000 slots each would exhaust memory before an
+    # element count stopped them; each counts ceil(1000 / 64) = 16
+    perm = _prime_cycles(1000)
+    group_file, aut_file = tmp_path / "wide.json", tmp_path / "wide-id.json"
+    group_file.write_text(json.dumps({"encoding": "perm", "generators": [perm]}))
+    aut_file.write_text(json.dumps({"images": [perm]}))
+    start = time.perf_counter()
+    exit_code, report = run_cli(
+        capsys, ["twisted", "reidemeister", "--group", str(group_file), "--aut", str(aut_file)])
+    assert time.perf_counter() - start < 2.0
+    assert (exit_code, report["payload"]["code"]) == (1, "resource-limit")
+    assert report["payload"]["message"] == (
+        "closure exceeded cap 200000; partial size 12500 at width 1000 (16 per element)")
+
+
+# Descriptor and matrix fuzzing.  A value is built as a Python object and
+# written with json.dumps; _BIG stands for an int past the int/str digit limit
+# and _DEEP for a nesting deeper than the decoder's recursion limit, which
+# json.dumps cannot write, so they are spliced into the text.
+_BIG, _DEEP = "<big>", "<deep>"
+_SPLICES = {f'"{_BIG}"': "9" * 5000, f'"{_DEEP}"': "[" * 3000 + "]" * 3000}
+_WRONG_KINDS = st.one_of(st.text(max_size=3), st.floats(allow_nan=False), st.booleans(),
+                         st.none(), st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+                         st.just(_BIG), st.just(_DEEP))
+_RAGGED = st.recursive(st.integers(-3, 9) | _WRONG_KINDS, lambda inner: st.lists(inner, max_size=4),
+                       max_leaves=12)
+_MODULUS = st.one_of(st.integers(-3, 12), st.integers(2, 10**30), st.booleans(), st.just(_BIG),
+                     _WRONG_KINDS)
+
+
+def _square(size, entries=st.integers(-6, 6)):
+    return st.lists(st.lists(entries, min_size=size, max_size=size), min_size=size, max_size=size)
+
+
+@st.composite
+def _unimodular(draw):
+    # triangular with unit diagonal, rows in either order: determinant +-1
+    size = draw(st.integers(1, 4))
+    rows = [[draw(st.integers(-5, 5)) if j > i else
+             draw(st.sampled_from([1, -1])) if j == i else 0 for j in range(size)]
+            for i in range(size)]
+    return rows[::draw(st.sampled_from([1, -1]))]
+
+
+@st.composite
+def _twisted_call(draw):
+    """A twisted command with a group descriptor and an automorphism: a group
+    of permutations (degree up to 2000) or of matrices (up to 4x4), or a
+    hostile descriptor; images that are the generators, a reordering of
+    them, fresh elements of the same shape, or hostile values."""
+    command = draw(st.sampled_from(["classes", "reidemeister", "isogredience"]))
+    kind = draw(st.sampled_from(["perm", "matmod", "hostile"]))
+    if kind == "perm":
+        degree = draw(st.sampled_from([0, 1, 2, 3, 5, 8, 64, 65, 500, 1999, 2000]))
+
+        def element():
+            # a seeded shuffle, so a degree near 2000 costs one draw
+            perm = list(range(degree))
+            random.Random(draw(st.integers(0, 2**32))).shuffle(perm)
+            return perm
+    elif kind == "matmod":
+        size = draw(st.integers(1, 4))
+
+        def element():
+            return draw(_square(size))
+    if kind == "hostile":
+        generators = []
+        group = draw(st.dictionaries(st.sampled_from(["encoding", "generators", "modulus"]),
+                                     st.sampled_from(["perm", "matmod"]) | _RAGGED, max_size=3)
+                     | _RAGGED)
+    else:
+        generators = [element() for _ in range(draw(st.integers(0, 2)))]
+        group = {"encoding": kind, "generators": generators}
+        if kind == "matmod":
+            group["modulus"] = draw(_MODULUS)
+    images = draw(st.sampled_from(["same", "reversed", "fresh", "hostile"]))
+    if images == "same" or images == "reversed":
+        images = generators[::1 if images == "same" else -1]
+    elif images == "fresh" and kind != "hostile":
+        images = [element() for _ in generators]
+    else:
+        images = draw(_RAGGED)
+    return command, group, draw(st.just({"images": images}) | _RAGGED)
+
+
+def _spliced(value) -> str:
+    text = json.dumps(value)
+    for placeholder, splice in _SPLICES.items():
+        text = text.replace(placeholder, splice)
+    return text
+
+
+_MATRIX_TEXT = st.one_of(
+    _unimodular().map(json.dumps),
+    st.integers(1, 4).flatmap(lambda n: _square(n, st.integers(-6, 6) | st.sampled_from(
+        ["1/2", "-3", "1e3", "x", "1/0"]))).map(json.dumps),
+    _RAGGED.map(_spliced), st.text(max_size=8),
+    st.integers(1, 6000).map(lambda depth: "[" * depth),
+)
+_FUZZ_CALL = st.one_of(_twisted_call(),
+                       st.tuples(st.sampled_from(["zn", "heisenberg"]), _MATRIX_TEXT))
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(call=_FUZZ_CALL)
+def test_hostile_descriptors_and_matrices_end_in_one_typed_document(tmp_path_factory, call):
+    # hypothesis runs the body many times, so the function-scoped capsys and
+    # monkeypatch give way to their context-manager forms, and every example
+    # rewrites the same two files
+    folder = tmp_path_factory.getbasetemp()
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()) as out:
+        patch.setenv("TCK_CLOSURE_CAP", "200")
+        if call[0] in ("zn", "heisenberg"):
+            argv = ["spectrum", call[0], "--matrix", call[1]]
+        else:
+            group_file, aut_file = folder / "fuzz-group.json", folder / "fuzz-aut.json"
+            group_file.write_text(_spliced(call[1]))
+            aut_file.write_text(_spliced(call[2]))
+            argv = ["twisted", call[0], "--group", str(group_file), "--aut", str(aut_file)]
+        start = time.perf_counter()
+        exit_code = main(argv)
+        elapsed = time.perf_counter() - start
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1, "exactly one JSON document per invocation"
+    report = json.loads(lines[0])
+    assert exit_code in (0, 1) and elapsed < 2.0
+    if exit_code:
+        assert report["payload"]["code"] in {code for _, code in ERROR_CODES}
+    else:
+        assert report["status"] == "ok"
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

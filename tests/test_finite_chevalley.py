@@ -60,7 +60,9 @@ def test_adjoint_group_mod_p_has_chevalley_order_and_class_number(name, p, class
 
 
 def test_d4_mod_2_meets_the_closure_cap(monkeypatch):
-    # |D4(F_2)| = 174182400, far above any cap; a lowered one stops it early
+    # |D4(F_2)| = 174182400, far above any cap; a lowered one stops it early,
+    # each 28x28 element counting ceil(784 / 64) = 13 against it
     monkeypatch.setenv("TCK_CLOSURE_CAP", "2000")
-    with pytest.raises(ResourceLimitError, match="^closure exceeded cap 2000; partial size 2000$"):
+    with pytest.raises(ResourceLimitError, match=r"^closure exceeded cap 2000; partial size 153 "
+                                                 r"at width 784 \(13 per element\)$"):
         closure(simple_root_generators("D4", 2), modulus=2)

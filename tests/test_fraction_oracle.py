@@ -51,7 +51,8 @@ def test_certificates_match_the_fraction_route(name):
     # index, on both sides of the transcendence bound
     rs = build_root_system(name)
     witnesses = generate_witnesses(rs, 5)
-    assert fraction_products(witnesses.primes, witnesses.pairings) == fraction_diagonals(witnesses)
+    assert (fraction_products(witnesses.primes, witnesses.root_system.pairings)
+            == fraction_diagonals(witnesses))
     graphs = [None] + (diagram_symmetries(rs)[1:] if rs.rank <= 6 else [])
     verdicts = set()
     for symmetry in graphs:
@@ -129,6 +130,6 @@ def corrected_checks(draw):
 def test_corrected_certificates_match_the_fraction_route(case):
     witnesses, symmetry, scaling, index, correction = case
     rs = witnesses.root_system
-    exponents = _collapse((_index_map(rs, symmetry),), witnesses.pairings, 6)
+    exponents = _collapse((_index_map(rs, symmetry),), witnesses.root_system.pairings, 6)
     got = _certify(rs, witnesses.primes, exponents, scaling, correction, index)
     _agree(got, fraction_obstruction_check(witnesses, symmetry, scaling, index, correction))

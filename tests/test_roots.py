@@ -121,6 +121,21 @@ def test_cartan_matrix_matches_pairings():
             assert all(rs.cartan[i][j] <= 0 for j in range(rs.rank) if j != i)
 
 
+TYPES_UP_TO_RANK_8 = [f"{family}{rank}" for family, low in (("A", 1), ("B", 2), ("C", 3), ("D", 4))
+                      for rank in range(low, 9)] + ["E6", "E7", "E8", "F4", "G2"]
+
+
+@pytest.mark.parametrize("name", TYPES_UP_TO_RANK_8)
+def test_pairing_table_matches_the_form(name):
+    # rs.pairings is recorded by the reflection closure; cartan_integer reads
+    # the form rows and norms, an independent route
+    rs = build_root_system(name)
+    simple = [tuple(int(j == t) for j in range(rs.rank)) for t in range(rs.rank)]
+    assert len(rs.pairings) == len(rs.roots)
+    for beta, row in zip(rs.roots, rs.pairings):
+        assert row == tuple(rs.cartan_integer(beta, alpha) for alpha in simple), (name, beta)
+
+
 def _root_string_down(rs, alpha, beta) -> int:
     """Largest p with beta - p*alpha still a root, walked on root tuples."""
     p = 0

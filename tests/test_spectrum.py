@@ -16,6 +16,7 @@ from tck import (
     INFINITY,
     ResourceLimitError,
     center,
+    closure,
     abelian_oracle_count,
     cokernel_order_mod,
     heisenberg_automorphism,
@@ -205,6 +206,13 @@ def test_heisenberg_automorphism_lift():
     with pytest.raises(DomainError):
         heisenberg_automorphism(g2, [[0, 1], [1, 1]])
     assert heisenberg_automorphism(g2, [[1, 0], [0, 1]]) == GroupAutomorphism.identity(g2)
+    # the images are the closed forms x^a y^c = ((1, a, ac), (0, 1, c), (0, 0, 1)) mod m
+    phi = heisenberg_automorphism(g, [[2, -1], [3, -1]])
+    assert (phi(x), phi(y)) == (((1, 2, 1), (0, 1, 3), (0, 0, 1)), ((1, 4, 1), (0, 1, 4), (0, 0, 1)))
+    # outside a Heisenberg group the element gate refuses the images
+    for other in (closure([(1, 0, 2), (1, 2, 0)]), closure([((1, 1), (0, 1))], modulus=5)):
+        with pytest.raises(DomainError):
+            heisenberg_automorphism(other, [[0, 1], [1, 1]])
 
 
 def test_heisenberg_oracle_matches_product_in_coprime_range():

@@ -957,6 +957,26 @@ def test_closure_cap(monkeypatch):
         s4()
 
 
+def test_the_closure_cap_counts_element_width(monkeypatch):
+    # an element of up to 64 entries counts 1 against the cap; a wider one
+    # counts ceil(width / 64), and the message names its width
+    def cycle(degree):
+        return [*range(1, degree), 0]
+
+    def transvection(size):
+        return [[int(i == j or (i, j) == (0, 1)) for j in range(size)] for i in range(size)]
+
+    monkeypatch.setenv("TCK_CLOSURE_CAP", "10")
+    for generators, modulus, tail in (
+            (cycle(64), None, ""), (cycle(65), None, "5 at width 65 (2 per element)"),
+            (cycle(200), None, "2 at width 200 (4 per element)"),
+            (transvection(8), 1000003, ""),
+            (transvection(9), 1000003, "5 at width 81 (2 per element)")):
+        with pytest.raises(ResourceLimitError) as raised:
+            closure([generators], modulus=modulus)
+        assert str(raised.value) == f"closure exceeded cap 10; partial size {tail or 10}"
+
+
 def test_matrix_inverse_is_bounded_by_the_closure_cap(monkeypatch):
     # [[0,1],[1,1]] has order about 2 * 10^6 mod 1000003, far above the cap:
     # the closure stops at the cap, and no generator is inverted by powering

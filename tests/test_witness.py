@@ -97,13 +97,14 @@ def test_generate_witnesses_shapes():
     w = generate_witnesses(rs, 1)
     assert w.count == 1
     assert w.primes == ((2,),)
-    assert w.pairings == ((2,), (-2,))
+    assert w.root_system.pairings == ((2,), (-2,))
     assert fraction_diagonals(w)[0] == (Fraction(4), Fraction(1, 4))
     rs2 = build_root_system("A2")
     w2 = generate_witnesses(rs2, 2)
     assert w2.primes == ((2, 3), (5, 7))
     for block in w2.primes:
-        assert _exponent_rows(_root_block(rs2, _dense_witness(rs2, block)), block) == w2.pairings
+        assert (_exponent_rows(_root_block(rs2, _dense_witness(rs2, block)), block)
+                == w2.root_system.pairings)
     with pytest.raises(DomainError):
         generate_witnesses(rs, 0)
 
@@ -133,7 +134,7 @@ def test_witness_supports_disjoint_across_the_family(name):
         rs, graph=_nontrivial_symmetry(rs), field=ScalingAutomorphism((Fraction(2),))
     )
     reduction = project_product_to_first_factor(ProductAutomorphism([phi], (0,)), witnesses)
-    diagonals = fraction_products(witnesses.primes, witnesses.pairings)
+    diagonals = fraction_products(witnesses.primes, witnesses.root_system.pairings)
     products = fraction_products(reduction.primes, reduction.exponents)
     root_count = len(rs.roots)
     for n in range(root_count):
@@ -166,12 +167,12 @@ def test_field_part_fixes_rational_witnesses():
                                                  witnesses).exponents
                  for f in (phi, graph_only)]
     assert exponents[0] == exponents[1]
-    rows = _collapse((_index_map(rs, sigma),), witnesses.pairings, 2)
+    rows = _collapse((_index_map(rs, sigma),), witnesses.root_system.pairings, 2)
     assert rows == _exponent_rows(_root_block(rs, mat_mul(g, rho.apply(g))), block)
 
 
 def test_collapse_without_a_graph_part_is_a_power():
-    rows = generate_witnesses(build_root_system("A1"), 1).pairings
+    rows = generate_witnesses(build_root_system("A1"), 1).root_system.pairings
     # trivial graph part: the collapse is a plain sixth power, 2^(+-2) to 2^(+-12)
     assert _collapse((None,), rows, 6) == ((12,), (-12,))
     assert _collapse((None,), rows, 1) == rows
@@ -187,7 +188,7 @@ def test_collapse_matches_iterated_dense_action():
     block = witnesses.primes[0]
     acc = current = _dense_witness(rs, block)
     for m in range(1, 6):
-        rows = _collapse((_index_map(rs, sigma),), witnesses.pairings, m)
+        rows = _collapse((_index_map(rs, sigma),), witnesses.root_system.pairings, m)
         assert rows == _exponent_rows(_root_block(rs, acc), block)
         current = phi.apply(current)
         acc = mat_mul(acc, current)
@@ -896,7 +897,7 @@ def test_trivial_collapsed_column_stays_uncertified():
     # certified, even where the row and column keys differ.
     rs = build_root_system("A2")
     witnesses = generate_witnesses(rs, 4)
-    exponents = [tuple(6 * x for x in row) for row in witnesses.pairings]
+    exponents = [tuple(6 * x for x in row) for row in witnesses.root_system.pairings]
     exponents[2] = (0, 0)
     delta = ScalingAutomorphism((Fraction(2),))
     reduction = FirstFactorReduction(rs, witnesses.primes, tuple(exponents), delta, 1)
@@ -915,7 +916,7 @@ def test_reduction_exponent_rows_are_checked():
     rs = build_root_system("A2")
     witnesses = generate_witnesses(rs, 4)
     delta = ScalingAutomorphism((Fraction(2),))
-    rows = witnesses.pairings
+    rows = witnesses.root_system.pairings
     for bad in (rows[:-1], (rows[0][:1], *rows[1:]), ((Fraction(1), 2), *rows[1:])):
         reduction = FirstFactorReduction(rs, witnesses.primes, bad, delta, 1)
         with pytest.raises(DomainError, match="^obstruction check: the reduction needs 6 int "
@@ -1080,5 +1081,5 @@ def test_projection_collapses_the_pairing_rows_once(monkeypatch):
     reduction = project_product_to_first_factor(ProductAutomorphism(factors, (1, 2, 0)),
                                                 witnesses)
     assert 6 * reduction.permutation_order == 18
-    assert calls == [(witnesses.pairings, 18)]
+    assert calls == [(witnesses.root_system.pairings, 18)]
     assert reduction.primes is witnesses.primes
