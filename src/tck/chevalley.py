@@ -51,8 +51,9 @@ their signs differ; the signs are forced by the structure constants and are
 recorded per root, since the naive unsigned permutation need not respect the
 brackets.
 
-The per-root tables behind x_alpha and h_alpha live in ``rs.tables``, so
-they are freed with their root system; no module-level cache holds one.
+The per-root tables behind x_alpha and h_alpha, and the commutator factors
+of each root pair, live in ``rs.tables``, so they are freed with their root
+system; no module-level cache holds one.
 """
 
 from __future__ import annotations
@@ -101,12 +102,13 @@ def bracket_coordinates(rs: RootSystem, i: int, j: int) -> dict[int, int]:
 
 
 def _memoised_on_root_system(build):
-    """Memoise build(rs, alpha) in ``rs.tables`` under the key (build, alpha)."""
+    """Memoise build(rs, roots) in ``rs.tables`` under the key (build, roots),
+    roots being one root or a pair of roots."""
 
-    def table(rs: RootSystem, alpha):
-        key = (build, alpha)
+    def table(rs: RootSystem, roots):
+        key = (build, roots)
         if key not in rs.tables:
-            rs.tables[key] = build(rs, alpha)
+            rs.tables[key] = build(rs, roots)
         return rs.tables[key]
 
     return table
@@ -373,8 +375,12 @@ def commutator_factors(rs: RootSystem, alpha, beta) -> list[tuple]:
     product of x_{i alpha + j beta}(constant * (-t)^i * u^j) over the returned
     factors, taken in order.
     """
-    alpha = rs.check_root(alpha)
-    beta = rs.check_root(beta)
+    return list(_commutator_factors(rs, (rs.check_root(alpha), rs.check_root(beta))))
+
+
+@_memoised_on_root_system
+def _commutator_factors(rs: RootSystem, pair) -> tuple:
+    alpha, beta = pair
     if beta == alpha or beta == rs.negate(alpha):
         raise DomainError("commutator form requires beta != +-alpha")
     factors = []
@@ -401,7 +407,7 @@ def commutator_factors(rs: RootSystem, alpha, beta) -> list[tuple]:
             raise ConsistencyError(
                 f"commutator constant {value}/{divisor} at ({i}, {j}) is not integral")
         factors.append((gamma, i, j, c))
-    return factors
+    return tuple(factors)
 
 
 def commutator_relation_check(rs: RootSystem, alpha, beta, t, u) -> bool:

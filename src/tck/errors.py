@@ -7,9 +7,19 @@ cross-checks that can only fail on a bug in this package.  Each carries the
 
 Every public int or rational parameter passes one of the two gates below, so
 a bool, float, string or other inexact value is a DomainError, not converted.
+
+The closure cap, ``closure_cap()``, is set by TCK_CLOSURE_CAP and counted in
+elements; an element of width w (a permutation's degree, a matrix's entry
+count) counts ``width_charge(w)`` = ceil(w / 64) against it.  Closures of
+finite groups charge each element they keep, and a root system charges one
+adjoint element of width dim^2 before it builds anything.
 """
 
+import os
 from fractions import Fraction
+
+DEFAULT_CLOSURE_CAP = 200000
+_WIDTH_UNIT = 64
 
 
 class DomainError(ValueError):
@@ -48,3 +58,21 @@ def integer(value, least: int | None, message: str) -> int:
     if least is not None and value < least:
         raise DomainError(message)
     return value
+
+
+def closure_cap() -> int:
+    raw = os.environ.get("TCK_CLOSURE_CAP")
+    if raw is None:
+        return DEFAULT_CLOSURE_CAP
+    try:
+        value = int(raw)
+    except ValueError as exc:
+        raise DomainError(f"TCK_CLOSURE_CAP must be an integer, got {raw!r}") from exc
+    if value < 1:
+        raise DomainError("TCK_CLOSURE_CAP must be positive")
+    return value
+
+
+def width_charge(width: int) -> int:
+    """What one element of the given width counts against the closure cap."""
+    return max(1, -(-width // _WIDTH_UNIT))

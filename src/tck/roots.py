@@ -21,12 +21,12 @@ the negation symmetry N(-a,-b) = -N(a,b) and the three-term rotation identity.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm, prod
 
-from .errors import ConsistencyError, DomainError, integer
+from .errors import (ConsistencyError, DomainError, ResourceLimitError, closure_cap, integer,
+                     width_charge)
 
 Root = tuple[int, ...]
 
@@ -50,6 +50,16 @@ def _root_count(family: str, rank: int) -> int | None:
     return None
 
 
+def _decimal(value: int) -> str:
+    """value in decimal, or a lower bound where it has more digits than Python
+    prints: an int rank given in-process need not print, nor need the width of
+    a rank of a few thousand digits, which parses."""
+    try:
+        return str(value)
+    except ValueError:
+        return f">= 2^{value.bit_length() - 1}"
+
+
 @dataclass(frozen=True)
 class RootSystemType:
     """Family letter plus rank, e.g. A2, D4, G2."""
@@ -61,7 +71,7 @@ class RootSystemType:
         # rank 0 is left to the next check, whose message names the type
         integer(self.rank, 0, "root system rank must be an int >= 0")
         if _root_count(self.family, self.rank) is None:
-            raise DomainError(f"no irreducible root system of type {self.family}{self.rank}")
+            raise DomainError(f"no irreducible root system of type {self}")
 
     @classmethod
     def parse(cls, text: str) -> "RootSystemType":
@@ -77,7 +87,7 @@ class RootSystemType:
         return cls(text[0].upper(), rank)
 
     def __str__(self):
-        return f"{self.family}{self.rank}"
+        return f"{self.family}{_decimal(self.rank)}"
 
 
 def _cartan_matrix(family: str, rank: int) -> list[list[int]]:
@@ -127,6 +137,16 @@ class RootSystem:
     """An irreducible root system with a fixed root order and an integer form."""
 
     def __init__(self, type_: RootSystemType):
+        # Everything built here and by the layers above grows with the adjoint
+        # dimension, so the system first charges one adjoint element, of width
+        # dim^2, against the closure cap.
+        expected = _root_count(type_.family, type_.rank)
+        dim = expected + type_.rank
+        charge, cap = width_charge(dim * dim), closure_cap()
+        if charge > cap:
+            raise ResourceLimitError(
+                f"root system {type_} exceeds closure cap {cap}: one adjoint element "
+                f"of width {_decimal(dim * dim)} counts {_decimal(charge)}")
         self.type = type_
         self.rank = type_.rank
         self.cartan = tuple(tuple(row) for row in _cartan_matrix(type_.family, type_.rank))
@@ -144,8 +164,7 @@ class RootSystem:
         rows = tuple(closed[beta][1] for beta in self.positive_roots)
         self.pairings = rows + tuple(tuple(-k for k in row) for row in rows)
         self.root_index = {r: i for i, r in enumerate(self.roots)}
-        self.tables: dict = {}  # per-root tables of other layers, keyed by (table, root)
-        expected = _root_count(type_.family, type_.rank)
+        self.tables: dict = {}  # per-root tables of other layers, keyed by (table, root or root pair)
         if len(self.roots) != expected:
             raise ConsistencyError(
                 f"{type_}: closure found {len(self.roots)} roots, expected {expected}"
@@ -291,9 +310,35 @@ def _preserves_cartan(rs: RootSystem, perm) -> bool:
 
 
 def diagram_symmetries(rs: RootSystem) -> list[DiagramSymmetry]:
-    """All Dynkin diagram symmetries, identity first, in lexicographic order."""
-    return [DiagramSymmetry(perm) for perm in itertools.permutations(range(rs.rank))
-            if _preserves_cartan(rs, perm)]
+    """All Dynkin diagram symmetries, identity first, in lexicographic order.
+
+    A partial permutation of the nodes grows one node at a time and only while
+    the Cartan entries among its placed nodes match.  A node with an earlier
+    neighbour k can only go to a neighbour of k's image, so those are its
+    candidates; every other node tries all nodes.  Candidates are tried in
+    increasing order, which lists the symmetries lexicographically.
+    """
+    n, cartan = rs.rank, rs.cartan
+    neighbours = [[j for j in range(n) if j != i and cartan[i][j]] for i in range(n)]
+    anchor = [next((k for k in range(i) if cartan[i][k]), None) for i in range(n)]
+    symmetries, perm = [], []
+    candidates = [iter(range(n))]  # per placed node and the next, the images left to try
+    while candidates:
+        i = len(perm)
+        c = next((c for c in candidates[-1] if c not in perm
+                  and all(cartan[c][perm[k]] == cartan[i][k]
+                          and cartan[perm[k]][c] == cartan[k][i] for k in range(i))), None)
+        if c is None:
+            candidates.pop()
+            if perm:
+                perm.pop()
+        elif i + 1 == n:
+            symmetries.append(DiagramSymmetry((*perm, c)))
+        else:
+            perm.append(c)
+            k = anchor[i + 1]
+            candidates.append(iter(range(n) if k is None else neighbours[perm[k]]))
+    return symmetries
 
 
 def _symmetry_permutation(rs: RootSystem, symmetry: DiagramSymmetry) -> tuple[int, ...]:

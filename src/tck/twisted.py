@@ -45,30 +45,15 @@ moves are the central moves.
 
 from __future__ import annotations
 
-import os
+import sys
 from dataclasses import dataclass
 from itertools import chain, product as cartesian_product
 from math import gcd
 from operator import itemgetter, mul as scalar_mul
 from typing import Iterable
 
-from .errors import ConsistencyError, DomainError, ResourceLimitError, integer
-
-DEFAULT_CLOSURE_CAP = 200000
-_WIDTH_UNIT = 64  # an element of width w counts ceil(w / 64) against the cap
-
-
-def closure_cap() -> int:
-    raw = os.environ.get("TCK_CLOSURE_CAP")
-    if raw is None:
-        return DEFAULT_CLOSURE_CAP
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise DomainError(f"TCK_CLOSURE_CAP must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise DomainError("TCK_CLOSURE_CAP must be positive")
-    return value
+from .errors import (ConsistencyError, DomainError, ResourceLimitError, closure_cap, integer,
+                     width_charge)
 
 
 class PermOps:
@@ -129,6 +114,11 @@ class MatModOps:
         # the message names no value: an int past the int/str digit limit
         # cannot be formatted
         integer(modulus, 2, "matrix encoding needs an int modulus >= 2")
+        # the closure's messages print the modulus and entries below it; only
+        # an int of more than 3 * limit bits can reach 10**limit
+        limit = sys.get_int_max_str_digits()
+        if limit and modulus.bit_length() > 3 * limit and modulus >= 10**limit:
+            raise DomainError(f"matrix modulus has more than {limit} digits")
         self.size = size
         self.width = size * size
         self.modulus = modulus
@@ -204,7 +194,7 @@ def _closure(ops, generators) -> FiniteGroup:
         c = ops.canonical(g)
         if c not in gens:
             gens.append(c)
-    weight = max(1, -(-ops.width // _WIDTH_UNIT))
+    weight = width_charge(ops.width)
     G = _walk(ops, gens, [ops.right(g) for g in gens], cap, weight)
     # the walk closed a finite monoid, in which s is invertible exactly when
     # some x has x s = 1: when the edge column of s reaches the identity

@@ -4,6 +4,7 @@ import ast
 import gc
 import inspect
 import random
+import time
 import weakref
 from collections import Counter
 from fractions import Fraction
@@ -687,6 +688,35 @@ def test_graph_realization_rejects_a_tampered_sign_table(name, order, monkeypatc
     monkeypatch.setattr(GraphMatrixRealization, "_basis_image", tampered)
     with pytest.raises(ConsistencyError, match="^sign table breaks the bracket at basis pair"):
         GraphMatrixRealization(rs, sigma)
+
+
+def test_graph_automorphism_past_rank_eight_is_quick():
+    # the symmetry search no longer walks all 12! permutations of A12's nodes
+    start = time.perf_counter()
+    rs = build_root_system("A12")
+    sigma = diagram_symmetries(rs)[1]
+    assert sigma.permutation == tuple(reversed(range(12)))
+    phi = ChevalleyAutomorphism(rs, graph=sigma)
+    assert time.perf_counter() - start < 2.0
+    alpha = rs.positive_roots[0]
+    image = phi.apply(x_alpha(rs, alpha, Fraction(3)))
+    assert any(image == x_alpha(rs, rs.positive_roots[11], s) for s in (Fraction(3), Fraction(-3)))
+
+
+def test_commutator_factors_are_built_once_per_root_pair(monkeypatch):
+    rs = build_root_system("G2")
+    a, b = rs.positive_roots[: rs.rank]
+    factors = commutator_factors(rs, a, b)
+    factors.clear()  # each call returns its own list
+
+    def forbidden(*args):
+        raise AssertionError("factors rebuilt")
+
+    monkeypatch.setattr(tck.chevalley, "_string_product", forbidden)
+    assert len(commutator_factors(rs, list(a), list(b))) == 4
+    assert commutator_relation_check(rs, a, b, Fraction(2), Fraction(-1, 3))
+    with pytest.raises(AssertionError, match="factors rebuilt"):
+        commutator_factors(rs, b, a)
 
 
 def test_graph_realization_order():

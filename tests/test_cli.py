@@ -53,6 +53,33 @@ def test_root_info_rejects_unknown_type(capsys):
     assert report["payload"]["message"]
 
 
+@pytest.mark.parametrize("name", ["A12", "D16", "A24"])
+def test_root_info_past_rank_eight_is_quick(capsys, name):
+    # the diagram symmetries come from a search that prunes on the Cartan
+    # matrix, not from all rank! permutations
+    start = time.perf_counter()
+    code, report = run_cli(capsys, ["root", "info", name])
+    assert time.perf_counter() - start < 2.0
+    assert code == 0
+    assert report["payload"]["symmetry_orders"] == [1, 2]
+
+
+@pytest.mark.parametrize("name, tail", [
+    ("A60", "of width 13838400 counts 216225"),
+    # a rank of 3000 digits parses, and its width has too many digits to print
+    ("A" + "9" * 3000, "of width >= 2^39863 counts >= 2^39857")], ids=["A60", "3000-digits"])
+def test_root_info_past_the_budget_is_one_resource_limit_document(capsys, monkeypatch, name,
+                                                                  tail):
+    monkeypatch.delenv("TCK_CLOSURE_CAP", raising=False)
+    start = time.perf_counter()
+    code, report = run_cli(capsys, ["root", "info", name])
+    assert time.perf_counter() - start < 1.0
+    assert (code, report["status"]) == (1, "error")
+    assert report["payload"] == {
+        "code": "resource-limit",
+        "message": f"root system {name} exceeds closure cap 200000: one adjoint element {tail}"}
+
+
 @pytest.mark.parametrize("text", ["A\u00b2", "A" + "1" * 5000], ids=["superscript", "5000-digits"])
 def test_root_info_rejects_unparsable_ranks(capsys, text):
     code, report = run_cli(capsys, ["root", "info", text])
@@ -438,14 +465,32 @@ def test_each_error_class_prints_its_code(capsys, monkeypatch, error, code):
     assert report["payload"] == {"code": code, "message": "raised by the handler"}
 
 
+def _clijobs_constant(name):
+    """A constant of perfbench/clijobs.py, read from its source, not imported."""
+    source = PERFBENCH / "clijobs.py"
+    return next(ast.literal_eval(node.value) for node in ast.parse(source.read_text()).body
+                if isinstance(node, ast.Assign)
+                and [getattr(t, "id", None) for t in node.targets] == [name])
+
+
 def test_error_codes_are_the_codes_the_benchmark_accepts():
     # perfbench/clijobs.py counts a failing job as typed when its code is in
-    # TYPED_CODES; it is read here, not imported
-    source = Path(__file__).resolve().parents[1] / "perfbench" / "clijobs.py"
-    typed = next(ast.literal_eval(node.value) for node in ast.parse(source.read_text()).body
-                 if isinstance(node, ast.Assign)
-                 and [getattr(t, "id", None) for t in node.targets] == ["TYPED_CODES"])
-    assert {code for _, code in ERROR_CODES} == set(typed)
+    # TYPED_CODES
+    assert {code for _, code in ERROR_CODES} == set(_clijobs_constant("TYPED_CODES"))
+
+
+@pytest.mark.parametrize("argv", _clijobs_constant("KNOWN_DEFECTS"), ids=" ".join)
+def test_known_defects_end_in_one_typed_document(capsys, monkeypatch, recorded_descriptors,
+                                                 argv):
+    # the benchmark passes a KNOWN_DEFECTS job once the CLI answers it with
+    # one typed-error document, exit 1, inside the child's wall limit
+    monkeypatch.chdir(recorded_descriptors)
+    monkeypatch.delenv("TCK_CLOSURE_CAP", raising=False)
+    start = time.perf_counter()
+    exit_code, report = run_cli(capsys, list(argv))
+    assert time.perf_counter() - start < _clijobs_constant("WALL_LIMIT_S")
+    assert (exit_code, report["status"]) == (1, "error")
+    assert report["payload"]["code"] in _clijobs_constant("TYPED_CODES")
 
 
 FIVE_THOUSAND_DIGITS = "9" * 5000

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -16,10 +17,12 @@ from tck import (
     diagram_symmetries,
 )
 from tck.chevalley import adjoint_dimension, bracket_coordinates
+from tck.errors import ResourceLimitError
 from tck.roots import (
     RootSystem,
     RootSystemType,
     _exact,
+    _preserves_cartan,
     _root_count,
     permutation_order,
     root_permutation,
@@ -83,8 +86,8 @@ def test_types_parse_case_and_space_insensitively():
 
 
 # a family letter, then decimal digits and other numerals (superscripts,
-# fractions, other scripts' digits); parse only, since building a large
-# rank enumerates its diagram symmetries
+# fractions, other scripts' digits); parse only, which charges nothing
+# against the closure cap
 TYPE_TEXT = st.one_of(
     st.text(max_size=6),
     st.builds(str.__add__, st.sampled_from("ABCDEFGaegXZ "),
@@ -416,6 +419,61 @@ def test_symmetry_group_sizes():
         assert sorted(s.order for s in symmetries) == sorted(orders)
         # the identity leads the list
         assert symmetries[0].permutation == tuple(range(rs.rank))
+
+
+def brute_force_symmetries(rs):
+    """Every permutation of the nodes that preserves the Cartan matrix, in
+    lexicographic order: the oracle for the backtracking search."""
+    return [DiagramSymmetry(perm) for perm in itertools.permutations(range(rs.rank))
+            if _preserves_cartan(rs, perm)]
+
+
+@pytest.mark.parametrize("name", TYPES_UP_TO_RANK_8)
+def test_backtracking_symmetries_match_the_brute_force(name):
+    rs = build_root_system(name)
+    assert diagram_symmetries(rs) == brute_force_symmetries(rs)
+
+
+@pytest.mark.parametrize("name", ["A58", "B42", "C42", "D42"])
+def test_the_largest_admitted_types_build_at_the_default_cap(monkeypatch, name):
+    monkeypatch.delenv("TCK_CLOSURE_CAP", raising=False)
+    rs = build_root_system(name)
+    assert len(rs.roots) == _root_count(rs.type.family, rs.rank)
+
+
+@pytest.mark.parametrize("name, width, charge", [
+    ("A59", 3599**2, 202388), ("B43", 3741**2, 218674), ("C43", 3741**2, 218674),
+    ("D43", 3655**2, 208735), ("A60", 3720**2, 216225)])
+def test_types_past_the_budget_are_a_resource_limit(monkeypatch, name, width, charge):
+    # one adjoint element of width dim^2 counts ceil(dim^2 / 64) against the
+    # cap, charged before anything is closed
+    monkeypatch.delenv("TCK_CLOSURE_CAP", raising=False)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError) as raised:
+        build_root_system(name)
+    assert time.perf_counter() - start < 0.5
+    assert str(raised.value) == (f"root system {name} exceeds closure cap 200000: "
+                                 f"one adjoint element of width {width} counts {charge}")
+
+
+def test_a_rank_past_the_digit_limit_prints_as_a_bound():
+    # RootSystemType takes any int rank in-process; its messages still print
+    huge = 10**5000
+    with pytest.raises(DomainError, match=r"^no irreducible root system of type E>= 2\^16609$"):
+        RootSystemType("E", huge)
+    with pytest.raises(ResourceLimitError, match=r"^root system A>= 2\^16609 exceeds"):
+        RootSystem(RootSystemType("A", huge))
+
+
+def test_the_budget_follows_the_closure_cap(monkeypatch):
+    # E6 has dimension 78 and counts 96; E7 has dimension 133 and counts 277
+    monkeypatch.setenv("TCK_CLOSURE_CAP", "200")
+    assert len(build_root_system("E6").roots) == 72
+    with pytest.raises(ResourceLimitError, match="^root system E7 exceeds closure cap 200: "):
+        build_root_system("E7")
+    monkeypatch.setenv("TCK_CLOSURE_CAP", "not a number")
+    with pytest.raises(DomainError, match="TCK_CLOSURE_CAP must be an integer"):
+        build_root_system("A1")
 
 
 def test_permutation_order_is_the_cycle_lcm():

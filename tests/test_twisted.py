@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import sys
 import time
 from itertools import permutations, product
 
@@ -1007,6 +1008,25 @@ def test_matrix_inverse_is_bounded_by_the_closure_cap(monkeypatch):
     # a non-invertible generator whose monoid passes the cap meets the cap
     with pytest.raises(ResourceLimitError, match="^closure exceeded cap 1000"):
         closure([[[2, 0], [0, 0]]], modulus=1000003)
+
+
+def test_a_modulus_past_the_digit_limit_is_a_domain_error():
+    # the refusal names the modulus, so one that cannot be printed is refused
+    # up front; one of exactly as many digits as the limit still prints
+    zero, limit = [[[0, 0], [0, 0]]], 4300
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        for modulus in (10**limit, 10**5000):
+            with pytest.raises(DomainError,
+                               match=f"^matrix modulus has more than {limit} digits$"):
+                closure(zero, modulus=modulus)
+        printable = 10**limit - 1
+        with pytest.raises(DomainError) as raised:
+            closure(zero, modulus=printable)
+        assert str(raised.value) == f"matrix ((0, 0), (0, 0)) is not invertible mod {printable}"
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_group_descriptor_roundtrip():
