@@ -3,11 +3,11 @@
 Every invocation prints one JSON document: {"status": "ok", "payload": ...}
 on success, {"status": "error", "payload": {"code", "message"}} on failure,
 exit code 0 or 1 (argparse itself exits 2 on usage problems; a reader that
-closes stdout early gets exit code 1 and no traceback).  Non-integer
-rationals and integers beyond 64-bit range are serialized as strings so
-exact values survive any JSON consumer.  Output carries no timing unless
---timing is passed; identical invocations then produce byte-identical
-documents.
+closes stdout early gets exit code 1 and no traceback).  Numbers are written
+from integers: non-integer rationals and integers beyond 64-bit range as
+strings, so exact values survive any JSON consumer.  Output carries no
+timing unless --timing is passed; identical invocations then produce
+byte-identical documents.
 """
 
 import argparse
@@ -25,40 +25,23 @@ from .errors import ConsistencyError, DomainError, ResourceLimitError
 _INT64_MAX = 2**63 - 1
 
 
-def _encode_number(x):
-    if isinstance(x, Fraction) and x.denominator == 1:
-        x = x.numerator
-    if isinstance(x, int) and -_INT64_MAX <= x <= _INT64_MAX:
-        return x
-    if isinstance(x, (int, Fraction)):
-        try:
-            return str(x)
-        except ValueError as exc:  # past the int/str conversion digit limit
-            raise ResourceLimitError(f"a result has too many digits to print: {exc}") from exc
-    raise ConsistencyError(f"cannot serialize {x!r}")
-
-
-def _encode_ratio(num: int, den: int):
-    """_encode_number(Fraction(num, den)) for ints with den != 0, reduced by
-    one gcd without building the Fraction."""
+def _encode(num: int, den: int = 1):
+    """num / den for ints with den != 0, reduced by one gcd: an int within
+    int64, otherwise the text "p" or "p/q"."""
     g = gcd(num, den)
     if den < 0:
         g = -g
     num, den = num // g, den // g
-    if den == 1:
-        return _encode_number(num)
+    if den == 1 and -_INT64_MAX <= num <= _INT64_MAX:
+        return num
     try:
-        return f"{num}/{den}"
+        return f"{num}" if den == 1 else f"{num}/{den}"
     except ValueError as exc:  # past the int/str conversion digit limit
         raise ResourceLimitError(f"a result has too many digits to print: {exc}") from exc
 
 
 def _encode_count(count):
-    return _encode_number(count.value) if count.is_finite else "infinity"
-
-
-def _encode_matrix(matrix):
-    return [[_encode_number(entry) for entry in row] for row in matrix]
+    return _encode(count.value) if count.is_finite else "infinity"
 
 
 def _parse_rational(text: str) -> Fraction:
@@ -134,12 +117,14 @@ def _run_chevalley_gen(args):
     t = _parse_rational(args.t)
     builder = {"x": x_alpha, "n": n_alpha, "h": h_alpha}[args.kind]
     matrix = builder(rs, root, t)
+    columns, den = range(len(matrix.rows)), matrix.den
     payload = {
         "type": str(rs.type),
         "kind": args.kind,
         "root": list(root),
-        "t": _encode_number(t),
-        "matrix": _encode_matrix(matrix),
+        "t": _encode(t.numerator, t.denominator),
+        "matrix": [[_encode(row[j], den) if j in row else 0 for j in columns]
+                   for row in matrix.rows],
     }
     return payload, 0
 
@@ -218,7 +203,7 @@ def _run_spectrum_metabelian(args):
     }
     if args.member is not None:
         payload["member"] = {
-            "value": _encode_number(args.member),
+            "value": _encode(args.member),
             "contained": descriptor.contains(args.member),
         }
     return payload, 0
@@ -247,9 +232,9 @@ def _run_witness(args):
         "bound": certificate.bound,
         "verdict": certificate.verdict,
         "family_size": certificate.family_size,
-        "generators": [_encode_number(g) for g in certificate.generators],
+        "generators": [_encode(g.numerator, g.denominator) for g in certificate.generators],
         "certified": [
-            {"position": [m, n], "block": block, "eigencharacter": _encode_ratio(num, den)}
+            {"position": [m, n], "block": block, "eigencharacter": _encode(num, den)}
             for m, n, block, num, den in certificate.entries.integer_entries()
         ],
         "uncertified": [list(position) for position in certificate.uncertified],

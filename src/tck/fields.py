@@ -82,8 +82,7 @@ def exponent_vector(x, base) -> list[int] | None:
     num, den = abs(x.numerator), x.denominator
     vec = []
     for b in base:
-        if b < 2:
-            raise DomainError(f"base element {b} is not an integer > 1")
+        integer(b, 2, "a base element is an int > 1")
         up, num = strip_power(num, b)
         down, den = strip_power(den, b)
         vec.append(up - down)
@@ -161,7 +160,8 @@ class Polynomial:
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":
-        if not 0 <= index < nvars:
+        integer(nvars, 1, "a polynomial variable needs an int variable count >= 1")
+        if not 0 <= integer(index, 0, "variable index is an int >= 0") < nvars:
             raise DomainError(f"variable index {index} out of range for {nvars} variables")
         exps = tuple(1 if i == index else 0 for i in range(nvars))
         return cls(nvars, {exps: Fraction(1)})
@@ -390,6 +390,8 @@ class RationalFunction:
     __slots__ = ("num", "den")
 
     def __init__(self, num: Polynomial, den: Polynomial):
+        if not (isinstance(num, Polynomial) and isinstance(den, Polynomial)):
+            raise DomainError("a rational function is a quotient of two Polynomials")
         if num.nvars != den.nvars:
             raise DomainError("numerator and denominator over different variable counts")
         if not den:
@@ -546,33 +548,44 @@ class ScalingAutomorphism:
         return len(self.scalars)
 
     def character(self, exps) -> Fraction:
-        """Multiplier picked up by the monomial with the given exponents."""
+        """Multiplier picked up by the monomial with the given int exponents."""
+        exps = [integer(e, None, "monomial exponent") for e in exps]
+        if len(exps) != self.variable_count:
+            raise DomainError(f"{len(exps)} exponents for {self.variable_count} variables")
+        return self._character(exps)
+
+    def _character(self, exps) -> Fraction:
         out = Fraction(1)
         for c, e in zip(self.scalars, exps):
             out *= c ** e
         return out
 
     def compose(self, other: "ScalingAutomorphism") -> "ScalingAutomorphism":
+        if not isinstance(other, ScalingAutomorphism):
+            raise DomainError("a scaling automorphism composes with a ScalingAutomorphism")
         if other.variable_count != self.variable_count:
             raise DomainError("scaling automorphisms over different variable counts")
         return ScalingAutomorphism(tuple(a * b for a, b in zip(self.scalars, other.scalars)))
 
     def __pow__(self, n: int) -> "ScalingAutomorphism":
+        integer(n, None, "scaling automorphism power")
         return ScalingAutomorphism(tuple(c ** n for c in self.scalars))
 
     @classmethod
     def identity(cls, nvars: int) -> "ScalingAutomorphism":
-        return cls((Fraction(1),) * nvars)
+        return cls((Fraction(1),) * integer(nvars, 0, "variable count is an int >= 0"))
 
 
 def _scale_polynomial(delta: ScalingAutomorphism, p: Polynomial) -> Polynomial:
     if p.nvars != delta.variable_count:
         raise DomainError("polynomial and scaling automorphism disagree on variable count")
-    return Polynomial(p.nvars, {e: c * delta.character(e) for e, c in p.terms.items()})
+    return Polynomial(p.nvars, {e: c * delta._character(e) for e, c in p.terms.items()})
 
 
 def apply_scaling(delta: ScalingAutomorphism, f):
     """Image of f, a Polynomial or a RationalFunction, under T_i -> c_i T_i."""
+    if not isinstance(delta, ScalingAutomorphism):
+        raise DomainError("apply_scaling expects a ScalingAutomorphism")
     if isinstance(f, Polynomial):
         return _scale_polynomial(delta, f)
     if not isinstance(f, RationalFunction):

@@ -205,19 +205,22 @@ class RootSystem:
         # image that is not -alpha_j has mixed signs.  Reflections preserve the
         # form, so each root inherits its norm (alpha_i, alpha_i) = 2 d_i from
         # the simple root it was reached from.  Each maps to its norm and its
-        # pairing row <beta, alpha_j^v>, the amounts the s_j subtract.
-        simple = [tuple(1 if j == i else 0 for j in range(self.rank)) for i in range(self.rank)]
-        norms = {alpha: 2 * d for alpha, d in zip(simple, self.half_lengths)}
-        columns = tuple(zip(*self.cartan))
-        closed = {}
-        queue = list(simple)
+        # pairing row <beta, alpha_t^v>, the amounts the s_j subtract; s_j(beta)
+        # carries beta's row less <beta, alpha_j^v> times Cartan row j, which
+        # has at most four nonzero entries.
+        steps = [[(t, c) for t, c in enumerate(row) if c] for row in self.cartan]
+        closed = {tuple(1 if j == i else 0 for j in range(self.rank)): (2 * d, row)
+                  for i, (d, row) in enumerate(zip(self.half_lengths, self.cartan))}
+        queue = list(closed)
         while queue:
             beta = queue.pop()
-            row = tuple(sum(b * c for b, c in zip(beta, column) if b) for column in columns)
+            norm, row = closed[beta]
             if not any(row):
                 raise ConsistencyError(
                     f"a root of {self.type} pairs trivially with every simple coroot")
             for j, pairing in enumerate(row):
+                if not pairing:
+                    continue
                 image = list(beta)
                 image[j] -= pairing
                 if image[j] < 0:
@@ -225,10 +228,12 @@ class RootSystem:
                         raise ConsistencyError(f"root {tuple(image)} has mixed signs")
                     continue
                 image_t = tuple(image)
-                if image_t not in norms:
-                    norms[image_t] = norms[beta]
+                if image_t not in closed:
+                    moved = list(row)
+                    for t, c in steps[j]:
+                        moved[t] -= pairing * c
+                    closed[image_t] = norm, tuple(moved)
                     queue.append(image_t)
-            closed[beta] = norms[beta], row
         return closed
 
     # -- basic queries ------------------------------------------------------

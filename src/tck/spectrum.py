@@ -97,31 +97,20 @@ def reidemeister_zn(matrix) -> ExtendedCount:
 def zn_fullness_witness(n: int, m: int) -> list[list[int]]:
     """A unimodular n x n matrix whose twisted class count is exactly m.
 
-    The 2 x 2 core [[0, 1], [-1, 2 - m]] hits m directly.  In higher rank
-    the padding blocks are (-1), each worth a factor 2, so even targets
-    split as core times padding when the power of two allows; all other
-    targets use the companion matrix of x^n + m*x^(n-1) - 1, whose value at
-    1 is m.
+    In rank 2 it is the core [[0, 1], [-1, 2 - m]], and in higher rank the
+    companion matrix of p(x) = x^n + m*x^(n-1) - 1: its determinant is
+    (-1)^n p(0) = +-1, and the count |det(A - 1)| = |p(1)| is m.
     """
     integer(n, 2, "rank must be at least 2: rank one admits only 2 and infinity")
     integer(m, 1, "target count must be at least 1")
     if n == 2:
         witness = [[0, 1], [-1, 2 - m]]
     else:
-        padding = 2 ** (n - 2)
-        if m % padding == 0:
-            core = m // padding
-            witness = [[0, 1] + [0] * (n - 2), [-1, 2 - core] + [0] * (n - 2)]
-            for i in range(n - 2):
-                row = [0] * n
-                row[2 + i] = -1
-                witness.append(row)
-        else:
-            witness = [[0] * n for _ in range(n)]
-            for i in range(1, n):
-                witness[i][i - 1] = 1
-            witness[0][n - 1] = 1
-            witness[n - 1][n - 1] = -m
+        witness = [[0] * n for _ in range(n)]
+        for i in range(1, n):
+            witness[i][i - 1] = 1
+        witness[0][n - 1] = 1
+        witness[n - 1][n - 1] = -m
     achieved = reidemeister_zn(witness)
     if achieved != m:
         raise ConsistencyError(f"witness for {m} computes {achieved}")

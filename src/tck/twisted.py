@@ -229,17 +229,21 @@ def _walk(ops, gens, rights, cap: int, weight: int = 1) -> FiniteGroup:
 
 def closure(generators, modulus: int | None = None) -> FiniteGroup:
     """Breadth-first closure of permutation or matrix generators."""
-    generators = list(generators)
+    try:
+        generators = list(generators)
+        size = len(tuple(generators[0])) if generators else 0
+    except TypeError as exc:  # closure(5), closure([5])
+        raise DomainError(f"generators must be permutations or matrices: {exc}") from exc
     if modulus is not None:
         if not generators:
             raise DomainError("matrix closure needs at least one generator for its size")
-        ops = MatModOps(len(tuple(generators[0])), modulus)
-        return _closure(ops, generators)
-    degree = len(tuple(generators[0])) if generators else 0
-    return _closure(PermOps(degree), generators)
+        return _closure(MatModOps(size, modulus), generators)
+    return _closure(PermOps(size), generators)
 
 
 def subgroup(G: FiniteGroup, elements: Iterable) -> FiniteGroup:
+    if not isinstance(elements, Iterable):
+        raise DomainError(f"subgroup elements must be iterable, not {type(elements).__name__}")
     sub = _closure(G.ops, elements)
     missing = [x for x in sub.elements if x not in G.index]
     if missing:

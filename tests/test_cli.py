@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import tck
 import tck.cli
@@ -382,21 +382,56 @@ _ratio_parts = st.one_of(st.integers(-10**6, 10**6), st.integers(-2**70, 2**70),
                          st.sampled_from((_INT64, _INT64 + 1, -_INT64, -_INT64 - 1)))
 
 
+def _fraction_text(num, den):
+    """The encoder's contract on its own: an int within +-(2^63 - 1), else
+    the text of the Fraction."""
+    x = Fraction(num, den)
+    return x.numerator if x.denominator == 1 and abs(x) <= _INT64 else str(x)
+
+
 @settings(max_examples=400, deadline=None, database=None, derandomize=True)
 @given(_ratio_parts, _ratio_parts.filter(bool), st.integers(1, 10**6))
+@example(0, -5, 1).via("zero over a negative denominator")
+@example(2**63, 1, 1).via("one past int64")
+@example(-2**63, 1, 1).via("one past -int64")
+@example(2**64, -2, 3).via("a reduced int past int64 with a negative denominator")
+@example(_INT64, 3, 1).via("int64 over 3")
 def test_ratio_text_matches_the_fraction_text(num, den, scale):
     # unreduced pairs, both signs, reduced denominators of 1 and values past
-    # int64 give the bytes _encode_number writes for the Fraction
-    for pair in ((num, den), (num * scale, den * scale), (num * den, den), (num * den, -den)):
-        assert tck.cli._encode_ratio(*pair) == tck.cli._encode_number(Fraction(*pair))
+    # int64 give the Fraction's int or text; an int and its text differ, so
+    # the type is compared too
+    for pair in ((num, den), (num * scale, den * scale), (num * den, den), (num * den, -den),
+                 (num, 1)):
+        assert tck.cli._encode(*pair) == _fraction_text(*pair)
 
 
 def test_ratio_text_past_the_digit_limit_is_a_resource_limit():
     big = 10**5000 + 1  # coprime to 3, with more digits than Python prints
-    for encode in (lambda: tck.cli._encode_ratio(-2 * big, -6),
-                   lambda: tck.cli._encode_number(Fraction(big, 3))):
+    for pair in ((-2 * big, -6), (big, 3), (big, 1), (3, big)):
         with pytest.raises(ResourceLimitError, match="too many digits to print"):
-            encode()
+            tck.cli._encode(*pair)
+
+
+@pytest.mark.parametrize("type_, kind, root, t", [
+    ("A1", "h", "1", "2"), ("A2", "x", "1,0", "1/3"), ("B2", "h", "1,1", "-2/3"),
+    ("G2", "n", "-3,-2", "5/7"), ("G2", "x", "3,1", "-4/3"),
+])
+def test_chevalley_gen_reads_the_scaled_rows(capsys, monkeypatch, type_, kind, root, t):
+    from tck.chevalley import h_alpha, n_alpha, x_alpha
+    from tck.linalg import ScaledMatrix
+
+    rs = tck.build_root_system(type_)
+    builder = {"x": x_alpha, "n": n_alpha, "h": h_alpha}[kind]
+    dense = builder(rs, tuple(map(int, root.split(","))), Fraction(t)).dense()
+    expected = [[_fraction_text(x.numerator, x.denominator) for x in row] for row in dense]
+
+    def forbidden(*args):
+        raise AssertionError("dense view built")
+
+    monkeypatch.setattr(ScaledMatrix, "dense", forbidden)
+    code, report = run_cli(capsys, ["chevalley", "gen", "--type", type_, "--kind", kind,
+                                    f"--root={root}", f"--t={t}"])
+    assert code == 0 and report["payload"]["matrix"] == expected
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"

@@ -22,10 +22,12 @@ from tck import (
     RationalFunction,
     ScalingAutomorphism,
     abelian_oracle_count,
+    apply_scaling,
     build_root_system,
     closure,
     cokernel_order_mod,
     diagram_symmetries,
+    exponent_vector,
     generate_witnesses,
     group_from_descriptor,
     heisenberg_group,
@@ -36,6 +38,7 @@ from tck import (
     project_product_to_first_factor,
     reduce_mod_p,
     reduced_obstruction_check,
+    subgroup,
     telescoping_product_check,
     zn_fullness_witness,
 )
@@ -112,6 +115,25 @@ WRONG_KINDS = {
     "rational function power float": (lambda: T_OVER_1 ** 2.0, "2.0 is not an int"),
     "rational function power string": (lambda: T_OVER_1 ** "2", "'2' is not an int"),
     "rational function power bool": (lambda: T_OVER_1 ** True, "True is not an int"),
+    # a float result, a float computed before the refusal, a bool accepted,
+    # or an untyped TypeError or AttributeError before the gates
+    "scaling character float": (lambda: SCALING.character((1.5,)), "1.5 is not an int"),
+    "scaling character too long": (lambda: SCALING.character((1, 2)), "2 exponents for 1 var"),
+    "scaling power float": (lambda: SCALING ** 1.5, "1.5 is not an int"),
+    "scaling power bool": (lambda: SCALING ** True, "True is not an int"),
+    "scaling identity bool": (lambda: ScalingAutomorphism.identity(True), "True is not an int"),
+    "scaling compose int": (lambda: SCALING.compose(5), "composes with a ScalingAutomorphism"),
+    "apply_scaling int": (lambda: apply_scaling(5, T), "expects a ScalingAutomorphism"),
+    "exponent base float": (lambda: exponent_vector(6, [2.0, 3]), "2.0 is not an int"),
+    "polynomial variable bool": (lambda: Polynomial.variable(True, 0), "True is not an int"),
+    "polynomial variable float": (lambda: Polynomial.variable(1.0, 0), "1.0 is not an int"),
+    "polynomial variable index bool": (lambda: Polynomial.variable(2, True), "True is not an int"),
+    "rational function int denominator": (lambda: RationalFunction(T, 5),
+                                          "quotient of two Polynomials"),
+    "closure int": (lambda: closure(5), "'int' object is not iterable"),
+    "closure int generator": (lambda: closure([5]), "'int' object is not iterable"),
+    "closure int matrix": (lambda: closure([5], modulus=7), "'int' object is not iterable"),
+    "subgroup int": (lambda: subgroup(S3, 5), "must be iterable, not int"),
 }
 
 
@@ -143,6 +165,10 @@ VALID = {
     "closure modulus": (lambda: len(closure([SHEAR], modulus=7)), 7),
     "polynomial power": (lambda: T ** 2 == T * T, True),
     "rational function power": (lambda: T_OVER_1 ** -2 == (T_OVER_1 ** 2).reciprocal(), True),
+    "scaling character": (lambda: SCALING.character((3,)), 8),
+    "scaling power": (lambda: (SCALING ** -2).scalars, (Fraction(1, 4),)),
+    "exponent base": (lambda: exponent_vector(Fraction(4, 3), [2, 3]), [2, -1]),
+    "subgroup": (lambda: len(subgroup(S3, [(1, 0, 2)])), 2),
 }
 
 

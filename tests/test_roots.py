@@ -128,7 +128,7 @@ TYPES_UP_TO_RANK_8 = [f"{family}{rank}" for family, low in (("A", 1), ("B", 2), 
                       for rank in range(low, 9)] + ["E6", "E7", "E8", "F4", "G2"]
 
 
-@pytest.mark.parametrize("name", TYPES_UP_TO_RANK_8)
+@pytest.mark.parametrize("name", TYPES_UP_TO_RANK_8 + ["A24", "D16", "B42"])
 def test_pairing_table_matches_the_form(name):
     # rs.pairings is recorded by the reflection closure; cartan_integer reads
     # the form rows and norms, an independent route

@@ -101,6 +101,21 @@ def test_fullness_witnesses():
         zn_fullness_witness(2, 0)
 
 
+def test_fullness_past_rank_two_is_the_companion_matrix():
+    # every m up to 64, so every m divisible by 2^(n-2) as well; the last
+    # column is pinned by the characteristic polynomial det(xI - A), monic of
+    # degree n and so fixed by its values at x = 0..n - 1
+    for n in range(3, 7):
+        for m in range(1, 65):
+            witness = zn_fullness_witness(n, m)
+            assert all(witness[i][j] == (j == i - 1) for i in range(n) for j in range(n - 1))
+            for x in range(n):
+                shifted = [[x * (i == j) - witness[i][j] for j in range(n)] for i in range(n)]
+                assert int_det(shifted) == x**n + m * x ** (n - 1) - 1
+            assert abs(int_det(witness)) == 1
+            assert reidemeister_zn(witness) == m
+
+
 def test_cokernel_order_mod():
     assert cokernel_order_mod([[2, 0], [0, 3]], 6) == 6
     assert cokernel_order_mod([[1, 0], [0, 1]], 5) == 1
