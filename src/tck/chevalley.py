@@ -40,16 +40,16 @@ diagonal value, its denominator is that of h_alpha(1/t)
 diagonal and dense products, in their own dense oracle, as the reference
 routes.
 
-Automorphisms come in four families (inner, diagonal, field, graph) and a
-composite applies them in the fixed order inner, diagonal, field, graph to a
-``ScaledMatrix``, returning one.  G(K) is generated by its root elements
-(Steinberg, Lectures on Chevalley Groups, Yale 1967), so the inner part is a
-word in them; it and the diagonal part conjugate by a scaled matrix and its
-inverse, both built once.  A diagram symmetry acts by a signed basis
-permutation, moving entry (i, j) to the images of i and j, negated where
-their signs differ; the signs are forced by the structure constants and are
-recorded per root, since the naive unsigned permutation need not respect the
-brackets.
+Automorphisms are the parts that can change R(phi): diagonal, field and
+graph, applied in that order to a ``ScaledMatrix``, returning one.  The inner
+part of Steinberg's decomposition (Lectures on Chevalley Groups, Yale 1967)
+leaves R unchanged (criterion 4) and is not carried; conjugation by a word is
+mat_product over its x_alpha factors.  The diagonal part is given by its
+simple-root values and conjugates by its torus matrix and the inverse, both
+built once.  A diagram symmetry acts by a signed basis permutation, moving
+entry (i, j) to the images of i and j, negated where their signs differ; the
+signs are forced by the structure constants and are recorded per root, since
+the naive unsigned permutation need not respect the brackets.
 
 The per-root tables behind x_alpha and h_alpha, and the commutator factors
 of each root pair, live in ``rs.tables``, so they are freed with their root
@@ -63,7 +63,7 @@ from operator import mul
 
 from .errors import ConsistencyError, DomainError, integer, rational
 from .fields import Polynomial, RationalFunction, ScalingAutomorphism, apply_scaling, is_prime
-from .linalg import ScaledMatrix, diagonal_entries, mat_product
+from .linalg import ScaledMatrix, mat_product
 from .roots import DiagramSymmetry, RootSystem, root_permutation
 
 
@@ -267,34 +267,20 @@ class GraphMatrixRealization:
         return ScaledMatrix(rows, x.den)
 
 
-def _validate_word(rs: RootSystem, word) -> tuple:
-    """The inner part as a tuple of (root, parameter) pairs, each checked, and
-    the product of its root elements and the inverse."""
-    try:
-        pairs = [(gamma, s) for gamma, s in word]
-    except (TypeError, ValueError):  # not iterable, or an item that is not a pair
-        raise DomainError("inner part must be a word of (root, parameter) pairs") from None
-    word = tuple((rs.check_root(gamma), _coerce_scalar(s)) for gamma, s in pairs)
-    inverse = [(gamma, -s) for gamma, s in reversed(word)]
-    return word, (_scaled_product(rs, word), _scaled_product(rs, inverse))
-
-
 def _validate_torus(rs: RootSystem, diagonal) -> tuple:
-    """The diagonal part's entries at ``rs.roots``, checked to be a character,
-    and its torus matrix and the inverse."""
-    entries = tuple(map(_coerce_scalar, diagonal))
-    if len(entries) != len(rs.roots):
-        raise DomainError(f"diagonal part needs {len(rs.roots)} root entries, got {len(entries)}")
-    if not all(entries):
+    """The diagonal part's values at the simple roots, each checked, and its
+    torus matrix and the inverse."""
+    message = f"diagonal part needs {rs.rank} simple-root values"
+    try:
+        values = tuple(map(_coerce_scalar, diagonal))
+    except TypeError:  # not iterable
+        raise DomainError(message) from None
+    if len(values) != rs.rank:
+        raise DomainError(f"{message}, got {len(values)}")
+    if not all(values):
         raise DomainError("diagonal part is singular")
-    cleared = [_cleared(entries[rs.root_index[tuple(int(j == k) for j in range(rs.rank))]])
-               for k in range(rs.rank)]
-    torus = _torus_matrix(rs, cleared)
-    # a character: the entry at beta is prod c_k^beta_k over the simple-root entries c_k
-    for beta, entry, value in zip(rs.roots, entries, diagonal_entries(torus)):
-        if entry != value:
-            raise DomainError(f"diagonal entries are not a character at {beta}")
-    return entries, (torus, _torus_matrix(rs, [(q, p) for p, q in cleared]))
+    cleared = list(map(_cleared, values))
+    return values, (_torus_matrix(rs, cleared), _torus_matrix(rs, [(q, p) for p, q in cleared]))
 
 
 def _torus_matrix(rs: RootSystem, cleared) -> ScaledMatrix:
@@ -314,31 +300,27 @@ def _torus_matrix(rs: RootSystem, cleared) -> ScaledMatrix:
 
 
 class ChevalleyAutomorphism:
-    """Composite automorphism: inner, then diagonal, then field, then graph.
+    """Composite automorphism: diagonal, then field, then graph.
 
-    Any of the four parts may be omitted; ``apply`` takes and returns a
-    ``ScaledMatrix``.  The inner part is a word of (root, parameter) pairs,
-    conjugation by the product g of the x_gamma(s), with g^-1 the reversed
-    word with each s negated.  The diagonal part is a torus element given by
-    its entries at ``rs.roots`` (the Cartan block is 1), which must form a
-    character.  The field part scales the variables and fixes a matrix over
-    Q; the graph part conjugates by the signed permutation realization of a
-    diagram symmetry.
+    Any of the three parts may be omitted; ``apply`` takes and returns a
+    ``ScaledMatrix``.  The diagonal part is a torus element given by its
+    values c_k at the simple roots: its entry at beta is prod c_k^beta_k,
+    and 1 on the Cartan block.  The field part scales the variables and
+    fixes a matrix over Q; the graph part conjugates by the signed
+    permutation realization of a diagram symmetry.
     """
 
-    def __init__(self, rs: RootSystem, inner=None, diagonal=None,
+    def __init__(self, rs: RootSystem, diagonal=None,
                  graph: DiagramSymmetry | None = None,
                  field: ScalingAutomorphism | None = None):
+        if not isinstance(rs, RootSystem):
+            raise DomainError("a Chevalley automorphism needs a RootSystem")
+        if field is not None and not isinstance(field, ScalingAutomorphism):
+            raise DomainError("the field part must be a ScalingAutomorphism")
         self.rs = rs
-        # (g, g^-1) for the inner part, then the diagonal part, each built once
-        self._conjugations = []
-        self.inner = self.diagonal = None
-        if inner is not None:
-            self.inner, pair = _validate_word(rs, inner)
-            self._conjugations.append(pair)
+        self.diagonal = self._torus = None
         if diagonal is not None:
-            self.diagonal, pair = _validate_torus(rs, diagonal)
-            self._conjugations.append(pair)
+            self.diagonal, self._torus = _validate_torus(rs, diagonal)
         self.graph = graph
         self._graph_realization = None if graph is None else GraphMatrixRealization(rs, graph)
         self.field = field
@@ -347,8 +329,8 @@ class ChevalleyAutomorphism:
         dim = adjoint_dimension(self.rs)
         if not isinstance(x, ScaledMatrix) or len(x.rows) != dim:
             raise DomainError(f"apply takes a ScaledMatrix of dimension {dim}")
-        for g, g_inverse in self._conjugations:
-            x = mat_product([g, x, g_inverse])
+        if self._torus is not None:
+            x = mat_product([self._torus[0], x, self._torus[1]])
         if self.field is not None and not isinstance(x.den, int):
             # T_i -> c_i T_i on the numerators and the denominator, cleared by
             # one lcm so the image stays in Z[T]; over Q the field part fixes

@@ -32,6 +32,11 @@ _MILLER_RABIN_BOUND = 3317044064679887385961981
 
 
 def is_prime(n: int) -> bool:
+    """Whether the int n is prime, by ``_is_prime``."""
+    return _is_prime(integer(n, None, "primality is decided for ints"))
+
+
+def _is_prime(n: int) -> bool:
     """Deterministic primality: Miller-Rabin on the first 13 prime bases.
 
     Exact below 3317044064679887385961981 (Sorenson and Webster, Math. Comp.
@@ -62,6 +67,14 @@ def is_prime(n: int) -> bool:
 
 
 def strip_power(n: int, b: int) -> tuple[int, int]:
+    """``_strip_power`` for an int n != 0 and an int b >= 2."""
+    message = "strip_power needs an int n != 0 and an int base b >= 2"
+    if not integer(n, None, message):
+        raise DomainError(message)
+    return _strip_power(n, integer(b, 2, message))
+
+
+def _strip_power(n: int, b: int) -> tuple[int, int]:
     """(e, n / b**e) with e as large as possible, for n != 0 and b > 1."""
     e = 0
     while n % b == 0:
@@ -83,8 +96,8 @@ def exponent_vector(x, base) -> list[int] | None:
     vec = []
     for b in base:
         integer(b, 2, "a base element is an int > 1")
-        up, num = strip_power(num, b)
-        down, den = strip_power(den, b)
+        up, num = _strip_power(num, b)
+        down, den = _strip_power(den, b)
         vec.append(up - down)
     return vec if num == den == 1 else None
 
@@ -149,14 +162,13 @@ class Polynomial:
 
     @classmethod
     def zero(cls, nvars: int) -> "Polynomial":
-        return cls(nvars, {})
+        return cls.constant(nvars, 0)
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
+        integer(nvars, 0, "a polynomial needs an int variable count >= 0")
         value = rational(value)
-        if value == 0:
-            return cls.zero(nvars)
-        return cls(nvars, {(0,) * nvars: value})
+        return cls(nvars, {(0,) * nvars: value} if value else {})
 
     @classmethod
     def variable(cls, nvars: int, index: int) -> "Polynomial":

@@ -22,7 +22,7 @@ from math import gcd
 from typing import TYPE_CHECKING
 
 from .errors import ConsistencyError, DomainError, integer, rational
-from .fields import exponent_vector, is_prime, strip_power
+from .fields import _strip_power, exponent_vector, is_prime
 from .linalg import int_det, smith_normal_form
 
 if TYPE_CHECKING:
@@ -198,7 +198,7 @@ def _prime_power_exponent(p: int, w: int) -> int | None:
     """k >= 1 with p^k = w, else None."""
     if w < p:
         return None
-    k, rest = strip_power(w, p)
+    k, rest = _strip_power(w, p)
     return k if rest == 1 else None
 
 
@@ -231,7 +231,7 @@ class SpectrumDescriptor:
         if self.case == "equal-units":
             return gcd(w, p) == 1
         if self.case == "opposite-units":
-            top, _ = strip_power(w, p)
+            top, _ = _strip_power(w, p)
             for ell in range(1, top + 1):
                 rest = w // p**ell
                 if rest == 2:
@@ -252,8 +252,8 @@ def _unit_power(p: int, value: Fraction) -> None:
     if not value:
         raise DomainError("diagonal values must be nonzero")
     if exponent_vector(value, [p]) is None:
-        cofactor = Fraction(strip_power(abs(value.numerator), p)[1],
-                            strip_power(value.denominator, p)[1])
+        cofactor = Fraction(_strip_power(abs(value.numerator), p)[1],
+                            _strip_power(value.denominator, p)[1])
         raise DomainError(f"{value} is not a unit once {p} is inverted (cofactor {cofactor})")
 
 

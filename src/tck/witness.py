@@ -43,7 +43,8 @@ from fractions import Fraction
 from math import gcd, prod
 
 from .errors import ConsistencyError, DomainError, integer, rational
-from .fields import ScalingAutomorphism, _coprime_base, _lattice_divisors, exponent_vector, is_prime
+from .fields import (ScalingAutomorphism, _coprime_base, _is_prime, _lattice_divisors,
+                     exponent_vector)
 from .roots import DiagramSymmetry, RootSystem, permutation_order, root_permutation
 from .chevalley import ChevalleyAutomorphism
 
@@ -72,7 +73,7 @@ def generate_witnesses(rs: RootSystem, count: int) -> WitnessSequence:
     disjoint.  No randomization: certificates stay reproducible.
     """
     integer(count, 1, f"at least one witness is required, got {count}")
-    primes = list(itertools.islice(filter(is_prime, itertools.count(2)), count * rs.rank))
+    primes = list(itertools.islice(filter(_is_prime, itertools.count(2)), count * rs.rank))
     return WitnessSequence(rs, tuple(tuple(primes[i:i + rs.rank])
                                      for i in range(0, len(primes), rs.rank)))
 
@@ -118,38 +119,36 @@ class ProductAutomorphism:
     The action is (x_1, ..., x_k) -> (phi_{s(1)}(x_{s(1)}), ..., phi_{s(k)}(x_{s(k)}))
     with s the stored permutation (0-based images), on summands that are
     rational root-position diagonals.  All factors must share one root
-    system, carry no inner part (criterion 4 covers it) and only a rational
-    diagonal part, whose collapse enters the eigencharacters; field parts,
-    where present, must agree on the variable count so their compositions
-    along permutation cycles stay well formed.  One automorphism phi is
-    ProductAutomorphism([phi], (0,)).
+    system and carry only a rational diagonal part, whose collapse enters
+    the eigencharacters; field parts, where present, must agree on the
+    variable count so their compositions along permutation cycles stay well
+    formed.  One automorphism phi is ProductAutomorphism([phi], (0,)).
     """
 
     def __init__(self, factors, permutation):
-        factors = tuple(factors)
+        try:
+            factors, permutation = tuple(factors), tuple(permutation)
+        except TypeError:  # not iterable
+            raise DomainError("a product automorphism needs a sequence of factors "
+                              "and a permutation") from None
         if not factors:
             raise DomainError("at least one factor is required")
-        rs = factors[0].rs
         for pos, phi in enumerate(factors):
             if not isinstance(phi, ChevalleyAutomorphism):
                 raise DomainError(f"factor {pos} is not a Chevalley automorphism")
-            if phi.inner is not None:
-                raise DomainError(f"factor {pos} takes no inner part: criterion 4 covers "
-                                  "inner parts, R(iota_g phi) = R(phi)")
             if phi.diagonal is not None and not all(isinstance(x, Fraction) for x in phi.diagonal):
                 raise DomainError(f"factor {pos} needs a rational diagonal part: the "
                                   "certificate's eigencharacters lie in Q")
-            if phi.rs.type != rs.type:
+            if phi.rs.type != factors[0].rs.type:
                 raise DomainError("factors must share one root system")
         counts = {phi.field.variable_count for phi in factors if phi.field is not None}
         if len(counts) > 1:
             raise DomainError("factor field automorphisms disagree on variable count")
         self.variable_count = counts.pop() if counts else 0
         k = len(factors)
-        permutation = tuple(permutation)
         if not {int}.issuperset(map(type, permutation)) or sorted(permutation) != list(range(k)):
             raise DomainError(f"permutation {permutation} does not rearrange 0..{k - 1}")
-        self.rs = rs
+        self.rs = rs = factors[0].rs
         self.factors = factors
         self.permutation = permutation
         self.k = k
@@ -298,7 +297,7 @@ def _certify(rs: RootSystem, primes, exponents: Rows, scaling: ScalingAutomorphi
                                       "inconclusive", CertifiedEntries(root_count, (), (), ()),
                                       ())
     first, other = primes[0], primes[index - 1]
-    if not all(map(is_prime, (*first, *other))):
+    if not all(map(_is_prime, (*first, *other))):
         raise DomainError(f"obstruction check: witnesses 1 and {index} need prime blocks")
     # One coprime base over the two blocks, the generators and the correction:
     # each prime is a base element, and every factor has an exponent vector.
@@ -490,8 +489,9 @@ def project_product_to_first_factor(product_aut: ProductAutomorphism,
     A diagonal part D gives phi(x) = psi(D) psi(x) psi(D)^-1 for psi the
     graph-plus-field part, and torus conjugation fixes the witnesses, so the
     6s steps only add conjugation by c, c[k] the product over t of
-    D_{j_(t+1)} at the composed index map idx_(t+1)(k); a factor without a
-    diagonal part contributes 1.
+    D_{j_(t+1)} at the composed index map idx_(t+1)(k), D's entry at beta
+    being prod v_k^beta_k over its simple-root values v_k; a factor without
+    a diagonal part contributes 1.
     """
     if witnesses.root_system.type != product_aut.rs.type:
         raise DomainError("witnesses were generated for a different root system")
@@ -505,7 +505,9 @@ def project_product_to_first_factor(product_aut: ProductAutomorphism,
     exponents = _collapse(cycle, rs.pairings, 6 * s)
     correction = None
     if any(phi.diagonal is not None for phi in product_aut.factors):
-        diagonals = [product_aut.factors[j].diagonal for j in orbit]
+        # each diagonal part's entries at the roots, prod v_k^beta_k
+        diagonals = [None if d is None else [prod(map(pow, d, beta)) for beta in rs.roots]
+                     for d in (product_aut.factors[j].diagonal for j in orbit)]
         correction = tuple(prod(d[i] for d, i in zip(itertools.cycle(diagonals), idx[1:])
                                 if d is not None)
                            for idx in _factors(cycle, len(rs.roots), 6 * s + 1))

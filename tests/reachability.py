@@ -4,8 +4,8 @@
 
 Needs Python 3.11 or later (it reads co_qualname).  It puts the checkout's
 src and perfbench directories on sys.path and imports perfbench read-only.
-A profile hook (sys.setprofile) records every Python function entered while
-each source runs:
+A trace hook (sys.settrace) records every Python function entered while each
+source runs, and every line executed in src/tck:
 
   cli.setup, cli.run
       the descriptor files of the benchmark's CLI workload, written to a
@@ -20,7 +20,11 @@ each source runs:
 It prints one line per function defined in src/tck, "module:qualified.name"
 and the sources that reach it, unreached functions first, then a count.
 Lambdas and comprehensions are not listed: they run inside a function that
-is.  Not collected by pytest (the name does not start with test_).
+is.  A second section lists, per function, the statements in its body that
+no source reaches, docstrings left out: the branches that the first section
+cannot see.  A statement counts as reached when a line of its own (its
+header, for a compound statement) runs.  Not collected by pytest (the name
+does not start with test_).
 """
 
 import ast
@@ -38,6 +42,43 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 ROUNDS = 3
 SEED = 1
+
+
+def _header(node) -> range:
+    """The lines of a statement that are its own: a compound statement's
+    up to its first body statement, with its decorators."""
+    first = min([node.lineno, *(d.lineno for d in getattr(node, "decorator_list", ()))])
+    body = getattr(node, "body", None)
+    if isinstance(body, list) and body:
+        return range(first, max(node.lineno, body[0].lineno - 1) + 1)
+    return range(first, node.end_lineno + 1)
+
+
+def function_statements() -> dict[tuple[str, str], list]:
+    """(module, qualified name) -> (path, header lines) of each statement in
+    the function's own body, nested functions' bodies and docstrings left
+    out; named as defined_functions names them."""
+    found = {}
+
+    def walk(nodes, path, module, prefix, owner):
+        for child in nodes:
+            if isinstance(child, ast.stmt) and owner is not None:
+                found[owner].append((path, _header(child)))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = (module, prefix + child.name)
+                found[name] = []
+                body = child.body
+                if ast.get_docstring(child, clean=False) is not None:
+                    body = body[1:]
+                walk(body, path, module, f"{prefix}{child.name}.<locals>.", name)
+            elif isinstance(child, ast.ClassDef):
+                walk(child.body, path, module, f"{prefix}{child.name}.", owner)
+            else:
+                walk(ast.iter_child_nodes(child), path, module, prefix, owner)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        walk(ast.parse(path.read_text()).body, str(path), path.stem, "", None)
+    return found
 
 
 def defined_functions() -> list[tuple[str, str]]:
@@ -61,24 +102,31 @@ def defined_functions() -> list[tuple[str, str]]:
 
 
 class Reach:
-    """Code objects entered, per source."""
+    """Code objects entered, per source, and (path, line) pairs run in src/tck."""
 
     def __init__(self):
         self.codes = defaultdict(set)
+        self.lines = set()
 
     @contextlib.contextmanager
     def source(self, name: str):
-        entered = self.codes[name]
+        entered, lines = self.codes[name], self.lines
+        prefix = str(PACKAGE) + os.sep
+
+        def line(frame, event, arg):
+            if event == "line":
+                lines.add((frame.f_code.co_filename, frame.f_lineno))
+            return line
 
         def hook(frame, event, arg):
-            if event == "call":
-                entered.add(frame.f_code)
+            entered.add(frame.f_code)
+            return line if frame.f_code.co_filename.startswith(prefix) else None
 
-        sys.setprofile(hook)
+        sys.settrace(hook)
         try:
             yield
         finally:
-            sys.setprofile(None)
+            sys.settrace(None)
 
     def functions(self) -> dict[str, set]:
         """source -> {(module, qualified name)} of the functions in src/tck it entered."""
@@ -160,6 +208,17 @@ def main() -> int:
         print(f"{name:<{width}}  {sources}")
     unreached = sum(not hit for hit, _, _ in rows)
     print(f"{unreached} of {len(rows)} functions unreached; sources: {', '.join(sorted(reached))}")
+    entered = set().union(*reached.values())
+    missed = total = 0
+    print("\nstatements no source reaches, in the functions that some source enters:")
+    for (module, name), statements in function_statements().items():
+        total += len(statements)
+        lines = [header.start for path, header in statements
+                 if not any((path, n) in reach.lines for n in header)]
+        missed += len(lines)
+        if lines and (module, name) in entered:
+            print(f"{module}:{name}  lines {', '.join(map(str, lines))}")
+    print(f"{missed} of {total} statements unreached, those of unreached functions included")
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Adjoint Chevalley generators and the four-part automorphism."""
+"""Adjoint Chevalley generators and the three-part automorphism."""
 
 import ast
 import gc
@@ -770,16 +770,24 @@ def _dense_torus_pair(entries, rank):
             [[1 / d if i == j else Fraction(0) for j in range(n)] for i, d in enumerate(diagonal)])
 
 
+def _simple_values(rs, entries):
+    """A torus element's entries at the simple roots alpha_1, ..., alpha_l."""
+    return [entries[rs.root_index[tuple(int(j == k) for j in range(rs.rank))]]
+            for k in range(rs.rank)]
+
+
 def test_diagonal_part_matches_the_dense_conjugation():
     # the diagonal part conjugates by its torus matrix; D x D^-1 with the
-    # dense torus matrix D is the reference route, over Q and Q(T)
+    # dense torus matrix D is the reference route, over Q and Q(T).  D is a
+    # product of h_alpha, whose entry at beta is prod c_k^beta_k of its
+    # entries c_k at the simple roots, which give the diagonal part
     rng = random.Random(17)
     for name in ("A2", "B2", "G2"):
         rs = build_root_system(name)
         a, b = rs.positive_roots[:2]
         for t in (Fraction(3), Fraction(-2, 5), 2 * T + 1, 1 / T):
             entries = diagonal_entries(mat_mul(h_alpha(rs, a, t), h_alpha(rs, b, Fraction(7))))
-            phi = ChevalleyAutomorphism(rs, diagonal=entries[:len(rs.roots)])
+            phi = ChevalleyAutomorphism(rs, diagonal=_simple_values(rs, entries))
             alpha, beta = rng.choice(rs.roots), rng.choice(rs.roots)
             x = mat_product([x_alpha(rs, alpha, Fraction(2)), x_alpha(rs, rs.negate(alpha), t),
                              x_alpha(rs, beta, Fraction(1, 3))])
@@ -789,7 +797,7 @@ def test_diagonal_part_matches_the_dense_conjugation():
     rs = build_root_system("A2")
     delta = ScalingAutomorphism((Fraction(5),))
     D = h_alpha(rs, rs.positive_roots[1], 2 * T + 1)
-    phi = ChevalleyAutomorphism(rs, diagonal=diagonal_entries(D)[:len(rs.roots)], field=delta)
+    phi = ChevalleyAutomorphism(rs, diagonal=_simple_values(rs, diagonal_entries(D)), field=delta)
     x = x_alpha(rs, rs.positive_roots[0], T)
     expected = ChevalleyAutomorphism(rs, field=delta).apply(mat_product([D, x, mat_inv(D)]))
     assert phi.apply(x) == expected
@@ -821,16 +829,14 @@ def test_automorphism_part_order():
 
 
 def _composite_cases():
-    """(name, simple-root values, word, field scalars, x parameters) over Q,
-    Q(T) and Q(T1, T2)."""
+    """(name, simple-root values, field scalars, x parameters) over Q, Q(T)
+    and Q(T1, T2)."""
     T1, T2 = RationalFunction.variable(2, 0), RationalFunction.variable(2, 1)
     return [
-        ("A3", (Fraction(3), Fraction(-1, 2), Fraction(5, 4)),
-         [Fraction(2), Fraction(-1, 3)], (Fraction(2),), (Fraction(5), Fraction(-3, 7))),
-        ("A2", (T + 1, 2 / T), [T - 2, Fraction(1, 3) / (T + 3)], (Fraction(5),),
-         (T * 3, Fraction(-2))),
-        ("A2", (T1 + 2, 1 / T2), [T2, Fraction(-1, 2)], (Fraction(2), Fraction(3)),
-         (T1, Fraction(1, 2))),
+        ("A3", (Fraction(3), Fraction(-1, 2), Fraction(5, 4)), (Fraction(2),),
+         (Fraction(5), Fraction(-3, 7))),
+        ("A2", (T + 1, 2 / T), (Fraction(5),), (T * 3, Fraction(-2))),
+        ("A2", (T1 + 2, 1 / T2), (Fraction(2), Fraction(3)), (T1, Fraction(1, 2))),
     ]
 
 
@@ -847,28 +853,21 @@ def _dense_outer_parts(rs, entries, delta, sigma, x):
 
 @pytest.mark.parametrize("case", range(3), ids=["Q", "Q(T)", "Q(T1,T2)"])
 def test_composite_automorphism_matches_the_dense_route(case):
-    # phi = graph . field . diagonal . inner, psi the same without the inner
-    # part.  psi(x) is checked against D x D^-1, the entrywise field map and
-    # P y P^T on dense matrices; as psi is a homomorphism, phi(x) = psi(g x
-    # g^-1) satisfies phi(x) psi(g) = psi(g) psi(x), which needs no inverse
-    name, simple, parameters, scalars, (s, u) = _composite_cases()[case]
+    # phi = graph . field . diagonal, checked against D x D^-1, the entrywise
+    # field map and P y P^T on dense matrices, D built from the root entries
+    # prod c_k^beta_k of the simple-root values c_k
+    name, simple, scalars, (s, u) = _composite_cases()[case]
     rs = build_root_system(name)
     entries = [prod(c ** b for c, b in zip(simple, beta)) for beta in rs.roots]
     sigma = next(sym for sym in diagram_symmetries(rs) if sym.order == 2)
     delta = ScalingAutomorphism(scalars)
-    a, b = rs.positive_roots[:2]
-    word = [(a, parameters[0]), (rs.negate(b), parameters[1])]
-    phi = ChevalleyAutomorphism(rs, inner=word, diagonal=entries, graph=sigma, field=delta)
-    psi = ChevalleyAutomorphism(rs, diagonal=entries, graph=sigma, field=delta)
-    g = dense_product([list(x_alpha(rs, gamma, t)) for gamma, t in word])
-    psi_g = _dense_outer_parts(rs, entries, delta, sigma, g)
+    phi = ChevalleyAutomorphism(rs, diagonal=simple, graph=sigma, field=delta)
+    a = rs.positive_roots[0]
     for alpha in (a, rs.negate(a), rs.positive_roots[-1]):
         x = mat_product([x_alpha(rs, alpha, s), x_alpha(rs, rs.negate(alpha), u)])
-        psi_x = _dense_outer_parts(rs, entries, delta, sigma, x)
-        assert psi.apply(x) == psi_x, (name, alpha)
         image = phi.apply(x)
         assert isinstance(image, ScaledMatrix)
-        assert dense_mul(image, psi_g) == dense_mul(psi_g, psi_x), (name, alpha)
+        assert image == _dense_outer_parts(rs, entries, delta, sigma, x), (name, alpha)
 
 
 def test_apply_rejects_matrices_of_the_wrong_shape():
@@ -877,11 +876,9 @@ def test_apply_rejects_matrices_of_the_wrong_shape():
     rs = build_root_system("A2")
     dim = adjoint_dimension(rs)
     smaller = x_alpha(build_root_system("A1"), (1,), Fraction(2))
-    diagonal = diagonal_entries(h_alpha(rs, rs.positive_roots[0], Fraction(2)))[:len(rs.roots)]
     message = f"^apply takes a ScaledMatrix of dimension {dim}$"
     for phi in (ChevalleyAutomorphism(rs, graph=diagram_symmetries(rs)[1]),
-                ChevalleyAutomorphism(rs, diagonal=diagonal),
-                ChevalleyAutomorphism(rs, inner=[(rs.roots[0], 1)]),
+                ChevalleyAutomorphism(rs, diagonal=(Fraction(2), Fraction(1, 2))),
                 ChevalleyAutomorphism(rs, field=ScalingAutomorphism((Fraction(2),))),
                 ChevalleyAutomorphism(rs)):
         for x in (identity(dim), list(x_alpha(rs, rs.roots[0], Fraction(1))), None, smaller):
@@ -918,21 +915,6 @@ def test_field_part_keeps_the_image_in_int_polynomials():
         assert image == scaled and scaled == image, t
 
 
-def test_inner_part_with_integer_entries_stays_exact():
-    # int parameters are coerced, so the rows stay ints over an int
-    # denominator and no float enters
-    rs = build_root_system("A1")
-    alpha = rs.positive_roots[0]
-    word = [(alpha, 2), (rs.negate(alpha), -1)]
-    x = x_alpha(rs, alpha, 3)
-    image = ChevalleyAutomorphism(rs, inner=word).apply(x)
-    assert type(image.den) is int
-    assert all(type(v) is int for row in image.rows for v in row.values())
-    assert all(type(e) is Fraction for row in image for e in row)
-    g = dense_product([list(x_alpha(rs, gamma, s)) for gamma, s in word])
-    assert dense_mul(image, g) == dense_mul(g, x)
-
-
 def test_field_part_accepts_every_scalar_type():
     # the entries a scaled matrix holds: int rows over Q are fixed, and
     # polynomial rows over Q(T) are scaled T -> 3T with their denominator, as
@@ -957,63 +939,25 @@ def test_field_part_accepts_every_scalar_type():
             phi.apply(bad)
 
 
-def test_inner_part_conjugates():
-    # the inner part is the product g of its word; apply(x) g = g x is the
-    # reference, which needs no inverse
-    rs = build_root_system("A2")
-    alpha = rs.positive_roots[0]
-    word = [(alpha, Fraction(1)), (rs.negate(alpha), Fraction(-1)), (alpha, Fraction(1))]
-    phi = ChevalleyAutomorphism(rs, inner=word)
-    assert phi.inner == tuple(word)
-    g = n_alpha(rs, alpha, Fraction(1))
-    for beta in rs.roots:
-        x = x_alpha(rs, beta, Fraction(5))
-        image = phi.apply(x)
-        assert isinstance(image, ScaledMatrix)
-        assert dense_mul(image, g) == dense_mul(g, x), beta
-
-
-@pytest.mark.parametrize("inner", [
-    5, "ab", [5], [(1, 0)], [((1, 0), 1, 2)], [((1, 0),)], [((9, 9), 1)], [(None, 1)],
-    [(5, 1)], [([[1]], 1)], [((1, 0), 1.5)], [((1, 0), True)], [((1, 0), "2")],
-], ids=repr)
-def test_inner_part_must_be_a_word_of_root_pairs(inner):
-    with pytest.raises(DomainError):
-        ChevalleyAutomorphism(build_root_system("A2"), inner=inner)
-
-
-def test_inner_part_given_as_a_matrix_is_a_domain_error():
-    # the inner part is a word, not the matrix of its product
-    rs = build_root_system("A2")
-    with pytest.raises(DomainError, match="word of"):
-        ChevalleyAutomorphism(rs, inner=n_alpha(rs, rs.positive_roots[0], Fraction(1)))
-
-
-def test_diagonal_part_must_be_a_character():
+def test_diagonal_part_takes_nonzero_simple_root_values():
+    # the diagonal part is the character of its rank values at the simple
+    # roots: its entries at the roots, or too few values, are a domain error,
+    # as are a zero value and a value that is no exact scalar
     rs = build_root_system("A2")
     m, dim = len(rs.roots), adjoint_dimension(rs)
-    bogus = [Fraction(1)] * m
-    bogus[0] = Fraction(2)  # breaks the opposite-root cancellation
-    with pytest.raises(DomainError):
-        ChevalleyAutomorphism(rs, diagonal=bogus)
-    # cancels on opposite roots but is not multiplicative: the entry at
-    # alpha_1 + alpha_2 is 3, the product of the simple entries is 1
-    beta = (1, 1)
-    skewed = [Fraction(1)] * m
-    skewed[rs.root_index[beta]], skewed[rs.root_index[rs.negate(beta)]] = 3, Fraction(1, 3)
-    with pytest.raises(DomainError, match="not a character at"):
-        ChevalleyAutomorphism(rs, diagonal=skewed)
-    good = tuple(diagonal_entries(h_alpha(rs, rs.positive_roots[0], Fraction(2))))
-    # the entries are given at the roots only, without the Cartan block
-    for wrong_length in (good, good[:m - 1]):
-        with pytest.raises(DomainError, match=f"needs {m} root entries"):
+    entries = tuple(diagonal_entries(h_alpha(rs, rs.positive_roots[0], Fraction(2))))
+    for wrong_length in (entries, entries[:m], (Fraction(2),), ()):
+        with pytest.raises(DomainError, match=f"^diagonal part needs 2 simple-root values, "
+                                              f"got {len(wrong_length)}$"):
             ChevalleyAutomorphism(rs, diagonal=wrong_length)
-    with pytest.raises(DomainError, match="singular"):
-        ChevalleyAutomorphism(rs, diagonal=(0,) * m)
-    for entry in ("2", True):
+    with pytest.raises(DomainError, match="^diagonal part is singular$"):
+        ChevalleyAutomorphism(rs, diagonal=(Fraction(3), 0))
+    for value in ("2", True, 0.5):
         with pytest.raises(DomainError, match="unsupported scalar"):
-            ChevalleyAutomorphism(rs, diagonal=(entry,) * m)
-    phi = ChevalleyAutomorphism(rs, diagonal=good[:m])
+            ChevalleyAutomorphism(rs, diagonal=(value, 1))
+    phi = ChevalleyAutomorphism(rs, diagonal=(4, Fraction(1, 4)))
+    assert phi.diagonal == (Fraction(4), Fraction(1, 4))
+    assert all(type(v) is Fraction for v in phi.diagonal)
     assert phi.apply(x_alpha(rs, rs.roots[0], 0)) == identity(dim)
 
 

@@ -730,6 +730,83 @@ def test_hostile_descriptors_and_matrices_end_in_one_typed_document(tmp_path_fac
         assert report["status"] == "ok"
 
 
+# Argv fuzzing for the commands that take their input on the command line.
+# Text never starts with "-", which argparse would read as an option such as
+# -h, whose help page is no JSON document.
+_TEXT = st.text(max_size=4).filter(lambda text: not text.startswith("-"))
+_ODD_TYPES = st.sampled_from(["A0", "B1", "D3", "E9", "A25", "a2", "A", "2", ""]) | _TEXT
+_ODD_NUMBERS = st.sampled_from(["-3/4", "1/0", "x", "", "9" * 5000, "1,,2"]) | _TEXT
+_NUMBERS = st.integers(-3, 9).map(str) | st.sampled_from(["1/2", "2e3", "1e-2"])
+# a scale list that starts with "-" would read as an option
+_SCALES = _NUMBERS | st.lists(st.integers(1, 9).map(str) | st.just("1/2"),
+                               min_size=2, max_size=3).map(",".join)
+
+
+def _ints(high):
+    """1..high, or an int out of range or a value that is no int."""
+    return st.integers(1, high).map(str), st.sampled_from(
+        ["-1", "0", str(high + 1), "x", "1.5", "", "9" * 5000])
+
+
+@st.composite
+def _argv(draw):
+    """A root info, chevalley gen or witness run call whose values are well
+    formed, but for at most one: out of range, malformed or text."""
+    command = draw(st.sampled_from([("root", "info"), ("chevalley", "gen"), ("witness", "run")]))
+    name = draw(st.sampled_from(["A1", "A2", "B3", "C3", "D4", "G2", "F4", "E6"]))
+    rank = int(name[1:])
+    # a simple root, or the sum of the simple roots or its negative: roots of
+    # every connected diagram
+    root = draw(st.sampled_from([[int(j == k) for j in range(rank)] for k in range(rank)]
+                                + [[1] * rank, [-1] * rank]))
+    if command == ("root", "info"):
+        options = {"": (st.just(name) | st.just("E8"), _ODD_TYPES)}
+    elif command == ("chevalley", "gen"):
+        options = {"--type": (st.just(name), _ODD_TYPES),
+                   "--kind": (st.sampled_from(["x", "n", "h"]), _TEXT),
+                   "--root": (st.just(",".join(map(str, root))), _TEXT | st.lists(
+                       st.integers(-2, 2), max_size=4).map(lambda c: ",".join(map(str, c)))),
+                   "--t": (_NUMBERS, _ODD_NUMBERS)}
+    else:
+        options = {"--type": (st.just(name), _ODD_TYPES), "--count": _ints(8),
+                   "--trdeg": _ints(4), "--scale": (_SCALES, _ODD_NUMBERS),
+                   "--index": _ints(8)}
+    odd = draw(st.none() | st.sampled_from(list(options)))
+    argv = list(command)
+    for option, (valid, wrong) in options.items():
+        value = draw(wrong if odd is not None and option == odd else valid)
+        argv += [option, value] if option else [value]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(argv=_argv())
+def test_command_line_values_end_in_one_typed_document(argv):
+    # each call prints one document, ok or a domain or resource error, or
+    # argparse refuses the call with exit 2 and prints nothing on stdout
+    with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()):
+        patch.setenv("TCK_CLOSURE_CAP", "3000")
+        start = time.perf_counter()
+        try:
+            exit_code = main(argv)
+        except SystemExit as stop:
+            exit_code = stop.code
+        elapsed = time.perf_counter() - start
+    assert elapsed < 2.0, argv
+    if exit_code == 2:
+        assert out.getvalue() == "", argv
+        return
+    lines = out.getvalue().splitlines()
+    assert len(lines) == 1, argv
+    report = json.loads(lines[0])
+    if exit_code == 0:
+        assert report["status"] == "ok", argv
+    else:
+        assert exit_code == 1 and report["status"] == "error", argv
+        assert report["payload"]["code"] in ("domain-error", "resource-limit"), argv
+
+
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 

@@ -43,6 +43,7 @@ from tck import (
     zn_fullness_witness,
 )
 from tck.errors import integer, rational
+from tck.fields import is_prime, strip_power
 
 A2 = build_root_system("A2")
 WITNESSES = generate_witnesses(A2, 4)
@@ -50,7 +51,6 @@ SCALING = ScalingAutomorphism((2,))
 GRAPH = ChevalleyAutomorphism(A2, graph=next(s for s in diagram_symmetries(A2) if s.order == 2))
 S3 = closure([(1, 0, 2), (1, 2, 0)])
 S3_ID = GroupAutomorphism.identity(S3)
-ROOTS = len(A2.roots)
 SHEAR = ((1, 1), (0, 1))
 T = Polynomial.variable(1, 0)
 T_OVER_1 = RationalFunction.variable(1, 0)
@@ -74,9 +74,9 @@ WRONG_KINDS = {
                            "^2.0 is not prime: 2.0 is not an int$"),
     "metabelian prime 7.0": (lambda: metabelian_spectrum(1, 1, 7.0), "7.0 is not an int"),
     # the correction's entries enter as the diagonal part's, through its gate
-    "correction float": (lambda: _certify(diagonal=[0.5] * ROOTS), "unsupported scalar"),
-    "correction string": (lambda: _certify(diagonal=["1/3"] * ROOTS), "unsupported scalar"),
-    "correction bool": (lambda: _certify(diagonal=[True] * ROOTS), "unsupported scalar"),
+    "correction float": (lambda: _certify(diagonal=[0.5] * A2.rank), "unsupported scalar"),
+    "correction string": (lambda: _certify(diagonal=["1/3"] * A2.rank), "unsupported scalar"),
+    "correction bool": (lambda: _certify(diagonal=[True] * A2.rank), "unsupported scalar"),
     "index bool": (lambda: _certify(index=True), "True is not an int"),
     "index float": (lambda: _certify(index=3.0), "3.0 is not an int"),
     "witness count bool": (lambda: generate_witnesses(A2, True), "True is not an int"),
@@ -134,6 +134,26 @@ WRONG_KINDS = {
     "closure int generator": (lambda: closure([5]), "'int' object is not iterable"),
     "closure int matrix": (lambda: closure([5], modulus=7), "'int' object is not iterable"),
     "subgroup int": (lambda: subgroup(S3, 5), "must be iterable, not int"),
+    # accepted, or an untyped error when the automorphism was used
+    "chevalley int root system": (lambda: ChevalleyAutomorphism(5), "needs a RootSystem"),
+    "chevalley int field part": (lambda: ChevalleyAutomorphism(A2, field=5),
+                                 "field part must be a ScalingAutomorphism"),
+    "chevalley int diagonal part": (lambda: ChevalleyAutomorphism(A2, diagonal=5),
+                                    "^diagonal part needs 2 simple-root values$"),
+    "product int factors": (lambda: ProductAutomorphism(5, (0,)), "sequence of factors"),
+    "product None permutation": (lambda: ProductAutomorphism([GRAPH], None), "and a permutation"),
+    "product int factor": (lambda: ProductAutomorphism([5], (0,)),
+                           "factor 0 is not a Chevalley automorphism"),
+    # answered for a float, or a loop that never ended
+    "is_prime float": (lambda: is_prime(7.0), "7.0 is not an int"),
+    "is_prime bool": (lambda: is_prime(True), "True is not an int"),
+    "strip_power float": (lambda: strip_power(6.0, 2), "6.0 is not an int"),
+    "strip_power float base": (lambda: strip_power(6, 2.0), "2.0 is not an int"),
+    "strip_power base 1": (lambda: strip_power(6, 1), "^strip_power needs an int n != 0"),
+    "strip_power base -1": (lambda: strip_power(6, -1), "^strip_power needs an int n != 0"),
+    "strip_power zero": (lambda: strip_power(0, 2), "^strip_power needs an int n != 0"),
+    "polynomial zero float": (lambda: Polynomial.zero(1.5), "1.5 is not an int"),
+    "polynomial constant float": (lambda: Polynomial.constant(1.5, 2), "1.5 is not an int"),
 }
 
 
@@ -149,10 +169,9 @@ VALID = {
     "metabelian": (lambda: metabelian_spectrum(2, Fraction(1, 2), 2).set_form,
                    "{2*(2^l - 1), 2*(2^l + 1) : l >= 1} U {4} U {infinity}"),
     # diagonal parts with values -1 and 1/3 at both simple roots
-    "certify int correction": (lambda: _certify(diagonal=[(-1) ** (sum(b) % 2) for b in A2.roots]),
-                               "obstructed"),
-    "certify Fraction correction": (
-        lambda: _certify(diagonal=[Fraction(1, 3) ** sum(b) for b in A2.roots]), "obstructed"),
+    "certify int correction": (lambda: _certify(diagonal=(-1, -1)), "obstructed"),
+    "certify Fraction correction": (lambda: _certify(diagonal=(Fraction(1, 3),) * 2),
+                                    "obstructed"),
     "certify index 2": (lambda: _certify(index=2), "inconclusive"),
     "witness count": (lambda: WITNESSES.primes, ((2, 3), (5, 7), (11, 13), (17, 19))),
     "reduce": (lambda: reduce_mod_p([[1, Fraction(1, 2)]], 3), [[1, 2]]),
@@ -169,6 +188,9 @@ VALID = {
     "scaling power": (lambda: (SCALING ** -2).scalars, (Fraction(1, 4),)),
     "exponent base": (lambda: exponent_vector(Fraction(4, 3), [2, 3]), [2, -1]),
     "subgroup": (lambda: len(subgroup(S3, [(1, 0, 2)])), 2),
+    "is_prime": (lambda: [n for n in range(-2, 12) if is_prime(n)], [2, 3, 5, 7, 11]),
+    "strip_power": (lambda: strip_power(-24, 2), (3, -3)),
+    "polynomial zero": (lambda: Polynomial.zero(2).nvars, 2),
 }
 
 
