@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import __version__
-from .errors import ConsistencyError, DomainError, ResourceLimitError
+from .errors import ConsistencyError, DomainError, ResourceLimitError, closure_cap
 
 # Each handler imports the modules it runs, so a cold call loads only those.
 
@@ -215,6 +215,12 @@ def _run_witness(args):
     from .witness import generate_witnesses, obstruction_check
 
     rs = build_root_system(args.type)
+    # the field part holds one scalar per degree, each worked through the
+    # certificate, so the degree is charged against the closure cap first
+    cap = closure_cap()
+    if args.trdeg > cap:
+        raise ResourceLimitError(f"transcendence degree exceeds closure cap {cap} at one "
+                                 "scalar per degree")
     scalars = [_parse_rational(part) for part in args.scale.split(",")]
     if len(scalars) == 1 and args.trdeg > 1:
         scalars = scalars * args.trdeg

@@ -12,7 +12,9 @@ The closure cap, ``closure_cap()``, is set by TCK_CLOSURE_CAP and counted in
 elements; an element of width w (a permutation's degree, a matrix's entry
 count) counts ``width_charge(w)`` = ceil(w / 64) against it.  Closures of
 finite groups charge each element they keep, and a root system charges one
-adjoint element of width dim^2 before it builds anything.
+adjoint element of width dim^2 before it builds anything; a witness sequence
+charges its primes, and the CLI's ``witness run`` its field scalars, before
+the first is made.
 """
 
 import os

@@ -4,12 +4,15 @@ Elements are canonical hashable encodings: permutations as image tuples,
 matrices over Z/m as row tuples with entries reduced into [0, m).  Groups
 are built by breadth-first closure from generators, so element order is
 discovery order and every derived quantity is deterministic.  The closure
-keeps every edge x -> x g it walks, so a map given by generator images is
-defined and checked in one pass over those edges: the first edge into an
-element defines its image, every later edge checks f(x g) = f(x) f(g), and
-a bad map stops at its first failed product.  An automorphism is one index
-table, images[i] the index of the image of elements[i], so composing,
-comparing and sweeping automorphisms hash no element.  Each encoding has
+keeps its Cayley graph as one edge column per generator s, column i the
+index of elements[i] s, and records its breadth-first tree as it goes: each
+element's parent and generator, from the edge that first reached it.  A map
+given by generator images is defined and checked in one pass over the
+columns in the closure's order: the first edge into an element defines its
+image, every later edge checks f(x g) = f(x) f(g), and a bad map stops at
+its first failed product.  An automorphism is one index table, images[i]
+the index of the image of elements[i], so composing, comparing and
+sweeping automorphisms hash no element.  Each encoding has
 one product, the callable ops.right(b): x -> x b, so a right factor used
 many times is taken once; FiniteGroup.mul(a, b) is ops.right(b)(a).  A
 matrix product is a row lookup once warm: row i of x b is (row i of x) b,
@@ -18,8 +21,8 @@ closures, from_generator_images and element orders, and by the telescoping
 check, which tests a product definition directly.
 
 Orbit walks run on index maps, not on group products.  After closure every
-map is composed from the Cayley edges along the closure's breadth-first
-tree, so it takes no product and inverts no element.  An element first
+map is composed from the edge columns down the recorded tree, so it takes
+no product and inverts no element.  An element first
 reached as x s has u (x s) = (u x) s, so x -> u x follows the tree from u,
 and (x s)^-1 = s^-1 x^-1, so x -> x^-1 follows it from 1 with the maps
 x -> s^-1 x, s^-1 being the x whose edge under s leads to 1.
@@ -46,6 +49,7 @@ moves are the central moves.
 from __future__ import annotations
 
 import sys
+from array import array
 from dataclasses import dataclass
 from itertools import chain, product as cartesian_product
 from math import gcd
@@ -146,19 +150,22 @@ class MatModOps:
 
 
 class FiniteGroup:
-    """Closure of a generator list, with its Cayley graph edges kept."""
+    """Closure of a generator list, with its Cayley graph and breadth-first
+    tree kept as the walk recorded them."""
 
-    def __init__(self, ops, elements, generators, edges, index):
+    def __init__(self, ops, elements, generators, index, columns, parent, via):
         self.ops = ops
         self.elements = tuple(elements)
         self.generators = tuple(generators)
         self.index = index  # element -> its position in elements
         self.identity = ops.identity
-        # edges[i * len(generators) + pos] = index of elements[i] * generators[pos]
-        self.edges = edges
-        # built on first use: the breadth-first tree, per generator s the maps
-        # x -> s x and x -> s x s^-1, and x -> x^-1
-        self._tree = None
+        # columns[pos][i] = index of elements[i] * generators[pos]
+        self.columns = columns
+        # element j > 0 was first reached along the edge from parent[j - 1]
+        # under generator via[j - 1]
+        self.parent, self.via = parent, via
+        # built on first use: per generator s the maps x -> s x and
+        # x -> s x s^-1, and x -> x^-1
         self._left_maps = None
         self._conj_maps = None
         self._inverse = None
@@ -198,7 +205,7 @@ def _closure(ops, generators) -> FiniteGroup:
     G = _walk(ops, gens, [ops.right(g) for g in gens], cap, weight)
     # the walk closed a finite monoid, in which s is invertible exactly when
     # some x has x s = 1: when the edge column of s reaches the identity
-    for s, column in zip(gens, _edge_columns(G)):
+    for s, column in zip(gens, G.columns):
         if 0 not in column:
             raise DomainError(f"matrix {s} is not invertible mod {ops.modulus}")
     return G
@@ -206,14 +213,19 @@ def _closure(ops, generators) -> FiniteGroup:
 
 def _walk(ops, gens, rights, cap: int, weight: int = 1) -> FiniteGroup:
     """Breadth-first closure from the identity, rights[pos] being x -> x gens[pos],
-    each element counting weight against cap."""
+    each element counting weight against cap; each edge goes to its
+    generator's column, and each first edge into an element to the tree."""
     elements = [ops.identity]
-    edges = []
     seen = {ops.identity: 0}
-    find, add_edge = seen.get, edges.append
+    columns = [[] for _ in rights]
+    # as C ints: a list would keep one int object per element
+    parent, via = array("i"), array("i")
+    find, to_parent, to_via = seen.get, parent.append, via.append
+    steps = [(pos, right, column.append) for pos, (right, column)
+             in enumerate(zip(rights, columns))]
     limit = cap // weight
-    for x in elements:  # grows while it is walked: breadth-first order
-        for right in rights:
+    for i, x in enumerate(elements):  # grows while it is walked: breadth-first order
+        for pos, right, add_edge in steps:
             y = right(x)
             j = find(y)
             if j is None:
@@ -223,8 +235,10 @@ def _walk(ops, gens, rights, cap: int, weight: int = 1) -> FiniteGroup:
                         + (f" at width {ops.width} ({weight} per element)" if weight > 1 else ""))
                 j = seen[y] = len(elements)
                 elements.append(y)
+                to_parent(i)
+                to_via(pos)
             add_edge(j)
-    return FiniteGroup(ops, elements, gens, edges, seen)
+    return FiniteGroup(ops, elements, gens, seen, columns, parent, via)
 
 
 def closure(generators, modulus: int | None = None) -> FiniteGroup:
@@ -272,42 +286,12 @@ def _element_orders(G: FiniteGroup) -> list:
     return orders
 
 
-def _tree(G: FiniteGroup) -> tuple:
-    """The closure's breadth-first tree, built on first use and kept on the
-    group: element j > 0 was first reached along the edge from parent[j - 1]
-    under generator via[j - 1]."""
-    if G._tree is None:
-        # imported on the first walk, so a process that walks no group
-        # loads no extension module for it
-        from array import array
-
-        edges, ngens = G.edges, len(G.generators)
-        parent, via = array("i"), array("i")
-        k = 0
-        for j in range(1, len(G)):
-            # breadth-first numbering: j is first reached after j - 1
-            k = edges.index(j, k)
-            i, pos = divmod(k, ngens)
-            parent.append(i)
-            via.append(pos)
-        G._tree = parent, via
-    return G._tree
-
-
-def _edge_columns(G: FiniteGroup) -> list:
-    """For each generator s, x -> x s as an index list that shares the
-    closure's ints; sliced on each call, so the group keeps no copy."""
-    ngens = len(G.generators)
-    return [G.edges[pos::ngens] for pos in range(ngens)]
-
-
 def _propagate(G: FiniteGroup, start: int, columns) -> list:
     """The index map f with f(1) = start and f(x s) = columns[s][f(x)], down
     the breadth-first tree: parents come first, so no product is taken."""
-    parent, via = _tree(G)
     out = [start]
     append = out.append
-    for i, pos in zip(parent, via):
+    for i, pos in zip(G.parent, G.via):
         append(columns[pos][out[i]])
     return out
 
@@ -316,8 +300,7 @@ def _left_maps(G: FiniteGroup) -> list:
     """For each generator s, x -> s x as an index list, built on first use and
     kept on the group."""
     if G._left_maps is None:
-        columns = _edge_columns(G)
-        G._left_maps = [_propagate(G, G.index[s], columns) for s in G.generators]
+        G._left_maps = [_propagate(G, G.index[s], G.columns) for s in G.generators]
     return G._left_maps
 
 
@@ -327,7 +310,7 @@ def _left_map(G: FiniteGroup, u: int) -> list:
     for s, left in zip(G.generators, _left_maps(G)):
         if G.index[s] == u:
             return left
-    return _propagate(G, u, _edge_columns(G))
+    return _propagate(G, u, G.columns)
 
 
 def _inverse_map(G: FiniteGroup) -> list:
@@ -337,7 +320,7 @@ def _inverse_map(G: FiniteGroup) -> list:
     x -> s^-1 x, and s^-1 is the element whose edge under s leads to 1.
     """
     if G._inverse is None:
-        lefts = [_left_map(G, column.index(0)) for column in _edge_columns(G)]
+        lefts = [_left_map(G, column.index(0)) for column in G.columns]
         G._inverse = _propagate(G, 0, lefts)
     return G._inverse
 
@@ -466,18 +449,18 @@ class GroupAutomorphism:
             raise DomainError(
                 f"expected {len(group.generators)} generator images, got {len(images)}"
             )
-        # Breadth-first discovery numbers each element at its first incoming
-        # edge, so walking the edges in order defines f(x) before any later
+        # Walking the columns in the closure's order meets each element first
+        # at the edge that discovered it, so f(x) is defined before any later
         # edge reads it; passing every edge makes f a homomorphism.
-        rights = [group.ops.right(im) for im in images]
-        ngens = len(images)
+        steps = [(group.ops.right(im), column) for im, column in zip(images, group.columns)]
         image = [group.identity]
-        for k, j in enumerate(group.edges):
-            fy = rights[k % ngens](image[k // ngens])
-            if j == len(image):
-                image.append(fy)
-            elif image[j] != fy:
-                raise DomainError("generator images do not extend to a homomorphism")
+        for i, fx in enumerate(image):  # grows while it is walked, as in the closure
+            for right, column in steps:
+                fy, j = right(fx), column[i]
+                if j == len(image):
+                    image.append(fy)
+                elif image[j] != fy:
+                    raise DomainError("generator images do not extend to a homomorphism")
         return cls(group, map(group.index.__getitem__, image))
 
     @classmethod

@@ -42,7 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from .errors import ConsistencyError, DomainError, integer, rational
+from .errors import (ConsistencyError, DomainError, ResourceLimitError, closure_cap, integer,
+                     rational)
 from .fields import (ScalingAutomorphism, _coprime_base, _is_prime, _lattice_divisors,
                      exponent_vector)
 from .roots import DiagramSymmetry, RootSystem, permutation_order, root_permutation
@@ -73,6 +74,12 @@ def generate_witnesses(rs: RootSystem, count: int) -> WitnessSequence:
     disjoint.  No randomization: certificates stay reproducible.
     """
     integer(count, 1, f"at least one witness is required, got {count}")
+    # every prime is tested from 2 on, so the primes are charged against the
+    # closure cap before the first test
+    cap = closure_cap()
+    if count * rs.rank > cap:
+        raise ResourceLimitError(f"witness count exceeds closure cap {cap} at {rs.rank} "
+                                 "primes per witness")
     primes = list(itertools.islice(filter(_is_prime, itertools.count(2)), count * rs.rank))
     return WitnessSequence(rs, tuple(tuple(primes[i:i + rs.rank])
                                      for i in range(0, len(primes), rs.rank)))

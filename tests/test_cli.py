@@ -325,6 +325,29 @@ def test_witness_scale_broadcast_mismatch(capsys):
     assert report["payload"]["code"] == "domain-error"
 
 
+@pytest.mark.parametrize("at_cap, past_cap, far_past", [
+    # one field scalar per degree
+    (["--count", "3", "--trdeg", "50"], ["--count", "3", "--trdeg", "51"],
+     ["--count", "3", "--trdeg", "9" * 4000]),
+    # two primes per A2 witness
+    (["--count", "25", "--trdeg", "1"], ["--count", "26", "--trdeg", "1"],
+     ["--count", "9" * 4000, "--trdeg", "1"]),
+])
+def test_witness_run_past_the_budget_is_one_resource_limit_document(capsys, monkeypatch, at_cap,
+                                                                   past_cap, far_past):
+    monkeypatch.setenv("TCK_CLOSURE_CAP", "50")
+    run = ["witness", "run", "--type", "A2", "--scale", "2", "--index", "3"]
+    code, report = run_cli(capsys, run + at_cap)
+    assert code == 0 and report["status"] == "ok"
+    for past in (past_cap, far_past):
+        start = time.perf_counter()
+        code, report = run_cli(capsys, run + past)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert report["payload"]["code"] == "resource-limit"
+        assert "closure cap 50" in report["payload"]["message"]
+
+
 def test_verify_filter_and_warning(capsys):
     code, report = run_cli(capsys, ["verify", "suite", "--filter", "integer-spectrum"])
     assert code == 0
@@ -742,10 +765,11 @@ _SCALES = _NUMBERS | st.lists(st.integers(1, 9).map(str) | st.just("1/2"),
                                min_size=2, max_size=3).map(",".join)
 
 
-def _ints(high):
-    """1..high, or an int out of range or a value that is no int."""
+def _ints(high, *past):
+    """1..high, or an int out of range or a value that is no int; past holds
+    further ints out of range."""
     return st.integers(1, high).map(str), st.sampled_from(
-        ["-1", "0", str(high + 1), "x", "1.5", "", "9" * 5000])
+        ["-1", "0", str(high + 1), "x", "1.5", "", "9" * 5000, *past])
 
 
 @st.composite
@@ -768,8 +792,10 @@ def _argv(draw):
                        st.integers(-2, 2), max_size=4).map(lambda c: ",".join(map(str, c)))),
                    "--t": (_NUMBERS, _ODD_NUMBERS)}
     else:
-        options = {"--type": (st.just(name), _ODD_TYPES), "--count": _ints(8),
-                   "--trdeg": _ints(4), "--scale": (_SCALES, _ODD_NUMBERS),
+        # a degree or a count past the cap of 3000, and one that parses but
+        # has 4000 digits
+        options = {"--type": (st.just(name), _ODD_TYPES), "--count": _ints(8, "9" * 4000),
+                   "--trdeg": _ints(4, "3001", "9" * 4000), "--scale": (_SCALES, _ODD_NUMBERS),
                    "--index": _ints(8)}
     odd = draw(st.none() | st.sampled_from(list(options)))
     argv = list(command)

@@ -5,6 +5,7 @@ identity, with the work each kernel does counted."""
 import random
 from collections import Counter
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -414,3 +415,21 @@ def test_smith_normal_form_properties():
         assert list(snf.diagonal) == diag + [0] * (n - len(diag))
     with pytest.raises(DomainError):
         smith_normal_form([[1, 2, 3], [4, 5, 6]])
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_smith_normal_form_is_a_unimodular_diagonalization(a):
+    # drawn matrices beside the fixed list above, and the diagonal's product
+    # checked against the determinant
+    snf = smith_normal_form(a)
+    n = len(a)
+    d = snf.diagonal
+    assert all(x >= 0 for x in d)
+    # each entry divides the next, so zeros trail the chain
+    assert all(following % x == 0 if x else following == 0 for x, following in zip(d, d[1:]))
+    assert dense_mul(dense_mul(snf.left, a), snf.right) == [
+        [d[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    assert abs(int_det(snf.left)) == abs(int_det(snf.right)) == 1
+    assert prod(d) == abs(int_det(a))

@@ -94,6 +94,20 @@ def _right_maps(g, factors):
     return [[g.index[g.mul(y, c)] for y in g.elements] for c in factors]
 
 
+def _assert_walk_records(g):
+    """columns[pos][i] is the index of elements[i] gens[pos], and the tree
+    holds each element's first edge in, found by scanning every edge in the
+    walk's order: element by element, and generator by generator within."""
+    assert list(map(list, g.columns)) == _right_maps(g, g.generators)
+    edges = [column[i] for i in range(len(g)) for column in g.columns]
+    first, k = [], 0
+    for j in range(1, len(g)):
+        k = edges.index(j, k)
+        first.append(divmod(k, len(g.generators)))
+    assert len(g.parent) == len(g.via) == len(g) - 1
+    assert list(zip(g.parent, g.via)) == first
+
+
 def test_perm_product_matches_composition():
     rng = random.Random(31)
     for degree in (0, 1, 2, 5, 8):
@@ -323,6 +337,8 @@ def test_index_maps_match_their_product_definitions(name):
         assert image(conj) == [mul(mul(s, x), inv(s)) for x in elements]
     centre, moves = twisted._center(g)
     assert [image(move) for move in moves] == [image(m) for m in _right_maps(g, centre.generators)]
+    for walked in (g, subgroup(g, [elements[-1], g.generators[0]]), centre):
+        _assert_walk_records(walked)
     autos = all_automorphisms(g)
     phis = autos if len(autos) <= 120 else rng.sample(autos, 8)
     # exchanging the identity with another element is a bijection and no
