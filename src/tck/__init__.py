@@ -17,7 +17,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("ConsistencyError", "DomainError", "ResourceLimitError"),
     "linalg": ("SmithNormalForm", "int_det", "smith_normal_form"),
-    "fields": ("Polynomial", "RationalFunction", "ScalingAutomorphism", "apply_scaling",
+    "fields": ("Polynomial", "RationalFunction", "ScalingAutomorphism",
                "character_lattice_member", "exponent_vector", "supports_pairwise_disjoint"),
     "roots": ("DiagramSymmetry", "RootSystem", "RootSystemType", "build_root_system",
               "diagram_symmetries"),

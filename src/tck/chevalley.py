@@ -61,8 +61,8 @@ from __future__ import annotations
 from math import factorial, lcm, prod
 from operator import mul
 
-from .errors import ConsistencyError, DomainError, integer, rational
-from .fields import Polynomial, RationalFunction, ScalingAutomorphism, apply_scaling, is_prime
+from .errors import ConsistencyError, DomainError, decimal, integer, rational
+from .fields import Polynomial, RationalFunction, ScalingAutomorphism, _is_prime
 from .linalg import ScaledMatrix, mat_product
 from .roots import DiagramSymmetry, RootSystem, root_permutation
 
@@ -326,17 +326,25 @@ class ChevalleyAutomorphism:
         self.field = field
 
     def apply(self, x: ScaledMatrix) -> ScaledMatrix:
+        """The image of x, a ScaledMatrix of the adjoint dimension.  The field
+        map T_i -> c_i T_i lives here: c T^e becomes c prod c_i^e_i in the Z[T]
+        rows and denominator, cleared by one lcm; over Q it fixes every entry."""
         dim = adjoint_dimension(self.rs)
         if not isinstance(x, ScaledMatrix) or len(x.rows) != dim:
             raise DomainError(f"apply takes a ScaledMatrix of dimension {dim}")
         if self._torus is not None:
             x = mat_product([self._torus[0], x, self._torus[1]])
         if self.field is not None and not isinstance(x.den, int):
-            # T_i -> c_i T_i on the numerators and the denominator, cleared by
-            # one lcm so the image stays in Z[T]; over Q the field part fixes
-            # every entry
-            den, *values = _clear([apply_scaling(self.field, v) for v in
-                                   (x.den, *(v for row in x.rows for v in row.values()))])
+            scalars = self.field.scalars
+            scaled = []
+            for f in (x.den, *(v for row in x.rows for v in row.values())):
+                if not isinstance(f, Polynomial):
+                    raise DomainError("the field part expects a Polynomial entry over Q(T)")
+                if f.nvars != len(scalars):
+                    raise DomainError("an entry and the field part disagree on variable count")
+                scaled.append(Polynomial(f.nvars, {e: c * prod(map(pow, scalars, e))
+                                                   for e, c in f.terms.items()}))
+            den, *values = _clear(scaled)
             values = iter(values)
             x = ScaledMatrix([{j: next(values) for j in row} for row in x.rows], den)
         if self._graph_realization is not None:
@@ -457,8 +465,8 @@ def _scaled_product(rs: RootSystem, parameters) -> ScaledMatrix:
 
 def reduce_mod_p(x, p: int) -> list[list[int]]:
     """Entrywise reduction of a rational matrix modulo a prime."""
-    message = f"{p} is not prime"
-    if not is_prime(integer(p, 2, message)):
+    message = f"{decimal(p)} is not prime"
+    if not _is_prime(integer(p, 2, message)):
         raise DomainError(message)
     out = []
     for i, row in enumerate(x):
@@ -466,7 +474,8 @@ def reduce_mod_p(x, p: int) -> list[list[int]]:
         for j, entry in enumerate(row):
             entry = rational(entry)
             if entry.denominator % p == 0:
-                raise DomainError(f"entry ({i}, {j}) = {entry} has denominator divisible by {p}")
+                raise DomainError(
+                    f"entry ({i}, {j}) = {decimal(entry)} has denominator divisible by {p}")
             new_row.append(entry.numerator * pow(entry.denominator, -1, p) % p)
         out.append(new_row)
     return out

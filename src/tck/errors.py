@@ -7,14 +7,17 @@ cross-checks that can only fail on a bug in this package.  Each carries the
 
 Every public int or rational parameter passes one of the two gates below, so
 a bool, float, string or other inexact value is a DomainError, not converted.
+A message shows a value through ``decimal``, which cannot raise, so a value
+past Python's int/str digit limit still ends in the error meant for it.
 
 The closure cap, ``closure_cap()``, is set by TCK_CLOSURE_CAP and counted in
 elements; an element of width w (a permutation's degree, a matrix's entry
 count) counts ``width_charge(w)`` = ceil(w / 64) against it.  Closures of
 finite groups charge each element they keep, and a root system charges one
 adjoint element of width dim^2 before it builds anything; a witness sequence
-charges its primes, and the CLI's ``witness run`` its field scalars, before
-the first is made.
+charges its primes, the CLI's ``witness run`` its field scalars, and the
+automorphism search its candidate generator images, before the first is
+made.
 """
 
 import os
@@ -42,13 +45,26 @@ class ConsistencyError(AssertionError):
     code = "internal-inconsistency"
 
 
+def decimal(value, show=str) -> str:
+    """show(value), or where that passes Python's int/str digit limit, a bound
+    on an int, ">= 2^k" or "<= -2^k" with k = bit_length - 1, and the type's
+    name for anything else."""
+    try:
+        return show(value)
+    except ValueError:
+        if type(value) is not int:
+            return f"a {type(value).__name__} past the digit limit"
+        bound = f"2^{value.bit_length() - 1}"
+        return f">= {bound}" if value > 0 else f"<= -{bound}"
+
+
 def rational(value) -> Fraction:
     """An int as a Fraction, a Fraction as itself; anything else is a DomainError."""
     if isinstance(value, Fraction):
         return value
     if type(value) is int:
         return Fraction(value)
-    raise DomainError(f"unsupported scalar {value!r}")
+    raise DomainError(f"unsupported scalar {decimal(value, repr)}")
 
 
 def integer(value, least: int | None, message: str) -> int:
@@ -56,7 +72,7 @@ def integer(value, least: int | None, message: str) -> int:
     any int when least is None; DomainError(message) below least, and one
     naming the value for other types."""
     if type(value) is not int:
-        raise DomainError(f"{message}: {value!r} is not an int")
+        raise DomainError(f"{message}: {decimal(value, repr)} is not an int")
     if least is not None and value < least:
         raise DomainError(message)
     return value

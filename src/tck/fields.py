@@ -8,10 +8,12 @@ coefficients' type, so the scaled generator matrices of ``chevalley`` stay in
 Z[T].  In one variable a polynomial has a gcd, by primitive remainder
 sequences with the content split off, and exact division; ``linalg`` inverts
 and compares scaled Q(T) matrices with them.  Rational functions are
-normalized quotients of polynomials over Fraction coefficients, and scaling
-automorphisms act by T_i -> c_i T_i with nonzero rational c_i.  Rationals
-whose prime supports are pairwise disjoint are multiplicatively independent,
-which is what keeps distinct witnesses apart.  Supports are decided by gcds
+normalized quotients of polynomials over Fraction coefficients.  A scaling
+automorphism T_i -> c_i T_i is held as its nonzero rational scalars c_i; it
+acts on matrices only as the field part of ``ChevalleyAutomorphism.apply``
+in ``chevalley``, which scales their Z[T] rows.  Rationals whose prime
+supports are pairwise disjoint are multiplicatively independent, which is
+what keeps distinct witnesses apart.  Supports are decided by gcds
 and by stripping pairwise coprime bases, never by factoring.
 """
 
@@ -22,18 +24,13 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 
-from .errors import ConsistencyError, DomainError, integer, rational
+from .errors import ConsistencyError, DomainError, decimal, integer, rational
 from .linalg import smith_normal_form
 
 Exponent = tuple[int, ...]
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MILLER_RABIN_BOUND = 3317044064679887385961981
-
-
-def is_prime(n: int) -> bool:
-    """Whether the int n is prime, by ``_is_prime``."""
-    return _is_prime(integer(n, None, "primality is decided for ints"))
 
 
 def _is_prime(n: int) -> bool:
@@ -43,7 +40,7 @@ def _is_prime(n: int) -> bool:
     86, 2017); larger n raise DomainError, since a probable answer is not exact.
     """
     if n >= _MILLER_RABIN_BOUND:
-        raise DomainError(f"primality of {n} is only decided below {_MILLER_RABIN_BOUND}")
+        raise DomainError(f"primality of {decimal(n)} is only decided below {_MILLER_RABIN_BOUND}")
     if n < 2:
         return False
     for p in _MILLER_RABIN_BASES:
@@ -64,14 +61,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def strip_power(n: int, b: int) -> tuple[int, int]:
-    """``_strip_power`` for an int n != 0 and an int b >= 2."""
-    message = "strip_power needs an int n != 0 and an int base b >= 2"
-    if not integer(n, None, message):
-        raise DomainError(message)
-    return _strip_power(n, integer(b, 2, message))
 
 
 def _strip_power(n: int, b: int) -> tuple[int, int]:
@@ -159,10 +148,6 @@ class Polynomial:
     def __init__(self, nvars: int, terms: dict[Exponent, Fraction | int]):
         self.nvars = nvars
         self.terms = terms
-
-    @classmethod
-    def zero(cls, nvars: int) -> "Polynomial":
-        return cls.constant(nvars, 0)
 
     @classmethod
     def constant(cls, nvars: int, value) -> "Polynomial":
@@ -545,7 +530,8 @@ class RationalFunction:
 
 @dataclass(frozen=True)
 class ScalingAutomorphism:
-    """Field automorphism of Q(T1,...,Tk) sending T_i to scalars[i]*T_i."""
+    """Field automorphism of Q(T1,...,Tk) sending T_i to scalars[i]*T_i, held
+    as its scalars; ``ChevalleyAutomorphism.apply`` carries its action."""
 
     scalars: tuple[Fraction, ...]
 
@@ -558,19 +544,6 @@ class ScalingAutomorphism:
     @property
     def variable_count(self) -> int:
         return len(self.scalars)
-
-    def character(self, exps) -> Fraction:
-        """Multiplier picked up by the monomial with the given int exponents."""
-        exps = [integer(e, None, "monomial exponent") for e in exps]
-        if len(exps) != self.variable_count:
-            raise DomainError(f"{len(exps)} exponents for {self.variable_count} variables")
-        return self._character(exps)
-
-    def _character(self, exps) -> Fraction:
-        out = Fraction(1)
-        for c, e in zip(self.scalars, exps):
-            out *= c ** e
-        return out
 
     def compose(self, other: "ScalingAutomorphism") -> "ScalingAutomorphism":
         if not isinstance(other, ScalingAutomorphism):
@@ -586,23 +559,6 @@ class ScalingAutomorphism:
     @classmethod
     def identity(cls, nvars: int) -> "ScalingAutomorphism":
         return cls((Fraction(1),) * integer(nvars, 0, "variable count is an int >= 0"))
-
-
-def _scale_polynomial(delta: ScalingAutomorphism, p: Polynomial) -> Polynomial:
-    if p.nvars != delta.variable_count:
-        raise DomainError("polynomial and scaling automorphism disagree on variable count")
-    return Polynomial(p.nvars, {e: c * delta._character(e) for e, c in p.terms.items()})
-
-
-def apply_scaling(delta: ScalingAutomorphism, f):
-    """Image of f, a Polynomial or a RationalFunction, under T_i -> c_i T_i."""
-    if not isinstance(delta, ScalingAutomorphism):
-        raise DomainError("apply_scaling expects a ScalingAutomorphism")
-    if isinstance(f, Polynomial):
-        return _scale_polynomial(delta, f)
-    if not isinstance(f, RationalFunction):
-        raise DomainError("apply_scaling expects a Polynomial or a RationalFunction")
-    return RationalFunction(_scale_polynomial(delta, f.num), _scale_polynomial(delta, f.den))
 
 
 def _lattice_divisors(rows, width: int):

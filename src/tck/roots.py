@@ -25,8 +25,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm, prod
 
-from .errors import (ConsistencyError, DomainError, ResourceLimitError, closure_cap, integer,
-                     width_charge)
+from .errors import (ConsistencyError, DomainError, ResourceLimitError, closure_cap, decimal,
+                     integer, width_charge)
 
 Root = tuple[int, ...]
 
@@ -48,16 +48,6 @@ def _root_count(family: str, rank: int) -> int | None:
     if (family, rank) == ("G", 2):
         return 12
     return None
-
-
-def _decimal(value: int) -> str:
-    """value in decimal, or a lower bound where it has more digits than Python
-    prints: an int rank given in-process need not print, nor need the width of
-    a rank of a few thousand digits, which parses."""
-    try:
-        return str(value)
-    except ValueError:
-        return f">= 2^{value.bit_length() - 1}"
 
 
 @dataclass(frozen=True)
@@ -87,7 +77,7 @@ class RootSystemType:
         return cls(text[0].upper(), rank)
 
     def __str__(self):
-        return f"{self.family}{_decimal(self.rank)}"
+        return f"{self.family}{decimal(self.rank)}"
 
 
 def _cartan_matrix(family: str, rank: int) -> list[list[int]]:
@@ -146,7 +136,7 @@ class RootSystem:
         if charge > cap:
             raise ResourceLimitError(
                 f"root system {type_} exceeds closure cap {cap}: one adjoint element "
-                f"of width {_decimal(dim * dim)} counts {_decimal(charge)}")
+                f"of width {decimal(dim * dim)} counts {decimal(charge)}")
         self.type = type_
         self.rank = type_.rank
         self.cartan = tuple(tuple(row) for row in _cartan_matrix(type_.family, type_.rank))

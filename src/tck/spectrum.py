@@ -21,8 +21,8 @@ from fractions import Fraction
 from math import gcd
 from typing import TYPE_CHECKING
 
-from .errors import ConsistencyError, DomainError, integer, rational
-from .fields import _strip_power, exponent_vector, is_prime
+from .errors import ConsistencyError, DomainError, decimal, integer, rational
+from .fields import _is_prime, _strip_power, exponent_vector
 from .linalg import int_det, smith_normal_form
 
 if TYPE_CHECKING:
@@ -254,13 +254,14 @@ def _unit_power(p: int, value: Fraction) -> None:
     if exponent_vector(value, [p]) is None:
         cofactor = Fraction(_strip_power(abs(value.numerator), p)[1],
                             _strip_power(value.denominator, p)[1])
-        raise DomainError(f"{value} is not a unit once {p} is inverted (cofactor {cofactor})")
+        raise DomainError(f"{decimal(value)} is not a unit once {p} is inverted "
+                          f"(cofactor {decimal(cofactor)})")
 
 
 def metabelian_spectrum(r, s, p: int) -> SpectrumDescriptor:
     """Spectrum descriptor for diag(r, s) acting on the rank-two p-local lattice."""
-    message = f"{p} is not prime"
-    if not is_prime(integer(p, 2, message)):
+    message = f"{decimal(p)} is not prime"
+    if not _is_prime(integer(p, 2, message)):
         raise DomainError(message)
     r, s = rational(r), rational(s)
     _unit_power(p, r)

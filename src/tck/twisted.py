@@ -52,12 +52,12 @@ import sys
 from array import array
 from dataclasses import dataclass
 from itertools import chain, product as cartesian_product
-from math import gcd
+from math import gcd, prod
 from operator import itemgetter, mul as scalar_mul
 from typing import Iterable
 
-from .errors import (ConsistencyError, DomainError, ResourceLimitError, closure_cap, integer,
-                     width_charge)
+from .errors import (ConsistencyError, DomainError, ResourceLimitError, closure_cap, decimal,
+                     integer, width_charge)
 
 
 class PermOps:
@@ -366,12 +366,20 @@ def all_automorphisms(G: FiniteGroup) -> list["GroupAutomorphism"]:
     first = _left_maps(G)[0]
     reps = [i for i in _orbit_ids(len(G), conj)[1] if orders[i] == orders[at_gens[0]]]
     targets = [(orders[j], orders[first[j]]) for j in at_gens[1:]]
-    found = {}  # generator image indices -> image indices of every element
+    searches = []
     for r in reps:
         left = _left_map(G, r)
-        pools = [[y for i, y in enumerate(elements)
-                  if orders[i] == o and orders[left[i]] == o_product]
-                 for o, o_product in targets]
+        searches.append((r, [[y for i, y in enumerate(elements)
+                              if orders[i] == o and orders[left[i]] == o_product]
+                             for o, o_product in targets]))
+    # the candidate tuples grow as |G|^(generators - 1), so all of them are
+    # charged against the closure cap before the first is tried
+    cap, candidates = closure_cap(), sum(prod(map(len, pools)) for _, pools in searches)
+    if candidates > cap:
+        raise ResourceLimitError(f"automorphism search exceeds closure cap {cap}: "
+                                 f"{decimal(candidates)} candidate generator images")
+    found = {}  # generator image indices -> image indices of every element
+    for r, pools in searches:
         for images in cartesian_product([elements[r]], *pools):
             if tuple(index[x] for x in images) in found:
                 continue

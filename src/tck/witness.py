@@ -42,8 +42,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from .errors import (ConsistencyError, DomainError, ResourceLimitError, closure_cap, integer,
-                     rational)
+from .errors import (ConsistencyError, DomainError, ResourceLimitError, closure_cap, decimal,
+                     integer, rational)
 from .fields import (ScalingAutomorphism, _coprime_base, _is_prime, _lattice_divisors,
                      exponent_vector)
 from .roots import DiagramSymmetry, RootSystem, permutation_order, root_permutation
@@ -73,7 +73,7 @@ def generate_witnesses(rs: RootSystem, count: int) -> WitnessSequence:
     from 2, 3, 5, ... with rank-many per witness, so the blocks are pairwise
     disjoint.  No randomization: certificates stay reproducible.
     """
-    integer(count, 1, f"at least one witness is required, got {count}")
+    integer(count, 1, f"at least one witness is required, got {decimal(count)}")
     # every prime is tested from 2 on, so the primes are charged against the
     # closure cap before the first test
     cap = closure_cap()
@@ -154,7 +154,7 @@ class ProductAutomorphism:
         self.variable_count = counts.pop() if counts else 0
         k = len(factors)
         if not {int}.issuperset(map(type, permutation)) or sorted(permutation) != list(range(k)):
-            raise DomainError(f"permutation {permutation} does not rearrange 0..{k - 1}")
+            raise DomainError(f"permutation {decimal(permutation)} does not rearrange 0..{k - 1}")
         self.rs = rs = factors[0].rs
         self.factors = factors
         self.permutation = permutation
@@ -277,7 +277,7 @@ def _certify(rs: RootSystem, primes, exponents: Rows, scaling: ScalingAutomorphi
     if not isinstance(scaling, ScalingAutomorphism):
         raise DomainError("a scaling automorphism is required")
     count = len(primes)
-    message = f"index {index} outside the witness range 1..{count}"
+    message = f"index {decimal(index)} outside the witness range 1..{count}"
     if integer(index, 1, message) > count:
         raise DomainError(message)
     # Each witness holds rank ints and no two share one, checked as sets.

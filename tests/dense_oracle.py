@@ -1,6 +1,6 @@
 """The tests' dense matrix oracle, independent of ``tck.linalg``: the plain
-triple-loop product, a product of several, the identity, and a determinant
-by Gaussian elimination.
+triple-loop product, a product of several, the identity, a determinant by
+Gaussian elimination, and the field map T_i -> c_i T_i on one entry.
 
 Every dense reference route in the tests multiplies through here.  A factor
 may be a nested list or a ``ScaledMatrix``, which reads as its dense view.
@@ -8,6 +8,8 @@ may be a nested list or a ``ScaledMatrix``, which reads as its dense view.
 
 from fractions import Fraction
 from functools import reduce
+
+from tck import RationalFunction
 
 
 def dense_mul(a, b):
@@ -56,3 +58,24 @@ def mat_det(a):
                 factor = work[r][col] / p
                 work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
     return det if sign == 1 else -det
+
+
+def substitute(entry, scalars):
+    """entry(c_1 T_1, ..., c_k T_k) for the scalars c_i: a RationalFunction's
+    numerator and denominator are summed term by term in RationalFunction
+    arithmetic on the c_i T_i, sharing no code with the field part of
+    ``ChevalleyAutomorphism.apply``; a rational entry is fixed."""
+    if not isinstance(entry, RationalFunction):
+        return entry
+    images = [RationalFunction.variable(entry.nvars, i) * c for i, c in enumerate(scalars)]
+
+    def evaluate(p):
+        total = RationalFunction.constant(entry.nvars, 0)
+        for exps, c in p.terms.items():
+            term = RationalFunction.constant(entry.nvars, c)
+            for image, e in zip(images, exps, strict=True):
+                term = term * image ** e
+            total = total + term
+        return total
+
+    return evaluate(entry.num) / evaluate(entry.den)

@@ -18,7 +18,9 @@ source runs, and every line executed in src/tck:
       timed part and its oracle, over ROUNDS rounds at seed SEED.
 
 It prints one line per function defined in src/tck, "module:qualified.name"
-and the sources that reach it, unreached functions first, then a count.
+and the sources that reach it, unreached functions first, then a count.  An
+unreached function is marked public when no part of its qualified name
+starts with an underscore, and the count says how many are.
 Lambdas and comprehensions are not listed: they run inside a function that
 is.  A second section lists, per function, the statements in its body that
 no source reaches, docstrings left out: the branches that the first section
@@ -201,13 +203,21 @@ def main() -> int:
     for module, name in defined_functions():
         sources = [source for source, functions in sorted(reached.items())
                    if (module, name) in functions]
-        rows.append((bool(sources), f"{module}:{name}", ", ".join(sources) or "UNREACHED"))
+        if sources:
+            label = ", ".join(sources)
+        elif any(part.startswith("_") for part in name.split(".")):
+            label = "UNREACHED"
+        else:
+            label = "UNREACHED public"
+        rows.append((bool(sources), f"{module}:{name}", label))
     rows.sort()
     width = max(len(name) for _, name, _ in rows)
-    for _, name, sources in rows:
-        print(f"{name:<{width}}  {sources}")
+    for _, name, label in rows:
+        print(f"{name:<{width}}  {label}")
     unreached = sum(not hit for hit, _, _ in rows)
-    print(f"{unreached} of {len(rows)} functions unreached; sources: {', '.join(sorted(reached))}")
+    public = sum(label == "UNREACHED public" for _, _, label in rows)
+    print(f"{unreached} of {len(rows)} functions unreached, {public} of them public; "
+          f"sources: {', '.join(sorted(reached))}")
     entered = set().union(*reached.values())
     missed = total = 0
     print("\nstatements no source reaches, in the functions that some source enters:")

@@ -38,7 +38,6 @@ from tck.chevalley import (
     _scaled_x_alpha,
     bracket_coordinates,
 )
-from tck.fields import apply_scaling
 from tck.linalg import (
     ScaledMatrix,
     diagonal_entries,
@@ -48,7 +47,7 @@ from tck.linalg import (
     mat_product,
 )
 
-from dense_oracle import dense_mul, dense_product, identity
+from dense_oracle import dense_mul, dense_product, identity, substitute
 
 SCALARS = (Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 2), Fraction(-3, 5))
 T = RationalFunction.variable(1, 0)
@@ -845,8 +844,7 @@ def _dense_outer_parts(rs, entries, delta, sigma, x):
     parts, with the field acting entrywise on rational functions."""
     D, D_inverse = _dense_torus_pair(entries, rs.rank)
     y = dense_product([D, x, D_inverse])
-    y = [[apply_scaling(delta, e) if isinstance(e, RationalFunction) else e for e in row]
-         for row in y]
+    y = [[substitute(e, delta.scalars) for e in row] for row in y]
     P = _signed_permutation_matrix(rs, sigma, GraphMatrixRealization(rs, sigma))
     return dense_product([P, y, [list(column) for column in zip(*P)]])
 
@@ -868,6 +866,21 @@ def test_composite_automorphism_matches_the_dense_route(case):
         image = phi.apply(x)
         assert isinstance(image, ScaledMatrix)
         assert image == _dense_outer_parts(rs, entries, delta, sigma, x), (name, alpha)
+
+
+@pytest.mark.parametrize("case", range(3), ids=["Q", "Q(T)", "Q(T1,T2)"])
+def test_composite_automorphism_is_multiplicative(case):
+    # phi(x y) = phi(x) phi(y) with diagonal, field and graph parts, the
+    # products taken on scaled matrices
+    name, simple, scalars, (s, u) = _composite_cases()[case]
+    rs = build_root_system(name)
+    sigma = next(sym for sym in diagram_symmetries(rs) if sym.order == 2)
+    phi = ChevalleyAutomorphism(rs, diagonal=simple, graph=sigma,
+                                field=ScalingAutomorphism(scalars))
+    a, top = rs.positive_roots[0], rs.positive_roots[-1]
+    for x, y in ((x_alpha(rs, a, s), x_alpha(rs, rs.negate(a), u)),
+                 (x_alpha(rs, top, u), h_alpha(rs, a, s))):
+        assert phi.apply(mat_mul(x, y)) == mat_mul(phi.apply(x), phi.apply(y)), name
 
 
 def test_apply_rejects_matrices_of_the_wrong_shape():
@@ -910,9 +923,8 @@ def test_field_part_keeps_the_image_in_int_polynomials():
         image = phi.apply(x)
         values = (image.den, *(v for row in image.rows for v in row.values()))
         assert all(type(c) is int for f in values for c in f.terms.values()), t
-        scaled = ScaledMatrix([{j: apply_scaling(delta, v) for j, v in row.items()}
-                               for row in x.rows], apply_scaling(delta, x.den))
-        assert image == scaled and scaled == image, t
+        expected = [[substitute(e, delta.scalars) for e in row] for row in x]
+        assert image == expected and expected == image, t
 
 
 def test_field_part_accepts_every_scalar_type():
@@ -928,8 +940,7 @@ def test_field_part_accepts_every_scalar_type():
     assert phi.apply(rational) == rational
     for t in (T, 1 / (T + 1), (T * T + 3) / (T * 2 - 5), T - T + 2):
         x = mat_product([x_alpha(rs, alpha, t), x_alpha(rs, rs.negate(alpha), Fraction(1, 2))])
-        expected = [[apply_scaling(delta, e) if isinstance(e, RationalFunction) else e
-                     for e in row] for row in x]
+        expected = [[substitute(e, delta.scalars) for e in row] for row in x]
         assert phi.apply(x) == expected, t
     P = Polynomial.variable(1, 0)
     P1 = Polynomial.variable(2, 0)

@@ -880,7 +880,7 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
 
 
 def test_package_namespace_is_complete():
-    assert len(tck.__all__) == len(set(tck.__all__)) == 66
+    assert len(tck.__all__) == len(set(tck.__all__)) == 65
     for name in tck.__all__:
         value = getattr(tck, name)
         home = value.__module__  # INFINITY's is its class's, tck.spectrum

@@ -20,9 +20,9 @@ from tck import (
     Polynomial,
     ProductAutomorphism,
     RationalFunction,
+    ResourceLimitError,
     ScalingAutomorphism,
     abelian_oracle_count,
-    apply_scaling,
     build_root_system,
     closure,
     cokernel_order_mod,
@@ -42,8 +42,8 @@ from tck import (
     telescoping_product_check,
     zn_fullness_witness,
 )
-from tck.errors import integer, rational
-from tck.fields import is_prime, strip_power
+from tck.errors import decimal, integer, rational
+from tck.fields import _is_prime, _strip_power
 
 A2 = build_root_system("A2")
 WITNESSES = generate_witnesses(A2, 4)
@@ -117,13 +117,10 @@ WRONG_KINDS = {
     "rational function power bool": (lambda: T_OVER_1 ** True, "True is not an int"),
     # a float result, a float computed before the refusal, a bool accepted,
     # or an untyped TypeError or AttributeError before the gates
-    "scaling character float": (lambda: SCALING.character((1.5,)), "1.5 is not an int"),
-    "scaling character too long": (lambda: SCALING.character((1, 2)), "2 exponents for 1 var"),
     "scaling power float": (lambda: SCALING ** 1.5, "1.5 is not an int"),
     "scaling power bool": (lambda: SCALING ** True, "True is not an int"),
     "scaling identity bool": (lambda: ScalingAutomorphism.identity(True), "True is not an int"),
     "scaling compose int": (lambda: SCALING.compose(5), "composes with a ScalingAutomorphism"),
-    "apply_scaling int": (lambda: apply_scaling(5, T), "expects a ScalingAutomorphism"),
     "exponent base float": (lambda: exponent_vector(6, [2.0, 3]), "2.0 is not an int"),
     "polynomial variable bool": (lambda: Polynomial.variable(True, 0), "True is not an int"),
     "polynomial variable float": (lambda: Polynomial.variable(1.0, 0), "1.0 is not an int"),
@@ -144,15 +141,8 @@ WRONG_KINDS = {
     "product None permutation": (lambda: ProductAutomorphism([GRAPH], None), "and a permutation"),
     "product int factor": (lambda: ProductAutomorphism([5], (0,)),
                            "factor 0 is not a Chevalley automorphism"),
-    # answered for a float, or a loop that never ended
-    "is_prime float": (lambda: is_prime(7.0), "7.0 is not an int"),
-    "is_prime bool": (lambda: is_prime(True), "True is not an int"),
-    "strip_power float": (lambda: strip_power(6.0, 2), "6.0 is not an int"),
-    "strip_power float base": (lambda: strip_power(6, 2.0), "2.0 is not an int"),
-    "strip_power base 1": (lambda: strip_power(6, 1), "^strip_power needs an int n != 0"),
-    "strip_power base -1": (lambda: strip_power(6, -1), "^strip_power needs an int n != 0"),
-    "strip_power zero": (lambda: strip_power(0, 2), "^strip_power needs an int n != 0"),
-    "polynomial zero float": (lambda: Polynomial.zero(1.5), "1.5 is not an int"),
+    # the zero polynomial is the constant 0
+    "polynomial zero float": (lambda: Polynomial.constant(1.5, 0), "1.5 is not an int"),
     "polynomial constant float": (lambda: Polynomial.constant(1.5, 2), "1.5 is not an int"),
 }
 
@@ -184,13 +174,13 @@ VALID = {
     "closure modulus": (lambda: len(closure([SHEAR], modulus=7)), 7),
     "polynomial power": (lambda: T ** 2 == T * T, True),
     "rational function power": (lambda: T_OVER_1 ** -2 == (T_OVER_1 ** 2).reciprocal(), True),
-    "scaling character": (lambda: SCALING.character((3,)), 8),
     "scaling power": (lambda: (SCALING ** -2).scalars, (Fraction(1, 4),)),
     "exponent base": (lambda: exponent_vector(Fraction(4, 3), [2, 3]), [2, -1]),
     "subgroup": (lambda: len(subgroup(S3, [(1, 0, 2)])), 2),
-    "is_prime": (lambda: [n for n in range(-2, 12) if is_prime(n)], [2, 3, 5, 7, 11]),
-    "strip_power": (lambda: strip_power(-24, 2), (3, -3)),
-    "polynomial zero": (lambda: Polynomial.zero(2).nvars, 2),
+    # the ungated cores that the gated callers above run on ints
+    "is_prime": (lambda: [n for n in range(-2, 12) if _is_prime(n)], [2, 3, 5, 7, 11]),
+    "strip_power": (lambda: _strip_power(-24, 2), (3, -3)),
+    "polynomial zero": (lambda: Polynomial.constant(2, 0).nvars, 2),
 }
 
 
@@ -214,6 +204,56 @@ def test_gates_pass_exact_values_through():
         if not isinstance(value, Fraction):
             with pytest.raises(DomainError, match="^unsupported scalar"):
                 rational(value)
+
+
+HUGE = 10**5000  # more digits than Python prints
+HUGE_BOUND = r"2\^16609"
+
+# Each call formatted its value into the message before any gate ran, so it
+# ended in an untyped ValueError from the int/str digit limit; the messages
+# of printable values are unchanged.
+PAST_THE_DIGIT_LIMIT = {
+    "witness count": (lambda: generate_witnesses(A2, HUGE), ResourceLimitError,
+                      "^witness count exceeds closure cap 200000 at 2 primes per witness$"),
+    "negative witness count": (lambda: generate_witnesses(A2, -HUGE), DomainError,
+                               f"^at least one witness is required, got <= -{HUGE_BOUND}$"),
+    "witness count 0": (lambda: generate_witnesses(A2, 0), DomainError,
+                        "^at least one witness is required, got 0$"),
+    "metabelian prime": (lambda: metabelian_spectrum(1, 1, HUGE), DomainError,
+                         f"^primality of >= {HUGE_BOUND} is only decided below "
+                         "3317044064679887385961981$"),
+    "negative metabelian prime": (lambda: metabelian_spectrum(1, 1, -HUGE), DomainError,
+                                  f"^<= -{HUGE_BOUND} is not prime$"),
+    "reduce prime": (lambda: reduce_mod_p([[1]], HUGE), DomainError,
+                     f"^primality of >= {HUGE_BOUND} is only decided below "),
+    "reduce prime 4": (lambda: reduce_mod_p([[1]], 4), DomainError, "^4 is not prime$"),
+    "reduce prime 10**30": (lambda: reduce_mod_p([[1]], 10**30), DomainError,
+                            f"^primality of {10**30} is only decided below "
+                            "3317044064679887385961981$"),
+    "primality": (lambda: _is_prime(HUGE), DomainError, f"^primality of >= {HUGE_BOUND} "),
+    "certificate index": (lambda: _certify(index=HUGE), DomainError,
+                          f"^index >= {HUGE_BOUND} outside the witness range 1..4$"),
+    "int gate": (lambda: integer(Fraction(HUGE), 1, "count"), DomainError,
+                 "^count: a Fraction past the digit limit is not an int$"),
+    "rational gate": (lambda: rational([HUGE]), DomainError,
+                      "^unsupported scalar a list past the digit limit$"),
+}
+
+
+@pytest.mark.parametrize("case", PAST_THE_DIGIT_LIMIT.values(), ids=PAST_THE_DIGIT_LIMIT.keys())
+def test_values_past_the_digit_limit_end_in_typed_errors(case, monkeypatch):
+    call, error, message = case
+    monkeypatch.delenv("TCK_CLOSURE_CAP", raising=False)
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_decimal_bounds_what_it_cannot_print():
+    assert decimal(-5) == "-5" and decimal(Fraction(1, 2)) == "1/2"
+    assert decimal("2", repr) == "'2'"
+    assert decimal(2 ** 20000) == ">= 2^20000"
+    assert decimal(-2 ** 20000 - 1) == "<= -2^20000"
+    assert decimal((HUGE,)) == "a tuple past the digit limit"
 
 
 def _bool_isinstance_calls(tree):

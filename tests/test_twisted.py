@@ -974,6 +974,27 @@ def test_closure_cap(monkeypatch):
         s4()
 
 
+def test_the_automorphism_search_is_charged_before_it_runs(monkeypatch):
+    # S5 closed from its 10 transpositions has 10339840 candidate tuples of
+    # generator images, far past the cap; from a transposition and a 5-cycle
+    # it has 12
+    monkeypatch.delenv("TCK_CLOSURE_CAP", raising=False)
+    transpositions = []
+    for a, b in ((a, b) for b in range(5) for a in range(b)):
+        p = list(range(5))
+        p[a], p[b] = b, a
+        transpositions.append(tuple(p))
+    g = closure(transpositions)
+    start = time.perf_counter()
+    with pytest.raises(ResourceLimitError,
+                       match="^automorphism search exceeds closure cap 200000: 10339840 "
+                             "candidate generator images$"):
+        all_automorphisms(g)
+    assert time.perf_counter() - start < 1.0
+    monkeypatch.setenv("TCK_CLOSURE_CAP", "120")
+    assert len(all_automorphisms(s5())) == 120
+
+
 def test_the_closure_cap_counts_element_width(monkeypatch):
     # an element of up to 64 entries counts 1 against the cap; a wider one
     # counts ceil(width / 64), and the message names its width
