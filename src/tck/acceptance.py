@@ -9,67 +9,23 @@ seed.
 
 import random
 import time
-from dataclasses import dataclass
+from collections.abc import Callable
 from fractions import Fraction
 from math import gcd, prod
-from typing import Callable
 
-from .errors import ConsistencyError, DomainError
-from .fields import ScalingAutomorphism, exponent_vector, supports_pairwise_disjoint
-from .linalg import diagonal_entries, int_det, is_diagonal, mat_inv, mat_mul, mat_product
-from .roots import build_root_system, diagram_symmetries
-from .chevalley import (
-    ChevalleyAutomorphism,
-    commutator_relation_check,
-    h_alpha,
-    n_alpha,
-    reduce_mod_p,
-    x_alpha,
-)
-from .twisted import (
-    GroupAutomorphism,
-    all_automorphisms,
-    center,
-    closure,
-    induced_reidemeister_number,
-    inner_twist_invariance,
-    isogredience_count,
-    reidemeister_number,
-    subgroup,
-    telescoping_product_check,
-)
-from .spectrum import (
-    INFINITY,
-    ExtendedCount,
-    abelian_oracle_count,
-    cokernel_order_mod,
-    heisenberg_cokernel_product,
-    heisenberg_oracle,
-    heisenberg_reidemeister,
-    metabelian_spectrum,
-    reidemeister_zn,
-    zn_fullness_witness,
-)
-from .witness import (
-    ProductAutomorphism,
-    generate_witnesses,
-    obstruction_check,
-    pattern_determinant,
-    project_product_to_first_factor,
-    reduced_obstruction_check,
-)
+from .errors import ConsistencyError, DomainError, Record
+
+# Each criterion imports the layers it runs, so one criterion loads only those.
 
 
-@dataclass(frozen=True)
-class CriterionCheck:
+class CriterionCheck(Record):
     number: int
     name: str
     budget_seconds: float
     runner: Callable[[], str]
 
 
-@dataclass(frozen=True)
-class CriterionOutcome:
+class CriterionOutcome(Record):
     number: int
     name: str
     passed: bool
@@ -108,28 +64,27 @@ def _require(condition, context="check failed"):
 
 
 # Standard finite test groups; generators as in the twisted-module encodings.
-
-def _s3():
-    return closure([(1, 0, 2), (1, 2, 0)])
-
-
-def _s4():
-    return closure([(1, 0, 2, 3), (1, 2, 3, 0)])
-
-
-def _d4():
-    return closure([(1, 2, 3, 0), (3, 2, 1, 0)])
+_GROUPS = {
+    "S3": ([(1, 0, 2), (1, 2, 0)], None),
+    "S4": ([(1, 0, 2, 3), (1, 2, 3, 0)], None),
+    "D4": ([(1, 2, 3, 0), (3, 2, 1, 0)], None),
+    "Q8": ([((0, 2), (1, 0)), ((1, 1), (1, 2))], 3),
+    "SL(2,3)": ([((1, 1), (0, 1)), ((1, 0), (1, 1))], 3),
+}
 
 
-def _q8():
-    return closure([((0, 2), (1, 0)), ((1, 1), (1, 2))], modulus=3)
+def _group(name):
+    from .twisted import closure
 
-
-def _sl23():
-    return closure([((1, 1), (0, 1)), ((1, 0), (1, 1))], modulus=3)
+    generators, modulus = _GROUPS[name]
+    return closure(generators, modulus=modulus)
 
 
 def _a1_mod3():
+    from .chevalley import reduce_mod_p, x_alpha
+    from .roots import build_root_system
+    from .twisted import closure
+
     a1 = build_root_system("A1")
     gens = [
         tuple(tuple(r) for r in reduce_mod_p(x_alpha(a1, (1,), 1), 3)),
@@ -139,6 +94,8 @@ def _a1_mod3():
 
 
 def _check_integer_spectrum() -> str:
+    from .spectrum import INFINITY, reidemeister_zn
+
     # The only automorphisms of Z are +-identity.
     flip = reidemeister_zn([[-1]])
     same = reidemeister_zn([[1]])
@@ -148,6 +105,9 @@ def _check_integer_spectrum() -> str:
 
 
 def _check_zn_fullness() -> str:
+    from .linalg import int_det
+    from .spectrum import reidemeister_zn, zn_fullness_witness
+
     for m in range(1, 51):
         w = zn_fullness_witness(2, m)
         _require(int_det(w) in (1, -1), (m, w))
@@ -159,6 +119,8 @@ def _check_zn_fullness() -> str:
 
 
 def _check_abelian_oracle() -> str:
+    from .spectrum import abelian_oracle_count, cokernel_order_mod
+
     rng = random.Random(20260823)
     compared = 0
     for _ in range(20):
@@ -174,13 +136,15 @@ def _check_abelian_oracle() -> str:
 
 
 def _check_inner_twist_invariance() -> str:
+    from .twisted import GroupAutomorphism, all_automorphisms, inner_twist_invariance
+
     checked = 0
-    for group in (_s4(), _d4(), _sl23(), _a1_mod3()):
+    for group in (_group("S4"), _group("D4"), _group("SL(2,3)"), _a1_mod3()):
         identity = GroupAutomorphism.identity(group)
         for g in group.elements:
             _require(inner_twist_invariance(group, identity, g))
             checked += 1
-    d4 = _d4()
+    d4 = _group("D4")
     for phi in all_automorphisms(d4):
         for g in d4.elements:
             _require(inner_twist_invariance(d4, phi, g))
@@ -189,8 +153,10 @@ def _check_inner_twist_invariance() -> str:
 
 
 def _check_isogredience_counts() -> str:
+    from .twisted import GroupAutomorphism, all_automorphisms, isogredience_count
+
     measured = {}
-    for label, group in (("Q8", _q8()), ("D4", _d4()), ("SL(2,3)", _sl23())):
+    for label, group in (("Q8", _group("Q8")), ("D4", _group("D4")), ("SL(2,3)", _group("SL(2,3)"))):
         for phi in all_automorphisms(group):
             result = isogredience_count(group, phi)  # dual-route checked inside
             if phi == GroupAutomorphism.identity(group):
@@ -202,10 +168,13 @@ def _check_isogredience_counts() -> str:
 
 
 def _check_projection_inequality() -> str:
-    s4 = _s4()
+    from .twisted import (GroupAutomorphism, center, induced_reidemeister_number,
+                          reidemeister_number, subgroup)
+
+    s4 = _group("S4")
     v4 = subgroup(s4, [(1, 0, 3, 2), (2, 3, 0, 1)])
     instances = []
-    for group in (_s3(), _q8(), _d4(), _sl23()):
+    for group in (_group("S3"), _group("Q8"), _group("D4"), _group("SL(2,3)")):
         instances.append((group, center(group)))
         instances.append((group, group.elements))
     instances.append((s4, v4))
@@ -226,6 +195,10 @@ _PARAMS = (Fraction(1), Fraction(2), Fraction(-1), Fraction(1, 2))
 
 
 def _check_chevalley_relations() -> str:
+    from .chevalley import commutator_relation_check, h_alpha, x_alpha
+    from .linalg import mat_inv, mat_mul
+    from .roots import build_root_system
+
     relations = 0
     for name in ("A1", "A2", "A3", "B2", "G2"):
         rs = build_root_system(name)
@@ -258,6 +231,10 @@ def _check_chevalley_relations() -> str:
 
 
 def _check_torus_diagonal_form() -> str:
+    from .chevalley import h_alpha, n_alpha
+    from .linalg import diagonal_entries, mat_mul
+    from .roots import build_root_system
+
     checked = 0
     for name in ("A1", "A2", "A3", "B2", "G2"):
         rs = build_root_system(name)
@@ -280,6 +257,12 @@ def _check_torus_diagonal_form() -> str:
 
 
 def _check_witness_disjointness() -> str:
+    from .chevalley import ChevalleyAutomorphism, n_alpha
+    from .fields import exponent_vector, supports_pairwise_disjoint
+    from .linalg import diagonal_entries, is_diagonal, mat_mul, mat_product
+    from .roots import build_root_system, diagram_symmetries
+    from .witness import ProductAutomorphism, generate_witnesses, project_product_to_first_factor
+
     cases = []
     for name, order in (("A2", None), ("A3", 2), ("B2", None), ("D4", 3)):
         rs = build_root_system(name)
@@ -322,9 +305,11 @@ def _check_witness_disjointness() -> str:
 
 
 def _check_telescoping_identity() -> str:
+    from .twisted import GroupAutomorphism, telescoping_product_check
+
     rng = random.Random(97)
     pools = []
-    for group in (_s3(), _d4(), _q8(), _a1_mod3()):
+    for group in (_group("S3"), _group("D4"), _group("Q8"), _a1_mod3()):
         automorphisms = [GroupAutomorphism.identity(group)]
         automorphisms += [GroupAutomorphism.inner(group, g) for g in group.elements[:4]]
         pools.append((group, automorphisms))
@@ -339,6 +324,13 @@ def _check_telescoping_identity() -> str:
 
 
 def _check_obstruction_certificate() -> str:
+    from .chevalley import ChevalleyAutomorphism
+    from .fields import ScalingAutomorphism
+    from .roots import build_root_system, diagram_symmetries
+    from .witness import (ProductAutomorphism, generate_witnesses, obstruction_check,
+                          pattern_determinant, project_product_to_first_factor,
+                          reduced_obstruction_check)
+
     scale = ScalingAutomorphism((Fraction(2),))
     parts = []
 
@@ -373,6 +365,10 @@ def _check_obstruction_certificate() -> str:
 
 
 def _check_heisenberg_spectrum() -> str:
+    from .linalg import int_det
+    from .spectrum import (INFINITY, ExtendedCount, heisenberg_cokernel_product, heisenberg_oracle,
+                            heisenberg_reidemeister)
+
     rng = random.Random(5)
     finite = 0
     candidates = [[[0, 1], [1, 1]], [[2, 1], [1, 1]], [[1, 2], [2, 3]]]
@@ -406,6 +402,8 @@ def _check_heisenberg_spectrum() -> str:
 
 
 def _check_metabelian_table() -> str:
+    from .spectrum import INFINITY, metabelian_spectrum
+
     case_a = metabelian_spectrum(Fraction(1), Fraction(1), 3)
     _require(case_a.case == "equal-units")
     _require(case_a.contains(4) and not case_a.contains(6))

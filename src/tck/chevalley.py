@@ -62,7 +62,6 @@ from math import factorial, lcm, prod
 from operator import mul
 
 from .errors import ConsistencyError, DomainError, decimal, integer, rational
-from .fields import Polynomial, RationalFunction, ScalingAutomorphism, _is_prime
 from .linalg import ScaledMatrix, mat_product
 from .roots import DiagramSymmetry, RootSystem, root_permutation
 
@@ -72,6 +71,13 @@ def adjoint_dimension(rs: RootSystem) -> int:
 
 
 def _coerce_scalar(t):
+    """t as a Fraction, or over Q(T) as a RationalFunction.  Anything with a
+    denominator goes to the rational gate, so an int or a Fraction never
+    imports ``fields``."""
+    if hasattr(t, "denominator"):
+        return rational(t)
+    from .fields import Polynomial, RationalFunction
+
     if isinstance(t, Polynomial):
         return RationalFunction.from_polynomial(t)
     return t if isinstance(t, RationalFunction) else rational(t)
@@ -312,11 +318,14 @@ class ChevalleyAutomorphism:
 
     def __init__(self, rs: RootSystem, diagonal=None,
                  graph: DiagramSymmetry | None = None,
-                 field: ScalingAutomorphism | None = None):
+                 field=None):
         if not isinstance(rs, RootSystem):
             raise DomainError("a Chevalley automorphism needs a RootSystem")
-        if field is not None and not isinstance(field, ScalingAutomorphism):
-            raise DomainError("the field part must be a ScalingAutomorphism")
+        if field is not None:
+            from .fields import ScalingAutomorphism
+
+            if not isinstance(field, ScalingAutomorphism):
+                raise DomainError("the field part must be a ScalingAutomorphism")
         self.rs = rs
         self.diagonal = self._torus = None
         if diagonal is not None:
@@ -335,6 +344,8 @@ class ChevalleyAutomorphism:
         if self._torus is not None:
             x = mat_product([self._torus[0], x, self._torus[1]])
         if self.field is not None and not isinstance(x.den, int):
+            from .fields import Polynomial
+
             scalars = self.field.scalars
             scaled = []
             for f in (x.den, *(v for row in x.rows for v in row.values())):
@@ -435,18 +446,20 @@ def _scaled_x_alpha(rs: RootSystem, alpha, t) -> ScaledMatrix:
 
 
 def _cleared(t) -> tuple:
-    """(p, q) with t = p/q: ints over Q; over Q(T) the numerator and denominator
-    times the lcm of their coefficients' denominators, so polynomials in Z[T]."""
-    if not isinstance(t, RationalFunction):
+    """(p, q) with t = p/q: ints over Q; over Q(T), where t is a RationalFunction
+    and holds num and den, those times the lcm of their coefficients'
+    denominators, so polynomials in Z[T]."""
+    if not hasattr(t, "den"):
         return t.numerator, t.denominator
     return tuple(_clear((t.num, t.den)))
 
 
 def _clear(polynomials) -> list:
-    """The polynomials times the lcm of all their coefficients' denominators."""
+    """The polynomials times the lcm of all their coefficients' denominators,
+    each built by its own class, so this needs no import of ``fields``."""
     m = lcm(*(c.denominator for f in polynomials for c in f.terms.values()))
-    return [Polynomial(f.nvars, {e: c.numerator * (m // c.denominator)
-                                 for e, c in f.terms.items()}) for f in polynomials]
+    return [type(f)(f.nvars, {e: c.numerator * (m // c.denominator)
+                              for e, c in f.terms.items()}) for f in polynomials]
 
 
 def _power_product(p, i, q, j):
@@ -465,6 +478,8 @@ def _scaled_product(rs: RootSystem, parameters) -> ScaledMatrix:
 
 def reduce_mod_p(x, p: int) -> list[list[int]]:
     """Entrywise reduction of a rational matrix modulo a prime."""
+    from .fields import _is_prime
+
     message = f"{decimal(p)} is not prime"
     if not _is_prime(integer(p, 2, message)):
         raise DomainError(message)

@@ -278,7 +278,10 @@ def _run_verify(args):
     return payload, 1 if failing else 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for argv.  Every command is named, with its help, so usage,
+    help and errors read the same; only the command that argv names gets its
+    subcommands and their options, and every command does when it names none."""
     parser = argparse.ArgumentParser(
         prog="tck",
         description="Exact twisted-conjugacy toolkit: root systems, Chevalley "
@@ -288,75 +291,78 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--timing", action="store_true",
                         help="include wall-clock timing in the report")
     commands = parser.add_subparsers(dest="command", required=True)
+    names = ("root", "chevalley", "twisted", "spectrum", "witness", "verify")
+    chosen = next((arg for arg in argv if not arg.startswith("-")), None)
 
-    root = commands.add_parser("root", help="root system data")
-    root_sub = root.add_subparsers(dest="subcommand", required=True)
-    info = root_sub.add_parser("info", help="roots, Cartan matrix, symmetries")
-    info.add_argument("type", help="root system type, e.g. A2")
-    info.set_defaults(handler=_run_root_info)
+    def add(name, text):
+        """The command's subcommand group, or None when argv names another."""
+        command = commands.add_parser(name, help=text)
+        if chosen == name or chosen not in names:
+            return command.add_subparsers(dest="subcommand", required=True)
+        return None
 
-    chevalley = commands.add_parser("chevalley", help="adjoint generator matrices")
-    chevalley_sub = chevalley.add_subparsers(dest="subcommand", required=True)
-    gen = chevalley_sub.add_parser("gen", help="x/n/h generator for a root and parameter")
-    gen.add_argument("--type", required=True)
-    gen.add_argument("--kind", required=True, choices=("x", "n", "h"))
-    gen.add_argument("--root", required=True, help="simple-root coefficients, e.g. 1,0")
-    gen.add_argument("--t", required=True, help="parameter as integer or p/q")
-    gen.set_defaults(handler=_run_chevalley_gen)
+    if root_sub := add("root", "root system data"):
+        info = root_sub.add_parser("info", help="roots, Cartan matrix, symmetries")
+        info.add_argument("type", help="root system type, e.g. A2")
+        info.set_defaults(handler=_run_root_info)
 
-    twisted = commands.add_parser("twisted", help="finite twisted conjugacy")
-    twisted_sub = twisted.add_subparsers(dest="subcommand", required=True)
-    for name, handler in (
-        ("classes", _run_twisted_classes),
-        ("reidemeister", _run_twisted_reidemeister),
-        ("isogredience", _run_twisted_isogredience),
-    ):
-        sub = twisted_sub.add_parser(name)
-        sub.add_argument("--group", required=True, help="path to a group descriptor JSON")
-        sub.add_argument("--aut", required=True, help="path to an automorphism JSON")
-        sub.set_defaults(handler=handler)
+    if chevalley_sub := add("chevalley", "adjoint generator matrices"):
+        gen = chevalley_sub.add_parser("gen", help="x/n/h generator for a root and parameter")
+        gen.add_argument("--type", required=True)
+        gen.add_argument("--kind", required=True, choices=("x", "n", "h"))
+        gen.add_argument("--root", required=True, help="simple-root coefficients, e.g. 1,0")
+        gen.add_argument("--t", required=True, help="parameter as integer or p/q")
+        gen.set_defaults(handler=_run_chevalley_gen)
 
-    spectrum = commands.add_parser("spectrum", help="Reidemeister spectra")
-    spectrum_sub = spectrum.add_subparsers(dest="subcommand", required=True)
-    zn = spectrum_sub.add_parser("zn", help="free abelian lattice automorphism")
-    zn.add_argument("--matrix", required=True, help="integer matrix as JSON")
-    zn.set_defaults(handler=_run_spectrum_zn)
-    heis = spectrum_sub.add_parser("heisenberg", help="integral Heisenberg automorphism")
-    heis.add_argument("--matrix", required=True, help="unimodular 2x2 integer matrix as JSON")
-    heis.set_defaults(handler=_run_spectrum_heisenberg)
-    lamp = spectrum_sub.add_parser("lamplighter")
-    lamp.add_argument("--n", required=True, type=int)
-    lamp.set_defaults(handler=_run_spectrum_lamplighter)
-    meta = spectrum_sub.add_parser("metabelian")
-    meta.add_argument("--r", required=True, help="first diagonal unit, e.g. 2 or 1/2")
-    meta.add_argument("--s", required=True, help="second diagonal unit")
-    meta.add_argument("--p", required=True, type=int, help="inverted prime")
-    meta.add_argument("--member", type=int, help="test membership of this value")
-    meta.set_defaults(handler=_run_spectrum_metabelian)
+    if twisted_sub := add("twisted", "finite twisted conjugacy"):
+        for name, handler in (
+            ("classes", _run_twisted_classes),
+            ("reidemeister", _run_twisted_reidemeister),
+            ("isogredience", _run_twisted_isogredience),
+        ):
+            sub = twisted_sub.add_parser(name)
+            sub.add_argument("--group", required=True, help="path to a group descriptor JSON")
+            sub.add_argument("--aut", required=True, help="path to an automorphism JSON")
+            sub.set_defaults(handler=handler)
 
-    witness = commands.add_parser("witness", help="obstruction certificates")
-    witness_sub = witness.add_subparsers(dest="subcommand", required=True)
-    run = witness_sub.add_parser("run")
-    run.add_argument("--type", required=True)
-    run.add_argument("--count", required=True, type=int)
-    run.add_argument("--trdeg", required=True, type=int)
-    run.add_argument("--scale", required=True,
-                     help="field scalars, one rational or a comma list")
-    run.add_argument("--index", required=True, type=int)
-    run.set_defaults(handler=_run_witness)
+    if spectrum_sub := add("spectrum", "Reidemeister spectra"):
+        zn = spectrum_sub.add_parser("zn", help="free abelian lattice automorphism")
+        zn.add_argument("--matrix", required=True, help="integer matrix as JSON")
+        zn.set_defaults(handler=_run_spectrum_zn)
+        heis = spectrum_sub.add_parser("heisenberg", help="integral Heisenberg automorphism")
+        heis.add_argument("--matrix", required=True, help="unimodular 2x2 integer matrix as JSON")
+        heis.set_defaults(handler=_run_spectrum_heisenberg)
+        lamp = spectrum_sub.add_parser("lamplighter")
+        lamp.add_argument("--n", required=True, type=int)
+        lamp.set_defaults(handler=_run_spectrum_lamplighter)
+        meta = spectrum_sub.add_parser("metabelian")
+        meta.add_argument("--r", required=True, help="first diagonal unit, e.g. 2 or 1/2")
+        meta.add_argument("--s", required=True, help="second diagonal unit")
+        meta.add_argument("--p", required=True, type=int, help="inverted prime")
+        meta.add_argument("--member", type=int, help="test membership of this value")
+        meta.set_defaults(handler=_run_spectrum_metabelian)
 
-    verify = commands.add_parser("verify", help="acceptance checks")
-    verify_sub = verify.add_subparsers(dest="subcommand", required=True)
-    suite = verify_sub.add_parser("suite")
-    suite.add_argument("--filter", help="run only checks whose name contains this")
-    suite.set_defaults(handler=_run_verify)
+    if witness_sub := add("witness", "obstruction certificates"):
+        run = witness_sub.add_parser("run")
+        run.add_argument("--type", required=True)
+        run.add_argument("--count", required=True, type=int)
+        run.add_argument("--trdeg", required=True, type=int)
+        run.add_argument("--scale", required=True,
+                         help="field scalars, one rational or a comma list")
+        run.add_argument("--index", required=True, type=int)
+        run.set_defaults(handler=_run_witness)
+
+    if verify_sub := add("verify", "acceptance checks"):
+        suite = verify_sub.add_parser("suite")
+        suite.add_argument("--filter", help="run only checks whose name contains this")
+        suite.set_defaults(handler=_run_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _build_parser(argv).parse_args(argv)
     start = time.perf_counter()
     try:
         payload, exit_code = args.handler(args)

@@ -18,10 +18,14 @@ adjoint element of width dim^2 before it builds anything; a witness sequence
 charges its primes, the CLI's ``witness run`` its field scalars, and the
 automorphism search its candidate generator images, before the first is
 made.
+
+``Record`` is the package's immutable value class, so no cold call loads
+``dataclasses``.
 """
 
 import os
 from fractions import Fraction
+from operator import attrgetter
 
 DEFAULT_CLOSURE_CAP = 200000
 _WIDTH_UNIT = 64
@@ -94,3 +98,46 @@ def closure_cap() -> int:
 def width_charge(width: int) -> int:
     """What one element of the given width counts against the closure cap."""
     return max(1, -(-width // _WIDTH_UNIT))
+
+
+class Record:
+    """An immutable record of the fields its class body annotates, in order;
+    a field given a value in the body takes it as its default.
+
+    Each subclass gets an ``__init__`` written for its fields, as a dataclass
+    does, ending in the class's ``__post_init__`` where it has one (which may
+    replace a field through ``object.__setattr__``).  A record shows as
+    ``Name(field=value, ...)``, refuses assignment, and equals and hashes by
+    its class and fields; a subclass declared ``eq=False`` keeps identity, and
+    one that defines ``__eq__``, ``__hash__`` or ``__repr__`` keeps its own.
+    """
+
+    def __init_subclass__(cls, eq=True):
+        fields = tuple(cls.__dict__.get("__annotations__", ()))
+        params = ", ".join(f"{f}=_body[{f!r}]" if f in cls.__dict__ else f for f in fields)
+        lines = [f"def __init__(self, {params}):", *(f"    _set(self, {f!r}, {f})" for f in fields)]
+        if hasattr(cls, "__post_init__"):
+            lines.append("    self.__post_init__()")
+        namespace = {"_set": object.__setattr__, "_body": cls.__dict__}
+        exec("\n".join(lines), namespace)
+        cls.__init__, cls._fields, cls._key = namespace["__init__"], fields, attrgetter(*fields)
+        if not eq:
+            cls.__eq__, cls.__hash__ = object.__eq__, object.__hash__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")

@@ -19,13 +19,13 @@ and by stripping pairwise coprime bases, never by factoring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 
-from .errors import ConsistencyError, DomainError, decimal, integer, rational
-from .linalg import smith_normal_form
+from .errors import (ConsistencyError, DomainError, Record, ResourceLimitError, closure_cap,
+                     decimal, integer, rational)
+from .linalg import _strip_power, smith_normal_form
 
 Exponent = tuple[int, ...]
 
@@ -61,15 +61,6 @@ def _is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _strip_power(n: int, b: int) -> tuple[int, int]:
-    """(e, n / b**e) with e as large as possible, for n != 0 and b > 1."""
-    e = 0
-    while n % b == 0:
-        n //= b
-        e += 1
-    return e, n
 
 
 def exponent_vector(x, base) -> list[int] | None:
@@ -528,8 +519,7 @@ class RationalFunction:
         return f"({self.num!r})/({self.den!r})"
 
 
-@dataclass(frozen=True)
-class ScalingAutomorphism:
+class ScalingAutomorphism(Record):
     """Field automorphism of Q(T1,...,Tk) sending T_i to scalars[i]*T_i, held
     as its scalars; ``ChevalleyAutomorphism.apply`` carries its action."""
 
@@ -553,7 +543,13 @@ class ScalingAutomorphism:
         return ScalingAutomorphism(tuple(a * b for a, b in zip(self.scalars, other.scalars)))
 
     def __pow__(self, n: int) -> "ScalingAutomorphism":
+        # c ** n has about |n| times the digits of c, so |n| is charged
+        # against the closure cap before any power is taken
         integer(n, None, "scaling automorphism power")
+        cap = closure_cap()
+        if abs(n) > cap:
+            raise ResourceLimitError(f"scaling automorphism power {decimal(n)} exceeds closure "
+                                     f"cap {cap}")
         return ScalingAutomorphism(tuple(c ** n for c in self.scalars))
 
     @classmethod

@@ -14,20 +14,20 @@ this module, so not the other way round); they run only there, about once per
 distinct diagonal value or comparison, never per arithmetic operation.
 
 The integer routines live here too: the fraction-free Bareiss determinant
-``int_det``, the only determinant in the package, and the checked Smith
-normal form, which ``fields`` uses for character-lattice membership and
-``spectrum`` for cokernel orders.
+``int_det``, the only determinant in the package, p-power stripping, which
+``fields`` and ``spectrum`` share, and the checked Smith normal form, which
+``fields`` uses for character-lattice membership and ``spectrum`` for
+cokernel orders.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import lcm, prod
 from operator import mul
 
-from .errors import ConsistencyError, DomainError
+from .errors import ConsistencyError, DomainError, Record
 
 _ONE, _ZERO = Fraction(1), Fraction(0)
 
@@ -205,8 +205,16 @@ def int_det(matrix) -> int:
     return sign * a[n - 1][n - 1]
 
 
-@dataclass(frozen=True)
-class SmithNormalForm:
+def _strip_power(n: int, b: int) -> tuple[int, int]:
+    """(e, n / b**e) with e as large as possible, for n != 0 and b > 1."""
+    e = 0
+    while n % b == 0:
+        n //= b
+        e += 1
+    return e, n
+
+
+class SmithNormalForm(Record):
     diagonal: tuple[int, ...]
     left: tuple[tuple[int, ...], ...]
     right: tuple[tuple[int, ...], ...]

@@ -21,12 +21,11 @@ the negation symmetry N(-a,-b) = -N(a,b) and the three-term rotation identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm, prod
 
-from .errors import (ConsistencyError, DomainError, ResourceLimitError, closure_cap, decimal,
-                     integer, width_charge)
+from .errors import (ConsistencyError, DomainError, Record, ResourceLimitError, closure_cap,
+                     decimal, integer, width_charge)
 
 Root = tuple[int, ...]
 
@@ -50,8 +49,7 @@ def _root_count(family: str, rank: int) -> int | None:
     return None
 
 
-@dataclass(frozen=True)
-class RootSystemType:
+class RootSystemType(Record):
     """Family letter plus rank, e.g. A2, D4, G2."""
 
     family: str
@@ -288,8 +286,7 @@ def permutation_order(permutation) -> int:
     return order
 
 
-@dataclass(frozen=True)
-class DiagramSymmetry:
+class DiagramSymmetry(Record):
     """Permutation of simple-root indices preserving the Cartan matrix."""
 
     permutation: tuple[int, ...]

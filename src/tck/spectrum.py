@@ -16,21 +16,18 @@ predicates; no group element of those families is ever constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import TYPE_CHECKING
 
-from .errors import ConsistencyError, DomainError, decimal, integer, rational
-from .fields import _is_prime, _strip_power, exponent_vector
-from .linalg import int_det, smith_normal_form
+from .errors import ConsistencyError, DomainError, Record, decimal, integer, rational
+from .linalg import _strip_power, int_det, smith_normal_form
 
+TYPE_CHECKING = False  # as typing.TYPE_CHECKING reads, without importing typing
 if TYPE_CHECKING:
     from .twisted import FiniteGroup, GroupAutomorphism
 
 
-@dataclass(frozen=True)
-class ExtendedCount:
+class ExtendedCount(Record):
     """A positive integer or infinity (value None); a finite count equals and
     hashes as its int."""
 
@@ -202,8 +199,7 @@ def _prime_power_exponent(p: int, w: int) -> int | None:
     return k if rest == 1 else None
 
 
-@dataclass(frozen=True)
-class SpectrumDescriptor:
+class SpectrumDescriptor(Record):
     """Symbolic spectrum of a two-parameter metabelian family.
 
     `case` is one of equal-units, opposite-units, reciprocal-pair, generic;
@@ -251,15 +247,17 @@ class SpectrumDescriptor:
 def _unit_power(p: int, value: Fraction) -> None:
     if not value:
         raise DomainError("diagonal values must be nonzero")
-    if exponent_vector(value, [p]) is None:
-        cofactor = Fraction(_strip_power(abs(value.numerator), p)[1],
-                            _strip_power(value.denominator, p)[1])
+    num = _strip_power(abs(value.numerator), p)[1]
+    den = _strip_power(value.denominator, p)[1]
+    if num != 1 or den != 1:
         raise DomainError(f"{decimal(value)} is not a unit once {p} is inverted "
-                          f"(cofactor {decimal(cofactor)})")
+                          f"(cofactor {decimal(Fraction(num, den))})")
 
 
 def metabelian_spectrum(r, s, p: int) -> SpectrumDescriptor:
     """Spectrum descriptor for diag(r, s) acting on the rank-two p-local lattice."""
+    from .fields import _is_prime  # the only use of fields in this module
+
     message = f"{decimal(p)} is not prime"
     if not _is_prime(integer(p, 2, message)):
         raise DomainError(message)

@@ -50,14 +50,13 @@ from __future__ import annotations
 
 import sys
 from array import array
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import chain, product as cartesian_product
 from math import gcd, prod
 from operator import itemgetter, mul as scalar_mul
-from typing import Iterable
 
-from .errors import (ConsistencyError, DomainError, ResourceLimitError, closure_cap, decimal,
-                     integer, width_charge)
+from .errors import (ConsistencyError, DomainError, Record, ResourceLimitError, closure_cap,
+                     decimal, integer, width_charge)
 
 
 class PermOps:
@@ -613,8 +612,7 @@ def induced_reidemeister_number(G: FiniteGroup, N, phi: GroupAutomorphism) -> in
     return _quotient_count(G, phi, [_left_map(G, G.index[n]) for n in N.generators])
 
 
-@dataclass(frozen=True)
-class IsogredienceClassCount:
+class IsogredienceClassCount(Record):
     count: int
 
 

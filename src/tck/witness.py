@@ -38,22 +38,19 @@ import itertools
 import operator
 from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, prod
 
-from .errors import (ConsistencyError, DomainError, ResourceLimitError, closure_cap, decimal,
-                     integer, rational)
+from .errors import (ConsistencyError, DomainError, Record, ResourceLimitError, closure_cap,
+                     decimal, integer, rational)
 from .fields import (ScalingAutomorphism, _coprime_base, _is_prime, _lattice_divisors,
                      exponent_vector)
 from .roots import DiagramSymmetry, RootSystem, permutation_order, root_permutation
-from .chevalley import ChevalleyAutomorphism
 
 Rows = tuple[tuple[int, ...], ...]
 
 
-@dataclass(frozen=True, eq=False)
-class WitnessSequence:
+class WitnessSequence(Record, eq=False):
     """Torus elements g_i built from fresh primes, one block per witness:
     entry beta of g_i is prod_t primes[i][t] ** rs.pairings[beta][t]."""
 
@@ -140,6 +137,8 @@ class ProductAutomorphism:
                               "and a permutation") from None
         if not factors:
             raise DomainError("at least one factor is required")
+        from .chevalley import ChevalleyAutomorphism
+
         for pos, phi in enumerate(factors):
             if not isinstance(phi, ChevalleyAutomorphism):
                 raise DomainError(f"factor {pos} is not a Chevalley automorphism")
@@ -166,8 +165,7 @@ class ProductAutomorphism:
         return permutation_order(self.permutation)
 
 
-@dataclass(frozen=True)
-class ZeroEntryWitness:
+class ZeroEntryWitness(Record):
     """One certified-zero position with the data forcing it: the required
     eigencharacter lies outside the scalar lattice, and the certificate's
     witness family has disjoint supports in the column."""
@@ -240,8 +238,7 @@ class CertifiedEntries(Sequence):
         return repr(tuple(self))
 
 
-@dataclass(frozen=True)
-class ObstructionCertificate:
+class ObstructionCertificate(Record):
     """Outcome of the block-zero analysis for one witness index.
 
     verdict "obstructed" means every Q and S position is certified zero, so
@@ -465,8 +462,7 @@ def pattern_determinant(certificate: ObstructionCertificate) -> bool:
     return True
 
 
-@dataclass(frozen=True, eq=False)
-class FirstFactorReduction:
+class FirstFactorReduction(Record, eq=False):
     """First-summand shadow of a product automorphism acting on direct-sum
     witnesses: their prime blocks, the exponent rows of the collapse over
     6 * (order of the permutation) steps, shared by every witness, the

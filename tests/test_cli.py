@@ -19,6 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import tck
 import tck.cli
+from tck.acceptance import all_checks
 from tck.cli import main
 from tck.errors import ConsistencyError, DomainError, ResourceLimitError
 
@@ -805,11 +806,10 @@ def _argv(draw):
     return argv
 
 
-@settings(max_examples=200, deadline=None, database=None, derandomize=True)
-@given(argv=_argv())
-def test_command_line_values_end_in_one_typed_document(argv):
-    # each call prints one document, ok or a domain or resource error, or
-    # argparse refuses the call with exit 2 and prints nothing on stdout
+def _assert_one_typed_document(argv):
+    """main(argv) prints one document, ok or a domain or resource error,
+    within 2 s under a closure cap of 3000, or argparse refuses the call with
+    exit 2 and prints nothing on stdout."""
     with pytest.MonkeyPatch.context() as patch, contextlib.redirect_stdout(io.StringIO()) as out, \
             contextlib.redirect_stderr(io.StringIO()):
         patch.setenv("TCK_CLOSURE_CAP", "3000")
@@ -831,6 +831,106 @@ def test_command_line_values_end_in_one_typed_document(argv):
     else:
         assert exit_code == 1 and report["status"] == "error", argv
         assert report["payload"]["code"] in ("domain-error", "resource-limit"), argv
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(argv=_argv())
+def test_command_line_values_end_in_one_typed_document(argv):
+    _assert_one_typed_document(argv)
+
+
+_CHECK_NAMES = [check.name for check in all_checks()]
+_UNITS = st.sampled_from(["1", "-1", "2", "-2", "1/2", "-1/2", "3", "1/3", "9", "1/9", "4/9"])
+
+
+@st.composite
+def _spectrum_and_verify_argv(draw):
+    """A spectrum lamplighter, spectrum metabelian or verify suite call whose
+    values are well formed, but for at most one."""
+    command = draw(st.sampled_from([("spectrum", "lamplighter"), ("spectrum", "metabelian"),
+                                    ("verify", "suite")]))
+    if command == ("spectrum", "lamplighter"):
+        options = {"--n": _ints(12, "9" * 4000)}
+    elif command == ("spectrum", "metabelian"):
+        # a prime past the exact primality bound, and a member of 4000 digits
+        options = {"--r": (_UNITS, _ODD_NUMBERS), "--s": (_UNITS, _ODD_NUMBERS),
+                   "--p": (st.sampled_from(["2", "3", "5", "7"]), st.sampled_from(
+                       ["1", "4", "9", "-3", "x", "1.5", "", "9" * 5000,
+                        "3317044064679887385961981"])),
+                   "--member": (st.none() | st.integers(1, 200).map(str),
+                                st.sampled_from(["0", "-2", "x", "", "9" * 4000]))}
+    else:
+        # the cheap criteria, or text that names none, which runs no check;
+        # any other filter could run the whole suite
+        options = {"--filter": (
+            st.sampled_from(["integer-spectrum", "zn-fullness", "metabelian-table"]),
+            _TEXT.filter(lambda text: not any(text in name for name in _CHECK_NAMES)))}
+    odd = draw(st.none() | st.sampled_from(list(options)))
+    argv = list(command)
+    for option, (valid, wrong) in options.items():
+        value = draw(wrong if option == odd else valid)
+        if value is not None:
+            argv += [option, value]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(argv=_spectrum_and_verify_argv())
+def test_spectrum_and_verify_values_end_in_one_typed_document(argv):
+    _assert_one_typed_document(argv)
+
+
+# each call's exit code and the sha256 prefixes of its stdout and stderr
+# (_NONE for an empty stream) at 80 columns, recorded from a parser that
+# added every command's subcommands on every call: building only the named
+# command's must print the same bytes
+_NONE = "e3b0c44298fc1c14"
+PARSER_BYTES = {
+    "": (2, _NONE, "ef077b0ff6fd557a"),
+    "--help": (0, "e90f02f57214012d", _NONE),
+    "-h root": (0, "e90f02f57214012d", _NONE),
+    "--timing": (2, _NONE, "ef077b0ff6fd557a"),
+    "bogus": (2, _NONE, "1fef05dabea69e94"),
+    "--bogus root info A2": (2, _NONE, "336e3c2fda279be0"),
+    "root info A2 --bogus": (2, _NONE, "336e3c2fda279be0"),
+    "root --help": (0, "03a6c6b070583aa8", _NONE),
+    "root info --help": (0, "7d3416ad538db1ef", _NONE),
+    "root": (2, _NONE, "322688515b318176"),
+    "root info": (2, _NONE, "8f3c7db7e12d045c"),
+    "chevalley --help": (0, "05a920e2912626e6", _NONE),
+    "chevalley gen --help": (0, "e9d1c6868a1c7ec1", _NONE),
+    "chevalley gen --type A2 --kind q --root 1,0 --t 2": (2, _NONE, "add9cb40fa8280fd"),
+    "twisted --help": (0, "079d8429afecdbbd", _NONE),
+    "twisted classes --help": (0, "4c020379c0274035", _NONE),
+    "twisted reidemeister --help": (0, "f85f594ea49e2447", _NONE),
+    "twisted isogredience --help": (0, "88c2e7519e17136d", _NONE),
+    "twisted classes --group g.json": (2, _NONE, "fa5d5d42d5c9d1dc"),
+    "spectrum --help": (0, "5dd777d296d9bcf6", _NONE),
+    "spectrum zn --help": (0, "c3f1557463a21272", _NONE),
+    "spectrum heisenberg --help": (0, "347b31b930457531", _NONE),
+    "spectrum lamplighter --help": (0, "074019689c3c79bd", _NONE),
+    "spectrum metabelian --help": (0, "5ab6749f347c675e", _NONE),
+    "spectrum lamplighter --n x": (2, _NONE, "870535610e15e497"),
+    "witness --help": (0, "1ab0ab05b206540c", _NONE),
+    "witness run --help": (0, "766fa73439eae517", _NONE),
+    "witness run --type A2 --count 4": (2, _NONE, "3f8a248302ac366d"),
+    "verify --help": (0, "4293dd04a09990bc", _NONE),
+    "verify suite --help": (0, "a87cf822d38d005e", _NONE),
+    "verify bogus": (2, _NONE, "5f6b834399fb8e2a"),
+}
+
+
+@pytest.mark.parametrize("call", sorted(PARSER_BYTES))
+def test_help_usage_and_errors_keep_their_bytes(call, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with contextlib.redirect_stdout(io.StringIO()) as out, \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        try:
+            exit_code = main(call.split())
+        except SystemExit as stop:
+            exit_code = stop.code
+    digests = [hashlib.sha256(s.getvalue().encode()).hexdigest()[:16] for s in (out, err)]
+    assert (exit_code, *digests) == PARSER_BYTES[call]
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -861,12 +961,13 @@ def test_cli_imports_only_the_standard_library():
 
 COMMAND_MODULES = {
     "root info A2": {"errors", "roots"},
-    "chevalley gen --type A2 --kind x --root 1,0 --t 2":
-        {"errors", "fields", "linalg", "roots", "chevalley"},
+    "chevalley gen --type A2 --kind x --root 1,0 --t 2": {"errors", "linalg", "roots", "chevalley"},
     "twisted classes --group s3.json --aut id.json": {"errors", "twisted"},
-    "spectrum zn --matrix [[2,1],[1,1]]": {"errors", "fields", "linalg", "spectrum"},
+    "spectrum zn --matrix [[2,1],[1,1]]": {"errors", "linalg", "spectrum"},
+    "spectrum metabelian --r 2 --s 1/2 --p 2 --member 6": {"errors", "fields", "linalg", "spectrum"},
     "witness run --type A2 --count 4 --trdeg 1 --scale 2 --index 3":
-        {"errors", "fields", "linalg", "roots", "chevalley", "witness"},
+        {"errors", "fields", "linalg", "roots", "witness"},
+    "verify suite --filter zn-fullness": {"errors", "linalg", "spectrum", "acceptance"},
 }
 
 
@@ -877,6 +978,9 @@ def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
         f"import tck.cli\nassert tck.cli.main({command.split()!r}) == 0", cwd=tmp_path)
     expected = {"tck", "tck.cli"} | {f"tck.{m}" for m in COMMAND_MODULES[command]}
     assert {m for m in loaded if m.split(".")[0] == "tck"} == expected
+    # the records are tck's own, so no command loads dataclasses and, through
+    # it, inspect
+    assert not {"dataclasses", "inspect"} & set(loaded)
 
 
 def test_package_namespace_is_complete():

@@ -1,6 +1,7 @@
 """Exact arithmetic layer: supports, polynomials, scalings, character lattices."""
 
 import random
+import time
 from fractions import Fraction
 from math import isqrt, prod
 
@@ -20,7 +21,7 @@ from tck import (
     supports_pairwise_disjoint,
     x_alpha,
 )
-from tck.errors import rational
+from tck.errors import DEFAULT_CLOSURE_CAP, ResourceLimitError, rational
 from tck.fields import _is_prime, character_lattice
 
 from dense_oracle import substitute
@@ -430,6 +431,27 @@ def test_scaling_composition_and_inverse():
     assert ScalingAutomorphism.identity(2).scalars == (Fraction(1), Fraction(1))
     with pytest.raises(DomainError):
         ScalingAutomorphism((Fraction(0),))
+
+
+def test_scaling_power_past_the_cap_is_a_resource_limit(monkeypatch):
+    # |n| is charged against the closure cap before any power is taken, so a
+    # 5000-digit exponent ends at once in the error that names the cap
+    d = ScalingAutomorphism((Fraction(2), Fraction(-1, 3)))
+    cap = DEFAULT_CLOSURE_CAP
+    assert (d ** cap).scalars == (Fraction(2) ** cap, Fraction(-1, 3) ** cap)
+    assert (d ** -cap).scalars == (Fraction(2) ** -cap, Fraction(-1, 3) ** -cap)
+    for n in (cap + 1, -cap - 1, 10**5000, -10**5000):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=f"exceeds closure cap {cap}$"):
+            ScalingAutomorphism((2,)) ** n
+        assert time.perf_counter() - start < 1.0
+    monkeypatch.setenv("TCK_CLOSURE_CAP", "6")
+    assert (d ** 6).scalars == (Fraction(64), Fraction(1, 729))
+    with pytest.raises(ResourceLimitError, match="power 7 exceeds closure cap 6$"):
+        d ** 7
+    for n in (1.0, True, "2"):
+        with pytest.raises(DomainError, match="scaling automorphism power"):
+            d ** n
 
 
 def test_the_substitution_oracle_is_a_field_map():

@@ -43,7 +43,8 @@ from tck import (
     zn_fullness_witness,
 )
 from tck.errors import decimal, integer, rational
-from tck.fields import _is_prime, _strip_power
+from tck.fields import _is_prime
+from tck.linalg import _strip_power
 
 A2 = build_root_system("A2")
 WITNESSES = generate_witnesses(A2, 4)
