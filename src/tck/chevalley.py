@@ -86,25 +86,19 @@ def _coerce_scalar(t):
 def bracket_coordinates(rs: RootSystem, i: int, j: int) -> dict[int, int]:
     """Bracket of basis elements i and j as a sparse integer coordinate vector."""
     m = len(rs.roots)
-    if i >= m and j >= m:
-        return {}
-    if i >= m:
-        sign, i, j = -1, j, i
-    else:
-        sign = 1
-    if j >= m:
-        # [e_alpha, h_t] = -<alpha, alpha_t^v> e_alpha, flipped by `sign`
-        # when the Cartan element came first.
+    if j >= m > i:
+        # [e_alpha, h_t] = -<alpha, alpha_t^v> e_alpha
         c = rs.pairings[i][j - m]
-        return {i: -sign * c} if c else {}
-    alpha, beta = rs.roots[i], rs.roots[j]
-    if beta == rs.negate(alpha):
-        coords = rs.coroot_coordinates(alpha)
+        return {i: -c} if c else {}
+    if i >= m:
+        # [h_t, e_alpha] = -[e_alpha, h_t], and [h_s, h_t] = 0
+        return {} if j >= m else {k: -c for k, c in bracket_coordinates(rs, j, i).items()}
+    if j == (i + m // 2) % m:  # the negatives mirror the positives
+        coords = rs.coroot_coordinates(rs.roots[i])
         return {m + k: c for k, c in enumerate(coords) if c}
-    total = rs.add(alpha, beta)
-    if rs.is_root(total):
-        return {rs.root_index[total]: rs.constants.n(alpha, beta)}
-    return {}
+    # N(i, j) != 0 exactly when roots[i] + roots[j] is a root
+    c = rs.constants.table[i * m + j]
+    return {rs.root_index[rs.add(rs.roots[i], rs.roots[j])]: c} if c else {}
 
 
 def _memoised_on_root_system(build):
@@ -385,11 +379,8 @@ def _commutator_factors(rs: RootSystem, pair) -> tuple:
     if beta == alpha or beta == rs.negate(alpha):
         raise DomainError("commutator form requires beta != +-alpha")
     factors = []
-    pairs = sorted(
-        ((i, j) for i in range(1, 4) for j in range(1, 4)),
-        key=lambda p: (p[0] + p[1], p[0]),
-    )
-    for i, j in pairs:
+    # in the order of the product: by i + j, then by i
+    for i, j in ((1, 1), (1, 2), (2, 1), (1, 3), (2, 2), (3, 1), (2, 3), (3, 2), (3, 3)):
         gamma = tuple(i * a + j * b for a, b in zip(alpha, beta))
         if not rs.is_root(gamma):
             continue

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from math import gcd, lcm, prod
+from operator import mul
 
 from .errors import (ConsistencyError, DomainError, Record, ResourceLimitError, closure_cap,
                      decimal, integer, width_charge)
@@ -366,7 +367,8 @@ class ChevalleyBasisData:
     """Structure constants N(a, b) with [e_a, e_b] = N(a, b) e_{a+b}.
 
     Signs follow the extraspecial-pair convention, and one pass over the
-    positive roots g, in height order, fills every constant.  The
+    positive roots g, in height order, writes every constant once into
+    ``table``, their one store by root index, which ``n`` reads.  The
     positive pairs (a, b) with a + b = g and a before b in the root order are
     scanned by a.  The first is extraspecial, with N(a, b) = p+1 for the
     length p of the root string b - a, b - 2a, ...  Every later pair is
@@ -398,19 +400,16 @@ class ChevalleyBasisData:
 
     def __init__(self, rs: RootSystem):
         self.rs = rs
-        roots = rs.roots
-        n = len(roots)
+        roots, n = rs.roots, len(rs.roots)
         n_pos = n // 2
         norm = [rs.norm[r] for r in roots]
         base = 4 * max(max(r) for r in rs.positive_roots) + 1
-        key = [sum(c * base**i for i, c in enumerate(r)) for r in roots]
+        powers = [base**i for i in range(rs.rank)]
+        key = [sum(map(mul, r, powers)) for r in roots]
         index = {k: i for i, k in enumerate(key)}
-        # N(i, j) for root indices i and j at i*n + j; -i is at i + n_pos.
-        table = [0] * (n * n)
+        # N(i, j) at i*n + j, 0 where roots[i] + roots[j] is no root; -i is at i + n_pos.
+        self.table = table = [0] * (n * n)
         self._extraspecial: dict[Root, tuple[Root, Root]] = {}
-        # Every pair whose sum is a root, keyed by the roots themselves.
-        pairs: dict[tuple[Root, Root], int] = {}
-        self.pairs = pairs
         for g in range(n_pos):
             first = None
             for a in range(g):
@@ -445,12 +444,12 @@ class ChevalleyBasisData:
                                     (na, nb, -v), (nb, g, -vbc), (g, na, -vca)):
                     table[x * n + y] = value
                     table[y * n + x] = -value
-                    pairs[(roots[x], roots[y])] = value
-                    pairs[(roots[y], roots[x])] = -value
 
     def n(self, a, b) -> int:
-        """N(a, b), with 0 when a+b is not a root."""
-        return self.pairs.get((tuple(a), tuple(b)), 0)
+        """N(a, b), with 0 when a, b or a+b is not a root."""
+        index = self.rs.root_index
+        i, j = index.get(tuple(a)), index.get(tuple(b))
+        return 0 if i is None or j is None else self.table[i * len(index) + j]
 
     def extraspecial_pair(self, gamma) -> tuple[Root, Root]:
         return self._extraspecial[tuple(gamma)]

@@ -39,7 +39,7 @@ import operator
 from bisect import bisect_right
 from collections.abc import Sequence
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 from .errors import (ConsistencyError, DomainError, Record, ResourceLimitError, closure_cap,
                      decimal, integer, rational)
@@ -71,13 +71,21 @@ def generate_witnesses(rs: RootSystem, count: int) -> WitnessSequence:
     disjoint.  No randomization: certificates stay reproducible.
     """
     integer(count, 1, f"at least one witness is required, got {decimal(count)}")
-    # every prime is tested from 2 on, so the primes are charged against the
-    # closure cap before the first test
-    cap = closure_cap()
-    if count * rs.rank > cap:
+    # the sieve grows with the primes, so they are charged before it runs
+    cap, n = closure_cap(), count * rs.rank
+    if n > cap:
         raise ResourceLimitError(f"witness count exceeds closure cap {cap} at {rs.rank} "
                                  "primes per witness")
-    primes = list(itertools.islice(filter(_is_prime, itertools.count(2)), count * rs.rank))
+    # p_n < n (ln n + ln ln n) <= n log2 n for n >= 6 (Rosser and Schoenfeld,
+    # 1962); should the sieve below the bound come up short, the bound doubles.
+    bound, primes = n * n.bit_length() + 12, []
+    while len(primes) < n:
+        sieve = bytearray(2) + bytearray([1]) * (bound - 2)
+        for p in range(2, isqrt(bound - 1) + 1):
+            if sieve[p]:
+                sieve[p * p::p] = bytes(len(range(p * p, bound, p)))
+        primes = list(itertools.islice(itertools.compress(itertools.count(), sieve), n))
+        bound *= 2
     return WitnessSequence(rs, tuple(tuple(primes[i:i + rs.rank])
                                      for i in range(0, len(primes), rs.rank)))
 

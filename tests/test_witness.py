@@ -42,6 +42,7 @@ from tck import (
 import tck.witness
 from tck.witness import CertifiedEntries, _collapse, _index_map
 from tck.chevalley import GraphMatrixRealization
+from tck.fields import _is_prime
 from tck.linalg import diagonal_entries, is_diagonal, mat_mul, mat_product
 from tck.roots import root_permutation
 
@@ -106,6 +107,13 @@ def test_generate_witnesses_shapes():
                 == w2.root_system.pairings)
     with pytest.raises(DomainError):
         generate_witnesses(rs, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 17, 100, 1000, 6400])
+def test_witness_primes_are_the_first_primes(n):
+    # A1 takes one prime per witness, so its blocks are the sieve's list
+    primes = [block[0] for block in generate_witnesses(build_root_system("A1"), n).primes]
+    assert primes == list(itertools.islice(filter(_is_prime, itertools.count(2)), n))
 
 
 # sha256 prefixes of repr(fraction_diagonals) for four witnesses, recorded
