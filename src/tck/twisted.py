@@ -22,28 +22,29 @@ check, which tests a product definition directly.
 
 Orbit walks run on index maps, not on group products.  After closure every
 map is composed from the edge columns down the recorded tree, so it takes
-no product and inverts no element.  An element first
-reached as x s has u (x s) = (u x) s, so x -> u x follows the tree from u,
-and (x s)^-1 = s^-1 x^-1, so x -> x^-1 follows it from 1 with the maps
-x -> s^-1 x, s^-1 being the x whose edge under s leads to 1.
-FiniteGroup.inv reads this map, so no element is inverted by powering; the
-closure gates each generator on the same edges, since in the finite monoid
-it walked s is invertible exactly when some x has x s = 1.  Conjugation,
-inner automorphisms and the twisting action of a
-generator z on y are then compositions of index lists: z y phi(z)^-1 is
-L_z o inv o L_phi(z) o inv, for any bijection phi, and a central move
-y -> y c is L_c.  The maps of the generators and the inverse map are built
-on first use and kept on the group, and so are the twist maps of the last
-automorphism with their orbit count, so R and then S on one phi build and
-walk them once.  The center is the set of elements every conjugation map
-fixes.  Orbits are walked forward from the least unvisited index; the maps
-generate a finite group, so walking forward reaches the whole orbit.  R of
-the map phi induces on G/N, for any phi-invariant normal subgroup N, is
-counted in class space: it is the number of phi-invariant orbits of
-y -> z y z^-1 and y -> n y with n in N (Fel'shtyn-Hill), so no quotient
-group is built.  Normality and invariance of N are checked on the
-conjugation maps and phi's table.  S(phi) is the case N = Z, where the
-moves are the central moves.
+no product and inverts no element.  An element first reached as x s has
+u (x s) = (u x) s, so x -> u x follows the tree from u.  The group keeps one
+family of such maps, x -> s^-1 x for each generator s (s^-1 being the x
+whose edge under s leads to 1), and x -> x^-1, which follows the tree from
+1 along them, since (x s)^-1 = s^-1 x^-1.  FiniteGroup.inv reads this map,
+so no element is inverted by powering; the closure gates each generator on
+the same edges, since in the finite monoid it walked s is invertible exactly
+when some x has x s = 1.  Every orbit map is y -> z^-1 y w for a generator
+z, as L_{z^-1} o R_w, where R_w is w's edge column when w is a generator
+and inv o L_{w^-1} o inv otherwise: conjugation is w = s, and the twisting
+action of z is w = phi(z), the inverse of y -> z y phi(z)^-1 and so with
+the same orbits, for any bijection phi.  A central move y -> y c is L_c.
+The left maps and the inverse map are built on first use and kept on the
+group, and so are the twist maps of the last automorphism with their orbit
+count, so R and then S on one phi build and walk them once.  The center is
+the set of elements every conjugation map fixes.  Orbits are walked forward
+from the least unvisited index; the maps generate a finite group, so
+walking forward reaches the whole orbit.  R of the map phi induces on G/N,
+for any phi-invariant normal subgroup N, is counted in class space: it is
+the number of phi-invariant orbits of conjugation and y -> n y with n in N
+(Fel'shtyn-Hill), so no quotient group is built.  Normality and invariance
+of N are checked on the conjugation maps and phi's table.  S(phi) is the
+case N = Z, where the moves are the central moves.
 """
 
 from __future__ import annotations
@@ -163,11 +164,10 @@ class FiniteGroup:
         # element j > 0 was first reached along the edge from parent[j - 1]
         # under generator via[j - 1]
         self.parent, self.via = parent, via
-        # built on first use: per generator s the maps x -> s x and
-        # x -> s x s^-1, and x -> x^-1
-        self._left_maps = None
+        # built on first use: (x -> s^-1 x per generator s, x -> x^-1), and
+        # x -> s^-1 x s per generator s
+        self._lefts = None
         self._conj_maps = None
-        self._inverse = None
         # [phi(z) indices, twist maps, their orbit count] of the last
         # automorphism walked
         self._twist = None
@@ -180,7 +180,7 @@ class FiniteGroup:
 
     def inv(self, a):
         """a^-1, read off the inverse map along the closure's tree."""
-        return self.elements[_inverse_map(self)[self.index[self.element(a)]]]
+        return self.elements[_inverse_lefts(self)[1][self.index[self.element(a)]]]
 
     def conjugate(self, g, x):
         return self.mul(self.mul(g, x), self.inv(g))
@@ -287,7 +287,9 @@ def _element_orders(G: FiniteGroup) -> list:
 
 def _propagate(G: FiniteGroup, start: int, columns) -> list:
     """The index map f with f(1) = start and f(x s) = columns[s][f(x)], down
-    the breadth-first tree: parents come first, so no product is taken."""
+    the breadth-first tree: parents come first, so no product is taken.  On
+    the edge columns it is x -> u x for u = elements[start], L_u, since
+    u (x s) = (u x) s."""
     out = [start]
     append = out.append
     for i, pos in zip(G.parent, G.via):
@@ -295,33 +297,17 @@ def _propagate(G: FiniteGroup, start: int, columns) -> list:
     return out
 
 
-def _left_maps(G: FiniteGroup) -> list:
-    """For each generator s, x -> s x as an index list, built on first use and
-    kept on the group."""
-    if G._left_maps is None:
-        G._left_maps = [_propagate(G, G.index[s], G.columns) for s in G.generators]
-    return G._left_maps
+def _inverse_lefts(G: FiniteGroup) -> tuple:
+    """For each generator s the map x -> s^-1 x, and x -> x^-1, as index
+    lists built on first use and kept on the group.
 
-
-def _left_map(G: FiniteGroup, u: int) -> list:
-    """x -> u x for the element of index u: u (x s) = (u x) s, so the map
-    follows the tree from u along the edge columns."""
-    for s, left in zip(G.generators, _left_maps(G)):
-        if G.index[s] == u:
-            return left
-    return _propagate(G, u, G.columns)
-
-
-def _inverse_map(G: FiniteGroup) -> list:
-    """x -> x^-1 as an index list, built on first use and kept on the group.
-
-    (x s)^-1 = s^-1 x^-1, so the map follows the tree from 1 along the maps
-    x -> s^-1 x, and s^-1 is the element whose edge under s leads to 1.
+    s^-1 is the element whose edge under s leads to 1, and (x s)^-1 =
+    s^-1 x^-1, so x -> x^-1 follows the tree from 1 along the maps x -> s^-1 x.
     """
-    if G._inverse is None:
-        lefts = [_left_map(G, column.index(0)) for column in G.columns]
-        G._inverse = _propagate(G, 0, lefts)
-    return G._inverse
+    if G._lefts is None:
+        lefts = [_propagate(G, column.index(0), G.columns) for column in G.columns]
+        G._lefts = lefts, _propagate(G, 0, lefts)
+    return G._lefts
 
 
 def _compose(outer, inner) -> tuple:
@@ -331,17 +317,23 @@ def _compose(outer, inner) -> tuple:
     return itemgetter(*inner)(outer)
 
 
-def _twist_map(G: FiniteGroup, left_a, left_b) -> tuple:
-    """y -> a y b^-1 from the left maps of a and b, as L_a o inv o L_b o inv."""
-    inverse = _inverse_map(G)
-    return _compose(left_a, _compose(inverse, _compose(left_b, inverse)))
+def _orbit_map(G: FiniteGroup, pos: int, w: int) -> tuple:
+    """y -> z^-1 y w for the generator z = generators[pos] and the element of
+    index w, as L_{z^-1} o R_w: R_w is w's edge column when w is a
+    generator, and inv o L_{w^-1} o inv otherwise."""
+    lefts, inverse = _inverse_lefts(G)
+    for s, column in zip(G.generators, G.columns):
+        if G.index[s] == w:
+            return _compose(lefts[pos], column)
+    right = _compose(inverse, _compose(_propagate(G, inverse[w], G.columns), inverse))
+    return _compose(lefts[pos], right)
 
 
 def _conjugation_maps(G: FiniteGroup) -> list:
-    """For each generator s, x -> s x s^-1 as an index map, built on first
+    """For each generator s, x -> s^-1 x s as an index map, built on first
     use and kept on the group."""
     if G._conj_maps is None:
-        G._conj_maps = [_twist_map(G, left, left) for left in _left_maps(G)]
+        G._conj_maps = [_orbit_map(G, pos, G.index[s]) for pos, s in enumerate(G.generators)]
     return G._conj_maps
 
 
@@ -352,9 +344,10 @@ def all_automorphisms(G: FiniteGroup) -> list["GroupAutomorphism"]:
     representative, so the search puts g1 only on the least element of each
     class of its order; a later generator g goes to elements y of its order
     with g1 g and phi(g1) y of one order.  The other automorphisms are the
-    orbit of each found phi under phi -> i_s o phi for the generators s, on
-    index maps.  The list is ordered by the element indices of the generator
-    images, the order a full sweep of the image tuples gives.
+    orbit of each found phi under composition with the generators'
+    conjugation maps, on index maps.  The list is ordered by the element
+    indices of the generator images, the order a full sweep of the image
+    tuples gives.
     """
     gens, elements, index = G.generators, G.elements, G.index
     if not gens:
@@ -362,12 +355,13 @@ def all_automorphisms(G: FiniteGroup) -> list["GroupAutomorphism"]:
     orders = _element_orders(G)
     conj = _conjugation_maps(G)
     at_gens = [index[g] for g in gens]
-    first = _left_maps(G)[0]
     reps = [i for i in _orbit_ids(len(G), conj)[1] if orders[i] == orders[at_gens[0]]]
-    targets = [(orders[j], orders[first[j]]) for j in at_gens[1:]]
+    # the order of g and of g1 g, read off g's edge column
+    targets = [(orders[j], orders[column[at_gens[0]]])
+               for j, column in zip(at_gens[1:], G.columns[1:])]
     searches = []
     for r in reps:
-        left = _left_map(G, r)
+        left = _propagate(G, r, G.columns)
         searches.append((r, [[y for i, y in enumerate(elements)
                               if orders[i] == o and orders[left[i]] == o_product]
                              for o, o_product in targets]))
@@ -419,7 +413,7 @@ def _center(G: FiniteGroup) -> tuple:
     for i in central:
         if elements[i] not in Z.index:
             gens.append(elements[i])
-            moves.append(_left_map(G, i))
+            moves.append(_propagate(G, i, G.columns))
             rights = [lambda x, move=move: elements[move[index[x]]] for move in moves]
             Z = _walk(G.ops, gens, rights, len(G))
     return Z, moves
@@ -476,8 +470,10 @@ class GroupAutomorphism:
 
     @classmethod
     def inner(cls, group: FiniteGroup, g) -> "GroupAutomorphism":
-        left = _left_map(group, group.index[group.element(g)])
-        return cls._composed(group, _twist_map(group, left, left))
+        """x -> g x g^-1, as L_g o inv o L_g o inv."""
+        left = _propagate(group, group.index[group.element(g)], group.columns)
+        inverse = _inverse_lefts(group)[1]
+        return cls._composed(group, _compose(left, _compose(inverse, _compose(left, inverse))))
 
     def __call__(self, x):
         group = self.group
@@ -527,7 +523,8 @@ def _orbit_blocks(G: FiniteGroup, ids, leaders) -> tuple:
 
 
 def _twist_maps(G: FiniteGroup, phi: GroupAutomorphism) -> list:
-    """For each generator z, y -> z y phi(z)^-1 as an index map.
+    """For each generator z, y -> z^-1 y phi(z) as an index map: the inverse
+    of y -> z y phi(z)^-1, so its orbits are the twisted classes.
 
     The maps of the last automorphism are kept on the group, keyed by the
     images phi(z) they depend on, so R and then S on one phi build them
@@ -538,7 +535,7 @@ def _twist_maps(G: FiniteGroup, phi: GroupAutomorphism) -> list:
     key = tuple(phi.images[G.index[z]] for z in G.generators)
     if G._twist is None or G._twist[0] != key:
         G._twist = None  # the old maps go before the new ones are built
-        maps = [_twist_map(G, left, _left_map(G, w)) for left, w in zip(_left_maps(G), key)]
+        maps = [_orbit_map(G, pos, w) for pos, w in enumerate(key)]
         G._twist = [key, maps, None]
     return G._twist[1]
 
@@ -609,7 +606,7 @@ def induced_reidemeister_number(G: FiniteGroup, N, phi: GroupAutomorphism) -> in
     if any(phi.images[i] not in inside for i in members):
         raise DomainError("automorphism does not preserve the subgroup")
     # N is normal, so y -> n y moves y within its coset yN = Ny
-    return _quotient_count(G, phi, [_left_map(G, G.index[n]) for n in N.generators])
+    return _quotient_count(G, phi, [_propagate(G, G.index[n], G.columns) for n in N.generators])
 
 
 class IsogredienceClassCount(Record):

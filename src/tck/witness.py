@@ -303,7 +303,7 @@ def _certify(rs: RootSystem, primes, exponents: Rows, scaling: ScalingAutomorphi
         if any(x == 0 for x in c):
             raise DomainError("correction entries must be nonzero")
     bound = scaling.variable_count + 1
-    generators = tuple((scaling ** 6).scalars)
+    generators = tuple(c ** 6 for c in scaling.scalars)
     if index <= bound:
         return ObstructionCertificate(root_count, rs.rank, index, bound, count, generators,
                                       "inconclusive", CertifiedEntries(root_count, (), (), ()),

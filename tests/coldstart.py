@@ -7,9 +7,11 @@ PARENT is the root of another checkout of this repository, for example a
 command below runs as one child process at a time, alternating between this
 tree and PARENT (this tree first on even repeats), with
 PYTHONDONTWRITEBYTECODE=1, so every call compiles the tck modules it imports
-from source, as a fresh tree without bytecode does.  The script prints the
-median wall time of each command on each side and, per side, the tck and
-standard-library modules the command loads beyond a bare interpreter's.
+from source, as a fresh tree without bytecode does.  The script prints, for
+each command, the median wall time on each side with its quartiles, and in
+how many of the alternating pairs (one call on each side per repeat) this
+tree was faster; then, per side, the tck and standard-library modules the
+command loads beyond a bare interpreter's.
 It uses the standard library only and is not part of the test suite.
 """
 
@@ -57,6 +59,12 @@ def _seconds(argv, tree: Path, cwd: Path) -> float:
     return time.perf_counter() - start
 
 
+def _spread(seconds) -> str:
+    """The median and quartiles of a list of seconds, in ms."""
+    q1, median, q3 = (q * 1000 for q in statistics.quantiles(seconds, n=4))
+    return f"{median:.1f} [{q1:.1f}, {q3:.1f}]"
+
+
 def _loaded(command: str, tree: Path, cwd: Path) -> list[str]:
     result = subprocess.run([sys.executable, "-c", PROBE, *command.split()], cwd=cwd,
                             env=_env(tree), capture_output=True, text=True, check=True)
@@ -68,6 +76,8 @@ def main() -> int:
     parser.add_argument("parent", type=Path, help="root of the parent tree")
     parser.add_argument("--repeats", type=int, default=15)
     args = parser.parse_args()
+    if args.repeats < 2:
+        parser.error("--repeats needs at least 2 calls for quartiles")
     trees = {"this": HERE, "parent": args.parent.resolve()}
     if not (trees["parent"] / "src" / "tck" / "cli.py").is_file():
         parser.error(f"{args.parent} holds no src/tck/cli.py")
@@ -83,12 +93,13 @@ def main() -> int:
             for label, argv in calls:
                 for side in order:
                     times[label, side].append(_seconds(argv, trees[side], cwd))
-        print(f"median wall ms over {args.repeats} alternating calls "
-              "(PYTHONDONTWRITEBYTECODE=1)")
-        print(f"{'command':<66} {'parent':>8} {'this':>8}")
+        print(f"wall ms over {args.repeats} alternating calls (PYTHONDONTWRITEBYTECODE=1): "
+              "median [quartiles] per side, and the pairs this tree won")
+        print(f"{'command':<66} {'parent':>24} {'this':>24} {'won':>7}")
         for label, _ in calls:
-            parent, this = (statistics.median(times[label, s]) * 1000 for s in ("parent", "this"))
-            print(f"{label:<66} {parent:8.1f} {this:8.1f}")
+            parent, this = (_spread(times[label, side]) for side in ("parent", "this"))
+            won = sum(t < p for p, t in zip(times[label, "parent"], times[label, "this"]))
+            print(f"{label:<66} {parent:>24} {this:>24} {won:>3}/{args.repeats:<3}")
         for command in COMMANDS:
             print(f"\n{command}")
             for side in ("parent", "this"):

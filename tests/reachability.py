@@ -1,6 +1,6 @@
 """Which functions of src/tck the program's own traffic reaches, traced rather than guessed.
 
-    python tests/reachability.py
+    python tests/reachability.py [--check]
 
 Needs Python 3.11 or later (it reads co_qualname).  It puts the checkout's
 src and perfbench directories on sys.path and imports perfbench read-only.
@@ -25,10 +25,17 @@ Lambdas and comprehensions are not listed: they run inside a function that
 is.  A second section lists, per function, the statements in its body that
 no source reaches, docstrings left out: the branches that the first section
 cannot see.  A statement counts as reached when a line of its own (its
-header, for a compound statement) runs.  Not collected by pytest (the name
-does not start with test_).
+header, for a compound statement) runs.
+
+With --check it prints neither section.  It compares the unreached functions
+with the list in unreached.txt beside this script, names each function that
+is unreached but not listed, or listed but reached or no longer defined, and
+exits 1 if there is one: a function that joins the unreached fails the
+check, and one that leaves them is taken off the list in the same change.
+Not collected by pytest (the name does not start with test_).
 """
 
+import argparse
 import ast
 import contextlib
 import io
@@ -44,6 +51,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 ROUNDS = 3
 SEED = 1
+UNREACHED = Path(__file__).with_name("unreached.txt")
 
 
 def _header(node) -> range:
@@ -193,7 +201,27 @@ def trace_workloads(reach: Reach):
                     _attempt(job.label, lambda: job.check(result, Counter()))
 
 
+def check(rows) -> int:
+    """Compare the unreached functions with the committed list: 1 on any difference."""
+    unreached = {name for hit, name, _ in rows if not hit}
+    listed = {line for line in UNREACHED.read_text().splitlines()
+              if line and not line.startswith("#")}
+    for name in sorted(unreached - listed):
+        print(f"{name}  unreached, not listed in {UNREACHED.name}")
+    defined = {name for _, name, _ in rows}
+    for name in sorted(listed - unreached):
+        print(f"{name}  listed in {UNREACHED.name}, "
+              + ("reached" if name in defined else "no longer defined"))
+    print(f"{len(unreached)} functions unreached, {len(listed)} listed: "
+          + ("the same" if unreached == listed else "they differ"))
+    return int(unreached != listed)
+
+
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help=f"compare the unreached functions with {UNREACHED.name}")
+    args = parser.parse_args()
     reach = Reach()
     trace_cli(reach)
     trace_verify(reach)
@@ -211,6 +239,8 @@ def main() -> int:
             label = "UNREACHED public"
         rows.append((bool(sources), f"{module}:{name}", label))
     rows.sort()
+    if args.check:
+        return check(rows)
     width = max(len(name) for _, name, _ in rows)
     for _, name, label in rows:
         print(f"{name:<{width}}  {label}")

@@ -300,6 +300,19 @@ def test_witness_run_inconclusive(capsys):
     assert report["payload"]["certified"] == []
 
 
+@pytest.mark.parametrize("index, verdict", [("2", "inconclusive"), ("3", "obstructed")])
+def test_witness_run_under_a_cap_below_six(capsys, monkeypatch, index, verdict):
+    # the lattice generators are the scalars' sixth powers, which the
+    # certificate takes itself: no power of the automorphism is asked for,
+    # so a cap of 5 charges nothing for them
+    monkeypatch.setenv("TCK_CLOSURE_CAP", "5")
+    code, report = run_cli(capsys, ["witness", "run", "--type", "A1", "--count", "3",
+                                    "--trdeg", "1", "--scale", "2", "--index", index])
+    assert code == 0
+    assert report["payload"]["verdict"] == verdict
+    assert report["payload"]["generators"] == [64]
+
+
 def test_witness_run_never_factors_the_scale(capsys):
     # an 81-digit semiprime with two 40-digit factors: membership is decided
     # by gcds, so the run costs no more than with a small scale
@@ -878,6 +891,57 @@ def _spectrum_and_verify_argv(draw):
 @given(argv=_spectrum_and_verify_argv())
 def test_spectrum_and_verify_values_end_in_one_typed_document(argv):
     _assert_one_typed_document(argv)
+
+
+# The twisted commands name their group and automorphism files by these keys,
+# written to a temporary directory; the other keys name paths that cannot be
+# read as a descriptor.
+_FILES = {"s3": b'{"encoding": "perm", "generators": [[1, 0, 2], [1, 2, 0]]}',
+          "s3-id": b'{"images": [[1, 0, 2], [1, 2, 0]]}',
+          "s4": b'{"encoding": "perm", "generators": [[1, 0, 2, 3], [1, 2, 3, 0]]}',
+          "s4-id": b'{"images": [[1, 0, 2, 3], [1, 2, 3, 0]]}',
+          "empty": b"", "not-utf8": b'{"images": "\xff\xfe"}'}
+_FILE_KEYS = [*_FILES, "missing", "directory", "/dev/null", "long-name", "nul-name"]
+_MATRICES = ["[[2, 1], [1, 1]]", "[[0, 1], [-1, 0]]", "[[1, 1], [1, 0]]",
+             "[[1, 0, 0], [0, 0, 1], [0, 1, 0]]"]
+_ODD_MATRICES = ["[[1, 2, 3], [4, 5, 6]]", f"[[{'9' * 5000}, 1], [1, 1]]", "1/0", "1e999999",
+                 "[[1.5, 0], [0, 1]]", "true", "[" * 100000]
+
+
+@st.composite
+def _file_and_matrix_argv(draw):
+    """A twisted call on the S3 or S4 descriptor and its identity, or a
+    spectrum zn or heisenberg call on a unimodular matrix, but for at most
+    one value: another file key, or a malformed matrix."""
+    command = draw(st.sampled_from([("twisted", "classes"), ("twisted", "reidemeister"),
+                                    ("twisted", "isogredience"), ("spectrum", "zn"),
+                                    ("spectrum", "heisenberg")]))
+    if command[0] == "twisted":
+        group = draw(st.sampled_from(["s3", "s4"]))
+        odd_file = st.sampled_from(_FILE_KEYS)
+        options = {"--group": (st.just(group), odd_file),
+                   "--aut": (st.just(f"{group}-id"), odd_file)}
+    else:
+        options = {"--matrix": (st.sampled_from(_MATRICES[:3] if command[1] == "heisenberg"
+                                                else _MATRICES), st.sampled_from(_ODD_MATRICES))}
+    odd = draw(st.none() | st.sampled_from(list(options)))
+    argv = list(command)
+    for option, (valid, wrong) in options.items():
+        argv += [option, draw(wrong if option == odd else valid)]
+    return argv
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(argv=_file_and_matrix_argv())
+def test_file_and_matrix_values_end_in_one_typed_document(tmp_path_factory, argv):
+    folder = tmp_path_factory.getbasetemp() / "argv-files"
+    folder.mkdir(exist_ok=True)
+    paths = {"missing": folder / "absent.json", "directory": folder, "/dev/null": "/dev/null",
+             "long-name": "x" * 5000, "nul-name": "s3\0.json"}
+    for key, content in _FILES.items():
+        paths[key] = folder / f"{key}.json"
+        paths[key].write_bytes(content)
+    _assert_one_typed_document([str(paths.get(value, value)) for value in argv])
 
 
 # each call's exit code and the sha256 prefixes of its stdout and stderr

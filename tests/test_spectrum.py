@@ -124,6 +124,16 @@ def test_cokernel_order_mod():
         cokernel_order_mod([[1]], 0)
 
 
+def test_torus_automorphism_with_one_twisted_class():
+    # The boundary of S-infinity: on the torus (Q*)^2 = ((Z/2) + Z^(primes))^2,
+    # phi(x, y) = (xy, x) has 1 - phi onto, so R(phi) = 1.  The free part is
+    # Z^2 under M = [[1, 1], [1, 0]] on each prime, and the torsion part
+    # (Z/2)^2 is the cokernel of I - M mod 2, by two routes.
+    assert reidemeister_zn([[1, 1], [1, 0]]) == 1
+    assert cokernel_order_mod([[0, -1], [-1, 1]], 2) == 1
+    assert abelian_oracle_count([[1, 1], [1, 0]], 2) == 1
+
+
 def test_abelian_oracle_agrees_with_cokernel():
     rng = random.Random(31)
     for _ in range(25):

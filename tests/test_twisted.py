@@ -326,15 +326,18 @@ def test_index_maps_match_their_product_definitions(name):
     def image(table):
         return [elements[j] for j in table]
 
-    assert image(twisted._inverse_map(g)) == [inv(x) for x in elements]
+    lefts, inverse = twisted._inverse_lefts(g)
+    for s, left in zip(g.generators, lefts):
+        assert image(left) == [mul(inv(s), x) for x in elements]
+    assert image(inverse) == [inv(x) for x in elements]
     assert [g.inv(x) for x in elements] == [inv(x) for x in elements]
     rng = random.Random(41)
     for u in rng.sample(elements, 4) + [g.identity, *g.generators, elements[-1]]:
-        assert image(twisted._left_map(g, g.index[u])) == [mul(u, x) for x in elements]
+        assert image(twisted._propagate(g, g.index[u], g.columns)) == [mul(u, x) for x in elements]
         assert (image(GroupAutomorphism.inner(g, u).images)
                 == [mul(mul(u, x), inv(u)) for x in elements])
     for s, conj in zip(g.generators, twisted._conjugation_maps(g)):
-        assert image(conj) == [mul(mul(s, x), inv(s)) for x in elements]
+        assert image(conj) == [mul(mul(inv(s), x), s) for x in elements]
     centre, moves = twisted._center(g)
     assert [image(move) for move in moves] == [image(m) for m in _right_maps(g, centre.generators)]
     for walked in (g, subgroup(g, [elements[-1], g.generators[0]]), centre):
@@ -347,8 +350,7 @@ def test_index_maps_match_their_product_definitions(name):
     swapped[0], swapped[-1] = swapped[-1], swapped[0]
     for phi in phis + [GroupAutomorphism(g, swapped)]:
         for z, twist in zip(g.generators, twisted._twist_maps(g, phi)):
-            w = inv(phi(z))
-            assert image(twist) == [mul(mul(z, y), w) for y in elements]
+            assert image(twist) == [mul(mul(inv(z), y), phi(z)) for y in elements]
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_GROUPS))
