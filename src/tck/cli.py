@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import __version__
-from .errors import ConsistencyError, DomainError, ResourceLimitError, closure_cap
+from .errors import ConsistencyError, DomainError, ResourceLimitError, charge
 
 # Each handler imports the modules it runs, so a cold call loads only those.
 
@@ -78,7 +78,11 @@ def _parse_matrix(text: str):
 
 def _load_json(path: str) -> dict:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        handle = open(path, "r", encoding="utf-8")  # a NUL in the path is a ValueError
+    except (OSError, ValueError) as exc:
+        raise DomainError(f"cannot read {path}: {exc}") from exc
+    try:
+        with handle:
             data = json.load(handle)
     except OSError as exc:
         raise DomainError(f"cannot read {path}: {exc}") from exc
@@ -217,10 +221,8 @@ def _run_witness(args):
     rs = build_root_system(args.type)
     # the field part holds one scalar per degree, each worked through the
     # certificate, so the degree is charged against the closure cap first
-    cap = closure_cap()
-    if args.trdeg > cap:
-        raise ResourceLimitError(f"transcendence degree exceeds closure cap {cap} at one "
-                                 "scalar per degree")
+    charge(args.trdeg, lambda cap: f"transcendence degree exceeds closure cap {cap} at one "
+           "scalar per degree")
     scalars = [_parse_rational(part) for part in args.scale.split(",")]
     if len(scalars) == 1 and args.trdeg > 1:
         scalars = scalars * args.trdeg

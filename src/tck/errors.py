@@ -12,12 +12,12 @@ past Python's int/str digit limit still ends in the error meant for it.
 
 The closure cap, ``closure_cap()``, is set by TCK_CLOSURE_CAP and counted in
 elements; an element of width w (a permutation's degree, a matrix's entry
-count) counts ``width_charge(w)`` = ceil(w / 64) against it.  Closures of
-finite groups charge each element they keep, and a root system charges one
-adjoint element of width dim^2 before it builds anything; a witness sequence
-charges its primes, the CLI's ``witness run`` its field scalars, and the
-automorphism search its candidate generator images, before the first is
-made.
+count) counts ``width_charge(w)`` = ceil(w / 64) against it.  ``charge`` is
+the one way to charge it before work starts: a root system charges one
+adjoint element of width dim^2, a witness sequence its primes, the CLI's
+``witness run`` its field scalars, the automorphism search its candidate
+generator images and a scaling power its exponent.  Only a finite group's
+closure reads the cap itself, to charge each element it keeps in its loop.
 
 ``Record`` is the package's immutable value class, so no cold call loads
 ``dataclasses``.
@@ -93,6 +93,13 @@ def closure_cap() -> int:
     if value < 1:
         raise DomainError("TCK_CLOSURE_CAP must be positive")
     return value
+
+
+def charge(units: int, message) -> None:
+    """ResourceLimitError(message(cap)) if units exceed the closure cap; message runs only then."""
+    cap = closure_cap()
+    if units > cap:
+        raise ResourceLimitError(message(cap))
 
 
 def width_charge(width: int) -> int:

@@ -23,8 +23,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add
 
-from .errors import (ConsistencyError, DomainError, Record, ResourceLimitError, closure_cap,
-                     decimal, integer, rational)
+from .errors import ConsistencyError, DomainError, Record, charge, decimal, integer, rational
 from .linalg import _strip_power, smith_normal_form
 
 Exponent = tuple[int, ...]
@@ -195,7 +194,7 @@ class Polynomial:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if type(other) is not Polynomial and isinstance(other, (int, Fraction)):
             return self.scale(other)
         other = self._coerce(other)
         if other is None:
@@ -234,10 +233,10 @@ class Polynomial:
 
     def scale(self, c) -> "Polynomial":
         """c times self, the Fraction operand first; an int c keeps int coefficients int."""
-        if isinstance(c, Fraction):
-            terms = {e: c * v for e, v in self.terms.items()} if c else {}
-        elif type(c) is int:
+        if type(c) is int:
             terms = {e: v * c for e, v in self.terms.items()} if c else {}
+        elif isinstance(c, Fraction):
+            terms = {e: c * v for e, v in self.terms.items()} if c else {}
         else:
             raise DomainError(f"unsupported scalar {c!r}")
         return Polynomial(self.nvars, terms)
@@ -546,10 +545,8 @@ class ScalingAutomorphism(Record):
         # c ** n has about |n| times the digits of c, so |n| is charged
         # against the closure cap before any power is taken
         integer(n, None, "scaling automorphism power")
-        cap = closure_cap()
-        if abs(n) > cap:
-            raise ResourceLimitError(f"scaling automorphism power {decimal(n)} exceeds closure "
-                                     f"cap {cap}")
+        charge(abs(n), lambda cap: f"scaling automorphism power {decimal(n)} exceeds closure "
+               f"cap {cap}")
         return ScalingAutomorphism(tuple(c ** n for c in self.scalars))
 
     @classmethod

@@ -25,8 +25,7 @@ from functools import cached_property
 from math import gcd, lcm, prod
 from operator import mul
 
-from .errors import (ConsistencyError, DomainError, Record, ResourceLimitError, closure_cap,
-                     decimal, integer, width_charge)
+from .errors import ConsistencyError, DomainError, Record, charge, decimal, integer, width_charge
 
 Root = tuple[int, ...]
 
@@ -131,11 +130,9 @@ class RootSystem:
         # dim^2, against the closure cap.
         expected = _root_count(type_.family, type_.rank)
         dim = expected + type_.rank
-        charge, cap = width_charge(dim * dim), closure_cap()
-        if charge > cap:
-            raise ResourceLimitError(
-                f"root system {type_} exceeds closure cap {cap}: one adjoint element "
-                f"of width {decimal(dim * dim)} counts {decimal(charge)}")
+        units = width_charge(dim * dim)
+        charge(units, lambda cap: f"root system {type_} exceeds closure cap {cap}: one adjoint "
+               f"element of width {decimal(dim * dim)} counts {decimal(units)}")
         self.type = type_
         self.rank = type_.rank
         self.cartan = tuple(tuple(row) for row in _cartan_matrix(type_.family, type_.rank))

@@ -56,8 +56,8 @@ from itertools import chain, product as cartesian_product
 from math import gcd, prod
 from operator import itemgetter, mul as scalar_mul
 
-from .errors import (ConsistencyError, DomainError, Record, ResourceLimitError, closure_cap,
-                     decimal, integer, width_charge)
+from .errors import (ConsistencyError, DomainError, Record, ResourceLimitError, charge,
+                     closure_cap, decimal, integer, width_charge)
 
 
 class PermOps:
@@ -318,15 +318,14 @@ def _compose(outer, inner) -> tuple:
 
 
 def _orbit_map(G: FiniteGroup, pos: int, w: int) -> tuple:
-    """y -> z^-1 y w for the generator z = generators[pos] and the element of
-    index w, as L_{z^-1} o R_w: R_w is w's edge column when w is a
-    generator, and inv o L_{w^-1} o inv otherwise."""
+    """y -> z^-1 y w for z = generators[pos] and w an element index, as L_{z^-1} o R_w:
+    R_w is w's edge column for a generator w, and otherwise (x -> x^-1 w) o inv,
+    x -> x^-1 w following the left maps down the tree from w: (xs)^-1 w = s^-1 (x^-1 w)."""
     lefts, inverse = _inverse_lefts(G)
     for s, column in zip(G.generators, G.columns):
         if G.index[s] == w:
             return _compose(lefts[pos], column)
-    right = _compose(inverse, _compose(_propagate(G, inverse[w], G.columns), inverse))
-    return _compose(lefts[pos], right)
+    return _compose(lefts[pos], _compose(_propagate(G, w, lefts), inverse))
 
 
 def _conjugation_maps(G: FiniteGroup) -> list:
@@ -367,10 +366,9 @@ def all_automorphisms(G: FiniteGroup) -> list["GroupAutomorphism"]:
                              for o, o_product in targets]))
     # the candidate tuples grow as |G|^(generators - 1), so all of them are
     # charged against the closure cap before the first is tried
-    cap, candidates = closure_cap(), sum(prod(map(len, pools)) for _, pools in searches)
-    if candidates > cap:
-        raise ResourceLimitError(f"automorphism search exceeds closure cap {cap}: "
-                                 f"{decimal(candidates)} candidate generator images")
+    candidates = sum(prod(map(len, pools)) for _, pools in searches)
+    charge(candidates, lambda cap: f"automorphism search exceeds closure cap {cap}: "
+           f"{decimal(candidates)} candidate generator images")
     found = {}  # generator image indices -> image indices of every element
     for r, pools in searches:
         for images in cartesian_product([elements[r]], *pools):

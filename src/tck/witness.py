@@ -41,8 +41,7 @@ from collections.abc import Sequence
 from fractions import Fraction
 from math import gcd, isqrt, prod
 
-from .errors import (ConsistencyError, DomainError, Record, ResourceLimitError, closure_cap,
-                     decimal, integer, rational)
+from .errors import ConsistencyError, DomainError, Record, charge, decimal, integer, rational
 from .fields import (ScalingAutomorphism, _coprime_base, _is_prime, _lattice_divisors,
                      exponent_vector)
 from .roots import DiagramSymmetry, RootSystem, permutation_order, root_permutation
@@ -72,10 +71,9 @@ def generate_witnesses(rs: RootSystem, count: int) -> WitnessSequence:
     """
     integer(count, 1, f"at least one witness is required, got {decimal(count)}")
     # the sieve grows with the primes, so they are charged before it runs
-    cap, n = closure_cap(), count * rs.rank
-    if n > cap:
-        raise ResourceLimitError(f"witness count exceeds closure cap {cap} at {rs.rank} "
-                                 "primes per witness")
+    n = count * rs.rank
+    charge(n, lambda cap: f"witness count exceeds closure cap {cap} at {rs.rank} "
+           "primes per witness")
     # p_n < n (ln n + ln ln n) <= n log2 n for n >= 6 (Rosser and Schoenfeld,
     # 1962); should the sieve below the bound come up short, the bound doubles.
     bound, primes = n * n.bit_length() + 12, []

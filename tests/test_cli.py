@@ -228,6 +228,17 @@ def test_twisted_missing_file(capsys, tmp_path):
     assert report["payload"]["code"] == "domain-error"
 
 
+def test_a_path_holding_a_nul_cannot_be_read(capsys, tmp_path):
+    # open refuses the path with a ValueError before any file is read, so the
+    # message is not the one for bad JSON; the file beside it holds valid JSON
+    group_file, aut_file = _write_s3(tmp_path)
+    code, report = run_cli(capsys, ["twisted", "classes", "--group", group_file + "\0",
+                                    "--aut", aut_file])
+    assert (code, report["payload"]) == (1, {
+        "code": "domain-error",
+        "message": f"cannot read {group_file}\0: embedded null byte"})
+
+
 def test_spectrum_zn(capsys):
     code, report = run_cli(capsys, ["spectrum", "zn", "--matrix", "[[-1]]"])
     assert (code, report["payload"]["reidemeister"]) == (0, 2)

@@ -367,6 +367,13 @@ def test_scalar_gate_refuses_floats_bools_and_strings(value):
             make()
 
 
+def test_a_bool_times_a_polynomial_is_a_domain_error():
+    p = Polynomial.variable(1, 0)
+    for make in (lambda: p * True, lambda: False * p, lambda: p.scale(True)):
+        with pytest.raises(DomainError, match="^unsupported scalar (True|False)$"):
+            make()
+
+
 # Each was converted silently before: 0.25 and True were lattice members,
 # the generator 4.0 spanned <4>, and 0.5 had the exponent vector [-1].
 @pytest.mark.parametrize("call", [

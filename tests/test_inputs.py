@@ -42,7 +42,7 @@ from tck import (
     telescoping_product_check,
     zn_fullness_witness,
 )
-from tck.errors import decimal, integer, rational
+from tck.errors import charge, decimal, integer, rational
 from tck.fields import _is_prime
 from tck.linalg import _strip_power
 
@@ -277,3 +277,44 @@ def test_only_the_gates_test_for_bool():
              for line in _bool_isinstance_calls(ast.parse(path.read_text()))]
     assert found == []
     assert list(_bool_isinstance_calls(ast.parse("isinstance(x, (int, bool))"))) == [1]
+
+
+def test_charge_builds_its_message_only_past_the_cap(monkeypatch):
+    monkeypatch.setenv("TCK_CLOSURE_CAP", "7")
+
+    def unbuilt(cap):
+        raise AssertionError("a passing charge built its message")
+
+    charge(0, unbuilt)
+    charge(7, unbuilt)
+    with pytest.raises(ResourceLimitError, match="^8 units past cap 7$"):
+        charge(8, lambda cap: f"8 units past cap {cap}")
+
+
+def _callers(tree, callee, owner=""):
+    """The qualified name of the innermost function or class around each call
+    of callee, by name or attribute, "" at module level."""
+    for node in ast.iter_child_nodes(tree):
+        inner = owner
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{owner}.{node.name}" if owner else node.name
+        if isinstance(node, ast.Call) and callee in (getattr(node.func, "id", None),
+                                                     getattr(node.func, "attr", None)):
+            yield owner
+        yield from _callers(node, callee, inner)
+
+
+def test_only_charge_and_the_closure_read_the_cap():
+    # an up-front budget goes through charge, which reads the cap once per
+    # call; only the closure walk charges per element, inside its loop
+    package = Path(__file__).resolve().parents[1] / "src" / "tck"
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(package.glob("*.py"))}
+    calls = {callee: sorted(f"{name}:{owner}" for name, tree in trees.items()
+                            for owner in _callers(tree, callee))
+             for callee in ("closure_cap", "charge")}
+    assert calls == {
+        "closure_cap": ["errors.py:charge", "twisted.py:_closure"],
+        "charge": ["cli.py:_run_witness", "fields.py:ScalingAutomorphism.__pow__",
+                   "roots.py:RootSystem.__init__", "twisted.py:all_automorphisms",
+                   "witness.py:generate_witnesses"]}
+    assert list(_callers(ast.parse("def f():\n    g(lambda: h.charge(1))"), "charge")) == ["f"]
